@@ -1,11 +1,14 @@
-# Development targets. `make check` is the gate every change must pass;
-# the individual targets exist for quicker iteration.
+# Development targets. `make check` is the gate every change must pass; the
+# individual targets exist for quicker iteration. Every end-to-end assertion
+# (fleet convergence, metrics reconciliation, triage dedup, trace
+# reconciliation, the docs lint) is a `go test` case in internal/e2e, so
+# `make test` — tier-1 — already runs it; see docs/TESTING.md.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-gate trace-smoke fleet-smoke metrics-smoke chaos-smoke triage-smoke docs-check
+.PHONY: check vet build test race chaos-smoke bench bench-gate
 
-check: vet build test race trace-smoke fleet-smoke metrics-smoke chaos-smoke triage-smoke docs-check bench-gate
+check: vet build test race chaos-smoke bench-gate
 
 vet:
 	$(GO) vet ./...
@@ -22,28 +25,6 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/trapstore/...
 
-# End-to-end observability gate: run a small traced suite, then validate the
-# emitted JSONL against the schema and reconcile it with the detector
-# counters (see docs/OBSERVABILITY.md).
-trace-smoke:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/tsvd-run -modules 5 -trace $$dir >/dev/null && \
-	$(GO) run ./cmd/tsvd-trace-check $$dir && \
-	rm -rf $$dir
-
-# End-to-end live-metrics gate: run a deterministic suite with every metrics
-# surface enabled and reconcile each exported counter exactly against the
-# detector stats and store wire acks (see docs/OBSERVABILITY.md).
-metrics-smoke:
-	$(GO) run ./cmd/tsvd-metrics-check
-
-# End-to-end fleet-mode gate: a tsvd-trapd daemon plus three concurrent
-# tsvd-run shards must converge on one merged trap set, and a shard whose
-# daemon is killed mid-run must degrade to its local trap file and exit 0
-# (see docs/DEPLOYMENT.md).
-fleet-smoke:
-	$(GO) run ./cmd/tsvd-fleet-smoke
-
 # Fleet chaos gate: one short race-enabled chaos run against a three-daemon
 # cluster (randomized fleet actions — including partitions and anti-entropy
 # rounds — with invariant checks after each, see docs/TESTING.md), then a
@@ -52,20 +33,6 @@ fleet-smoke:
 chaos-smoke:
 	$(GO) run -race ./cmd/tsvd-chaos -seed 11 -actions 20 -shards 2 -daemons 3
 	$(GO) run -race ./cmd/tsvd-chaos -replay internal/chaos/regression_seeds.json
-
-# End-to-end triage gate: a K=4×R=3 fleet with planted duplicate bugs across
-# shards must fold into exactly one ranked, explained cluster per planted
-# bug, and the tsvd-triage CLI must dedup two same-seed tsvd-run trace shards
-# the same way (see docs/OBSERVABILITY.md, "Triage").
-triage-smoke:
-	$(GO) run ./cmd/tsvd-triage-smoke
-
-# Docs gate: intra-docs links must resolve, every Config field and tsvd.*
-# symbol the docs mention must exist in source, and every exported
-# identifier in the public package, internal/config, and internal/sampler
-# must carry a doc comment (see cmd/tsvd-docs-check).
-docs-check:
-	$(GO) run ./cmd/tsvd-docs-check
 
 # OnCall hot-path cost (see docs/PERFORMANCE.md for interpretation).
 bench:

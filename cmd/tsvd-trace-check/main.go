@@ -1,9 +1,8 @@
 // Command tsvd-trace-check validates a trace directory written by
-// `tsvd-run -trace`: every line of events.jsonl must parse against the
-// schema, and the per-kind event counts must reconcile exactly with the
-// detector counters recorded in summary.json. It is the consumer-side half
-// of the observability contract (docs/OBSERVABILITY.md) and the check
-// `make trace-smoke` runs in CI.
+// `tsvd-run -trace` with trace.CheckDir: every line of events.jsonl must
+// parse against the schema, and the per-kind event counts must reconcile
+// exactly with the detector counters recorded in summary.json
+// (docs/OBSERVABILITY.md).
 //
 // Usage:
 //
@@ -16,16 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/trace"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: tsvd-trace-check <trace-dir>\n")
 		flag.PrintDefaults()
@@ -33,59 +27,14 @@ func run() int {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
-		return 2
+		os.Exit(2)
 	}
 	dir := flag.Arg(0)
-
-	sf, err := os.Open(filepath.Join(dir, "summary.json"))
+	events, kinds, err := trace.CheckDir(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
-	}
-	sum, err := trace.ReadSummary(sf)
-	sf.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
-	}
-
-	ef, err := os.Open(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
-	}
-	counts, err := trace.ValidateJSONL(ef)
-	ef.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		return 1
-	}
-
-	ok := true
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total != sum.Drained {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: events.jsonl has %d events, summary says %d drained\n",
-			total, sum.Drained)
-		ok = false
-	}
-	for kind, n := range sum.ByKind {
-		if counts[kind] != n {
-			fmt.Fprintf(os.Stderr, "tsvd-trace-check: %s: %d in events.jsonl, %d in summary\n",
-				kind, counts[kind], n)
-			ok = false
-		}
-	}
-	if err := trace.Reconcile(counts, sum.Stats, sum.Store, sum.Dropped); err != nil {
-		fmt.Fprintf(os.Stderr, "tsvd-trace-check: %v\n", err)
-		ok = false
-	}
-	if !ok {
-		return 1
+		os.Exit(1)
 	}
 	fmt.Printf("tsvd-trace-check: %s ok — %d events, %d kinds, counters reconcile, 0 dropped\n",
-		dir, total, len(counts))
-	return 0
+		dir, events, kinds)
 }

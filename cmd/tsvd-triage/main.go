@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/trace"
 	"repro/internal/trapstore"
@@ -109,26 +108,10 @@ func run() int {
 // ingestDir folds one trace directory into tri as a single unit and returns
 // the producing tool's name from its summary.
 func ingestDir(tri *triage.Triage, dir string) (string, error) {
-	sf, err := os.Open(filepath.Join(dir, "summary.json"))
+	sum, jes, err := trace.ReadDir(dir)
 	if err != nil {
 		return "", err
 	}
-	sum, err := trace.ReadSummary(sf)
-	sf.Close()
-	if err != nil {
-		return "", err
-	}
-
-	ef, err := os.Open(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		return "", err
-	}
-	jes, err := trace.ReadJSONL(ef)
-	ef.Close()
-	if err != nil {
-		return "", err
-	}
-
 	tri.AddTrace(trace.ModuleTracesOf(jes), sum.Sites, triage.Provenance{Source: dir})
 	return sum.Tool, nil
 }

@@ -19,7 +19,7 @@
 //   - Exact observability: every shard run's trace events reconcile against
 //     its detector Stats and store totals (the tsvd-trace-check rule,
 //     in-process), and its exported metrics series match the same counters
-//     (the tsvd-metrics-check rule).
+//     (core.CheckCounters).
 //   - Anti-entropy liveness: a sync leg between two healthy, unpartitioned
 //     daemons never fails.
 //   - Cluster convergence: after the plan's closing converge — partitions

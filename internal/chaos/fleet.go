@@ -307,8 +307,8 @@ func (f *fleet) peerSync(act int, m *model) *Violation {
 // harness, Fallback(HTTPStore, FileStore), tracer, metrics — then applies
 // the in-process oracles: store-error classification, ground-truth
 // containment, exact trace reconciliation (the tsvd-trace-check rule) and
-// exact metrics reconciliation (the tsvd-metrics-check rule) — and folds the
-// observed outcome into the model.
+// exact metrics reconciliation (core.CheckCounters plus the store wire
+// totals) — and folds the observed outcome into the model.
 func (f *fleet) runShard(act int, a action, m *model) *Violation {
 	cfg := config.Defaults(a.algo).Scaled(chaosScale)
 	cfg.Trace = true
@@ -441,26 +441,14 @@ func storeTraceTail(buf *bytes.Buffer) []string {
 	return tail
 }
 
-// reconcileMetrics applies the tsvd-metrics-check rule in-process: detector
-// series equal Outcome.Stats, store series equal the wire totals.
+// reconcileMetrics applies the exact-reconciliation rule in-process: every
+// detector series equals Outcome.Stats (core.CheckCounters), store series
+// equal the wire totals.
 func reconcileMetrics(act, shard int, detReg, storeReg *metrics.Registry, out *harness.Outcome,
 	rem trace.StoreTotals, fbOwnFallbacks int64) *Violation {
 
-	detVals := detReg.Values()
-	for _, c := range []struct {
-		series string
-		want   int64
-	}{
-		{"tsvd_detector_on_calls_total", out.Stats.OnCalls},
-		{"tsvd_detector_delays_injected_total", out.Stats.DelaysInjected},
-		{"tsvd_detector_near_misses_total", out.Stats.NearMisses},
-		{"tsvd_detector_pairs_added_total", out.Stats.PairsAdded},
-		{"tsvd_detector_violations_total", out.Stats.Violations},
-	} {
-		if got := detVals[c.series]; got != float64(c.want) {
-			return violation(act, "metrics-reconcile",
-				fmt.Sprintf("shard %d: %s = %v, Stats say %d", shard, c.series, got, c.want), nil)
-		}
+	if err := core.CheckCounters(detReg.Values(), out.Stats); err != nil {
+		return violation(act, "metrics-reconcile", fmt.Sprintf("shard %d: %v", shard, err), nil)
 	}
 	storeVals := storeReg.Values()
 	for _, c := range []struct {

@@ -43,18 +43,6 @@ func (s pairSet) minus(t pairSet) []trapfile.Pair {
 	return setOf(out).sorted()
 }
 
-// union returns s ∪ t as a fresh set.
-func (s pairSet) union(t pairSet) pairSet {
-	out := make(pairSet, len(s)+len(t))
-	for p := range s {
-		out[p] = true
-	}
-	for p := range t {
-		out[p] = true
-	}
-	return out
-}
-
 // model is the contract-level ground truth the invariants compare the real
 // fleet against. It is driven by the *contracts*, not the implementation:
 // a publish the Fallback returned success for implies the pairs are in the

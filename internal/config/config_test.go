@@ -50,7 +50,6 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"PruneProbability", func(c *Config) { c.PruneProbability = 1.0 }},
 		{"RandomDelayProbability", func(c *Config) { c.RandomDelayProbability = 1.5 }},
 		{"TimeScale", func(c *Config) { c.TimeScale = -1 }},
-		{"ShardCount", func(c *Config) { c.ShardCount = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,32 +91,6 @@ func TestTimeScaling(t *testing.T) {
 	ctiny := Defaults(AlgoTSVD).Scaled(1e-15)
 	if ctiny.EffectiveDelay() <= 0 {
 		t.Error("tiny scale produced non-positive delay")
-	}
-}
-
-func TestEffectiveShardCount(t *testing.T) {
-	isPow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-	// Default (0) derives from GOMAXPROCS: a power of two, at least 8.
-	c := Defaults(AlgoTSVD)
-	if got := c.EffectiveShardCount(); got < 8 || !isPow2(got) {
-		t.Errorf("default EffectiveShardCount = %d, want power of two >= 8", got)
-	}
-
-	// Explicit values round up to the next power of two.
-	for _, tc := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}, {1000, 1024},
-	} {
-		c.ShardCount = tc.in
-		if got := c.EffectiveShardCount(); got != tc.want {
-			t.Errorf("EffectiveShardCount(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-
-	// Absurd values are capped (and still a power of two).
-	c.ShardCount = 1 << 30
-	if got := c.EffectiveShardCount(); got != maxShardCount {
-		t.Errorf("EffectiveShardCount(1<<30) = %d, want cap %d", got, maxShardCount)
 	}
 }
 

@@ -57,9 +57,8 @@ func Conflicts(a, b Kind) bool { return a == KindWrite || b == KindWrite }
 // strings — API metadata (class, method) lives in the detector's site
 // registry, interned once at registration time, and is resolved back only
 // when a report is built. Site may be zero for accesses fabricated without a
-// registry (tests, legacy callers); the detector then falls back to the
-// registry's op-keyed resolution. Migrating string-keyed callers go through
-// AccessLegacy / OnCallLegacy instead.
+// registry (tests); the detector then falls back to the registry's op-keyed
+// resolution.
 type Access struct {
 	Thread ids.ThreadID
 	Obj    ids.ObjectID
@@ -68,39 +67,6 @@ type Access struct {
 	// kind) tuple, from the detector's sites.Registry.
 	Site ids.SiteID
 	Kind Kind
-}
-
-// AccessLegacy is the pre-site-registry access shape: API metadata carried
-// as strings on every call. It exists so string-keyed instrumentation can
-// migrate mechanically — build the same struct, call OnCallLegacy — while
-// the hot path underneath runs on interned site ids.
-//
-// Deprecated: intern a site once via Detector.Sites().ForCall (or
-// tsvd.RegisterSite) and pass Access with the SiteID instead; the string
-// path pays an intern probe with two string compares on every call.
-type AccessLegacy struct {
-	Thread ids.ThreadID
-	Obj    ids.ObjectID
-	Op     ids.OpID
-	Kind   Kind
-	// Class and Method name the API, e.g. "Dictionary", "Add".
-	Class  string
-	Method string
-}
-
-// OnCallLegacy is the compatibility shim for string-keyed instrumentation:
-// it interns the (op, class, method, kind) tuple in d's site registry — one
-// lock-free probe plus two string compares after the first call per site —
-// and forwards the interned Access to d.OnCall. Detection behavior is
-// identical to the SiteID path; only the per-call intern probe differs.
-func OnCallLegacy(d Detector, a AccessLegacy) {
-	d.OnCall(Access{
-		Thread: a.Thread,
-		Obj:    a.Obj,
-		Op:     a.Op,
-		Site:   d.Sites().ForCall(a.Op, a.Class, a.Method, a.Kind == KindWrite),
-		Kind:   a.Kind,
-	})
 }
 
 // Detector is the runtime interface instrumented programs call into.
@@ -187,6 +153,27 @@ type Stats struct {
 	// [2^i, 2^(i+1)) µs. It quantifies the coarse-interleaving-hypothesis
 	// discussion of §6 (Snorlax observed 154–3505 µs windows).
 	NearMissGaps GapHistogram
+}
+
+// Add folds o into s, field by field: the one place suite totals and the
+// /metrics sums are built from, so a counter missing here is missing
+// everywhere (TestStatsAddCoversEveryField keeps it complete).
+func (s *Stats) Add(o Stats) {
+	s.OnCalls += o.OnCalls
+	s.DelaysInjected += o.DelaysInjected
+	s.TotalDelay += o.TotalDelay
+	s.NearMisses += o.NearMisses
+	s.PairsAdded += o.PairsAdded
+	s.PairsPrunedHB += o.PairsPrunedHB
+	s.PairsPrunedDecay += o.PairsPrunedDecay
+	s.Violations += o.Violations
+	s.LocationsSeen += o.LocationsSeen
+	s.LocationsSeenConcurrent += o.LocationsSeenConcurrent
+	s.SequentialSkips += o.SequentialSkips
+	s.CallsSampledOut += o.CallsSampledOut
+	s.DelaysSuppressed += o.DelaysSuppressed
+	s.SamplerThrottles += o.SamplerThrottles
+	s.NearMissGaps.Add(o.NearMissGaps)
 }
 
 // GapHistogram is a log₂-bucketed duration histogram (µs granularity).
@@ -312,9 +299,9 @@ func (e coreError) Error() string { return "core: " + string(e) }
 var errUnknownAlgo = coreError("unknown algorithm")
 
 // NopDetector ignores everything; it is the uninstrumented baseline used for
-// overhead measurements and the zero value other variants embed for the
-// synchronization hooks they ignore.
+// overhead measurements.
 type NopDetector struct {
+	nopSyncHooks
 	reports *report.Collector
 	sites   *sites.Registry
 }
@@ -326,18 +313,6 @@ func NewNop() *NopDetector {
 
 // OnCall implements Detector.
 func (*NopDetector) OnCall(Access) {}
-
-// OnFork implements Detector.
-func (*NopDetector) OnFork(parent, child ids.ThreadID) {}
-
-// OnJoin implements Detector.
-func (*NopDetector) OnJoin(waiter, done ids.ThreadID) {}
-
-// OnLockAcquire implements Detector.
-func (*NopDetector) OnLockAcquire(t ids.ThreadID, lock ids.ObjectID) {}
-
-// OnLockRelease implements Detector.
-func (*NopDetector) OnLockRelease(t ids.ThreadID, lock ids.ObjectID) {}
 
 // Sites implements Detector; the registry interns but drives nothing.
 func (n *NopDetector) Sites() *sites.Registry { return n.sites }
@@ -354,8 +329,8 @@ func (*NopDetector) ExportTraps() []report.PairKey { return nil }
 // Tracer implements Detector; the baseline traces nothing.
 func (*NopDetector) Tracer() *trace.Tracer { return nil }
 
-// nopSyncHooks provides the no-op synchronization hooks that TSVD and the
-// random variants embed: they are oblivious to synchronization by design.
+// nopSyncHooks provides the no-op synchronization hooks that every variant
+// but TSVDHB embeds: they are oblivious to synchronization by design.
 type nopSyncHooks struct{}
 
 func (nopSyncHooks) OnFork(parent, child ids.ThreadID)               {}

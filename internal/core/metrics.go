@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -27,7 +29,7 @@ import (
 //     off the conflict-free fast path. Each Observe is a short bounds scan
 //     plus three atomic adds, allocation-free.
 //
-// Exact-reconciliation contract (enforced by cmd/tsvd-metrics-check): the
+// Exact-reconciliation contract (enforced by CheckCounters): the
 // gap histogram's count equals Stats.NearMisses, the granted-delay
 // histogram's count equals Stats.DelaysInjected, and the occupancy
 // histogram's count equals Stats.PairsAdded — every increment of those
@@ -40,6 +42,82 @@ type DetectorMetrics struct {
 	mu   sync.Mutex
 	rts  []*runtime
 	sets []trapSetSizer
+}
+
+// StatCounter ties one Stats counter to the series it is exported as.
+type StatCounter struct {
+	Series, Help string
+	Value        func(Stats) float64
+}
+
+// StatCounters lists every Stats counter with its exported series: the one
+// table NewDetectorMetrics registers from and CheckCounters reconciles
+// against.
+var StatCounters = []StatCounter{
+	{"tsvd_detector_on_calls_total",
+		"Instrumented thread-unsafe calls observed.",
+		func(s Stats) float64 { return float64(s.OnCalls) }},
+	{"tsvd_detector_delays_injected_total",
+		"Injected delays (trap set and slept).",
+		func(s Stats) float64 { return float64(s.DelaysInjected) }},
+	{"tsvd_detector_delay_seconds_total",
+		"Cumulative injected delay time.",
+		func(s Stats) float64 { return s.TotalDelay.Seconds() }},
+	{"tsvd_detector_near_misses_total",
+		"Dangerous-pair sightings within the near-miss window.",
+		func(s Stats) float64 { return float64(s.NearMisses) }},
+	{"tsvd_detector_pairs_added_total",
+		"Unique pairs ever added to the trap set.",
+		func(s Stats) float64 { return float64(s.PairsAdded) }},
+	{"tsvd_detector_pairs_pruned_hb_total",
+		"Pairs pruned by happens-before inference or analysis.",
+		func(s Stats) float64 { return float64(s.PairsPrunedHB) }},
+	{"tsvd_detector_pairs_pruned_decay_total",
+		"Pairs pruned by probability decay.",
+		func(s Stats) float64 { return float64(s.PairsPrunedDecay) }},
+	{"tsvd_detector_violations_total",
+		"Thread-safety violations caught red-handed (pre-dedup).",
+		func(s Stats) float64 { return float64(s.Violations) }},
+	{"tsvd_detector_locations_seen_total",
+		"Distinct static TSVD points executed.",
+		func(s Stats) float64 { return float64(s.LocationsSeen) }},
+	{"tsvd_detector_locations_seen_concurrent_total",
+		"Distinct TSVD points executed during a concurrent phase.",
+		func(s Stats) float64 { return float64(s.LocationsSeenConcurrent) }},
+	{"tsvd_detector_sequential_skips_total",
+		"Near-miss candidates discarded in sequential phases.",
+		func(s Stats) float64 { return float64(s.SequentialSkips) }},
+	{"tsvd_sampler_calls_sampled_out_total",
+		"Instrumented calls skipped by the sampling gate (ModeSampled).",
+		func(s Stats) float64 { return float64(s.CallsSampledOut) }},
+	{"tsvd_sampler_delays_suppressed_total",
+		"Delays vetoed by observe-only mode (logical trap firings).",
+		func(s Stats) float64 { return float64(s.DelaysSuppressed) }},
+	{"tsvd_sampler_throttles_total",
+		"Adaptive-sampling controller adjustments toward the overhead target.",
+		func(s Stats) float64 { return float64(s.SamplerThrottles) }},
+}
+
+// CheckCounters reconciles a scrape against st exactly: every StatCounters
+// series, and the three histogram counts that are co-located with a counter
+// by contract. The exposition format round-trips float64 exactly and every
+// value is summed from the same int64s, so there is no tolerance — a
+// mismatch, however small, means a counting path diverged. All mismatches
+// are reported, not just the first.
+func CheckCounters(scraped map[string]float64, st Stats) error {
+	var errs []error
+	check := func(series string, want float64) {
+		if got := scraped[series]; got != want {
+			errs = append(errs, fmt.Errorf("%s = %v, Stats say %v", series, got, want))
+		}
+	}
+	for _, c := range StatCounters {
+		check(c.Series, c.Value(st))
+	}
+	check("tsvd_detector_near_miss_gap_seconds_count", float64(st.NearMisses))
+	check("tsvd_detector_granted_delay_seconds_count", float64(st.DelaysInjected))
+	check("tsvd_detector_trap_set_occupancy_pairs_count", float64(st.PairsAdded))
+	return errors.Join(errs...)
 }
 
 // trapSetSizer is what TSVD and TSVDHB expose for the trap-set gauge; the
@@ -66,51 +144,9 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 			"Trap-set size observed at each pair insertion.",
 			1, metrics.ExpBounds(1, 2, 11)),
 	}
-	counter := func(name, help string, read func(Stats) float64) {
-		reg.CounterFunc(name, help, func() float64 { return read(m.sum()) })
+	for _, c := range StatCounters {
+		reg.CounterFunc(c.Series, c.Help, func() float64 { return c.Value(m.sum()) })
 	}
-	counter("tsvd_detector_on_calls_total",
-		"Instrumented thread-unsafe calls observed.",
-		func(s Stats) float64 { return float64(s.OnCalls) })
-	counter("tsvd_detector_delays_injected_total",
-		"Injected delays (trap set and slept).",
-		func(s Stats) float64 { return float64(s.DelaysInjected) })
-	counter("tsvd_detector_delay_seconds_total",
-		"Cumulative injected delay time.",
-		func(s Stats) float64 { return s.TotalDelay.Seconds() })
-	counter("tsvd_detector_near_misses_total",
-		"Dangerous-pair sightings within the near-miss window.",
-		func(s Stats) float64 { return float64(s.NearMisses) })
-	counter("tsvd_detector_pairs_added_total",
-		"Unique pairs ever added to the trap set.",
-		func(s Stats) float64 { return float64(s.PairsAdded) })
-	counter("tsvd_detector_pairs_pruned_hb_total",
-		"Pairs pruned by happens-before inference or analysis.",
-		func(s Stats) float64 { return float64(s.PairsPrunedHB) })
-	counter("tsvd_detector_pairs_pruned_decay_total",
-		"Pairs pruned by probability decay.",
-		func(s Stats) float64 { return float64(s.PairsPrunedDecay) })
-	counter("tsvd_detector_violations_total",
-		"Thread-safety violations caught red-handed (pre-dedup).",
-		func(s Stats) float64 { return float64(s.Violations) })
-	counter("tsvd_detector_locations_seen_total",
-		"Distinct static TSVD points executed.",
-		func(s Stats) float64 { return float64(s.LocationsSeen) })
-	counter("tsvd_detector_locations_seen_concurrent_total",
-		"Distinct TSVD points executed during a concurrent phase.",
-		func(s Stats) float64 { return float64(s.LocationsSeenConcurrent) })
-	counter("tsvd_detector_sequential_skips_total",
-		"Near-miss candidates discarded in sequential phases.",
-		func(s Stats) float64 { return float64(s.SequentialSkips) })
-	counter("tsvd_sampler_calls_sampled_out_total",
-		"Instrumented calls skipped by the sampling gate (ModeSampled).",
-		func(s Stats) float64 { return float64(s.CallsSampledOut) })
-	counter("tsvd_sampler_delays_suppressed_total",
-		"Delays vetoed by observe-only mode (logical trap firings).",
-		func(s Stats) float64 { return float64(s.DelaysSuppressed) })
-	counter("tsvd_sampler_throttles_total",
-		"Adaptive-sampling controller adjustments toward the overhead target.",
-		func(s Stats) float64 { return float64(s.SamplerThrottles) })
 	reg.CounterFunc("tsvd_trace_emitted_total",
 		"Trace events accepted into the per-detector ring buffers.",
 		func() float64 { e, _ := m.traceTotals(); return float64(e) })
@@ -154,22 +190,7 @@ func (m *DetectorMetrics) sum() Stats {
 	m.mu.Unlock()
 	var out Stats
 	for _, r := range rts {
-		s := r.snapshotStats()
-		out.OnCalls += s.OnCalls
-		out.DelaysInjected += s.DelaysInjected
-		out.TotalDelay += s.TotalDelay
-		out.NearMisses += s.NearMisses
-		out.PairsAdded += s.PairsAdded
-		out.PairsPrunedHB += s.PairsPrunedHB
-		out.PairsPrunedDecay += s.PairsPrunedDecay
-		out.Violations += s.Violations
-		out.LocationsSeen += s.LocationsSeen
-		out.LocationsSeenConcurrent += s.LocationsSeenConcurrent
-		out.SequentialSkips += s.SequentialSkips
-		out.CallsSampledOut += s.CallsSampledOut
-		out.DelaysSuppressed += s.DelaysSuppressed
-		out.SamplerThrottles += s.SamplerThrottles
-		out.NearMissGaps.Add(s.NearMissGaps)
+		out.Add(r.snapshotStats())
 	}
 	return out
 }

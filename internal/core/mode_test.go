@@ -156,7 +156,7 @@ func TestSampledAutoThrottle(t *testing.T) {
 	if st.CallsSampledOut == 0 {
 		t.Fatal("controller ticked but nothing was sampled out; throttle had no effect")
 	}
-	got := scrapeValues(t, reg)
+	got := reg.Values()
 	if p := got["tsvd_sampler_probability"]; p >= 1 {
 		t.Errorf("tsvd_sampler_probability = %v, want < 1 after throttling", p)
 	}

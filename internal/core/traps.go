@@ -375,6 +375,28 @@ type runtime struct {
 	hbThreshold time.Duration
 }
 
+// detectorBase is what every analysing variant embeds: the shared runtime
+// and the Detector accessors that only read it.
+type detectorBase struct {
+	rt runtime
+}
+
+// Sites implements Detector.
+func (b *detectorBase) Sites() *sites.Registry { return b.rt.sites }
+
+// Reports implements Detector.
+func (b *detectorBase) Reports() *report.Collector { return b.rt.reports }
+
+// Stats implements Detector.
+func (b *detectorBase) Stats() Stats { return b.rt.snapshotStats() }
+
+// Tracer implements Detector.
+func (b *detectorBase) Tracer() *trace.Tracer { return b.rt.tr }
+
+// ExportTraps implements Detector for the variants that keep no trap set;
+// TSVD and TSVDHB export theirs.
+func (b *detectorBase) ExportTraps() []report.PairKey { return nil }
+
 // init prepares r in place. (runtime holds locks and atomics, so it is
 // initialized through a pointer rather than returned by value.)
 func (r *runtime) init(cfg config.Config, o options) {
@@ -431,10 +453,9 @@ func (r *runtime) nowSlow() time.Duration {
 }
 
 // resolveSite fills in a dense site id for accesses that arrive without one
-// (the legacy string path after interning, and fabricated test accesses):
-// the registry's op-keyed fallback, one lock-free probe after the first call
-// per (op, kind). Accesses from migrated instrumentation carry their SiteID
-// already and skip this entirely.
+// (fabricated test accesses): the registry's op-keyed fallback, one lock-free
+// probe after the first call per (op, kind). Accesses from instrumentation
+// carry their SiteID already and skip this entirely.
 func (r *runtime) resolveSite(a *Access) {
 	if a.Site == 0 {
 		a.Site = r.sites.ForOpKind(a.Op, a.Kind == KindWrite)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/report"
 	"repro/internal/sampler"
-	"repro/internal/sites"
 	"repro/internal/trace"
 )
 
@@ -32,8 +31,8 @@ import (
 //   - the trap set and the finished-delay log keep small cold-path locks.
 type TSVD struct {
 	nopSyncHooks // TSVD is oblivious to synchronization by design
+	detectorBase
 
-	rt    runtime
 	phase *phaseRing
 	set   trapSet
 
@@ -52,20 +51,23 @@ type histEntry struct {
 	at     time.Duration
 }
 
-// objHistory is a fixed-capacity ring of the most recent accesses (§3.4.2
-// keeps "a global hash table" of these — ours hangs one off each object's
-// state). Only touched under the object's lock.
-type objHistory struct {
-	entries []histEntry
+// history is a fixed-capacity ring of the most recent accesses to one object
+// (§3.4.2 keeps "a global hash table" of these — ours hangs one off each
+// object's state). Only touched under the object's lock. TSVD's entries carry
+// timestamps (objHistory), TSVDHB's carry clock epochs (hbHistory).
+type history[E any] struct {
+	entries []E
 	next    int
 	full    bool
 }
+
+type objHistory = history[histEntry]
 
 func newObjHistory(capacity int) *objHistory {
 	return &objHistory{entries: make([]histEntry, capacity)}
 }
 
-func (h *objHistory) add(e histEntry) {
+func (h *history[E]) add(e E) {
 	h.entries[h.next] = e
 	h.next++
 	if h.next == len(h.entries) {
@@ -78,8 +80,8 @@ func (h *objHistory) add(e histEntry) {
 // wants the most recent conflicting access preferred: it is the one whose
 // gap is smallest and therefore the sighting most likely to reflect a real
 // interleaving opportunity (and the one the gap histogram should measure).
-// (OnCall inlines this walk; each remains for tests and cold callers.)
-func (h *objHistory) each(fn func(histEntry)) {
+// (The OnCall paths inline this walk; each is its reference definition.)
+func (h *history[E]) each(fn func(E)) {
 	n := len(h.entries)
 	if !h.full {
 		n = h.next
@@ -419,7 +421,14 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			if e.thread == a.Thread || !Conflicts(e.kind, a.Kind) {
 				continue
 			}
-			if !rt.cfg.DisableNearMissWindow && t-e.at > rt.nearMissWindow {
+			// t was read before this lock was taken, so an entry recorded by
+			// a thread that read its clock later but locked first has
+			// e.at > t: the distance between the two accesses is |t - e.at|.
+			gap := t - e.at
+			if gap < 0 {
+				gap = -gap
+			}
+			if !rt.cfg.DisableNearMissWindow && gap > rt.nearMissWindow {
 				continue
 			}
 			if !concurrent {
@@ -427,9 +436,9 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 				continue
 			}
 			rt.stats.nearMisses.Add(1)
-			rt.stats.observeGap(t - e.at)
-			rt.met.observeGap(t - e.at)
-			rt.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, e.op, a.Op, t, t-e.at)
+			rt.stats.observeGap(gap)
+			rt.met.observeGap(gap)
+			rt.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, e.op, a.Op, t, gap)
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 		h.add(histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t})
@@ -506,18 +515,6 @@ func (d *TSVD) pruneHB(from ids.OpID, a Access, t time.Duration) {
 		d.rt.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, t, 0)
 	}
 }
-
-// Sites implements Detector.
-func (d *TSVD) Sites() *sites.Registry { return d.rt.sites }
-
-// Reports implements Detector.
-func (d *TSVD) Reports() *report.Collector { return d.rt.reports }
-
-// Stats implements Detector.
-func (d *TSVD) Stats() Stats { return d.rt.snapshotStats() }
-
-// Tracer implements Detector.
-func (d *TSVD) Tracer() *trace.Tracer { return d.rt.tr }
 
 // ExportTraps implements Detector: the trap file contents (§3.4.6).
 func (d *TSVD) ExportTraps() []report.PairKey { return d.set.export() }

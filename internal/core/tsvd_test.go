@@ -2,12 +2,15 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 // testConfig returns TSVD defaults scaled for fast tests: 10 ms delays and
@@ -533,5 +536,61 @@ func TestNopDetectorInert(t *testing.T) {
 	d.OnLockRelease(1, 1)
 	if d.Reports().UniqueBugs() != 0 || d.Stats() != (Stats{}) || d.ExportTraps() != nil {
 		t.Fatal("Nop detector is not inert")
+	}
+}
+
+// stepClock is a hand-cranked Clock: Since returns whatever the test last
+// set, and Sleep returns at once.
+type stepClock struct{ at atomic.Int64 }
+
+func (c *stepClock) Now() time.Time                { return time.Time{} }
+func (c *stepClock) Since(time.Time) time.Duration { return time.Duration(c.at.Load()) }
+func (c *stepClock) Sleep(d time.Duration, _ <-chan struct{}) (time.Duration, bool) {
+	return d, false
+}
+
+// TestNearMissGapIsAbsolute: OnCall reads its timestamp before recordSlow
+// takes the object lock, so the entry it scans may carry a later timestamp
+// than its own (the other thread read its clock later but locked first). The
+// gap between the two accesses is then |t - e.at|; a negative gap used to
+// leak into the window test, both gap histograms and the near_miss event's
+// Dur (which trace.ValidateJSONL rejects).
+func TestNearMissGapIsAbsolute(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.DisablePhaseDetection = true // every access counts as concurrent
+	cfg.DisableHBInference = true
+	cfg.Trace = true
+	clk := &stepClock{}
+	reg := metrics.NewRegistry()
+	d := mustNew(t, cfg, WithClock(clk), WithDetectorMetrics(NewDetectorMetrics(reg)))
+
+	const gap = 2 * time.Millisecond // bucket 10: [1024µs, 2048µs)
+	clk.at.Store(int64(5 * time.Millisecond))
+	d.OnCall(acc(1, 1, 101, KindWrite))
+	clk.at.Store(int64(5*time.Millisecond - gap)) // thread 2 read its clock first
+	d.OnCall(acc(2, 1, 102, KindWrite))
+
+	st := d.Stats()
+	if st.NearMisses != 1 {
+		t.Fatalf("NearMisses = %d, want 1 (stats %+v)", st.NearMisses, st)
+	}
+	if want := gapBucket(gap); st.NearMissGaps[want] != 1 {
+		t.Errorf("NearMissGaps = %v, want the one gap in bucket %d", st.NearMissGaps, want)
+	}
+	if got := reg.Values()["tsvd_detector_near_miss_gap_seconds_sum"]; got != gap.Seconds() {
+		t.Errorf("gap histogram sum = %v s, want %v", got, gap.Seconds())
+	}
+	var seen bool
+	for _, ev := range d.Tracer().Drain() {
+		if ev.Kind != trace.KindNearMiss {
+			continue
+		}
+		seen = true
+		if ev.Dur != gap {
+			t.Errorf("near_miss event Dur = %v, want %v", ev.Dur, gap)
+		}
+	}
+	if !seen {
+		t.Error("no near_miss event emitted")
 	}
 }

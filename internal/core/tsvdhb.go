@@ -8,7 +8,6 @@ import (
 	"repro/internal/intmap"
 	"repro/internal/report"
 	"repro/internal/sampler"
-	"repro/internal/sites"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -38,7 +37,7 @@ import (
 // works on an immutable snapshot. The per-object epoch rings hang off the
 // runtime's object registry, like TSVD's near-miss rings.
 type TSVDHB struct {
-	rt  runtime
+	detectorBase
 	set trapSet
 
 	lockVC intmap.Map[vclock.Atomic] // ids.ObjectID → clock slot
@@ -54,39 +53,10 @@ type hbEntry struct {
 	epoch uint64
 }
 
-type hbHistory struct {
-	entries []hbEntry
-	next    int
-	full    bool
-}
+type hbHistory = history[hbEntry]
 
 func newHBHistory(capacity int) *hbHistory {
 	return &hbHistory{entries: make([]hbEntry, capacity)}
-}
-
-func (h *hbHistory) add(e hbEntry) {
-	h.entries[h.next] = e
-	h.next++
-	if h.next == len(h.entries) {
-		h.next = 0
-		h.full = true
-	}
-}
-
-// each visits the recorded entries newest first, mirroring objHistory.
-// (OnCall inlines this walk; each remains for tests and cold callers.)
-func (h *hbHistory) each(fn func(hbEntry)) {
-	n := len(h.entries)
-	if !h.full {
-		n = h.next
-	}
-	for i := 0; i < n; i++ {
-		idx := h.next - 1 - i
-		if idx < 0 {
-			idx += len(h.entries)
-		}
-		fn(h.entries[idx])
-	}
 }
 
 func newTSVDHB(cfg config.Config, o options) *TSVDHB {
@@ -281,23 +251,8 @@ func (d *TSVDHB) OnCall(a Access) {
 	}
 }
 
-// Sites implements Detector.
-func (d *TSVDHB) Sites() *sites.Registry { return d.rt.sites }
-
-// Reports implements Detector.
-func (d *TSVDHB) Reports() *report.Collector { return d.rt.reports }
-
-// Stats implements Detector.
-func (d *TSVDHB) Stats() Stats { return d.rt.snapshotStats() }
-
-// Tracer implements Detector.
-func (d *TSVDHB) Tracer() *trace.Tracer { return d.rt.tr }
-
 // ExportTraps implements Detector.
 func (d *TSVDHB) ExportTraps() []report.PairKey { return d.set.export() }
 
 // TrapSetSize reports the number of live dangerous pairs.
 func (d *TSVDHB) TrapSetSize() int { return d.set.size() }
-
-// sameClockRef is a test hook exposing vclock.SameRef over thread clocks.
-func sameClockRef(a, b vclock.Tree) bool { return vclock.SameRef(a, b) }

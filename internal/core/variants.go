@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
-	"repro/internal/report"
-	"repro/internal/sites"
 	"repro/internal/trace"
 )
 
@@ -17,7 +15,7 @@ import (
 // StaticRandom and TSVD address.
 type DynamicRandom struct {
 	nopSyncHooks
-	rt runtime
+	detectorBase
 }
 
 func newDynamicRandom(cfg config.Config, o options) *DynamicRandom {
@@ -26,32 +24,43 @@ func newDynamicRandom(cfg config.Config, o options) *DynamicRandom {
 	return d
 }
 
-// OnCall implements Detector.
-func (d *DynamicRandom) OnCall(a Access) {
-	d.rt.stats.onCalls.Add(1)
-	d.rt.resolveSite(&a)
-	if d.rt.parked.Load() > 0 {
-		if os := d.rt.objs.Get(int64(a.Obj)); os != nil {
+// admitRandom is the front half DynamicRandom and StaticRandom share: count
+// the call, check it against parked traps, pass it through the sampling gate
+// (ModeSampled, docs/SAMPLING.md — after the trap check, so red-handed
+// catching is never sampled out), mark coverage and offer the controller its
+// tick. It reports whether the call was admitted. The random variants
+// already pay a shared-RNG draw per call, so the gate reuses that source
+// rather than per-thread state. The tick runs before the caller's delay
+// branch: delay time is charged separately inside injectDelay, so nothing is
+// counted twice.
+func (r *runtime) admitRandom(a *Access) bool {
+	r.stats.onCalls.Add(1)
+	r.resolveSite(a)
+	if r.parked.Load() > 0 {
+		if os := r.objs.Get(int64(a.Obj)); os != nil {
 			os.mu.Lock()
-			d.rt.checkForTraps(os, a, ids.Stack)
+			r.checkForTraps(os, *a, ids.Stack)
 			os.mu.Unlock()
 		}
 	}
-	// Sampling gate (ModeSampled, docs/SAMPLING.md) — after the trap check.
-	// The random variants already pay a shared-RNG draw per call, so the
-	// gate reuses that source rather than per-thread state. The controller
-	// tick runs before the delay branch: delay time is charged separately
-	// inside injectDelay, so nothing is counted twice.
-	if d.rt.samp != nil && !d.rt.samp.Admit(a.Site, d.rt.randUint64()) {
-		d.rt.stats.callsSampledOut.Add(1)
-		if d.rt.samp.Capped() {
-			d.rt.sampleTick(d.rt.now())
+	if r.samp != nil && !r.samp.Admit(a.Site, r.randUint64()) {
+		r.stats.callsSampledOut.Add(1)
+		if r.samp.Capped() {
+			r.sampleTick(r.now())
 		}
-		return
+		return false
 	}
-	d.rt.markSeen(a.Site, a.Op, false)
-	if d.rt.samp != nil {
-		d.rt.sampleTick(d.rt.now())
+	r.markSeen(a.Site, a.Op, false)
+	if r.samp != nil {
+		r.sampleTick(r.now())
+	}
+	return true
+}
+
+// OnCall implements Detector.
+func (d *DynamicRandom) OnCall(a Access) {
+	if !d.rt.admitRandom(&a) {
+		return
 	}
 	if d.rt.randFloat() < d.rt.cfg.RandomDelayProbability {
 		// "the thread sleeps for a random amount of time" — uniform in
@@ -63,21 +72,6 @@ func (d *DynamicRandom) OnCall(a Access) {
 		d.rt.injectDelay(a, dur)
 	}
 }
-
-// Sites implements Detector.
-func (d *DynamicRandom) Sites() *sites.Registry { return d.rt.sites }
-
-// Reports implements Detector.
-func (d *DynamicRandom) Reports() *report.Collector { return d.rt.reports }
-
-// Stats implements Detector.
-func (d *DynamicRandom) Stats() Stats { return d.rt.snapshotStats() }
-
-// ExportTraps implements Detector; random variants keep no trap set.
-func (d *DynamicRandom) ExportTraps() []report.PairKey { return nil }
-
-// Tracer implements Detector.
-func (d *DynamicRandom) Tracer() *trace.Tracer { return d.rt.tr }
 
 // StaticRandom (§3.3) emulates DataCollider: static program locations are
 // sampled uniformly, irrespective of how often each executes, so cold paths
@@ -95,7 +89,7 @@ func (d *DynamicRandom) Tracer() *trace.Tracer { return d.rt.tr }
 // small lock; the shared runtime underneath is the lock-free one.
 type StaticRandom struct {
 	nopSyncHooks
-	rt runtime
+	detectorBase
 
 	mu    sync.Mutex
 	armed map[ids.OpID]bool
@@ -113,26 +107,8 @@ func newStaticRandom(cfg config.Config, o options) *StaticRandom {
 
 // OnCall implements Detector.
 func (s *StaticRandom) OnCall(a Access) {
-	s.rt.stats.onCalls.Add(1)
-	s.rt.resolveSite(&a)
-	if s.rt.parked.Load() > 0 {
-		if os := s.rt.objs.Get(int64(a.Obj)); os != nil {
-			os.mu.Lock()
-			s.rt.checkForTraps(os, a, ids.Stack)
-			os.mu.Unlock()
-		}
-	}
-	// Sampling gate, mirroring DynamicRandom.
-	if s.rt.samp != nil && !s.rt.samp.Admit(a.Site, s.rt.randUint64()) {
-		s.rt.stats.callsSampledOut.Add(1)
-		if s.rt.samp.Capped() {
-			s.rt.sampleTick(s.rt.now())
-		}
+	if !s.rt.admitRandom(&a) {
 		return
-	}
-	s.rt.markSeen(a.Site, a.Op, false)
-	if s.rt.samp != nil {
-		s.rt.sampleTick(s.rt.now())
 	}
 
 	s.mu.Lock()
@@ -160,18 +136,3 @@ func (s *StaticRandom) OnCall(a Access) {
 		s.rt.injectDelay(a, s.rt.delayTime)
 	}
 }
-
-// Sites implements Detector.
-func (s *StaticRandom) Sites() *sites.Registry { return s.rt.sites }
-
-// Reports implements Detector.
-func (s *StaticRandom) Reports() *report.Collector { return s.rt.reports }
-
-// Stats implements Detector.
-func (s *StaticRandom) Stats() Stats { return s.rt.snapshotStats() }
-
-// ExportTraps implements Detector.
-func (s *StaticRandom) ExportTraps() []report.PairKey { return nil }
-
-// Tracer implements Detector.
-func (s *StaticRandom) Tracer() *trace.Tracer { return s.rt.tr }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/vclock"
 )
 
 // TestDynamicRandomFindsHotBug: with a high injection probability the
@@ -89,8 +90,13 @@ func TestStaticRandomFindsBug(t *testing.T) {
 	cfg.StaticSampleProbability = 1.0
 	d := mustNew(t, cfg)
 	const obj = ids.ObjectID(25)
-	d1 := hammer(150, time.Millisecond, func(int) { d.OnCall(acc(1, obj, 2501, KindWrite)) })
-	d2 := hammer(150, time.Millisecond, func(int) { d.OnCall(acc(2, obj, 2502, KindWrite)) })
+	// Each location fires once per arming window, and a firing is wasted
+	// when both threads trap in the same instant (neither is left to spring
+	// the other's trap) — which a loaded machine makes likely for the very
+	// first call. Run long enough for five windows, not two.
+	const calls = 5 * resamplePeriod / 2
+	d1 := hammer(calls, time.Millisecond, func(int) { d.OnCall(acc(1, obj, 2501, KindWrite)) })
+	d2 := hammer(calls, time.Millisecond, func(int) { d.OnCall(acc(2, obj, 2502, KindWrite)) })
 	<-d1
 	<-d2
 	if d.Reports().UniqueBugs() == 0 {
@@ -210,7 +216,7 @@ func TestTSVDHBJoinReferenceFastPath(t *testing.T) {
 	d.OnJoin(1, 2)
 	w := d.threadTree(1)
 	c := d.threadTree(2)
-	if !sameClockRef(w, c) {
+	if !vclock.SameRef(w, c) {
 		t.Fatal("join of an untouched task did not share the clock reference")
 	}
 }

@@ -1,0 +1,179 @@
+package e2e
+
+import (
+	"fmt"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/trapfile"
+	"repro/internal/trapstore"
+)
+
+// runShards runs one tsvd-run shard per daemon URL concurrently — shard i
+// with -seed seedBase+i (different machines testing different modules),
+// syncing through urls[i] — and returns the shards' local trap files.
+func runShards(t *testing.T, dir, name string, seedBase int, urls ...string) []string {
+	t.Helper()
+	files := make([]string, len(urls))
+	errs := make([]error, len(urls))
+	var wg sync.WaitGroup
+	for i, url := range urls {
+		files[i] = filepath.Join(dir, fmt.Sprintf("%s%d.json", name, i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := exec.Command(bins.run,
+				"-modules", "10", "-runs", "2", "-seed", fmt.Sprint(seedBase+i),
+				"-trapfile", files[i], "-trap-server", url).CombinedOutput()
+			if err != nil {
+				errs[i] = fmt.Errorf("shard %d: %v\n%s", i, err, out)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestShardsConvergeThroughDaemon: three shards run concurrently against one
+// daemon; afterwards the daemon's merged snapshot must equal the union of the
+// per-shard local trap files exactly (the deterministic-merge contract of
+// docs/DEPLOYMENT.md).
+func TestShardsConvergeThroughDaemon(t *testing.T) {
+	needBinaries(t)
+	dir := t.TempDir()
+	_, url := startDaemon(t, "-snapshot", filepath.Join(dir, "snapshot.json"))
+
+	files := runShards(t, dir, "shard", 33, url, url, url)
+	if err := diffPairs(pairSet(fetchPairs(t, url)), pairSet(loadUnion(t, files...))); err != nil {
+		t.Fatalf("daemon snapshot != union of shard trap files: %v", err)
+	}
+}
+
+// TestShardSurvivesDaemonKill: the daemon is killed while a shard is
+// mid-run; the shard must fall back to its local trap file, keep every pair
+// it had, report the degradation on stderr, and still exit 0 — fleet mode is
+// an accelerant, never a point of failure.
+func TestShardSurvivesDaemonKill(t *testing.T) {
+	needBinaries(t)
+	dir := t.TempDir()
+	daemon, url := startDaemon(t, "-snapshot", filepath.Join(dir, "snapshot.json"))
+
+	shardFile := runShards(t, dir, "shard", 33, url)[0]
+	before := loadUnion(t, shardFile)
+	gets := func() float64 {
+		m, _ := scrape(t, url+"/metrics")
+		return m[`tsvd_trapd_requests_total{endpoint="traps_get"}`]
+	}
+	getsBefore := gets()
+
+	// Enough runs that the kill lands with several store syncs (and
+	// therefore fallbacks) still to come.
+	cmd := exec.Command(bins.run,
+		"-modules", "40", "-runs", "4", "-seed", "33",
+		"-trapfile", shardFile, "-trap-server", url)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill once the shard's first fetch has reached the daemon: the shard
+	// is then inside run 1 with every publish still ahead of it.
+	eventually(t, 30*time.Second, func() error {
+		if gets() == getsBefore {
+			return fmt.Errorf("the shard's first fetch has not reached the daemon")
+		}
+		return nil
+	})
+	if err := daemon.Process.Kill(); err != nil {
+		t.Fatalf("kill daemon: %v", err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("shard with killed daemon exited nonzero: %v\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "unreachable") {
+		t.Fatalf("shard did not report the degradation; stderr: %q", stderr.String())
+	}
+	after := pairSet(loadUnion(t, shardFile))
+	for p := range pairSet(before) {
+		if !after[p] {
+			t.Errorf("local trap file lost pair %v after daemon death", p)
+		}
+	}
+}
+
+// TestClusterConvergesAndPollsDeltas: a three-daemon -peer anti-entropy
+// cluster, each daemon fed by a different shard, must converge on the union
+// of all shard files; and a steady-state poller pays one full snapshot, then
+// 304s and delta bodies only.
+func TestClusterConvergesAndPollsDeltas(t *testing.T) {
+	needBinaries(t)
+	dir := t.TempDir()
+	var urls []string
+	for i := 0; i < 3; i++ {
+		// Sequential startup with chain -peer flags, as an operator would
+		// bring a cluster up: each daemon names only the ones already
+		// running; push+pull anti-entropy makes the chain converge anyway.
+		args := []string{"-snapshot", filepath.Join(dir, fmt.Sprintf("cluster%d.json", i)), "-sync-interval", "150ms"}
+		for _, u := range urls {
+			args = append(args, "-peer", u)
+		}
+		_, u := startDaemon(t, args...)
+		urls = append(urls, u)
+	}
+
+	files := runShards(t, dir, "cluster-shard", 63, urls...)
+	union := pairSet(loadUnion(t, files...))
+	for i, u := range urls {
+		eventually(t, 20*time.Second, func() error {
+			if err := diffPairs(pairSet(fetchPairs(t, u)), union); err != nil {
+				return fmt.Errorf("cluster daemon %d has not converged on the %d shard pairs: %v", i, len(union), err)
+			}
+			return nil
+		})
+	}
+
+	// Wire economy: a polling client pays one full snapshot up front; after
+	// that an idle poll is a 304 and a one-pair growth arrives as a delta
+	// body, never a second full snapshot.
+	poller := trapstore.NewHTTPStore(urls[0], trapstore.HTTPConfig{})
+	defer poller.Close()
+	if _, err := poller.Fetch(); err != nil {
+		t.Fatalf("poller full fetch: %v", err)
+	}
+	fullBytes := poller.WireStats().FetchBytes
+	if _, err := poller.Fetch(); err != nil {
+		t.Fatalf("poller idle fetch: %v", err)
+	}
+	pub := trapstore.NewHTTPStore(urls[2], trapstore.HTTPConfig{})
+	err := pub.Publish(trapfile.File{Tool: "TSVD", Pairs: []trapfile.Pair{{A: "e2e/delta.go:1", B: "e2e/delta.go:2"}}})
+	pub.Close()
+	if err != nil {
+		t.Fatalf("publish to cluster daemon 2: %v", err)
+	}
+	eventually(t, 20*time.Second, func() error {
+		got, err := poller.Fetch()
+		if err != nil {
+			t.Fatalf("poller fetch: %v", err)
+		}
+		if len(got.Pairs) != len(union)+1 {
+			return fmt.Errorf("the pair published to daemon 2 has not reached daemon 0 (%d pairs, want %d)", len(got.Pairs), len(union)+1)
+		}
+		return nil
+	})
+	ws := poller.WireStats()
+	if ws.DeltaFetches < 1 {
+		t.Errorf("replicated growth arrived as a full snapshot, not a delta: %+v", ws)
+	}
+	if steady := ws.FetchBytes - fullBytes; steady >= fullBytes {
+		t.Errorf("steady-state polling cost %d bytes vs %d for one full snapshot; deltas are not saving wire", steady, fullBytes)
+	}
+}

@@ -264,7 +264,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 		}
 		ro := runSuite(suite, opts, opts.Config, traps, run, prog)
 		out.WallTime += ro.WallTime
-		out.Stats = sumStats(out.Stats, ro.Stats)
+		out.Stats.Add(ro.Stats)
 		out.Panics += ro.Panics
 		out.Reports.Merge(ro.Reports)
 		out.Traces = append(out.Traces, ro.Traces...)
@@ -413,7 +413,7 @@ func runSuite(suite *workload.Suite, opts Options, cfg config.Config,
 
 			mu.Lock()
 			res.WallTime += dur
-			res.Stats = sumStats(res.Stats, det.Stats())
+			res.Stats.Add(det.Stats())
 			res.Panics += panics
 			res.modulesFound[mod.Name] = det.Reports().UniqueBugs() > 0
 			res.Reports.Merge(det.Reports())
@@ -482,25 +482,6 @@ func runModule(mod *workload.Module, det core.Detector, sched *task.Scheduler,
 		}()
 	}
 	return panics
-}
-
-func sumStats(a, b core.Stats) core.Stats {
-	a.OnCalls += b.OnCalls
-	a.DelaysInjected += b.DelaysInjected
-	a.TotalDelay += b.TotalDelay
-	a.NearMisses += b.NearMisses
-	a.PairsAdded += b.PairsAdded
-	a.PairsPrunedHB += b.PairsPrunedHB
-	a.PairsPrunedDecay += b.PairsPrunedDecay
-	a.Violations += b.Violations
-	a.LocationsSeen += b.LocationsSeen
-	a.LocationsSeenConcurrent += b.LocationsSeenConcurrent
-	a.SequentialSkips += b.SequentialSkips
-	a.CallsSampledOut += b.CallsSampledOut
-	a.DelaysSuppressed += b.DelaysSuppressed
-	a.SamplerThrottles += b.SamplerThrottles
-	a.NearMissGaps.Add(b.NearMissGaps)
-	return a
 }
 
 // Overhead computes the relative slowdown of measured against baseline.

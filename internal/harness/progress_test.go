@@ -68,20 +68,11 @@ func TestHarnessMetricsReconcileWithOutcome(t *testing.T) {
 	out := Run(suite, o)
 
 	got := reg.Values()
-	for series, want := range map[string]int64{
-		"tsvd_detector_on_calls_total":                 out.Stats.OnCalls,
-		"tsvd_detector_delays_injected_total":          out.Stats.DelaysInjected,
-		"tsvd_detector_near_misses_total":              out.Stats.NearMisses,
-		"tsvd_detector_pairs_added_total":              out.Stats.PairsAdded,
-		"tsvd_detector_violations_total":               out.Stats.Violations,
-		"tsvd_detector_near_miss_gap_seconds_count":    out.Stats.NearMisses,
-		"tsvd_detector_granted_delay_seconds_count":    out.Stats.DelaysInjected,
-		"tsvd_detector_trap_set_occupancy_pairs_count": out.Stats.PairsAdded,
-		"tsvd_detector_instances":                      int64(2 * len(suite.Modules)),
-	} {
-		if got[series] != float64(want) {
-			t.Errorf("%s = %v, want %d", series, got[series], want)
-		}
+	if err := core.CheckCounters(got, out.Stats); err != nil {
+		t.Error(err)
+	}
+	if want := float64(2 * len(suite.Modules)); got["tsvd_detector_instances"] != want {
+		t.Errorf("tsvd_detector_instances = %v, want %v", got["tsvd_detector_instances"], want)
 	}
 	if out.Stats.OnCalls == 0 {
 		t.Fatal("suite exercised nothing")

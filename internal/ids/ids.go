@@ -76,14 +76,48 @@ func CurrentThreadID() ThreadID {
 	return ThreadID(id)
 }
 
+// opBase is where interned OpIDs start: high enough that tests can fabricate
+// small literal OpIDs without colliding with real call sites.
+const opBase = OpID(1) << 32
+
+// opEntry is one interned location: the persistent key trap files store
+// ("file:line") and the human-readable "file:line (function)" rendering.
+type opEntry struct{ key, loc string }
+
 var (
 	// pcToOp caches the physical-PC → OpID mapping (hot path).
 	pcToOp sync.Map // uintptr → OpID
 	opMu   sync.RWMutex
-	keyOps = map[string]OpID{}
-	opLocs = map[OpID]string{}
-	opKeys = map[OpID]string{}
+	// ops is the op table: ops[i] describes OpID(opBase+1+i). opByKey is its
+	// key index.
+	ops     []opEntry
+	opByKey = map[string]OpID{}
 )
+
+// intern returns the OpID for key, adding it to the op table with the given
+// rendering on first sight.
+func intern(key, loc string) OpID {
+	opMu.Lock()
+	defer opMu.Unlock()
+	op, ok := opByKey[key]
+	if !ok {
+		ops = append(ops, opEntry{key: key, loc: loc})
+		op = opBase + OpID(len(ops))
+		opByKey[key] = op
+	}
+	return op
+}
+
+// entry returns op's table row; ok is false for ids that were never interned
+// (e.g. fabricated test constants).
+func (op OpID) entry() (e opEntry, ok bool) {
+	opMu.RLock()
+	defer opMu.RUnlock()
+	if i := op - opBase - 1; op > opBase && i < OpID(len(ops)) {
+		return ops[i], true
+	}
+	return opEntry{}, false
+}
 
 // CallerOp returns the OpID of the call site `skip` frames above the caller
 // of CallerOp. skip=0 means the immediate caller of the function that calls
@@ -108,17 +142,7 @@ func CallerOp(skip int) OpID {
 		key = fmt.Sprintf("pc=0x%x", pc)
 		loc = key
 	}
-	opMu.Lock()
-	op, ok := keyOps[key]
-	if !ok {
-		// Interned ids start high so tests can fabricate small literal
-		// OpIDs without colliding with real call sites.
-		op = OpID(1<<32 + uint64(len(keyOps)) + 1)
-		keyOps[key] = op
-		opLocs[op] = loc
-		opKeys[op] = key
-	}
-	opMu.Unlock()
+	op := intern(key, loc)
 	pcToOp.Store(pc, op)
 	return op
 }
@@ -126,11 +150,8 @@ func CallerOp(skip int) OpID {
 // Location resolves an OpID to its "file:line (function)" string. OpIDs not
 // produced by CallerOp (e.g. fabricated in tests) render as "op#N".
 func (op OpID) Location() string {
-	opMu.RLock()
-	s, ok := opLocs[op]
-	opMu.RUnlock()
-	if ok {
-		return s
+	if e, ok := op.entry(); ok {
+		return e.loc
 	}
 	return fmt.Sprintf("op#%d", uint64(op))
 }
@@ -140,25 +161,13 @@ func (op OpID) Location() string {
 // stable across processes, which is what trap files persist (§3.4.6). The
 // synthetic workload generator also uses this to give every generated call
 // site a distinct static identity.
-func InternKey(key string) OpID {
-	opMu.Lock()
-	defer opMu.Unlock()
-	op, ok := keyOps[key]
-	if !ok {
-		op = OpID(1<<32 + uint64(len(keyOps)) + 1)
-		keyOps[key] = op
-		opLocs[op] = key
-		opKeys[op] = key
-	}
-	return op
-}
+func InternKey(key string) OpID { return intern(key, key) }
 
 // Key returns the persistent location key for an OpID, or "" for ids that
 // were never interned (e.g. fabricated test constants).
 func (op OpID) Key() string {
-	opMu.RLock()
-	defer opMu.RUnlock()
-	return opKeys[op]
+	e, _ := op.entry()
+	return e.key
 }
 
 // Stack captures the current goroutine's stack trace as text, trimmed of the

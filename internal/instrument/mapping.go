@@ -13,6 +13,8 @@
 // channels, forks and joins are untouched.
 package instrument
 
+import "repro/internal/collections"
+
 // ClassMapping describes how one raw container class is rewritten.
 type ClassMapping struct {
 	// RawType and RawConstructor name the uninstrumented identifiers
@@ -27,24 +29,21 @@ type ClassMapping struct {
 	// listed are assumed to keep their name.
 	Methods map[string]string
 	// Writes lists the instrumented method names that are write-APIs
-	// (for the instrumentation report).
+	// (for the instrumentation report). DefaultMappings fills it from
+	// collections.Registry, the API list the proxies themselves follow.
 	Writes map[string]bool
 }
 
 // DefaultMappings is the built-in API list shipping with the instrumenter,
 // covering every rawcol container class.
 func DefaultMappings() []ClassMapping {
-	return []ClassMapping{
+	mappings := []ClassMapping{
 		{
 			RawType: "Map", RawConstructor: "NewMap",
 			InstType: "Dictionary", InstConstructor: "NewDictionary",
 			Methods: map[string]string{
 				"Get": "TryGetValue", "MustGet": "Get", "Contains": "ContainsKey",
 				"Delete": "Remove", "Len": "Count", "Range": "ForEach",
-			},
-			Writes: map[string]bool{
-				"Add": true, "Set": true, "GetOrAdd": true, "Remove": true,
-				"Clear": true,
 			},
 		},
 		{
@@ -53,10 +52,6 @@ func DefaultMappings() []ClassMapping {
 			Methods: map[string]string{
 				"Append": "Add", "Len": "Count", "Snapshot": "ToSlice",
 				"Range": "ForEach",
-			},
-			Writes: map[string]bool{
-				"Add": true, "Insert": true, "Set": true, "RemoveAt": true,
-				"RemoveFunc": true, "Clear": true, "Sort": true,
 			},
 		},
 		{
@@ -68,10 +63,6 @@ func DefaultMappings() []ClassMapping {
 				"PeekFront": "First", "PeekBack": "Last",
 				"Len": "Count", "Snapshot": "ToSlice",
 			},
-			Writes: map[string]bool{
-				"AddLast": true, "AddFirst": true, "RemoveFirst": true,
-				"RemoveLast": true, "RemoveFunc": true, "Clear": true,
-			},
 		},
 		{
 			RawType: "SortedMap", RawConstructor: "NewSortedMap",
@@ -79,9 +70,6 @@ func DefaultMappings() []ClassMapping {
 			Methods: map[string]string{
 				"Get": "TryGetValue", "Contains": "ContainsKey",
 				"Delete": "Remove", "Len": "Count",
-			},
-			Writes: map[string]bool{
-				"Add": true, "Set": true, "Remove": true, "Clear": true,
 			},
 		},
 		{
@@ -91,19 +79,24 @@ func DefaultMappings() []ClassMapping {
 				"Push": "Enqueue", "Pop": "Dequeue", "Len": "Count",
 				"Snapshot": "ToSlice",
 			},
-			Writes: map[string]bool{
-				"Enqueue": true, "Dequeue": true, "Clear": true,
-			},
 		},
 		{
 			RawType: "Bits", RawConstructor: "NewBits",
 			InstType: "BitArray", InstConstructor: "NewBitArray",
 			Methods: map[string]string{},
-			Writes: map[string]bool{
-				"Set": true, "Flip": true, "SetAll": true,
-			},
 		},
 	}
+	apis := collections.Registry()
+	for i := range mappings {
+		m := &mappings[i]
+		m.Writes = map[string]bool{}
+		for method, kind := range apis[m.InstType] {
+			if kind == collections.Write {
+				m.Writes[method] = true
+			}
+		}
+	}
+	return mappings
 }
 
 // Options configures a rewrite.

@@ -1,10 +1,13 @@
 package instrument
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/collections"
 )
 
 func rewriteString(t *testing.T, src string) (string, []Site) {
@@ -347,5 +350,56 @@ func scheduling() {
 	}
 	if len(sites) != 9 { // 2 ctors + 7 method sites
 		t.Fatalf("got %d sites, want 9: %+v", len(sites), sites)
+	}
+}
+
+// TestSiteKindsAgreeWithRegistry drives every API of every mapped class
+// through the rewriter and requires the reported Site.Write — what
+// `tsvd-instrument -sites` prints — to equal the kind collections.Registry
+// gives the method, which is the kind the proxy reports to OnCall at run
+// time. It also requires every method-rename target to be a registered API.
+func TestSiteKindsAgreeWithRegistry(t *testing.T) {
+	apis := collections.Registry()
+	for _, m := range DefaultMappings() {
+		class, ok := apis[m.InstType]
+		if !ok {
+			t.Errorf("%s maps to %s, which collections.Registry does not list", m.RawType, m.InstType)
+			continue
+		}
+		rawName := map[string]string{} // instrumented method → raw spelling
+		for raw, inst := range m.Methods {
+			if _, ok := class[inst]; !ok {
+				t.Errorf("%s.%s is renamed to %s.%s, which is not a registered API", m.RawType, raw, m.InstType, inst)
+			}
+			rawName[inst] = raw
+		}
+
+		var src strings.Builder
+		fmt.Fprintf(&src, "package demo\n\nimport \"repro/internal/rawcol\"\n\nfunc f() {\n\tx := rawcol.%s[int]()\n", m.RawConstructor)
+		for method := range class {
+			raw := method
+			if r, ok := rawName[method]; ok {
+				raw = r
+			}
+			fmt.Fprintf(&src, "\tx.%s()\n", raw)
+		}
+		src.WriteString("}\n")
+
+		_, sites := rewriteString(t, src.String())
+		seen := map[string]bool{}
+		for _, s := range sites {
+			if s.Constructor {
+				continue
+			}
+			seen[s.Method] = true
+			if want := class[s.Method] == collections.Write; s.Write != want {
+				t.Errorf("%s.%s: site table says write=%v, registry says write=%v", s.Class, s.Method, s.Write, want)
+			}
+		}
+		for method := range class {
+			if !seen[method] {
+				t.Errorf("%s.%s: call site was not reported", m.InstType, method)
+			}
+		}
 	}
 }

@@ -14,8 +14,8 @@
 //     unconditionally, exactly like trace.Tracer.Emit;
 //   - exact: counters are int64 atomics read at scrape time, so an exported
 //     value reconciles against its source counter to the unit
-//     (cmd/tsvd-metrics-check enforces this, like tsvd-trace-check does for
-//     the trace).
+//     (internal/e2e's TestMetricsReconcileExactly enforces this, like
+//     trace.CheckDir does for the trace).
 //
 // Exposition (WritePrometheus) is the only allocating path; it renders the
 // Prometheus text format (HELP/TYPE comments, cumulative `le` buckets,
@@ -301,8 +301,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // ParseValues parses a Prometheus text exposition back into a map from
 // series (name plus rendered labels, exactly as exposed) to value. It is
-// the reconciliation half of WritePrometheus: cmd/tsvd-metrics-check and
-// tests scrape, parse, and compare against source counters.
+// the reconciliation half of WritePrometheus: tests and the chaos oracles
+// scrape, parse, and compare against source counters.
 func ParseValues(text string) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {

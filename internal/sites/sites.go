@@ -133,8 +133,8 @@ func (r *Registry) registerSlow(op ids.OpID, class, method string, write bool) i
 	return id
 }
 
-// ForOpKind resolves the site for an access that carries only an OpID (the
-// legacy path and fabricated test accesses): the first site registered for
+// ForOpKind resolves the site for an access that carries only an OpID
+// (fabricated test accesses): the first site registered for
 // (op, kind), auto-registered with empty class/method if the op was never
 // seen. Lock-free after the first call per (op, kind).
 func (r *Registry) ForOpKind(op ids.OpID, write bool) ids.SiteID {

@@ -3,8 +3,11 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/ids"
@@ -339,14 +342,7 @@ func Reconcile(counts map[string]int64, stats StatTotals, store StoreTotals, dro
 	check(KindStoreFallback, store.Fallbacks)
 	check(KindDelaySuppressed, stats.DelaysSuppressed)
 	check(KindSamplerThrottle, stats.SamplerThrottles)
-	if len(errs) == 0 {
-		return nil
-	}
-	msg := "trace: reconciliation failed:"
-	for _, e := range errs {
-		msg += "\n  " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
+	return errors.Join(errs...)
 }
 
 // Summary is the sidecar written next to events.jsonl: the producer's own
@@ -388,6 +384,60 @@ func ReadSummary(r io.Reader) (*Summary, error) {
 		return nil, fmt.Errorf("trace: summary version %d, want %d", s.Version, SchemaVersion)
 	}
 	return &s, nil
+}
+
+// ReadDir reads a trace directory as `tsvd-run -trace` writes it: the
+// summary.json sidecar and every schema-valid event of events.jsonl, in
+// stream order.
+func ReadDir(dir string) (*Summary, []JSONEvent, error) {
+	sf, err := os.Open(filepath.Join(dir, "summary.json"))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sf.Close()
+	sum, err := ReadSummary(sf)
+	if err != nil {
+		return nil, nil, err
+	}
+	ef, err := os.Open(filepath.Join(dir, "events.jsonl"))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ef.Close()
+	events, err := ReadJSONL(ef)
+	return sum, events, err
+}
+
+// CheckDir validates a trace directory — the consumer-side half of the
+// observability contract (docs/OBSERVABILITY.md): every line of events.jsonl
+// must parse against the schema, the per-kind event counts must equal the
+// ones summary.json recorded, and both must reconcile with the summary's
+// detector and store counters. It returns the number of events and of
+// distinct kinds checked; the error joins every divergence found.
+func CheckDir(dir string) (events int64, kinds int, err error) {
+	sum, jes, err := ReadDir(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	counts := map[string]int64{}
+	for _, je := range jes {
+		counts[je.Ev]++
+	}
+	events = int64(len(jes))
+
+	var errs []error
+	if events != sum.Drained {
+		errs = append(errs, fmt.Errorf("trace: events.jsonl has %d events, summary says %d drained", events, sum.Drained))
+	}
+	for kind, n := range sum.ByKind {
+		if counts[kind] != n {
+			errs = append(errs, fmt.Errorf("trace: %s: %d in events.jsonl, %d in summary", kind, counts[kind], n))
+		}
+	}
+	if err := Reconcile(counts, sum.Stats, sum.Store, sum.Dropped); err != nil {
+		errs = append(errs, err)
+	}
+	return events, len(counts), errors.Join(errs...)
 }
 
 // resolvedLoc renders an op for human-readable output: the interned key when

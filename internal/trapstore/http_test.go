@@ -83,7 +83,7 @@ func TestCloseCancelsRetryBackoff(t *testing.T) {
 func TestHTTPRoundTripAndETag(t *testing.T) {
 	m := NewMemory("TSVD", nil)
 	var gets, notModified atomic.Int64
-	inner := Handler(m, nil, nil)
+	inner := NewHandler(m, HandlerOptions{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == TrapsPath {
 			gets.Add(1)
@@ -135,7 +135,7 @@ func TestHTTPRoundTripAndETag(t *testing.T) {
 func TestHTTPRetriesThrough5xxBurst(t *testing.T) {
 	m := NewMemory("TSVD", nil)
 	m.Publish(trapfile.File{Pairs: pairs("a", "b")})
-	inner := Handler(m, nil, nil)
+	inner := NewHandler(m, HandlerOptions{})
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// A burst of two 503s, then healthy: the client must absorb it.
@@ -234,7 +234,7 @@ func TestHTTPTimeoutOnHangingServer(t *testing.T) {
 
 func TestHTTPServerDiesMidRun(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 
 	s, _ := newTestClient(srv.URL, HTTPConfig{Attempts: 2, Timeout: time.Second})
 	defer s.Close()
@@ -277,7 +277,7 @@ func TestHTTPVersionMismatchIsCorruptNotRetried(t *testing.T) {
 
 func TestHTTPServerRejectsForeignVersionPublish(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+TrapsPath, "application/json",
@@ -300,7 +300,7 @@ func TestHTTPServerRejectsForeignVersionPublish(t *testing.T) {
 // survive in the local trap file and no operation may error.
 func TestFallbackToFilePreservesLocalDiscoveries(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 
 	localPath := filepath.Join(t.TempDir(), "local.json")
 	client, _ := newTestClient(srv.URL, HTTPConfig{Attempts: 2, Timeout: time.Second})

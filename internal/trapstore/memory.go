@@ -396,9 +396,6 @@ func etagOf(st SyncState) string { return `"` + st.String() + `"` }
 // oversized publishes (HTTPConfig.PublishChunkBytes) instead of failing.
 const defaultMaxTrapPayload = 8 << 20
 
-// maxTrapPayload is the historical name of the default POST body cap.
-const maxTrapPayload = defaultMaxTrapPayload
-
 // HandlerOptions configure NewHandler. The zero value serves the store with
 // no persistence hook, no logging and no metrics.
 type HandlerOptions struct {
@@ -611,11 +608,6 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 		})
 	}))
 	return mux
-}
-
-// Handler is the pre-HandlerOptions constructor, kept for existing callers.
-func Handler(m *Memory, onMerge func(trapfile.File, SyncState), logf func(format string, args ...any)) http.Handler {
-	return NewHandler(m, HandlerOptions{OnMerge: onMerge, Logf: logf})
 }
 
 func reject(w http.ResponseWriter, status int, msg string) {

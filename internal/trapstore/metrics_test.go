@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,35 +13,13 @@ import (
 	"repro/internal/trapfile"
 )
 
-// scrapeValues parses a registry's exposition into series-line → value.
-func scrapeValues(t *testing.T, reg *metrics.Registry) map[string]float64 {
-	t.Helper()
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := map[string]float64{}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("bad series line %q: %v", line, err)
-		}
-		out[line[:i]] = v
-	}
-	return out
-}
-
 // TestHTTPFlakyServerCountersReconcile asserts the retry/304 observability
 // satellite: a flaky daemon (one 503 burst, then healthy with working ETags)
 // must leave the client's registry with exactly the retries and conditional
 // hits the wire saw.
 func TestHTTPFlakyServerCountersReconcile(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	inner := Handler(m, nil, nil)
+	inner := NewHandler(m, HandlerOptions{})
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The first two requests fail; everything after is healthy.
@@ -68,7 +45,7 @@ func TestHTTPFlakyServerCountersReconcile(t *testing.T) {
 		t.Fatalf("cached fetch = %v", got)
 	}
 
-	got := scrapeValues(t, reg)
+	got := reg.Values()
 	for series, want := range map[string]float64{
 		`tsvd_store_ops_total{op="publish"}`:                 1,
 		`tsvd_store_ops_total{op="fetch"}`:                   2,
@@ -95,7 +72,7 @@ func TestHTTPFlakyServerCountersReconcile(t *testing.T) {
 // complete the ops family.
 func TestFallbackRegistersFallbackCounter(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 
 	reg := metrics.NewRegistry()
 	client, _ := newTestClient(srv.URL, HTTPConfig{Attempts: 2, Timeout: time.Second, Metrics: reg})
@@ -108,20 +85,20 @@ func TestFallbackRegistersFallbackCounter(t *testing.T) {
 	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("a", "b")}); err != nil {
 		t.Fatal(err)
 	}
-	got := scrapeValues(t, reg)
+	got := reg.Values()
 	if got[`tsvd_store_ops_total{op="fallback"}`] != 1 {
 		t.Fatalf("fallback series = %v, want 1", got[`tsvd_store_ops_total{op="fallback"}`])
 	}
 }
 
 // TestHandlerRejectsOversizePayload is the MaxBytesReader satellite: a body
-// past maxTrapPayload gets a 413 and merges nothing.
+// past defaultMaxTrapPayload gets a 413 and merges nothing.
 func TestHandlerRejectsOversizePayload(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 	defer srv.Close()
 
-	body := `{"version":1,"tool":"` + strings.Repeat("x", maxTrapPayload) + `"}`
+	body := `{"version":1,"tool":"` + strings.Repeat("x", defaultMaxTrapPayload) + `"}`
 	resp, err := http.Post(srv.URL+TrapsPath, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +121,7 @@ func TestHandlerRejectsOversizePayload(t *testing.T) {
 func TestHandlerHealthzJSON(t *testing.T) {
 	m := NewMemory("TSVD", nil)
 	m.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("a", "b", "c", "d")})
-	srv := httptest.NewServer(Handler(m, nil, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -169,7 +146,7 @@ func TestHandlerHealthzJSON(t *testing.T) {
 func TestHandlerNoSnapshotOnNoOpMerge(t *testing.T) {
 	m := NewMemory("TSVD", nil)
 	var merges atomic.Int64
-	srv := httptest.NewServer(Handler(m, func(trapfile.File, SyncState) { merges.Add(1) }, nil))
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{OnMerge: func(trapfile.File, SyncState) { merges.Add(1) }}))
 	defer srv.Close()
 
 	s, _ := newTestClient(srv.URL, HTTPConfig{})

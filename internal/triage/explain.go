@@ -119,7 +119,11 @@ func explainPair(mt trace.ModuleTrace, p pairLoc) *Explanation {
 				nearIdx = i
 			}
 		case trace.KindHBEdge:
-			if matchPair(e, p) {
+			// An edge from a location to itself orders nothing: the
+			// detector never prunes a same-location pair on it (one
+			// operation racing with itself across threads is a bug class
+			// of its own), so it is no evidence against this firing.
+			if e.OpA != e.OpB && matchPair(e, p) {
 				ex.HBEdgesBefore++
 			}
 		}

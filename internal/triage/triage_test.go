@@ -311,3 +311,31 @@ func TestMetricsAndOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestExplanationCountsOnlyOrderingEdges: an hb_edge on exactly the sprung
+// pair counts against the firing, but an edge from a location to itself does
+// not — the detector never prunes a same-location pair on it, so a firing of
+// "one operation racing with itself" must still read as unordered.
+func TestExplanationCountsOnlyOrderingEdges(t *testing.T) {
+	la := ids.InternKey("tt/hb/siteA")
+	lb := ids.InternKey("tt/hb/siteB")
+	lifecycle := func(a, b ids.OpID, edge trace.Event) trace.ModuleTrace {
+		return trace.ModuleTrace{Module: "hb", Run: 1, Events: []trace.Event{
+			{Kind: trace.KindPairAdded, Thread: 1, Obj: 5, OpA: a, OpB: b},
+			edge,
+			{Kind: trace.KindTrapSet, Thread: 2, Obj: 5, OpA: a, Dur: time.Millisecond},
+			{Kind: trace.KindTrapSprung, Thread: 3, Obj: 5, OpA: a, OpB: b},
+		}}
+	}
+
+	self := explainPair(lifecycle(la, la, trace.Event{Kind: trace.KindHBEdge, Thread: 3, Obj: 5, OpA: la, OpB: la}),
+		pairLocOf(la.Key(), la.Key()))
+	if self == nil || self.HBOrdered || self.HBEdgesBefore != 0 {
+		t.Fatalf("self edge counted as an ordering: %+v", self)
+	}
+	real := explainPair(lifecycle(la, lb, trace.Event{Kind: trace.KindHBEdge, Thread: 3, Obj: 5, OpA: lb, OpB: la}),
+		pairLocOf(la.Key(), lb.Key()))
+	if real == nil || !real.HBOrdered || real.HBEdgesBefore != 1 {
+		t.Fatalf("edge on the sprung pair not counted: %+v", real)
+	}
+}

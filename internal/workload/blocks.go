@@ -291,6 +291,9 @@ func (b *blockBuilder) addHBShadowedBug() {
 			// detector (plain channel).
 			const ordered = 5
 			d1 := spawn(func() {
+				// Closing the baton releases a receiver still waiting for a
+				// turn the expired deadline will never hand it.
+				defer close(baton)
 				for i := 0; i < ordered && !env.expired(); i++ {
 					env.call(s1, obj)
 					baton <- struct{}{}
@@ -299,8 +302,14 @@ func (b *blockBuilder) addHBShadowedBug() {
 			})
 			d2 := spawn(func() {
 				for i := 0; i < ordered && !env.expired(); i++ {
-					<-baton
+					if _, ok := <-baton; !ok {
+						return
+					}
 					env.call(s2, obj)
+				}
+				// A receiver that stops on the deadline must not leave the
+				// sender blocked on a full baton.
+				for range baton {
 				}
 			})
 			<-d1

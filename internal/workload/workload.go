@@ -168,11 +168,9 @@ type site struct {
 }
 
 // call reports the access and performs a small unit of work standing in for
-// the container operation. It uses the native prologue — a per-call
-// registry lookup resolving the interned SiteID — exactly as generated
-// instrumentation would; legacy-shim equivalence is proven separately by
-// internal/core's legacy-equivalence test, so the suite no longer routes
-// its hot path through the deprecated string-keyed API.
+// the container operation. It uses the same prologue generated
+// instrumentation would: a per-call registry lookup resolving the interned
+// SiteID.
 func (e *Env) call(s site, obj ids.ObjectID) {
 	if e.Det != nil {
 		e.Det.OnCall(core.Access{

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestGenerateSuiteDeterministic(t *testing.T) {
@@ -125,5 +127,36 @@ func TestSiteKeysNamespacedPerModule(t *testing.T) {
 			t.Fatalf("duplicate module name %s", m.Name)
 		}
 		seen[m.Name] = true
+	}
+}
+
+// TestHBShadowedBlockReturnsOnExpiredDeadline: phase 1 hands a baton from the
+// s1 thread to the s2 thread. When the deadline passes between two handovers
+// the sender leaves its loop, and the receiver used to wait for the next
+// baton for ever. The body must return promptly whenever the deadline falls:
+// before the block starts, or in the middle of the baton phase.
+func TestHBShadowedBlockReturnsOnExpiredDeadline(t *testing.T) {
+	b := &blockBuilder{moduleName: "hbshadow-test", rng: rand.New(rand.NewSource(1))}
+	b.addHBShadowedBug()
+	body := b.tests[0].Body
+
+	const pace = 40 * time.Millisecond // handovers at 0, 20, 40, 60, 80 ms
+	for name, untilDeadline := range map[string]time.Duration{
+		"already expired":     -time.Second,
+		"expires mid-handoff": 30 * time.Millisecond,
+	} {
+		t.Run(name, func(t *testing.T) {
+			env := &Env{Pace: pace, Deadline: time.Now().Add(untilDeadline)}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				body(env)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatal("hbshadow body still running 1s after its deadline: a thread is stuck on the baton")
+			}
+		})
 	}
 }

@@ -159,25 +159,7 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// --- Package-level accessors over the installed session ---
-
-// Bugs returns the installed session's unique violations (none when no
-// session is installed).
-func Bugs() []report.Bug {
-	if s := current.Load(); s != nil {
-		return s.Bugs()
-	}
-	return nil
-}
-
-// Stats returns the installed session's counters (zero when no session is
-// installed).
-func Stats() core.Stats {
-	if s := current.Load(); s != nil {
-		return s.Stats()
-	}
-	return core.Stats{}
-}
+// --- Package-level accessor over the installed session ---
 
 // SaveTrapFile persists the installed session's dangerous pairs for the
 // next run. Without an installed session it fails with ErrNotInstalled —

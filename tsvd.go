@@ -23,8 +23,8 @@
 // detector; containers created before Install report to a no-op detector and
 // cost almost nothing. Installing a second session supersedes (and closes)
 // the first: its collected bugs and traps stay readable on its own handle,
-// while new containers report to the new session. The package-level Bugs,
-// Stats and SaveTrapFile are thin wrappers over the installed session.
+// while new containers report to the new session. The package-level
+// SaveTrapFile is a thin wrapper over the installed session.
 package tsvd
 
 import (

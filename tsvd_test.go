@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Note: the installed detector is process-global, so these tests install
@@ -23,12 +25,13 @@ func TestDefaultIsNopBeforeInstall(t *testing.T) {
 	// Reset to a Nop-equivalent state by installing a Nop config.
 	cfg := DefaultConfig()
 	cfg.Algorithm = Nop
-	if _, err := Install(cfg); err != nil {
+	s, err := Install(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	d := NewDictionary[string, int]()
 	d.Set("a", 1)
-	if len(Bugs()) != 0 {
+	if len(s.Bugs()) != 0 {
 		t.Fatal("Nop detector reported bugs")
 	}
 }
@@ -42,7 +45,7 @@ func TestInstallRejectsBadConfig(t *testing.T) {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	install(t)
+	s := install(t)
 	dict := NewDictionary[string, int]()
 
 	done1 := make(chan struct{})
@@ -64,10 +67,10 @@ func TestQuickstartFlow(t *testing.T) {
 	<-done1
 	<-done2
 
-	if len(Bugs()) == 0 {
+	if len(s.Bugs()) == 0 {
 		t.Fatal("quickstart race not detected")
 	}
-	if Stats().DelaysInjected == 0 {
+	if s.Stats().DelaysInjected == 0 {
 		t.Fatal("no delays were injected")
 	}
 }
@@ -240,8 +243,8 @@ func TestCloseDetachesAndSaveTrapFileFailsNotInstalled(t *testing.T) {
 	}
 	// Containers created now report to a no-op detector, not a dead session.
 	NewDictionary[string, int]().Set("a", 1)
-	if Stats().OnCalls != 0 {
-		t.Fatal("package Stats not zero with no session installed")
+	if s.Stats().OnCalls != 0 || Default().Stats().OnCalls != 0 {
+		t.Fatal("a container created with no session installed reported to a detector")
 	}
 	// Closing twice is fine, as is closing an already superseded session.
 	if err := s.Close(); err != nil {
@@ -286,23 +289,13 @@ func TestSessionSnapshotAndPublicMetrics(t *testing.T) {
 	}
 	// The public metrics registry sees the same detector: the scraped
 	// counters reconcile exactly with the session's stats.
-	stats := s.Stats()
-	got := reg.Values()
-	for series, want := range map[string]int64{
-		"tsvd_detector_on_calls_total":        stats.OnCalls,
-		"tsvd_detector_near_misses_total":     stats.NearMisses,
-		"tsvd_detector_delays_injected_total": stats.DelaysInjected,
-		"tsvd_detector_pairs_added_total":     stats.PairsAdded,
-		"tsvd_detector_violations_total":      stats.Violations,
-	} {
-		if got[series] != float64(want) {
-			t.Errorf("%s = %v, want %d", series, got[series], want)
-		}
+	if err := core.CheckCounters(reg.Values(), s.Stats()); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestAllPublicConstructors(t *testing.T) {
-	install(t)
+	s := install(t)
 	NewDictionary[int, int]().Set(1, 1)
 	NewList[int]().Add(1)
 	NewHashSet[string]().Add("x")
@@ -316,7 +309,7 @@ func TestAllPublicConstructors(t *testing.T) {
 	NewPriorityQueue[int](func(a, b int) bool { return a < b }).Enqueue(1)
 	NewSortedSet[int](func(a, b int) bool { return a < b }).Add(1)
 	NewBitArray(16).Set(3, true)
-	if Stats().OnCalls < 13 {
-		t.Fatalf("OnCalls = %d, want >= 13", Stats().OnCalls)
+	if got := s.Stats().OnCalls; got < 13 {
+		t.Fatalf("OnCalls = %d, want >= 13", got)
 	}
 }
