@@ -19,20 +19,19 @@ build:
 test:
 	$(GO) test ./...
 
-# The detector core, the tracer, and the trap-store clients are the
-# concurrency-critical surfaces; they must stay clean under the race
-# detector.
+# The whole tree must stay clean under the race detector. This run includes
+# internal/chaos's TestRegressionSeedsReplay: every committed regression seed
+# — each one that ever caught a bug, plus a planted-fault seed proving the
+# oracles fire — replayed race-enabled.
 race:
-	$(GO) test -race ./internal/core/... ./internal/trace/... ./internal/trapstore/...
+	$(GO) test -race ./...
 
 # Fleet chaos gate: one short race-enabled chaos run against a three-daemon
 # cluster (randomized fleet actions — including partitions and anti-entropy
-# rounds — with invariant checks after each, see docs/TESTING.md), then a
-# full replay of the committed regression-seed database — every seed that
-# ever caught a bug, plus a planted-fault seed proving the oracles fire.
+# rounds — with invariant checks after each, see docs/TESTING.md). The
+# regression-seed replay is part of `make race`.
 chaos-smoke:
 	$(GO) run -race ./cmd/tsvd-chaos -seed 11 -actions 20 -shards 2 -daemons 3
-	$(GO) run -race ./cmd/tsvd-chaos -replay internal/chaos/regression_seeds.json
 
 # OnCall hot-path cost (see docs/PERFORMANCE.md for interpretation).
 bench:

@@ -111,7 +111,7 @@ func run() int {
 		store.Restore(f, prev)
 		if len(f.Pairs) > 0 {
 			logger.Printf("seeded %d pairs from %s (generation %d continues at %d)",
-				len(f.Pairs), *snapshot, prev.Generation, store.Generation())
+				len(f.Pairs), *snapshot, prev.Generation, store.Status().Generation)
 		}
 	}
 
@@ -143,7 +143,7 @@ func run() int {
 	// address from it when they start the daemon on an ephemeral port.
 	fmt.Printf("tsvd-trapd: listening on http://%s\n", ln.Addr())
 	if *verbose {
-		logger.Printf("boot epoch %s", store.State())
+		logger.Printf("boot epoch %s", store.Status().SyncState)
 	}
 
 	reg := metrics.NewRegistry()
@@ -197,8 +197,7 @@ func run() int {
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Printf("shutdown: %v", err)
 		}
-		f, st := store.SnapshotState()
-		saveSnapshot(f, st)
+		saveSnapshot(store.SnapshotState())
 		return 0
 	case err := <-errc:
 		if repl != nil {

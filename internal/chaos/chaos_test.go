@@ -178,8 +178,8 @@ func explainLines(v *Violation) []string {
 	return []string{"(no explanation attached)"}
 }
 
-// TestRegressionSeedsReplay replays the committed database — the same check
-// `make chaos-smoke` runs in CI.
+// TestRegressionSeedsReplay replays the committed database; `make race` runs
+// it under the race detector.
 func TestRegressionSeedsReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replaying the full seed database is not a -short test")

@@ -3,7 +3,8 @@
 // The paper runs with 100 ms delay injections on real servers. The algorithm
 // only depends on *ratios* between durations (near-miss window vs. delay
 // length vs. δ_hb·delay), so tests and benchmarks run with every duration
-// scaled down uniformly. A Clock carries that scale.
+// scaled down uniformly by Config.TimeScale; a Clock measures and sleeps real
+// time.
 //
 // Place in the detector pipeline: every OnCall timestamps itself once with
 // Clock.Since (the single hottest time read in the process — Real.Since
@@ -62,34 +63,6 @@ func (Real) Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool)
 	case <-cancel:
 		return time.Since(start), true
 	}
-}
-
-// Scaled wraps another Clock and multiplies every Sleep duration by Factor
-// (a value in (0,1] shrinks delays). Now is passed through unchanged: the
-// detector's window comparisons always compare durations that were produced
-// under the same scale because the configuration is scaled alongside.
-type Scaled struct {
-	Base   Clock
-	Factor float64
-}
-
-// Now implements Clock.
-func (s Scaled) Now() time.Time { return s.Base.Now() }
-
-// Since implements Clock.
-func (s Scaled) Since(start time.Time) time.Duration { return s.Base.Since(start) }
-
-// Sleep implements Clock.
-func (s Scaled) Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool) {
-	scaled := time.Duration(float64(d) * s.Factor)
-	if scaled <= 0 && d > 0 {
-		scaled = time.Microsecond
-	}
-	slept, woken := s.Base.Sleep(scaled, cancel)
-	if s.Factor > 0 {
-		slept = time.Duration(float64(slept) / s.Factor)
-	}
-	return slept, woken
 }
 
 // Budget tracks the total delay injected into one thread (or one request) so

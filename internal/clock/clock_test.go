@@ -46,31 +46,6 @@ func TestRealSleepZero(t *testing.T) {
 	}
 }
 
-func TestScaledSleepShrinks(t *testing.T) {
-	c := Scaled{Base: Real{}, Factor: 0.01}
-	start := time.Now()
-	slept, _ := c.Sleep(time.Second, nil) // should actually sleep ~10ms
-	elapsed := time.Since(start)
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("scaled sleep took %v, want ~10ms", elapsed)
-	}
-	// Reported duration is rescaled back to nominal time.
-	if slept < 500*time.Millisecond {
-		t.Fatalf("reported slept %v, want ~1s nominal", slept)
-	}
-}
-
-func TestScaledTinyDurationStillSleeps(t *testing.T) {
-	c := Scaled{Base: Real{}, Factor: 1e-12}
-	slept, woken := c.Sleep(time.Millisecond, nil)
-	if woken {
-		t.Fatal("unexpected early wake")
-	}
-	if slept < 0 {
-		t.Fatalf("negative slept %v", slept)
-	}
-}
-
 func TestBudgetUnlimited(t *testing.T) {
 	var b *Budget // nil budget means unlimited
 	if got := b.Allow(time.Hour); got != time.Hour {

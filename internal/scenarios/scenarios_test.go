@@ -14,9 +14,11 @@ func scenarioConfig() config.Config {
 
 func TestAllScenariosDetectWithinTwoRuns(t *testing.T) {
 	for _, s := range All() {
-		s := s
+		// Not parallel: whether a trap springs inside the delay window is a
+		// matter of timing, and nine scenarios sharing two cores under the
+		// race detector starved System.Linq.Dynamic's four workers often
+		// enough to miss its only two writes (about 1 run in 10).
 		t.Run(s.Name, func(t *testing.T) {
-			t.Parallel()
 			out, err := Run(s, scenarioConfig(), 2)
 			if err != nil {
 				t.Fatal(err)

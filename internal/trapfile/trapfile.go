@@ -12,8 +12,13 @@
 // Merge is the single union rule for trap sets everywhere they meet: a
 // local file absorbing a run's exports, the fleet daemon (cmd/tsvd-trapd)
 // absorbing a shard's publish, and a shard folding a daemon snapshot into
-// its local seeds all call the same function, so every replica of a trap
-// set converges to the same bytes regardless of merge order.
+// its local seeds all apply the same rule, so every replica of a trap set
+// converges to the same bytes regardless of merge order. Grow is that rule
+// for a caller that keeps one long-lived normalized set (the daemon, a
+// client's mirror): it unions in place without re-sorting and reports what
+// the set gained; Merge is built on it. Normalize is the canonical form
+// both produce, and Checked the version gate every decoder — LoadFile here,
+// the trap-server envelope in internal/trapstore — passes a File through.
 package trapfile
 
 import (
@@ -142,6 +147,67 @@ func normalize(pairs []Pair) []Pair {
 	return out
 }
 
+// Normalize returns f in the canonical form every boundary enforces: current
+// Version, pairs and site rows canonicalized into fresh slices. LoadFile
+// applies it to whatever a file claims, Save to whatever the detector
+// exports, and Grow to whatever it is handed, so the invariant holds on every
+// side of every boundary.
+func Normalize(f File) File {
+	return File{Version: FormatVersion, Tool: f.Tool, Pairs: normalize(f.Pairs), Sites: normalizeSites(f.Sites)}
+}
+
+// Checked is the gate every decoded File passes, whichever envelope carried
+// it: a foreign format version wraps ErrCorrupt, anything else comes back
+// normalized.
+func Checked(f File) (File, error) {
+	if f.Version != FormatVersion {
+		return File{Version: FormatVersion}, fmt.Errorf("version %d, want %d: %w", f.Version, FormatVersion, ErrCorrupt)
+	}
+	return Normalize(f), nil
+}
+
+// union folds the canonical rows in into the canonical rows set, in place
+// when set has the capacity, and returns the grown set and the rows it
+// gained (canonical too): a binary search per incoming row, then one
+// backward pass that opens the gaps.
+func union[T comparable](set, in []T, less func(a, b T) bool) (grown, added []T) {
+	for _, r := range in {
+		i := sort.Search(len(set), func(i int) bool { return !less(set[i], r) })
+		if i == len(set) || set[i] != r {
+			added = append(added, r)
+		}
+	}
+	i, j := len(set)-1, len(added)-1
+	set = append(set, added...)
+	for k := len(set) - 1; j >= 0; k-- {
+		if i >= 0 && less(added[j], set[i]) {
+			set[k] = set[i]
+			i--
+		} else {
+			set[k] = added[j]
+			j--
+		}
+	}
+	return set, added
+}
+
+// Grow is the union rule for a caller that keeps one long-lived set (the
+// fleet daemon, a client's mirror of it): it folds in — any File — into
+// *set, which must be normalized, reusing set's backing arrays, and returns
+// the pairs and site rows the set gained, normalized and labeled like the
+// set. in's Tool label wins when it has one. The cost is
+// O(len(in)·log len(set) + len(set)): the set is never re-sorted. Merge is
+// built on it.
+func Grow(set *File, in File) (added File) {
+	if in.Tool != "" {
+		set.Tool = in.Tool
+	}
+	added = File{Version: FormatVersion, Tool: set.Tool}
+	set.Pairs, added.Pairs = union(set.Pairs, normalize(in.Pairs), Pair.less)
+	set.Sites, added.Sites = union(set.Sites, normalizeSites(in.Sites), SiteRecord.less)
+	return added
+}
+
 // New assembles a normalized File from a detector's exported pairs — the
 // value Save and TrapStore.Publish consume.
 func New(tool string, pairs []report.PairKey) File {
@@ -176,12 +242,8 @@ func NewWithSites(tool string, pairs []report.PairKey, reg *sites.Registry) File
 // daemon merging shard publishes in any arrival order, and a shard merging
 // a daemon snapshot into local seeds, reach identical pair lists.
 func Merge(older, newer File) File {
-	merged := File{Version: FormatVersion, Tool: newer.Tool}
-	if merged.Tool == "" {
-		merged.Tool = older.Tool
-	}
-	merged.Pairs = normalize(append(append([]Pair(nil), older.Pairs...), newer.Pairs...))
-	merged.Sites = normalizeSites(append(append([]SiteRecord(nil), older.Sites...), newer.Sites...))
+	merged := Normalize(older)
+	Grow(&merged, newer)
 	return merged
 }
 
@@ -226,10 +288,7 @@ func SetTestHookAfterWrite(fn func(tmpPath string) error) { testHookAfterWrite =
 // and never track the format version themselves. The previous contents stay
 // readable until the very last step, a same-directory rename.
 func Save(path string, f File) error {
-	f.Version = FormatVersion
-	f.Pairs = normalize(f.Pairs)
-	f.Sites = normalizeSites(f.Sites)
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := json.MarshalIndent(Normalize(f), "", "  ")
 	if err != nil {
 		return fmt.Errorf("trapfile: marshal: %w", err)
 	}
@@ -296,12 +355,9 @@ func LoadFile(path string) (File, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return empty, fmt.Errorf("trapfile: parse %s: %w: %v", path, ErrCorrupt, err)
 	}
-	if f.Version != FormatVersion {
-		return empty, fmt.Errorf("trapfile: %s has version %d, want %d: %w",
-			path, f.Version, FormatVersion, ErrCorrupt)
+	if f, err = Checked(f); err != nil {
+		return empty, fmt.Errorf("trapfile: %s: %w", path, err)
 	}
-	f.Pairs = normalize(f.Pairs)
-	f.Sites = normalizeSites(f.Sites)
 	return f, nil
 }
 
@@ -311,16 +367,7 @@ func LoadFile(path string) (File, error) {
 // duplicates collapsed, sorted): trap files are hand-editable JSON, and a
 // malformed pair must degrade the seed set, not corrupt the detector's trap
 // set.
-func Load(path string) ([]report.PairKey, error) {
-	f, err := LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(f.Pairs) == 0 {
-		return nil, nil
-	}
-	return ToKeys(f.Pairs), nil
-}
+func Load(path string) ([]report.PairKey, error) { return LoadSeed(path, nil) }
 
 // LoadSeed is Load plus site-registry seeding: the file's site table is
 // registered into reg (interning each row's location key into this process's

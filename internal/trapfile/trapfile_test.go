@@ -2,8 +2,11 @@ package trapfile
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ids"
@@ -355,4 +358,81 @@ func TestLoadFileMissingIsEmpty(t *testing.T) {
 	if f.Version != FormatVersion || len(f.Pairs) != 0 {
 		t.Fatalf("LoadFile(absent) = %+v, want empty current-version file", f)
 	}
+}
+
+// TestGrowMatchesResort checks the incremental union against the rule it
+// replaces on the daemon's merge path — normalize the concatenation — over
+// random overlapping inputs, and that what Grow reports as added is exactly
+// the rows the set did not hold.
+func TestGrowMatchesResort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n int) File {
+		f := File{Tool: "TSVD"}
+		for i := 0; i < n; i++ {
+			f.Pairs = append(f.Pairs, Pair{A: fmt.Sprint("k", rng.Intn(40)), B: fmt.Sprint("k", rng.Intn(40))})
+			f.Sites = append(f.Sites, SiteRecord{Loc: fmt.Sprint("k", rng.Intn(40)), Write: rng.Intn(2) == 0})
+		}
+		return f
+	}
+	set := Normalize(File{})
+	for step := 0; step < 200; step++ {
+		in := random(rng.Intn(6))
+		want := File{Version: FormatVersion, Tool: "TSVD",
+			Pairs: normalize(append(append([]Pair(nil), set.Pairs...), in.Pairs...)),
+			Sites: normalizeSites(append(append([]SiteRecord(nil), set.Sites...), in.Sites...))}
+		held := map[any]bool{}
+		for _, p := range set.Pairs {
+			held[p] = true
+		}
+		for _, s := range set.Sites {
+			held[s] = true
+		}
+		added := Grow(&set, in)
+		if !reflect.DeepEqual(set, want) {
+			t.Fatalf("step %d: Grow left\n%+v\nwant\n%+v", step, set, want)
+		}
+		for _, p := range added.Pairs {
+			if held[p] {
+				t.Fatalf("step %d: Grow reported %v as added, the set held it", step, p)
+			}
+			held[p] = true
+		}
+		for _, s := range added.Sites {
+			if held[s] {
+				t.Fatalf("step %d: Grow reported %v as added, the set held it", step, s)
+			}
+			held[s] = true
+		}
+		if len(held) != len(set.Pairs)+len(set.Sites) {
+			t.Fatalf("step %d: set gained %d rows Grow did not report", step, len(set.Pairs)+len(set.Sites)-len(held))
+		}
+	}
+}
+
+// FuzzTrapfileLoad feeds LoadFile arbitrary bytes: it never panics, what it
+// accepts is normalized and of the current version, and what it rejects is
+// ErrCorrupt.
+func FuzzTrapfileLoad(f *testing.F) {
+	f.Add([]byte(`{"version":1,"tool":"TSVD","pairs":[{"a":"z","b":"a"},{"a":"a","b":"z"},{"a":"","b":"x"}],"sites":[{"loc":"z","write":true},{"loc":""}]}`))
+	f.Add([]byte(`{"version":2,"pairs":[]}`))
+	f.Add([]byte(`{"version":1,"pairs":null,"epoch":"ff","generation":3}`))
+	f.Add([]byte(`{"version":1,"pairs":[{"a":1}]}`))
+	f.Add([]byte(``))
+	f.Add([]byte(`null`))
+	path := filepath.Join(f.TempDir(), "traps.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadFile(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("LoadFile rejected %q with a non-corrupt error: %v", data, err)
+			}
+			return
+		}
+		if got.Version != FormatVersion || !reflect.DeepEqual(got, Normalize(got)) {
+			t.Fatalf("LoadFile accepted %q as the denormalized %+v", data, got)
+		}
+	})
 }

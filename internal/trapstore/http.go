@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -105,11 +104,11 @@ type HTTPStore struct {
 	// fires first, and reports ctx's error when the store was closed mid-wait.
 	sleep func(time.Duration) error
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	state    SyncState
-	cached   trapfile.File
-	hasCache bool
+	mu  sync.Mutex
+	rng *rand.Rand
+	// mirror is the daemon's set as of the last successful fetch, under the
+	// daemon's own sync state; nil until there is one.
+	mirror *genLog
 
 	instr
 }
@@ -194,10 +193,11 @@ func (s *HTTPStore) retry(name string, op func() (retryable bool, err error)) er
 		name, s.url, s.cfg.Attempts, ErrUnavailable, last)
 }
 
-// do issues one request with the per-request timeout applied. The request
-// context derives from the store's, so Close aborts in-flight requests too,
-// not just backoff waits.
-func (s *HTTPStore) do(method, url string, hdr map[string]string, body []byte) (*http.Response, error) {
+// do issues one request with the per-request timeout applied and returns
+// the response with its body already read into data. The request context
+// derives from the store's, so Close aborts in-flight requests too, not just
+// backoff waits.
+func (s *HTTPStore) do(method, url string, hdr map[string]string, body []byte) (resp *http.Response, data []byte, err error) {
 	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -206,42 +206,19 @@ func (s *HTTPStore) do(method, url string, hdr map[string]string, body []byte) (
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, err
+	if resp, err = s.client.Do(req); err != nil {
+		return nil, nil, err
 	}
 	// Read the whole body under the same timeout so a daemon that hangs
 	// mid-body cannot stall the shard either.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	resp.Body = io.NopCloser(bytes.NewReader(data))
-	resp.ContentLength = int64(len(data))
-	return resp, nil
-}
-
-// copyPairs returns f with its Pairs slice copied — the defensive copy
-// every Fetch hands out. Returning the cache's slice by reference let a
-// caller that appended to or reordered the result corrupt every later
-// cached fetch (and, via ?since= deltas, every later incremental merge).
-func copyPairs(f trapfile.File) trapfile.File {
-	f.Pairs = append([]trapfile.Pair(nil), f.Pairs...)
-	return f
-}
-
-// parseEpoch decodes a wire epoch (hex; "" means a pre-epoch daemon).
-func parseEpoch(s string) (uint64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	return strconv.ParseUint(s, 16, 64)
+	return resp, data, err
 }
 
 // Fetch implements TrapStore. The returned File owns its Pairs slice:
@@ -249,76 +226,63 @@ func parseEpoch(s string) (uint64, error) {
 func (s *HTTPStore) Fetch() (trapfile.File, error) {
 	var out trapfile.File
 	var wasDelta bool
-	var bodyBytes int64
+	var bodyBytes int
 	begin := time.Now()
 	err := s.retry("fetch", func() (bool, error) {
 		hdr := map[string]string{}
 		url := s.url
 		s.mu.Lock()
-		if s.hasCache {
-			hdr["If-None-Match"] = etagOf(s.state)
-			url += "?" + SinceParam + "=" + s.state.String()
+		if s.mirror != nil {
+			hdr["If-None-Match"] = etagOf(s.mirror.state())
+			url += "?" + SinceParam + "=" + s.mirror.state().String()
 		}
 		s.mu.Unlock()
 
-		resp, err := s.do(http.MethodGet, url, hdr, nil)
+		resp, data, err := s.do(http.MethodGet, url, hdr, nil)
 		if err != nil {
 			return true, err
 		}
 		switch {
 		case resp.StatusCode == http.StatusNotModified:
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.mirror == nil {
+				return false, fmt.Errorf("trapstore: fetch %s: %s to an unconditional request", s.url, resp.Status)
+			}
 			s.sawNotModified()
 			wasDelta, bodyBytes = false, 0
-			s.mu.Lock()
-			out = copyPairs(s.cached)
-			s.mu.Unlock()
+			out = s.mirror.snapshot()
 			return false, nil
 		case resp.StatusCode == http.StatusOK:
-			var snap wireSnapshot
-			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-				return false, fmt.Errorf("trapstore: fetch %s: %w: %v", s.url, trapfile.ErrCorrupt, err)
-			}
-			if snap.Version != trapfile.FormatVersion {
-				return false, fmt.Errorf("trapstore: fetch %s: server speaks version %d, want %d: %w",
-					s.url, snap.Version, trapfile.FormatVersion, trapfile.ErrCorrupt)
-			}
-			epoch, err := parseEpoch(snap.Epoch)
+			snap, st, err := decodeEnvelope(data)
 			if err != nil {
-				return false, fmt.Errorf("trapstore: fetch %s: bad epoch %q: %w", s.url, snap.Epoch, trapfile.ErrCorrupt)
+				return false, fmt.Errorf("trapstore: fetch %s: %w", s.url, err)
 			}
-			st := SyncState{Epoch: epoch, Generation: snap.Generation}
-			bodyBytes = resp.ContentLength
-			if snap.Delta {
-				// An incremental body applies on top of the cache it was
-				// computed against. The daemon echoes the window (Since) and
-				// epoch; anything out of line with our cache means the cache
-				// cannot be trusted as the delta's base — drop it and retry
-				// as a full fetch.
-				s.mu.Lock()
-				if !s.hasCache || s.state.Epoch != epoch || s.state.Generation != snap.Since {
-					s.cached, s.state, s.hasCache = trapfile.File{}, SyncState{}, false
-					s.mu.Unlock()
-					return true, fmt.Errorf("trapstore: fetch %s: delta for window e%x-g%d does not match cache",
-						s.url, epoch, snap.Since)
-				}
-				s.cached = trapfile.Merge(s.cached, trapfile.File{Tool: snap.Tool, Pairs: snap.Pairs})
-				s.state = st
-				out = copyPairs(s.cached)
-				s.mu.Unlock()
-				wasDelta = true
-				return false, nil
-			}
-			f := trapfile.Merge(trapfile.File{}, trapfile.File{Tool: snap.Tool, Pairs: snap.Pairs})
 			s.mu.Lock()
-			s.cached, s.state, s.hasCache = f, st, true
-			out = copyPairs(f)
-			s.mu.Unlock()
-			wasDelta = false
+			defer s.mu.Unlock()
+			switch {
+			case !snap.Delta:
+				full := newGenLog(st.Epoch, snap.File, st.Generation)
+				s.mirror = &full
+			case s.mirror == nil || s.mirror.state() != SyncState{Epoch: st.Epoch, Generation: snap.Since}:
+				// An incremental body applies on top of the mirror it was
+				// computed against. The daemon echoes the window (Since) and
+				// epoch; anything out of line with our mirror means it cannot
+				// be trusted as the delta's base — drop it and retry as a
+				// full fetch.
+				s.mirror = nil
+				return true, fmt.Errorf("trapstore: fetch %s: delta for window e%x-g%d does not match the mirror",
+					s.url, st.Epoch, snap.Since)
+			default:
+				s.mirror.grow(snap.File, st.Generation)
+			}
+			wasDelta, bodyBytes = snap.Delta, len(data)
+			out = s.mirror.snapshot()
 			return false, nil
 		case resp.StatusCode >= 500:
 			return true, fmt.Errorf("trapstore: fetch %s: server error %s", s.url, resp.Status)
 		default:
-			return false, fmt.Errorf("trapstore: fetch %s: %s (%s)", s.url, resp.Status, bodyExcerpt(resp))
+			return false, fmt.Errorf("trapstore: fetch %s: %s (%s)", s.url, resp.Status, bodyExcerpt(data))
 		}
 	})
 	if err != nil {
@@ -327,7 +291,7 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 	if wasDelta {
 		s.sawDelta()
 	}
-	s.countFetchBytes(int(bodyBytes))
+	s.countFetchBytes(bodyBytes)
 	s.fetched(time.Since(begin))
 	return out, nil
 }
@@ -336,32 +300,35 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 // full, delta-sized, or 304s, and the body bytes they cost.
 func (s *HTTPStore) WireStats() WireStats { return s.wireStats() }
 
-// marshalChunks encodes pairs into one or more POST bodies, each at most
-// limit bytes, splitting recursively until every chunk fits. A single pair
-// whose encoding alone exceeds the limit cannot be chunked and is an error.
-func marshalChunks(tool string, pairs []trapfile.Pair, limit int) ([][]byte, error) {
-	payload, err := json.Marshal(wireSnapshot{
-		Version: trapfile.FormatVersion, Tool: tool, Pairs: pairs,
-	})
+// marshalChunks encodes f into one or more POST bodies, each at most limit
+// bytes, halving its rows (the pair list, then the site table) until every
+// chunk fits. A single row whose encoding alone exceeds the limit cannot be
+// chunked and is an error.
+func marshalChunks(f trapfile.File, limit int) ([][]byte, error) {
+	payload, err := json.Marshal(envelopeOf(f, SyncState{}))
 	if err != nil {
 		return nil, fmt.Errorf("marshal: %w", err)
 	}
 	if len(payload) <= limit {
 		return [][]byte{payload}, nil
 	}
-	if len(pairs) <= 1 {
+	mid := rows(f) / 2
+	if mid == 0 {
 		return nil, fmt.Errorf("payload of %d bytes exceeds the %d-byte chunk limit and cannot be split further", len(payload), limit)
 	}
-	mid := len(pairs) / 2
-	left, err := marshalChunks(tool, pairs[:mid], limit)
+	p, q := min(mid, len(f.Pairs)), max(mid-len(f.Pairs), 0)
+	left, right := f, f
+	left.Pairs, right.Pairs = f.Pairs[:p], f.Pairs[p:]
+	left.Sites, right.Sites = f.Sites[:q], f.Sites[q:]
+	chunks, err := marshalChunks(left, limit)
 	if err != nil {
 		return nil, err
 	}
-	right, err := marshalChunks(tool, pairs[mid:], limit)
+	more, err := marshalChunks(right, limit)
 	if err != nil {
 		return nil, err
 	}
-	return append(left, right...), nil
+	return append(chunks, more...), nil
 }
 
 // Publish implements TrapStore. A trap set whose JSON exceeds
@@ -371,14 +338,14 @@ func marshalChunks(tool string, pairs []trapfile.Pair, limit int) ([][]byte, err
 // longer make a large set permanently unpublishable. One Publish counts as
 // one logical operation in Totals regardless of chunk count.
 func (s *HTTPStore) Publish(f trapfile.File) error {
-	chunks, err := marshalChunks(f.Tool, f.Pairs, s.cfg.PublishChunkBytes)
+	chunks, err := marshalChunks(f, s.cfg.PublishChunkBytes)
 	if err != nil {
 		return fmt.Errorf("trapstore: publish %s: %w", s.url, err)
 	}
 	begin := time.Now()
 	for _, payload := range chunks {
 		err := s.retry("publish", func() (bool, error) {
-			resp, err := s.do(http.MethodPost, s.url, map[string]string{"Content-Type": "application/json"}, payload)
+			resp, data, err := s.do(http.MethodPost, s.url, map[string]string{"Content-Type": "application/json"}, payload)
 			if err != nil {
 				return true, err
 			}
@@ -391,16 +358,16 @@ func (s *HTTPStore) Publish(f trapfile.File) error {
 				// The daemon rejected the payload itself (schema mismatch):
 				// a data error, not an availability problem.
 				return false, fmt.Errorf("trapstore: publish %s: rejected: %s: %w",
-					s.url, bodyExcerpt(resp), trapfile.ErrCorrupt)
+					s.url, bodyExcerpt(data), trapfile.ErrCorrupt)
 			case resp.StatusCode == http.StatusRequestEntityTooLarge:
 				// The daemon's payload cap is below our chunk size — a
 				// deployment misconfiguration. Retrying the same bytes cannot
 				// help; the operator must align PublishChunkBytes with the
 				// daemon's cap.
 				return false, fmt.Errorf("trapstore: publish %s: %s — chunk of %d bytes exceeds the daemon's payload cap; lower PublishChunkBytes (%s)",
-					s.url, resp.Status, len(payload), bodyExcerpt(resp))
+					s.url, resp.Status, len(payload), bodyExcerpt(data))
 			default:
-				return false, fmt.Errorf("trapstore: publish %s: %s (%s)", s.url, resp.Status, bodyExcerpt(resp))
+				return false, fmt.Errorf("trapstore: publish %s: %s (%s)", s.url, resp.Status, bodyExcerpt(data))
 			}
 		})
 		if err != nil {
@@ -425,8 +392,8 @@ func (s *HTTPStore) Close() error {
 }
 
 // bodyExcerpt renders the first line of an error response for messages.
-func bodyExcerpt(resp *http.Response) string {
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 200))
+func bodyExcerpt(data []byte) string {
+	data = data[:min(len(data), 200)]
 	if i := bytes.IndexByte(data, '\n'); i >= 0 {
 		data = data[:i]
 	}

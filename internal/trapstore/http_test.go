@@ -289,7 +289,7 @@ func TestHTTPServerRejectsForeignVersionPublish(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("foreign version accepted: %s", resp.Status)
 	}
-	if f, _ := m.Snapshot(); len(f.Pairs) != 0 {
+	if f, _ := m.SnapshotState(); len(f.Pairs) != 0 {
 		t.Fatalf("rejected payload still merged: %v", f.Pairs)
 	}
 }

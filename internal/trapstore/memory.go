@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -38,6 +39,15 @@ type SyncState struct {
 // cursors: "e<epoch-hex>-g<generation>".
 func (st SyncState) String() string {
 	return "e" + strconv.FormatUint(st.Epoch, 16) + "-g" + strconv.FormatUint(st.Generation, 10)
+}
+
+// epochHex renders the epoch as wire bodies and snapshot files carry it:
+// hex, and "" for "no epoch".
+func (st SyncState) epochHex() string {
+	if st.Epoch == 0 {
+		return ""
+	}
+	return strconv.FormatUint(st.Epoch, 16)
 }
 
 // parseSyncState parses the String form. It accepts exactly what String
@@ -75,67 +85,19 @@ func newEpoch() uint64 {
 	}
 }
 
-// deltaLogMaxPairs bounds the pairs retained across all delta-log entries.
-// Past the bound the oldest entries are compacted away and ?since= requests
-// from before the compaction floor fall back to a full snapshot. The bound
-// is deliberately generous: fleet trap sets top out at a few thousand pairs,
-// so in practice the whole history fits and every incremental poll is a
-// delta.
-const deltaLogMaxPairs = 1 << 16
-
-// deltaLog records, per generation, the pairs that merge added — the source
-// of O(delta) incremental sync. Entry i holds the pairs added by generation
-// floor+1+i; a request "since generation g" with g >= floor is served by
-// concatenating entries past g-floor.
-type deltaLog struct {
-	// floor is the generation the log starts after: deltas since any
-	// generation >= floor can be served, older cursors need a full snapshot.
-	floor uint64
-	adds  [][]trapfile.Pair
-	pairs int // total pairs across adds, for the compaction bound
-}
-
-// append records the pairs added by the generation after floor+len(adds).
-func (l *deltaLog) append(added []trapfile.Pair) {
-	l.adds = append(l.adds, added)
-	l.pairs += len(added)
-	for l.pairs > deltaLogMaxPairs && len(l.adds) > 1 {
-		l.pairs -= len(l.adds[0])
-		l.adds[0] = nil // release the backing array before reslicing
-		l.adds = l.adds[1:]
-		l.floor++
-	}
-}
-
-// since returns the pairs added after generation g, and whether the log
-// still covers that window. g below the compaction floor (or above the head,
-// which a correct client never sends) reports ok=false.
-func (l *deltaLog) since(g uint64) (pairs []trapfile.Pair, ok bool) {
-	head := l.floor + uint64(len(l.adds))
-	if g < l.floor || g > head {
-		return nil, false
-	}
-	for _, a := range l.adds[g-l.floor:] {
-		pairs = append(pairs, a...)
-	}
-	return pairs, true
-}
-
 // Memory is an in-process trap set with an epoch-qualified generation
 // counter — the aggregation core of cmd/tsvd-trapd, and a zero-dependency
 // shared store for in-process fleet simulation (internal/harness.RunFleet).
 //
-// The generation counter increments exactly when the pair set grows; with
-// the boot epoch it forms the ETag, so a shard that polls with the state it
-// last saw gets a cheap "unchanged" answer (same epoch, same generation), an
-// O(delta) incremental response (same epoch, older generation still in the
-// delta log), or a full snapshot (different epoch or compacted window).
+// The generation counter increments exactly when the set grows (a pair or a
+// site row it did not hold); with the boot epoch it forms the ETag, so a
+// shard that polls with the state it last saw gets a cheap "unchanged"
+// answer (same epoch, same generation), an O(delta) incremental response
+// (same epoch, older generation), or a full snapshot (a different epoch, or
+// a cursor from before Restore).
 type Memory struct {
-	mu    sync.Mutex
-	file  trapfile.File
-	epoch uint64
-	gen   uint64
-	log   deltaLog
+	mu  sync.Mutex
+	log genLog
 	instr
 }
 
@@ -143,60 +105,54 @@ type Memory struct {
 // epoch. tracer may be nil.
 func NewMemory(tool string, tracer *trace.Tracer) *Memory {
 	return &Memory{
-		file:  trapfile.File{Version: trapfile.FormatVersion, Tool: tool},
-		epoch: newEpoch(),
+		log:   newGenLog(newEpoch(), trapfile.Normalize(trapfile.File{Tool: tool}), 0),
 		instr: newInstr(tracer, "mem:"+tool),
 	}
 }
 
-// Snapshot returns a copy of the current merged set and its generation.
-func (m *Memory) Snapshot() (trapfile.File, uint64) {
+// Status is one consistent reading of a Memory that copies nothing: the sync
+// state, the size of the set that state names, and its tool label.
+type Status struct {
+	SyncState
+	Pairs int
+	Tool  string
+}
+
+// Status reads the store's state under one lock acquisition, so Generation
+// and Pairs always describe the same set.
+func (m *Memory) Status() Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.snapshotLocked(), m.gen
+	return m.statusLocked()
 }
 
-func (m *Memory) snapshotLocked() trapfile.File {
-	f := m.file
-	f.Pairs = append([]trapfile.Pair(nil), m.file.Pairs...)
-	return f
+func (m *Memory) statusLocked() Status {
+	return Status{SyncState: m.log.state(), Pairs: len(m.log.set.Pairs), Tool: m.log.set.Tool}
 }
 
-// SnapshotState returns a copy of the merged set and the full sync state —
-// what the persister stores and the handler serves.
+// SnapshotState returns a copy of the merged set and the sync state that
+// names it — what the persister stores and the handler serves.
 func (m *Memory) SnapshotState() (trapfile.File, SyncState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.snapshotLocked(), SyncState{Epoch: m.epoch, Generation: m.gen}
+	return m.log.snapshot(), m.log.state()
 }
 
-// Generation returns the current generation without copying the set.
-func (m *Memory) Generation() uint64 {
+// window returns what a holder of the set as of since lacks — the rows added
+// after it (delta=true), or the whole set when since names no generation of
+// this boot — together with the current sync state, under one lock
+// acquisition: a merge between "try the delta" and "fall back to the
+// snapshot" would otherwise skip rows. The zero SyncState always yields the
+// whole set, because a Memory's boot epoch is never zero.
+func (m *Memory) window(since SyncState) (f trapfile.File, cur SyncState, delta bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gen
-}
-
-// State returns the current sync state without copying the set.
-func (m *Memory) State() SyncState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return SyncState{Epoch: m.epoch, Generation: m.gen}
+	f, delta = m.log.window(since)
+	return f, m.log.state(), delta
 }
 
 // PairCount returns the current merged set size without copying it.
-func (m *Memory) PairCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.file.Pairs)
-}
-
-// Tool returns the set's current tool label.
-func (m *Memory) Tool() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.file.Tool
-}
+func (m *Memory) PairCount() int { return m.Status().Pairs }
 
 // Seed replaces the set wholesale (daemon startup from a bare snapshot
 // file). It bumps the generation when the seeded set is non-empty so
@@ -222,76 +178,34 @@ func (m *Memory) Seed(f trapfile.File) {
 // The generation still bumps past prev.Generation when the restored set is
 // non-empty, so clients that cache (freshEpoch, prev.Generation) from an
 // earlier Restore in this same boot would refetch; with prev.Generation==0
-// this degrades to Seed's behavior.
+// this degrades to Seed's behavior. The log restarts at the new generation —
+// it cannot describe the jump from whatever a client saw before — so older
+// cursors get a full snapshot.
 func (m *Memory) Restore(f trapfile.File, prev SyncState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.file = trapfile.Merge(trapfile.File{}, f)
-	if prev.Generation > m.gen {
-		m.gen = prev.Generation
+	gen := max(m.log.state().Generation, prev.Generation)
+	set := trapfile.Normalize(f)
+	if rows(set) > 0 {
+		gen++
 	}
-	if len(m.file.Pairs) > 0 {
-		m.gen++
-	}
-	// The log cannot describe the jump from whatever a client saw before
-	// the restore, so start it empty at the new generation: older cursors
-	// fall back to a full snapshot.
-	m.log = deltaLog{floor: m.gen}
+	m.log = newGenLog(m.log.epoch, set, gen)
 }
 
-// merge folds f in and reports the new sync state, the pairs the union
-// gained, and the post-merge set size (so callers can ack without taking a
-// second snapshot). The generation moves only when the set actually grew,
-// and the gained pairs are appended to the delta log.
-func (m *Memory) merge(f trapfile.File) (st SyncState, added []trapfile.Pair, total int) {
+// merge folds f in and reports what the set gained and the status after the
+// merge (so callers can ack without a second lock acquisition). The
+// generation moves only when the set actually grew.
+func (m *Memory) merge(f trapfile.File) (added trapfile.File, st Status) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	before := m.file.Pairs
-	m.file = trapfile.Merge(m.file, f)
-	total = len(m.file.Pairs)
-	if total > len(before) {
-		added = diffSorted(m.file.Pairs, before)
-		m.gen++
-		m.log.append(added)
-	}
-	return SyncState{Epoch: m.epoch, Generation: m.gen}, added, total
-}
-
-// diffSorted returns the pairs in after that are not in before. Both slices
-// are normalized (sorted, deduplicated) and before ⊆ after — the shape
-// trapfile.Merge guarantees — so one linear pass suffices.
-func diffSorted(after, before []trapfile.Pair) []trapfile.Pair {
-	out := make([]trapfile.Pair, 0, len(after)-len(before))
-	i := 0
-	for _, p := range after {
-		if i < len(before) && before[i] == p {
-			i++
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// Delta returns the pairs added strictly after since, the current sync
-// state, and whether the delta could be served. ok=false — a foreign epoch,
-// a cursor older than the compaction floor, or a cursor from the future —
-// means the caller must take a full snapshot instead.
-func (m *Memory) Delta(since SyncState) (pairs []trapfile.Pair, cur SyncState, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur = SyncState{Epoch: m.epoch, Generation: m.gen}
-	if since.Epoch != m.epoch {
-		return nil, cur, false
-	}
-	pairs, ok = m.log.since(since.Generation)
-	return pairs, cur, ok
+	added = m.log.grow(f, m.log.state().Generation+1)
+	return added, m.statusLocked()
 }
 
 // Fetch implements TrapStore.
 func (m *Memory) Fetch() (trapfile.File, error) {
 	begin := time.Now()
-	f, _ := m.Snapshot()
+	f, _ := m.SnapshotState()
 	m.fetched(time.Since(begin))
 	return f, nil
 }
@@ -328,26 +242,9 @@ const TrapsPath = "/v1/traps"
 const BugsPath = "/v1/bugs"
 
 // SinceParam is the query parameter carrying a client's sync cursor in its
-// SyncState.String() form. A daemon that can serve the window answers with
-// a delta snapshot; otherwise it falls back to the full set.
+// SyncState.String() form. A cursor that names a generation of the daemon's
+// current boot is answered with a delta; any other with the full set.
 const SinceParam = "since"
-
-// wireSnapshot is the GET body and the POST payload. Version is
-// trapfile.FormatVersion — the daemon and its shards must agree on the pair
-// encoding exactly as two consecutive local runs must; a mismatch is
-// rejected, never coerced. Generation and Epoch are server-assigned and
-// ignored on POST. A Delta=true body carries only the pairs added after the
-// requested cursor; Since echoes the cursor's generation so the client can
-// verify the window lines up with its cache before applying it.
-type wireSnapshot struct {
-	Version    int             `json:"version"`
-	Tool       string          `json:"tool"`
-	Generation uint64          `json:"generation"`
-	Epoch      string          `json:"epoch,omitempty"` // hex; "" from pre-epoch daemons
-	Delta      bool            `json:"delta,omitempty"`
-	Since      uint64          `json:"since,omitempty"`
-	Pairs      []trapfile.Pair `json:"pairs"`
-}
 
 // wireAck is the POST response: the post-merge generation (epoch-qualified)
 // and set size.
@@ -400,8 +297,8 @@ const defaultMaxTrapPayload = 8 << 20
 // no persistence hook, no logging and no metrics.
 type HandlerOptions struct {
 	// OnMerge, when non-nil, runs after every merge that grew the set (the
-	// daemon persists its snapshot there), with the post-merge set and the
-	// sync state that produced it.
+	// daemon persists its snapshot there), with a snapshot at least as new
+	// as that merge and the sync state that names it.
 	OnMerge func(trapfile.File, SyncState)
 	// Logf, when non-nil, receives one line per state-changing request.
 	Logf func(format string, args ...any)
@@ -420,15 +317,15 @@ type HandlerOptions struct {
 //	                  state ("e<epoch>-g<gen>"), and a matching If-None-Match
 //	                  yields 304 with no body, so idle shards poll for the
 //	                  price of a header exchange. With ?since=<state>, a
-//	                  client whose epoch matches and whose window is still in
-//	                  the delta log gets only the pairs added since — O(delta)
-//	                  instead of O(pairs) — marked delta:true; anything else
-//	                  falls back to the full snapshot.
-//	POST /v1/traps  → merge the payload's pairs; replies with the new
-//	                  epoch-qualified generation. A foreign schema version is
-//	                  a 400; a body over the payload cap is a 413.
+//	                  client whose cursor names a generation of this boot gets
+//	                  only the rows added since — O(delta) instead of
+//	                  O(pairs) — marked delta:true; a foreign epoch or a
+//	                  cursor from before Restore gets the full snapshot.
+//	POST /v1/traps  → merge the payload's pairs and site rows; replies with
+//	                  the new epoch-qualified generation. A foreign schema
+//	                  version is a 400; a body over the payload cap is a 413.
 //	GET  /healthz   → liveness probe: JSON status, generation, epoch, pair
-//	                  count and uptime.
+//	                  count (one consistent reading) and uptime.
 //	GET  /metrics   → Prometheus exposition of opts.Metrics (absent when no
 //	                  registry is configured).
 func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
@@ -444,7 +341,7 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 	start := time.Now()
 	reg.GaugeFunc("tsvd_trapd_generation",
 		"Trap-set generation (increments when the merged set grows).",
-		func() float64 { return float64(m.Generation()) })
+		func() float64 { return float64(m.Status().Generation) })
 	reg.GaugeFunc("tsvd_trapd_pairs",
 		"Pairs in the merged trap set.",
 		func() float64 { return float64(m.PairCount()) })
@@ -485,13 +382,13 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
-		_, st := m.SnapshotState()
+		st := m.Status()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(wireHealth{
 			Status:        "ok",
 			Generation:    st.Generation,
-			Epoch:         strconv.FormatUint(st.Epoch, 16),
-			Pairs:         m.PairCount(),
+			Epoch:         st.epochHex(),
+			Pairs:         st.Pairs,
 			UptimeSeconds: time.Since(start).Seconds(),
 		})
 	}))
@@ -502,38 +399,15 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 		}))
 	}
 	mux.HandleFunc("GET "+TrapsPath, instrument("traps_get", func(w http.ResponseWriter, r *http.Request) {
-		// Serve the delta when the client's cursor allows it; otherwise the
-		// full set. Delta and snapshot must come from one lock acquisition —
-		// a merge between "try delta" and "fall back to snapshot" would
-		// otherwise skip pairs.
-		var since SyncState
-		haveSince := false
-		if raw := r.URL.Query().Get(SinceParam); raw != "" {
-			if st, err := parseSyncState(raw); err == nil {
-				since, haveSince = st, true
-			}
+		// An absent or unparseable cursor is the zero state, which names no
+		// generation of any boot: the client gets the full set, which is
+		// always correct.
+		since, _ := parseSyncState(r.URL.Query().Get(SinceParam))
+		f, st, delta := m.window(since)
+		body := envelopeOf(f, st)
+		if delta {
+			body.Delta, body.Since = true, since.Generation
 		}
-		m.mu.Lock()
-		st := SyncState{Epoch: m.epoch, Generation: m.gen}
-		var body wireSnapshot
-		if haveSince && since.Epoch == m.epoch {
-			if pairs, ok := m.log.since(since.Generation); ok {
-				body = wireSnapshot{
-					Version: trapfile.FormatVersion, Tool: m.file.Tool,
-					Generation: st.Generation, Epoch: strconv.FormatUint(st.Epoch, 16),
-					Delta: true, Since: since.Generation, Pairs: pairs,
-				}
-			}
-		}
-		if !body.Delta {
-			f := m.snapshotLocked()
-			body = wireSnapshot{
-				Version: trapfile.FormatVersion, Tool: f.Tool,
-				Generation: st.Generation, Epoch: strconv.FormatUint(st.Epoch, 16),
-				Pairs: f.Pairs,
-			}
-		}
-		m.mu.Unlock()
 
 		tag := etagOf(st)
 		w.Header().Set("ETag", tag)
@@ -565,7 +439,7 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 		body := wireBugs{
 			Tool:       f.Tool,
 			Generation: st.Generation,
-			Epoch:      strconv.FormatUint(st.Epoch, 16),
+			Epoch:      st.epochHex(),
 			Clusters:   len(clusters),
 			Bugs:       make([]triage.JSONCluster, 0, len(clusters)),
 		}
@@ -576,36 +450,33 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 		json.NewEncoder(w).Encode(body)
 	}))
 	mux.HandleFunc("POST "+TrapsPath, instrument("traps_post", func(w http.ResponseWriter, r *http.Request) {
-		var in wireSnapshot
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPayload)).Decode(&in); err != nil {
+		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPayload))
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				reject(w, http.StatusRequestEntityTooLarge,
 					fmt.Sprintf("payload exceeds %d bytes", tooBig.Limit))
 				return
 			}
+			reject(w, http.StatusBadRequest, fmt.Sprintf("unreadable payload: %v", err))
+			return
+		}
+		in, _, err := decodeEnvelope(data)
+		if err != nil {
 			reject(w, http.StatusBadRequest, fmt.Sprintf("invalid payload: %v", err))
 			return
 		}
-		if in.Version != trapfile.FormatVersion {
-			reject(w, http.StatusBadRequest, fmt.Sprintf(
-				"payload version %d, want %d", in.Version, trapfile.FormatVersion))
-			return
-		}
-		st, added, total := m.merge(trapfile.File{Version: trapfile.FormatVersion, Tool: in.Tool, Pairs: in.Pairs})
+		added, st := m.merge(in.File)
 		merges.Inc()
-		mergedPairs.Add(int64(len(added)))
-		if len(added) > 0 && opts.OnMerge != nil {
+		mergedPairs.Add(int64(len(added.Pairs)))
+		if rows(added) > 0 && opts.OnMerge != nil {
 			// The only path that needs the full set — a no-op merge never
 			// pays for a snapshot copy.
-			f, _ := m.Snapshot()
-			opts.OnMerge(f, st)
+			opts.OnMerge(m.SnapshotState())
 		}
-		logf("merge from %s: +%d pairs (%d total, generation %d)", r.RemoteAddr, len(added), total, st.Generation)
+		logf("merge from %s: +%d pairs (%d total, generation %d)", r.RemoteAddr, len(added.Pairs), st.Pairs, st.Generation)
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(wireAck{
-			Generation: st.Generation, Epoch: strconv.FormatUint(st.Epoch, 16), Pairs: total,
-		})
+		json.NewEncoder(w).Encode(wireAck{Generation: st.Generation, Epoch: st.epochHex(), Pairs: st.Pairs})
 	}))
 	return mux
 }

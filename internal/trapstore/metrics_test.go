@@ -111,7 +111,7 @@ func TestHandlerRejectsOversizePayload(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {
 		t.Fatalf("413 body not a wireError: %v (%+v)", err, we)
 	}
-	if f, _ := m.Snapshot(); len(f.Pairs) != 0 {
+	if f, _ := m.SnapshotState(); len(f.Pairs) != 0 {
 		t.Fatalf("oversize payload still merged: %v", f.Pairs)
 	}
 }

@@ -57,8 +57,8 @@ type PeerSyncResult struct {
 // Replicator keeps one daemon's Memory converging with its peers by
 // periodic pull+push anti-entropy. Pulls use the delta-capable HTTPStore
 // client, so steady-state rounds against idle peers cost a 304 header
-// exchange; pushes send only the pairs added since the peer last acked,
-// falling back to the full set when the delta window was compacted.
+// exchange; pushes send only the log since the peer last acked — the whole
+// set the first time, or after this daemon's own Restore.
 //
 // Because the trap set is a G-Set CRDT (trapfile.Merge is a commutative,
 // idempotent, monotone union), replication needs no coordination: any
@@ -69,9 +69,11 @@ type Replicator struct {
 	cfg     ReplicatorConfig
 	clients []*HTTPStore
 
-	mu       sync.Mutex
-	lastPush []SyncState // local state as of the last acked push, per peer
-	havePush []bool
+	mu sync.Mutex
+	// pushed is the local state as of each peer's last acked push; the zero
+	// state (before the first) names no generation, so the first push is the
+	// whole set.
+	pushed []SyncState
 
 	started  bool
 	stopOnce sync.Once
@@ -95,12 +97,11 @@ func NewReplicator(mem *Memory, cfg ReplicatorConfig) *Replicator {
 	hc := cfg.HTTP
 	hc.Metrics = nil
 	r := &Replicator{
-		mem:      mem,
-		cfg:      cfg,
-		lastPush: make([]SyncState, len(cfg.Peers)),
-		havePush: make([]bool, len(cfg.Peers)),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		mem:    mem,
+		cfg:    cfg,
+		pushed: make([]SyncState, len(cfg.Peers)),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
 		r.clients = append(r.clients, NewHTTPStore(p, hc))
@@ -122,76 +123,51 @@ func (r *Replicator) Peers() []string { return append([]string(nil), r.cfg.Peers
 
 // SyncOnce runs one full anti-entropy round: for each peer, pull its
 // snapshot (delta-sized when possible) and merge it locally, then push the
-// local pairs added since that peer's last acked push (the full set on the
-// first push or after delta-log compaction). Errors are per-peer and
-// non-fatal — an unreachable peer simply stays behind until a later round.
+// local log since that peer's last acked push (the full set on the first
+// push). Errors are per-peer and non-fatal — an unreachable peer simply
+// stays behind until a later round.
 func (r *Replicator) SyncOnce() []PeerSyncResult {
 	results := make([]PeerSyncResult, len(r.clients))
 	for i, c := range r.clients {
-		res := PeerSyncResult{Peer: r.cfg.Peers[i]}
+		res := &results[i]
+		res.Peer = r.cfg.Peers[i]
 
 		// Pull: merge the peer's set into ours.
 		if f, err := c.Fetch(); err != nil {
 			res.PullErr = err
 			r.errors.Inc()
 		} else {
-			st, added, _ := r.mem.merge(f)
-			res.Pulled = added
-			r.pulledPairs.Add(int64(len(added)))
-			if len(added) > 0 {
+			added, st := r.mem.merge(f)
+			res.Pulled = added.Pairs
+			r.pulledPairs.Add(int64(len(added.Pairs)))
+			if rows(added) > 0 {
 				if r.cfg.OnMerge != nil {
-					snap, _ := r.mem.Snapshot()
-					r.cfg.OnMerge(snap, st)
+					r.cfg.OnMerge(r.mem.SnapshotState())
 				}
-				r.cfg.Logf("peer sync %s: pulled %d pairs (generation %d)", res.Peer, len(added), st.Generation)
+				r.cfg.Logf("peer sync %s: pulled %d pairs (generation %d)", res.Peer, len(added.Pairs), st.Generation)
 			}
 		}
 
-		// Push: send what we gained since the peer last acked us. The pull
-		// above already folded the peer's own pairs into our delta window —
-		// pushing them back is a no-op merge on the peer, which idempotence
-		// makes harmless.
+		// Push: send the log since the peer last acked us. The pull above
+		// already folded the peer's own rows into that window — pushing them
+		// back is a no-op merge on the peer, which idempotence makes harmless.
 		r.mu.Lock()
-		since, have := r.lastPush[i], r.havePush[i]
+		since := r.pushed[i]
 		r.mu.Unlock()
-		var toPush []trapfile.Pair
-		var cur SyncState
-		full := false
-		if have {
-			var ok bool
-			toPush, cur, ok = r.mem.Delta(since)
-			if !ok { // compacted window or our own restart: resend everything
-				full = true
-			}
-		} else {
-			full = true
-		}
-		if full {
-			var f trapfile.File
-			f, cur = r.mem.SnapshotState()
-			toPush = f.Pairs
-		}
-		if len(toPush) == 0 {
-			// Nothing new; still advance the cursor so a compacted window
-			// does not force a full resend forever.
-			r.mu.Lock()
-			r.lastPush[i], r.havePush[i] = cur, true
-			r.mu.Unlock()
-		} else {
-			f := trapfile.File{Version: trapfile.FormatVersion, Tool: r.mem.Tool(), Pairs: toPush}
+		f, cur, _ := r.mem.window(since)
+		if rows(f) > 0 {
 			if err := c.Publish(f); err != nil {
 				res.PushErr = err
 				r.errors.Inc()
-			} else {
-				res.Pushed = toPush
-				r.pushedPairs.Add(int64(len(toPush)))
-				r.mu.Lock()
-				r.lastPush[i], r.havePush[i] = cur, true
-				r.mu.Unlock()
-				r.cfg.Logf("peer sync %s: pushed %d pairs", res.Peer, len(toPush))
+				continue
 			}
+			res.Pushed = f.Pairs
+			r.pushedPairs.Add(int64(len(f.Pairs)))
+			r.cfg.Logf("peer sync %s: pushed %d pairs", res.Peer, len(f.Pairs))
 		}
-		results[i] = res
+		r.mu.Lock()
+		r.pushed[i] = cur
+		r.mu.Unlock()
 	}
 	r.syncs.Inc()
 	return results

@@ -4,24 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 
 	"repro/internal/trapfile"
 )
-
-// persistedSnapshot is the on-disk daemon snapshot: the trap-file schema
-// plus the sync state that produced it. The layout is a strict superset of
-// trapfile.File, so trapfile.LoadFile still reads a daemon snapshot (it
-// ignores the extra fields) and hand-written or pre-epoch snapshots load
-// here with a zero SyncState.
-type persistedSnapshot struct {
-	Version    int             `json:"version"`
-	Tool       string          `json:"tool"`
-	Epoch      string          `json:"epoch,omitempty"` // hex, like the wire form
-	Generation uint64          `json:"generation,omitempty"`
-	Pairs      []trapfile.Pair `json:"pairs"`
-}
 
 // SnapshotPersister writes a daemon's merged trap set and sync state to one
 // snapshot file with the crash-safety of trapfile.Save (temp file in the
@@ -81,23 +67,13 @@ func (p *SnapshotPersister) Load() (trapfile.File, SyncState, error) {
 		}
 		return empty, SyncState{}, fmt.Errorf("trapstore: read snapshot %s: %w", p.path, err)
 	}
-	var snap persistedSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return empty, SyncState{}, fmt.Errorf("trapstore: parse snapshot %s: %w: %v", p.path, trapfile.ErrCorrupt, err)
-	}
-	if snap.Version != trapfile.FormatVersion {
-		return empty, SyncState{}, fmt.Errorf("trapstore: snapshot %s has version %d, want %d: %w",
-			p.path, snap.Version, trapfile.FormatVersion, trapfile.ErrCorrupt)
-	}
-	epoch, err := parseEpoch(snap.Epoch)
+	// Decoding normalizes the pairs exactly as trapfile.LoadFile would:
+	// hand-edited snapshots must not smuggle in denormalized pairs.
+	snap, st, err := decodeEnvelope(data)
 	if err != nil {
-		return empty, SyncState{}, fmt.Errorf("trapstore: snapshot %s has epoch %q: %w: %v",
-			p.path, snap.Epoch, trapfile.ErrCorrupt, err)
+		return empty, SyncState{}, fmt.Errorf("trapstore: snapshot %s: %w", p.path, err)
 	}
-	// Merge-with-empty normalizes the pairs exactly as trapfile.LoadFile
-	// would (hand-edited snapshots must not smuggle in denormalized pairs).
-	f := trapfile.Merge(trapfile.File{}, trapfile.File{Tool: snap.Tool, Pairs: snap.Pairs})
-	return f, SyncState{Epoch: epoch, Generation: snap.Generation}, nil
+	return snap.File, st, nil
 }
 
 // Save persists f, stamped with the sync state that produced it. Stale
@@ -110,15 +86,7 @@ func (p *SnapshotPersister) Save(f trapfile.File, st SyncState) error {
 	if p.haveGen && st.Epoch == p.last.Epoch && st.Generation <= p.last.Generation {
 		return nil
 	}
-	norm := trapfile.Merge(trapfile.File{}, f)
-	var epochHex string
-	if st.Epoch != 0 {
-		epochHex = strconv.FormatUint(st.Epoch, 16)
-	}
-	data, err := json.MarshalIndent(persistedSnapshot{
-		Version: trapfile.FormatVersion, Tool: norm.Tool,
-		Epoch: epochHex, Generation: st.Generation, Pairs: norm.Pairs,
-	}, "", "  ")
+	data, err := json.MarshalIndent(envelopeOf(trapfile.Normalize(f), st), "", "  ")
 	if err != nil {
 		return fmt.Errorf("trapstore: marshal snapshot: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +79,7 @@ func TestRestartETagCollisionEmptyDaemon(t *testing.T) {
 	if got := fetchPairs(t, s); len(got) != 1 {
 		t.Fatalf("first fetch = %v", got)
 	}
-	if g := m1.Generation(); g != 1 {
+	if g := m1.Status().Generation; g != 1 {
 		t.Fatalf("old lifetime at generation %d, want 1", g)
 	}
 
@@ -90,7 +91,7 @@ func TestRestartETagCollisionEmptyDaemon(t *testing.T) {
 	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("new.go:1", "new.go:2")}); err != nil {
 		t.Fatal(err)
 	}
-	if g := m2.Generation(); g != 1 {
+	if g := m2.Status().Generation; g != 1 {
 		t.Fatalf("new lifetime at generation %d, want 1 (the colliding generation)", g)
 	}
 
@@ -134,8 +135,8 @@ func TestRestartETagCollisionSeededDaemon(t *testing.T) {
 	if got := fetchPairs(t, s); len(got) != 2 {
 		t.Fatalf("client observed %v before the crash", got)
 	}
-	if m1.Generation() != 2 {
-		t.Fatalf("old lifetime at generation %d, want 2", m1.Generation())
+	if m1.Status().Generation != 2 {
+		t.Fatalf("old lifetime at generation %d, want 2", m1.Status().Generation)
 	}
 
 	// Restart: restoring the snapshot continues generation 1 and bumps past
@@ -148,8 +149,8 @@ func TestRestartETagCollisionSeededDaemon(t *testing.T) {
 	m2 := NewMemory("TSVD", nil)
 	m2.Restore(seed, prev)
 	gate.swap(NewHandler(m2, HandlerOptions{}))
-	if m2.Generation() != 2 {
-		t.Fatalf("restored lifetime at generation %d, want 2 (the colliding generation)", m2.Generation())
+	if m2.Status().Generation != 2 {
+		t.Fatalf("restored lifetime at generation %d, want 2 (the colliding generation)", m2.Status().Generation)
 	}
 
 	// The poll at the colliding generation: a generation-only ETag would 304
@@ -186,14 +187,13 @@ func TestRestoreContinuesGenerationAcrossKill9(t *testing.T) {
 
 	m1 := NewMemory("TSVD", nil)
 	for i := 0; i < 5; i++ {
-		st, _, _ := m1.merge(trapfile.File{Tool: "TSVD", Pairs: pairs(
+		m1.merge(trapfile.File{Tool: "TSVD", Pairs: pairs(
 			fmt.Sprintf("k%d.go:1", i), fmt.Sprintf("k%d.go:2", i))})
-		f, _ := m1.Snapshot()
-		if err := p.Save(f, st); err != nil {
+		if err := p.Save(m1.SnapshotState()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	oldState := m1.State()
+	oldState := m1.Status().SyncState
 	if oldState.Generation != 5 {
 		t.Fatalf("generation = %d, want 5", oldState.Generation)
 	}
@@ -210,7 +210,7 @@ func TestRestoreContinuesGenerationAcrossKill9(t *testing.T) {
 	m2 := NewMemory("TSVD", nil)
 	m2.Restore(seed, prev)
 
-	newState := m2.State()
+	newState := m2.Status().SyncState
 	if newState.Generation <= oldState.Generation {
 		t.Fatalf("restored generation %d did not advance past the persisted %d: a client cursor from the old lifetime could false-match",
 			newState.Generation, oldState.Generation)
@@ -221,7 +221,7 @@ func TestRestoreContinuesGenerationAcrossKill9(t *testing.T) {
 	if m2.PairCount() != 5 {
 		t.Fatalf("restored set has %d pairs, want 5", m2.PairCount())
 	}
-	if st, _, _ := m2.merge(trapfile.File{Tool: "TSVD", Pairs: pairs("post.go:1", "post.go:2")}); st.Generation <= newState.Generation {
+	if _, st := m2.merge(trapfile.File{Tool: "TSVD", Pairs: pairs("post.go:1", "post.go:2")}); st.Generation <= newState.Generation {
 		t.Fatalf("post-restore merge assigned generation %d, want > %d", st.Generation, newState.Generation)
 	}
 }
@@ -354,18 +354,20 @@ func TestPublishChunksOversizedSets(t *testing.T) {
 	defer srv.Close()
 
 	var big []trapfile.Pair
+	var bigSites []trapfile.SiteRecord
 	for i := 0; i < 300; i++ {
 		big = append(big, trapfile.Pair{A: fmt.Sprintf("pkg/huge%04d.go:10", i), B: fmt.Sprintf("pkg/huge%04d.go:20", i)})
+		bigSites = append(bigSites, trapfile.SiteRecord{Loc: big[i].A, Class: "Dictionary", Method: "Set", Write: true})
 	}
 
 	// A client with the matching chunk size succeeds.
 	s, _ := newTestClient(srv.URL, HTTPConfig{PublishChunkBytes: cap})
 	defer s.Close()
-	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: big}); err != nil {
+	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: big, Sites: bigSites}); err != nil {
 		t.Fatalf("chunked publish failed: %v", err)
 	}
-	if n := m.PairCount(); n != 300 {
-		t.Fatalf("daemon holds %d pairs after chunked publish, want 300", n)
+	if f, _ := m.SnapshotState(); len(f.Pairs) != 300 || len(f.Sites) != 300 {
+		t.Fatalf("daemon holds %d pairs and %d site rows after chunked publish, want 300 of each", len(f.Pairs), len(f.Sites))
 	}
 	if tot := s.Totals(); tot.Publishes != 1 {
 		t.Fatalf("chunked publish counted as %d logical publishes, want 1", tot.Publishes)
@@ -387,92 +389,76 @@ func TestPublishChunksOversizedSets(t *testing.T) {
 	}
 }
 
-// TestDeltaWindowProperty is the snapshot-delta equivalence property: for a
-// randomized merge history, the snapshot at any earlier generation unioned
-// with Delta(since that generation) equals the current snapshot — for every
-// window the delta log still covers.
+// TestDeltaWindowProperty is the snapshot-delta equivalence property: over a
+// randomized merge history (pairs and site rows, with overlaps and no-op
+// merges), a client mirror that started at boot and applies the window since
+// its own state after every merge equals the daemon's canonical set at every
+// generation, and the snapshot at any earlier generation unioned with the
+// window since it equals the current snapshot. Inside one epoch no window is
+// ever refused: the only full-snapshot fall-backs are a foreign epoch, a
+// generation this boot never assigned, and a cursor from before Restore.
 func TestDeltaWindowProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(902))
 	m := NewMemory("TSVD", nil)
 
 	type recorded struct {
-		st    SyncState
-		pairs []trapfile.Pair
+		st SyncState
+		f  trapfile.File
 	}
 	var hist []recorded
-	record := func() {
+	record := func() recorded {
 		f, st := m.SnapshotState()
-		hist = append(hist, recorded{st: st, pairs: f.Pairs})
+		hist = append(hist, recorded{st: st, f: f})
+		return hist[len(hist)-1]
 	}
-	record() // generation 0, empty
+	boot := record() // generation 0, empty
+	mirror := newGenLog(boot.st.Epoch, boot.f, boot.st.Generation)
 
-	for step := 0; step < 40; step++ {
-		n := 1 + rng.Intn(4)
-		var batch []trapfile.Pair
-		for i := 0; i < n; i++ {
+	for step := 0; step < 60; step++ {
+		batch := trapfile.File{Tool: "TSVD"}
+		for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 			k := rng.Intn(60) // overlapping keys: some merges are partial no-ops
-			batch = append(batch, trapfile.Pair{A: fmt.Sprintf("p%02d.go:1", k), B: fmt.Sprintf("p%02d.go:2", k)})
-		}
-		m.merge(trapfile.File{Tool: "TSVD", Pairs: batch})
-		record()
-	}
-
-	cur, curState := m.SnapshotState()
-	want := keySet(cur.Pairs)
-	for _, rec := range hist {
-		delta, got, ok := m.Delta(rec.st)
-		if !ok {
-			t.Fatalf("window since generation %d not servable; the log should cover this history", rec.st.Generation)
-		}
-		if got != curState {
-			t.Fatalf("Delta reported state %+v, want %+v", got, curState)
-		}
-		union := keySet(rec.pairs)
-		for _, p := range delta {
-			union[p] = true
-		}
-		if len(union) != len(want) {
-			t.Fatalf("base(g%d) ∪ delta has %d pairs, full snapshot has %d",
-				rec.st.Generation, len(union), len(want))
-		}
-		for p := range want {
-			if !union[p] {
-				t.Fatalf("base(g%d) ∪ delta is missing %v", rec.st.Generation, p)
+			batch.Pairs = append(batch.Pairs, trapfile.Pair{A: fmt.Sprintf("p%02d.go:1", k), B: fmt.Sprintf("p%02d.go:2", k)})
+			if rng.Intn(3) == 0 {
+				batch.Sites = append(batch.Sites, trapfile.SiteRecord{Loc: fmt.Sprintf("p%02d.go:1", rng.Intn(60)), Class: "Dictionary", Method: "Set", Write: true})
 			}
 		}
+		m.merge(batch)
+		cur := record()
+
+		delta, st, ok := m.window(mirror.state())
+		if !ok {
+			t.Fatalf("step %d: window since %v refused inside one epoch", step, mirror.state())
+		}
+		mirror.grow(delta, st.Generation)
+		got := mirror.snapshot()
+		if mirror.state() != cur.st || !reflect.DeepEqual(got, cur.f) {
+			t.Fatalf("step %d: mirror at %v holds\n%+v\ndaemon at %v holds\n%+v", step, mirror.state(), got, cur.st, cur.f)
+		}
 	}
 
-	// Foreign epochs and future cursors must refuse the window.
-	if _, _, ok := m.Delta(SyncState{Epoch: curState.Epoch + 1, Generation: 0}); ok {
-		t.Fatal("Delta served a window for a foreign epoch")
+	cur := hist[len(hist)-1]
+	for _, rec := range hist {
+		delta, st, ok := m.window(rec.st)
+		if !ok || st != cur.st {
+			t.Fatalf("window since generation %d: delta=%v at %v, want a delta at %v", rec.st.Generation, ok, st, cur.st)
+		}
+		if union := trapfile.Merge(rec.f, delta); !reflect.DeepEqual(union, cur.f) {
+			t.Fatalf("base(g%d) ∪ window =\n%+v\nfull snapshot =\n%+v", rec.st.Generation, union, cur.f)
+		}
 	}
-	if _, _, ok := m.Delta(SyncState{Epoch: curState.Epoch, Generation: curState.Generation + 1}); ok {
-		t.Fatal("Delta served a window from the future")
-	}
-}
 
-// TestDeltaLogCompaction exercises the bounded-log fallback directly: once
-// the retained pairs exceed the bound, the oldest windows compact away and
-// cursors below the floor report ok=false (the caller takes a full
-// snapshot).
-func TestDeltaLogCompaction(t *testing.T) {
-	var l deltaLog
-	big := make([]trapfile.Pair, deltaLogMaxPairs/2+1)
-	for i := range big {
-		big[i] = trapfile.Pair{A: fmt.Sprintf("a%d", i), B: fmt.Sprintf("b%d", i)}
+	for name, since := range map[string]SyncState{
+		"a foreign epoch":         {Epoch: cur.st.Epoch + 1, Generation: 0},
+		"a generation never seen": {Epoch: cur.st.Epoch, Generation: cur.st.Generation + 1},
+	} {
+		if f, _, delta := m.window(since); delta || !reflect.DeepEqual(f, cur.f) {
+			t.Fatalf("window since %s was not the full snapshot (delta=%v)", name, delta)
+		}
 	}
-	l.append(big) // generation 1
-	l.append(big) // generation 2 — still within one-entry grace
-	l.append(big) // generation 3 — forces compaction of the oldest entries
-
-	if l.floor == 0 {
-		t.Fatalf("log retains %d pairs over the %d bound without compacting", l.pairs, deltaLogMaxPairs)
-	}
-	if _, ok := l.since(0); ok {
-		t.Fatal("compacted window served; cursors below the floor must fall back to a full snapshot")
-	}
-	if _, ok := l.since(l.floor); !ok {
-		t.Fatal("the floor window itself must stay servable")
+	m.Restore(cur.f, cur.st)
+	if _, st, delta := m.window(cur.st); delta || st.Generation != cur.st.Generation+1 {
+		t.Fatalf("a cursor from before Restore got delta=%v at %v; want the full snapshot one generation on", delta, st)
 	}
 }
 
@@ -533,7 +519,7 @@ func TestReplicatorPartitionHealConvergence(t *testing.T) {
 	}
 	want := keySet(pairs("d0.go:1", "d0.go:2", "d1.go:1", "d1.go:2", "d2.go:1", "d2.go:2"))
 	for i, m := range mems {
-		f, _ := m.Snapshot()
+		f, _ := m.SnapshotState()
 		got := keySet(f.Pairs)
 		if len(got) != len(want) {
 			t.Fatalf("daemon %d holds %d pairs after heal+sync, want %d: %v", i, len(got), len(want), f.Pairs)

@@ -17,11 +17,22 @@
 //     to the local file when the daemon is unreachable, and the run goes
 //     on. Fleet mode is an accelerant, never a point of failure.
 //
-// All implementations speak trapfile.File and merge with trapfile.Merge, so
-// every replica converges to the same canonical pair set regardless of
-// publish order. Stores count their operations (Totals) and optionally emit
-// internal/trace events (store_fetch, store_publish, store_fallback) so
-// tsvd-trace-check can reconcile a traced run's store activity exactly.
+// All implementations speak trapfile.File and merge with trapfile's one
+// union rule (Merge, or Grow, the form it is built on), so every replica
+// converges to the same canonical pair set regardless of publish order.
+//
+// A process that keeps the set alive — the daemon's Memory, an HTTPStore's
+// mirror of the daemon — holds it once, as a genLog: the sorted view, the
+// same rows in arrival order, and one offset per generation, so a ?since=
+// window, a Replicator push and a client applying a delta are all "the log
+// from generation g". Wherever the set leaves a process — GET body, POST
+// payload, snapshot file — it is one JSON shape, envelope (a trapfile.File,
+// site table included, plus the sync state), read by one function,
+// decodeEnvelope.
+//
+// Stores count their operations (Totals) and optionally emit internal/trace
+// events (store_fetch, store_publish, store_fallback) so tsvd-trace-check can
+// reconcile a traced run's store activity exactly.
 package trapstore
 
 import (

@@ -70,19 +70,19 @@ func TestFileStoreRefusesCorruptFile(t *testing.T) {
 
 func TestMemoryGenerationMovesOnlyOnGrowth(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	_, gen0 := m.Snapshot()
+	gen0 := m.Status().Generation
 	if gen0 != 0 {
 		t.Fatalf("fresh generation = %d", gen0)
 	}
 	m.Publish(trapfile.File{Pairs: pairs("a", "b")})
-	_, gen1 := m.Snapshot()
+	gen1 := m.Status().Generation
 	if gen1 != gen0+1 {
 		t.Fatalf("generation after growth = %d, want %d", gen1, gen0+1)
 	}
 	// Re-publishing the same pair must not move the generation: idle
 	// shards poll by generation and a spurious bump costs them a body.
 	m.Publish(trapfile.File{Pairs: pairs("a", "b", "b", "a")})
-	_, gen2 := m.Snapshot()
+	gen2 := m.Status().Generation
 	if gen2 != gen1 {
 		t.Fatalf("generation moved without growth: %d -> %d", gen1, gen2)
 	}

@@ -83,10 +83,22 @@ func Current() *Session { return current.Load() }
 // Default returns the installed session's detector (a no-op detector when
 // no session is installed).
 func Default() Detector {
+	if det := installed(); det != nil {
+		return det
+	}
+	return nop
+}
+
+// installed is what this package's constructors hand a new container,
+// scheduler or mutex: the installed session's detector, or nil when there is
+// none. A nil detector makes the proxy skip its prologue (thread id, call
+// site) altogether, where the no-op detector would have it pay for both on
+// every call just to reach a method that does nothing.
+func installed() Detector {
 	if s := current.Load(); s != nil {
 		return s.det
 	}
-	return nop
+	return nil
 }
 
 // Detector returns the session's detector, for wiring collections or

@@ -200,68 +200,68 @@ type BitArray = collections.BitArray
 
 // NewDictionary returns a Dictionary reporting to the installed detector.
 func NewDictionary[K comparable, V any]() *Dictionary[K, V] {
-	return collections.NewDictionary[K, V](Default())
+	return collections.NewDictionary[K, V](installed())
 }
 
 // NewList returns a List reporting to the installed detector.
 func NewList[T comparable]() *List[T] {
-	return collections.NewList[T](Default())
+	return collections.NewList[T](installed())
 }
 
 // NewHashSet returns a HashSet reporting to the installed detector.
 func NewHashSet[T comparable]() *HashSet[T] {
-	return collections.NewHashSet[T](Default())
+	return collections.NewHashSet[T](installed())
 }
 
 // NewQueue returns a Queue reporting to the installed detector.
 func NewQueue[T any]() *Queue[T] {
-	return collections.NewQueue[T](Default())
+	return collections.NewQueue[T](installed())
 }
 
 // NewStack returns a Stack reporting to the installed detector.
 func NewStack[T any]() *Stack[T] {
-	return collections.NewStack[T](Default())
+	return collections.NewStack[T](installed())
 }
 
 // NewSortedDictionary returns a SortedDictionary ordered by less.
 func NewSortedDictionary[K any, V any](less func(a, b K) bool) *SortedDictionary[K, V] {
-	return collections.NewSortedDictionary[K, V](Default(), less)
+	return collections.NewSortedDictionary[K, V](installed(), less)
 }
 
 // NewLinkedList returns a LinkedList reporting to the installed detector.
 func NewLinkedList[T comparable]() *LinkedList[T] {
-	return collections.NewLinkedList[T](Default())
+	return collections.NewLinkedList[T](installed())
 }
 
 // NewStringBuilder returns a StringBuilder reporting to the installed
 // detector.
 func NewStringBuilder() *StringBuilder {
-	return collections.NewStringBuilder(Default())
+	return collections.NewStringBuilder(installed())
 }
 
 // NewCounter returns a Counter reporting to the installed detector.
 func NewCounter() *Counter {
-	return collections.NewCounter(Default())
+	return collections.NewCounter(installed())
 }
 
 // NewMultiMap returns a MultiMap reporting to the installed detector.
 func NewMultiMap[K comparable, V any]() *MultiMap[K, V] {
-	return collections.NewMultiMap[K, V](Default())
+	return collections.NewMultiMap[K, V](installed())
 }
 
 // NewPriorityQueue returns a PriorityQueue ordered by less.
 func NewPriorityQueue[T any](less func(a, b T) bool) *PriorityQueue[T] {
-	return collections.NewPriorityQueue[T](Default(), less)
+	return collections.NewPriorityQueue[T](installed(), less)
 }
 
 // NewSortedSet returns a SortedSet ordered by less.
 func NewSortedSet[T any](less func(a, b T) bool) *SortedSet[T] {
-	return collections.NewSortedSet[T](Default(), less)
+	return collections.NewSortedSet[T](installed(), less)
 }
 
 // NewBitArray returns a BitArray of the given size.
 func NewBitArray(size int) *BitArray {
-	return collections.NewBitArray(Default(), size)
+	return collections.NewBitArray(installed(), size)
 }
 
 // --- Task substrate and monitored locks ---
@@ -276,7 +276,7 @@ type Task[T any] = task.Task[T]
 // NewScheduler returns a Scheduler wired to the installed detector with
 // TSVD's force-async instrumentation (§4) applied.
 func NewScheduler() *Scheduler {
-	return task.NewScheduler(Default(), task.WithForceAsync())
+	return task.NewScheduler(installed(), task.WithForceAsync())
 }
 
 // Go forks fn as a task on s (TPL's Task.Run).
@@ -298,4 +298,4 @@ func ContinueWith[T, U any](t *Task[T], fn func(T) U) *Task[U] {
 type Mutex = syncx.Mutex
 
 // NewMutex returns a monitored Mutex.
-func NewMutex() *Mutex { return syncx.NewMutex(Default()) }
+func NewMutex() *Mutex { return syncx.NewMutex(installed()) }

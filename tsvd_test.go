@@ -313,3 +313,34 @@ func TestAllPublicConstructors(t *testing.T) {
 		t.Fatalf("OnCalls = %d, want >= 13", got)
 	}
 }
+
+// TestNoSessionMeansNoPrologue: with nothing installed — before any Install
+// and again after Close — the root constructors hand the container a nil
+// detector, so a call pays neither the thread-id nor the call-site lookup
+// (whose stack parse allocates) on its way to a detector that does nothing.
+// Default still answers with the no-op detector for callers that read it.
+func TestNoSessionMeansNoPrologue(t *testing.T) {
+	if s := Current(); s != nil {
+		s.Close()
+	}
+	check := func(when string) {
+		t.Helper()
+		d := NewDictionary[int, int]()
+		d.Set(1, 0)
+		if n := testing.AllocsPerRun(200, func() { d.Set(1, 1) }); n != 0 {
+			t.Errorf("%s: Dictionary.Set allocates %v times per call with no session installed", when, n)
+		}
+		if Default() == nil {
+			t.Errorf("%s: Default() is nil; callers that read it expect the no-op detector", when)
+		}
+	}
+	check("before Install")
+	s := install(t)
+	inst := NewDictionary[int, int]()
+	inst.Set(1, 0)
+	s.Close()
+	check("after Close")
+	if got := s.Stats().OnCalls; got != 1 {
+		t.Errorf("a container built under the session made %d OnCalls, want 1", got)
+	}
+}
