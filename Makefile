@@ -10,14 +10,21 @@ GO ?= go
 
 check: vet build test race chaos-smoke bench-gate
 
+# The second pass is what keeps the portable identity path (internal/ids
+# without its amd64 assembly) compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
 
+# The second run pins goroutine identity and call-site attribution on the
+# other physical frame layout: without inlining, every logical frame the
+# attribution tests walk through is a frame of its own.
 test:
 	$(GO) test ./...
+	$(GO) test -gcflags=all=-l ./internal/ids ./internal/collections ./internal/task
 
 # The whole tree must stay clean under the race detector. This run includes
 # internal/chaos's TestRegressionSeedsReplay: every committed regression seed
@@ -37,9 +44,10 @@ chaos-smoke:
 bench:
 	GOMAXPROCS=8 $(GO) test -bench BenchmarkOnCallContention -benchtime 1s -run '^$$' .
 
-# Hot-path regression gates: BenchmarkOnCallUncontended/TSVD and the trace
-# BenchmarkEmit must stay under the ns/op thresholds committed in
-# bench_gate.json (best of N runs; see cmd/tsvd-bench-gate for why the
-# minimum is the estimator).
+# Hot-path regression gates: BenchmarkDictionarySetInstrumented (one call end
+# to end), BenchmarkOnCallUncontended/TSVD and the trace BenchmarkEmit must
+# stay under the ns/op thresholds committed in bench_gate.json (best of N
+# runs; see cmd/tsvd-bench-gate for why the minimum is the estimator) and
+# must not allocate.
 bench-gate:
 	$(GO) run ./cmd/tsvd-bench-gate

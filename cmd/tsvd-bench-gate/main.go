@@ -1,10 +1,14 @@
 // Command tsvd-bench-gate is the hot-path performance gate: for every gate
 // committed in bench_gate.json it runs the gated microbenchmark in its own
 // package several times and fails when the best observed ns/op exceeds the
-// gate's threshold. Two paths are gated today: the detector OnCall fast path
-// (BenchmarkOnCallUncontended/TSVD in the root package) and the trace
-// ring-buffer Emit path (BenchmarkEmit in internal/trace) that the triage
-// explanation slices depend on.
+// gate's threshold, or when any run allocated: every gated path is a
+// per-call path, and none of them may touch the heap. Three paths are gated
+// today: an instrumented call end to end through the public API
+// (BenchmarkDictionarySetInstrumented in the root package: prologue, detector
+// and raw operation — what a user pays), the detector OnCall fast path alone
+// (BenchmarkOnCallUncontended/TSVD, same package) and the trace ring-buffer
+// Emit path (BenchmarkEmit in internal/trace) that the triage explanation
+// slices depend on.
 //
 // The minimum across runs is the gate's estimator on purpose: the benchmark
 // VM's run-to-run noise is one-sided (preemption and frequency excursions
@@ -84,19 +88,28 @@ func main() {
 			g.Benchtime = "300ms"
 		}
 
-		ns, runs, err := runGate(*goBin, g)
+		ns, allocs, runs, err := runGate(*goBin, g)
 		if err != nil {
 			fail(2, "%s: %v", g.Benchmark, err)
+		}
+		ok := true
+		if allocs > 0 {
+			fmt.Fprintf(os.Stderr,
+				"tsvd-bench-gate: %s (%s): %d allocs/op — a gated path must not allocate\n",
+				g.Benchmark, g.Package, allocs)
+			ok = false
 		}
 		if ns > g.MaxNsPerOp {
 			fmt.Fprintf(os.Stderr,
 				"tsvd-bench-gate: %s (%s): best of %d runs = %.2f ns/op, gate = %.2f ns/op — the fast path regressed\n",
 				g.Benchmark, g.Package, runs, ns, g.MaxNsPerOp)
-			failed = true
-			continue
+			ok = false
 		}
-		fmt.Printf("tsvd-bench-gate: ok — %s (%s) best of %d runs = %.2f ns/op (gate %.2f)\n",
-			g.Benchmark, g.Package, runs, ns, g.MaxNsPerOp)
+		if ok {
+			fmt.Printf("tsvd-bench-gate: ok — %s (%s) best of %d runs = %.2f ns/op (gate %.2f), 0 allocs/op\n",
+				g.Benchmark, g.Package, runs, ns, g.MaxNsPerOp)
+		}
+		failed = failed || !ok
 	}
 	if failed {
 		os.Exit(1)
@@ -104,8 +117,8 @@ func main() {
 }
 
 // runGate executes one gate's benchmark in its package and returns the best
-// ns/op and the number of runs observed.
-func runGate(goBin string, g gate) (float64, int, error) {
+// ns/op, the worst allocs/op and the number of runs observed.
+func runGate(goBin string, g gate) (float64, int64, int, error) {
 	// Anchor every slash segment: go's -bench matching is per-segment
 	// substring, so a bare "TSVD" would also run "TSVDHB".
 	segs := strings.Split(g.Benchmark, "/")
@@ -116,47 +129,51 @@ func runGate(goBin string, g gate) (float64, int, error) {
 
 	cmd := exec.Command(goBin, "test", "-run", "^$",
 		"-bench", pattern,
+		"-benchmem",
 		"-benchtime", g.Benchtime,
 		"-count", strconv.Itoa(g.Runs),
 		g.Package)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return 0, 0, fmt.Errorf("benchmark run failed: %v\n%s", err, out)
+		return 0, 0, 0, fmt.Errorf("benchmark run failed: %v\n%s", err, out)
 	}
-	ns, runs, err := minNsPerOp(string(out), g.Benchmark)
+	ns, allocs, runs, err := summarize(string(out), g.Benchmark)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%v\n%s", err, out)
+		return 0, 0, 0, fmt.Errorf("%v\n%s", err, out)
 	}
-	return ns, runs, nil
+	return ns, allocs, runs, nil
 }
 
-// benchLine matches one `go test -bench` result line:
-// "BenchmarkName-8   1234567   41.2 ns/op ...".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// benchLine matches one `go test -bench -benchmem` result line:
+// "BenchmarkName-8   1234567   41.2 ns/op   0 B/op   0 allocs/op".
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op.*?\s(\d+) allocs/op`)
 
-// minNsPerOp extracts the minimum ns/op across the result lines for the
-// named benchmark and the number of lines observed.
-func minNsPerOp(out, name string) (float64, int, error) {
-	best := 0.0
-	runs := 0
+// summarize extracts the minimum ns/op and the maximum allocs/op across the
+// result lines for the named benchmark, and the number of lines observed.
+func summarize(out, name string) (bestNs float64, worstAllocs int64, runs int, err error) {
 	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil || m[1] != name {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
+		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return 0, 0, fmt.Errorf("parse ns/op in %q: %v", line, err)
+			return 0, 0, 0, fmt.Errorf("parse ns/op in %q: %v", line, err)
+		}
+		allocs, err := strconv.ParseInt(m[3], 10, 64)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("parse allocs/op in %q: %v", line, err)
 		}
 		runs++
-		if runs == 1 || v < best {
-			best = v
+		if runs == 1 || ns < bestNs {
+			bestNs = ns
 		}
+		worstAllocs = max(worstAllocs, allocs)
 	}
 	if runs == 0 {
-		return 0, 0, fmt.Errorf("no result lines for %s", name)
+		return 0, 0, 0, fmt.Errorf("no result lines for %s", name)
 	}
-	return best, runs, nil
+	return bestNs, worstAllocs, runs, nil
 }
 
 func fail(code int, format string, args ...any) {

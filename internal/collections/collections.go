@@ -20,8 +20,10 @@ type Detector = core.Detector
 
 // instrumented is the common prologue state every container embeds. The
 // detector's site registry is cached at construction so the prologue interns
-// its site directly — after the first call per call site that is one
-// lock-free probe, with no strings materialized on the access itself.
+// its site directly. After the first call per call site the whole prologue is
+// three lock-free steps — the goroutine id, the call site's OpID and its
+// SiteID (see sites.Registry.ForCall for what each costs) — with nothing
+// allocated and no strings materialized on the access itself.
 type instrumented struct {
 	det   core.Detector
 	reg   *sites.Registry

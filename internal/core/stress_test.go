@@ -102,10 +102,10 @@ func TestDenseRuntimeStress(t *testing.T) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						thread := ids.ThreadID(100 + w)
 						for i := 0; i < callsPerWorker; i++ {
 							a := Access{
-								Thread: thread,
+								// Read per call, as the proxies do.
+								Thread: ids.CurrentThreadID(),
 								Obj:    ids.ObjectID(1000 + w*objsPerWorker + i%objsPerWorker),
 								Op:     ids.OpID(5000 + w*opsPerWorker + i%opsPerWorker),
 								Kind:   KindWrite,
@@ -137,6 +137,9 @@ func TestDenseRuntimeStress(t *testing.T) {
 				}
 				if want := workers * opsPerWorker; d.Sites().Len() != want {
 					t.Fatalf("Sites().Len() = %d, want %d", d.Sites().Len(), want)
+				}
+				if n := ids.ThreadIDFailures(); n != 0 {
+					t.Fatalf("ids.ThreadIDFailures() = %d: goroutines shared thread state -1", n)
 				}
 			})
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/trapfile"
 	"repro/internal/trapstore"
@@ -215,4 +216,11 @@ func TestMetricsReconcileExactly(t *testing.T) {
 			"tsvd_detector_near_misses_total":      0,
 		})
 	})
+
+	// Every counter above is per detector thread state, and a goroutine
+	// whose id could not be read shares the state of thread -1 with every
+	// other such goroutine.
+	if n := ids.ThreadIDFailures(); n != 0 {
+		t.Errorf("ids.ThreadIDFailures() = %d after the suite and the sessions, want 0", n)
+	}
 }

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/intmap"
 )
 
 // ThreadID identifies a thread of execution. In this Go port a "thread" is a
@@ -51,29 +53,50 @@ func NewObjectID() ObjectID {
 
 var goroutinePrefix = []byte("goroutine ")
 
-// CurrentThreadID returns the id of the calling goroutine.
+// CurrentThreadID returns the id of the calling goroutine: the runtime's own
+// goroutine id, the number a stack dump prints.
 //
-// Go deliberately hides goroutine ids, so we parse the header line of
-// runtime.Stack, the only stable, stdlib-only way to obtain one. The cost is
-// on the order of a microsecond, which is far below the delay granularity the
-// detector works at, and it is paid once per instrumented call.
+// Go hides that id, so there are two ways to it. On amd64, once init's
+// self-check has found where the runtime keeps goid inside its g (see
+// findGoidOffset), this is one assembly stub that loads g from thread-local
+// storage and reads that word: a few nanoseconds, no lock, no allocation, and
+// it cannot fail. Everywhere else — other architectures, or a runtime whose g
+// the self-check could not make sense of — it parses the header line of
+// runtime.Stack, the only stdlib way to learn the id. That costs 7–8 µs a
+// call on the reference VM and more with every extra thread calling it
+// (runtime.Stack serializes on a runtime-wide lock), which was over 95 % of
+// an instrumented call while it was the only path. The g pointer itself is
+// never the id: the runtime recycles a finished goroutine's g for the next
+// one.
 func CurrentThreadID() ThreadID {
+	if goidOffset != 0 {
+		return ThreadID(gword(goidOffset))
+	}
+	return parseThreadID()
+}
+
+var threadIDFailures atomic.Int64
+
+// ThreadIDFailures reports how many times CurrentThreadID could not learn
+// the calling goroutine's id and returned -1. Every goroutine that gets -1
+// shares one detector thread state, so anything but 0 means verdicts of this
+// process are suspect. Only the portable parser can fail.
+func ThreadIDFailures() int64 { return threadIDFailures.Load() }
+
+// parseThreadID is the portable CurrentThreadID: the N of the "goroutine N ["
+// header runtime.Stack writes.
+func parseThreadID() ThreadID {
 	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	b := buf[:n]
-	if !bytes.HasPrefix(b, goroutinePrefix) {
-		return -1
+	b := buf[:runtime.Stack(buf[:], false)]
+	if b, ok := bytes.CutPrefix(b, goroutinePrefix); ok {
+		if i := bytes.IndexByte(b, ' '); i >= 0 {
+			if id, err := strconv.ParseInt(string(b[:i]), 10, 64); err == nil {
+				return ThreadID(id)
+			}
+		}
 	}
-	b = b[len(goroutinePrefix):]
-	i := bytes.IndexByte(b, ' ')
-	if i < 0 {
-		return -1
-	}
-	id, err := strconv.ParseInt(string(b[:i]), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return ThreadID(id)
+	threadIDFailures.Add(1)
+	return -1
 }
 
 // opBase is where interned OpIDs start: high enough that tests can fabricate
@@ -85,9 +108,7 @@ const opBase = OpID(1) << 32
 type opEntry struct{ key, loc string }
 
 var (
-	// pcToOp caches the physical-PC → OpID mapping (hot path).
-	pcToOp sync.Map // uintptr → OpID
-	opMu   sync.RWMutex
+	opMu sync.RWMutex
 	// ops is the op table: ops[i] describes OpID(opBase+1+i). opByKey is its
 	// key index.
 	ops     []opEntry
@@ -119,21 +140,137 @@ func (op OpID) entry() (e opEntry, ok bool) {
 	return opEntry{}, false
 }
 
+// maxChain is how many return addresses CallerOp keys its cache by. A proxy
+// asks for the frame two above itself, and a generic method reached through
+// an interface or a method value puts up to two compiler-generated wrapper
+// frames in between, so six reaches the user's frame with one to spare.
+const maxChain = 6
+
+// chainOp is one cached answer of CallerOp: the question — a chain of return
+// addresses and a skip — and the location it resolved to.
+type chainOp struct {
+	chain [maxChain]uintptr
+	skip  int
+	op    OpID
+}
+
+// chainOps caches CallerOp's answers by chainKey. Insert-only, like the op
+// table behind it: a program has finitely many call paths of depth maxChain.
+var chainOps intmap.Map[chainOp]
+
+// chainKey hashes a question into an intmap key. Clearing the top bit keeps
+// it off intmap's empty-slot marker.
+func chainKey(chain *[maxChain]uintptr, skip int) int64 {
+	h := uint64(skip)
+	for _, pc := range chain {
+		h = (h ^ uint64(pc)) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+	}
+	return int64(h &^ (1 << 63))
+}
+
 // CallerOp returns the OpID of the call site `skip` frames above the caller
 // of CallerOp. skip=0 means the immediate caller of the function that calls
 // CallerOp. The instrumented collections use this to attribute every access
 // to the user call site rather than to the wrapper method.
+//
+// The location is always what runtime.Callers and runtime.CallersFrames say
+// it is; what differs is how a repeated call avoids asking them again. On
+// amd64, once init's self-check has seen the frame-pointer walk agree with
+// runtime.Callers (see fpChainAgrees), an assembly stub reads the maxChain
+// innermost return addresses off the frame-pointer chain and CallerOp looks
+// that chain up: the same return addresses always unwind to the same logical
+// frames, however the compiler inlined the functions in between, and an
+// inlined helper called from two places is two chains with one answer. A
+// chain is only cached after chainReaches has confirmed, against
+// runtime.Callers, that the frame asked for lies within it; until then, and
+// for a chain that never does, every call resolves the slow way. Elsewhere —
+// other architectures, a failed self-check — the chain is the one program
+// counter runtime.Callers reports for the frame, which costs an unwind per
+// call (≈ 200 ns) and is how this function has always worked.
+//
+// The walk trusts every frame it crosses to have saved its caller's frame
+// pointer, as the runtime's own frame-pointer unwinder does. Every compiled
+// Go function that makes a call does; assembly marked NOFRAME does not.
 func CallerOp(skip int) OpID {
+	var chain [maxChain]uintptr
+	n := 0
+	if fpChainOK {
+		n = fpChain(&chain, maxChain)
+	} else {
+		chain[0] = callerPC(skip + 1)
+	}
+	key := chainKey(&chain, skip)
+	e, sure := chainOps.GetFast(key)
+	if !sure {
+		e = chainOps.Get(key)
+	}
+	if e != nil && e.chain == chain && e.skip == skip {
+		return e.op
+	}
+	pc := callerPC(skip + 1)
+	if pc == 0 {
+		return 0
+	}
+	op := resolvePC(pc)
+	// n < maxChain: the chain is the whole stack (or, on the portable path,
+	// the answer itself). A second question under an occupied key is never
+	// cached; 63-bit keys make that a curiosity.
+	if e == nil && (n < maxChain || chainReaches(&chain, skip+1)) {
+		cacheChain(key, chainOp{chain: chain, skip: skip, op: op})
+	}
+	return op
+}
+
+// cacheChain takes the entry by value so that CallerOp's chain stays on its
+// stack.
+func cacheChain(key int64, e chainOp) {
+	chainOps.GetOrCreate(key, func() *chainOp { return &e })
+}
+
+// chainReaches reports whether chain — the return addresses fpChain read for
+// the function calling chainReaches — determines logical frame `target` above
+// that function's caller (frame 0). runtime.Callers lists one program counter
+// per logical frame: the return address itself for the innermost logical
+// frame of each physical frame, made-up ones for the frames inlined around
+// it, none at all for compiler-generated wrappers. So the frames up to and
+// including the first listed counter that is a return address of the chain
+// are fixed by the chain up to that address, and the target is among them iff
+// such a counter sits at or above it.
+func chainReaches(chain *[maxChain]uintptr, target int) bool {
+	var logical [4 * maxChain]uintptr
+	// 3: runtime.Callers itself, chainReaches and CallerOp.
+	next := 0
+	for i, pc := range logical[:runtime.Callers(3, logical[:])] {
+		for j := next; j < maxChain; j++ {
+			if chain[j] == pc {
+				if i >= target {
+					return true
+				}
+				next = j + 1
+				break
+			}
+		}
+	}
+	return false
+}
+
+// callerPC returns the program counter runtime.Callers reports for a call
+// site above callerPC's caller — skip=0 is where that caller was called
+// from, skip=1 where that one was — or 0 if the stack is not that deep.
+func callerPC(skip int) uintptr {
 	var pcs [1]uintptr
-	// +3: runtime.Callers itself, CallerOp, and the function calling
-	// CallerOp — leaving that function's own call site as the first PC.
+	// +3: runtime.Callers itself, callerPC, and the function calling
+	// callerPC — leaving that function's own call site as the first PC.
 	if runtime.Callers(skip+3, pcs[:]) == 0 {
 		return 0
 	}
-	pc := pcs[0]
-	if v, ok := pcToOp.Load(pc); ok {
-		return v.(OpID)
-	}
+	return pcs[0]
+}
+
+// resolvePC interns the source location of a program counter that
+// runtime.Callers reported.
+func resolvePC(pc uintptr) OpID {
 	frames := runtime.CallersFrames([]uintptr{pc})
 	frame, _ := frames.Next()
 	key := fmt.Sprintf("%s:%d", frame.File, frame.Line)
@@ -142,9 +279,7 @@ func CallerOp(skip int) OpID {
 		key = fmt.Sprintf("pc=0x%x", pc)
 		loc = key
 	}
-	op := intern(key, loc)
-	pcToOp.Store(pc, op)
-	return op
+	return intern(key, loc)
 }
 
 // Location resolves an OpID to its "file:line (function)" string. OpIDs not

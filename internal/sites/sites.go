@@ -98,9 +98,14 @@ func (r *Registry) Register(op ids.OpID, class, method string, write bool) ids.S
 
 // ForCall is the instrumentation-prologue intern: identical to Register but
 // named for its hot-path role. On every call after the first for a given
-// call site it is one lock-free probe plus two string compares (which
-// succeed on pointer equality for the constant class/method strings
-// prologues pass).
+// call site it is one lock-free intmap probe keyed by (op, kind), one load of
+// the site table and two string compares (which succeed on pointer equality
+// for the constant class/method strings prologues pass) — ≈ 8 ns. It is the
+// cheapest of the prologue's three steps: the op it is handed comes from
+// ids.CallerOp (≈ 15–25 ns: a frame-pointer walk and a second probe of the
+// same kind on amd64, an unwind where ids' init self-check ruled that out)
+// and the access also carries ids.CurrentThreadID (≈ 2 ns from the runtime's
+// g on amd64, a stack-dump parse of several µs elsewhere).
 func (r *Registry) ForCall(op ids.OpID, class, method string, write bool) ids.SiteID {
 	return r.Register(op, class, method, write)
 }

@@ -1,6 +1,9 @@
 package task
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,6 +186,39 @@ func TestInlineFastTasks(t *testing.T) {
 		}
 	}
 	s.WaitIdle()
+}
+
+// TestSpawnSiteAttribution: the inlining history is kept per spawn site, so
+// Run, ContinueWith and ForEach must attribute a spawn to the line that
+// spawned it — checked against runtime.Callers, on the resolving call and on
+// the cached ones after it.
+func TestSpawnSiteAttribution(t *testing.T) {
+	lineAbove := func() string {
+		var pcs [1]uintptr
+		runtime.Callers(2, pcs[:])
+		f, _ := runtime.CallersFrames(pcs[:]).Next()
+		return fmt.Sprintf("%s:%d (%s)", f.File, f.Line-1, f.Function)
+	}
+	for pass := 0; pass < 3; pass++ {
+		s := NewScheduler(nil)
+		tk := Run(s, func() int { return 1 })
+		want := []string{lineAbove()}
+		ContinueWith(tk, func(v int) int { return v + 1 })
+		want = append(want, lineAbove())
+		ForEach(s, []int{1, 2, 3}, 1, func(int) {})
+		want = append(want, lineAbove())
+		s.WaitIdle()
+
+		var got []string
+		for site := range s.siteStats {
+			got = append(got, site.Location())
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("pass %d: spawn sites recorded:\n  %s\nwant:\n  %s", pass, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+	}
 }
 
 func TestInlineDisabledByDefault(t *testing.T) {
