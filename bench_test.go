@@ -435,10 +435,12 @@ func BenchmarkOnCallContention(b *testing.B) {
 //
 //   - observe-only tracks full mode (it only suppresses sleeps, and this
 //     workload never reaches a sleep);
-//   - sampled at p=1 adds just the gate (a thread-local xorshift draw plus
-//     one lock-free threshold compare);
-//   - sampled at low p approaches the skip path's floor — two shard-local
-//     atomic adds;
+//   - sampled at p=1 adds the admission draws, an entry timestamp and the
+//     per-call charge to the overhead account;
+//   - sampled at low p approaches the skip path's floor — one atomic
+//     decrement of the goroutine's own countdown (these calls arrive with a
+//     built Access; through a container the floor also skips the identity
+//     prologue — BenchmarkDictionarySetSampledAuto);
 //   - the auto-throttled run converges toward its target, so its steady
 //     state looks like low p.
 func BenchmarkOnCallContentionModes(b *testing.B) {
@@ -475,6 +477,26 @@ func BenchmarkOnCallContentionModes(b *testing.B) {
 // cost through the public API (prologue + detector + raw op).
 func BenchmarkDictionarySetInstrumented(b *testing.B) {
 	if _, err := Install(DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	d := NewDictionary[int, int]()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Set(i&1023, i)
+	}
+}
+
+// BenchmarkDictionarySetSampledAuto is the same call under the sampled tier
+// with a 1 % overhead target: in steady state nearly every call is rejected
+// by the admission countdown before it buys an identity, so this is what the
+// tier's floor costs end to end (gated in bench_gate.json).
+func BenchmarkDictionarySetSampledAuto(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Mode = ModeSampled
+	cfg.SampleProbability = 1
+	cfg.OverheadTarget = 0.01
+	if _, err := Install(cfg); err != nil {
 		b.Fatal(err)
 	}
 	d := NewDictionary[int, int]()

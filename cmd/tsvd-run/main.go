@@ -47,6 +47,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/report"
+	"repro/internal/sampler"
 	"repro/internal/trace"
 	"repro/internal/trapstore"
 	"repro/internal/triage"
@@ -247,6 +248,19 @@ func run() int {
 	if st.NearMissGaps.Total() > 0 {
 		fmt.Printf("  near-miss gap histogram: %s\n", st.NearMissGaps)
 	}
+	if ov := out.Overhead; ov.Spent > 0 {
+		fmt.Printf("  sampler: p=%.4g  sampled out: %d  charged: %v (skip %v, prologue %v, analysis %v, delay %v)\n",
+			ov.Probability, st.CallsSampledOut, ov.Spent, ov.Layers[sampler.LayerSkip],
+			ov.Layers[sampler.LayerPrologue], ov.Layers[sampler.LayerAnalysis], ov.Layers[sampler.LayerDelay])
+		if ov.Ticks > 0 {
+			fmt.Printf("  overhead over the last interval: %.2f%% of wall time (floor %.2f%%)\n",
+				100*ov.Last.Observed, 100*ov.Last.Floor)
+		}
+		if ov.Last.FloorBound {
+			fmt.Printf("  the floor alone exceeds the %.2f%% target: no admission probability can meet it\n",
+				100**overhead)
+		}
+	}
 	if metrics != nil {
 		report.TraceSummary(os.Stdout, metrics, 15)
 		fmt.Printf("  trace written to %s\n", *traceDir)
@@ -324,17 +338,18 @@ func writeTrace(dir, tool string, modules, runs int, out *harness.Outcome,
 	}
 
 	sum := trace.Summary{
-		Version: trace.SchemaVersion,
-		Tool:    tool,
-		Modules: modules,
-		Runs:    runs,
-		Emitted: out.TraceTotals.Emitted,
-		Dropped: out.TraceTotals.Dropped,
-		Drained: drained,
-		ByKind:  trace.CountByKind(out.Traces),
-		Stats:   out.TraceStatTotals(),
-		Store:   storeTotals,
-		Sites:   trace.SiteTable(out.Sites),
+		Version:  trace.SchemaVersion,
+		Tool:     tool,
+		Modules:  modules,
+		Runs:     runs,
+		Emitted:  out.TraceTotals.Emitted,
+		Dropped:  out.TraceTotals.Dropped,
+		Drained:  drained,
+		ByKind:   trace.CountByKind(out.Traces),
+		Stats:    out.TraceStatTotals(),
+		Store:    storeTotals,
+		Overhead: out.TraceOverhead(),
+		Sites:    trace.SiteTable(out.Sites),
 	}
 	sf, err := os.Create(filepath.Join(dir, "summary.json"))
 	if err != nil {

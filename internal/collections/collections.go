@@ -23,10 +23,13 @@ type Detector = core.Detector
 // its site directly. After the first call per call site the whole prologue is
 // three lock-free steps — the goroutine id, the call site's OpID and its
 // SiteID (see sites.Registry.ForCall for what each costs) — with nothing
-// allocated and no strings materialized on the access itself.
+// allocated and no strings materialized on the access itself. A sampled
+// detector's admission gate is cached too: it is asked with the goroutine id
+// alone, so a call it rejects buys neither of the other two.
 type instrumented struct {
 	det   core.Detector
 	reg   *sites.Registry
+	gate  *core.Gate
 	id    ids.ObjectID
 	class string
 }
@@ -35,6 +38,7 @@ func newInstrumented(det core.Detector, class string) instrumented {
 	b := instrumented{det: det, id: ids.NewObjectID(), class: class}
 	if det != nil {
 		b.reg = det.Sites()
+		b.gate = core.GateOf(det)
 	}
 	return b
 }
@@ -46,9 +50,13 @@ func (b *instrumented) onCall(method string, kind core.Kind) {
 	if b.det == nil {
 		return
 	}
+	thread := ids.CurrentThreadID()
+	if b.gate != nil && !b.gate.Admit(thread) {
+		return
+	}
 	op := ids.CallerOp(1)
 	b.det.OnCall(core.Access{
-		Thread: ids.CurrentThreadID(),
+		Thread: thread,
 		Obj:    b.id,
 		Op:     op,
 		Site:   b.reg.ForCall(op, b.class, method, kind == core.KindWrite),
@@ -140,19 +148,4 @@ func Registry() map[string]APIList {
 			"Set": Write, "Flip": Write, "SetAll": Write,
 		},
 	}
-}
-
-// RegistryCounts reports the number of read and write APIs across classes.
-func RegistryCounts() (classes, reads, writes int) {
-	for _, apis := range Registry() {
-		classes++
-		for _, kind := range apis {
-			if kind == Write {
-				writes++
-			} else {
-				reads++
-			}
-		}
-	}
-	return
 }

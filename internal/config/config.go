@@ -66,11 +66,13 @@ const (
 	// every instrumented call — the paper's testing-time behavior and the
 	// zero value, so existing configurations are unchanged.
 	ModeFull Mode = iota
-	// ModeSampled gates the per-call analysis behind a per-site probability.
-	// With OverheadTarget set, a control loop measures the detection time
-	// actually spent and auto-throttles the probabilities toward the target;
-	// otherwise the probability stays fixed at SampleProbability. Trap
-	// checking (red-handed catching) is never sampled out.
+	// ModeSampled decides admission before a call buys its identity: a
+	// rejected call costs a countdown decrement, an admitted one the whole
+	// pipeline. With OverheadTarget set, a control loop steers the admission
+	// probability so that the overhead as the harness measures it — what
+	// every call costs, rejected ones included — meets the target; otherwise
+	// the probability stays fixed at SampleProbability. Trap checking
+	// (red-handed catching) is never sampled out.
 	ModeSampled
 	// ModeObserveOnly runs the full analysis — near-miss recording, trap-set
 	// bookkeeping, coverage — but suppresses every delay injection, so the
@@ -178,22 +180,26 @@ type Config struct {
 	// --- Production sampling tier (docs/SAMPLING.md) ---
 
 	// Mode selects the operating tier: ModeFull (default, the paper's
-	// testing-time behavior), ModeSampled (per-site probabilistic sampling
-	// with an optional measured-overhead control loop) or ModeObserveOnly
+	// testing-time behavior), ModeSampled (probabilistic admission with an
+	// optional measured-overhead control loop) or ModeObserveOnly
 	// (full analysis, zero delay injection).
 	Mode Mode
-	// SampleProbability is ModeSampled's initial per-site probability of
-	// running the analysis pipeline for a call. With OverheadTarget unset it
+	// SampleProbability is ModeSampled's initial probability of running the
+	// analysis pipeline for a call. With OverheadTarget unset it
 	// stays fixed; with a target it is only the starting point the control
 	// loop throttles from. Defaults to 1.0 so sampled mode starts at full
 	// recall and earns its cheapness from the throttle.
 	SampleProbability float64
-	// OverheadTarget, when positive, closes the loop in ModeSampled: every
-	// SamplerInterval the detector compares the detection time it measurably
-	// spent (analysis plus injected delays) against elapsed wall time and
-	// multiplicatively adjusts the per-site probabilities toward this
-	// fraction (0.01 = "~1% overhead" as a measured quantity). Zero keeps
-	// SampleProbability fixed. Ignored outside ModeSampled.
+	// OverheadTarget, when positive, closes the loop in ModeSampled on the
+	// overhead as the harness measures it: every SamplerInterval the sampler
+	// compares what instrumentation cost the program — rejected calls at a
+	// calibrated floor, admitted calls from proxy entry through analysis,
+	// injected delays — against elapsed wall time, and multiplicatively
+	// adjusts the admission probability toward this fraction (0.01 = "~1%
+	// overhead"). When rejecting calls alone costs more than the target it
+	// holds at the minimum probability and reports the floor
+	// (tsvd_overhead_floor_ratio). Zero keeps SampleProbability fixed.
+	// Ignored outside ModeSampled.
 	OverheadTarget float64
 	// SamplerInterval is the control-loop period of the adaptive sampler:
 	// per interval the spent-time budget is refreshed and the per-site

@@ -237,6 +237,7 @@ type options struct {
 	clk          clock.Clock
 	initialTraps []report.PairKey
 	metrics      *DetectorMetrics
+	shared       *SharedSampler
 }
 
 // WithClock substitutes the time source (tests use scaled clocks).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/sampler"
 )
 
 // DetectorMetrics exports live detector state into a metrics.Registry
@@ -156,6 +157,20 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 	reg.GaugeFunc("tsvd_sampler_probability",
 		"Minimum current global admission probability across attached sampled-mode detectors (1 when none).",
 		func() float64 { return m.samplerProbability() })
+	// The overhead series read the accumulators the controller steers on —
+	// there is no second account to drift from the first.
+	reg.GaugeFunc("tsvd_overhead_ratio",
+		"Overhead the sampling controller observed over its last interval: time charged (floor included) per unit of wall time; the highest across attached samplers.",
+		func() float64 { return m.overhead(func(a sampler.Adjustment) float64 { return a.Observed }) })
+	reg.GaugeFunc("tsvd_overhead_floor_ratio",
+		"The part of tsvd_overhead_ratio that rejected calls cost; at or above the target, no admission probability can meet it.",
+		func() float64 { return m.overhead(func(a sampler.Adjustment) float64 { return a.Floor }) })
+	for l := sampler.Layer(0); l < sampler.NumLayers; l++ {
+		reg.CounterFunc("tsvd_overhead_seconds_total",
+			"Time charged to the sampled tier's overhead account, by what it paid for.",
+			func() float64 { return m.overheadSeconds(l) },
+			metrics.Label{Name: "layer", Value: l.String()})
+	}
 	reg.GaugeFunc("tsvd_detector_parked_threads",
 		"Threads currently parked in an injected delay.",
 		func() float64 { return float64(m.parked()) })
@@ -200,15 +215,52 @@ func (m *DetectorMetrics) sum() Stats {
 // one an operator watching an overhead SLO cares about. 1 when no attached
 // detector samples.
 func (m *DetectorMetrics) samplerProbability() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	p := 1.0
-	for _, r := range m.rts {
-		if r.samp != nil && r.samp.Probability() < p {
-			p = r.samp.Probability()
+	for _, s := range m.samplers() {
+		if s.Probability < p {
+			p = s.Probability
 		}
 	}
 	return p
+}
+
+// samplers snapshots every distinct sampler behind the attached detectors
+// (the detectors of one harness run share one).
+func (m *DetectorMetrics) samplers() []sampler.Snapshot {
+	m.mu.Lock()
+	seen := map[*sampler.Sampler]bool{}
+	for _, r := range m.rts {
+		if r.samp != nil {
+			seen[r.samp] = true
+		}
+	}
+	m.mu.Unlock()
+	out := make([]sampler.Snapshot, 0, len(seen))
+	for s := range seen {
+		out = append(out, s.Snapshot())
+	}
+	return out
+}
+
+// overhead reports the highest value of one field of the controllers' last
+// adjustments — the sampler furthest over budget. 0 when none has ticked.
+func (m *DetectorMetrics) overhead(field func(sampler.Adjustment) float64) float64 {
+	var worst float64
+	for _, s := range m.samplers() {
+		if v := field(s.Last); v > worst {
+			worst = v
+		}
+	}
+	return worst
+}
+
+// overheadSeconds sums one layer of the attached samplers' accounts.
+func (m *DetectorMetrics) overheadSeconds(l sampler.Layer) float64 {
+	var total time.Duration
+	for _, s := range m.samplers() {
+		total += s.Layers[l]
+	}
+	return total.Seconds()
 }
 
 // traceTotals sums the attached tracers' cumulative emit/drop counters.

@@ -30,7 +30,9 @@ func TestTrapSetInvariants(t *testing.T) {
 			case 0:
 				s.add(randKey(), &stats, nil)
 			case 1:
-				s.remove(randKey())
+				s.mu.Lock()
+				s.removeLocked(randKey())
+				s.mu.Unlock()
 			case 2:
 				s.suppress(randKey())
 			case 3:
@@ -135,11 +137,13 @@ func TestObjHistoryProperty(t *testing.T) {
 				want = want[len(want)-capacity:]
 			}
 			seen := map[ids.OpID]bool{}
-			count := 0
-			h.each(func(g histEntry) {
+			count := h.next
+			if h.full {
+				count = len(h.entries)
+			}
+			for _, g := range h.entries[:count] {
 				seen[g.op] = true
-				count++
-			})
+			}
 			if count != len(want) {
 				return false
 			}

@@ -10,28 +10,49 @@ import (
 	"repro/internal/ids"
 )
 
-// TestObjHistoryNewestFirst pins the iteration order of the per-object ring:
-// each must visit entries newest first, both before the ring wraps and after.
-// The near-miss scan depends on this so the most recent conflicting access —
-// the smallest gap, the likeliest real interleaving — is seen first.
+// newestFirst is the OnCall paths' walk over a per-object ring: from next-1
+// downwards, wrapping.
+func newestFirst[E any](h *history[E]) []E {
+	n := len(h.entries)
+	if !h.full {
+		n = h.next
+	}
+	var out []E
+	for i := 0; i < n; i++ {
+		idx := h.next - 1 - i
+		if idx < 0 {
+			idx += len(h.entries)
+		}
+		out = append(out, h.entries[idx])
+	}
+	return out
+}
+
+// TestObjHistoryNewestFirst pins what the OnCall paths' walk over the
+// per-object ring (from next-1 downwards, wrapping) relies on add to keep:
+// that order visits entries newest first, both before the ring wraps and
+// after. The near-miss scan depends on this so the most recent conflicting
+// access — the smallest gap, the likeliest real interleaving — is seen first.
 func TestObjHistoryNewestFirst(t *testing.T) {
 	const capacity = 3
 	h := newObjHistory(capacity)
 
 	collect := func() []ids.OpID {
 		var got []ids.OpID
-		h.each(func(e histEntry) { got = append(got, e.op) })
+		for _, e := range newestFirst(h) {
+			got = append(got, e.op)
+		}
 		return got
 	}
 	assertOrder := func(want ...ids.OpID) {
 		t.Helper()
 		got := collect()
 		if len(got) != len(want) {
-			t.Fatalf("each visited %v, want %v", got, want)
+			t.Fatalf("walk visited %v, want %v", got, want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("each visited %v, want %v (newest first)", got, want)
+				t.Fatalf("walk visited %v, want %v (newest first)", got, want)
 			}
 		}
 	}
@@ -57,10 +78,9 @@ func TestHBHistoryNewestFirst(t *testing.T) {
 	h.add(hbEntry{op: 1})
 	h.add(hbEntry{op: 2})
 	h.add(hbEntry{op: 3})
-	var got []ids.OpID
-	h.each(func(e hbEntry) { got = append(got, e.op) })
-	if len(got) != 2 || got[0] != 3 || got[1] != 2 {
-		t.Fatalf("each visited %v, want [3 2] (newest first)", got)
+	got := newestFirst(h)
+	if len(got) != 2 || got[0].op != 3 || got[1].op != 2 {
+		t.Fatalf("walk visited %v, want ops [3 2] (newest first)", got)
 	}
 }
 

@@ -160,14 +160,33 @@ func newPubRing(window int) *pubRing {
 // of on shared cache lines — is what makes the contended OnCall path scale:
 // every thread bumps its own line.
 type threadState struct {
-	// onCalls / sampledOut are this thread's contributions to the global
-	// counters; snapshotStats sums them across threads.
+	// onCalls counts this thread's analysed calls in the variants that do
+	// not count them by ring publication; sampledOut counts its calls the
+	// site stage rejected. snapshotStats sums them across threads.
 	onCalls    atomic.Int64
 	sampledOut atomic.Int64
 
-	// rng is the thread's private xorshift state for the sampling gate
-	// (docs/SAMPLING.md).
-	rng uint64
+	// --- sampled-mode admission (admit.go, docs/SAMPLING.md) ---
+	// skip is the countdown of calls still to reject; granted is the total
+	// ever handed out, so granted - max(skip, 0) is the number of calls the
+	// countdown rejected — the one atomic add a rejected call pays is also
+	// what counts it. Written by the owner, read by snapshots.
+	skip    atomic.Int64
+	granted atomic.Int64
+	// The rest is owner-only. rng is the private xorshift state every draw
+	// uses; survivorNext says the call that runs the countdown out goes on
+	// to the site stage, at weight calls per survivor; block is the size of
+	// the running countdown (charged at the floor when it runs out) and
+	// maxGap the cap on the next one; pending is a verdict Gate.Admit took
+	// for the OnCall that follows it; enteredAt is when the admitted call in
+	// flight entered the detector.
+	rng          uint64
+	survivorNext bool
+	weight       int64
+	block        int64
+	maxGap       int64
+	pending      verdict
+	enteredAt    time.Duration
 
 	// cachedObj/cachedState short-circuit the object-registry probe while a
 	// thread stays on one object (the common loop shape).
@@ -358,10 +377,14 @@ type runtime struct {
 	// the zero value; ModeObserveOnly suppresses sleeps in injectDelay;
 	// ModeSampled gates analysis through samp.
 	mode config.Mode
-	// samp is the per-site admission gate and its adaptive overhead
-	// controller, non-nil only in ModeSampled. The gate sits after the
-	// parked-trap check — red-handed catching is never sampled out.
-	samp *sampler.Sampler
+	// samp is the admission sampler and its adaptive overhead controller,
+	// non-nil only in ModeSampled (possibly shared with the other detectors
+	// of a run: WithSharedSampler). sampBase is this detector's start on the
+	// sampler's time axis, and costs the calibrated per-call constants it is
+	// charged by.
+	samp     *sampler.Sampler
+	sampBase time.Duration
+	costs    costs
 	// samplerOp is the interned "sampler" pseudo-location carried by
 	// sampler_throttle trace events (the schema requires a nonzero op_a).
 	samplerOp ids.OpID
@@ -422,11 +445,15 @@ func (r *runtime) init(cfg config.Config, o options) {
 	r.budgets = clock.BudgetTable{Max: r.maxDelay}
 	r.mode = cfg.Mode
 	if cfg.Mode == config.ModeSampled {
-		r.samp = sampler.New(sampler.Params{
-			BaseProbability: cfg.SampleProbability,
-			OverheadTarget:  cfg.OverheadTarget,
-			Interval:        cfg.EffectiveSamplerInterval(),
-		})
+		sh := o.shared
+		if sh == nil {
+			sh = NewSharedSampler(cfg)
+		}
+		r.samp = sh.samp
+		if r.realClock { // a test clock has no common axis to be placed on
+			r.sampBase = r.start.Sub(sh.start)
+		}
+		r.costs = callCosts()
 		r.samplerOp = ids.InternKey("sampler")
 	}
 	if cfg.Trace {
@@ -516,29 +543,6 @@ func (r *runtime) randDurationUpTo(d time.Duration) time.Duration {
 	v := r.rng.Int63n(int64(d))
 	r.rngMu.Unlock()
 	return time.Duration(v) + 1
-}
-
-// randUint64 draws 64 random bits from the seeded source. Used only by the
-// random variants' sampling gate; TSVD/TSVDHB use per-thread xorshift states
-// instead to keep their hot path off rngMu.
-func (r *runtime) randUint64() uint64 {
-	r.rngMu.Lock()
-	v := r.rng.Uint64()
-	r.rngMu.Unlock()
-	return v
-}
-
-// sampleTick runs the adaptive-sampling controller if its interval has
-// elapsed, recording every adjustment in the stats and the trace. Nil-safe;
-// called from OnCall tails in ModeSampled.
-func (r *runtime) sampleTick(now time.Duration) {
-	if r.samp == nil {
-		return
-	}
-	if adj, ok := r.samp.Tick(now); ok {
-		r.stats.samplerThrottles.Add(1)
-		r.tr.Emit(trace.KindSamplerThrottle, 0, 0, r.samplerOp, 0, now, adj.Spent)
-	}
 }
 
 // side builds one report side, resolving the API strings from the site
@@ -738,8 +742,9 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 }
 
 // snapshotStats materializes the public counters from the atomics, the
-// per-thread tallies, and the per-object publication counts (TSVD's
-// admitted calls are counted by the ring publication CAS itself). It takes
+// per-thread tallies (a rejected call is counted by its countdown decrement:
+// OnCalls = analysed + rejected), and the per-object publication counts
+// (TSVD's admitted calls are counted by the ring publication CAS itself). It takes
 // no lock: everything read here is atomic, so a live metrics scrape can
 // snapshot a running detector without stalling any thread's OnCall traffic.
 // A scrape racing a ring rotation or takeover can transiently misattribute
@@ -749,8 +754,9 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 func (r *runtime) snapshotStats() Stats {
 	st := r.stats.snapshot()
 	r.threads.Each(func(_ int64, ts *threadState) {
-		st.OnCalls += ts.onCalls.Load()
-		st.CallsSampledOut += ts.sampledOut.Load()
+		out := ts.rejected()
+		st.OnCalls += ts.onCalls.Load() + out
+		st.CallsSampledOut += out
 	})
 	r.objs.Each(func(_ int64, os *objState) {
 		st.OnCalls += os.retired.Load()
@@ -767,7 +773,6 @@ func (r *runtime) snapshotStats() Stats {
 // incremented from inside a racing OnCall are exact — atomics lose nothing
 // — only the cross-counter consistency of a snapshot is relaxed.
 type atomicStats struct {
-	onCalls                 atomic.Int64
 	delaysInjected          atomic.Int64
 	totalDelay              atomic.Int64 // nanoseconds
 	nearMisses              atomic.Int64
@@ -778,13 +783,9 @@ type atomicStats struct {
 	locationsSeen           atomic.Int64
 	locationsSeenConcurrent atomic.Int64
 	sequentialSkips         atomic.Int64
-	// callsSampledOut is the global skip counter used by the random
-	// variants; TSVD/TSVDHB count skips per thread (threadState.sampledOut)
-	// and snapshotStats sums both.
-	callsSampledOut  atomic.Int64
-	delaysSuppressed atomic.Int64
-	samplerThrottles atomic.Int64
-	nearMissGaps     [len(GapHistogram{})]atomic.Int64
+	delaysSuppressed        atomic.Int64
+	samplerThrottles        atomic.Int64
+	nearMissGaps            [len(GapHistogram{})]atomic.Int64
 }
 
 // observeGap adds one near-miss gap to the histogram.
@@ -795,7 +796,6 @@ func (s *atomicStats) observeGap(d time.Duration) {
 // snapshot copies the atomics into the public Stats struct.
 func (s *atomicStats) snapshot() Stats {
 	st := Stats{
-		OnCalls:                 s.onCalls.Load(),
 		DelaysInjected:          s.delaysInjected.Load(),
 		TotalDelay:              time.Duration(s.totalDelay.Load()),
 		NearMisses:              s.nearMisses.Load(),
@@ -806,7 +806,6 @@ func (s *atomicStats) snapshot() Stats {
 		LocationsSeen:           s.locationsSeen.Load(),
 		LocationsSeenConcurrent: s.locationsSeenConcurrent.Load(),
 		SequentialSkips:         s.sequentialSkips.Load(),
-		CallsSampledOut:         s.callsSampledOut.Load(),
 		DelaysSuppressed:        s.delaysSuppressed.Load(),
 		SamplerThrottles:        s.samplerThrottles.Load(),
 	}

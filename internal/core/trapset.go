@@ -80,14 +80,8 @@ func (s *trapSet) addLocked(key report.PairKey, stats *atomicStats, met *Detecto
 	return true
 }
 
-// remove deletes a pair from the set (it may be re-added later unless also
-// suppressed).
-func (s *trapSet) remove(key report.PairKey) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.removeLocked(key)
-}
-
+// removeLocked deletes a pair from the set (it may be re-added later unless
+// also suppressed).
 func (s *trapSet) removeLocked(key report.PairKey) bool {
 	if _, ok := s.pairs[key]; !ok {
 		return false

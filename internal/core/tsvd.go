@@ -8,7 +8,6 @@ import (
 	"repro/internal/fasttime"
 	"repro/internal/ids"
 	"repro/internal/report"
-	"repro/internal/sampler"
 	"repro/internal/trace"
 )
 
@@ -76,25 +75,6 @@ func (h *history[E]) add(e E) {
 	}
 }
 
-// each visits the recorded entries newest first. The §3.4.2 near-miss scan
-// wants the most recent conflicting access preferred: it is the one whose
-// gap is smallest and therefore the sighting most likely to reflect a real
-// interleaving opportunity (and the one the gap histogram should measure).
-// (The OnCall paths inline this walk; each is its reference definition.)
-func (h *history[E]) each(fn func(E)) {
-	n := len(h.entries)
-	if !h.full {
-		n = h.next
-	}
-	for i := 0; i < n; i++ {
-		idx := h.next - 1 - i
-		if idx < 0 {
-			idx += len(h.entries)
-		}
-		fn(h.entries[idx])
-	}
-}
-
 type inheritance struct {
 	from      ids.OpID
 	remaining int
@@ -145,45 +125,14 @@ func (d *TSVD) OnCall(a Access) {
 	}
 	rt.resolveSite(&a)
 
-	// The object state is resolved lazily: the lock-free publication path
-	// below reaches it through the thread's ring cache, so os is only
-	// needed by the trap check (parked traps exist) and the recordSlow
-	// fallback.
-	var os *objState
-
-	// check_for_trap: catch conflicting parked threads red-handed. A pair
-	// with a reported violation leaves the trap set for good. While no
-	// trap is parked anywhere (the common case) the scan is skipped via
-	// one atomic load.
-	if rt.parked.Load() > 0 {
-		os = st.cachedState
-		if os == nil || st.cachedObj != a.Obj {
-			os = rt.objStateFor(st, a.Obj)
-		}
-		os.mu.Lock()
-		found := rt.checkForTraps(os, a, ids.Stack)
-		os.mu.Unlock()
-		for _, key := range found {
-			d.set.suppress(key)
-		}
-	}
-
-	// Sampling gate (ModeSampled, docs/SAMPLING.md). Placed after the trap
-	// check on purpose: a sampled-out call still springs any parked trap it
-	// conflicts with, so red-handed catching keeps its soundness regardless
-	// of the admission probability — sampling only sheds the analysis and
-	// planning cost below. The draw is a thread-local xorshift plus one
-	// array-indexed per-site threshold compare.
-	if rt.samp != nil && !rt.samp.Admit(a.Site, sampler.Rand(&st.rng)) {
-		st.onCalls.Add(1)
-		st.sampledOut.Add(1)
-		// While the interval budget is exhausted, Admit refuses everything
-		// and the admitted-path tick hook below is unreachable — the skip
-		// path must offer the controller its tick or admission would stay
-		// suspended forever. One atomic load when not capped.
-		if rt.samp.Capped() {
-			rt.sampleTick(rt.now())
-		}
+	// The front half that can end a call early lives in enter (admit.go): in
+	// sampled mode the admission verdict, and in any mode check_for_trap
+	// while something is parked — a sampled-out call still springs any trap
+	// it conflicts with, so red-handed catching keeps its soundness
+	// regardless of the admission probability. A pair with a reported
+	// violation leaves the trap set for good. In full mode with nothing
+	// parked (the common case) this is one nil check and one atomic load.
+	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a, &d.set) {
 		return
 	}
 	// No OnCalls counter here: the admitted path is counted by the ring
@@ -253,11 +202,9 @@ func (d *TSVD) OnCall(a Access) {
 		}
 	}
 	if !published {
-		if os == nil {
-			os = st.cachedState
-			if os == nil || st.cachedObj != a.Obj {
-				os = rt.objStateFor(st, a.Obj)
-			}
+		os := st.cachedState
+		if os == nil || st.cachedObj != a.Obj {
+			os = rt.objStateFor(st, a.Obj)
 		}
 		for _, key := range d.recordSlow(st, os, a, t, concurrent) {
 			if d.set.add(key, &rt.stats, rt.met) {
@@ -271,13 +218,8 @@ func (d *TSVD) OnCall(a Access) {
 	st.ownDelay = 0
 	st.hbDeadline = t + rt.hbThreshold
 
-	// Charge the analysis time of this admitted call to the overhead
-	// controller and give it a chance to tick. Sleep time is charged
-	// separately inside injectDelay, so nothing is counted twice.
 	if rt.samp != nil {
-		now := rt.now()
-		rt.samp.ObserveCost(now - t)
-		rt.sampleTick(now)
+		rt.leave(st)
 	}
 
 	// should_delay: the location must participate in a live dangerous

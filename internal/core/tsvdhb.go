@@ -1,13 +1,10 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/intmap"
 	"repro/internal/report"
-	"repro/internal/sampler"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -125,36 +122,14 @@ func (d *TSVDHB) OnCall(a Access) {
 		st = rt.threadStateFor(a.Thread)
 	}
 	rt.resolveSite(&a)
-	os := rt.objStateFor(st, a.Obj)
-	var t0 time.Duration
-	if rt.samp != nil {
-		t0 = rt.now()
-	}
-
-	if rt.parked.Load() > 0 {
-		os.mu.Lock()
-		found := rt.checkForTraps(os, a, ids.Stack)
-		os.mu.Unlock()
-		for _, key := range found {
-			d.set.suppress(key)
-		}
-	}
-
-	// Sampling gate (ModeSampled, docs/SAMPLING.md) — after the trap check,
-	// so red-handed catching is never sampled out. Skipping the epoch tick
-	// for a sampled-out call is sound: history entries are only recorded for
+	// Admission and check_for_trap (admit.go). Skipping the epoch tick for a
+	// sampled-out call is sound: history entries are only recorded for
 	// admitted calls, so HB comparisons stay conservative.
-	if rt.samp != nil && !rt.samp.Admit(a.Site, sampler.Rand(&st.rng)) {
-		st.onCalls.Add(1)
-		st.sampledOut.Add(1)
-		// Liveness: while capped, only the skip path runs — it must offer
-		// the controller its tick (see the TSVD gate for the full note).
-		if rt.samp.Capped() {
-			rt.sampleTick(rt.now())
-		}
+	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a, &d.set) {
 		return
 	}
 	st.onCalls.Add(1)
+	os := rt.objStateFor(st, a.Obj)
 
 	// Local timestamp increments happen here, at the (relatively rare)
 	// TSVD points — not at synchronization operations. The tick is one
@@ -222,12 +197,8 @@ func (d *TSVDHB) OnCall(a Access) {
 		}
 	}
 
-	// Charge this admitted call's analysis time to the overhead controller
-	// (sleep time is charged separately inside injectDelay).
 	if rt.samp != nil {
-		now := rt.now()
-		rt.samp.ObserveCost(now - t0)
-		rt.sampleTick(now)
+		rt.leave(st)
 	}
 
 	// Injection and decay are identical to TSVD (§3.5 "When to inject").

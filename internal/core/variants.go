@@ -24,35 +24,22 @@ func newDynamicRandom(cfg config.Config, o options) *DynamicRandom {
 	return d
 }
 
-// admitRandom is the front half DynamicRandom and StaticRandom share: count
-// the call, check it against parked traps, pass it through the sampling gate
-// (ModeSampled, docs/SAMPLING.md — after the trap check, so red-handed
-// catching is never sampled out), mark coverage and offer the controller its
-// tick. It reports whether the call was admitted. The random variants
-// already pay a shared-RNG draw per call, so the gate reuses that source
-// rather than per-thread state. The tick runs before the caller's delay
-// branch: delay time is charged separately inside injectDelay, so nothing is
-// counted twice.
+// admitRandom is the front half DynamicRandom and StaticRandom share:
+// admission and check_for_trap (enter, admit.go), then count the call, mark
+// coverage and — in sampled mode — close its overhead account. It reports
+// whether the call was admitted. The account closes before the caller's
+// delay branch: delay time is charged separately inside injectDelay, so
+// nothing is counted twice.
 func (r *runtime) admitRandom(a *Access) bool {
-	r.stats.onCalls.Add(1)
+	st := r.threadStateFor(a.Thread)
 	r.resolveSite(a)
-	if r.parked.Load() > 0 {
-		if os := r.objs.Get(int64(a.Obj)); os != nil {
-			os.mu.Lock()
-			r.checkForTraps(os, *a, ids.Stack)
-			os.mu.Unlock()
-		}
-	}
-	if r.samp != nil && !r.samp.Admit(a.Site, r.randUint64()) {
-		r.stats.callsSampledOut.Add(1)
-		if r.samp.Capped() {
-			r.sampleTick(r.now())
-		}
+	if (r.samp != nil || r.parked.Load() > 0) && !r.enter(st, a, nil) {
 		return false
 	}
+	st.onCalls.Add(1)
 	r.markSeen(a.Site, a.Op, false)
 	if r.samp != nil {
-		r.sampleTick(r.now())
+		r.leave(st)
 	}
 	return true
 }

@@ -1,10 +1,13 @@
 package e2e
 
 import (
+	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	tsvd "repro"
+	"repro/internal/collections"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -208,7 +211,10 @@ func TestMetricsReconcileExactly(t *testing.T) {
 		cfg := tsvd.DefaultConfig().Scaled(0.02)
 		cfg.Mode = tsvd.ModeSampled
 		cfg.SampleProbability = 0
-		_, got := session(t, cfg)
+		snap, got := session(t, cfg)
+		if err := core.CheckCounters(got, snap.Stats); err != nil {
+			t.Error(err)
+		}
 		wantSeries(t, "sampled session", got, map[string]float64{
 			"tsvd_sampler_calls_sampled_out_total": sessOps,
 			"tsvd_detector_on_calls_total":         sessOps,
@@ -222,5 +228,95 @@ func TestMetricsReconcileExactly(t *testing.T) {
 	// other such goroutine.
 	if n := ids.ThreadIDFailures(); n != 0 {
 		t.Errorf("ids.ThreadIDFailures() = %d after the suite and the sessions, want 0", n)
+	}
+}
+
+// TestOverheadBeliefMatchesWallClock is the independent oracle for the
+// sampled tier's overhead account: one seeded, call-dense, conflict-free
+// module runs uninstrumented (harness.Baseline) and in ModeSampled with a 1 %
+// target (harness.Run), and the overhead the controller believes it caused —
+// tsvd_overhead_ratio, time charged per unit of wall time over its last
+// interval — must agree with the share of the instrumented run's wall time
+// the harness measured as overhead.
+//
+// Tolerance: a factor of two either way. The account is built from two
+// calibrated per-call constants measured in a warm loop, which reads 20–40 %
+// under what the same code costs between a program's own cache misses, and
+// the two wall clocks are separate runs on a shared VM; each side is the
+// fastest of three to keep a stalled run out of the comparison. An account
+// that charged only admitted calls' analysis (the detector before admission
+// moved in front of identity) believes well under a tenth of the measured
+// share here, so the bound is loose against noise and tight against that.
+func TestOverheadBeliefMatchesWallClock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times six ~0.15 s suite runs; skipped under -short")
+	}
+	const calls, dicts = 3_000_000, 8
+	type op struct {
+		dict, key int
+		write     bool
+	}
+	rng := rand.New(rand.NewSource(2019))
+	stream := make([]op, 1<<16)
+	for i := range stream {
+		stream[i] = op{dict: rng.Intn(dicts), key: rng.Intn(1024), write: rng.Intn(10) < 6}
+	}
+	suite := &workload.Suite{Seed: 2019, Modules: []*workload.Module{{
+		Name: "e2e/calldense",
+		Tests: []workload.Test{{Name: "stream", NominalUnits: 1e6, Body: func(env *workload.Env) {
+			var ds [dicts]*collections.Dictionary[int, int]
+			for i := range ds {
+				ds[i] = collections.NewDictionary[int, int](env.Det)
+			}
+			for i := 0; i < calls; i++ {
+				if o := stream[i&(len(stream)-1)]; o.write {
+					ds[o.dict].Set(o.key, i)
+				} else {
+					ds[o.dict].ContainsKey(o.key)
+				}
+			}
+		}}},
+	}}}
+	opts := harness.Options{Config: config.Defaults(config.AlgoTSVD), RunSeedBase: harness.Seed(1)}
+
+	base := time.Duration(1 << 62)
+	for i := 0; i < 3; i++ {
+		if d := harness.Baseline(suite, opts); d < base {
+			base = d
+		}
+	}
+	opts.Config.Mode = config.ModeSampled
+	opts.Config.OverheadTarget = 0.01
+	opts.Config.SamplerInterval = 20 * time.Millisecond // several ticks within the run
+	wall := time.Duration(1 << 62)
+	var believed, floor float64
+	for i := 0; i < 3; i++ {
+		reg := metrics.NewRegistry()
+		opts.Metrics = core.NewDetectorMetrics(reg)
+		out := harness.Run(suite, opts)
+		if out.Stats.OnCalls != calls || out.Stats.DelaysInjected != 0 || out.Reports.UniqueBugs() != 0 {
+			t.Fatalf("module is not the call-dense, delay-free one intended: %+v", out.Stats)
+		}
+		if out.Overhead.Ticks < 3 {
+			t.Fatalf("run %d saw %d controller ticks; the belief needs a few intervals to settle", i, out.Overhead.Ticks)
+		}
+		if out.WallTime < wall {
+			wall = out.WallTime
+			got := reg.Values()
+			believed, floor = got["tsvd_overhead_ratio"], got["tsvd_overhead_floor_ratio"]
+		}
+	}
+	measured := float64(wall-base) / float64(wall)
+	t.Logf("uninstrumented %v, sampled %v: measured overhead share %.3f; tsvd_overhead_ratio %.3f (floor %.3f)",
+		base, wall, measured, believed, floor)
+	if measured < 0.05 {
+		t.Fatalf("measured overhead share %.3f is too small to check anything against", measured)
+	}
+	if believed < measured/2 || believed > 2*measured {
+		t.Errorf("tsvd_overhead_ratio = %.3f but the harness measured %.3f of the run as overhead (tolerance: a factor of two)",
+			believed, measured)
+	}
+	if floor > believed {
+		t.Errorf("tsvd_overhead_floor_ratio %.3f exceeds tsvd_overhead_ratio %.3f", floor, believed)
 	}
 }

@@ -264,8 +264,8 @@ func Sampling(p Params, w io.Writer) {
 
 	fmt.Fprintf(w, "production sampling tier: overhead vs recall (modules: %d, planted: %d, runs: %d)\n",
 		len(suite.Modules), len(planted), runs)
-	fmt.Fprintf(w, "%-16s %6s %8s %11s %12s %10s\n",
-		"mode", "bugs", "#delay", "#suppress", "sampled-out", "overhead")
+	fmt.Fprintf(w, "%-16s %6s %8s %11s %12s %10s %9s %8s\n",
+		"mode", "bugs", "#delay", "#suppress", "sampled-out", "overhead", "charged", "p-final")
 	for _, v := range variants {
 		opts := p.opts(config.AlgoTSVD, runs)
 		v.mut(&opts.Config)
@@ -275,11 +275,19 @@ func Sampling(p Params, w io.Writer) {
 			sampledOut = 100 * float64(out.Stats.CallsSampledOut) / float64(out.Stats.OnCalls)
 		}
 		overhead := 100 * (float64(out.WallTime)/float64(base.Nanoseconds()*runs) - 1)
-		fmt.Fprintf(w, "%-16s %6d %8d %11d %11.1f%% %9.1f%%\n",
+		fmt.Fprintf(w, "%-16s %6d %8d %11d %11.1f%% %9.1f%%",
 			v.name, out.TotalFound(), out.Stats.DelaysInjected,
 			out.Stats.DelaysSuppressed, sampledOut, overhead)
+		if opts.Config.Mode == config.ModeSampled {
+			fmt.Fprintf(w, " %8.1f%% %8.4f", 100*float64(out.Overhead.Spent)/float64(base.Nanoseconds()*runs),
+				out.Overhead.Probability)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "(overhead: suite wall time vs an uninstrumented baseline, per run;\n")
+	fmt.Fprintf(w, " charged: what the run's one sampler charged itself — rejected calls'\n")
+	fmt.Fprintf(w, " floor, admitted calls' identity and analysis, injected delay — against\n")
+	fmt.Fprintf(w, " the same baseline; p-final: the admission probability it ended at;\n")
 	fmt.Fprintf(w, " sampled-out: OnCalls rejected by the admission gate. Red-handed trap\n")
 	fmt.Fprintf(w, " checks run before the gate, so sampling trades delay budget — not\n")
 	fmt.Fprintf(w, " soundness — for overhead; observe-only reaches every trap decision but\n")

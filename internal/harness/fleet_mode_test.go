@@ -25,7 +25,10 @@ func TestSampledShardSeedsFullModeShardNextRound(t *testing.T) {
 	// thin the fleet protocol — whatever it discovered is published.
 	sampled := opts(config.AlgoTSVD, 1)
 	sampled.Config.Mode = config.ModeSampled
-	sampled.Config.SampleProbability = 0.7
+	// High enough that some cold pair is learned: each needs both of its
+	// one-call sides admitted, and at 0.7 all four were missed (0.51⁴) in
+	// one run out of fourteen.
+	sampled.Config.SampleProbability = 0.9
 	sampled.Store = shared
 	o1 := Run(suite, sampled)
 	if o1.StoreErr != nil {

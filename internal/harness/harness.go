@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/report"
+	"repro/internal/sampler"
 	"repro/internal/sites"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -84,6 +85,10 @@ type Options struct {
 	Progress func(ProgressUpdate)
 	// ProgressInterval is the heartbeat period (default 1s).
 	ProgressInterval time.Duration
+
+	// sampler is the one sampler every module detector of a Run draws on
+	// (nil outside config.ModeSampled).
+	sampler *core.SharedSampler
 }
 
 // Seed wraps an explicit run-seed base. harness.Seed(0) is a real,
@@ -151,6 +156,12 @@ type Outcome struct {
 	// TraceTotals.Dropped must be zero for the trace to reconcile with
 	// Stats.
 	TraceTotals trace.Totals
+	// Overhead is the sampler's account of the whole execution in
+	// config.ModeSampled — one sampler is shared by every module detector of
+	// a Run, so the overhead target is a budget for the suite, not for each
+	// module's first interval: probability reached, time charged by layer,
+	// the controller's last belief. Zero in other modes.
+	Overhead sampler.Snapshot
 	// Sites is the suite-wide site registry every module detector interned
 	// into (Run ensures one shared registry when Config.Sites is nil), so
 	// trace serialization resolves consistent site ids across modules.
@@ -170,6 +181,24 @@ func (o *Outcome) TraceStatTotals() trace.StatTotals {
 		DelaysSuppressed: o.Stats.DelaysSuppressed,
 		SamplerThrottles: o.Stats.SamplerThrottles,
 	}
+}
+
+// TraceOverhead puts the sampler's account in the trace summary's form; nil
+// when the suite did not run in sampled mode.
+func (o *Outcome) TraceOverhead() *trace.OverheadTotals {
+	if o.Overhead.Spent == 0 && o.Overhead.Ticks == 0 {
+		return nil
+	}
+	t := &trace.OverheadTotals{
+		Probability: o.Overhead.Probability,
+		Ratio:       o.Overhead.Last.Observed,
+		FloorRatio:  o.Overhead.Last.Floor,
+		Seconds:     map[string]float64{},
+	}
+	for l, d := range o.Overhead.Layers {
+		t.Seconds[sampler.Layer(l).String()] = d.Seconds()
+	}
+	return t
 }
 
 // FoundByKind tallies found planted bugs by kind.
@@ -229,6 +258,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 		Reports:   report.NewCollector(),
 		Sites:     opts.Config.Sites,
 	}
+	opts.sampler = core.NewSharedSampler(opts.Config)
 	planted := suite.PlantedPairs()
 	modulesWithFound := map[string]bool{}
 	prog := newProgressTracker(opts.Progress, opts.ProgressInterval, opts.Runs, len(suite.Modules))
@@ -303,6 +333,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 	}
 	out.ModulesWithBugs = len(modulesWithFound)
 	out.FinalTraps = unionTraps(traps)
+	out.Overhead = opts.sampler.Snapshot()
 	if opts.Triage != nil {
 		prov := opts.TriageProvenance
 		if prov.Seed == 0 {
@@ -386,6 +417,7 @@ func runSuite(suite *workload.Suite, opts Options, cfg config.Config,
 			if opts.Metrics != nil {
 				detOpts = append(detOpts, core.WithDetectorMetrics(opts.Metrics))
 			}
+			detOpts = append(detOpts, core.WithSharedSampler(opts.sampler))
 			det, err := core.New(mcfg, detOpts...)
 			if err != nil {
 				panic(fmt.Sprintf("harness: detector config invalid: %v", err))

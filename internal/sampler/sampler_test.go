@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -202,5 +203,150 @@ func TestSeedRandNonzeroAndDistinct(t *testing.T) {
 	x, y := Rand(&a), Rand(&b)
 	if x != y {
 		t.Fatal("identical seeds diverged")
+	}
+}
+
+// countdown drives the two-stage scheme the way the detector does: one
+// goroutine's stage-one countdown in front of stage two.
+type countdown struct {
+	s      *Sampler
+	rng    uint64
+	left   int64
+	admit  bool
+	weight int64
+}
+
+// call reports whether one call at siteID is admitted.
+func (c *countdown) call(siteID ids.SiteID) bool {
+	for c.left == 0 && !c.admit {
+		g := c.s.NextGap(Rand(&c.rng), MaxSkip)
+		c.left, c.admit, c.weight = g.Skip, g.Admit, g.Weight
+	}
+	if c.left > 0 {
+		c.left--
+		return false
+	}
+	c.admit = false
+	return c.s.AdmitSite(siteID, Rand(&c.rng), c.weight)
+}
+
+// binomialOK reports whether k successes in n trials is within five standard
+// deviations of probability p (plus one for rounding).
+func binomialOK(k, n int, p float64) bool {
+	dev := 5*math.Sqrt(float64(n)*p*(1-p)) + 1
+	return math.Abs(float64(k)-float64(n)*p) <= dev
+}
+
+func TestNextGapExtremes(t *testing.T) {
+	if g := New(Params{BaseProbability: 1}).NextGap(12345, MaxSkip); g.Skip != 0 || !g.Admit {
+		t.Fatalf("p=1 drew %+v, want an immediate survivor", g)
+	}
+	if g := New(Params{BaseProbability: 0}).NextGap(12345, MaxSkip); g.Skip != MaxSkip || g.Admit {
+		t.Fatalf("p=0 drew %+v, want a full gap without a survivor", g)
+	}
+	if g := New(Params{BaseProbability: 0}).NextGap(12345, 3); g.Skip != 3 {
+		t.Fatalf("gap %d exceeds the caller's cap of 3", g.Skip)
+	}
+	s := New(Params{BaseProbability: 1, OverheadTarget: 0.01, Interval: time.Second})
+	s.ObserveCost(time.Second) // trips the interval cap
+	if g := s.NextGap(12345, MaxSkip); g.Skip != CappedSkip || g.Admit {
+		t.Fatalf("capped sampler drew %+v, want %d calls and no survivor", g, CappedSkip)
+	}
+}
+
+// TestCountdownRateTracksProbability: cutting a geometric gap at MaxSkip and
+// redrawing leaves every call admitted independently with probability p —
+// including at probabilities whose mean gap is far beyond the cut.
+func TestCountdownRateTracksProbability(t *testing.T) {
+	for _, p := range []float64{0.5, 0.04, 0.001} {
+		c := &countdown{s: New(Params{BaseProbability: p}), rng: SeedRand(7, 1)}
+		const n = 2_000_000
+		admitted := 0
+		for i := 0; i < n; i++ {
+			if c.call(1) {
+				admitted++
+			}
+		}
+		if !binomialOK(admitted, n, p) {
+			t.Errorf("p=%v admitted %d of %d", p, admitted, n)
+		}
+	}
+}
+
+// TestTwoStagePerSiteFractions: after a rebalance, one hot and several cold
+// sites are each admitted at exactly the probability the controller assigned
+// them, although stage one thins every call at the global probability
+// without knowing its site.
+func TestTwoStagePerSiteFractions(t *testing.T) {
+	s := New(Params{BaseProbability: 0.2, OverheadTarget: 0.9, Interval: time.Second})
+	c := &countdown{s: s, rng: SeedRand(3, 1)}
+	sitesN := []ids.SiteID{1, 2, 3, 4, 5}
+	const hot = ids.SiteID(1)
+	// Interval one: site 1 makes 50× the calls of each other site. Only
+	// stage-one survivors reach the site table, weighted by 1/p.
+	for i := 0; i < 200_000; i++ {
+		c.call(hot)
+		if i%50 == 0 {
+			for _, id := range sitesN[1:] {
+				c.call(id)
+			}
+		}
+	}
+	// Nothing was charged, so the tick doubles p (the step clamp) to 0.4.
+	if adj, ok := s.Tick(time.Second); !ok || adj.Probability != 0.4 {
+		t.Fatalf("tick: %+v, %v; want probability 0.4", adj, ok)
+	}
+	prob := func(id ids.SiteID) float64 {
+		return float64(s.siteFor(id).threshold.Load()) / (1 << thresholdBits)
+	}
+	// The hot site made ~4.6× the mean (200k of 216k calls over 5 sites).
+	if sp := prob(hot); sp < 0.07 || sp > 0.11 {
+		t.Fatalf("hot site has probability %v, want about 0.4/4.6", sp)
+	}
+	for _, id := range sitesN[1:] {
+		if sp := prob(id); sp != 0.4 {
+			t.Fatalf("cold site %d has probability %v, want the global 0.4", id, sp)
+		}
+	}
+	// Interval two, no further tick: measure what each site is admitted at.
+	const n = 400_000
+	for _, id := range sitesN {
+		admitted := 0
+		for i := 0; i < n; i++ {
+			if c.call(id) {
+				admitted++
+			}
+		}
+		if sp := prob(id); !binomialOK(admitted, n, sp) {
+			t.Errorf("site %d admitted %d of %d, assigned probability %v", id, admitted, n, sp)
+		}
+	}
+}
+
+// TestFloorIsChargedButNeverCaps: the floor steers the controller — when it
+// alone exceeds the target the probability falls to the minimum and the
+// adjustment says so — but it does not trip the hard cap, which would
+// silence the admissions the minimum probability exists to keep.
+func TestFloorIsChargedButNeverCaps(t *testing.T) {
+	s := New(Params{BaseProbability: 1, OverheadTarget: 0.01, Interval: time.Second})
+	now := time.Duration(0)
+	var adj Adjustment
+	for i := 0; i < 20; i++ {
+		now += time.Second
+		s.Observe(LayerSkip, 50*time.Millisecond) // 5% of every interval
+		if s.Snapshot().Capped {
+			t.Fatalf("tick %d: the floor tripped the hard cap", i)
+		}
+		adj, _ = s.Tick(now)
+	}
+	if adj.Probability != minProbability {
+		t.Fatalf("probability %v after 20 floor-bound ticks, want the minimum", adj.Probability)
+	}
+	if !adj.FloorBound || adj.Floor != 0.05 || adj.Observed != 0.05 {
+		t.Fatalf("adjustment %+v, want FloorBound with Floor = Observed = 0.05", adj)
+	}
+	snap := s.Snapshot()
+	if snap.Layers[LayerSkip] != time.Second || snap.Spent != time.Second || snap.Last != adj {
+		t.Fatalf("snapshot %+v does not carry the floor account", snap)
 	}
 }

@@ -316,6 +316,23 @@ type StoreTotals struct {
 	Fallbacks int64 `json:"fallbacks"`
 }
 
+// OverheadTotals is the sampled tier's overhead account at the end of a run
+// (docs/SAMPLING.md, "The adaptive budget"): the same numbers the
+// tsvd_overhead_* series export, from the accumulators the controller
+// steers on.
+type OverheadTotals struct {
+	// Probability is the global admission probability the run ended at.
+	Probability float64 `json:"probability"`
+	// Ratio is the overhead the controller observed over its last interval
+	// (time charged, floor included, per unit of wall time) and FloorRatio
+	// the part of it rejected calls cost.
+	Ratio      float64 `json:"ratio"`
+	FloorRatio float64 `json:"floor_ratio"`
+	// Seconds is the time charged over the whole run, by layer ("skip",
+	// "prologue", "analysis", "delay").
+	Seconds map[string]float64 `json:"seconds"`
+}
+
 // Reconcile checks the event counts against the aggregate counters — the
 // detector's and the trap store's — and returns one error per divergence,
 // joined. A dropped event breaks the guarantee by construction, so any drop
@@ -361,6 +378,8 @@ type Summary struct {
 	// Store is the trap-store client's own operation accounting, mirrored by
 	// the store_* events (zero-valued when the run used no trap store).
 	Store StoreTotals `json:"store"`
+	// Overhead is the sampler's account (sampled mode only).
+	Overhead *OverheadTotals `json:"overhead,omitempty"`
 	// Sites is the sidecar site table (schema v4): every site id referenced
 	// by the events resolves to its stable (location, class, method, kind)
 	// tuple here. Empty when the producer had no site registry.

@@ -72,10 +72,12 @@ const (
 	// ModeFull runs the complete detector on every call — the default and
 	// the zero value.
 	ModeFull = config.ModeFull
-	// ModeSampled gates analysis through a per-site admission probability
-	// (Config.SampleProbability), auto-throttled toward
-	// Config.OverheadTarget when one is set. Red-handed trap catching is
-	// never sampled out.
+	// ModeSampled decides admission (Config.SampleProbability) before a call
+	// buys its identity, so a rejected call costs a countdown decrement;
+	// with Config.OverheadTarget set the probability is steered so that the
+	// overhead as the harness measures it — every call's cost, not only
+	// every analysis's — meets the target. Red-handed trap catching is never
+	// sampled out.
 	ModeSampled = config.ModeSampled
 	// ModeObserveOnly records near misses and trap decisions but never
 	// sleeps a thread — the zero-risk production rollout mode.
