@@ -11,14 +11,14 @@
 // reads only the monotonic clock for that reason), near-miss gaps and HB
 // thresholds are differences of those timestamps, and injected delays go
 // through Clock.Sleep so a trap can be woken early by its cancel channel
-// when the conflicting access arrives. Budget and BudgetTable sit between
-// the detector's decision to delay and the sleep itself: they cap the total
-// delay charged to any one thread (§4, runtime feature 2) so instrumented
-// tests cannot be pushed past their timeouts, with early-woken time
-// refunded.
+// when the conflicting access arrives. A Budget sits between the detector's
+// decision to delay and the sleep itself: it caps the total delay charged to
+// one thread (§4, runtime feature 2) so instrumented tests cannot be pushed
+// past their timeouts, with early-woken time refunded.
 package clock
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,8 +31,9 @@ type Clock interface {
 	// obtained from Now). It is the detector's per-OnCall time read;
 	// implementations should make it as cheap as the platform allows.
 	Since(start time.Time) time.Duration
-	// Sleep blocks for d, or until cancel is closed, whichever is first.
-	// It returns the duration actually slept and true if it was woken early.
+	// Sleep blocks for d, or until cancel delivers a value or is closed,
+	// whichever is first. It returns the duration actually slept and true
+	// if it was woken early.
 	Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool)
 }
 
@@ -55,15 +56,29 @@ func (Real) Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool)
 		return 0, false
 	}
 	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	woken := false
 	select {
 	case <-t.C:
-		return time.Since(start), false
 	case <-cancel:
-		return time.Since(start), true
+		woken = true
+		t.Stop()
 	}
+	timers.Put(t)
+	return time.Since(start), woken
 }
+
+// timers holds stopped or expired timers for Sleep to reuse: a detector
+// injects hundreds of delays per suite run, and a new timer is three
+// allocations. A pooled timer is safe to Reset without draining because this
+// module's go.mod line gives it Go 1.23 timer semantics: Stop and Reset
+// guarantee no stale expiry is delivered afterwards.
+var timers sync.Pool
 
 // Budget tracks the total delay injected into one thread (or one request) so
 // the runtime can cap it and avoid test timeouts (§4, runtime feature 2).

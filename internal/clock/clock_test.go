@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -82,46 +81,18 @@ func TestBudgetRefund(t *testing.T) {
 	}
 }
 
-func TestBudgetTable(t *testing.T) {
-	table := BudgetTable{Max: 10 * time.Millisecond}
-
-	// Same thread always resolves to the same Budget, carrying Max.
-	b := table.For(1)
-	if b.Max != 10*time.Millisecond {
-		t.Fatalf("Budget.Max = %v, want table Max", b.Max)
-	}
-	if table.For(1) != b {
-		t.Fatal("second For(1) returned a different Budget")
-	}
-	if table.For(2) == b {
-		t.Fatal("distinct threads share a Budget")
-	}
-
-	// Concurrent first lookups for one new thread agree on a single winner,
-	// and charges land on that one budget.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			table.For(3).Allow(time.Millisecond)
-		}()
-	}
-	wg.Wait()
-	if got := table.For(3).Used(); got != 8*time.Millisecond {
-		t.Fatalf("Used = %v, want 8ms (lost charges across For calls)", got)
-	}
-
-	// Range visits every thread exactly once.
-	seen := map[int64]bool{}
-	table.Range(func(thread int64, b *Budget) bool {
-		if b == nil || seen[thread] {
-			t.Fatalf("Range visited thread %d badly", thread)
+// TestRealSleepReusesTimers: a pooled timer that fired, or was stopped by an
+// early wake, never leaks its old expiry into the next sleep.
+func TestRealSleepReusesTimers(t *testing.T) {
+	c := Real{}
+	closed := make(chan struct{})
+	close(closed)
+	for i := 0; i < 50; i++ {
+		if _, woken := c.Sleep(time.Hour, closed); !woken {
+			t.Fatal("sleep on a closed cancel channel ran to its timer")
 		}
-		seen[thread] = true
-		return true
-	})
-	if len(seen) != 3 {
-		t.Fatalf("Range visited %d threads, want 3", len(seen))
+		if slept, woken := c.Sleep(200*time.Microsecond, nil); woken || slept < 200*time.Microsecond {
+			t.Fatalf("Sleep(200µs) = %v, %v after a reused timer", slept, woken)
+		}
 	}
 }

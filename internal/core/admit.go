@@ -120,7 +120,7 @@ func (r *runtime) enter(st *threadState, a *Access, set *trapSet) bool {
 	if r.parked.Load() > 0 {
 		os := r.objStateFor(st, a.Obj)
 		os.mu.Lock()
-		found := r.checkForTraps(os, *a, ids.Stack)
+		found := r.checkForTraps(os, a)
 		os.mu.Unlock()
 		if set != nil {
 			for _, key := range found {

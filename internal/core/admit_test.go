@@ -20,7 +20,7 @@ func parkTrap(t *testing.T, rt *runtime, obj ids.ObjectID) chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rt.injectDelay(acc(1, obj, 101, KindWrite), 2*time.Second)
+		rt.injectDelay(rt.threadStateFor(1), acc(1, obj, 101, KindWrite), 2*time.Second)
 	}()
 	for i := 0; rt.parked.Load() == 0; i++ {
 		if i > 50000 {
@@ -80,8 +80,8 @@ func analysed(rt *runtime) int64 {
 	rt.threads.Each(func(_ int64, ts *threadState) { n += ts.onCalls.Load() })
 	rt.objs.Each(func(_ int64, os *objState) {
 		n += os.retired.Load()
-		if rg := os.fast.Load(); rg != nil {
-			n += int64(rg.pub.Load()&^ringClosed) - rg.base.Load()
+		if pub := os.ring.pub.Load(); pub&ringClosed == 0 {
+			n += int64(pub) - os.ring.base.Load()
 		}
 	})
 	return n

@@ -1,0 +1,265 @@
+package core
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/ids"
+	"repro/internal/report"
+)
+
+// Detector state is paid for when the traffic that needs it arrives
+// (docs/PERFORMANCE.md, "Suite-level memory"). The first half of this file
+// pins what each piece costs in allocations; the second half pins that the
+// verdicts did not move: what a takeover drains at every ring size, exact
+// counters across a growth racing a takeover, the delay budget through
+// injectDelay, and the seeded coin-flip stream.
+
+// skipAllocCountUnderRace: the race detector's runtime allocates on its own
+// account and sync.Pool drops a quarter of what it is given.
+func skipAllocCountUnderRace(t *testing.T) {
+	t.Helper()
+	if RaceEnabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+}
+
+func TestFreshObjectCostsOneAllocation(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	d := mustNew(t, testConfig(config.AlgoTSVD))
+	obj := ids.ObjectID(100)
+	d.OnCall(acc(1, obj, 101, KindWrite)) // thread state, site, coverage
+	got := testing.AllocsPerRun(1000, func() {
+		obj++
+		d.OnCall(acc(1, obj, 101, KindWrite))
+		d.OnCall(acc(1, obj, 101, KindRead))
+	})
+	if got > 1 {
+		t.Fatalf("the first two accesses to a fresh object cost %v allocations, want at most the objState", got)
+	}
+	if st := d.Stats(); st.OnCalls != 2*1001+1 {
+		t.Fatalf("OnCalls = %d, want %d", st.OnCalls, 2*1001+1)
+	}
+}
+
+func TestSharedNearMissCallCostsNothing(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.DisablePhaseDetection = true // every access counts as concurrent
+	cfg.DisableHBInference = true
+	d := mustNew(t, cfg, WithClock(&stepClock{})) // a stopped clock: every gap is 0; sleeps return at once
+	turn := func() {
+		d.OnCall(acc(1, 1, 101, KindWrite))
+		d.OnCall(acc(2, 1, 102, KindWrite))
+	}
+	for i := 0; i < 300; i++ { // past the takeover, the pair's delays and its decay
+		turn()
+	}
+	before := d.Stats().NearMisses
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, turn); got != 0 {
+		t.Fatalf("a shared-mode call recording near misses costs %v allocations a pair of calls", got)
+	}
+	if grew := d.Stats().NearMisses - before; grew < 2*runs {
+		t.Fatalf("only %d near misses in %d calls: the measured path is not the near-miss path", grew, 2*runs)
+	}
+}
+
+func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.MaxDelayPerThread = 0 // unlimited
+	rt := &mustNew(t, cfg).(*TSVD).rt
+	st := rt.threadStateFor(1)
+	a := acc(1, 1, 101, KindWrite)
+	rt.resolveSite(&a)
+	park := func() { rt.injectDelay(st, a, 50*time.Microsecond) }
+	park() // buys the trap, its wake-up channel and the timer, if the pools were empty
+	const runs = 50
+	if got := testing.AllocsPerRun(runs, park); got != 0 {
+		t.Fatalf("an unsprung delay costs %v allocations", got)
+	}
+	if n := rt.stats.delaysInjected.Load(); n != runs+2 {
+		t.Fatalf("%d delays injected, want %d: the measured path did not sleep", n, runs+2)
+	}
+}
+
+// TestTakeoverSeesNewestWindowAtEverySize: however many accesses the owner
+// recorded — still on the inline array, at the growth boundary, in the grown
+// ring, after any number of rotations — the second thread's takeover finds
+// the newest ObjHistory of them, and every call is counted once.
+func TestTakeoverSeesNewestWindowAtEverySize(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.DisablePhaseDetection = true
+	cfg.DisableHBInference = true
+	for k := 1; k <= 3*grownRingSize(cfg.ObjHistory); k++ {
+		clk := &stepClock{}
+		clk.at.Store(int64(time.Hour)) // a zeroed ring slot is no near miss
+		d := mustNew(t, cfg, WithClock(clk))
+		owned := make(chan struct{})
+		go func() {
+			defer close(owned)
+			for i := 0; i < k; i++ {
+				d.OnCall(acc(1, 1, ids.OpID(1000+i), KindWrite))
+			}
+		}()
+		<-owned
+		taken := make(chan struct{})
+		go func() {
+			defer close(taken)
+			d.OnCall(acc(2, 1, 102, KindWrite))
+		}()
+		<-taken
+		want := map[report.PairKey]bool{}
+		for i := max(0, k-cfg.ObjHistory); i < k; i++ {
+			want[report.KeyOf(ids.OpID(1000+i), 102)] = true
+		}
+		st := d.Stats()
+		if st.NearMisses != int64(len(want)) {
+			t.Fatalf("k=%d: takeover found %d near misses, want %d", k, st.NearMisses, len(want))
+		}
+		for _, key := range d.ExportTraps() {
+			if !want[key] {
+				t.Fatalf("k=%d: takeover paired %v, not one of the newest %d accesses", k, key, len(want))
+			}
+			delete(want, key)
+		}
+		if len(want) != 0 {
+			t.Fatalf("k=%d: takeover missed %v", k, want)
+		}
+		if st.OnCalls != int64(k)+1 {
+			t.Fatalf("k=%d: OnCalls = %d, want %d", k, st.OnCalls, k+1)
+		}
+	}
+}
+
+// TestGrowthRacingTakeoverKeepsCountersExact: on each of many fresh objects
+// the owner publishes through the inline array, the growth and into the
+// grown ring while a second thread takes the object over at an arbitrary
+// point and a third snapshots the statistics; at quiescence every call was
+// counted exactly once.
+func TestGrowthRacingTakeoverKeepsCountersExact(t *testing.T) {
+	const objects, ownerCalls = 2000, 3 * inlineEntries
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.DisableHBInference = true
+	cfg.Mode = config.ModeObserveOnly // near misses, pairs and delay decisions, but no sleeping
+	d := mustNew(t, cfg)
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if st := d.Stats(); st.OnCalls < 0 {
+					t.Error("negative OnCalls in a live snapshot")
+				}
+			}
+		}
+	}()
+	for o := 0; o < objects; o++ {
+		obj := ids.ObjectID(1000 + o)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < ownerCalls; i++ {
+				d.OnCall(acc(1, obj, 101, KindWrite))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for spin := 0; spin < o%64; spin++ {
+				time.Now()
+			}
+			d.OnCall(acc(2, obj, 102, KindRead))
+		}()
+		close(start)
+		wg.Wait()
+	}
+	close(stop)
+	scraper.Wait()
+	if got, want := d.Stats().OnCalls, int64(objects*(ownerCalls+1)); got != want {
+		t.Fatalf("OnCalls = %d at quiescence, %d calls were issued", got, want)
+	}
+}
+
+// wakingClock wakes every sleep early, after a quarter of it.
+type wakingClock struct{ stepClock }
+
+func (*wakingClock) Sleep(d time.Duration, _ <-chan struct{}) (time.Duration, bool) {
+	return d / 4, true
+}
+
+// TestDelayBudgetThroughInjectDelay: the per-thread cap (§4, runtime feature
+// 2) as the detector applies it — requests are clipped to what is left, an
+// exhausted thread is not delayed again, another thread has its own budget,
+// and the part of a grant an early wake did not sleep is refunded.
+func TestDelayBudgetThroughInjectDelay(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	delay := cfg.EffectiveDelay()
+	cfg.MaxDelayPerThread = time.Duration(2.5 * float64(cfg.DelayTime))
+	rt := &mustNew(t, cfg, WithClock(&stepClock{})).(*TSVD).rt
+	st := rt.threadStateFor(1)
+	a := acc(1, 1, 101, KindWrite)
+	for i, want := range []time.Duration{delay, delay, delay / 2, 0, 0} {
+		slept, injected, _ := rt.injectDelay(st, a, delay)
+		if slept != want || injected != (want > 0) {
+			t.Fatalf("delay %d: slept %v (injected %v), want %v", i, slept, injected, want)
+		}
+	}
+	if got, want := rt.snapshotStats(), rt.maxDelay; got.DelaysInjected != 3 || got.TotalDelay != want {
+		t.Fatalf("%d delays totalling %v, want 3 totalling the cap %v", got.DelaysInjected, got.TotalDelay, want)
+	}
+	if slept, injected, _ := rt.injectDelay(rt.threadStateFor(2), acc(2, 1, 102, KindWrite), delay); !injected || slept != delay {
+		t.Fatalf("a second thread slept %v: budgets are per thread", slept)
+	}
+
+	rt = &mustNew(t, cfg, WithClock(&wakingClock{})).(*TSVD).rt
+	st = rt.threadStateFor(1)
+	var slept time.Duration
+	for i := 0; i < 4; i++ {
+		s, _, _ := rt.injectDelay(st, a, delay)
+		slept += s
+	}
+	if used := st.budget.Used(); used != slept || slept != 4*(delay/4) {
+		t.Fatalf("budget charged %v for %v slept in four early-woken delays of %v", used, slept, delay)
+	}
+}
+
+// TestSeededDecisionsMatchAnEagerSource: the source is built by the first
+// draw, not by New, and still yields the stream rand.NewSource(cfg.Seed)
+// does — the random variant's delay decisions and lengths for a scripted
+// sequence are the ones computed from such a source directly.
+func TestSeededDecisionsMatchAnEagerSource(t *testing.T) {
+	cfg := testConfig(config.AlgoDynamicRandom)
+	cfg.Seed = 20260917
+	cfg.RandomDelayProbability = 0.3
+	cfg.MaxDelayPerThread = 0
+	d := mustNew(t, cfg, WithClock(&stepClock{}))
+	if d.(*DynamicRandom).rt.rng != nil {
+		t.Fatal("the source was seeded before any draw")
+	}
+	ref := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < 500; i++ {
+		before := d.Stats()
+		d.OnCall(acc(ids.ThreadID(1+i%3), ids.ObjectID(1+i%7), ids.OpID(100+i%11), KindWrite))
+		after := d.Stats()
+		var want time.Duration
+		if ref.Float64() < cfg.RandomDelayProbability {
+			want = time.Duration(ref.Int63n(int64(cfg.EffectiveDelay()))) + 1
+		}
+		if got := after.TotalDelay - before.TotalDelay; got != want {
+			t.Fatalf("call %d: delayed %v, the seeded stream says %v", i, got, want)
+		}
+	}
+}

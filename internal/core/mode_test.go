@@ -184,7 +184,7 @@ func TestSampledOutCallStillSpringsTraps(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		d.rt.injectDelay(acc(1, 1, 101, KindWrite), 500*time.Millisecond)
+		d.rt.injectDelay(d.rt.threadStateFor(1), acc(1, 1, 101, KindWrite), 500*time.Millisecond)
 	}()
 	for i := 0; i < 5000 && d.rt.parked.Load() == 0; i++ {
 		time.Sleep(100 * time.Microsecond)

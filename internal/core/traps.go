@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,19 +22,38 @@ import (
 
 // trap is one parked thread inside OnCall (Figure 5): the triple that
 // identifies it plus everything needed to emit a two-sided report and to
-// wake the sleeper early once a conflict is caught.
+// wake the sleeper early once a conflict is caught. Traps are recycled
+// through trapPool: a sleeper holds one from before it registers until after
+// it has unregistered, and other threads only ever reach it in between,
+// through an object's trap list and under that object's lock.
 type trap struct {
 	access Access
-	stack  string
-	// cancel wakes the delayed thread early when a conflict is detected.
+	// pcs[:depth] is the delayed side's stack as runtime.Callers reported it,
+	// rendered only if the trap springs (most never do).
+	pcs   [stackDepth]uintptr
+	depth int
+	// cancel wakes the delayed thread early when a conflict is detected: one
+	// buffered token, sent under the object's lock. Buffered rather than
+	// closed so that the channel outlives the delay.
 	cancel chan struct{}
 	// conflict is set under the object's lock when another thread ran into
 	// this trap; the owner reads it after waking (and after unregistering
 	// under the same lock) to decide decay.
 	conflict bool
-	// canceled guards double-close of cancel.
-	canceled bool
 }
+
+// trapPool keeps finished traps for the next delay, of any thread and any
+// detector: a suite run injects hundreds of delays from hundreds of
+// short-lived goroutines, most of which sleep once.
+var trapPool sync.Pool
+
+// stackDepth is how many frames of a stack a report keeps. Measured over a
+// 100-module generated suite and the Table 4 scenarios, a trap's stack is
+// 6–8 and 10–11 frames deep (two or three detector frames, the proxy's two,
+// the user's call path, runtime.goexit), so 32 truncates nothing there; a
+// deeper stack loses its outermost frames — goroutine scaffolding, never the
+// anchor frame triage clusters by.
+const stackDepth = 32
 
 // spinMutex is the per-object lock. Critical sections under it are tiny — a
 // ring scan of ObjHistory entries plus one store — so an uncontended
@@ -76,8 +96,11 @@ func (m *spinMutex) Unlock() { m.state.Store(0) }
 // red-handed-sound) while unrelated objects share nothing — not even a hash
 // stripe, which is what the former shard table made them share.
 type objState struct {
-	mu    spinMutex
-	traps []*trap
+	mu spinMutex
+	// traps lists the threads parked on this object, starting on trapBuf:
+	// more than one at a time is rare.
+	traps   []*trap
+	trapBuf [1]*trap
 	// hist holds TSVD's shared-mode near-miss ring; hb holds TSVDHB's epoch
 	// ring. Only the one the active variant uses is ever populated.
 	hist *objHistory
@@ -90,18 +113,26 @@ type objState struct {
 	// TSVD records through the lock-free publication ring below. All
 	// transitions happen under mu; the fast path only loads.
 	writer atomic.Int64
-	// fast is TSVD's single-writer publication ring. Non-nil exactly while
-	// writer holds a thread id (TSVD only); closed and drained into hist at
-	// the takeover by a second thread.
-	fast atomic.Pointer[pubRing]
 	// retired counts admitted TSVD calls on this object that are no longer
-	// represented by the fast ring's publication counter: shared-mode
-	// appends, plus publications folded out by ring rotation and takeover.
+	// represented by the ring's publication counter: shared-mode appends,
+	// plus publications folded out by ring rotation and takeover.
 	// snapshotStats sums retired + the live ring counts across objects —
 	// the publication CAS doubles as the OnCalls counter, so the lock-free
 	// path touches no separate statistics atomic.
 	retired atomic.Int64
+	// ring is TSVD's single-writer publication ring, in use exactly while
+	// writer holds a thread id; closed and drained into hist at the takeover
+	// by a second thread. It starts on the inline array, so an object costs
+	// one allocation until it outgrows it.
+	ring   pubRing
+	inline [inlineEntries]histEntry
 }
+
+// inlineEntries is the publication ring's capacity before it grows. 92 % of
+// the objects of a generated suite receive exactly two accesses in their
+// life (docs/PERFORMANCE.md, "Suite-level memory"); four entries hold those
+// with room to spare and keep objState inside the 256-byte size class.
+const inlineEntries = 4
 
 // writerShared marks an object permanently in shared (mutex-protocol) mode.
 const writerShared = -1
@@ -137,20 +168,20 @@ type pubRing struct {
 	pub atomic.Uint64
 	// base is the publication count already folded into objState.retired by
 	// rotations; the ring's live contribution is pub&^ringClosed - base.
-	base    atomic.Int64
+	base atomic.Int64
+	// entries is written only by the owning thread, under the object's
+	// mutex (growth); the owner reads it lock-free, a takeover under the
+	// mutex.
 	entries []histEntry
 }
 
 const ringClosed = uint64(1) << 63
 
-// newPubRing sizes the entry array so rotations stay rare relative to the
-// scan window: at least eight windows, at least 64 entries.
-func newPubRing(window int) *pubRing {
-	n := 64
-	if w := 8 * window; w > n {
-		n = w
-	}
-	return &pubRing{entries: make([]histEntry, n)}
+// grownRingSize is the entry array a ring moves to when the inline one
+// fills: rotations stay rare relative to the scan window — at least eight
+// windows, at least 64 entries.
+func grownRingSize(window int) int {
+	return max(64, 8*window)
 }
 
 // threadState is one thread's detector state, created on first sighting and
@@ -203,6 +234,17 @@ type threadState struct {
 	// to recordSlow, which re-caches or clears it.
 	cachedRing    *pubRing
 	cachedRingObj ids.ObjectID
+
+	// nearKeys is recordSlow's result buffer: the near-miss pairs of the
+	// call in flight, consumed by OnCall before the thread's next call. It
+	// starts on nearBuf — a call rarely records more than one near miss, and
+	// most threads are too short-lived to amortize a slice of their own.
+	nearKeys []report.PairKey
+	nearBuf  [4]report.PairKey
+
+	// budget caps the total delay injected into this thread (§4, runtime
+	// feature 2).
+	budget clock.Budget
 
 	// phaseSteady caches this thread's packed steady-state value for the
 	// phase ring (tid<<32 | steady), so OnCall's sequential-phase check is
@@ -297,7 +339,7 @@ const (
 
 // runtime is the state shared by every detector variant: configuration,
 // time source, the site registry, the per-object and per-thread registries,
-// delay budgets, statistics and the report collector. Detector-specific
+// statistics and the report collector. Detector-specific
 // state lives in the variant structs. There is no global lock and no hashing
 // on the admitted fast path beyond two lock-free integer-keyed probes:
 // per-object state hangs off a lock-free object registry, per-thread state
@@ -355,10 +397,6 @@ type runtime struct {
 	// conflict-free workload OnCall never touches the trap table at all.
 	parked atomic.Int64
 
-	// budgets hands out the per-thread delay budgets (§4 runtime feature
-	// 2) from a concurrent map; each Budget is internally atomic.
-	budgets clock.BudgetTable
-
 	// cover is the dense per-site coverage flag table; covered keeps the
 	// op-keyed records behind it so the public counters stay op-distinct
 	// (an op can map to one site per kind). The common fully-marked case is
@@ -369,7 +407,9 @@ type runtime struct {
 
 	// rng drives every probabilistic decision. Draws only happen for
 	// eligible delay locations (rare) and in the random variants, so one
-	// small lock suffices; the TSVD hot path never takes it.
+	// small lock suffices; the TSVD hot path never takes it. The source is
+	// seeded from cfg.Seed by the first draw: most module runs never reach
+	// a delay decision, and a source is 5 KiB.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -437,12 +477,10 @@ func (r *runtime) init(cfg config.Config, o options) {
 	}
 	r.reports = report.NewCollector()
 	r.met = o.metrics
-	r.rng = rand.New(rand.NewSource(cfg.Seed))
 	r.delayTime = cfg.EffectiveDelay()
 	r.nearMissWindow = cfg.EffectiveNearMissWindow()
 	r.maxDelay = cfg.EffectiveMaxDelayPerThread()
 	r.hbThreshold = time.Duration(cfg.HBBlockThreshold * float64(r.delayTime))
-	r.budgets = clock.BudgetTable{Max: r.maxDelay}
 	r.mode = cfg.Mode
 	if cfg.Mode == config.ModeSampled {
 		sh := o.shared
@@ -501,10 +539,13 @@ func (r *runtime) threadStateFor(t ids.ThreadID) *threadState {
 
 func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
 	st, _ := r.threads.GetOrCreate(int64(t), func() *threadState {
-		return &threadState{
+		st := &threadState{
 			rng:        sampler.SeedRand(r.cfg.Seed, int64(t)),
 			lastAccess: noAccessYet,
+			budget:     clock.Budget{Max: r.maxDelay},
 		}
+		st.nearKeys = st.nearBuf[:0]
+		return st
 	})
 	return st
 }
@@ -521,10 +562,26 @@ func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
 	if st != nil && st.cachedState != nil && st.cachedObj == obj {
 		return st.cachedState
 	}
-	os, _ := r.objs.GetOrCreate(int64(obj), func() *objState { return &objState{} })
+	os, _ := r.objs.GetOrCreate(int64(obj), newObjState)
 	if st != nil {
 		st.cachedObj, st.cachedState = obj, os
 	}
+	return os
+}
+
+// source returns the seeded source, building it on first use. Caller holds
+// rngMu.
+func (r *runtime) source() *rand.Rand {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.cfg.Seed))
+	}
+	return r.rng
+}
+
+func newObjState() *objState {
+	os := &objState{}
+	os.traps = os.trapBuf[:0]
+	os.ring.entries = os.inline[:]
 	return os
 }
 
@@ -532,7 +589,7 @@ func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
 // lock ordering obligations; rngMu is a leaf lock.
 func (r *runtime) randFloat() float64 {
 	r.rngMu.Lock()
-	f := r.rng.Float64()
+	f := r.source().Float64()
 	r.rngMu.Unlock()
 	return f
 }
@@ -540,24 +597,26 @@ func (r *runtime) randFloat() float64 {
 // randDurationUpTo draws uniformly from (0, d].
 func (r *runtime) randDurationUpTo(d time.Duration) time.Duration {
 	r.rngMu.Lock()
-	v := r.rng.Int63n(int64(d))
+	v := r.source().Int63n(int64(d))
 	r.rngMu.Unlock()
 	return time.Duration(v) + 1
 }
 
 // side builds one report side, resolving the API strings from the site
-// registry — report time is the only place the detector touches site
-// metadata strings at all.
-func (r *runtime) side(thread ids.ThreadID, op ids.OpID, site ids.SiteID, kind Kind, stack string) report.Side {
-	info := r.sites.Info(site)
+// registry and rendering the stack — report time is the only place the
+// detector touches site metadata strings, or symbolizes a stack, at all. The
+// side keeps pcs.
+func (r *runtime) side(a *Access, pcs []uintptr) report.Side {
+	info := r.sites.Info(a.Site)
 	return report.Side{
-		Thread: thread,
-		Op:     op,
-		Site:   site,
-		Write:  kind == KindWrite,
+		Thread: a.Thread,
+		Op:     a.Op,
+		Site:   a.Site,
+		Write:  a.Kind == KindWrite,
 		Class:  info.Class,
 		Method: info.Method,
-		Stack:  stack,
+		PCs:    pcs,
+		Stack:  ids.FormatStack(pcs),
 	}
 }
 
@@ -569,25 +628,26 @@ func (r *runtime) side(thread ids.ThreadID, op ids.OpID, site ids.SiteID, kind K
 // conflicting calls on the same object at the same moment. It returns the
 // pair keys of the violations found so variants can prune them from their
 // trap sets (outside the object lock).
-func (r *runtime) checkForTraps(os *objState, a Access, stackOf func() string) []report.PairKey {
+func (r *runtime) checkForTraps(os *objState, a *Access) []report.PairKey {
 	var found []report.PairKey
 	for _, t := range os.traps {
 		if t.access.Thread == a.Thread || !Conflicts(t.access.Kind, a.Kind) {
 			continue
 		}
 		r.stats.violations.Add(1)
+		pcs := make([]uintptr, stackDepth)
 		v := report.Violation{
 			Object:      a.Obj,
-			Trapped:     r.side(t.access.Thread, t.access.Op, t.access.Site, t.access.Kind, t.stack),
-			Conflicting: r.side(a.Thread, a.Op, a.Site, a.Kind, stackOf()),
+			Trapped:     r.side(&t.access, slices.Clone(t.pcs[:t.depth])),
+			Conflicting: r.side(a, pcs[:goruntime.Callers(1, pcs)]),
 			When:        r.now(),
 		}
 		r.reports.Add(v)
 		r.tr.Emit(trace.KindTrapSprung, a.Thread, a.Obj, t.access.Op, a.Op, v.When, 0)
 		t.conflict = true
-		if !t.canceled {
-			t.canceled = true
-			close(t.cancel)
+		select {
+		case t.cancel <- struct{}{}:
+		default: // a third thread already woke it
 		}
 		found = append(found, v.Key())
 	}
@@ -611,10 +671,11 @@ func (r *runtime) unregisterTrap(os *objState, t *trap) {
 // taking any lock. Used by the AvoidOverlappingDelays ablation.
 func (r *runtime) anyTrapSet() bool { return r.parked.Load() > 0 }
 
-// injectDelay parks the calling thread in a trap for up to d (clipped by the
-// thread's budget), sleeping outside every lock. It returns the trap (whose
-// conflict flag tells the caller whether the delay was productive) and the
-// nominal duration actually slept. The caller holds no locks.
+// injectDelay parks the calling thread — whose state st is — in a trap for
+// up to d (clipped by the thread's budget), sleeping outside every lock. It
+// returns the nominal duration actually slept, whether a delay was injected
+// at all, and whether it was productive (another thread ran into the trap).
+// The caller holds no locks.
 //
 // The trap becomes visible to other threads only once it is registered
 // under the object's lock; a conflicting access that scans strictly before
@@ -622,7 +683,7 @@ func (r *runtime) anyTrapSet() bool { return r.parked.Load() > 0 }
 // opportunity, never a false positive. The single-mutex runtime had the
 // same property: its atomicity only extended until the sleeping thread
 // dropped the lock.
-func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) {
+func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept time.Duration, injected, sprung bool) {
 	// Observe-only mode (docs/SAMPLING.md): the detector went through its
 	// whole decision — the pair is trapped, the coin flip passed — but no
 	// thread sleeps. Counting the veto here, at the single funnel every
@@ -632,14 +693,25 @@ func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) 
 	if r.mode == config.ModeObserveOnly {
 		r.stats.delaysSuppressed.Add(1)
 		r.tr.Emit(trace.KindDelaySuppressed, a.Thread, a.Obj, a.Op, 0, r.now(), d)
-		return nil, 0
+		return 0, false, false
 	}
-	budget := r.budgets.For(int64(a.Thread))
-	grant := budget.Allow(d)
+	grant := st.budget.Allow(d)
 	if grant <= 0 {
-		return nil, 0
+		return 0, false, false
 	}
-	t := &trap{access: a, stack: ids.Stack(), cancel: make(chan struct{})}
+	// A pooled trap is registered nowhere, so nobody else can be looking at
+	// it: no lock is needed to rewrite it. Its last sleeper may have been
+	// woken by its timer just as the token was sent.
+	t, _ := trapPool.Get().(*trap)
+	if t == nil {
+		t = &trap{cancel: make(chan struct{}, 1)}
+	}
+	select {
+	case <-t.cancel:
+	default:
+	}
+	t.access, t.conflict = a, false
+	t.depth = goruntime.Callers(1, t.pcs[:])
 	os := r.objStateFor(nil, a.Obj)
 	os.mu.Lock()
 	os.traps = append(os.traps, t)
@@ -656,7 +728,7 @@ func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) 
 	os.mu.Unlock()
 	r.parked.Add(-1)
 	if woken && slept < grant {
-		budget.Refund(grant - slept)
+		st.budget.Refund(grant - slept)
 	}
 	if slept > grant {
 		slept = grant
@@ -672,7 +744,9 @@ func (r *runtime) injectDelay(a Access, d time.Duration) (*trap, time.Duration) 
 			r.tr.Emit(trace.KindDelayProductive, a.Thread, a.Obj, a.Op, 0, at, slept)
 		}
 	}
-	return t, slept
+	sprung = t.conflict
+	trapPool.Put(t)
+	return slept, true, sprung
 }
 
 // locCover is one location's coverage record: existing at all means the
@@ -760,8 +834,9 @@ func (r *runtime) snapshotStats() Stats {
 	})
 	r.objs.Each(func(_ int64, os *objState) {
 		st.OnCalls += os.retired.Load()
-		if rg := os.fast.Load(); rg != nil {
-			st.OnCalls += int64(rg.pub.Load()&^ringClosed) - rg.base.Load()
+		// A closed ring's publications were folded into retired.
+		if n := os.ring.pub.Load(); n&ringClosed == 0 {
+			st.OnCalls += int64(n) - os.ring.base.Load()
 		}
 	})
 	return st

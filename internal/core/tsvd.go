@@ -236,8 +236,8 @@ func (d *TSVD) OnCall(a Access) {
 		return
 	}
 	rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, t, rt.delayTime)
-	trap, slept := rt.injectDelay(a, rt.delayTime) // sleeps unlocked
-	if trap == nil {
+	slept, injected, sprung := rt.injectDelay(st, a, rt.delayTime) // sleeps unlocked
+	if !injected {
 		return
 	}
 	end := rt.now()
@@ -251,7 +251,7 @@ func (d *TSVD) OnCall(a Access) {
 	d.delayMu.Unlock()
 	st.ownDelay += slept
 	st.hbDeadline += slept
-	if !trap.conflict {
+	if !sprung {
 		d.set.decayAfterFailedDelay(a.Op, rt.cfg.DecayFactor,
 			rt.cfg.PruneProbability, &rt.stats, rt.tr, end)
 	}
@@ -265,21 +265,21 @@ func (d *TSVD) OnCall(a Access) {
 // mixed transition, which closes and drains the publication ring), and the
 // shared-mode near-miss scan plus append. Every admitted call that lands
 // here is counted into os.retired, keeping OnCalls exact alongside the fast
-// path's publication counter. It returns the near-miss pair keys found; the
-// caller inserts them into the trap set outside the lock.
+// path's publication counter. It returns the near-miss pair keys found, in
+// the thread's own scratch slice (valid until its next call); the caller
+// inserts them into the trap set outside the lock.
 func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration, concurrent bool) []report.PairKey {
 	rt := &d.rt
-	var nearKeys []report.PairKey
+	nearKeys := st.nearKeys[:0]
+	rg := &os.ring
 	os.mu.Lock()
 	w := os.writer.Load()
 	switch {
 	case w == 0:
 		// First access to this object: claim single-writer mode and arm the
 		// thread's ring cache.
-		rg := newPubRing(rt.cfg.ObjHistory)
 		rg.entries[0] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
 		rg.pub.Store(1)
-		os.fast.Store(rg)
 		os.writer.Store(int64(a.Thread))
 		st.cachedRing, st.cachedRingObj = rg, a.Obj
 	case w == int64(a.Thread):
@@ -287,14 +287,18 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		// filled up, or because this thread's ring cache points at another
 		// object it touched in between (a takeover would have left
 		// writerShared behind — transitions complete under the mutex we now
-		// hold). Rotate when full — fold the published count into retired
-		// and keep the newest scan-window entries — then record under the
-		// mutex and re-arm the cache. No other thread can be touching the
-		// entry array: takeover and rotation both require mu, and the
-		// lock-free writer is this thread.
-		rg := os.fast.Load()
+		// hold). A full inline array grows, once, to the ring's working size,
+		// keeping everything; a full grown ring rotates — fold the published
+		// count into retired and keep the newest scan-window entries. Then
+		// record under the mutex and re-arm the cache. No other thread can be
+		// touching the entry array: takeover, growth and rotation all
+		// require mu, and the lock-free writer is this thread.
 		n := int(rg.pub.Load() &^ ringClosed)
-		if n == len(rg.entries) {
+		if n == len(rg.entries) && n == inlineEntries {
+			grown := make([]histEntry, grownRingSize(rt.cfg.ObjHistory))
+			copy(grown, rg.entries)
+			rg.entries = grown
+		} else if n == len(rg.entries) {
 			keep := rt.cfg.ObjHistory
 			if keep > n {
 				keep = n
@@ -323,7 +327,6 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			// the shared mutex ring, and go shared for good. The drained
 			// entries are immutable: they sit strictly below the closed
 			// publication count.
-			rg := os.fast.Load()
 			var n uint64
 			for {
 				n = rg.pub.Load()
@@ -342,7 +345,6 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			for i := start; i < int(n); i++ {
 				os.hist.add(rg.entries[i])
 			}
-			os.fast.Store(nil)
 			os.writer.Store(writerShared)
 		}
 		h := os.hist
@@ -387,6 +389,7 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		os.retired.Add(1)
 	}
 	os.mu.Unlock()
+	st.nearKeys = nearKeys
 	return nearKeys
 }
 

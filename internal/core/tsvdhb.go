@@ -215,8 +215,8 @@ func (d *TSVDHB) OnCall(a Access) {
 	if rt.tr != nil {
 		rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, rt.now(), rt.delayTime)
 	}
-	trap, _ := rt.injectDelay(a, rt.delayTime) // sleeps unlocked
-	if trap != nil && !trap.conflict {
+	// sleeps unlocked
+	if _, injected, sprung := rt.injectDelay(st, a, rt.delayTime); injected && !sprung {
 		d.set.decayAfterFailedDelay(a.Op, rt.cfg.DecayFactor,
 			rt.cfg.PruneProbability, &rt.stats, rt.tr, rt.now())
 	}

@@ -26,27 +26,28 @@ func newDynamicRandom(cfg config.Config, o options) *DynamicRandom {
 
 // admitRandom is the front half DynamicRandom and StaticRandom share:
 // admission and check_for_trap (enter, admit.go), then count the call, mark
-// coverage and — in sampled mode — close its overhead account. It reports
-// whether the call was admitted. The account closes before the caller's
-// delay branch: delay time is charged separately inside injectDelay, so
-// nothing is counted twice.
-func (r *runtime) admitRandom(a *Access) bool {
+// coverage and — in sampled mode — close its overhead account. It returns
+// the calling thread's state, or nil when the call was not admitted. The
+// account closes before the caller's delay branch: delay time is charged
+// separately inside injectDelay, so nothing is counted twice.
+func (r *runtime) admitRandom(a *Access) *threadState {
 	st := r.threadStateFor(a.Thread)
 	r.resolveSite(a)
 	if (r.samp != nil || r.parked.Load() > 0) && !r.enter(st, a, nil) {
-		return false
+		return nil
 	}
 	st.onCalls.Add(1)
 	r.markSeen(a.Site, a.Op, false)
 	if r.samp != nil {
 		r.leave(st)
 	}
-	return true
+	return st
 }
 
 // OnCall implements Detector.
 func (d *DynamicRandom) OnCall(a Access) {
-	if !d.rt.admitRandom(&a) {
+	st := d.rt.admitRandom(&a)
+	if st == nil {
 		return
 	}
 	if d.rt.randFloat() < d.rt.cfg.RandomDelayProbability {
@@ -56,7 +57,7 @@ func (d *DynamicRandom) OnCall(a Access) {
 		if d.rt.tr != nil {
 			d.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, d.rt.now(), dur)
 		}
-		d.rt.injectDelay(a, dur)
+		d.rt.injectDelay(st, a, dur)
 	}
 }
 
@@ -94,7 +95,8 @@ func newStaticRandom(cfg config.Config, o options) *StaticRandom {
 
 // OnCall implements Detector.
 func (s *StaticRandom) OnCall(a Access) {
-	if !s.rt.admitRandom(&a) {
+	st := s.rt.admitRandom(&a)
+	if st == nil {
 		return
 	}
 
@@ -120,6 +122,6 @@ func (s *StaticRandom) OnCall(a Access) {
 		if s.rt.tr != nil {
 			s.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, s.rt.now(), s.rt.delayTime)
 		}
-		s.rt.injectDelay(a, s.rt.delayTime)
+		s.rt.injectDelay(st, a, s.rt.delayTime)
 	}
 }

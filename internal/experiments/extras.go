@@ -36,37 +36,53 @@ func Table4(p Params, w io.Writer) {
 }
 
 // ResourceUsage reproduces §5.5: memory and CPU cost of running with TSVD
-// against the uninstrumented baseline, measured over the Small suite.
+// against the uninstrumented baseline, measured over the Small suite. Time
+// is the summed module durations (what harness.Baseline reports), next to
+// the delay the detector injected on purpose — the part of the slowdown that
+// is the algorithm working rather than the detector costing.
 func ResourceUsage(p Params, w io.Writer) {
 	suite := workload.GenerateSuite(p.Seed, p.SmallModules)
 
-	measure := func(algo config.Algorithm) (time.Duration, uint64) {
-		runtime.GC()
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		if algo == config.AlgoNop {
-			harness.Baseline(suite, p.opts(config.AlgoTSVD, 1))
-		} else {
-			harness.Run(suite, p.opts(algo, 1))
-		}
-		dur := time.Since(start)
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		return dur, after.TotalAlloc - before.TotalAlloc
+	type usage struct {
+		time, delay    time.Duration
+		bytes, mallocs uint64
 	}
-
-	baseDur, baseAlloc := measure(config.AlgoNop)
-	tsvdDur, tsvdAlloc := measure(config.AlgoTSVD)
+	measure := func(run func() (time.Duration, time.Duration)) usage {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var u usage
+		u.time, u.delay = run()
+		runtime.ReadMemStats(&after)
+		u.bytes, u.mallocs = after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		return u
+	}
+	base := measure(func() (time.Duration, time.Duration) {
+		return harness.Baseline(suite, p.opts(config.AlgoTSVD, 1)), 0
+	})
+	tsvd := measure(func() (time.Duration, time.Duration) {
+		out := harness.Run(suite, p.opts(config.AlgoTSVD, 1))
+		return out.WallTime, out.Stats.TotalDelay
+	})
 
 	fmt.Fprintf(w, "§5.5 resource usage over the Small suite (one run)\n")
-	fmt.Fprintf(w, "%-14s %12s %14s\n", "config", "wall time", "allocations")
-	fmt.Fprintf(w, "%-14s %12v %13dK\n", "baseline", baseDur.Round(time.Millisecond), baseAlloc/1024)
-	fmt.Fprintf(w, "%-14s %12v %13dK\n", "TSVD", tsvdDur.Round(time.Millisecond), tsvdAlloc/1024)
-	if baseAlloc > 0 {
-		fmt.Fprintf(w, "allocation increase: %.0f%%\n",
-			100*(float64(tsvdAlloc)/float64(baseAlloc)-1))
+	fmt.Fprintf(w, "%-14s %12s %15s %11s %10s\n", "config", "module time", "injected delay", "bytes", "mallocs")
+	row := func(name string, u usage) {
+		fmt.Fprintf(w, "%-14s %12v %15v %10dK %10d\n", name,
+			u.time.Round(time.Millisecond), u.delay.Round(time.Millisecond), u.bytes/1024, u.mallocs)
 	}
+	row("baseline", base)
+	row("TSVD", tsvd)
+	if base.time <= 0 || base.bytes == 0 || base.mallocs == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%-14s %11.2fx %15s %10.2fx %9.2fx\n", "TSVD/baseline",
+		float64(tsvd.time)/float64(base.time), "",
+		float64(tsvd.bytes)/float64(base.bytes), float64(tsvd.mallocs)/float64(base.mallocs))
+	fmt.Fprintf(w, "time added: %v; delay injected: %v (summed over threads, whose delays overlap)\n",
+		(tsvd.time - base.time).Round(time.Millisecond), tsvd.delay.Round(time.Millisecond))
+	fmt.Fprintf(w, "allocation increase: %+.0f%% bytes, %+.0f%% mallocs\n",
+		100*(float64(tsvd.bytes)/float64(base.bytes)-1), 100*(float64(tsvd.mallocs)/float64(base.mallocs)-1))
 }
 
 // AsyncInlining reproduces the §4 observation: with the CLR-style

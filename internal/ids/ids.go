@@ -1,6 +1,6 @@
 // Package ids provides the identity primitives the TSVD runtime is built on:
 // goroutine ("thread") identifiers, static program locations (call-site PCs),
-// per-object identity tokens, and stack capture for bug reports.
+// per-object identity tokens, and stack rendering for bug reports.
 //
 // The TSVD algorithm (SOSP '19, §3.1) only ever sees three identifiers per
 // access — thread_id, obj_id, op_id — so this package is the entire surface
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -305,22 +306,30 @@ func (op OpID) Key() string {
 	return e.key
 }
 
-// Stack captures the current goroutine's stack trace as text, trimmed of the
-// header line. Used for the two-sided stack traces in bug reports.
-func Stack() string {
-	buf := make([]byte, 16<<10)
-	n := runtime.Stack(buf, false)
-	b := buf[:n]
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		b = b[i+1:]
+// FormatStack renders a stack captured by runtime.Callers the way
+// runtime.Stack lays one out — a function line, then a tab-indented
+// file:line — so everything that reads stacks as text (triage's anchor frame,
+// the Table-1 depth statistic, the report writers) reads it unchanged. What
+// it leaves out on purpose is what made two captures of one call path differ:
+// argument values and pc offsets. A trap keeps only the program counters and
+// pays for this when it springs.
+func FormatStack(pcs []uintptr) string {
+	if len(pcs) == 0 {
+		return ""
 	}
-	return string(b)
-}
-
-// StackDepth reports the number of frames in the current goroutine's stack
-// below (and excluding) this function. Used for the "avg stack depth"
-// statistic in Table 1.
-func StackDepth() int {
-	var pcs [128]uintptr
-	return runtime.Callers(2, pcs[:])
+	var b strings.Builder
+	b.Grow(128 * len(pcs)) // a frame is two module-qualified paths
+	var num [20]byte
+	frames := runtime.CallersFrames(pcs)
+	for more := true; more; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		b.WriteString(f.Function)
+		b.WriteString("(...)\n\t")
+		b.WriteString(f.File)
+		b.WriteByte(':')
+		b.Write(strconv.AppendInt(num[:0], int64(f.Line), 10))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -90,12 +90,20 @@ func TestCallerOpSameSiteStable(t *testing.T) {
 }
 
 func TestStackMentionsCaller(t *testing.T) {
-	s := Stack()
-	if !strings.Contains(s, "TestStackMentionsCaller") {
-		t.Fatalf("stack does not mention the caller:\n%s", s)
+	var pcs [32]uintptr
+	n := runtime.Callers(1, pcs[:])
+	s := FormatStack(pcs[:n])
+	if !strings.HasPrefix(s, "repro/internal/ids.TestStackMentionsCaller(...)\n\t") {
+		t.Fatalf("stack does not start at the caller:\n%s", s)
 	}
-	if strings.HasPrefix(s, "goroutine ") {
-		t.Fatal("stack header line was not trimmed")
+	if got := strings.Count(s, "\n"); got != 2*n {
+		t.Fatalf("%d lines for %d frames, want two a frame:\n%s", got, n, s)
+	}
+	if strings.Contains(s, "0x") {
+		t.Fatalf("stack carries argument values or pc offsets:\n%s", s)
+	}
+	if FormatStack(nil) != "" {
+		t.Fatal("an empty capture rendered as text")
 	}
 }
 
@@ -103,7 +111,8 @@ func TestStackDepthGrowsWithRecursion(t *testing.T) {
 	var depthAt func(n int) int
 	depthAt = func(n int) int {
 		if n == 0 {
-			return StackDepth()
+			var pcs [128]uintptr
+			return runtime.Callers(1, pcs[:])
 		}
 		return depthAt(n - 1)
 	}

@@ -6,6 +6,7 @@
 package report
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -29,7 +30,11 @@ type Side struct {
 	// Class and Method describe the thread-unsafe API, e.g. Dictionary.Add.
 	Class  string
 	Method string
-	// Stack is the goroutine stack at the moment of the access.
+	// PCs is the goroutine's call stack at the moment of the access as
+	// runtime.Callers reported it (meaningful only within the producing
+	// process); Stack is its rendering (ids.FormatStack): two lines a frame,
+	// no argument values.
+	PCs   []uintptr
 	Stack string
 }
 
@@ -144,7 +149,7 @@ func (c *Collector) Add(v Violation) {
 		c.bugs[key] = b
 	}
 	b.Occurrences++
-	h := stackPairHash(v.Trapped.Stack, v.Conflicting.Stack)
+	h := stackPairHash(&v.Trapped, &v.Conflicting)
 	if _, seen := b.stackPairSet[h]; !seen {
 		b.stackPairSet[h] = struct{}{}
 		b.StackPairs++
@@ -154,15 +159,30 @@ func (c *Collector) Add(v Violation) {
 	}
 }
 
-func stackPairHash(a, b string) uint64 {
-	// Order-insensitive: the same two stacks in either role are one pair.
-	if a > b {
-		a, b = b, a
+// stackPairHash identifies a (trapped stack, conflicting stack) pair,
+// order-insensitively: the same two stacks in either role are one pair.
+func stackPairHash(a, b *Side) uint64 {
+	x, y := a.stackHash(), b.stackHash()
+	if x > y {
+		x, y = y, x
 	}
+	return (x ^ y>>32 ^ y<<32) * 0x9E3779B97F4A7C15
+}
+
+// stackHash hashes the call path: the program counters, which are equal
+// exactly when the path is. A side that arrived without them (built by hand,
+// or decoded from another process's output) is hashed by its text.
+func (s *Side) stackHash() uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(a))
-	h.Write([]byte{0})
-	h.Write([]byte(b))
+	if len(s.PCs) == 0 {
+		h.Write([]byte(s.Stack))
+		return h.Sum64()
+	}
+	var w [8]byte
+	for _, pc := range s.PCs {
+		binary.LittleEndian.PutUint64(w[:], uint64(pc))
+		h.Write(w[:])
+	}
 	return h.Sum64()
 }
 

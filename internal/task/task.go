@@ -17,6 +17,7 @@ package task
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -117,9 +118,13 @@ func (s *Scheduler) recordRun(site ids.OpID, d time.Duration) {
 // first-class values: they can be stored, passed around, and joined by any
 // goroutine — the unstructured parallelism of §2.3.
 type Task[T any] struct {
-	done chan struct{}
+	// fin is released exactly once, when the task has completed; finished
+	// mirrors it for Done's non-blocking check. Both live in the handle so
+	// that a spawn does not buy a channel as well.
+	fin      sync.WaitGroup
+	finished atomic.Bool
 
-	// Written by the executing goroutine before done is closed.
+	// Written by the executing goroutine before fin is released.
 	result   T
 	panicVal any
 	tid      ids.ThreadID
@@ -135,7 +140,8 @@ func Run[T any](s *Scheduler, fn func() T) *Task[T] {
 }
 
 func runAt[T any](s *Scheduler, site ids.OpID, fn func() T) *Task[T] {
-	t := &Task[T]{done: make(chan struct{}), sched: s}
+	t := &Task[T]{sched: s}
+	t.fin.Add(1)
 	if s.shouldInline(site) {
 		// CLR-style synchronous execution of a fast task: no fork, no
 		// new thread, concurrency hidden. Duration is still recorded so
@@ -145,7 +151,7 @@ func runAt[T any](s *Scheduler, site ids.OpID, fn func() T) *Task[T] {
 		start := time.Now()
 		t.invoke(fn)
 		s.recordRun(site, time.Since(start))
-		close(t.done)
+		t.finish()
 		return t
 	}
 	var parent ids.ThreadID
@@ -153,18 +159,26 @@ func runAt[T any](s *Scheduler, site ids.OpID, fn func() T) *Task[T] {
 		parent = ids.CurrentThreadID()
 	}
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if s.det != nil {
-			t.tid = ids.CurrentThreadID()
-			s.det.OnFork(parent, t.tid)
-		}
-		start := time.Now()
-		t.invoke(fn)
-		s.recordRun(site, time.Since(start))
-		close(t.done)
-	}()
+	go t.run(s, site, parent, fn)
 	return t
+}
+
+// run is the body of an asynchronous task's goroutine.
+func (t *Task[T]) run(s *Scheduler, site ids.OpID, parent ids.ThreadID, fn func() T) {
+	defer s.wg.Done()
+	if s.det != nil {
+		t.tid = ids.CurrentThreadID()
+		s.det.OnFork(parent, t.tid)
+	}
+	start := time.Now()
+	t.invoke(fn)
+	s.recordRun(site, time.Since(start))
+	t.finish()
+}
+
+func (t *Task[T]) finish() {
+	t.finished.Store(true)
+	t.fin.Done()
 }
 
 // invoke runs fn capturing panics, which surface at Result like .NET's
@@ -180,7 +194,7 @@ func (t *Task[T]) invoke(fn func() T) {
 
 // Wait blocks until the task completes and records the join edge.
 func (t *Task[T]) Wait() {
-	<-t.done
+	t.fin.Wait()
 	if t.inlined {
 		return // ran on the caller's own goroutine; no edge to record
 	}
@@ -207,19 +221,12 @@ func (t *Task[T]) TryResult() (T, any) {
 }
 
 // Done reports whether the task has completed without blocking.
-func (t *Task[T]) Done() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
+func (t *Task[T]) Done() bool { return t.finished.Load() }
 
 // Inlined reports whether the task was executed synchronously by the
 // fast-async optimization (visible for tests and the §4 experiment).
 func (t *Task[T]) Inlined() bool {
-	<-t.done
+	t.fin.Wait()
 	return t.inlined
 }
 

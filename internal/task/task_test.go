@@ -332,3 +332,14 @@ func (r *recordingDetector) OnJoin(waiter, done ids.ThreadID) {
 	r.joins = append(r.joins, [2]ids.ThreadID{waiter, done})
 	r.mu.Unlock()
 }
+
+// TestSpawnCostsTwoAllocations: a spawn buys its handle and the goroutine's
+// start closure; completion is signalled through the handle itself, not
+// through a channel made for the occasion.
+func TestSpawnCostsTwoAllocations(t *testing.T) {
+	s := NewScheduler(nil, WithForceAsync())
+	fn := func() int { return 1 }
+	if got := testing.AllocsPerRun(500, func() { Run(s, fn).Wait() }); got > 2 {
+		t.Fatalf("Run+Wait costs %v allocations, want at most 2", got)
+	}
+}
