@@ -1,12 +1,11 @@
-// Command tsvd-run executes a generated workload suite (or the Table-4
-// open-source scenarios) under a chosen detection technique and prints the
-// bug reports and statistics — the command-line face of the integrated
-// build-and-test deployment the paper describes (§2.1).
+// Command tsvd-run executes a generated workload suite under a chosen
+// detection technique and prints the bug reports and statistics — the
+// command-line face of the integrated build-and-test deployment the paper
+// describes (§2.1).
 //
 // Usage:
 //
 //	tsvd-run -modules 50 -runs 2 -algo tsvd
-//	tsvd-run -scenarios
 //	tsvd-run -modules 20 -algo tsvdhb -v
 //	tsvd-run -modules 5 -trace /tmp/trace-out
 //	tsvd-run -modules 20 -triage /tmp/bugs-out
@@ -44,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/sampler"
@@ -67,7 +65,6 @@ func run() int {
 		scale      = flag.Float64("scale", 0.02, "time scale (1.0 = the paper's 100ms delays)")
 		verbose    = flag.Bool("v", false, "print a live progress heartbeat and each bug's two-sided report")
 		jsonOut    = flag.Bool("json", false, "emit the bug report as JSON on stdout")
-		scenario   = flag.Bool("scenarios", false, "run the 9 open-source scenarios instead")
 		trapsFile  = flag.String("trapfile", "", "local trap file to seed each run from and publish to (§3.4.6)")
 		trapServer = flag.String("trap-server", "", "tsvd-trapd base URL to share traps with across shards (fleet mode)")
 		traceDir   = flag.String("trace", "", "directory to write the detector event trace (events.jsonl, metrics.json, summary.json)")
@@ -77,28 +74,6 @@ func run() int {
 		overhead   = flag.Float64("overhead-target", 0, "overhead fraction the sampler auto-throttles toward (0 = fixed probability)")
 	)
 	flag.Parse()
-
-	if *scenario {
-		// The scenario table has its own fixed parameters; accepting the
-		// suite flags and then ignoring them would silently run something
-		// other than what the user asked for.
-		var conflicting []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scenarios":
-			default:
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			fmt.Fprintf(os.Stderr,
-				"tsvd-run: -scenarios runs a fixed experiment table and cannot be combined with %v\n",
-				conflicting)
-			return 2
-		}
-		experiments.Table4(experiments.DefaultParams(), os.Stdout)
-		return 0
-	}
 
 	algos := map[string]config.Algorithm{
 		"tsvd":          config.AlgoTSVD,
@@ -172,7 +147,7 @@ func run() int {
 	}
 	if storeTracer != nil {
 		// The store's fetch/publish/fallback events join the detector
-		// traces as their own pseudo-module, so tsvd-trace-check can
+		// traces as their own pseudo-module, so trace.Summary.Check can
 		// reconcile them against summary.store.
 		tot := storeTracer.Totals()
 		out.Traces = append(out.Traces, trace.ModuleTrace{
@@ -301,7 +276,7 @@ func buildStore(serverURL, filePath string, tracer *trace.Tracer) trapstore.Trap
 
 // writeTrace drains the run's event traces into dir: events.jsonl (one event
 // per line, all module runs concatenated), metrics.json (the per-location
-// aggregate) and summary.json (producer-side accounting for tsvd-trace-check).
+// aggregate) and summary.json (producer-side accounting for trace.Summary.Check).
 func writeTrace(dir, tool string, modules, runs int, out *harness.Outcome,
 	storeTotals trace.StoreTotals) (*trace.Metrics, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -9,18 +9,21 @@
 //	tsvd-triage -out /tmp/bugs -server http://127.0.0.1:8321
 //
 // Each directory argument must contain the events.jsonl and summary.json a
-// `tsvd-run -trace` invocation wrote (schema v5). Every directory is one
-// triage unit: firings come from its trap_sprung events, identities resolve
-// through its summary site table, and the same bug appearing in N
-// directories folds into one cluster with N-fold provenance — this is how a
-// K-shard fleet's per-shard traces become one report.
+// `tsvd-run -trace` invocation wrote (schema v5), and must pass the trace
+// contract (docs/OBSERVABILITY.md): every line parses against the schema and
+// the per-kind event counts reconcile exactly with the detector and store
+// counters in the summary, none dropped. Every directory is one triage unit:
+// firings come from its trap_sprung events, identities resolve through its
+// summary site table, and the same bug appearing in N directories folds into
+// one cluster with N-fold provenance — this is how a K-shard fleet's
+// per-shard traces become one report.
 //
 // With -server the report is instead derived from the daemon's merged trap
 // snapshot (the same data GET /v1/bugs serves): one cluster per dangerous
 // pair, with no firing counts — the daemon only ever sees pairs.
 //
-// Exit status: 0 on success, 1 on unreadable or invalid input, 2 on usage
-// errors.
+// Exit status: 0 on success, 1 on unreadable, invalid or unreconciled input,
+// 2 on usage errors.
 package main
 
 import (
@@ -106,10 +109,15 @@ func run() int {
 }
 
 // ingestDir folds one trace directory into tri as a single unit and returns
-// the producing tool's name from its summary.
+// the producing tool's name from its summary. A directory that fails
+// Summary.Check dropped or lost events: its opportunity counts and
+// explanation slices would be wrong, so it is refused rather than folded.
 func ingestDir(tri *triage.Triage, dir string) (string, error) {
 	sum, jes, err := trace.ReadDir(dir)
 	if err != nil {
+		return "", err
+	}
+	if _, err := sum.Check(jes); err != nil {
 		return "", err
 	}
 	tri.AddTrace(trace.ModuleTracesOf(jes), sum.Sites, triage.Provenance{Source: dir})

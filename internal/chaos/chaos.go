@@ -17,7 +17,7 @@
 //     exactly the union of that shard's published sets — no pair a run
 //     discovered is ever lost, daemons up or down.
 //   - Exact observability: every shard run's trace events reconcile against
-//     its detector Stats and store totals (the tsvd-trace-check rule,
+//     its detector Stats and store totals (the trace.Reconcile rule,
 //     in-process), and its exported metrics series match the same counters
 //     (core.CheckCounters).
 //   - Anti-entropy liveness: a sync leg between two healthy, unpartitioned

@@ -306,7 +306,7 @@ func (f *fleet) peerSync(act int, m *model) *Violation {
 // runShard executes one CI shard run through the full production stack —
 // harness, Fallback(HTTPStore, FileStore), tracer, metrics — then applies
 // the in-process oracles: store-error classification, ground-truth
-// containment, exact trace reconciliation (the tsvd-trace-check rule) and
+// containment, exact trace reconciliation (the trace.Reconcile rule) and
 // exact metrics reconciliation (core.CheckCounters plus the store wire
 // totals) — and folds the observed outcome into the model.
 func (f *fleet) runShard(act int, a action, m *model) *Violation {
@@ -359,7 +359,7 @@ func (f *fleet) runShard(act int, a action, m *model) *Violation {
 	// Oracle 2: exact trace reconciliation — serialize every drained event
 	// (detector modules plus the store pseudo-module) to JSONL, validate the
 	// schema, and reconcile counts against Stats and store totals, exactly
-	// as tsvd-trace-check does for tsvd-run output.
+	// as tsvd-triage does for tsvd-run output.
 	stTot := storeTracer.Totals()
 	traces := append(append([]trace.ModuleTrace{}, out.Traces...), trace.ModuleTrace{
 		Module: "trapstore", Events: storeTracer.Drain(),

@@ -263,3 +263,32 @@ func TestSeededDecisionsMatchAnEagerSource(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedThreadIDIsOneMoreThread: -1 is what ids.CurrentThreadID returns
+// when its portable parser fails, and it used to be the shared-mode sentinel
+// too, so such a thread was taken for the owner of every shared object. It is
+// one more thread: its conflicting write is scanned against the object's
+// history, the closed publication ring stays closed, and every call is
+// counted once.
+func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.DisablePhaseDetection = true
+	cfg.DisableHBInference = true
+	cfg.Mode = config.ModeObserveOnly
+	d := mustNew(t, cfg, WithClock(&stepClock{}))
+	d.OnCall(acc(1, 1, 101, KindWrite))
+	d.OnCall(acc(2, 1, 102, KindWrite)) // takeover: one near miss, the ring closes
+	for call, want := range []int64{3, 5} {
+		d.OnCall(acc(-1, 1, 103, KindWrite))
+		st := d.Stats()
+		if st.NearMisses != want {
+			t.Fatalf("%d near misses after thread -1's call %d, want %d", st.NearMisses, call+1, want)
+		}
+		if st.OnCalls != int64(3+call) {
+			t.Fatalf("OnCalls = %d after %d calls", st.OnCalls, 3+call)
+		}
+	}
+	if pub := d.(*TSVD).rt.objs.Get(1).ring.pub.Load(); pub&ringClosed == 0 {
+		t.Fatalf("publication counter %#x: a shared object's ring was reopened", pub)
+	}
+}

@@ -11,10 +11,11 @@ import (
 	"repro/internal/report"
 )
 
-// TestTrapSetInvariants drives the trap set with random operations and
-// checks its structural invariants after every step:
-//   - pairs and the per-location index agree exactly;
-//   - suppressed pairs are never present;
+// TestTrapSetInvariants drives the trap set with random draws of the three
+// transitions production makes (add, suppress, decay) and checks its
+// structural invariants after every step:
+//   - the live counter, the live pairs and the per-location index agree
+//     exactly, and a dead pair is in no index and is never re-added;
 //   - every live pair's endpoints have probabilities in (0, 1].
 func TestTrapSetInvariants(t *testing.T) {
 	check := func(seed int64) bool {
@@ -25,18 +26,21 @@ func TestTrapSetInvariants(t *testing.T) {
 		randKey := func() report.PairKey {
 			return report.KeyOf(ops[rng.Intn(len(ops))], ops[rng.Intn(len(ops))])
 		}
+		dead := map[report.PairKey]bool{}
 		for step := 0; step < 400; step++ {
-			switch rng.Intn(4) {
+			switch key := randKey(); rng.Intn(3) {
 			case 0:
-				s.add(randKey(), &stats, nil)
+				s.add(key, &stats, nil)
 			case 1:
-				s.mu.Lock()
-				s.removeLocked(randKey())
-				s.mu.Unlock()
+				s.suppress(key)
 			case 2:
-				s.suppress(randKey())
-			case 3:
-				s.decayAfterFailedDelay(ops[rng.Intn(len(ops))], 0.5, 0.1, &stats, nil, 0)
+				s.decayAfterFailedDelay(key.A, 0.5, 0.1, &stats, nil, 0)
+			}
+			for key, live := range s.pairs {
+				if dead[key] && live {
+					return false
+				}
+				dead[key] = !live
 			}
 			if !trapSetConsistent(&s) {
 				return false
@@ -50,36 +54,36 @@ func TestTrapSetInvariants(t *testing.T) {
 }
 
 func trapSetConsistent(s *trapSet) bool {
-	// Every pair indexed under both endpoints.
-	for key := range s.pairs {
-		if _, dead := s.suppressed[key]; dead {
-			return false
-		}
-		for _, loc := range []ids.OpID{key.A, key.B} {
-			if _, ok := s.locPairs[loc][key]; !ok {
+	// Every live pair is indexed under each endpoint, once.
+	indexed := 0
+	for key, live := range s.pairs {
+		for _, loc := range endpoints(key) {
+			l := s.locs[loc]
+			n := 0
+			if l != nil {
+				for _, k := range l.live {
+					if k == key {
+						n++
+					}
+				}
+			}
+			if live && (n != 1 || l.prob <= 0 || l.prob > 1) || !live && n != 0 {
 				return false
 			}
-			p := s.locProb[loc]
-			if p <= 0 || p > 1 {
-				return false
-			}
+			indexed += n
 		}
 	}
-	// No stale index entries.
-	for loc, keys := range s.locPairs {
-		if len(keys) == 0 {
-			return false // empty sets must be deleted
-		}
-		for key := range keys {
-			if _, ok := s.pairs[key]; !ok {
-				return false
-			}
+	// No stale index entries, and the lock-free counter is exact.
+	entries := 0
+	for loc, l := range s.locs {
+		for _, key := range l.live {
 			if key.A != loc && key.B != loc {
 				return false
 			}
 		}
+		entries += len(l.live)
 	}
-	return true
+	return entries == indexed && len(s.export()) == s.size()
 }
 
 // TestPhaseRingProperty: the ring must report "concurrent" exactly when the
@@ -121,7 +125,7 @@ func TestObjHistoryProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(10)
-		h := newObjHistory(capacity)
+		h := newHistory(capacity)
 		var all []histEntry
 		for step := 0; step < 100; step++ {
 			e := histEntry{
@@ -137,10 +141,7 @@ func TestObjHistoryProperty(t *testing.T) {
 				want = want[len(want)-capacity:]
 			}
 			seen := map[ids.OpID]bool{}
-			count := h.next
-			if h.full {
-				count = len(h.entries)
-			}
+			count := h.len()
 			for _, g := range h.entries[:count] {
 				seen[g.op] = true
 			}
@@ -202,11 +203,11 @@ func TestHBInferenceWindowWidth(t *testing.T) {
 	d.set.mu.RLock()
 	defer d.set.mu.RUnlock()
 	for _, op := range []ids.OpID{901, 902, 903} {
-		if _, dead := d.set.suppressed[report.KeyOf(900, op)]; !dead {
+		if live, known := d.set.pairs[report.KeyOf(900, op)]; !known || live {
 			t.Errorf("pair (900,%d) not suppressed by inference window", op)
 		}
 	}
-	if _, dead := d.set.suppressed[report.KeyOf(900, 904)]; dead {
+	if _, known := d.set.pairs[report.KeyOf(900, 904)]; known {
 		t.Error("pair (900,904) suppressed beyond the k_hb window")
 	}
 }
@@ -232,7 +233,7 @@ func TestHBInferenceIgnoresOwnDelay(t *testing.T) {
 
 	d.set.mu.RLock()
 	defer d.set.mu.RUnlock()
-	if _, dead := d.set.suppressed[report.KeyOf(910, 911)]; dead {
+	if _, known := d.set.pairs[report.KeyOf(910, 911)]; known {
 		t.Fatal("own delay misattributed as a happens-before edge")
 	}
 }

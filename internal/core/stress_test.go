@@ -10,37 +10,17 @@ import (
 	"repro/internal/ids"
 )
 
-// newestFirst is the OnCall paths' walk over a per-object ring: from next-1
-// downwards, wrapping.
-func newestFirst[E any](h *history[E]) []E {
-	n := len(h.entries)
-	if !h.full {
-		n = h.next
-	}
-	var out []E
-	for i := 0; i < n; i++ {
-		idx := h.next - 1 - i
-		if idx < 0 {
-			idx += len(h.entries)
-		}
-		out = append(out, h.entries[idx])
-	}
-	return out
-}
-
-// TestObjHistoryNewestFirst pins what the OnCall paths' walk over the
-// per-object ring (from next-1 downwards, wrapping) relies on add to keep:
-// that order visits entries newest first, both before the ring wraps and
-// after. The near-miss scan depends on this so the most recent conflicting
-// access — the smallest gap, the likeliest real interleaving — is seen first.
+// TestObjHistoryNewestFirst pins the walk both OnCall paths make over the
+// per-object ring (len, then newest(0..len-1)): it visits entries newest
+// first, both before the ring wraps and after.
 func TestObjHistoryNewestFirst(t *testing.T) {
 	const capacity = 3
-	h := newObjHistory(capacity)
+	h := newHistory(capacity)
 
 	collect := func() []ids.OpID {
 		var got []ids.OpID
-		for _, e := range newestFirst(h) {
-			got = append(got, e.op)
+		for i, n := 0, h.len(); i < n; i++ {
+			got = append(got, h.newest(i).op)
 		}
 		return got
 	}
@@ -70,18 +50,6 @@ func TestObjHistoryNewestFirst(t *testing.T) {
 	h.add(histEntry{op: 6})
 	h.add(histEntry{op: 7})
 	assertOrder(7, 6, 5) // wrapped more than once
-}
-
-// TestHBHistoryNewestFirst: the TSVDHB ring must mirror objHistory's order.
-func TestHBHistoryNewestFirst(t *testing.T) {
-	h := newHBHistory(2)
-	h.add(hbEntry{op: 1})
-	h.add(hbEntry{op: 2})
-	h.add(hbEntry{op: 3})
-	got := newestFirst(h)
-	if len(got) != 2 || got[0].op != 3 || got[1].op != 2 {
-		t.Fatalf("walk visited %v, want ops [3 2] (newest first)", got)
-	}
 }
 
 // TestDenseRuntimeStress hammers one detector from GOMAXPROCS-scaled

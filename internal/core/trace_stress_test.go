@@ -107,7 +107,7 @@ func TestTracerDisabledMeansNil(t *testing.T) {
 
 // TestTracedDetectorEventsMatchStats: on a deterministic single-module
 // workload, drained per-kind counts must equal the Stats counters — the same
-// reconciliation the harness and tsvd-trace-check perform, pinned at the
+// reconciliation the harness and tsvd-triage perform, pinned at the
 // detector level.
 func TestTracedDetectorEventsMatchStats(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	goruntime "runtime"
 	"slices"
@@ -101,10 +102,8 @@ type objState struct {
 	// more than one at a time is rare.
 	traps   []*trap
 	trapBuf [1]*trap
-	// hist holds TSVD's shared-mode near-miss ring; hb holds TSVDHB's epoch
-	// ring. Only the one the active variant uses is ever populated.
-	hist *objHistory
-	hb   *hbHistory
+	// hist is TSVD's shared-mode near-miss ring, or TSVDHB's epoch ring.
+	hist *history
 	// writer implements the single-writer tracking: 0 = untouched, a thread
 	// id = only that thread has ever recorded here, writerShared = at least
 	// two threads have (sticky — the mutex protocol applies forever after).
@@ -135,7 +134,10 @@ type objState struct {
 const inlineEntries = 4
 
 // writerShared marks an object permanently in shared (mutex-protocol) mode.
-const writerShared = -1
+// It is a value no thread id can take — not a goroutine id, and not the -1
+// ids.CurrentThreadID returns when its parser fails: a thread whose id equals
+// the sentinel would be taken for the owner of every shared object.
+const writerShared = math.MinInt64
 
 // noteWriterLocked updates the single-writer tracking for an access by tid
 // and reports whether the ring scan must run (true once a second thread is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,83 +25,69 @@ import (
 // live counter reads zero (the common case on healthy code).
 type trapSet struct {
 	mu sync.RWMutex
-	// live mirrors len(pairs) so the hot path can skip the lock when the
-	// set is empty.
+	// live counts the pairs in the set so the hot path can skip the lock
+	// when there are none.
 	live atomic.Int64
-	// pairs is the current trap set.
-	pairs map[report.PairKey]struct{}
-	// locProb holds P_loc; a location appears iff it participates in at
-	// least one pair, present or past.
-	locProb map[ids.OpID]float64
-	// locPairs indexes pairs by endpoint for O(pairs-of-loc) updates.
-	locPairs map[ids.OpID]map[report.PairKey]struct{}
-	// suppressed pairs are never (re-)added: violations already reported
-	// and pairs pruned by happens-before.
-	suppressed map[report.PairKey]struct{}
+	// pairs holds every pair ever added or banned: true while it is in the
+	// trap set, false once it has left — a violation reported, an HB prune,
+	// a decayed-out endpoint. A pair only ever goes live → dead, and a dead
+	// pair is never (re-)added.
+	pairs map[report.PairKey]bool
+	// locs holds every location that ever was an endpoint of a live pair.
+	locs map[ids.OpID]*locState
+}
+
+// locState is one location's share of the trap set.
+type locState struct {
+	// prob is P_loc (§3.4.5).
+	prob float64
+	// live lists the live pairs loc is an endpoint of, for
+	// O(pairs-of-loc) updates; a location rarely has more than a few.
+	live []report.PairKey
 }
 
 func newTrapSet() trapSet {
 	return trapSet{
-		pairs:      map[report.PairKey]struct{}{},
-		locProb:    map[ids.OpID]float64{},
-		locPairs:   map[ids.OpID]map[report.PairKey]struct{}{},
-		suppressed: map[report.PairKey]struct{}{},
+		pairs: map[report.PairKey]bool{},
+		locs:  map[ids.OpID]*locState{},
 	}
 }
 
-// add inserts a dangerous pair unless it is suppressed or already present.
+// add inserts a dangerous pair unless it is dead or already present.
 // Both endpoints' probabilities reset to 1 (§3.4.1: "TSVD sets P_loc = 1
 // when a dangerous pair containing loc is added").
 func (s *trapSet) add(key report.PairKey, stats *atomicStats, met *DetectorMetrics) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.addLocked(key, stats, met)
-}
-
-func (s *trapSet) addLocked(key report.PairKey, stats *atomicStats, met *DetectorMetrics) bool {
-	if _, dead := s.suppressed[key]; dead {
+	if _, known := s.pairs[key]; known {
 		return false
 	}
-	if _, ok := s.pairs[key]; ok {
-		return false
-	}
-	s.pairs[key] = struct{}{}
-	s.live.Store(int64(len(s.pairs)))
+	s.pairs[key] = true
+	n := s.live.Add(1)
 	stats.pairsAdded.Add(1)
-	met.observeOccupancy(len(s.pairs))
-	for _, loc := range []ids.OpID{key.A, key.B} {
-		s.locProb[loc] = 1
-		m := s.locPairs[loc]
-		if m == nil {
-			m = map[report.PairKey]struct{}{}
-			s.locPairs[loc] = m
+	met.observeOccupancy(int(n))
+	for _, loc := range endpoints(key) {
+		l := s.locs[loc]
+		if l == nil {
+			l = &locState{}
+			s.locs[loc] = l
 		}
-		m[key] = struct{}{}
+		l.prob = 1
+		l.live = append(l.live, key)
 	}
 	return true
 }
 
-// removeLocked deletes a pair from the set (it may be re-added later unless
-// also suppressed).
-func (s *trapSet) removeLocked(key report.PairKey) bool {
-	if _, ok := s.pairs[key]; !ok {
-		return false
+// endpoints returns the one or two distinct locations of key.
+func endpoints(key report.PairKey) []ids.OpID {
+	if key.A == key.B {
+		return []ids.OpID{key.A}
 	}
-	delete(s.pairs, key)
-	s.live.Store(int64(len(s.pairs)))
-	for _, loc := range []ids.OpID{key.A, key.B} {
-		if m := s.locPairs[loc]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(s.locPairs, loc)
-			}
-		}
-	}
-	return true
+	return []ids.OpID{key.A, key.B}
 }
 
 // suppress permanently bans a pair (violation found, or HB-inferred) and
-// removes it if present.
+// reports whether that took it out of the set.
 func (s *trapSet) suppress(key report.PairKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -108,8 +95,19 @@ func (s *trapSet) suppress(key report.PairKey) bool {
 }
 
 func (s *trapSet) suppressLocked(key report.PairKey) bool {
-	s.suppressed[key] = struct{}{}
-	return s.removeLocked(key)
+	wasLive := s.pairs[key]
+	s.pairs[key] = false
+	if !wasLive {
+		return false
+	}
+	s.live.Add(-1)
+	for _, loc := range endpoints(key) {
+		l := s.locs[loc]
+		i := slices.Index(l.live, key)
+		l.live[i] = l.live[len(l.live)-1]
+		l.live = l.live[:len(l.live)-1]
+	}
+	return true
 }
 
 // empty reports whether no live pair exists, without taking the lock. The
@@ -124,13 +122,10 @@ func (s *trapSet) empty() bool { return s.live.Load() == 0 }
 func (s *trapSet) eligible(loc ids.OpID) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.locPairs[loc]) == 0 {
-		return 0, false
+	if l := s.locs[loc]; l != nil && len(l.live) > 0 {
+		return l.prob, true
 	}
-	if p, ok := s.locProb[loc]; ok {
-		return p, true
-	}
-	return 1, true
+	return 0, false
 }
 
 // decayAfterFailedDelay implements §3.4.5: a delay at loc that exposed no
@@ -145,33 +140,36 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	victims := []ids.OpID{loc}
-	for key := range s.locPairs[loc] {
+	l := s.locs[loc]
+	if l == nil {
+		return
+	}
+	victims := []*locState{l}
+	for _, key := range l.live {
 		other := key.A
 		if other == loc {
 			other = key.B
 		}
 		if other != loc { // self-pairs decay once, not twice
-			victims = append(victims, other)
+			victims = append(victims, s.locs[other])
 		}
 	}
 	for _, v := range victims {
-		if p, ok := s.locProb[v]; ok {
-			s.locProb[v] = p * (1 - factor)
-		}
+		v.prob *= 1 - factor
 	}
 	for _, v := range victims {
-		if s.locProb[v] >= prune {
+		if v.prob >= prune {
 			continue
 		}
 		// The location's probability hit zero: all its pairs leave the
 		// trap set for good — the location proved unproductive, so a
 		// later near-miss re-sighting must not resurrect it at P=1.
-		for key := range s.locPairs[v] {
-			if s.suppressLocked(key) {
-				stats.pairsPrunedDecay.Add(1)
-				tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
-			}
+		// Suppressing a pair takes it off v.live.
+		for len(v.live) > 0 {
+			key := v.live[len(v.live)-1]
+			s.suppressLocked(key)
+			stats.pairsPrunedDecay.Add(1)
+			tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
 		}
 	}
 }
@@ -180,9 +178,11 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 func (s *trapSet) export() []report.PairKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]report.PairKey, 0, len(s.pairs))
-	for key := range s.pairs {
-		out = append(out, key)
+	out := make([]report.PairKey, 0, s.live.Load())
+	for key, live := range s.pairs {
+		if live {
+			out = append(out, key)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].A != out[j].A {

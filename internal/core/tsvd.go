@@ -43,36 +43,57 @@ type TSVD struct {
 	recentDelays []delayRecord
 }
 
+// histEntry is one recorded access to an object.
 type histEntry struct {
 	thread ids.ThreadID
 	op     ids.OpID
 	kind   Kind
-	at     time.Duration
+	// at is when, on the recording variant's own scale: TSVD's timestamp, or
+	// under TSVDHB the entry thread's own clock component at the access
+	// (post-tick) — the access happened-before a later access on thread u iff
+	// u's clock at entry.thread has reached it.
+	at time.Duration
 }
 
 // history is a fixed-capacity ring of the most recent accesses to one object
 // (§3.4.2 keeps "a global hash table" of these — ours hangs one off each
-// object's state). Only touched under the object's lock. TSVD's entries carry
-// timestamps (objHistory), TSVDHB's carry clock epochs (hbHistory).
-type history[E any] struct {
-	entries []E
+// object's state). Only touched under the object's lock.
+type history struct {
+	entries []histEntry
 	next    int
 	full    bool
 }
 
-type objHistory = history[histEntry]
-
-func newObjHistory(capacity int) *objHistory {
-	return &objHistory{entries: make([]histEntry, capacity)}
+func newHistory(capacity int) *history {
+	return &history{entries: make([]histEntry, capacity)}
 }
 
-func (h *history[E]) add(e E) {
+func (h *history) add(e histEntry) {
 	h.entries[h.next] = e
 	h.next++
 	if h.next == len(h.entries) {
 		h.next = 0
 		h.full = true
 	}
+}
+
+// len is the number of entries the ring holds.
+func (h *history) len() int {
+	if h.full {
+		return len(h.entries)
+	}
+	return h.next
+}
+
+// newest returns the i-th newest entry, 0 ≤ i < len(): the scans walk the
+// ring in this order so that the most recent conflicting access — the
+// smallest gap, the likeliest real interleaving — is seen first.
+func (h *history) newest(i int) *histEntry {
+	idx := h.next - 1 - i
+	if idx < 0 {
+		idx += len(h.entries)
+	}
+	return &h.entries[idx]
 }
 
 type inheritance struct {
@@ -336,7 +357,7 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			}
 			os.retired.Add(int64(n) - rg.base.Load())
 			if os.hist == nil {
-				os.hist = newObjHistory(rt.cfg.ObjHistory)
+				os.hist = newHistory(rt.cfg.ObjHistory)
 			}
 			start := 0
 			if int(n) > len(os.hist.entries) {
@@ -349,19 +370,11 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		}
 		h := os.hist
 		if h == nil {
-			h = newObjHistory(rt.cfg.ObjHistory)
+			h = newHistory(rt.cfg.ObjHistory)
 			os.hist = h
 		}
-		n := len(h.entries)
-		if !h.full {
-			n = h.next
-		}
-		for i := 0; i < n; i++ {
-			idx := h.next - 1 - i
-			if idx < 0 {
-				idx += len(h.entries)
-			}
-			e := &h.entries[idx]
+		for i, n := 0, h.len(); i < n; i++ {
+			e := h.newest(i)
 			if e.thread == a.Thread || !Conflicts(e.kind, a.Kind) {
 				continue
 			}

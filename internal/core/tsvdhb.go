@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/intmap"
@@ -38,22 +40,6 @@ type TSVDHB struct {
 	set trapSet
 
 	lockVC intmap.Map[vclock.Atomic] // ids.ObjectID → clock slot
-}
-
-type hbEntry struct {
-	thread ids.ThreadID
-	op     ids.OpID
-	kind   Kind
-	// epoch is the entry thread's own clock component at the access
-	// (post-tick); the access happened-before a later access c on thread
-	// u iff u's clock at entry.thread has reached epoch.
-	epoch uint64
-}
-
-type hbHistory = history[hbEntry]
-
-func newHBHistory(capacity int) *hbHistory {
-	return &hbHistory{entries: make([]hbEntry, capacity)}
 }
 
 func newTSVDHB(cfg config.Config, o options) *TSVDHB {
@@ -144,30 +130,22 @@ func (d *TSVDHB) OnCall(a Access) {
 	// single-writer (every entry would fail the different-thread test).
 	var nearKeys []report.PairKey
 	os.mu.Lock()
-	h := os.hb
+	h := os.hist
 	if h == nil {
-		h = newHBHistory(rt.cfg.ObjHistory)
-		os.hb = h
+		h = newHistory(rt.cfg.ObjHistory)
+		os.hist = h
 	}
 	scan := os.noteWriterLocked(a.Thread)
 	if scan {
-		n := len(h.entries)
-		if !h.full {
-			n = h.next
-		}
-		for i := 0; i < n; i++ {
-			idx := h.next - 1 - i
-			if idx < 0 {
-				idx += len(h.entries)
-			}
-			e := &h.entries[idx]
+		for i, n := 0, h.len(); i < n; i++ {
+			e := h.newest(i)
 			if e.thread == a.Thread || !Conflicts(e.kind, a.Kind) {
 				continue
 			}
 			// The entry's thread differs from ours, so its component in our
 			// clock lives entirely in the learned tree — no need to
 			// materialize the full clock.
-			if known.Get(int64(e.thread)) >= e.epoch {
+			if known.Get(int64(e.thread)) >= uint64(e.at) {
 				// The previous access happens-before this one: not a
 				// dangerous pair. The clock read for the event is taken only
 				// when tracing is on and a prune actually fires — the
@@ -189,7 +167,7 @@ func (d *TSVDHB) OnCall(a Access) {
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 	}
-	h.add(hbEntry{thread: a.Thread, op: a.Op, kind: a.Kind, epoch: epoch})
+	h.add(histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: time.Duration(epoch)})
 	os.mu.Unlock()
 	for _, key := range nearKeys {
 		if d.set.add(key, &rt.stats, rt.met) && rt.tr != nil {

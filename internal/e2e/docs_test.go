@@ -101,6 +101,38 @@ func TestDocsSymbolsExist(t *testing.T) {
 	}
 }
 
+// TestDocsCommandsExist: every command the docs mention — as cmd/<name> or as
+// tsvd-<name> — is a directory under cmd/, and DESIGN.md's inventory counts
+// them right: a deleted binary cannot survive in prose.
+func TestDocsCommandsExist(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join(repoRoot, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := map[string]bool{"tsvd-go": true} // the project's own name
+	for _, e := range entries {
+		commands[e.Name()] = e.IsDir()
+	}
+	refs := 0
+	for _, doc := range docFiles(t) {
+		text, rel := readDoc(t, doc)
+		for _, name := range append(referenced(text, cmdDirRef), referenced(text, cmdNameRef)...) {
+			refs++
+			if !commands[name] {
+				t.Errorf("%s: %s is not a command under cmd/", rel, name)
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no command references found; the pattern matches nothing")
+	}
+	design, _ := readDoc(t, filepath.Join(repoRoot, "DESIGN.md"))
+	counts := referenced(design, regexp.MustCompile(`\((\d+) binaries\)`))
+	if want := fmt.Sprint(len(entries)); len(counts) != 1 || counts[0] != want {
+		t.Errorf("DESIGN.md says (N binaries) with N = %v, cmd/ has %s", counts, want)
+	}
+}
+
 // TestGodocComplete: every exported identifier in the public package,
 // internal/config, internal/sampler, internal/chaos and internal/triage
 // carries a doc comment, including methods on exported types, exported
@@ -224,6 +256,10 @@ func slugify(title string) string {
 var (
 	configRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])Config\.([A-Z][A-Za-z0-9_]*)`)
 	tsvdRef   = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])tsvd\.([A-Z][A-Za-z0-9_]*)`)
+	// cmdDirRef and cmdNameRef match a command by its directory and by its
+	// binary name.
+	cmdDirRef  = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
+	cmdNameRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/-])(tsvd-[a-z]+(?:-[a-z]+)*)`)
 )
 
 func referenced(text string, re *regexp.Regexp) []string {

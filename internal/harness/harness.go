@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/report"
 	"repro/internal/sampler"
 	"repro/internal/sites"
@@ -50,12 +49,9 @@ type Options struct {
 	// TSVD's force-async instrumentation (§4). Default false applies
 	// force-async uniformly, as the paper does for every technique.
 	InlineFastAsync bool
-	// InitialTraps seeds every module's first run from a trap file
-	// written by a previous process (§3.4.6). Pairs belonging to other
-	// modules are inert.
-	InitialTraps []report.PairKey
-	// Store, when non-nil, is a shared trap store (fleet mode, §3.4.6
-	// generalized across concurrent shards): before each run the harness
+	// Store, when non-nil, is the run's trap store — a local trap file that
+	// carries the set to the next process (§3.4.6), or one shared across
+	// concurrent shards (fleet mode): before each run the harness
 	// fetches the store's pairs and seeds every module with them, and after
 	// each run it publishes the union of the per-module trap sets. Store
 	// errors never abort the suite — they accumulate in Outcome.StoreErr
@@ -265,11 +261,6 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 	defer prog.finish()
 
 	traps := make([][]report.PairKey, len(suite.Modules))
-	if len(opts.InitialTraps) > 0 {
-		for mi := range traps {
-			traps[mi] = opts.InitialTraps
-		}
-	}
 	for run := 1; run <= opts.Runs; run++ {
 		prog.startRun(run)
 		if opts.Store != nil {
@@ -281,8 +272,8 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 				// Re-intern the fetched site table so this run resolves
 				// API metadata for pairs whose sites it has not executed
 				// yet (the trap-file analogue of trapfile.LoadSeed).
-				for _, r := range f.Sites {
-					opts.Config.Sites.Register(ids.InternKey(r.Loc), r.Class, r.Method, r.Write)
+				for _, t := range f.Sites {
+					opts.Config.Sites.Intern(t)
 				}
 				if len(f.Pairs) > 0 {
 					seed := trapfile.ToKeys(f.Pairs)

@@ -1,39 +1,45 @@
 package harness
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/trapfile"
+	"repro/internal/trapstore"
 	"repro/internal/workload"
 )
 
-// TestTrapFileAcrossProcesses models the paper's two-process deployment:
-// process 1 runs once and writes its trap file; process 2 (a fresh harness
-// invocation seeded from that file) catches single-occurrence bugs on its
-// very first run.
+// TestTrapFileAcrossProcesses models the paper's two-process deployment the
+// way `tsvd-run -trapfile` performs it: process 1 runs once and publishes its
+// trap set to a local trap file; process 2 (a fresh harness invocation over
+// the same file) catches single-occurrence bugs on its very first run.
 func TestTrapFileAcrossProcesses(t *testing.T) {
 	suite := workload.GenerateSuite(33, 120) // cold-bug-rich seed
 	if suite.BugsByKind()[workload.BugCold] < 3 {
 		t.Fatalf("suite has too few cold bugs: %v", suite.BugsByKind())
 	}
-
-	// Process 1: one run, then serialize the final trap set.
-	p1 := Run(suite, opts(config.AlgoTSVD, 1))
-	if len(p1.FinalTraps) == 0 {
-		t.Fatal("process 1 produced no trap file contents")
+	path := filepath.Join(t.TempDir(), "traps.json")
+	process := func() *Outcome {
+		o := opts(config.AlgoTSVD, 1)
+		o.Store = trapstore.NewFileStore(path, nil)
+		out := Run(suite, o)
+		if out.StoreErr != nil {
+			t.Fatal(out.StoreErr)
+		}
+		return out
 	}
-	persisted := trapfile.FromKeys(p1.FinalTraps)
-	if len(persisted) == 0 {
-		t.Fatal("trap pairs did not serialize (sites not interned?)")
-	}
 
-	// Process 2: load (round-tripping through the wire format) and run
-	// once with the seeded trap set.
-	o := opts(config.AlgoTSVD, 1)
-	o.InitialTraps = trapfile.ToKeys(persisted)
-	p2 := Run(suite, o)
+	p1 := process()
+	persisted, err := trapfile.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(persisted.Pairs) == 0 {
+		t.Fatal("process 1 left no pairs in its trap file (sites not interned?)")
+	}
+	p2 := process()
 
 	coldP1 := p1.FoundByKind(suite)[workload.BugCold]
 	coldP2 := p2.FoundByKind(suite)[workload.BugCold]

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,6 +69,21 @@ func build() int {
 	}
 	if writes != 3 { // Add, Set, Remove
 		t.Fatalf("write sites = %d, want 3", writes)
+	}
+
+	// The table `tsvd-instrument -sites` writes for them is, byte for byte,
+	// what the commit before sites.Tuple existed wrote
+	// (testdata/parent/sites.json was captured there).
+	var table bytes.Buffer
+	if err := EmitSiteTable(&table, sites); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", "sites.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(table.Bytes(), want) {
+		t.Errorf("site table:\n%s\nthe parent wrote:\n%s", table.Bytes(), want)
 	}
 }
 

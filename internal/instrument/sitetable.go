@@ -5,48 +5,32 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/sites"
 )
 
-// SiteTableRow is one emitted site-table entry, in the same wire form as
-// trapfile.SiteRecord: identity is the stable location key plus the API
-// tuple, never a process-local id. A consumer (tsvd.RegisterSite, or
-// trapfile.LoadSeed via a trap file) interns each row up front so the
-// detector's site registry is populated before the instrumented code runs.
-type SiteTableRow struct {
-	Loc    string `json:"loc"`
-	Class  string `json:"class,omitempty"`
-	Method string `json:"method,omitempty"`
-	Write  bool   `json:"write,omitempty"`
-}
-
 // EmitSiteTable writes the instrumentation run's call sites as a JSON site
-// table: one array of rows sorted by (loc, class, method), constructors
-// excluded (they are not TSVD points). The location key is "file:line" —
-// the same shape ids.CallerOp interns at runtime, so the rows registered
-// from the table unify with the sites the prologues intern live.
-func EmitSiteTable(w io.Writer, sites []Site) error {
-	rows := make([]SiteTableRow, 0, len(sites))
-	for _, s := range sites {
+// table: one array of sites.Tuple rows — the same wire form as a trap file's
+// table, so identity is the stable location key plus the API tuple, never a
+// process-local id — in tuple order, constructors excluded (they are not TSVD
+// points). The location key is "file:line" — the same shape ids.CallerOp
+// interns at runtime, so rows a consumer interns up front (tsvd.RegisterSite,
+// or trapfile.LoadSeed via a trap file) unify with the sites the prologues
+// intern live.
+func EmitSiteTable(w io.Writer, found []Site) error {
+	rows := make([]sites.Tuple, 0, len(found))
+	for _, s := range found {
 		if s.Constructor {
 			continue
 		}
-		rows = append(rows, SiteTableRow{
+		rows = append(rows, sites.Tuple{
 			Loc:    fmt.Sprintf("%s:%d", s.File, s.Line),
 			Class:  s.Class,
 			Method: s.Method,
 			Write:  s.Write,
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Loc != b.Loc {
-			return a.Loc < b.Loc
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		return a.Method < b.Method
-	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Less(rows[j]) })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)

@@ -13,8 +13,10 @@
 // stable across runs). A SiteID refines it with the API metadata reports
 // need (class, method, read/write) and is process-local: dense ids are
 // handed out in registration order, so two processes agree on a site only
-// through its (location key, class, method, kind) tuple — which is exactly
-// what the site tables serialized into trace summaries and trap files carry.
+// through its (location key, class, method, kind) tuple — Tuple, which is
+// exactly what the site tables serialized into trace summaries, trap files,
+// triage reports and tsvd-instrument output carry: Tuples hands a registry's
+// sites to such a boundary and Intern takes them back.
 //
 // Registration happens once per static site (instrumentation prologues
 // intern on first execution; tsvd-instrument emits a table registered up
@@ -22,6 +24,7 @@
 package sites
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -173,10 +176,80 @@ func (r *Registry) Len() int {
 	return len(*r.table.Load()) - 1
 }
 
-// Snapshot returns a copy of the registered sites in id order (id 1 first).
-func (r *Registry) Snapshot() []Site {
-	t := *r.table.Load()
-	out := make([]Site, len(t)-1)
-	copy(out, t[1:])
+// Tuple is the cross-process identity of a site: the stable location key
+// (ids.OpID.Key form) plus the API metadata, and no OpID or SiteID — those
+// are process-local. It is the one wire form of a site: a trap file's site
+// table, a trace summary's (under a process-local id), each side of a triage
+// signature and a tsvd-instrument -sites table all carry these four keys.
+type Tuple struct {
+	Loc    string `json:"loc"`
+	Class  string `json:"class,omitempty"`
+	Method string `json:"method,omitempty"`
+	Write  bool   `json:"write,omitempty"`
+}
+
+// Less is the canonical order of site tables and of the two sides of a
+// signature: a strict total order over all four fields.
+func (t Tuple) Less(u Tuple) bool {
+	if t.Loc != u.Loc {
+		return t.Loc < u.Loc
+	}
+	if t.Class != u.Class {
+		return t.Class < u.Class
+	}
+	if t.Method != u.Method {
+		return t.Method < u.Method
+	}
+	return !t.Write && u.Write
+}
+
+// String renders the tuple the way reports show one side of a pair.
+func (t Tuple) String() string {
+	if t.Class == "" && t.Method == "" {
+		if t.Write {
+			// A set write flag is affirmative even without API metadata.
+			return t.Loc + " (write)"
+		}
+		// Metadata-less sources (bare trap snapshots) can't distinguish a
+		// read from an unknown kind; claim nothing.
+		return t.Loc
+	}
+	rw := "read"
+	if t.Write {
+		rw = "write"
+	}
+	return fmt.Sprintf("%s (%s.%s, %s)", t.Loc, t.Class, t.Method, rw)
+}
+
+// Loc is the location key serialized output names op by: its stable interned
+// key, or "op#<id>" for an op that was never key-interned (fabricated tests).
+func Loc(op ids.OpID) string {
+	if k := op.Key(); k != "" {
+		return k
+	}
+	return fmt.Sprintf("op#%d", uint64(op))
+}
+
+// Tuples returns the registered sites in id order (id 1 first), each under
+// its op's stable key; nil for a nil registry.
+func (r *Registry) Tuples() []Tuple {
+	if r == nil {
+		return nil
+	}
+	t := (*r.table.Load())[1:]
+	out := make([]Tuple, len(t))
+	for i, s := range t {
+		out[i] = Tuple{Loc: s.Op.Key(), Class: s.Class, Method: s.Method, Write: s.Write}
+	}
 	return out
+}
+
+// Intern registers a tuple that crossed a process boundary — the one place
+// outside ids where a location key becomes an OpID. A tuple without a
+// location names no site and gets id 0.
+func (r *Registry) Intern(t Tuple) ids.SiteID {
+	if t.Loc == "" {
+		return 0
+	}
+	return r.Register(ids.InternKey(t.Loc), t.Class, t.Method, t.Write)
 }

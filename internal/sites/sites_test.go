@@ -2,11 +2,23 @@ package sites
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/ids"
 )
+
+// table returns the registered sites in id order through the exported
+// lookups.
+func table(r *Registry) []Site {
+	out := make([]Site, r.Len())
+	for i := range out {
+		out[i] = r.Info(ids.SiteID(i + 1))
+	}
+	return out
+}
 
 // TestRegisterDenseSequential: ids are handed out densely in registration
 // order, starting at 1, and every lookup surface agrees on the stored tuple.
@@ -23,11 +35,7 @@ func TestRegisterDenseSequential(t *testing.T) {
 	if r.Len() != n {
 		t.Fatalf("Len = %d, want %d", r.Len(), n)
 	}
-	snap := r.Snapshot()
-	if len(snap) != n {
-		t.Fatalf("Snapshot len = %d, want %d", len(snap), n)
-	}
-	for i, s := range snap {
+	for i, s := range table(r) {
 		if s.ID != ids.SiteID(i+1) {
 			t.Fatalf("snapshot[%d].ID = %d, want %d", i, s.ID, i+1)
 		}
@@ -49,7 +57,7 @@ func TestRegisterIdempotent(t *testing.T) {
 		t.Fatalf("duplicate tuple got id %d, want %d", again, base)
 	}
 	variants := []ids.SiteID{
-		r.Register(8, "List", "Add", true),      // different op
+		r.Register(8, "List", "Add", true),       // different op
 		r.Register(7, "Dictionary", "Add", true), // different class
 		r.Register(7, "List", "Remove", true),    // different method
 		r.Register(7, "List", "Add", false),      // different kind
@@ -166,7 +174,7 @@ func TestConcurrentRegister(t *testing.T) {
 		}
 	}
 	// The dense table has no holes.
-	for i, s := range r.Snapshot() {
+	for i, s := range table(r) {
 		if s.ID != ids.SiteID(i+1) {
 			t.Fatalf("snapshot[%d].ID = %d", i, s.ID)
 		}
@@ -207,19 +215,12 @@ func FuzzRegistryIntern(f *testing.F) {
 			}
 		}
 		// Dense, hole-free table; every site re-interns to itself.
-		snap := r.Snapshot()
-		if len(snap) != r.Len() {
-			t.Fatalf("Snapshot len %d != Len %d", len(snap), r.Len())
-		}
-		for i, s := range snap {
+		for i, s := range table(r) {
 			if s.ID != ids.SiteID(i+1) {
 				t.Fatalf("snapshot[%d].ID = %d", i, s.ID)
 			}
 			if again := r.Register(s.Op, s.Class, s.Method, s.Write); again != s.ID {
 				t.Fatalf("site %+v re-interned as %d", s, again)
-			}
-			if r.Info(s.ID) != s {
-				t.Fatalf("Info(%d) != snapshot entry", s.ID)
 			}
 		}
 		// ForOpKind agrees with the fuzz tuple's id (it was the first
@@ -230,4 +231,69 @@ func FuzzRegistryIntern(f *testing.F) {
 			t.Fatalf("ForOpKind resolved to wrong site %+v", s)
 		}
 	})
+}
+
+// TestTupleProperties checks, over random tuples drawn from a small space so
+// that repeats and near-equal rows are common, what the boundaries that carry
+// tuples rely on: Intern is idempotent and refuses a row without a location,
+// Tuples returns exactly the interned rows in first-registration order, and
+// Less is a strict total order that agrees with == (trapfile's binary-search
+// union needs exactly that).
+func TestTupleProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	draw := func() Tuple {
+		return Tuple{
+			Loc:    []string{"", "tp/a.go:1", "tp/a.go:2", "tp/b.go:1"}[rng.Intn(4)],
+			Class:  []string{"", "List", "Map"}[rng.Intn(3)],
+			Method: []string{"", "Add", "Get"}[rng.Intn(3)],
+			Write:  rng.Intn(2) == 0,
+		}
+	}
+	for round := 0; round < 50; round++ {
+		r := New()
+		var want []Tuple
+		id := map[Tuple]ids.SiteID{}
+		for i := 0; i < 40; i++ {
+			tu := draw()
+			got := r.Intern(tu)
+			switch prev, seen := id[tu]; {
+			case tu.Loc == "":
+				if got != 0 {
+					t.Fatalf("Intern(%+v) = %d, want 0 for a row without a location", tu, got)
+				}
+			case seen:
+				if got != prev {
+					t.Fatalf("Intern(%+v) = %d, then %d", tu, prev, got)
+				}
+			default:
+				id[tu] = got
+				want = append(want, tu)
+				if got != ids.SiteID(len(want)) {
+					t.Fatalf("Intern(%+v) = %d, want the next dense id %d", tu, got, len(want))
+				}
+			}
+		}
+		if got := r.Tuples(); !slices.Equal(got, want) {
+			t.Fatalf("Tuples() = %+v\nwant the interned rows in order: %+v", got, want)
+		}
+	}
+	if got := (*Registry)(nil).Tuples(); got != nil {
+		t.Fatalf("nil registry has tuples %+v", got)
+	}
+
+	for i := 0; i < 2000; i++ {
+		a, b, c := draw(), draw(), draw()
+		holding := 0
+		for _, holds := range []bool{a.Less(b), b.Less(a), a == b} {
+			if holds {
+				holding++
+			}
+		}
+		if holding != 1 {
+			t.Fatalf("%+v and %+v: not exactly one of <, >, == holds", a, b)
+		}
+		if a.Less(b) && b.Less(c) && !a.Less(c) {
+			t.Fatalf("Less is not transitive over %+v, %+v, %+v", a, b, c)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/sites"
 )
 
 // LocMetrics aggregates every event touching one static location — the
@@ -59,7 +60,7 @@ type Metrics struct {
 func (m *Metrics) loc(op ids.OpID) *LocMetrics {
 	lm := m.PerLoc[op]
 	if lm == nil {
-		lm = &LocMetrics{Op: op, Loc: resolvedLoc(op)}
+		lm = &LocMetrics{Op: op, Loc: sites.Loc(op)}
 		m.PerLoc[op] = lm
 	}
 	return lm

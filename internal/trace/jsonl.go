@@ -108,33 +108,20 @@ func WriteJSONL(w io.Writer, mt ModuleTrace, reg *sites.Registry) error {
 	return bw.Flush()
 }
 
-// SiteRecord is one row of the summary's sidecar site table: the stable
-// tuple a process-local site id resolves to. Consumers joining traces from
+// SiteRecord is one row of the summary's sidecar site table: a process-local
+// site id and the stable tuple it resolves to. Consumers joining traces from
 // different processes must match on the tuple, not the id.
 type SiteRecord struct {
-	ID     uint64 `json:"id"`
-	Loc    string `json:"loc"`
-	Class  string `json:"class,omitempty"`
-	Method string `json:"method,omitempty"`
-	Write  bool   `json:"write,omitempty"`
+	ID uint64 `json:"id"`
+	sites.Tuple
 }
 
 // SiteTable renders reg's registered sites in id order for the summary
 // sidecar (nil for a nil registry).
 func SiteTable(reg *sites.Registry) []SiteRecord {
-	if reg == nil {
-		return nil
-	}
-	snap := reg.Snapshot()
-	out := make([]SiteRecord, 0, len(snap))
-	for _, s := range snap {
-		out = append(out, SiteRecord{
-			ID:     uint64(s.ID),
-			Loc:    s.Op.Key(),
-			Class:  s.Class,
-			Method: s.Method,
-			Write:  s.Write,
-		})
+	var out []SiteRecord
+	for i, t := range reg.Tuples() {
+		out = append(out, SiteRecord{ID: uint64(i) + 1, Tuple: t})
 	}
 	return out
 }
@@ -427,43 +414,40 @@ func ReadDir(dir string) (*Summary, []JSONEvent, error) {
 	return sum, events, err
 }
 
-// CheckDir validates a trace directory — the consumer-side half of the
-// observability contract (docs/OBSERVABILITY.md): every line of events.jsonl
-// must parse against the schema, the per-kind event counts must equal the
-// ones summary.json recorded, and both must reconcile with the summary's
-// detector and store counters. It returns the number of events and of
-// distinct kinds checked; the error joins every divergence found.
+// Check is the consumer-side half of the observability contract
+// (docs/OBSERVABILITY.md) for a directory already read: the per-kind counts of
+// events, which are schema-valid by construction, must equal the ones the
+// summary recorded, and both must reconcile with the summary's detector and
+// store counters. It returns the number of distinct kinds checked; the error
+// joins every divergence found. A trace that fails it dropped or lost events,
+// so anything counted from it is wrong.
+func (s *Summary) Check(events []JSONEvent) (kinds int, err error) {
+	counts := map[string]int64{}
+	for _, je := range events {
+		counts[je.Ev]++
+	}
+	var errs []error
+	if n := int64(len(events)); n != s.Drained {
+		errs = append(errs, fmt.Errorf("trace: events.jsonl has %d events, summary says %d drained", n, s.Drained))
+	}
+	for kind, n := range s.ByKind {
+		if counts[kind] != n {
+			errs = append(errs, fmt.Errorf("trace: %s: %d in events.jsonl, %d in summary", kind, counts[kind], n))
+		}
+	}
+	if err := Reconcile(counts, s.Stats, s.Store, s.Dropped); err != nil {
+		errs = append(errs, err)
+	}
+	return len(counts), errors.Join(errs...)
+}
+
+// CheckDir is ReadDir followed by Check; it also returns the number of
+// events checked.
 func CheckDir(dir string) (events int64, kinds int, err error) {
 	sum, jes, err := ReadDir(dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	counts := map[string]int64{}
-	for _, je := range jes {
-		counts[je.Ev]++
-	}
-	events = int64(len(jes))
-
-	var errs []error
-	if events != sum.Drained {
-		errs = append(errs, fmt.Errorf("trace: events.jsonl has %d events, summary says %d drained", events, sum.Drained))
-	}
-	for kind, n := range sum.ByKind {
-		if counts[kind] != n {
-			errs = append(errs, fmt.Errorf("trace: %s: %d in events.jsonl, %d in summary", kind, counts[kind], n))
-		}
-	}
-	if err := Reconcile(counts, sum.Stats, sum.Store, sum.Dropped); err != nil {
-		errs = append(errs, err)
-	}
-	return events, len(counts), errors.Join(errs...)
-}
-
-// resolvedLoc renders an op for human-readable output: the interned key when
-// one exists, the numeric id otherwise.
-func resolvedLoc(op ids.OpID) string {
-	if k := op.Key(); k != "" {
-		return k
-	}
-	return fmt.Sprintf("op#%d", uint64(op))
+	kinds, err = sum.Check(jes)
+	return int64(len(jes)), kinds, err
 }

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,23 +85,23 @@ func TestJSONLSiteResolution(t *testing.T) {
 }
 
 // TestSiteTableOrderAndNil: the sidecar table lists sites in id order (so
-// diffs are stable) and a nil registry yields a nil table, which the summary
-// omits entirely.
+// diffs are stable), a nil registry yields a nil table, which the summary
+// omits entirely, and the summary.json carrying the table is, byte for byte,
+// what the commit before sites.Tuple existed wrote and reads back
+// (testdata/parent/summary.json was captured there).
 func TestSiteTableOrderAndNil(t *testing.T) {
 	if got := SiteTable(nil); got != nil {
 		t.Fatalf("SiteTable(nil) = %v", got)
 	}
 
 	reg := sites.New()
-	ops := []ids.OpID{
-		ids.InternKey("pkg/order.go:3"),
-		ids.InternKey("pkg/order.go:1"),
-		ids.InternKey("pkg/order.go:2"),
-	}
-	for i, op := range ops {
-		reg.Register(op, "List", "Add", i%2 == 0)
-	}
+	a, b := ids.InternKey("pkg/golden.go:10"), ids.InternKey("pkg/golden.go:20")
+	reg.Register(b, "List", "Add", true)
+	reg.Register(a, "Dictionary", "ContainsKey", false)
+	reg.Register(a, "Dictionary", "Set", true)
+	reg.ForOpKind(b, false) // anonymous site
 	table := SiteTable(reg)
+	ops := []ids.OpID{b, a, a, b}
 	if len(table) != len(ops) {
 		t.Fatalf("table has %d rows, want %d", len(table), len(ops))
 	}
@@ -111,20 +114,29 @@ func TestSiteTableOrderAndNil(t *testing.T) {
 		}
 	}
 
-	// The summary round-trips the table.
 	s := &Summary{
-		Version: SchemaVersion, Tool: "tsvd", Modules: 1, Runs: 1,
-		Sites: table,
+		Version: SchemaVersion, Tool: "TSVD", Modules: 2, Runs: 1,
+		Emitted: 3, Drained: 3,
+		ByKind: map[string]int64{"near_miss": 2, "pair_added": 1},
+		Stats:  StatTotals{NearMisses: 2, PairsAdded: 1},
+		Sites:  table,
 	}
 	var buf bytes.Buffer
 	if err := s.WriteSummary(&buf); err != nil {
 		t.Fatal(err)
 	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", "summary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("summary.json:\n%s\nthe parent wrote:\n%s", buf.Bytes(), want)
+	}
 	got, err := ReadSummary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Sites) != len(table) || got.Sites[0] != table[0] {
+	if !slices.Equal(got.Sites, table) {
 		t.Fatalf("summary round trip lost sites: %+v", got.Sites)
 	}
 }

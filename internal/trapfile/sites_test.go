@@ -1,6 +1,8 @@
 package trapfile
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,37 +13,37 @@ import (
 
 // TestNewWithSitesSerializesTuples: the site table a file carries is the
 // registry's tuple set — no process-local ids, canonical order, anonymous
-// (op-only) sites included.
+// (op-only) sites included — and the saved file is, byte for byte, what the
+// commit before sites.Tuple existed wrote for the same registry
+// (testdata/parent/with_sites.json was captured there).
 func TestNewWithSitesSerializesTuples(t *testing.T) {
-	a := ids.InternKey("pkg/seed.go:10")
-	b := ids.InternKey("pkg/seed.go:20")
+	a := ids.InternKey("pkg/golden.go:10")
+	b := ids.InternKey("pkg/golden.go:20")
 	reg := sites.New()
 	reg.Register(b, "List", "Add", true) // registered first; table sorts by tuple
 	reg.Register(a, "Dictionary", "ContainsKey", false)
-	reg.ForOpKind(a, true) // anonymous write site for the same op
+	reg.Register(a, "Dictionary", "Set", true)
+	reg.ForOpKind(b, false) // anonymous read site for the same op
 
-	f := NewWithSites("TSVD", []report.PairKey{report.KeyOf(a, b)}, reg)
-	if len(f.Pairs) != 1 || len(f.Sites) != 3 {
-		t.Fatalf("file = %+v", f)
+	pairs := []report.PairKey{report.KeyOf(b, a), report.KeyOf(b, b)}
+	path := filepath.Join(t.TempDir(), "traps.json")
+	if err := Save(path, NewWithSites("TSVD", pairs, reg)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(f.Sites); i++ {
-		if !f.Sites[i-1].less(f.Sites[i]) {
-			t.Fatalf("site table not canonically ordered: %+v", f.Sites)
-		}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := SiteRecord{Loc: a.Key(), Class: "Dictionary", Method: "ContainsKey"}
-	found := false
-	for _, r := range f.Sites {
-		if r == want {
-			found = true
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", "with_sites.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("tuple %+v missing from %+v", want, f.Sites)
+	if !bytes.Equal(got, want) {
+		t.Errorf("trap file:\n%s\nthe parent wrote:\n%s", got, want)
 	}
 
 	// Nil registry: pairs-only file, like older builds wrote.
-	if f := NewWithSites("TSVD", []report.PairKey{report.KeyOf(a, b)}, nil); f.Sites != nil {
+	if f := NewWithSites("TSVD", pairs, nil); f.Sites != nil {
 		t.Fatalf("nil registry produced a site table: %+v", f.Sites)
 	}
 }
@@ -133,7 +135,7 @@ func TestSaveNormalizesSiteTable(t *testing.T) {
 		Version: FormatVersion,
 		Tool:    "TSVD",
 		Pairs:   []Pair{{A: "x.go:1", B: "x.go:2"}},
-		Sites: []SiteRecord{
+		Sites: []sites.Tuple{
 			{Loc: "x.go:2", Class: "List", Method: "Add", Write: true},
 			{Loc: "", Class: "Ghost", Method: "NoLoc"}, // dropped
 			{Loc: "x.go:1", Class: "Dictionary", Method: "Add"},

@@ -57,7 +57,7 @@ type File struct {
 	// reports in run 2 resolve class/method names before the renamed or
 	// not-yet-executed call site runs. Files written by older builds simply
 	// have none — pairs alone remain a complete seed.
-	Sites []SiteRecord `json:"sites,omitempty"`
+	Sites []sites.Tuple `json:"sites,omitempty"`
 }
 
 // Pair is one dangerous pair, identified by location keys.
@@ -66,36 +66,13 @@ type Pair struct {
 	B string `json:"b"`
 }
 
-// SiteRecord is one site-table row: the stable tuple for an interned site.
-// Unlike the in-memory sites.Site it carries no dense id — ids are
-// process-local, and cross-process identity is exactly this tuple.
-type SiteRecord struct {
-	Loc    string `json:"loc"`
-	Class  string `json:"class,omitempty"`
-	Method string `json:"method,omitempty"`
-	Write  bool   `json:"write,omitempty"`
-}
-
-func (s SiteRecord) less(t SiteRecord) bool {
-	if s.Loc != t.Loc {
-		return s.Loc < t.Loc
-	}
-	if s.Class != t.Class {
-		return s.Class < t.Class
-	}
-	if s.Method != t.Method {
-		return s.Method < t.Method
-	}
-	return !s.Write && t.Write
-}
-
 // normalizeSites canonicalizes a site table the same way normalize does
 // pairs: rows without a location key are dropped (nothing to re-intern
 // against), duplicates collapse, and the result sorts by the full tuple so
 // equal tables serialize to equal bytes.
-func normalizeSites(recs []SiteRecord) []SiteRecord {
-	out := make([]SiteRecord, 0, len(recs))
-	seen := make(map[SiteRecord]bool, len(recs))
+func normalizeSites(recs []sites.Tuple) []sites.Tuple {
+	out := make([]sites.Tuple, 0, len(recs))
+	seen := make(map[sites.Tuple]bool, len(recs))
 	for _, r := range recs {
 		if r.Loc == "" || seen[r] {
 			continue
@@ -103,7 +80,7 @@ func normalizeSites(recs []SiteRecord) []SiteRecord {
 		seen[r] = true
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	if len(out) == 0 {
 		return nil
 	}
@@ -204,7 +181,7 @@ func Grow(set *File, in File) (added File) {
 	}
 	added = File{Version: FormatVersion, Tool: set.Tool}
 	set.Pairs, added.Pairs = union(set.Pairs, normalize(in.Pairs), Pair.less)
-	set.Sites, added.Sites = union(set.Sites, normalizeSites(in.Sites), SiteRecord.less)
+	set.Sites, added.Sites = union(set.Sites, normalizeSites(in.Sites), sites.Tuple.Less)
 	return added
 }
 
@@ -214,22 +191,12 @@ func New(tool string, pairs []report.PairKey) File {
 	return File{Version: FormatVersion, Tool: tool, Pairs: FromKeys(pairs)}
 }
 
-// NewWithSites is New plus the site table: reg's registered sites serialized
-// by stable tuple, so the file carries the metadata to seed the next run's
-// registry (LoadSeed). A nil registry degrades to New.
+// NewWithSites is New plus the site table: reg's registered sites by stable
+// tuple, so the file carries the metadata to seed the next run's registry
+// (LoadSeed). A nil registry degrades to New.
 func NewWithSites(tool string, pairs []report.PairKey, reg *sites.Registry) File {
 	f := New(tool, pairs)
-	if reg == nil {
-		return f
-	}
-	snap := reg.Snapshot()
-	recs := make([]SiteRecord, 0, len(snap))
-	for _, s := range snap {
-		recs = append(recs, SiteRecord{
-			Loc: s.Op.Key(), Class: s.Class, Method: s.Method, Write: s.Write,
-		})
-	}
-	f.Sites = normalizeSites(recs)
+	f.Sites = normalizeSites(reg.Tuples())
 	return f
 }
 
@@ -380,8 +347,8 @@ func LoadSeed(path string, reg *sites.Registry) ([]report.PairKey, error) {
 		return nil, err
 	}
 	if reg != nil {
-		for _, r := range f.Sites {
-			reg.Register(ids.InternKey(r.Loc), r.Class, r.Method, r.Write)
+		for _, t := range f.Sites {
+			reg.Intern(t)
 		}
 	}
 	if len(f.Pairs) == 0 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/report"
+	"repro/internal/sites"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -370,7 +371,7 @@ func TestGrowMatchesResort(t *testing.T) {
 		f := File{Tool: "TSVD"}
 		for i := 0; i < n; i++ {
 			f.Pairs = append(f.Pairs, Pair{A: fmt.Sprint("k", rng.Intn(40)), B: fmt.Sprint("k", rng.Intn(40))})
-			f.Sites = append(f.Sites, SiteRecord{Loc: fmt.Sprint("k", rng.Intn(40)), Write: rng.Intn(2) == 0})
+			f.Sites = append(f.Sites, sites.Tuple{Loc: fmt.Sprint("k", rng.Intn(40)), Write: rng.Intn(2) == 0})
 		}
 		return f
 	}
@@ -379,7 +380,7 @@ func TestGrowMatchesResort(t *testing.T) {
 		in := random(rng.Intn(6))
 		want := File{Version: FormatVersion, Tool: "TSVD",
 			Pairs: normalize(append(append([]Pair(nil), set.Pairs...), in.Pairs...)),
-			Sites: normalizeSites(append(append([]SiteRecord(nil), set.Sites...), in.Sites...))}
+			Sites: normalizeSites(append(append([]sites.Tuple(nil), set.Sites...), in.Sites...))}
 		held := map[any]bool{}
 		for _, p := range set.Pairs {
 			held[p] = true

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sites"
 	"repro/internal/trapfile"
 	"repro/internal/triage"
 )
@@ -146,7 +147,7 @@ func TestEnvelopeMatchesParentWithoutSites(t *testing.T) {
 func TestSiteTablesSurviveFleetMode(t *testing.T) {
 	published := trapfile.File{Tool: "TSVD",
 		Pairs: pairs("cache.go:41", "cache.go:57", "pool.go:12", "pool.go:30"),
-		Sites: []trapfile.SiteRecord{
+		Sites: []sites.Tuple{
 			{Loc: "cache.go:41", Class: "Dictionary", Method: "Set", Write: true},
 			{Loc: "cache.go:57", Class: "Dictionary", Method: "Get"},
 			{Loc: "pool.go:12", Class: "List", Method: "Add", Write: true},
@@ -181,11 +182,11 @@ func TestSiteTablesSurviveFleetMode(t *testing.T) {
 
 	// A later publish that only adds a site row is growth too: the polling
 	// client gets it as a delta, not a 304 that hides it.
-	late := trapfile.SiteRecord{Loc: "pool.go:30", Class: "List", Method: "Count"}
-	if err := first.Publish(trapfile.File{Tool: "TSVD", Sites: []trapfile.SiteRecord{late}}); err != nil {
+	late := sites.Tuple{Loc: "pool.go:30", Class: "List", Method: "Count"}
+	if err := first.Publish(trapfile.File{Tool: "TSVD", Sites: []sites.Tuple{late}}); err != nil {
 		t.Fatal(err)
 	}
-	want = trapfile.Merge(want, trapfile.File{Sites: []trapfile.SiteRecord{late}})
+	want = trapfile.Merge(want, trapfile.File{Sites: []sites.Tuple{late}})
 	if f, err := second.Fetch(); err != nil || !reflect.DeepEqual(f, want) || second.WireStats().DeltaFetches != 1 {
 		t.Errorf("after a sites-only publish the second client holds %+v (%v, %+v), want %+v", f, err, second.WireStats(), want)
 	}
@@ -277,6 +278,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"version":1,"pairs":[{"a":"z","b":"a"},{"a":"","b":"x"},{"a":"a","b":"z"}],"sites":[{"loc":""},{"loc":"z","write":true},{"loc":"z","write":true}],"epoch":"ff"}`))
+	f.Add([]byte(`{"version":1,"tool":"TSVD","pairs":[{"a":"a.go:1","b":"b.go:2"}],"sites":[{"loc":"b.go:2","class":"List","method":"Add","write":true},{"loc":"a.go:1","class":"Dictionary","method":"ContainsKey","write":true},{"loc":"a.go:1","class":"Dictionary","method":"ContainsKey"}],"generation":3,"epoch":"1f","delta":true,"since":2}`))
 	f.Add([]byte(`{"version":2,"pairs":[]}`))
 	f.Add([]byte(`{"version":1,"epoch":"not hex"}`))
 	f.Add([]byte(`{"version":1,"pairs":[]} trailing`))

@@ -106,11 +106,19 @@ type HTTPStore struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	// mirror is the daemon's set as of the last successful fetch, under the
-	// daemon's own sync state; nil until there is one.
-	mirror *genLog
+	// mirror is the daemon's set as of the last successful fetch and the
+	// daemon's sync state it was taken at; nil until there is one. It is only
+	// ever grown and copied out, never asked for a window, so it keeps no
+	// arrival order.
+	mirror *setAt
 
 	instr
+}
+
+// setAt is a normalized set and the daemon sync state it was taken at.
+type setAt struct {
+	set trapfile.File
+	at  SyncState
 }
 
 // NewHTTPStore returns a client for the daemon at baseURL (e.g.
@@ -233,8 +241,8 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 		url := s.url
 		s.mu.Lock()
 		if s.mirror != nil {
-			hdr["If-None-Match"] = etagOf(s.mirror.state())
-			url += "?" + SinceParam + "=" + s.mirror.state().String()
+			hdr["If-None-Match"] = etagOf(s.mirror.at)
+			url += "?" + SinceParam + "=" + s.mirror.at.String()
 		}
 		s.mu.Unlock()
 
@@ -251,7 +259,7 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 			}
 			s.sawNotModified()
 			wasDelta, bodyBytes = false, 0
-			out = s.mirror.snapshot()
+			out = cloneRows(s.mirror.set)
 			return false, nil
 		case resp.StatusCode == http.StatusOK:
 			snap, st, err := decodeEnvelope(data)
@@ -262,9 +270,8 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 			defer s.mu.Unlock()
 			switch {
 			case !snap.Delta:
-				full := newGenLog(st.Epoch, snap.File, st.Generation)
-				s.mirror = &full
-			case s.mirror == nil || s.mirror.state() != SyncState{Epoch: st.Epoch, Generation: snap.Since}:
+				s.mirror = &setAt{set: snap.File, at: st}
+			case s.mirror == nil || s.mirror.at != SyncState{Epoch: st.Epoch, Generation: snap.Since}:
 				// An incremental body applies on top of the mirror it was
 				// computed against. The daemon echoes the window (Since) and
 				// epoch; anything out of line with our mirror means it cannot
@@ -274,10 +281,11 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 				return true, fmt.Errorf("trapstore: fetch %s: delta for window e%x-g%d does not match the mirror",
 					s.url, st.Epoch, snap.Since)
 			default:
-				s.mirror.grow(snap.File, st.Generation)
+				trapfile.Grow(&s.mirror.set, snap.File)
+				s.mirror.at = st
 			}
 			wasDelta, bodyBytes = snap.Delta, len(data)
-			out = s.mirror.snapshot()
+			out = cloneRows(s.mirror.set)
 			return false, nil
 		case resp.StatusCode >= 500:
 			return true, fmt.Errorf("trapstore: fetch %s: server error %s", s.url, resp.Status)

@@ -7,16 +7,16 @@ import (
 	"slices"
 	"strconv"
 
+	"repro/internal/sites"
 	"repro/internal/trapfile"
 )
 
 // genLog is the trap set as one process holds it: the canonical sorted view
 // a full snapshot copies, the same rows once more in arrival order, and one
 // offset into that order per generation. The daemon's Memory serves ?since=
-// windows and peer pushes from it and a client's HTTPStore keeps its mirror
-// of the daemon in one — all three are "the log from generation g". Every
-// row enters the arrival order once, so the log is never larger than the set
-// and nothing is ever compacted away.
+// windows and peer pushes from it — both are "the log from generation g".
+// Every row enters the arrival order once, so the log is never larger than
+// the set and nothing is ever compacted away.
 type genLog struct {
 	epoch uint64
 	// set is normalized; trapfile.Grow is the only thing that changes it.
@@ -27,7 +27,7 @@ type genLog struct {
 	// marks[0] is the state the log was started at, before which no window
 	// can be served.
 	pairs []trapfile.Pair
-	sites []trapfile.SiteRecord
+	sites []sites.Tuple
 	marks []genMark
 }
 
@@ -62,8 +62,10 @@ func (l *genLog) grow(in trapfile.File, gen uint64) (added trapfile.File) {
 func rows(f trapfile.File) int { return len(f.Pairs) + len(f.Sites) }
 
 // snapshot returns a copy of the whole set.
-func (l *genLog) snapshot() trapfile.File {
-	f := l.set
+func (l *genLog) snapshot() trapfile.File { return cloneRows(l.set) }
+
+// cloneRows returns f with its rows copied, for a caller free to mutate them.
+func cloneRows(f trapfile.File) trapfile.File {
 	f.Pairs, f.Sites = slices.Clone(f.Pairs), slices.Clone(f.Sites)
 	return f
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sites"
 	"repro/internal/trapfile"
 )
 
@@ -354,10 +355,10 @@ func TestPublishChunksOversizedSets(t *testing.T) {
 	defer srv.Close()
 
 	var big []trapfile.Pair
-	var bigSites []trapfile.SiteRecord
+	var bigSites []sites.Tuple
 	for i := 0; i < 300; i++ {
 		big = append(big, trapfile.Pair{A: fmt.Sprintf("pkg/huge%04d.go:10", i), B: fmt.Sprintf("pkg/huge%04d.go:20", i)})
-		bigSites = append(bigSites, trapfile.SiteRecord{Loc: big[i].A, Class: "Dictionary", Method: "Set", Write: true})
+		bigSites = append(bigSites, sites.Tuple{Loc: big[i].A, Class: "Dictionary", Method: "Set", Write: true})
 	}
 
 	// A client with the matching chunk size succeeds.
@@ -420,7 +421,7 @@ func TestDeltaWindowProperty(t *testing.T) {
 			k := rng.Intn(60) // overlapping keys: some merges are partial no-ops
 			batch.Pairs = append(batch.Pairs, trapfile.Pair{A: fmt.Sprintf("p%02d.go:1", k), B: fmt.Sprintf("p%02d.go:2", k)})
 			if rng.Intn(3) == 0 {
-				batch.Sites = append(batch.Sites, trapfile.SiteRecord{Loc: fmt.Sprintf("p%02d.go:1", rng.Intn(60)), Class: "Dictionary", Method: "Set", Write: true})
+				batch.Sites = append(batch.Sites, sites.Tuple{Loc: fmt.Sprintf("p%02d.go:1", rng.Intn(60)), Class: "Dictionary", Method: "Set", Write: true})
 			}
 		}
 		m.merge(batch)

@@ -21,18 +21,18 @@
 // union rule (Merge, or Grow, the form it is built on), so every replica
 // converges to the same canonical pair set regardless of publish order.
 //
-// A process that keeps the set alive — the daemon's Memory, an HTTPStore's
-// mirror of the daemon — holds it once, as a genLog: the sorted view, the
+// The daemon's Memory holds the set once, as a genLog: the sorted view, the
 // same rows in arrival order, and one offset per generation, so a ?since=
-// window, a Replicator push and a client applying a delta are all "the log
-// from generation g". Wherever the set leaves a process — GET body, POST
+// window and a Replicator push are both "the log from generation g"; an
+// HTTPStore's mirror of the daemon is the sorted view alone, grown by the
+// same trapfile.Grow. Wherever the set leaves a process — GET body, POST
 // payload, snapshot file — it is one JSON shape, envelope (a trapfile.File,
 // site table included, plus the sync state), read by one function,
 // decodeEnvelope.
 //
 // Stores count their operations (Totals) and optionally emit internal/trace
-// events (store_fetch, store_publish, store_fallback) so tsvd-trace-check can
-// reconcile a traced run's store activity exactly.
+// events (store_fetch, store_publish, store_fallback) so that
+// trace.Summary.Check can reconcile a traced run's store activity exactly.
 package trapstore
 
 import (

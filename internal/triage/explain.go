@@ -3,6 +3,7 @@ package triage
 import (
 	"fmt"
 
+	"repro/internal/sites"
 	"repro/internal/trace"
 )
 
@@ -64,7 +65,7 @@ type ExplEvent struct {
 
 // matchPair reports whether a pair-shaped event is on exactly the locs p.
 func matchPair(e trace.Event, p pairLoc) bool {
-	return pairLocOf(locKey(e.OpA), locKey(e.OpB)) == p
+	return pairLocOf(sites.Loc(e.OpA), sites.Loc(e.OpB)) == p
 }
 
 // explainPair carves the explanation slice for pair p out of one module
@@ -91,8 +92,8 @@ func explainPair(mt trace.ModuleTrace, p pairLoc) *Explanation {
 		Module:         mt.Module,
 		Run:            mt.Run,
 		Object:         uint64(sprung.Obj),
-		TrappedLoc:     locKey(sprung.OpA),
-		ConflictingLoc: locKey(sprung.OpB),
+		TrappedLoc:     sites.Loc(sprung.OpA),
+		ConflictingLoc: sites.Loc(sprung.OpB),
 	}
 
 	// Backward pass: the most recent arming context before the spring.
@@ -101,12 +102,12 @@ func explainPair(mt trace.ModuleTrace, p pairLoc) *Explanation {
 		e := evs[i]
 		switch e.Kind {
 		case trace.KindTrapSet:
-			if armIdx < 0 && locKey(e.OpA) == ex.TrappedLoc && e.Obj == sprung.Obj {
+			if armIdx < 0 && sites.Loc(e.OpA) == ex.TrappedLoc && e.Obj == sprung.Obj {
 				armIdx = i
 				ex.GrantedDelayUS = e.Dur.Microseconds()
 			}
 		case trace.KindDelayPlanned:
-			if plannedIdx < 0 && armIdx >= 0 && locKey(e.OpA) == ex.TrappedLoc &&
+			if plannedIdx < 0 && armIdx >= 0 && sites.Loc(e.OpA) == ex.TrappedLoc &&
 				e.Thread == evs[armIdx].Thread {
 				plannedIdx = i
 			}
@@ -138,7 +139,7 @@ func explainPair(mt trace.ModuleTrace, p pairLoc) *Explanation {
 		for i := sprungIdx + 1; i < len(evs); i++ {
 			e := evs[i]
 			if (e.Kind == trace.KindDelayInjected || e.Kind == trace.KindDelayProductive) &&
-				locKey(e.OpA) == ex.TrappedLoc && e.Thread == owner {
+				sites.Loc(e.OpA) == ex.TrappedLoc && e.Thread == owner {
 				injIdx = i
 				ex.InjectedDelayUS = e.Dur.Microseconds()
 				if e.Kind == trace.KindDelayProductive {
@@ -158,7 +159,7 @@ func explainPair(mt trace.ModuleTrace, p pairLoc) *Explanation {
 			TUS:    e.At.Microseconds(),
 			Thread: int64(e.Thread),
 			Obj:    uint64(e.Obj),
-			LocA:   locKey(e.OpA),
+			LocA:   sites.Loc(e.OpA),
 			LocB:   opKeyOrEmpty(e),
 			DurUS:  e.Dur.Microseconds(),
 			Note:   note,
@@ -192,5 +193,5 @@ func opKeyOrEmpty(e trace.Event) string {
 	if e.OpB == 0 {
 		return ""
 	}
-	return locKey(e.OpB)
+	return sites.Loc(e.OpB)
 }

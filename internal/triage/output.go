@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/sites"
 )
 
 // JSONCluster is the wire form of one BugCluster in bugs.json and the
@@ -14,9 +16,9 @@ type JSONCluster struct {
 	// ID is the stable signature digest (Signature.ID).
 	ID string `json:"id"`
 	// SiteA is the lesser side of the normalized pair.
-	SiteA SiteTuple `json:"site_a"`
+	SiteA sites.Tuple `json:"site_a"`
 	// SiteB is the greater side.
-	SiteB SiteTuple `json:"site_b"`
+	SiteB sites.Tuple `json:"site_b"`
 	// StackShape is the hex stack-shape hash ("0" for stack-less sources).
 	StackShape string `json:"stack_shape"`
 	// Firings is the raw violation count folded into the cluster.

@@ -39,58 +39,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/sites"
 	"repro/internal/trace"
 	"repro/internal/trapfile"
 )
-
-// SiteTuple is the cross-process identity of one side of a bug: the stable
-// interned location key plus the API metadata the site registry carries.
-// It deliberately contains no OpID or SiteID — those are process-local.
-type SiteTuple struct {
-	// Loc is the stable location key (ids.OpID.Key form).
-	Loc string `json:"loc"`
-	// Class names the thread-unsafe type, e.g. Dictionary.
-	Class string `json:"class,omitempty"`
-	// Method names the call on that type, e.g. Add.
-	Method string `json:"method,omitempty"`
-	// Write is true when this side is a write-API call.
-	Write bool `json:"write,omitempty"`
-}
-
-// less orders tuples for signature canonicalization.
-func (s SiteTuple) less(t SiteTuple) bool {
-	if s.Loc != t.Loc {
-		return s.Loc < t.Loc
-	}
-	if s.Class != t.Class {
-		return s.Class < t.Class
-	}
-	if s.Method != t.Method {
-		return s.Method < t.Method
-	}
-	return !s.Write && t.Write
-}
-
-// String renders the tuple the way bugs.md shows a side.
-func (s SiteTuple) String() string {
-	rw := "read"
-	if s.Write {
-		rw = "write"
-	}
-	if s.Class == "" && s.Method == "" {
-		if s.Write {
-			// A set write flag is affirmative even without API metadata.
-			return fmt.Sprintf("%s (write)", s.Loc)
-		}
-		// Metadata-less sources (bare trap snapshots) can't distinguish a
-		// read from an unknown kind; claim nothing.
-		return s.Loc
-	}
-	return fmt.Sprintf("%s (%s.%s, %s)", s.Loc, s.Class, s.Method, rw)
-}
 
 // Signature is the canonical bug identity: the unordered site-pair tuple in
 // normalized order plus the stack-shape hash. Two firings from different
@@ -99,9 +53,9 @@ func (s SiteTuple) String() string {
 // stable strings.
 type Signature struct {
 	// A is the lesser side of the pair in tuple order.
-	A SiteTuple `json:"site_a"`
+	A sites.Tuple `json:"site_a"`
 	// B is the greater side, so A <= B always holds.
-	B SiteTuple `json:"site_b"`
+	B sites.Tuple `json:"site_b"`
 	// StackShape is the order-insensitive hash of the two sides' anchor
 	// frames (StackShapeOf); 0 when the ingestion source carried no stacks
 	// (trace-only and trap-snapshot ingestion).
@@ -109,8 +63,8 @@ type Signature struct {
 }
 
 // SignatureOf canonicalizes a signature from its two sides and stacks.
-func SignatureOf(x, y SiteTuple, stackX, stackY string) Signature {
-	if y.less(x) {
+func SignatureOf(x, y sites.Tuple, stackX, stackY string) Signature {
+	if y.Less(x) {
 		x, y = y, x
 	}
 	return Signature{A: x, B: y, StackShape: StackShapeOf(stackX, stackY)}
@@ -121,7 +75,7 @@ func SignatureOf(x, y SiteTuple, stackX, stackY string) Signature {
 // bugs.md, and the /v1/bugs view key reports by.
 func (s Signature) ID() string {
 	h := fnv.New64a()
-	for _, side := range [2]SiteTuple{s.A, s.B} {
+	for _, side := range [2]sites.Tuple{s.A, s.B} {
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%t\x00", side.Loc, side.Class, side.Method, side.Write)
 	}
 	fmt.Fprintf(h, "%016x", s.StackShape)
@@ -350,18 +304,24 @@ func (t *Triage) FiringsFolded() int64 {
 }
 
 // sideTuple builds the cross-process tuple for one violation side.
-func sideTuple(s report.Side) SiteTuple {
-	return SiteTuple{Loc: locKey(s.Op), Class: s.Class, Method: s.Method, Write: s.Write}
+func sideTuple(s report.Side) sites.Tuple {
+	return sites.Tuple{Loc: sites.Loc(s.Op), Class: s.Class, Method: s.Method, Write: s.Write}
 }
 
-// locKey resolves an op to its stable key, numeric fallback for ops that
-// were never interned (fabricated tests) — mirroring the trace package's
-// human-readable resolution so both ingestion paths agree.
-func locKey(op ids.OpID) string {
-	if k := op.Key(); k != "" {
-		return k
+// resolver returns the lookup from a location key to its row of a site
+// table (the last row, when a location has several), and to the bare
+// location for one the table does not list.
+func resolver(table []sites.Tuple) func(loc string) sites.Tuple {
+	byLoc := make(map[string]sites.Tuple, len(table))
+	for _, t := range table {
+		byLoc[t.Loc] = t
 	}
-	return fmt.Sprintf("op#%d", uint64(op))
+	return func(loc string) sites.Tuple {
+		if t, ok := byLoc[loc]; ok {
+			return t
+		}
+		return sites.Tuple{Loc: loc}
+	}
 }
 
 // AddRun ingests one suite execution as a single unit: the collector's raw
@@ -385,18 +345,12 @@ func (t *Triage) AddRun(col *report.Collector, traces []trace.ModuleTrace, prov 
 // events.jsonl by cmd/tsvd-triage): firings come from trap_sprung events,
 // tuples resolve through the summary's site table, and stack shapes are 0
 // (the wire carries no stacks).
-func (t *Triage) AddTrace(traces []trace.ModuleTrace, sites []trace.SiteRecord, prov Provenance) {
-	byLoc := map[string]trace.SiteRecord{}
-	for _, s := range sites {
-		byLoc[s.Loc] = s
+func (t *Triage) AddTrace(traces []trace.ModuleTrace, table []trace.SiteRecord, prov Provenance) {
+	tuples := make([]sites.Tuple, len(table))
+	for i, r := range table {
+		tuples[i] = r.Tuple
 	}
-	tuple := func(op ids.OpID) SiteTuple {
-		loc := locKey(op)
-		if s, ok := byLoc[loc]; ok {
-			return SiteTuple{Loc: loc, Class: s.Class, Method: s.Method, Write: s.Write}
-		}
-		return SiteTuple{Loc: loc}
-	}
+	tuple := resolver(tuples)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.units++
@@ -406,7 +360,7 @@ func (t *Triage) AddTrace(traces []trace.ModuleTrace, sites []trace.SiteRecord, 
 			if e.Kind != trace.KindTrapSprung {
 				continue
 			}
-			sig := SignatureOf(tuple(e.OpA), tuple(e.OpB), "", "")
+			sig := SignatureOf(tuple(sites.Loc(e.OpA)), tuple(sites.Loc(e.OpB)), "", "")
 			t.fold(sig, e.At, prov, unit)
 		}
 	}
@@ -442,10 +396,10 @@ func (t *Triage) noteTraces(traces []trace.ModuleTrace, unit int64) {
 		for _, e := range mt.Events {
 			switch e.Kind {
 			case trace.KindTrapSet:
-				trapSet[locKey(e.OpA)] = true
+				trapSet[sites.Loc(e.OpA)] = true
 			case trace.KindNearMiss, trace.KindPairAdded, trace.KindTrapSprung,
 				trace.KindPairPrunedHB, trace.KindPairPrunedDecay:
-				pairs[pairLocOf(locKey(e.OpA), locKey(e.OpB))] = true
+				pairs[pairLocOf(sites.Loc(e.OpA), sites.Loc(e.OpB))] = true
 			}
 		}
 		for p := range pairs {
@@ -461,7 +415,7 @@ func (t *Triage) noteTraces(traces []trace.ModuleTrace, unit int64) {
 			if e.Kind != trace.KindTrapSprung {
 				continue
 			}
-			p := pairLocOf(locKey(e.OpA), locKey(e.OpB))
+			p := pairLocOf(sites.Loc(e.OpA), sites.Loc(e.OpB))
 			if t.explains[p] == nil {
 				if ex := explainPair(mt, p); ex != nil {
 					t.explains[p] = ex
@@ -507,16 +461,7 @@ func (t *Triage) Clusters() []BugCluster {
 // resolved through the file's site table, with no firing counts (those live
 // with the shards' own triage reports — the daemon only ever sees pairs).
 func FromTrapFile(f trapfile.File) []BugCluster {
-	byLoc := map[string]trapfile.SiteRecord{}
-	for _, s := range f.Sites {
-		byLoc[s.Loc] = s
-	}
-	tuple := func(loc string) SiteTuple {
-		if s, ok := byLoc[loc]; ok {
-			return SiteTuple{Loc: loc, Class: s.Class, Method: s.Method, Write: s.Write}
-		}
-		return SiteTuple{Loc: loc}
-	}
+	tuple := resolver(f.Sites)
 	out := make([]BugCluster, 0, len(f.Pairs))
 	for _, p := range f.Pairs {
 		sig := SignatureOf(tuple(p.A), tuple(p.B), "", "")

@@ -3,6 +3,8 @@ package triage
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,13 +12,14 @@ import (
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/sites"
 	"repro/internal/trace"
 	"repro/internal/trapfile"
 )
 
 func TestSignatureCanonicalOrder(t *testing.T) {
-	x := SiteTuple{Loc: "pkg/b.go:2", Class: "Map", Method: "Load"}
-	y := SiteTuple{Loc: "pkg/a.go:1", Class: "Map", Method: "Store", Write: true}
+	x := sites.Tuple{Loc: "pkg/b.go:2", Class: "Map", Method: "Load"}
+	y := sites.Tuple{Loc: "pkg/a.go:1", Class: "Map", Method: "Store", Write: true}
 	s1 := SignatureOf(x, y, "", "")
 	s2 := SignatureOf(y, x, "", "")
 	if s1 != s2 {
@@ -28,7 +31,7 @@ func TestSignatureCanonicalOrder(t *testing.T) {
 	if s1.ID() != s2.ID() {
 		t.Fatal("IDs diverge for equal signatures")
 	}
-	other := SignatureOf(x, SiteTuple{Loc: "pkg/c.go:3"}, "", "")
+	other := SignatureOf(x, sites.Tuple{Loc: "pkg/c.go:3"}, "", "")
 	if other.ID() == s1.ID() {
 		t.Fatal("distinct signatures share an ID")
 	}
@@ -115,8 +118,8 @@ func fabTrace(t *testing.T) (trace.ModuleTrace, ids.OpID, ids.OpID) {
 func TestAddTraceClustersAndExplains(t *testing.T) {
 	mt, la, lb := fabTrace(t)
 	sites := []trace.SiteRecord{
-		{ID: 1, Loc: la.Key(), Class: "Map", Method: "Store", Write: true},
-		{ID: 2, Loc: lb.Key(), Class: "Map", Method: "Load"},
+		{ID: 1, Tuple: sites.Tuple{Loc: la.Key(), Class: "Map", Method: "Store", Write: true}},
+		{ID: 2, Tuple: sites.Tuple{Loc: lb.Key(), Class: "Map", Method: "Load"}},
 	}
 	tri := New()
 	tri.AddTrace([]trace.ModuleTrace{mt}, sites, Provenance{Shard: 2, Round: 1, Source: "test"})
@@ -257,7 +260,7 @@ func TestFromTrapFile(t *testing.T) {
 	f := trapfile.File{
 		Version: trapfile.FormatVersion, Tool: "TSVD",
 		Pairs: []trapfile.Pair{{A: "p/x:1", B: "p/y:2"}, {A: "p/y:2", B: "p/x:1"}},
-		Sites: []trapfile.SiteRecord{{Loc: "p/x:1", Class: "Map", Method: "Store", Write: true}},
+		Sites: []sites.Tuple{{Loc: "p/x:1", Class: "Map", Method: "Store", Write: true}},
 	}
 	clusters := FromTrapFile(f)
 	if len(clusters) != 2 {
@@ -337,5 +340,48 @@ func TestExplanationCountsOnlyOrderingEdges(t *testing.T) {
 		pairLocOf(la.Key(), lb.Key()))
 	if real == nil || !real.HBOrdered || real.HBEdgesBefore != 1 {
 		t.Fatalf("edge on the sprung pair not counted: %+v", real)
+	}
+}
+
+// TestBugsJSONMatchesParent: bugs.json — a traced unit resolved through a
+// summary site table, a collector-only unit with one never-interned op, and
+// the daemon's pairs-only view of a site-carrying snapshot — is, byte for
+// byte, what the commit before sites.Tuple existed wrote for the same inputs
+// (testdata/parent/*.json were captured there).
+func TestBugsJSONMatchesParent(t *testing.T) {
+	mt, la, lb := fabTrace(t)
+	reg := sites.New()
+	reg.Register(la, "Map", "Store", true)
+	reg.Register(lb, "Map", "Load", false)
+
+	col := report.NewCollector()
+	col.Add(report.Violation{
+		Object:      7,
+		Trapped:     report.Side{Thread: 1, Op: lb, Write: true, Class: "List", Method: "Add", Stack: stackMain},
+		Conflicting: report.Side{Thread: 2, Op: ids.OpID(1 << 40), Class: "List", Method: "Get", Stack: stackWorker},
+		When:        10 * time.Microsecond,
+	})
+	tri := New()
+	tri.AddTrace([]trace.ModuleTrace{mt}, trace.SiteTable(reg), Provenance{Shard: 2, Round: 1, Source: "golden"})
+	tri.AddRun(col, nil, Provenance{Seed: 7, Mode: "full", Source: "golden"})
+
+	snapshot := trapfile.NewWithSites("TSVD",
+		[]report.PairKey{report.KeyOf(la, lb), report.KeyOf(la, ids.InternKey("tt/m1/siteC"))}, reg)
+
+	for name, write := range map[string]func(*bytes.Buffer) error{
+		"bugs.json":          func(b *bytes.Buffer) error { return WriteJSON(b, "TSVD", tri.Units(), tri.Clusters()) },
+		"bugs_snapshot.json": func(b *bytes.Buffer) error { return WriteJSON(b, "TSVD", 0, FromTrapFile(snapshot)) },
+	} {
+		var got bytes.Buffer
+		if err := write(&got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "parent", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s:\n%s\nthe parent wrote:\n%s", name, got.Bytes(), want)
+		}
 	}
 }

@@ -127,7 +127,7 @@ func NewSiteRegistry() *SiteRegistry { return sites.New() }
 // same id. Without an installed session the site lands in the no-op
 // detector's registry and the returned id is only meaningful there.
 func RegisterSite(loc, class, method string, write bool) SiteID {
-	return Default().Sites().Register(ids.InternKey(loc), class, method, write)
+	return Default().Sites().Intern(sites.Tuple{Loc: loc, Class: class, Method: method, Write: write})
 }
 
 // --- Live metrics (Prometheus exposition) ---
