@@ -1,6 +1,7 @@
 // Command tsvd-chaos drives the fleet chaos harness (internal/chaos): a
 // deterministic, seeded interleaving of shard detector runs, daemon kills
-// and restarts, network partitions and anti-entropy peer-sync rounds across
+// and restarts (some over a torn log tail or a half-done compaction),
+// network partitions and anti-entropy peer-sync rounds across
 // a multi-daemon cluster, trap-file corruption, injected network faults,
 // concurrent publishes and session supersedes, with hard invariants checked
 // after every action — per-daemon durability of acked pairs, the Fallback
@@ -46,7 +47,7 @@ func run() int {
 		actions  = flag.Int("actions", 30, "number of planned fleet actions (a closing converge is always appended)")
 		shards   = flag.Int("shards", 3, "number of simulated CI shards")
 		daemons  = flag.Int("daemons", 1, "number of trap daemons in the simulated cluster")
-		plant    = flag.String("plant", "", `deliberately planted fault the run must catch ("lose-local-publish")`)
+		plant    = flag.String("plant", "", `deliberately planted fault the run must catch ("lose-local-publish", "ignore-log")`)
 		minimize = flag.Bool("minimize", true, "shrink a failing plan to a smaller failing action list")
 		replay   = flag.String("replay", "", "replay every seed in this regression database and verify each verdict")
 		record   = flag.String("record", "", "append this run's parameters to the seed database at the given path")

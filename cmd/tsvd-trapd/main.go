@@ -19,14 +19,17 @@
 // on /metrics (tsvd_trapd_* series; see docs/OBSERVABILITY.md). With -pprof
 // the standard net/http/pprof profiling endpoints are additionally mounted
 // under /debug/pprof/ — off by default, since profiling handlers on a
-// fleet-shared daemon are a footgun. With -snapshot it seeds its set — and
-// restores its generation counter, keeping it monotone across restarts —
-// from the file at startup and persists after every merge that grows the
-// set, so a restarted daemon resumes where it stopped. With -peer (repeat
+// fleet-shared daemon are a footgun. With -snapshot FILE it seeds its set —
+// and restores its generation counter, keeping it monotone across restarts —
+// from FILE and the append log FILE.log beside it at startup, and persists
+// every merge that grows the set before acknowledging it: the rows the merge
+// added go to the log, and now and then the log is folded back into FILE (a
+// compaction), so a restarted daemon resumes where it stopped. With -peer (repeat
 // the flag, or pass a comma-separated list) it runs pull+push anti-entropy
 // against the named daemons every -sync-interval, so any connected cluster
 // converges to the union of all daemons' sets with no single point of
-// failure. SIGINT/SIGTERM shut it down gracefully, saving a final snapshot.
+// failure. SIGINT/SIGTERM shut it down gracefully, folding the log into the
+// snapshot: a stopped daemon's FILE alone is a whole trap file.
 //
 // On startup it prints exactly one line, "tsvd-trapd: listening on
 // http://HOST:PORT", so wrappers that start it with -addr ...:0 can
@@ -46,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -79,7 +83,7 @@ func run() int {
 	var peers peerList
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8321", "listen address (use :0 for an ephemeral port)")
-		snapshot = flag.String("snapshot", "", "trap file to seed from at startup and persist after every merge")
+		snapshot = flag.String("snapshot", "", "trap file to seed from at startup and persist after every merge (with its append log, <file>.log)")
 		tool     = flag.String("tool", "TSVD", "tool label for the aggregated trap set")
 		verbose  = flag.Bool("v", false, "log every merge")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -116,18 +120,52 @@ func run() int {
 	}
 
 	// The persister serializes concurrent merge handlers' saves and drops
-	// stale generations, so the snapshot on disk can never regress below a
-	// state a client's publish was already acknowledged against; the save
-	// itself is the same temp+fsync+atomic-rename dance as trapfile.Save.
+	// stale generations, so what is on disk can never regress below a state a
+	// client's publish was already acknowledged against. A save either appends
+	// the rows the set gained to the log or compacts, which leaves the log
+	// empty; its size afterwards says which, without asking the persister.
+	reg := metrics.NewRegistry()
+	persistSeconds := reg.Histogram("tsvd_trapd_persist_seconds",
+		"Time to make one growing merge durable (log append or compaction, fsync included).",
+		1e-9, metrics.ExpBounds(int64(100*time.Microsecond), 2, 13)) // 100µs..~400ms
+	var logged struct {
+		sync.Mutex
+		rows int
+		size int64
+	}
 	saveSnapshot := func(f trapfile.File, st trapstore.SyncState) {
 		if persister == nil {
 			return
 		}
-		if err := persister.Save(f, st); err != nil {
-			logger.Printf("snapshot save failed (set kept in memory): %v", err)
-		} else if *verbose {
-			logger.Printf("snapshot saved: %d pairs, generation %d", len(f.Pairs), st.Generation)
+		begin := time.Now()
+		err := persister.Save(f, st)
+		persistSeconds.Observe(int64(time.Since(begin)))
+		if err != nil {
+			logger.Printf("persist failed (set kept in memory): %v", err)
+			return
 		}
+		if !*verbose {
+			return
+		}
+		var size int64
+		if fi, err := os.Stat(*snapshot + ".log"); err == nil {
+			size = fi.Size()
+		}
+		rows := len(f.Pairs) + len(f.Sites)
+		logged.Lock()
+		defer logged.Unlock()
+		switch {
+		case size == 0 || size < logged.size: // emptied, perhaps appended to since
+			logger.Printf("persisted generation %d: compaction, snapshot of %d pairs (log now %d bytes)",
+				st.Generation, len(f.Pairs), size)
+		case size > logged.size:
+			logger.Printf("persisted generation %d: appended %d rows, %d bytes (log now %d bytes)",
+				st.Generation, rows-logged.rows, size-logged.size, size)
+		default:
+			logger.Printf("generation %d was already durable: a newer one was persisted first", st.Generation)
+			return
+		}
+		logged.rows, logged.size = rows, size
 	}
 	logf := func(string, ...any) {}
 	if *verbose {
@@ -146,7 +184,6 @@ func run() int {
 		logger.Printf("boot epoch %s", store.Status().SyncState)
 	}
 
-	reg := metrics.NewRegistry()
 	handler := trapstore.NewHandler(store, trapstore.HandlerOptions{
 		OnMerge: saveSnapshot,
 		Logf:    logf,
@@ -197,7 +234,12 @@ func run() int {
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Printf("shutdown: %v", err)
 		}
-		saveSnapshot(store.SnapshotState())
+		if persister != nil {
+			// Not a loss: the snapshot and its log stay readable together.
+			if err := persister.Close(); err != nil {
+				logger.Printf("folding the log into the snapshot failed: %v", err)
+			}
+		}
 		return 0
 	case err := <-errc:
 		if repl != nil {

@@ -1,18 +1,20 @@
 // Package chaos is the fleet chaos harness behind cmd/tsvd-chaos: a
 // deterministic, seeded driver that interleaves weighted fleet actions —
 // shard detector runs across every algorithm variant and sampling mode,
-// daemon kills and snapshot-restored restarts, network partitions and
-// heals, anti-entropy peer-sync rounds, trap-file corruption and
-// truncation, slow/flaky/5xx networks injected into the HTTPStore transport,
-// concurrent publishes, public-API session supersedes — against an
+// daemon kills and snapshot-restored restarts (plain, over a torn log tail,
+// or over a compaction that died half-way), network partitions and heals,
+// anti-entropy peer-sync rounds, trap-file corruption and truncation,
+// slow/flaky/5xx networks injected into the HTTPStore transport, concurrent
+// publishes, public-API session supersedes — against an
 // in-process daemon cluster (real trapstore.NewHandler instances behind
 // real HTTP servers, replicating via real trapstore.Replicators) and checks
 // hard invariants after every action:
 //
 //   - Durability, per daemon: every pair a daemon acknowledged — client
-//     publish ack, peer push ack, or completed pull — is in that daemon's
-//     snapshot file (the ack contract), and no daemon's set ever exceeds
-//     the fleet-wide published bound.
+//     publish ack, peer push ack, or completed pull — is in what a reboot of
+//     that daemon reads, its snapshot file with its append log replayed (the
+//     ack contract), and no daemon's set ever exceeds the fleet-wide
+//     published bound.
 //   - The Fallback contract: each healthy shard's local trap file holds
 //     exactly the union of that shard's published sets — no pair a run
 //     discovered is ever lost, daemons up or down.

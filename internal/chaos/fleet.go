@@ -225,6 +225,10 @@ func (f *fleet) apply(act int, a action, m *model) *Violation {
 		}
 		m.event("act#%02d daemon %d restarted, restored from snapshot", act, a.daemon)
 		return nil
+	case actTornLogTail:
+		return f.tornLogTail(act, a, m)
+	case actCrashMidCompaction:
+		return f.crashMidCompaction(act, a, m)
 	case actPartitionDaemon:
 		n := f.nodes[a.daemon]
 		n.partitioned = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/trapfile"
+	"repro/internal/trapstore"
 )
 
 // checkInvariants verifies every fleet-state invariant against the model
@@ -12,15 +13,17 @@ import (
 // public API — never the implementation's internals — so a passing check
 // means the *contracts* held, whatever the code did.
 func (f *fleet) checkInvariants(act int, m *model) *Violation {
-	// Invariant: per-daemon durability. Every pair daemon d acknowledged —
-	// by client publish ack, peer push ack, or completed pull — is in d's
-	// snapshot file (NewHandler and the replicator both persist through
-	// OnMerge before acking), and no daemon's set exceeds the fleet-wide
+	// Invariant: per-daemon durability, acked ⊆ durable ⊆ published. Every
+	// pair daemon d acknowledged — by client publish ack, peer push ack, or
+	// completed pull — is in what a reboot of d would read: its snapshot file
+	// with the append log beside it replayed, through a persister of the
+	// checker's own (NewHandler and the replicator both persist through
+	// OnMerge before acking). And no daemon's set exceeds the fleet-wide
 	// published bound (pairs replicate between daemons, but none may appear
 	// that no publish ever carried).
 	published := m.published()
 	for d, n := range f.nodes {
-		snapFile, err := trapfile.LoadFile(n.snapPath)
+		snapFile, _, err := trapstore.NewSnapshotPersister(n.snapPath).Load()
 		if err != nil {
 			return violation(act, "snapshot-file-corrupt",
 				fmt.Sprintf("daemon %d snapshot file is unreadable: %v", d, err), nil)
@@ -28,12 +31,12 @@ func (f *fleet) checkInvariants(act int, m *model) *Violation {
 		snapSet := setOf(snapFile.Pairs)
 		if missing := m.ackedTo[d].minus(snapSet); len(missing) > 0 {
 			return violation(act, "daemon-durability",
-				fmt.Sprintf("%d pairs daemon %d acked are missing from its snapshot file: %v",
+				fmt.Sprintf("%d pairs daemon %d acked are missing from its snapshot file and log: %v",
 					len(missing), d, missing), missing)
 		}
 		if phantom := snapSet.minus(published); len(phantom) > 0 {
 			return violation(act, "phantom-pair",
-				fmt.Sprintf("daemon %d's snapshot file holds %d pairs no publish ever carried: %v",
+				fmt.Sprintf("daemon %d's snapshot file and log hold %d pairs no publish ever carried: %v",
 					d, len(phantom), phantom), phantom)
 		}
 

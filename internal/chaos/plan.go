@@ -47,6 +47,17 @@ const (
 	// daemon — the replication that must move pairs between healthy daemons
 	// and must not lose any across partitions.
 	actPeerSync
+	// actTornLogTail: a restart whose kill landed mid-append. While the
+	// daemon is down its log gains the front of a record that spells a pair
+	// no publish ever carried (variant 0) or plain garbage under an oversized
+	// length (variant 1); the daemon must boot, keep everything it
+	// acknowledged and gain no phantom pair.
+	actTornLogTail
+	// actCrashMidCompaction: a restart whose kill landed inside a
+	// compaction — before the rename (variant 0: temp-file debris beside the
+	// old snapshot and the full log) or after it (variant 1: the new
+	// snapshot beside the log it never emptied).
+	actCrashMidCompaction
 	// actConverge: the closing storm — heal every partition, restart every
 	// downed daemon, push every shard file into the cluster, one full
 	// anti-entropy round — after which every daemon and every shard file
@@ -69,6 +80,7 @@ type action struct {
 	runSeed int64 // harness schedule seed
 	fault   faultSpec
 	base    int // disjoint synthetic-pair namespace for concurrent publishes
+	variant int // which of a disk fault's two states is staged
 }
 
 func (a action) describe() string {
@@ -84,6 +96,12 @@ func (a action) describe() string {
 		return fmt.Sprintf("kill-daemon daemon=%d", a.daemon)
 	case actRestartDaemon:
 		return fmt.Sprintf("restart-daemon daemon=%d (restore from snapshot)", a.daemon)
+	case actTornLogTail:
+		return fmt.Sprintf("torn-log-tail daemon=%d tail=%s (kill, damage the log, restart)",
+			a.daemon, [...]string{"partial-record", "garbage"}[a.variant])
+	case actCrashMidCompaction:
+		return fmt.Sprintf("crash-mid-compaction daemon=%d killed=%s (kill, stage the state, restart)",
+			a.daemon, [...]string{"before-rename", "before-log-reset"}[a.variant])
 	case actCorruptFile:
 		return fmt.Sprintf("corrupt-file shard=%d", a.shard)
 	case actTruncateFile:
@@ -175,6 +193,13 @@ var shardFaults = []struct {
 	{faultSpec{kind: faultKillMid, n: 1}, 1},
 }
 
+// restartKinds is what a drawn restart becomes. The two disk faults are
+// restarts with a fault staged while the daemon is down, so they are drawn as
+// variants of one, from a stream of their own: every other action of every
+// plan — the committed regression seeds' included — is what it was before
+// they existed.
+var restartKinds = []actionKind{actRestartDaemon, actRestartDaemon, actTornLogTail, actCrashMidCompaction}
+
 func pickWeighted(rng *rand.Rand, total int, weightAt func(int) int) int {
 	roll := rng.Intn(total)
 	for i := 0; ; i++ {
@@ -189,6 +214,7 @@ func pickWeighted(rng *rand.Rand, total int, weightAt func(int) int) int {
 // seed-derived RNG. The plan is the single source of randomness for a run.
 func newPlan(cfg Config) []action {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	disk := rand.New(rand.NewSource(cfg.Seed ^ 0x6469736b)) // "disk"
 	kindTotal, algoTotal, modeTotal, faultTotal := 0, 0, 0, 0
 	for _, k := range weightedKinds {
 		kindTotal += k.weight
@@ -249,6 +275,9 @@ func newPlan(cfg Config) []action {
 			base += 3 // three writers, each with its own disjoint namespace
 		case actSupersedeInstall:
 			a.detSeed = int64(rng.Intn(1 << 20))
+		}
+		if a.kind == actRestartDaemon {
+			a.kind, a.variant = restartKinds[disk.Intn(len(restartKinds))], disk.Intn(2)
 		}
 		plan = append(plan, a)
 	}

@@ -24,7 +24,8 @@ type SeedEntry struct {
 	// Daemons is the daemon-cluster size of the recorded run (0 means the
 	// default single daemon).
 	Daemons int `json:"daemons,omitempty"`
-	// Plant names the armed fault: "" (none) or "lose-local-publish".
+	// Plant names the armed fault: "" (none), "lose-local-publish" or
+	// "ignore-log".
 	Plant string `json:"plant,omitempty"`
 	// Expect is the required verdict: "pass" (no violation) or "caught"
 	// (some violation must fire).
@@ -51,6 +52,8 @@ func ParsePlant(s string) (trapstore.PlantedFault, error) {
 		return trapstore.FaultNone, nil
 	case "lose-local-publish":
 		return trapstore.FaultLoseLocalPublish, nil
+	case "ignore-log":
+		return trapstore.FaultIgnoreLog, nil
 	default:
 		return trapstore.FaultNone, fmt.Errorf("chaos: unknown planted fault %q", s)
 	}
@@ -58,8 +61,11 @@ func ParsePlant(s string) (trapstore.PlantedFault, error) {
 
 // PlantName is ParsePlant's inverse, for recording seeds.
 func PlantName(f trapstore.PlantedFault) string {
-	if f == trapstore.FaultLoseLocalPublish {
+	switch f {
+	case trapstore.FaultLoseLocalPublish:
 		return "lose-local-publish"
+	case trapstore.FaultIgnoreLog:
+		return "ignore-log"
 	}
 	return ""
 }

@@ -2,10 +2,12 @@ package e2e
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -107,6 +109,84 @@ func TestShardSurvivesDaemonKill(t *testing.T) {
 		if !after[p] {
 			t.Errorf("local trap file lost pair %v after daemon death", p)
 		}
+	}
+}
+
+// TestDaemonPersistsThroughItsLog drives the real daemon's two files: a
+// growing publish is acknowledged with its rows in the append log, not in a
+// rewritten snapshot; a kill-9 loses none of them (restart is snapshot +
+// replay); SIGTERM folds the log back, leaving a snapshot that is a whole
+// trap file by itself; and /metrics says what persisting cost.
+func TestDaemonPersistsThroughItsLog(t *testing.T) {
+	needBinaries(t)
+	snap := filepath.Join(t.TempDir(), "snapshot.json")
+	publish := func(url string, n int) trapfile.Pair {
+		t.Helper()
+		p := locPair(fmt.Sprintf("pkg/p%d.go:1", n), fmt.Sprintf("pkg/p%d.go:2", n))
+		c := trapstore.NewHTTPStore(url, trapstore.HTTPConfig{})
+		defer c.Close()
+		if err := c.Publish(trapfile.File{Tool: "TSVD", Pairs: []trapfile.Pair{p}}); err != nil {
+			t.Fatalf("publish %d: %v", n, err)
+		}
+		return p
+	}
+	alone := func() map[trapfile.Pair]bool {
+		t.Helper()
+		f, err := trapfile.LoadFile(snap)
+		if err != nil {
+			t.Fatalf("the snapshot alone: %v", err)
+		}
+		return pairSet(f.Pairs)
+	}
+
+	daemon, url := startDaemon(t, "-snapshot", snap)
+	want := map[trapfile.Pair]bool{}
+	for n := 0; n < 3; n++ {
+		want[publish(url, n)] = true
+	}
+	if got := alone(); len(got) != 1 {
+		t.Fatalf("after three acknowledged publishes the snapshot alone holds %d pairs, want the first only: the rest belong in the log", len(got))
+	}
+	if log, err := os.Stat(snap + ".log"); err != nil || log.Size() == 0 {
+		t.Fatalf("no append log beside the snapshot: %v", err)
+	}
+	m, _ := scrape(t, url+"/metrics")
+	if m["tsvd_trapd_persist_seconds_count"] != 3 || m["tsvd_trapd_persist_seconds_sum"] <= 0 {
+		t.Fatalf("tsvd_trapd_persist_seconds after three growing merges: count %v sum %v",
+			m["tsvd_trapd_persist_seconds_count"], m["tsvd_trapd_persist_seconds_sum"])
+	}
+
+	if err := daemon.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	daemon.Wait()
+	// What the killed append would have left: the front of a record.
+	log, err := os.OpenFile(snap+".log", os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Write([]byte{0x60, 0, 0, 0, 1, 2, 3, 4, '{', '"'}); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+
+	daemon, url = startDaemon(t, "-snapshot", snap)
+	if err := diffPairs(pairSet(fetchPairs(t, url)), want); err != nil {
+		t.Fatalf("after kill-9 and restart: %v", err)
+	}
+	want[publish(url, 3)] = true
+	want[publish(url, 4)] = true
+	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := daemon.Wait(); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	if err := diffPairs(alone(), want); err != nil {
+		t.Fatalf("a stopped daemon's snapshot alone: %v", err)
+	}
+	if left, err := os.ReadFile(snap + ".log"); err != nil || len(left) != 0 {
+		t.Fatalf("a stopped daemon left a log of %d bytes (%v)", len(left), err)
 	}
 }
 

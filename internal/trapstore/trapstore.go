@@ -69,6 +69,9 @@ const (
 	// long as the daemon does. This is exactly the pair-loss the Fallback
 	// contract forbids; the chaos harness must catch it within 200 actions.
 	FaultLoseLocalPublish
+	// FaultIgnoreLog makes SnapshotPersister.Load skip the append log, so a
+	// restart loses every row acknowledged since the last compaction.
+	FaultIgnoreLog
 )
 
 // plantedFault is process-global: the harness arms it around a whole chaos
