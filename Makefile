@@ -45,9 +45,11 @@ bench:
 	GOMAXPROCS=8 $(GO) test -bench BenchmarkOnCallContention -benchtime 1s -run '^$$' .
 
 # Hot-path regression gates: BenchmarkDictionarySetInstrumented (one call end
-# to end), BenchmarkOnCallUncontended/TSVD and the trace BenchmarkEmit must
-# stay under the ns/op thresholds committed in bench_gate.json (best of N
-# runs; see cmd/tsvd-bench-gate for why the minimum is the estimator) and
-# must not allocate.
+# to end; -Rotating over 16 owned objects, -SampledAuto when rejected),
+# BenchmarkOnCallUncontended/TSVD (one goroutine),
+# BenchmarkOnCallContention/TSVD/goroutines=1 (one per CPU) and the trace
+# BenchmarkEmit must stay under the ns/op thresholds committed in
+# bench_gate.json (best of N runs; see cmd/tsvd-bench-gate for why the minimum
+# is the estimator) and must not allocate.
 bench-gate:
 	$(GO) run ./cmd/tsvd-bench-gate

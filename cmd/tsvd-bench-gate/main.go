@@ -5,10 +5,12 @@
 // per-call path, and none of them may touch the heap. Three paths are gated
 // today: an instrumented call end to end through the public API
 // (BenchmarkDictionarySetInstrumented in the root package: prologue, detector
-// and raw operation — what a user pays), the detector OnCall fast path alone
-// (BenchmarkOnCallUncontended/TSVD, same package) and the trace ring-buffer
-// Emit path (BenchmarkEmit in internal/trace) that the triage explanation
-// slices depend on.
+// and raw operation — what a user pays; also rotating over 16 owned objects
+// and rejected by the sampled tier), the detector OnCall fast path alone
+// (BenchmarkOnCallUncontended/TSVD, same package, and
+// BenchmarkOnCallContention/TSVD/goroutines=1 for what it costs once a second
+// thread exists) and the trace ring-buffer Emit path (BenchmarkEmit in
+// internal/trace) that the triage explanation slices depend on.
 //
 // The minimum across runs is the gate's estimator on purpose: the benchmark
 // VM's run-to-run noise is one-sided (preemption and frequency excursions

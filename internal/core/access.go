@@ -21,7 +21,12 @@
 // carry dense interned site ids (internal/sites) so per-site state lives in
 // plain arrays, per-object and per-thread state hang off lock-free
 // integer-keyed registries, counters are per-thread or atomic, and only
-// small cold-path locks (trap set, finished-delay log) are shared.
+// small cold-path locks (trap set, finished-delay log) are shared. An
+// admitted conflict-free call stores to no cache line another thread reads:
+// it records into a ring its thread owns, and the concurrent-phase detector
+// (§3.4.3, phaseRing) is a claim on one word that changes only when a thread
+// claims it or a second thread breaks the claim — at the price of calling a
+// phase sequential up to ⌈W/2⌉ calls late, never early.
 // docs/PERFORMANCE.md documents the cost model layer by layer.
 package core
 

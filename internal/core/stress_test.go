@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/report"
 )
 
 // TestObjHistoryNewestFirst pins the walk both OnCall paths make over the
@@ -189,6 +190,122 @@ func TestDenseRuntimeStressWithConflicts(t *testing.T) {
 		}
 		if v.Trapped.Op == 9000 && v.Trapped.Site == site && v.Trapped.Class != "Test" {
 			t.Fatalf("interned side lost its class metadata: %+v", v)
+		}
+	}
+}
+
+// TestPhaseVerdictsAcrossGoroutines drives the phase word from real
+// goroutines. Two of them ping-pong on one object through channels, so every
+// call finds the other thread's accesses in the object's history and is
+// either a near miss (concurrent phase) or a sequential skip: in 10⁴ strictly
+// alternating calls there is no skip at all. Then one goroutine is left
+// alone, and after phaseBelievedAfter(W) calls its next one is a skip.
+func TestPhaseVerdictsAcrossGoroutines(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Mode = config.ModeObserveOnly // pairs form, nobody sleeps
+	cfg.DisableNearMissWindow = true
+	cfg.DisableHBInference = true
+	believed := phaseBelievedAfter(cfg.PhaseBufferSize)
+	// The survivor must still find the other thread's accesses when it is
+	// believed.
+	cfg.ObjHistory = 2 * believed
+	d := mustNew(t, cfg)
+	const obj, rounds = ids.ObjectID(1), 5000
+
+	ping, pong := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			d.OnCall(acc(1, obj, 101, KindWrite))
+			ping <- struct{}{}
+			<-pong
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			<-ping
+			d.OnCall(acc(2, obj, 102, KindWrite))
+			pong <- struct{}{}
+		}
+	}()
+	wg.Wait()
+	st := d.Stats()
+	if st.SequentialSkips != 0 || st.NearMisses == 0 {
+		t.Fatalf("alternating threads: %d sequential skips, %d near misses", st.SequentialSkips, st.NearMisses)
+	}
+
+	alone := make(chan struct{})
+	go func() {
+		defer close(alone)
+		for i := 0; i < believed; i++ {
+			d.OnCall(acc(1, obj, 101, KindWrite))
+		}
+	}()
+	<-alone
+	before := d.Stats()
+	d.OnCall(acc(1, obj, 101, KindWrite))
+	after := d.Stats()
+	if after.SequentialSkips == before.SequentialSkips || after.NearMisses != before.NearMisses {
+		t.Fatalf("call %d of a thread left alone is still in a concurrent phase: before %+v, after %+v", believed+1, before, after)
+	}
+}
+
+// TestOwnerPublishesLockFreeToEveryObjectItOwns: a goroutine rotating over 16
+// objects it owns while a second goroutine takes one of them over mid-stream.
+// Every call is counted exactly once, the takeover finds its near miss, and
+// the other 15 objects are still the owner's — open ring, writer unchanged —
+// so its calls on them never needed the object lock.
+func TestOwnerPublishesLockFreeToEveryObjectItOwns(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Mode = config.ModeObserveOnly
+	cfg.DisableNearMissWindow = true
+	cfg.DisableHBInference = true
+	d := mustNew(t, cfg)
+	const objects, ownerCalls, victim = 16, 20000, ids.ObjectID(7)
+
+	midStream := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		x := uint32(1)
+		for i := 0; i < ownerCalls; i++ {
+			if i == ownerCalls/4 {
+				close(midStream)
+			}
+			x = x*1664525 + 1013904223
+			d.OnCall(acc(1, ids.ObjectID(x>>28), 101, KindWrite))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-midStream
+		d.OnCall(acc(2, victim, 102, KindWrite))
+	}()
+	wg.Wait()
+
+	st := d.Stats()
+	if st.OnCalls != ownerCalls+1 {
+		t.Fatalf("OnCalls = %d, %d calls were issued", st.OnCalls, ownerCalls+1)
+	}
+	if traps := d.ExportTraps(); st.NearMisses == 0 || len(traps) != 1 || traps[0] != report.KeyOf(101, 102) {
+		t.Fatalf("takeover of object %d: %d near misses, traps %v", victim, st.NearMisses, traps)
+	}
+	rt := runtimeOf(d)
+	for o := ids.ObjectID(0); o < objects; o++ {
+		os := rt.objs.Get(int64(o))
+		want := int64(1)
+		if o == victim {
+			want = writerShared
+		}
+		if w := os.writer.Load(); w != want {
+			t.Errorf("object %d: writer = %d, want %d", o, w, want)
+		}
+		if closed := os.ring.pub.Load()&ringClosed != 0; closed != (o == victim) {
+			t.Errorf("object %d: publication ring closed = %v", o, closed)
 		}
 	}
 }

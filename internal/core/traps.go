@@ -226,17 +226,6 @@ type threadState struct {
 	cachedObj   ids.ObjectID
 	cachedState *objState
 
-	// cachedRing/cachedRingObj short-circuit TSVD's single-writer
-	// publication: while this thread owns cachedRingObj's publication ring,
-	// the fast path goes straight from these fields to the publication CAS,
-	// skipping the object state's writer and ring probes. The cache is only
-	// ever set by recordSlow for a ring this thread owns under the object's
-	// mutex; ownership ends exclusively by ring closure (ringClosed, sticky),
-	// so a stale entry fails the closed-bit check or the CAS and falls back
-	// to recordSlow, which re-caches or clears it.
-	cachedRing    *pubRing
-	cachedRingObj ids.ObjectID
-
 	// nearKeys is recordSlow's result buffer: the near-miss pairs of the
 	// call in flight, consumed by OnCall before the thread's next call. It
 	// starts on nearBuf — a call rarely records more than one near miss, and
@@ -248,13 +237,9 @@ type threadState struct {
 	// feature 2).
 	budget clock.Budget
 
-	// phaseSteady caches this thread's packed steady-state value for the
-	// phase ring (tid<<32 | steady), so OnCall's sequential-phase check is
-	// one load and one compare against the ring's word. Zero means "not
-	// yet computed"; it can never equal a live ring word because the ring
-	// state is seeded non-zero and every observed state carries count ≥ 1.
-	// observe's fallback path fills it in.
-	phaseSteady uint64
+	// phase is this thread's half of the concurrent-phase detector
+	// (phaseRing): its claim's standing and its run length.
+	phase phaseLocal
 
 	// --- TSVD happens-before inference (§3.4.4), owner-only ---
 	// lastAccess starts at the noAccessYet sentinel, which makes the
@@ -892,71 +877,109 @@ func (s *atomicStats) snapshot() Stats {
 	return st
 }
 
-// phaseRing is the concurrent-phase detector of §3.4.3: conceptually a ring
-// of the thread ids at the most recently executed TSVD points, with the
-// execution in a concurrent phase iff the ring holds more than one distinct
-// thread.
+// phaseRing is the concurrent-phase detector of §3.4.3. The paper keeps a
+// ring of the thread ids at the last W TSVD points and calls the execution
+// concurrent iff the ring holds two distinct ids; it also says the ring "need
+// not be synchronized … TSVD only needs an approximate notion of concurrent
+// phases". A ring every call writes is one cache line every thread bounces on
+// every call, so this detector keeps the one question the ring answers — were
+// the last W points all mine? — as a claim on a single word, and the run
+// lengths in the calling thread's own phaseLocal:
 //
-// The window "contains two distinct threads" exactly when the run of
-// identical trailing observations is shorter than the window, so instead of
-// materializing the ring the detector keeps that run length: observe is a
-// handful of atomic operations with no buffer scan, O(1) in the window size
-// — and in the steady single-thread state (run and count both capped) it
-// performs loads only, no stores at all. §3.4.3 explicitly tolerates racy
-// maintenance ("the buffer itself need not be synchronized ... TSVD only
-// needs an approximate notion of concurrent phases"), so interleaved
-// observers may briefly disagree on the run length — never read a torn
-// value, and never contend on a lock.
+//   - virgin: no call yet. The first thread claims the word and is sequential
+//     from its first call.
+//   - open: no claim stands. Every caller is in a concurrent phase and only
+//     counts its own calls, thread-locally. A thread that has made claimAfter
+//     = ⌈W/2⌉ calls since it last saw evidence of another thread CASes the
+//     word to its claim.
+//   - claimed by T: any other thread that loads the claim CASes it back to
+//     open on that very call and is concurrent; T, finding its claim gone, is
+//     concurrent too and starts counting again. A claim that has stood for W
+//     of T's calls is the sequential verdict, and from then on T's check is
+//     one load and one compare against its cached claim word, no store.
+//
+// The error is one-sided. Sequential is only reported when the last W points
+// really were one thread's, because any foreign point breaks a standing
+// claim; the switch to concurrent is immediate on the second thread's first
+// call; but a lone thread is believed after up to W + ⌈W/2⌉ calls instead of
+// W. In exchange both steady states are read-only on the shared word: two
+// alternating threads change it about four times per W calls each, not twice
+// per call. Racing observers can at worst report concurrent once too often.
 type phaseRing struct {
-	// window is the configured buffer size, clamped to 16 bits so run and
-	// count fit their packed fields (a window beyond 65535 behaves as
-	// 65535 — far past any configured value, and the heuristic saturates
-	// anyway).
-	window uint64
-	// state packs the ring into one word — [ thread:32 | run:16 | count:16 ]
-	// — so TSVD's OnCall guard resolves the steady sequential case (same
-	// thread, run and count both capped at the window) with a single load
-	// compared against steady. Thread ids are truncated to 32 bits, which
-	// can only confuse two threads 2³² apart — ids are small counters, and
-	// the phase heuristic tolerates far worse.
+	// window is W, claimAfter ⌈W/2⌉.
+	window, claimAfter uint32
+	// state is phaseVirgin, phaseOpen or a thread's claimWord.
 	state atomic.Uint64
-	// steady is the packed low half of the sequential steady state:
-	// window<<16 | window. The guard compares state against tid<<32|steady.
-	steady uint64
+}
+
+// The word's non-claim values. Neither is zero and a claim word never is, so
+// a zero phaseLocal.seq matches no state.
+const (
+	phaseOpen   = 1
+	phaseVirgin = 3
+)
+
+// claimWord is the state value that says t holds the claim: the id above a
+// two-bit tag no other value carries. Ids are small counters; two threads 2⁶²
+// apart sharing a word would only make the heuristic miss a switch.
+func claimWord(t ids.ThreadID) uint64 { return uint64(t)<<2 | 2 }
+
+// phaseLocal is one thread's half of the phase detector, owner-only.
+type phaseLocal struct {
+	// seq is the thread's claim word while its claim has stood for a whole
+	// window, zero otherwise: OnCall's sequential check is state == seq.
+	seq uint64
+	// run counts the thread's calls under its standing claim while held, and
+	// its calls since it last saw evidence of another thread otherwise.
+	run  uint32
+	held bool
 }
 
 func newPhaseRing(size int) *phaseRing {
-	w := uint64(size)
-	if w > 0xFFFF {
-		w = 0xFFFF
-	}
-	p := &phaseRing{window: w, steady: w<<16 | w}
-	// Seed the ring with an impossible observation (count == 0 can never
-	// recur once observe has run, and the thread field is the truncation no
-	// small real id reaches). This keeps the packed word non-zero for the
-	// ring's whole life, so a threadState's zero-initialized phaseSteady
-	// cache can never spuriously match it.
-	p.state.Store(uint64(0xFFFFFFFF) << 32)
+	w := uint32(min(size, math.MaxInt32))
+	p := &phaseRing{window: w, claimAfter: (w + 1) / 2}
+	p.state.Store(phaseVirgin)
 	return p
 }
 
-// observe records t and reports whether the execution is in a concurrent
-// phase. (TSVD's OnCall open-codes the steady sequential case and only
-// falls back here; the logic below remains the full, self-contained
-// definition for that fallback, other callers and the property tests.)
-func (p *phaseRing) observe(t ids.ThreadID) bool {
-	tid := uint64(uint32(t))
+// observe records a call of t, whose local state l is, and reports whether
+// the execution is in a concurrent phase. TSVD's OnCall open-codes the
+// standing sequential verdict (state == l.seq) and calls this otherwise.
+func (p *phaseRing) observe(l *phaseLocal, t ids.ThreadID) bool {
+	mine := claimWord(t)
 	s := p.state.Load()
-	run := uint64(1)
-	if s>>32 == tid {
-		if run = s >> 16 & 0xFFFF; run < p.window {
-			run++
+	if s == phaseVirgin {
+		if p.state.CompareAndSwap(phaseVirgin, mine) {
+			*l = phaseLocal{seq: mine, run: p.window, held: true}
+			return false
+		}
+		s = p.state.Load()
+	}
+	if s == mine {
+		// The claim stands, so every point since it was made is this
+		// thread's: run of them, the claiming call included.
+		if l.run++; l.run >= p.window {
+			l.seq = mine
+			return false
+		}
+		return true
+	}
+	if s != phaseOpen || l.held {
+		// Another thread was here. Either it broke our claim, or it holds one
+		// itself and this call is the foreign point that ends it (a failed
+		// CAS means a third thread already did).
+		if s != phaseOpen {
+			p.state.CompareAndSwap(s, phaseOpen)
+		}
+		*l = phaseLocal{}
+		return true
+	}
+	if l.run++; l.run >= p.claimAfter {
+		// A lost race for the claim is evidence of another thread too.
+		*l = phaseLocal{}
+		if p.state.CompareAndSwap(phaseOpen, mine) {
+			l.run, l.held = 1, true
 		}
 	}
-	c := s & 0xFFFF
-	if c < p.window {
-		c++
-	}
-	p.state.Store(tid<<32 | run<<16 | c)
-	return run < c
+	return true
 }

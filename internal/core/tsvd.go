@@ -159,19 +159,18 @@ func (d *TSVD) OnCall(a Access) {
 	// No OnCalls counter here: the admitted path is counted by the ring
 	// publication below (snapshotStats sums publications across objects).
 
-	// Concurrent-phase inference (lock-free ring) and coverage marking
-	// (markSeen's fully-marked fast case, expanded inline). The phase ring's
-	// steady sequential case is expanded too: the ring's packed word equal
-	// to this thread's steady value means run == count == window — one load,
-	// one compare, no store. Thread switches and warm-up fall back to
-	// observe.
+	// Concurrent-phase inference and coverage marking (markSeen's fully-marked
+	// fast case, expanded inline). The standing sequential verdict is expanded
+	// too: the phase word equal to this thread's confirmed claim is one load
+	// and one compare. Everything else — an open word, where the thread only
+	// counts its own calls, and the rare claim, break and warm-up — is observe,
+	// which stores to the shared word only on those rare transitions.
 	concurrent := true
 	if p := d.phase; p != nil {
-		if p.state.Load() == st.phaseSteady {
+		if p.state.Load() == st.phase.seq {
 			concurrent = false
 		} else {
-			concurrent = p.observe(a.Thread)
-			st.phaseSteady = uint64(uint32(a.Thread))<<32 | p.steady
+			concurrent = p.observe(&st.phase, a.Thread)
 		}
 	}
 	cwant := uint32(coverSeen)
@@ -207,14 +206,23 @@ func (d *TSVD) OnCall(a Access) {
 
 	// Near-miss tracking over the object's recent accesses, newest first,
 	// and recording of this access. While this thread owns the object's
-	// publication ring (cached on the thread state, so the probe is two
-	// loads from a line already hot), recording is plain entry stores plus
-	// one CAS; everything else (first sighting, ring rotation, the takeover
-	// by a second thread, shared-mode scans) funnels through recordSlow
-	// under the object's lock. Pair insertion happens outside any object
-	// lock: the trap set has its own lock and nothing orders the two.
+	// publication ring — its writer word says so, on every object the thread
+	// owns and not only the last one it touched — recording is plain entry
+	// stores plus one CAS. Everything else (first sighting, ring growth and
+	// rotation, the takeover by a second thread, shared-mode scans) funnels
+	// through recordSlow under the object's lock. Pair insertion happens
+	// outside any object lock: the trap set has its own lock and nothing
+	// orders the two.
+	os := st.cachedState
+	if os == nil || st.cachedObj != a.Obj {
+		os = rt.objStateFor(st, a.Obj)
+	}
 	published := false
-	if rg := st.cachedRing; rg != nil && st.cachedRingObj == a.Obj {
+	// writer only ever leaves a thread id for writerShared, and only after
+	// the ring is closed, so a match means the entry array is this thread's
+	// to read and its free slot this thread's to write.
+	if os.writer.Load() == int64(a.Thread) {
+		rg := &os.ring
 		// The length test subsumes the closed-bit test: a closed counter has
 		// ringClosed (1<<63) set, far beyond any entry count.
 		if n := rg.pub.Load(); n < uint64(len(rg.entries)) {
@@ -223,10 +231,6 @@ func (d *TSVD) OnCall(a Access) {
 		}
 	}
 	if !published {
-		os := st.cachedState
-		if os == nil || st.cachedObj != a.Obj {
-			os = rt.objStateFor(st, a.Obj)
-		}
 		for _, key := range d.recordSlow(st, os, a, t, concurrent) {
 			if d.set.add(key, &rt.stats, rt.met) {
 				rt.tr.Emit(trace.KindPairAdded, a.Thread, a.Obj, key.A, key.B, t, 0)
@@ -280,15 +284,14 @@ func (d *TSVD) OnCall(a Access) {
 
 // recordSlow is everything the lock-free publication path cannot do, under
 // the object's spin lock: claiming an untouched object for single-writer
-// mode, re-arming the thread's ring cache after it was evicted (the thread
-// touched another object in between), rotating a full publication ring in
-// place, taking over a single-writer object for shared mode (the sticky
-// mixed transition, which closes and drains the publication ring), and the
-// shared-mode near-miss scan plus append. Every admitted call that lands
-// here is counted into os.retired, keeping OnCalls exact alongside the fast
-// path's publication counter. It returns the near-miss pair keys found, in
-// the thread's own scratch slice (valid until its next call); the caller
-// inserts them into the trap set outside the lock.
+// mode, growing or rotating a full publication ring in place, taking over a
+// single-writer object for shared mode (the sticky mixed transition, which
+// closes and drains the publication ring), and the shared-mode near-miss
+// scan plus append. Every admitted call that lands here is counted into
+// os.retired, keeping OnCalls exact alongside the fast path's publication
+// counter. It returns the near-miss pair keys found, in the thread's own
+// scratch slice (valid until its next call); the caller inserts them into
+// the trap set outside the lock.
 func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration, concurrent bool) []report.PairKey {
 	rt := &d.rt
 	nearKeys := st.nearKeys[:0]
@@ -297,23 +300,20 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 	w := os.writer.Load()
 	switch {
 	case w == 0:
-		// First access to this object: claim single-writer mode and arm the
-		// thread's ring cache.
+		// First access to this object: claim single-writer mode.
 		rg.entries[0] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
 		rg.pub.Store(1)
 		os.writer.Store(int64(a.Thread))
-		st.cachedRing, st.cachedRingObj = rg, a.Obj
 	case w == int64(a.Thread):
-		// Still the single writer: the fast path failed because the ring
-		// filled up, or because this thread's ring cache points at another
-		// object it touched in between (a takeover would have left
-		// writerShared behind — transitions complete under the mutex we now
-		// hold). A full inline array grows, once, to the ring's working size,
-		// keeping everything; a full grown ring rotates — fold the published
-		// count into retired and keep the newest scan-window entries. Then
-		// record under the mutex and re-arm the cache. No other thread can be
-		// touching the entry array: takeover, growth and rotation all
-		// require mu, and the lock-free writer is this thread.
+		// Still the single writer, so the fast path failed because the ring
+		// filled up (a takeover would have left writerShared behind —
+		// transitions complete under the mutex we now hold). A full inline
+		// array grows, once, to the ring's working size, keeping everything;
+		// a full grown ring rotates — fold the published count into retired
+		// and keep the newest scan-window entries. Then record under the
+		// mutex. No other thread can be touching the entry array: takeover,
+		// growth and rotation all require mu, and the lock-free writer is
+		// this thread.
 		n := int(rg.pub.Load() &^ ringClosed)
 		if n == len(rg.entries) && n == inlineEntries {
 			grown := make([]histEntry, grownRingSize(rt.cfg.ObjHistory))
@@ -331,14 +331,8 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		}
 		rg.entries[n] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
 		rg.pub.Store(uint64(n) + 1)
-		st.cachedRing, st.cachedRingObj = rg, a.Obj
 	default:
-		// Shared mode. If this thread's ring cache still points at this
-		// object, the ring it caches is closed (that is the only way
-		// ownership ends) — drop it so the fast path stops probing it.
-		if st.cachedRingObj == a.Obj {
-			st.cachedRing = nil
-		}
+		// Shared mode.
 		if w != writerShared {
 			// Takeover: a second thread reached a single-writer object.
 			// Close the publication ring — the CAS loop races at most the

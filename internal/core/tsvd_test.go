@@ -210,40 +210,64 @@ func TestNearMissWindowing(t *testing.T) {
 
 // TestPhaseDetectionSuppressesSequential: when all recent TSVD points come
 // from one thread the program is in a sequential phase and near misses are
-// not turned into dangerous pairs.
+// not turned into dangerous pairs — and one foreign point mid-flood makes the
+// flooding thread wait all over again.
 func TestPhaseDetectionSuppressesSequential(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
-	cfg.PhaseBufferSize = 8
+	const w = 8
+	cfg.PhaseBufferSize = w
+	// The first near miss earns a delay, which would age thread 2's access
+	// out of the window before the second sighting.
+	cfg.DisableNearMissWindow = true
 	d := mustNew(t, cfg)
 	const obj = ids.ObjectID(8)
-	// Thread 2 touches the object once; then thread 1 floods the phase
-	// buffer so the next thread-2-adjacent sighting is "sequential".
-	// Accesses are within the near-miss window.
-	d.OnCall(acc(2, obj, 801, KindWrite))
-	for i := 0; i < 8; i++ {
-		d.OnCall(acc(1, 900, 802, KindWrite)) // different object, fills ring
+	flood := func(n int) {
+		for i := 0; i < n; i++ {
+			d.OnCall(acc(1, 900, 802, KindWrite)) // different object
+		}
 	}
-	d.OnCall(acc(1, obj, 803, KindWrite)) // near miss vs 801, but sequential phase
-	st := d.Stats()
-	if st.SequentialSkips == 0 {
+	// Thread 2 touches the object once; thread 1 floods, but thread 2 comes
+	// back for one call on yet another object, so w-1 calls later the last w
+	// points still hold two threads.
+	d.OnCall(acc(2, obj, 801, KindWrite))
+	flood(w)
+	d.OnCall(acc(2, 901, 804, KindWrite))
+	flood(w - 2)
+	d.OnCall(acc(1, obj, 803, KindWrite)) // near miss vs 801, concurrent phase
+	if st := d.Stats(); st.NearMisses != 1 || st.SequentialSkips != 0 {
+		t.Fatalf("a foreign call %d points back did not keep the phase concurrent: %+v", w-1, st)
+	}
+	// Now thread 1 floods until it is believed: the next sighting next to
+	// thread 2's access is "sequential".
+	flood(phaseBelievedAfter(w))
+	d.OnCall(acc(1, obj, 805, KindWrite))
+	if st := d.Stats(); st.NearMisses != 1 || st.SequentialSkips == 0 {
 		t.Fatalf("sequential phase not detected: %+v", st)
 	}
 }
 
 func TestPhaseRing(t *testing.T) {
-	p := newPhaseRing(4)
-	if p.observe(1) || p.observe(1) || p.observe(1) {
+	const w = 4
+	p := newPhaseRing(w)
+	var l1, l2 phaseLocal
+	if p.observe(&l1, 1) || p.observe(&l1, 1) || p.observe(&l1, 1) {
 		t.Fatal("single-thread prefix reported concurrent")
 	}
-	if !p.observe(2) {
+	if !p.observe(&l2, 2) {
 		t.Fatal("two threads in buffer not reported concurrent")
 	}
-	// Flood with thread 2 until thread 1 ages out.
-	for i := 0; i < 3; i++ {
-		p.observe(2)
+	// Flood with thread 2 until thread 1 has aged out and thread 2 is
+	// believed.
+	for i := 1; i < phaseBelievedAfter(w); i++ {
+		p.observe(&l2, 2)
 	}
-	if p.observe(2) {
+	if p.observe(&l2, 2) {
 		t.Fatal("thread 1 aged out but still reported concurrent")
+	}
+	// The interrupting thread's first call and the interrupted thread's next
+	// one are both concurrent.
+	if !p.observe(&l1, 1) || !p.observe(&l2, 2) {
+		t.Fatal("a second thread's call did not end the sequential phase at once")
 	}
 }
 
