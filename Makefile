@@ -33,12 +33,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fleet chaos gate: one short race-enabled chaos run against a three-daemon
-# cluster (randomized fleet actions — including partitions and anti-entropy
-# rounds — with invariant checks after each, see docs/TESTING.md). The
-# regression-seed replay is part of `make race`.
+# Fleet chaos gate: one race-enabled chaos run at the default plan size
+# (randomized fleet actions with invariant checks after each, see
+# docs/TESTING.md). The regression-seed replay is part of `make race`.
 chaos-smoke:
-	$(GO) run -race ./cmd/tsvd-chaos -seed 11 -actions 20 -shards 2 -daemons 3
+	$(GO) run -race ./cmd/tsvd-chaos -seed 11 -actions 30 -shards 3
 
 # OnCall hot-path cost (see docs/PERFORMANCE.md for interpretation).
 bench:

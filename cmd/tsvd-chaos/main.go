@@ -1,17 +1,14 @@
 // Command tsvd-chaos drives the fleet chaos harness (internal/chaos): a
 // deterministic, seeded interleaving of shard detector runs, daemon kills
 // and restarts (some over a torn log tail or a half-done compaction),
-// network partitions and anti-entropy peer-sync rounds across
-// a multi-daemon cluster, trap-file corruption, injected network faults,
-// concurrent publishes and session supersedes, with hard invariants checked
-// after every action — per-daemon durability of acked pairs, the Fallback
-// no-pair-lost contract, exact trace/metrics reconciliation, and
-// cluster-wide convergence.
+// trap-file corruption, injected network faults, concurrent publishes and
+// session supersedes, with hard invariants checked after every action —
+// durability of the pairs the daemon acked, the Fallback no-pair-lost
+// contract, exact trace/metrics reconciliation, and converge equality.
 //
 // Usage:
 //
 //	tsvd-chaos -seed 42 -actions 30 -shards 3            # one run
-//	tsvd-chaos -seed 42 -daemons 3                       # 3-daemon cluster
 //	tsvd-chaos -seed 42 -plant lose-local-publish        # must be caught
 //	tsvd-chaos -replay internal/chaos/regression_seeds.json
 //	tsvd-chaos -seed 42 -record internal/chaos/regression_seeds.json
@@ -27,6 +24,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +44,6 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "plan seed; same seed, same plan, same verdict")
 		actions  = flag.Int("actions", 30, "number of planned fleet actions (a closing converge is always appended)")
 		shards   = flag.Int("shards", 3, "number of simulated CI shards")
-		daemons  = flag.Int("daemons", 1, "number of trap daemons in the simulated cluster")
 		plant    = flag.String("plant", "", `deliberately planted fault the run must catch ("lose-local-publish", "ignore-log")`)
 		minimize = flag.Bool("minimize", true, "shrink a failing plan to a smaller failing action list")
 		replay   = flag.String("replay", "", "replay every seed in this regression database and verify each verdict")
@@ -55,7 +52,7 @@ func run() int {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tsvd-chaos [-seed N] [-actions N] [-shards N] [-daemons N] [-plant FAULT] [-replay FILE] [-record FILE]\n")
+			"usage: tsvd-chaos [-seed N] [-actions N] [-shards N] [-plant FAULT] [-replay FILE] [-record FILE]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,7 +79,7 @@ func run() int {
 		return 2
 	}
 
-	cfg := chaos.Config{Seed: *seed, Actions: *actions, Shards: *shards, Daemons: *daemons, Plant: planted, Minimize: *minimize}
+	cfg := chaos.Config{Seed: *seed, Actions: *actions, Shards: *shards, Plant: planted, Minimize: *minimize}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) { fmt.Printf("tsvd-chaos: "+format+"\n", args...) }
 	}
@@ -95,8 +92,8 @@ func run() int {
 	expectCaught := planted != 0
 	switch {
 	case res.Violation == nil && !expectCaught:
-		fmt.Printf("tsvd-chaos: PASS seed=%d actions=%d shards=%d daemons=%d: all invariants held over %d actions\n",
-			*seed, *actions, *shards, *daemons, res.ActionsRun)
+		fmt.Printf("tsvd-chaos: PASS seed=%d actions=%d shards=%d: all invariants held over %d actions\n",
+			*seed, *actions, *shards, res.ActionsRun)
 		if *record != "" {
 			return recordSeed(*record, cfg, "pass", "routine chaos run, all invariants held")
 		}
@@ -118,7 +115,9 @@ func run() int {
 	default:
 		fmt.Fprintf(os.Stderr, "tsvd-chaos: FAIL seed=%d: %v\n", *seed, res.Violation)
 		printViolation(res)
-		fmt.Fprintf(os.Stderr, "\nready-to-commit regression seed:\n%s\n", seedSnippet(cfg))
+		// A struct of numbers and strings: marshalling it cannot fail.
+		snippet, _ := json.MarshalIndent(seedEntry(cfg, "pass", "<what this seed caught>"), "    ", "  ")
+		fmt.Fprintf(os.Stderr, "\nready-to-commit regression seed:\n    %s\n", snippet)
 		return 1
 	}
 }
@@ -145,21 +144,13 @@ func printViolation(res *chaos.Result) {
 	}
 }
 
-// seedSnippet renders cfg as a SeedEntry JSON object for pasting into
-// regression_seeds.json.
-func seedSnippet(cfg chaos.Config) string {
-	daemons := ""
-	if cfg.Daemons > 1 {
-		daemons = fmt.Sprintf("\n    \"daemons\": %d,", cfg.Daemons)
+// seedEntry is cfg as the database entry that replays it.
+func seedEntry(cfg chaos.Config, expect, note string) chaos.SeedEntry {
+	return chaos.SeedEntry{
+		Seed: cfg.Seed, Actions: cfg.Actions, Shards: cfg.Shards,
+		Plant: chaos.PlantName(cfg.Plant), Expect: expect,
+		Added: time.Now().Format("2006-01-02"), Note: note,
 	}
-	return fmt.Sprintf(`  {
-    "seed": %d,
-    "actions": %d,
-    "shards": %d,%s
-    "expect": "pass",
-    "added": %q,
-    "note": "<what this seed caught>"
-  }`, cfg.Seed, cfg.Actions, cfg.Shards, daemons, time.Now().Format("2006-01-02"))
 }
 
 // recordSeed appends this run's parameters to the seed database at path,
@@ -173,11 +164,7 @@ func recordSeed(path string, cfg chaos.Config, expect, note string) int {
 		}
 		db = &chaos.SeedDB{Version: 1}
 	}
-	db.Seeds = append(db.Seeds, chaos.SeedEntry{
-		Seed: cfg.Seed, Actions: cfg.Actions, Shards: cfg.Shards, Daemons: cfg.Daemons,
-		Plant: chaos.PlantName(cfg.Plant), Expect: expect,
-		Added: time.Now().Format("2006-01-02"), Note: note,
-	})
+	db.Seeds = append(db.Seeds, seedEntry(cfg, expect, note))
 	if err := chaos.SaveSeeds(path, db); err != nil {
 		fmt.Fprintf(os.Stderr, "tsvd-chaos: record: %v\n", err)
 		return 1

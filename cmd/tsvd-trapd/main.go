@@ -8,7 +8,6 @@
 //
 //	tsvd-trapd -addr 127.0.0.1:8321 -snapshot /var/lib/tsvd/traps.json
 //	tsvd-trapd -addr 127.0.0.1:0 -v     # ephemeral port, printed on stdout
-//	tsvd-trapd -addr 127.0.0.1:8321 -peer http://10.0.0.2:8321 -peer http://10.0.0.3:8321
 //
 // The daemon speaks the trapstore wire schema on /v1/traps (GET snapshot
 // with an epoch-qualified ETag and O(delta) ?since= incremental responses,
@@ -24,12 +23,9 @@
 // from FILE and the append log FILE.log beside it at startup, and persists
 // every merge that grows the set before acknowledging it: the rows the merge
 // added go to the log, and now and then the log is folded back into FILE (a
-// compaction), so a restarted daemon resumes where it stopped. With -peer (repeat
-// the flag, or pass a comma-separated list) it runs pull+push anti-entropy
-// against the named daemons every -sync-interval, so any connected cluster
-// converges to the union of all daemons' sets with no single point of
-// failure. SIGINT/SIGTERM shut it down gracefully, folding the log into the
-// snapshot: a stopped daemon's FILE alone is a whole trap file.
+// compaction), so a restarted daemon resumes where it stopped. SIGINT/SIGTERM
+// shut it down gracefully, folding the log into the snapshot: a stopped
+// daemon's FILE alone is a whole trap file.
 //
 // On startup it prints exactly one line, "tsvd-trapd: listening on
 // http://HOST:PORT", so wrappers that start it with -addr ...:0 can
@@ -48,7 +44,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -62,34 +57,14 @@ func main() {
 	os.Exit(run())
 }
 
-// peerList collects -peer flags; each occurrence may itself be a
-// comma-separated list.
-type peerList []string
-
-func (p *peerList) String() string { return strings.Join(*p, ",") }
-
-func (p *peerList) Set(v string) error {
-	for _, s := range strings.Split(v, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		*p = append(*p, s)
-	}
-	return nil
-}
-
 func run() int {
-	var peers peerList
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8321", "listen address (use :0 for an ephemeral port)")
 		snapshot = flag.String("snapshot", "", "trap file to seed from at startup and persist after every merge (with its append log, <file>.log)")
 		tool     = flag.String("tool", "TSVD", "tool label for the aggregated trap set")
 		verbose  = flag.Bool("v", false, "log every merge")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		syncIvl  = flag.Duration("sync-interval", 2*time.Second, "anti-entropy period against -peer daemons")
 	)
-	flag.Var(&peers, "peer", "peer daemon base URL for anti-entropy replication (repeatable, or comma-separated)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "tsvd-trapd: unexpected arguments %v\n", flag.Args())
@@ -204,19 +179,6 @@ func run() int {
 		root = mux
 	}
 
-	var repl *trapstore.Replicator
-	if len(peers) > 0 {
-		repl = trapstore.NewReplicator(store, trapstore.ReplicatorConfig{
-			Peers:    peers,
-			Interval: *syncIvl,
-			OnMerge:  saveSnapshot,
-			Logf:     logf,
-			Metrics:  reg,
-		})
-		repl.Start()
-		logger.Printf("anti-entropy against %d peer(s) every %s: %s", len(peers), *syncIvl, peers.String())
-	}
-
 	srv := &http.Server{Handler: root}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -226,9 +188,6 @@ func run() int {
 	select {
 	case <-ctx.Done():
 		logger.Printf("shutting down")
-		if repl != nil {
-			repl.Close()
-		}
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -242,9 +201,6 @@ func run() int {
 		}
 		return 0
 	case err := <-errc:
-		if repl != nil {
-			repl.Close()
-		}
 		if !errors.Is(err, http.ErrServerClosed) {
 			logger.Printf("%v", err)
 			return 1

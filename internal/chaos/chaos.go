@@ -2,40 +2,34 @@
 // deterministic, seeded driver that interleaves weighted fleet actions —
 // shard detector runs across every algorithm variant and sampling mode,
 // daemon kills and snapshot-restored restarts (plain, over a torn log tail,
-// or over a compaction that died half-way), network partitions and heals,
-// anti-entropy peer-sync rounds, trap-file corruption and truncation,
-// slow/flaky/5xx networks injected into the HTTPStore transport, concurrent
-// publishes, public-API session supersedes — against an
-// in-process daemon cluster (real trapstore.NewHandler instances behind
-// real HTTP servers, replicating via real trapstore.Replicators) and checks
-// hard invariants after every action:
+// or over a compaction that died half-way), trap-file corruption and
+// truncation, slow/flaky/5xx networks injected into the HTTPStore transport,
+// concurrent publishes, public-API session supersedes — against one
+// in-process daemon (a real trapstore.NewHandler behind a real HTTP server,
+// persisting through a real trapstore.SnapshotPersister) and checks hard
+// invariants after every action:
 //
-//   - Durability, per daemon: every pair a daemon acknowledged — client
-//     publish ack, peer push ack, or completed pull — is in what a reboot of
-//     that daemon reads, its snapshot file with its append log replayed (the
-//     ack contract), and no daemon's set ever exceeds the fleet-wide
-//     published bound.
+//   - Durability: every pair the daemon acknowledged a publish of is in what
+//     a reboot of it reads, its snapshot file with its append log replayed
+//     (the ack contract), and its set never holds a pair no publish carried.
 //   - The Fallback contract: each healthy shard's local trap file holds
 //     exactly the union of that shard's published sets — no pair a run
-//     discovered is ever lost, daemons up or down.
+//     discovered is ever lost, daemon up or down.
 //   - Exact observability: every shard run's trace events reconcile against
 //     its detector Stats and store totals (the trace.Reconcile rule,
 //     in-process), and its exported metrics series match the same counters
 //     (core.CheckCounters).
-//   - Anti-entropy liveness: a sync leg between two healthy, unpartitioned
-//     daemons never fails.
-//   - Cluster convergence: after the plan's closing converge — partitions
-//     healed, downed daemons restarted, one full sync round — every daemon
-//     and every shard file hold the identical set: the fleet's G-Set CRDT
-//     has one value.
+//   - Converge equality: after a converge — the daemon restarted if down,
+//     corrupt files healed, every shard file pushed, the daemon's set pulled
+//     back — the daemon and every shard file hold the identical set.
 //
 // All randomness is drawn at plan time from the seed, so the action log is a
-// pure function of (Seed, Actions, Shards, Daemons) and a failing seed
-// replays exactly. Failing plans are minimized ddmin-style to a smaller
-// failing action list, explained with an error-invariant-style slice of the
-// events that touched the offending pairs, and committed to
-// internal/chaos/regression_seeds.json, which `make chaos-smoke` replays
-// forever (docs/TESTING.md).
+// pure function of (Seed, Actions, Shards) and a failing seed replays
+// exactly. Failing plans are minimized ddmin-style to a smaller failing
+// action list, explained with an error-invariant-style slice of the events
+// that touched the offending pairs, and committed to
+// internal/chaos/regression_seeds.json, which `make race` replays forever
+// (docs/TESTING.md).
 package chaos
 
 import (
@@ -54,8 +48,8 @@ const chaosScale = 0.02
 // Config parameterizes one chaos run.
 type Config struct {
 	// Seed drives every random choice in the plan. Two runs with equal
-	// (Seed, Actions, Shards, Daemons, Plant) produce bit-for-bit identical
-	// action logs.
+	// (Seed, Actions, Shards, Plant) produce bit-for-bit identical action
+	// logs.
 	Seed int64
 	// Actions is the number of planned fleet actions (default 30). A closing
 	// converge action is always appended, so the executed plan has
@@ -64,12 +58,6 @@ type Config struct {
 	// Shards is the number of simulated CI shards (default 3), each with its
 	// own local trap file.
 	Shards int
-	// Daemons is the number of trap daemons in the simulated cluster
-	// (default 1). With more than one, each daemon replicates to every other
-	// via pull+push anti-entropy, the plan draws partition / heal /
-	// peer-sync actions, and the closing converge requires every daemon to
-	// hold the identical set.
-	Daemons int
 	// Plant arms a deliberately planted contract bug
 	// (trapstore.PlantFault) for the duration of the run. The harness must
 	// catch any non-FaultNone plant — replaying a planted seed that passes
@@ -94,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 3
-	}
-	if c.Daemons <= 0 {
-		c.Daemons = 1
 	}
 	if c.MaxReplays <= 0 {
 		c.MaxReplays = 12
@@ -197,7 +182,7 @@ func execute(cfg Config, plan []action) (*Violation, int, error) {
 		return nil, 0, err
 	}
 	defer f.shutdown()
-	m := newModel(cfg.Shards, cfg.Daemons)
+	m := newModel(cfg.Shards)
 
 	for i, a := range plan {
 		cfg.Logf("act#%02d %s", i, a.describe())

@@ -1,11 +1,11 @@
 package chaos
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/config"
 	"repro/internal/trapstore"
 )
 
@@ -131,53 +131,6 @@ func TestPlantedFaultCaught(t *testing.T) {
 	}
 }
 
-// TestPartitionHealClusterConvergence drives a hand-built worst-case
-// replication plan against a three-daemon cluster: shards publish to
-// different daemons, one daemon is partitioned away while the others
-// exchange pairs, another is killed outright, the partition heals — and the
-// closing converge must still leave every daemon and every shard file
-// holding the identical set, with every per-daemon durability check green
-// along the way.
-func TestPartitionHealClusterConvergence(t *testing.T) {
-	cfg := Config{Seed: 1, Shards: 2, Daemons: 3, Logf: t.Logf}.withDefaults()
-	plan := []action{
-		{kind: actRunShard, shard: 0, daemon: 0, algo: config.AlgoTSVD, mode: config.ModeFull,
-			suite: 101, modules: 2, detSeed: 5, runSeed: 7},
-		{kind: actPartitionDaemon, daemon: 2},
-		{kind: actRunShard, shard: 1, daemon: 1, algo: config.AlgoTSVD, mode: config.ModeFull,
-			suite: 102, modules: 3, detSeed: 6, runSeed: 8},
-		// Daemons 0 and 1 exchange their sets; the partitioned daemon 2
-		// stays behind (its sync legs fail, which must NOT be a violation).
-		{kind: actPeerSync},
-		{kind: actKillDaemon, daemon: 1},
-		{kind: actHealPartition, daemon: 2},
-		// Daemons 0 and 2 exchange; daemon 1 is down and stays behind.
-		{kind: actPeerSync},
-		// Converge restarts daemon 1 from its snapshot, runs a full round,
-		// and demands exact cluster-wide set equality.
-		{kind: actConverge},
-	}
-	v, ran, err := execute(cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != nil {
-		t.Fatalf("partition/heal plan violated %q after action #%d: %s\nexplanation:\n  %s",
-			v.Invariant, v.Action, v.Detail, strings.Join(explainLines(v), "\n  "))
-	}
-	if ran != len(plan) {
-		t.Fatalf("ran %d of %d actions without a violation", ran, len(plan))
-	}
-}
-
-// explainLines guards against a nil explanation when rendering a failure.
-func explainLines(v *Violation) []string {
-	if len(v.Explanation) > 0 {
-		return v.Explanation
-	}
-	return []string{"(no explanation attached)"}
-}
-
 // TestRegressionSeedsReplay replays the committed database; `make race` runs
 // it under the race detector.
 func TestRegressionSeedsReplay(t *testing.T) {
@@ -217,6 +170,28 @@ func TestSeedDBRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadSeeds(path); err == nil {
 		t.Fatal("LoadSeeds accepted an invalid expect verdict")
+	}
+
+	// An entry written for some other version of the harness fails to load,
+	// naming the field; it does not replay as whatever is left of it.
+	stale := `{"version":1,"seeds":[{"seed":42,"actions":15,"shards":3,"replicas":3,"expect":"pass","added":"2026-08-08"}]}`
+	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSeeds(path); err == nil || !strings.Contains(err.Error(), `"replicas"`) {
+		t.Fatalf("LoadSeeds of an entry with an unknown field = %v, want an error naming \"replicas\"", err)
+	}
+
+	// A seed whose plan no longer has what its covers list names is rejected
+	// before the plan runs.
+	drifted := &SeedDB{Version: 1, Seeds: []SeedEntry{
+		{Seed: 9, Actions: 3, Shards: 2, Expect: "pass", Added: "2026-10-03", Covers: []string{"converge", "no-such-action"}},
+	}}
+	if err := SaveSeeds(path, drifted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplaySeeds(path, nil); err == nil || !strings.Contains(err.Error(), `"no-such-action"`) {
+		t.Fatalf("ReplaySeeds of a seed whose covers names a missing action = %v, want an error naming it", err)
 	}
 
 	if _, err := ParsePlant("no-such-fault"); err == nil {

@@ -36,22 +36,22 @@ func genuineRecord(dir string) ([]byte, error) {
 	return rec, err
 }
 
-// restartAfter brings daemon d back up after a staged disk fault. Booting at
-// all is the first thing checked; what it booted with — acked ⊆ durable ⊆
+// restartAfter brings the daemon back up after a staged disk fault. Booting
+// at all is the first thing checked; what it booted with — acked ⊆ durable ⊆
 // published, on disk and live — is checkInvariants' job right after.
-func (f *fleet) restartAfter(act, d int, m *model, what string) *Violation {
-	if err := f.startDaemon(d); err != nil {
+func (f *fleet) restartAfter(act int, m *model, what string) *Violation {
+	if err := f.startDaemon(); err != nil {
 		return violation(act, "daemon-restart",
-			fmt.Sprintf("daemon %d failed to restart after %s: %v", d, what, err), nil)
+			fmt.Sprintf("the daemon failed to restart after %s: %v", what, err), nil)
 	}
-	m.event("act#%02d daemon %d killed, %s, restarted", act, d, what)
+	m.event("act#%02d daemon killed, %s, restarted", act, what)
 	return nil
 }
 
-// tornLogTail kills daemon a.daemon as if mid-append — of a record it never
+// tornLogTail kills the daemon as if mid-append — of a record it never
 // acknowledged — and restarts it over the damaged log.
 func (f *fleet) tornLogTail(act int, a action, m *model) *Violation {
-	f.killDaemon(a.daemon)
+	f.killDaemon()
 	tail, what := []byte("\xff\xff\xff\x7f chaos: not a log record"), "garbage appended to its log"
 	if a.variant == 0 {
 		rec, err := genuineRecord(f.dir)
@@ -63,34 +63,33 @@ func (f *fleet) tornLogTail(act int, a action, m *model) *Violation {
 		cut := len(rec) * (1 + act%7) / 8
 		tail, what = rec[:cut], fmt.Sprintf("the first %d of a record's %d bytes appended to its log", cut, len(rec))
 	}
-	log, err := os.OpenFile(f.nodes[a.daemon].snapPath+".log", os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
+	log, err := os.OpenFile(f.snapPath+".log", os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err == nil {
 		_, err = log.Write(tail)
 		err = errors.Join(err, log.Close())
 	}
 	if err != nil {
-		return violation(act, "environment", fmt.Sprintf("damaging daemon %d's log: %v", a.daemon, err), nil)
+		return violation(act, "environment", fmt.Sprintf("damaging the daemon's log: %v", err), nil)
 	}
-	return f.restartAfter(act, a.daemon, m, what)
+	return f.restartAfter(act, m, what)
 }
 
-// crashMidCompaction kills daemon a.daemon inside a compaction and restarts
+// crashMidCompaction kills the daemon inside a compaction and restarts
 // it. The compaction is a real one — the first save of a persister value
 // always is — run on the dead daemon's files and stopped where a.variant
 // says: by the kill hook between the durable temp-file write and the rename,
 // or after the rename, by putting back the log it went on to empty.
 func (f *fleet) crashMidCompaction(act int, a action, m *model) *Violation {
-	f.killDaemon(a.daemon)
-	snapPath := f.nodes[a.daemon].snapPath
-	dying := trapstore.NewSnapshotPersister(snapPath)
+	f.killDaemon()
+	dying := trapstore.NewSnapshotPersister(f.snapPath)
 	set, st, err := dying.Load()
 	if err != nil {
 		return violation(act, "snapshot-file-corrupt",
-			fmt.Sprintf("daemon %d's files are unreadable before the staged compaction: %v", a.daemon, err), nil)
+			fmt.Sprintf("the daemon's files are unreadable before the staged compaction: %v", err), nil)
 	}
-	log, err := os.ReadFile(snapPath + ".log")
+	log, err := os.ReadFile(f.snapPath + ".log")
 	if err != nil && !os.IsNotExist(err) {
-		return violation(act, "environment", fmt.Sprintf("reading daemon %d's log: %v", a.daemon, err), nil)
+		return violation(act, "environment", fmt.Sprintf("reading the daemon's log: %v", err), nil)
 	}
 	if a.variant == 0 {
 		trapfile.SetTestHookAfterWrite(func(string) error { return errors.New("killed") })
@@ -99,14 +98,14 @@ func (f *fleet) crashMidCompaction(act int, a action, m *model) *Violation {
 		if err == nil {
 			return violation(act, "environment", "the kill hook did not stop the compaction", nil)
 		}
-		return f.restartAfter(act, a.daemon, m, "its compaction stopped before the rename")
+		return f.restartAfter(act, m, "its compaction stopped before the rename")
 	}
 	if err = dying.Save(set, st); err == nil {
-		err = os.WriteFile(snapPath+".log", log, 0o600)
+		err = os.WriteFile(f.snapPath+".log", log, 0o600)
 	}
 	// Only the descriptor: the persister believes its log empty and folds nothing.
 	if err = errors.Join(err, dying.Close()); err != nil {
-		return violation(act, "environment", fmt.Sprintf("staging daemon %d's compaction: %v", a.daemon, err), nil)
+		return violation(act, "environment", fmt.Sprintf("staging the daemon's compaction: %v", err), nil)
 	}
-	return f.restartAfter(act, a.daemon, m, "its compaction stopped before emptying the log")
+	return f.restartAfter(act, m, "its compaction stopped before emptying the log")
 }

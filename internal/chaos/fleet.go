@@ -25,169 +25,103 @@ import (
 // chaosTool labels every trap set the harness produces.
 const chaosTool = "TSVD"
 
-// gatedHandler fronts one daemon's HTTP handler behind a stable URL for the
-// whole fleet lifetime. Peers and clients hold fixed URLs across daemon
-// restarts (as they would fixed host:port pairs in production), so the
-// listener must outlive the daemon process it serves: a down or partitioned
-// daemon answers 503 — which HTTPStore classifies exactly like a refused
-// connection (retry, then ErrUnavailable) — and a restarted daemon swaps a
-// fresh handler in behind the same URL.
+// gatedHandler fronts the daemon's HTTP handler behind a stable URL for the
+// whole fleet lifetime. Clients hold a fixed URL across daemon restarts (as
+// they would a fixed host:port in production), so the listener must outlive
+// the daemon process it serves: a down daemon answers 503 — which HTTPStore
+// classifies exactly like a refused connection (retry, then ErrUnavailable)
+// — and a restarted daemon swaps a fresh handler in behind the same URL.
 type gatedHandler struct {
-	mu          sync.Mutex
-	inner       http.Handler
-	up          bool
-	partitioned bool
+	mu    sync.Mutex
+	inner http.Handler // nil while the daemon is down
 }
 
 func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
-	inner, reachable := g.inner, g.up && !g.partitioned
+	inner := g.inner
 	g.mu.Unlock()
-	if !reachable {
+	if inner == nil {
 		http.Error(w, "chaos: daemon unreachable", http.StatusServiceUnavailable)
 		return
 	}
 	inner.ServeHTTP(w, r)
 }
 
-func (g *gatedHandler) swap(h http.Handler, up bool) {
+func (g *gatedHandler) swap(h http.Handler) {
 	g.mu.Lock()
-	g.inner, g.up = h, up
+	g.inner = h
 	g.mu.Unlock()
 }
 
-func (g *gatedHandler) setPartitioned(p bool) {
+func (g *gatedHandler) up() bool {
 	g.mu.Lock()
-	g.partitioned = p
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	return g.inner != nil
 }
 
-// daemonNode is one tsvd-trapd of the simulated cluster: a real trapstore
-// handler and replicator behind a real HTTP listener, persisting through the
-// real SnapshotPersister.
-type daemonNode struct {
+// fleet is the simulated deployment: one in-process tsvd-trapd — a real
+// trapstore handler behind a real HTTP listener, persisting through the real
+// SnapshotPersister — plus per-shard local trap files.
+type fleet struct {
+	dir    string
+	locals []string
+
 	snapPath string
 	srv      *httptest.Server
 	gate     *gatedHandler
 	checker  *trapstore.HTTPStore // pristine client the invariant checks read through
-
-	mem         *trapstore.Memory
-	repl        *trapstore.Replicator
-	up          bool
-	partitioned bool
-}
-
-// fleet is the simulated deployment: cfg.Daemons in-process tsvd-trapds
-// replicating to each other (full mesh), plus per-shard local trap files.
-type fleet struct {
-	cfg    Config
-	dir    string
-	locals []string
-	nodes  []*daemonNode
 }
 
 func newFleet(cfg Config, dir string) (*fleet, error) {
+	gate := &gatedHandler{}
 	f := &fleet{
-		cfg:    cfg,
-		dir:    dir,
-		locals: make([]string, cfg.Shards),
-		nodes:  make([]*daemonNode, cfg.Daemons),
+		dir:      dir,
+		locals:   make([]string, cfg.Shards),
+		snapPath: filepath.Join(dir, "daemon-snapshot.json"),
+		gate:     gate,
+		srv:      httptest.NewServer(gate),
 	}
 	for i := range f.locals {
 		f.locals[i] = filepath.Join(dir, fmt.Sprintf("shard%d-traps.json", i))
 	}
-	// All listeners come up first so every node knows every peer URL before
-	// any daemon starts.
-	for i := range f.nodes {
-		gate := &gatedHandler{}
-		f.nodes[i] = &daemonNode{
-			snapPath: filepath.Join(dir, fmt.Sprintf("daemon%d-snapshot.json", i)),
-			gate:     gate,
-			srv:      httptest.NewServer(gate),
-		}
-	}
-	for i, n := range f.nodes {
-		n.checker = trapstore.NewHTTPStore(n.srv.URL, fastRetries(trapstore.HTTPConfig{}))
-		if err := f.startDaemon(i); err != nil {
-			return nil, err
-		}
+	f.checker = trapstore.NewHTTPStore(f.srv.URL, fastRetries(trapstore.HTTPConfig{}))
+	if err := f.startDaemon(); err != nil {
+		f.shutdown()
+		return nil, err
 	}
 	return f, nil
 }
 
-// startDaemon boots daemon i: a new Memory restored from its snapshot file
-// (continuing the persisted generation under a fresh boot epoch, exactly as
-// cmd/tsvd-trapd does), served behind its stable URL, persisting every
-// growing merge through a fresh SnapshotPersister, with a replicator wired
-// to every other node. The replicator is never Start()ed — the plan drives
-// sync rounds deterministically via actPeerSync and converge.
-func (f *fleet) startDaemon(i int) error {
-	n := f.nodes[i]
-	persister := trapstore.NewSnapshotPersister(n.snapPath)
+// startDaemon boots the daemon: a new Memory restored from its snapshot file
+// and log (continuing the persisted generation under a fresh boot epoch,
+// exactly as cmd/tsvd-trapd does), served behind its stable URL, persisting
+// every growing merge through a fresh SnapshotPersister.
+func (f *fleet) startDaemon() error {
+	persister := trapstore.NewSnapshotPersister(f.snapPath)
 	seed, prev, err := persister.Load()
 	if err != nil {
 		// The snapshot is written atomically; an unreadable one is a bug,
 		// not an environment problem — but it is detected by the invariant
 		// checks, not here. Refuse like the real daemon does.
-		return fmt.Errorf("chaos: daemon %d refused to start: %w", i, err)
+		return fmt.Errorf("chaos: daemon refused to start: %w", err)
 	}
-	n.mem = trapstore.NewMemory(chaosTool, nil)
-	n.mem.Restore(seed, prev)
+	mem := trapstore.NewMemory(chaosTool, nil)
+	mem.Restore(seed, prev)
 	onMerge := func(file trapfile.File, st trapstore.SyncState) { _ = persister.Save(file, st) }
-	h := trapstore.NewHandler(n.mem, trapstore.HandlerOptions{OnMerge: onMerge})
-	var peers []string
-	for j, p := range f.nodes {
-		if j != i {
-			peers = append(peers, p.srv.URL)
-		}
-	}
-	n.repl = trapstore.NewReplicator(n.mem, trapstore.ReplicatorConfig{
-		Peers:   peers,
-		HTTP:    fastRetries(trapstore.HTTPConfig{}),
-		OnMerge: onMerge,
-	})
-	n.gate.swap(h, true)
-	n.up = true
+	f.gate.swap(trapstore.NewHandler(mem, trapstore.HandlerOptions{OnMerge: onMerge}))
 	return nil
 }
 
-// peerIndex maps a node's replicator peer list position back to the fleet
-// node index (the replicator skips the node itself).
-func (f *fleet) peerIndex(node, peerPos int) int {
-	if peerPos >= node {
-		return peerPos + 1
-	}
-	return peerPos
-}
-
-// killDaemon drops daemon i hard: its in-memory set is gone, its URL starts
-// refusing (503, which clients classify like a dead host), its replicator
-// dies with it. Only the snapshot file survives.
-func (f *fleet) killDaemon(i int) {
-	n := f.nodes[i]
-	if !n.up {
-		return
-	}
-	n.gate.swap(nil, false)
-	n.up = false
-	if n.repl != nil {
-		n.repl.Close()
-		n.repl = nil
-	}
-	n.mem = nil
-}
+// killDaemon drops the daemon hard: its in-memory set is gone and its URL
+// starts refusing (503, which clients classify like a dead host). Only the
+// snapshot file and log survive.
+func (f *fleet) killDaemon() { f.gate.swap(nil) }
 
 func (f *fleet) shutdown() {
-	for i, n := range f.nodes {
-		f.killDaemon(i)
-		n.checker.Close()
-		n.srv.Close()
-	}
+	f.killDaemon()
+	f.checker.Close()
+	f.srv.Close()
 }
-
-// daemonURL returns daemon i's base URL — stable for the fleet's lifetime,
-// refusing requests while the daemon is down or partitioned.
-func (f *fleet) daemonURL(i int) string { return f.nodes[i].srv.URL }
 
 // fastRetries tightens a client config to chaos pace: two attempts,
 // millisecond backoffs. Callers' Tracer/Metrics/Transport fields pass
@@ -214,35 +148,21 @@ func (f *fleet) apply(act int, a action, m *model) *Violation {
 	case actRunShard:
 		return f.runShard(act, a, m)
 	case actKillDaemon:
-		m.event("act#%02d daemon %d killed (in-memory set discarded)", act, a.daemon)
-		f.killDaemon(a.daemon)
+		m.event("act#%02d daemon killed (in-memory set discarded)", act)
+		f.killDaemon()
 		return nil
 	case actRestartDaemon:
-		f.killDaemon(a.daemon)
-		if err := f.startDaemon(a.daemon); err != nil {
+		f.killDaemon()
+		if err := f.startDaemon(); err != nil {
 			return violation(act, "daemon-restart",
-				fmt.Sprintf("daemon %d failed to restart from its own snapshot: %v", a.daemon, err), nil)
+				fmt.Sprintf("daemon failed to restart from its own snapshot: %v", err), nil)
 		}
-		m.event("act#%02d daemon %d restarted, restored from snapshot", act, a.daemon)
+		m.event("act#%02d daemon restarted, restored from snapshot", act)
 		return nil
 	case actTornLogTail:
 		return f.tornLogTail(act, a, m)
 	case actCrashMidCompaction:
 		return f.crashMidCompaction(act, a, m)
-	case actPartitionDaemon:
-		n := f.nodes[a.daemon]
-		n.partitioned = true
-		n.gate.setPartitioned(true)
-		m.event("act#%02d daemon %d partitioned away from the cluster", act, a.daemon)
-		return nil
-	case actHealPartition:
-		n := f.nodes[a.daemon]
-		n.partitioned = false
-		n.gate.setPartitioned(false)
-		m.event("act#%02d daemon %d partition healed", act, a.daemon)
-		return nil
-	case actPeerSync:
-		return f.peerSync(act, m)
 	case actCorruptFile:
 		if err := os.WriteFile(f.locals[a.shard], []byte("{ this is not a trap file"), 0o644); err != nil {
 			return violation(act, "environment", fmt.Sprintf("corrupting shard file: %v", err), nil)
@@ -269,44 +189,6 @@ func (f *fleet) apply(act int, a action, m *model) *Violation {
 	}
 }
 
-// peerSync runs one anti-entropy round on every live, unpartitioned daemon
-// in node order, folding the exact pulled/pushed pair lists into the model.
-// A sync leg that fails against a peer that is itself live and reachable is
-// an oracle failure: with no fault between two healthy daemons, anti-entropy
-// must move pairs.
-func (f *fleet) peerSync(act int, m *model) *Violation {
-	moved := 0
-	for i, n := range f.nodes {
-		if !n.up || n.partitioned {
-			continue
-		}
-		for pos, res := range n.repl.SyncOnce() {
-			j := f.peerIndex(i, pos)
-			peerOK := f.nodes[j].up && !f.nodes[j].partitioned
-			if res.PullErr != nil {
-				if peerOK {
-					return violation(act, "peer-sync",
-						fmt.Sprintf("daemon %d pull from healthy daemon %d failed: %v", i, j, res.PullErr), nil)
-				}
-			} else {
-				m.ack(i, res.Pulled, act, fmt.Sprintf("daemon %d pulled from daemon %d", i, j))
-				moved += len(res.Pulled)
-			}
-			if res.PushErr != nil {
-				if peerOK {
-					return violation(act, "peer-sync",
-						fmt.Sprintf("daemon %d push to healthy daemon %d failed: %v", i, j, res.PushErr), nil)
-				}
-			} else if len(res.Pushed) > 0 {
-				m.ack(j, res.Pushed, act, fmt.Sprintf("daemon %d pushed to daemon %d", i, j))
-				moved += len(res.Pushed)
-			}
-		}
-	}
-	m.event("act#%02d peer-sync round moved %d pairs", act, moved)
-	return nil
-}
-
 // runShard executes one CI shard run through the full production stack —
 // harness, Fallback(HTTPStore, FileStore), tracer, metrics — then applies
 // the in-process oracles: store-error classification, ground-truth
@@ -331,11 +213,11 @@ func (f *fleet) runShard(act int, a action, m *model) *Violation {
 	storeReg := metrics.NewRegistry()
 
 	rt := newFaultRT(a.fault, func() {
-		m.event("act#%02d daemon %d killed mid-run by injected fault", act, a.daemon)
-		f.killDaemon(a.daemon)
+		m.event("act#%02d daemon killed mid-run by injected fault", act)
+		f.killDaemon()
 	})
 	httpCfg := fastRetries(trapstore.HTTPConfig{Tracer: storeTracer, Metrics: storeReg, Transport: rt})
-	remote := trapstore.NewHTTPStore(f.daemonURL(a.daemon), httpCfg)
+	remote := trapstore.NewHTTPStore(f.srv.URL, httpCfg)
 	local := trapstore.NewFileStore(f.locals[a.shard], storeTracer)
 	store := trapstore.NewFallback(remote, local, storeTracer)
 	store.RegisterMetrics(storeReg)
@@ -417,12 +299,12 @@ func (f *fleet) runShard(act int, a action, m *model) *Violation {
 
 	// Fold the observed outcome into the model, by contract: publish
 	// success ⇒ pairs durable in the local file; a daemon publish ack ⇒
-	// pairs durable in that daemon's snapshot.
+	// pairs durable in the daemon's snapshot and log.
 	pairs := trapfile.FromKeys(out.FinalTraps)
 	m.localAdd(a.shard, pairs, act, fmt.Sprintf("published by %s run", a.algo))
 	switch {
 	case remTotals.Publishes >= 1:
-		m.ack(a.daemon, pairs, act, fmt.Sprintf("shard %d publish acknowledged", a.shard))
+		m.ack(pairs, act, fmt.Sprintf("shard %d publish acknowledged", a.shard))
 	case rt.maybeDeliveredPosts() > 0:
 		m.limboAdd(pairs, act, fmt.Sprintf("shard %d publish reached the wire but failed", a.shard))
 	}
@@ -471,14 +353,13 @@ func reconcileMetrics(act, shard int, detReg, storeReg *metrics.Registry, out *h
 	return nil
 }
 
-// concurrentPublish hits one daemon with three simultaneous direct
+// concurrentPublish hits the daemon with three simultaneous direct
 // publishers carrying disjoint synthetic pair sets — the merge path under
-// real request concurrency. Skipped (a visible no-op) when that daemon is
-// unreachable: there is nothing to publish at.
+// real request concurrency. Skipped (a visible no-op) when the daemon is
+// down: there is nothing to publish at.
 func (f *fleet) concurrentPublish(act int, a action, m *model) *Violation {
-	n := f.nodes[a.daemon]
-	if !n.up || n.partitioned {
-		m.event("act#%02d concurrent-publish skipped: daemon %d unreachable", act, a.daemon)
+	if !f.gate.up() {
+		m.event("act#%02d concurrent-publish skipped: daemon down", act)
 		return nil
 	}
 	const writers = 3
@@ -496,7 +377,7 @@ func (f *fleet) concurrentPublish(act int, a action, m *model) *Violation {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := trapstore.NewHTTPStore(f.daemonURL(a.daemon), fastRetries(trapstore.HTTPConfig{}))
+			s := trapstore.NewHTTPStore(f.srv.URL, fastRetries(trapstore.HTTPConfig{}))
 			defer s.Close()
 			errs[w] = s.Publish(files[w])
 		}(w)
@@ -504,42 +385,31 @@ func (f *fleet) concurrentPublish(act int, a action, m *model) *Violation {
 	wg.Wait()
 	for w, err := range errs {
 		if err == nil {
-			m.ack(a.daemon, files[w].Pairs, act, fmt.Sprintf("concurrent publisher %d acknowledged", w))
+			m.ack(files[w].Pairs, act, fmt.Sprintf("concurrent publisher %d acknowledged", w))
 		} else {
 			// The pairs reached the wire against a live daemon; treat the
 			// failed writer's delivery as ambiguous rather than guessing.
 			m.limboAdd(files[w].Pairs, act, fmt.Sprintf("concurrent publisher %d failed: %v", w, err))
 		}
 	}
-	m.event("act#%02d concurrent-publish: 3 writers at daemon %d, %d pairs", act, a.daemon, 2*writers)
+	m.event("act#%02d concurrent-publish: 3 writers, %d pairs", act, 2*writers)
 	return nil
 }
 
-// converge is the closing anti-entropy storm: heal every partition, restart
-// every downed daemon, heal corrupt files, push every shard file into the
-// cluster, run one full peer-sync round (after which every daemon holds
-// every pair — each node's push leg broadcasts its set to all others), pull
-// the converged snapshot back into every shard file, and require exact set
-// equality across all daemons and all shard files — the G-Set CRDT's single
-// converged value, cluster-wide.
+// converge is the closing round: restart the daemon if it is down, heal
+// corrupt files, push every shard file to the daemon, pull its snapshot back
+// into every shard file, and require exact set equality between the daemon
+// and all shard files.
 func (f *fleet) converge(act int, m *model) *Violation {
-	// Phase 0a: full connectivity. Partitions heal, downed daemons restart.
-	for i, n := range f.nodes {
-		if n.partitioned {
-			n.partitioned = false
-			n.gate.setPartitioned(false)
-			m.event("act#%02d converge healed daemon %d's partition", act, i)
+	if !f.gate.up() {
+		if err := f.startDaemon(); err != nil {
+			return violation(act, "daemon-restart",
+				fmt.Sprintf("converge could not restart the daemon: %v", err), nil)
 		}
-		if !n.up {
-			if err := f.startDaemon(i); err != nil {
-				return violation(act, "daemon-restart",
-					fmt.Sprintf("converge could not restart daemon %d: %v", i, err), nil)
-			}
-			m.event("act#%02d converge restarted daemon %d from its snapshot", act, i)
-		}
+		m.event("act#%02d converge restarted the daemon from its snapshot", act)
 	}
 
-	// Phase 0b: heal corrupt files the way a shard run would (detect, delete).
+	// Heal corrupt files the way a shard run would (detect, delete).
 	for i := range f.locals {
 		if !m.corrupt[i] {
 			continue
@@ -555,8 +425,7 @@ func (f *fleet) converge(act int, m *model) *Violation {
 		m.clearLocal(i, act, "corrupt file healed during converge")
 	}
 
-	// Phase 1: push. Every shard file's pairs enter the cluster via daemon 0.
-	first := f.nodes[0]
+	// Push: every shard file's pairs enter the daemon.
 	for i, path := range f.locals {
 		file, err := trapfile.LoadFile(path)
 		if err != nil {
@@ -566,53 +435,24 @@ func (f *fleet) converge(act int, m *model) *Violation {
 		if len(file.Pairs) == 0 {
 			continue
 		}
-		if err := first.checker.Publish(file); err != nil {
+		if err := f.checker.Publish(file); err != nil {
 			return violation(act, "converge-push",
 				fmt.Sprintf("pushing shard %d file to a live daemon failed: %v", i, err), nil)
 		}
-		m.ack(0, file.Pairs, act, fmt.Sprintf("shard %d file pushed during converge", i))
+		m.ack(file.Pairs, act, fmt.Sprintf("shard %d file pushed during converge", i))
 	}
 
-	// Phase 2: one full anti-entropy round. Every node's push leg broadcasts
-	// its whole unseen set to every other node, so a single round suffices
-	// for cluster-wide convergence regardless of prior partitions.
-	if v := f.peerSync(act, m); v != nil {
-		return v
-	}
-
-	// Phase 3: every daemon must now hold the identical set — the new
-	// cluster-convergence oracle.
-	want, err := first.checker.Fetch()
+	want, err := f.checker.Fetch()
 	if err != nil {
 		return violation(act, "converge-pull",
 			fmt.Sprintf("fetching the snapshot from a live daemon failed: %v", err), nil)
 	}
 	wantSet := setOf(want.Pairs)
-	for i, n := range f.nodes[1:] {
-		got, err := n.checker.Fetch()
-		if err != nil {
-			return violation(act, "converge-pull",
-				fmt.Sprintf("fetching daemon %d's set failed after partitions healed: %v", i+1, err), nil)
-		}
-		gotSet := setOf(got.Pairs)
-		if missing := wantSet.minus(gotSet); len(missing) > 0 {
-			return violation(act, "cluster-convergence",
-				fmt.Sprintf("after converge, daemon %d is missing %d pairs daemon 0 holds: %v",
-					i+1, len(missing), missing), missing)
-		}
-		if extra := gotSet.minus(wantSet); len(extra) > 0 {
-			return violation(act, "cluster-convergence",
-				fmt.Sprintf("after converge, daemon %d holds %d pairs daemon 0 lacks: %v",
-					i+1, len(extra), extra), extra)
-		}
-	}
-	// Every daemon now durably holds the converged set (peer pulls and
-	// pushes persist through the same OnMerge hook as client publishes).
-	for i := range f.nodes {
-		m.ack(i, want.Pairs, act, "cluster converged on the full set")
-	}
+	// Nothing is in flight, so what the daemon serves it has already
+	// persisted: the handler persists through OnMerge before it answers.
+	m.ack(want.Pairs, act, "served by the daemon at converge")
 
-	// Phase 4: pull. Every shard file absorbs the converged snapshot.
+	// Pull: every shard file absorbs the daemon's snapshot.
 	for i, path := range f.locals {
 		file, err := trapfile.LoadFile(path)
 		if err != nil {
@@ -645,7 +485,7 @@ func (f *fleet) converge(act int, m *model) *Violation {
 					i, len(extra), extra), extra)
 		}
 	}
-	m.event("act#%02d converge complete: %d daemons and %d shards agree on %d pairs",
-		act, len(f.nodes), len(f.locals), len(want.Pairs))
+	m.event("act#%02d converge complete: the daemon and %d shards agree on %d pairs",
+		act, len(f.locals), len(want.Pairs))
 	return nil
 }

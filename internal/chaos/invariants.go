@@ -13,53 +13,48 @@ import (
 // public API — never the implementation's internals — so a passing check
 // means the *contracts* held, whatever the code did.
 func (f *fleet) checkInvariants(act int, m *model) *Violation {
-	// Invariant: per-daemon durability, acked ⊆ durable ⊆ published. Every
-	// pair daemon d acknowledged — by client publish ack, peer push ack, or
-	// completed pull — is in what a reboot of d would read: its snapshot file
-	// with the append log beside it replayed, through a persister of the
-	// checker's own (NewHandler and the replicator both persist through
-	// OnMerge before acking). And no daemon's set exceeds the fleet-wide
-	// published bound (pairs replicate between daemons, but none may appear
-	// that no publish ever carried).
+	// Invariant: daemon durability, acked ⊆ durable ⊆ published. Every pair
+	// the daemon acknowledged is in what a reboot of it would read: its
+	// snapshot file with the append log beside it replayed, through a
+	// persister of the checker's own (NewHandler persists through OnMerge
+	// before acking). And its set holds no pair no publish ever carried.
 	published := m.published()
-	for d, n := range f.nodes {
-		snapFile, _, err := trapstore.NewSnapshotPersister(n.snapPath).Load()
-		if err != nil {
-			return violation(act, "snapshot-file-corrupt",
-				fmt.Sprintf("daemon %d snapshot file is unreadable: %v", d, err), nil)
-		}
-		snapSet := setOf(snapFile.Pairs)
-		if missing := m.ackedTo[d].minus(snapSet); len(missing) > 0 {
-			return violation(act, "daemon-durability",
-				fmt.Sprintf("%d pairs daemon %d acked are missing from its snapshot file and log: %v",
-					len(missing), d, missing), missing)
-		}
-		if phantom := snapSet.minus(published); len(phantom) > 0 {
-			return violation(act, "phantom-pair",
-				fmt.Sprintf("daemon %d's snapshot file and log hold %d pairs no publish ever carried: %v",
-					d, len(phantom), phantom), phantom)
-		}
+	snapFile, _, err := trapstore.NewSnapshotPersister(f.snapPath).Load()
+	if err != nil {
+		return violation(act, "snapshot-file-corrupt",
+			fmt.Sprintf("the daemon's snapshot file is unreadable: %v", err), nil)
+	}
+	snapSet := setOf(snapFile.Pairs)
+	if missing := m.acked.minus(snapSet); len(missing) > 0 {
+		return violation(act, "daemon-durability",
+			fmt.Sprintf("%d pairs the daemon acked are missing from its snapshot file and log: %v",
+				len(missing), missing), missing)
+	}
+	if phantom := snapSet.minus(published); len(phantom) > 0 {
+		return violation(act, "phantom-pair",
+			fmt.Sprintf("the daemon's snapshot file and log hold %d pairs no publish ever carried: %v",
+				len(phantom), phantom), phantom)
+	}
 
-		// Invariant: a reachable daemon agrees with its own durability
-		// contract. Down or partitioned daemons are checked through their
-		// snapshot files only — that is all that survives them.
-		if n.up && !n.partitioned {
-			live, err := n.checker.Fetch()
-			if err != nil {
-				return violation(act, "daemon-unreachable",
-					fmt.Sprintf("daemon %d is up but a pristine client cannot fetch: %v", d, err), nil)
-			}
-			liveSet := setOf(live.Pairs)
-			if missing := m.ackedTo[d].minus(liveSet); len(missing) > 0 {
-				return violation(act, "daemon-durability",
-					fmt.Sprintf("%d pairs daemon %d acked are missing from its live set: %v",
-						len(missing), d, missing), missing)
-			}
-			if phantom := liveSet.minus(published); len(phantom) > 0 {
-				return violation(act, "phantom-pair",
-					fmt.Sprintf("daemon %d's live set holds %d pairs no publish ever carried: %v",
-						d, len(phantom), phantom), phantom)
-			}
+	// Invariant: a live daemon agrees with its own durability contract. A
+	// down daemon is checked through its files only — that is all that
+	// survives it.
+	if f.gate.up() {
+		live, err := f.checker.Fetch()
+		if err != nil {
+			return violation(act, "daemon-unreachable",
+				fmt.Sprintf("the daemon is up but a pristine client cannot fetch: %v", err), nil)
+		}
+		liveSet := setOf(live.Pairs)
+		if missing := m.acked.minus(liveSet); len(missing) > 0 {
+			return violation(act, "daemon-durability",
+				fmt.Sprintf("%d pairs the daemon acked are missing from its live set: %v",
+					len(missing), missing), missing)
+		}
+		if phantom := liveSet.minus(published); len(phantom) > 0 {
+			return violation(act, "phantom-pair",
+				fmt.Sprintf("the daemon's live set holds %d pairs no publish ever carried: %v",
+					len(phantom), phantom), phantom)
 		}
 	}
 

@@ -51,12 +51,11 @@ func (s pairSet) minus(t pairSet) []trapfile.Pair {
 // An implementation that breaks a contract — including a deliberately
 // planted one — therefore diverges from the model and trips a check.
 type model struct {
-	// ackedTo[d]: pairs daemon d acknowledged — via a client publish ack, a
-	// peer push it acked, or a pull it completed — and must therefore hold
-	// in its set and snapshot file at all times.
-	ackedTo []pairSet
+	// acked: pairs the daemon acknowledged a publish of, and must therefore
+	// hold in its set, snapshot file and log at all times.
+	acked pairSet
 	// limbo: pairs whose publish reached the wire but failed client-side —
-	// some daemon may or may not hold them.
+	// the daemon may or may not hold them.
 	limbo pairSet
 	// local[i]: exactly what shard i's trap file must contain.
 	local []pairSet
@@ -76,29 +75,22 @@ type model struct {
 	storeTail []string
 }
 
-func newModel(shards, daemons int) *model {
-	m := &model{
-		ackedTo: make([]pairSet, daemons),
+func newModel(shards int) *model {
+	return &model{
+		acked:   pairSet{},
 		limbo:   pairSet{},
 		local:   make([]pairSet, shards),
 		corrupt: make([]bool, shards),
 		history: map[trapfile.Pair][]string{},
 	}
-	for i := range m.ackedTo {
-		m.ackedTo[i] = pairSet{}
-	}
-	return m
 }
 
-// published is the set of pairs some publish ever carried to some daemon —
-// the upper bound no daemon's set may exceed (pairs replicate between
-// daemons, so the bound is fleet-wide, not per-daemon).
+// published is the set of pairs some publish ever carried to the daemon —
+// the upper bound its set may not exceed.
 func (m *model) published() pairSet {
-	out := make(pairSet, len(m.limbo))
-	for _, acked := range m.ackedTo {
-		for p := range acked {
-			out[p] = true
-		}
+	out := make(pairSet, len(m.acked)+len(m.limbo))
+	for p := range m.acked {
+		out[p] = true
 	}
 	for p := range m.limbo {
 		out[p] = true
@@ -132,34 +124,24 @@ func (m *model) localAdd(shard int, pairs []trapfile.Pair, act int, why string) 
 	}
 }
 
-// ack records pairs daemon d acknowledged — by client publish ack, peer
-// push ack, or completed pull: durable in d's snapshot file from here on.
-// Acked pairs leave limbo (their existence is confirmed).
-func (m *model) ack(daemon int, pairs []trapfile.Pair, act int, why string) {
+// ack records pairs the daemon acknowledged: durable in its snapshot file
+// and log from here on. Acked pairs leave limbo (their existence is
+// confirmed).
+func (m *model) ack(pairs []trapfile.Pair, act int, why string) {
 	for _, p := range pairs {
-		if !m.ackedTo[daemon][p] {
-			m.ackedTo[daemon][p] = true
+		if !m.acked[p] {
+			m.acked[p] = true
 			m.history[p] = append(m.history[p],
-				fmt.Sprintf("act#%02d daemon %d acked %s|%s (%s)", act, daemon, p.A, p.B, why))
+				fmt.Sprintf("act#%02d daemon acked %s|%s (%s)", act, p.A, p.B, why))
 		}
 		delete(m.limbo, p)
 	}
 }
 
-// anyAcked reports whether some daemon already acked p.
-func (m *model) anyAcked(p trapfile.Pair) bool {
-	for _, acked := range m.ackedTo {
-		if acked[p] {
-			return true
-		}
-	}
-	return false
-}
-
-// limboAdd records pairs whose delivery to a daemon is ambiguous.
+// limboAdd records pairs whose delivery to the daemon is ambiguous.
 func (m *model) limboAdd(pairs []trapfile.Pair, act int, why string) {
 	for _, p := range pairs {
-		if !m.anyAcked(p) && !m.limbo[p] {
+		if !m.acked[p] && !m.limbo[p] {
 			m.limbo[p] = true
 			m.history[p] = append(m.history[p],
 				fmt.Sprintf("act#%02d publish of %s|%s ambiguous (%s)", act, p.A, p.B, why))

@@ -12,16 +12,16 @@ type actionKind int
 
 const (
 	// actRunShard: one CI shard runs a workload suite under a detector
-	// variant and sampling mode, seeding from and publishing to one of the
-	// fleet's daemons through a Fallback(HTTPStore, FileStore), optionally
-	// through an injected network fault.
+	// variant and sampling mode, seeding from and publishing to the daemon
+	// through a Fallback(HTTPStore, FileStore), optionally through an
+	// injected network fault.
 	actRunShard actionKind = iota
-	// actKillDaemon: one daemon process dies; its in-memory set is gone,
-	// only its snapshot file survives.
+	// actKillDaemon: the daemon process dies; its in-memory set is gone,
+	// only its snapshot file and log survive.
 	actKillDaemon
-	// actRestartDaemon: one daemon restarts (killing it first when up),
-	// restoring its set and generation from its snapshot file under a fresh
-	// boot epoch.
+	// actRestartDaemon: the daemon restarts (killing it first when up),
+	// restoring its set and generation from its snapshot file and log under
+	// a fresh boot epoch.
 	actRestartDaemon
 	// actCorruptFile: a shard's local trap file is overwritten with garbage
 	// bytes — a detectable corruption the next run must classify as
@@ -31,22 +31,12 @@ const (
 	// empty trap file — a silent external pair loss the fleet must absorb.
 	actTruncateFile
 	// actConcurrentPublish: several goroutines publish disjoint synthetic
-	// pair sets straight at one daemon at once.
+	// pair sets straight at the daemon at once.
 	actConcurrentPublish
 	// actSupersedeInstall: exercises the public Session API — Install,
 	// concurrent container traffic, supersede, Close — and its documented
 	// lifecycle guarantees.
 	actSupersedeInstall
-	// actPartitionDaemon: one daemon is partitioned away from the cluster —
-	// peers and clients reach it as they would a dead host — while its own
-	// process keeps running.
-	actPartitionDaemon
-	// actHealPartition: the named daemon's partition heals.
-	actHealPartition
-	// actPeerSync: one anti-entropy round on every live, unpartitioned
-	// daemon — the replication that must move pairs between healthy daemons
-	// and must not lose any across partitions.
-	actPeerSync
 	// actTornLogTail: a restart whose kill landed mid-append. While the
 	// daemon is down its log gains the front of a record that spells a pair
 	// no publish ever carried (variant 0) or plain garbage under an oversized
@@ -58,10 +48,9 @@ const (
 	// old snapshot and the full log) or after it (variant 1: the new
 	// snapshot beside the log it never emptied).
 	actCrashMidCompaction
-	// actConverge: the closing storm — heal every partition, restart every
-	// downed daemon, push every shard file into the cluster, one full
-	// anti-entropy round — after which every daemon and every shard file
-	// must hold the identical set.
+	// actConverge: restart the daemon if it is down, heal corrupt files,
+	// push every shard file to the daemon and pull its set back — after which
+	// the daemon and every shard file must hold the identical set.
 	actConverge
 )
 
@@ -70,7 +59,6 @@ const (
 type action struct {
 	kind    actionKind
 	shard   int
-	daemon  int
 	algo    config.Algorithm
 	mode    config.Mode
 	sampleP float64
@@ -90,34 +78,28 @@ func (a action) describe() string {
 		if a.mode == config.ModeSampled {
 			mode = fmt.Sprintf("sampled(p=%.1f)", a.sampleP)
 		}
-		return fmt.Sprintf("run shard=%d daemon=%d algo=%s mode=%s suite=%d modules=%d det=%d sched=%d fault=%s",
-			a.shard, a.daemon, a.algo, mode, a.suite, a.modules, a.detSeed, a.runSeed, a.fault)
+		return fmt.Sprintf("run shard=%d algo=%s mode=%s suite=%d modules=%d det=%d sched=%d fault=%s",
+			a.shard, a.algo, mode, a.suite, a.modules, a.detSeed, a.runSeed, a.fault)
 	case actKillDaemon:
-		return fmt.Sprintf("kill-daemon daemon=%d", a.daemon)
+		return "kill-daemon"
 	case actRestartDaemon:
-		return fmt.Sprintf("restart-daemon daemon=%d (restore from snapshot)", a.daemon)
+		return "restart-daemon (restore from snapshot)"
 	case actTornLogTail:
-		return fmt.Sprintf("torn-log-tail daemon=%d tail=%s (kill, damage the log, restart)",
-			a.daemon, [...]string{"partial-record", "garbage"}[a.variant])
+		return fmt.Sprintf("torn-log-tail tail=%s (kill, damage the log, restart)",
+			[...]string{"partial-record", "garbage"}[a.variant])
 	case actCrashMidCompaction:
-		return fmt.Sprintf("crash-mid-compaction daemon=%d killed=%s (kill, stage the state, restart)",
-			a.daemon, [...]string{"before-rename", "before-log-reset"}[a.variant])
+		return fmt.Sprintf("crash-mid-compaction killed=%s (kill, stage the state, restart)",
+			[...]string{"before-rename", "before-log-reset"}[a.variant])
 	case actCorruptFile:
 		return fmt.Sprintf("corrupt-file shard=%d", a.shard)
 	case actTruncateFile:
 		return fmt.Sprintf("truncate-file shard=%d", a.shard)
 	case actConcurrentPublish:
-		return fmt.Sprintf("concurrent-publish daemon=%d base=%d writers=3", a.daemon, a.base)
+		return fmt.Sprintf("concurrent-publish base=%d writers=3", a.base)
 	case actSupersedeInstall:
 		return fmt.Sprintf("supersede-install det=%d", a.detSeed)
-	case actPartitionDaemon:
-		return fmt.Sprintf("partition-daemon daemon=%d", a.daemon)
-	case actHealPartition:
-		return fmt.Sprintf("heal-partition daemon=%d", a.daemon)
-	case actPeerSync:
-		return "peer-sync (anti-entropy round)"
 	case actConverge:
-		return "converge (heal, restart, push locals, full sync round)"
+		return "converge (restart, heal, push locals, pull back)"
 	default:
 		return fmt.Sprintf("unknown-action(%d)", a.kind)
 	}
@@ -133,24 +115,20 @@ func describePlan(plan []action) []string {
 
 // weightedKinds is the action mix. Shard runs dominate — they are the
 // workload everything else disrupts; the disruptions stay frequent enough
-// that a default-size plan exercises each several times. The partition /
-// heal / peer-sync trio only fires for multi-daemon fleets (newPlan skips
-// them at Daemons == 1, where they would be no-ops or self-partitions that
-// starve the whole plan).
+// that a default-size plan exercises each several times.
 var weightedKinds = []struct {
 	kind   actionKind
 	weight int
 }{
 	{actRunShard, 50},
 	{actKillDaemon, 5},
-	{actRestartDaemon, 10},
+	{actRestartDaemon, 9},
+	{actTornLogTail, 5},
+	{actCrashMidCompaction, 5},
 	{actCorruptFile, 5},
-	{actTruncateFile, 5},
+	{actTruncateFile, 15},
 	{actConcurrentPublish, 8},
 	{actSupersedeInstall, 5},
-	{actPartitionDaemon, 5},
-	{actHealPartition, 5},
-	{actPeerSync, 8},
 	{actConverge, 5},
 }
 
@@ -193,13 +171,6 @@ var shardFaults = []struct {
 	{faultSpec{kind: faultKillMid, n: 1}, 1},
 }
 
-// restartKinds is what a drawn restart becomes. The two disk faults are
-// restarts with a fault staged while the daemon is down, so they are drawn as
-// variants of one, from a stream of their own: every other action of every
-// plan — the committed regression seeds' included — is what it was before
-// they existed.
-var restartKinds = []actionKind{actRestartDaemon, actRestartDaemon, actTornLogTail, actCrashMidCompaction}
-
 func pickWeighted(rng *rand.Rand, total int, weightAt func(int) int) int {
 	roll := rng.Intn(total)
 	for i := 0; ; i++ {
@@ -214,7 +185,6 @@ func pickWeighted(rng *rand.Rand, total int, weightAt func(int) int) int {
 // seed-derived RNG. The plan is the single source of randomness for a run.
 func newPlan(cfg Config) []action {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	disk := rand.New(rand.NewSource(cfg.Seed ^ 0x6469736b)) // "disk"
 	kindTotal, algoTotal, modeTotal, faultTotal := 0, 0, 0, 0
 	for _, k := range weightedKinds {
 		kindTotal += k.weight
@@ -237,7 +207,6 @@ func newPlan(cfg Config) []action {
 		switch a.kind {
 		case actRunShard:
 			a.shard = rng.Intn(cfg.Shards)
-			a.daemon = rng.Intn(cfg.Daemons)
 			a.algo = shardAlgos[pickWeighted(rng, algoTotal, func(i int) int { return shardAlgos[i].weight })].algo
 			a.mode = shardModes[pickWeighted(rng, modeTotal, func(i int) int { return shardModes[i].weight })].mode
 			if a.mode == config.ModeSampled {
@@ -248,36 +217,15 @@ func newPlan(cfg Config) []action {
 			a.detSeed = int64(rng.Intn(1 << 20))
 			a.runSeed = int64(rng.Intn(1 << 20))
 			a.fault = shardFaults[pickWeighted(rng, faultTotal, func(i int) int { return shardFaults[i].weight })].fault
-		case actKillDaemon, actRestartDaemon:
-			a.daemon = rng.Intn(cfg.Daemons)
-		case actPartitionDaemon, actHealPartition:
-			a.daemon = rng.Intn(cfg.Daemons)
-			if cfg.Daemons == 1 {
-				// Partitioning a single-daemon fleet's only daemon starves
-				// every later action of a store; redraw as a shard-file
-				// disruption instead (still deterministic: the redraw
-				// consumes no extra randomness).
-				a.kind = actTruncateFile
-				a.shard = a.daemon % cfg.Shards
-				a.daemon = 0
-			}
-		case actPeerSync:
-			if cfg.Daemons == 1 {
-				// A sync round with no peers is a no-op; keep the plan
-				// meaningful by restarting the daemon instead.
-				a.kind = actRestartDaemon
-			}
+		case actTornLogTail, actCrashMidCompaction:
+			a.variant = rng.Intn(2)
 		case actCorruptFile, actTruncateFile:
 			a.shard = rng.Intn(cfg.Shards)
 		case actConcurrentPublish:
-			a.daemon = rng.Intn(cfg.Daemons)
 			a.base = base
 			base += 3 // three writers, each with its own disjoint namespace
 		case actSupersedeInstall:
 			a.detSeed = int64(rng.Intn(1 << 20))
-		}
-		if a.kind == actRestartDaemon {
-			a.kind, a.variant = restartKinds[disk.Intn(len(restartKinds))], disk.Intn(2)
 		}
 		plan = append(plan, a)
 	}

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/trapstore"
 )
@@ -14,16 +16,13 @@ import (
 // "caught" carry a planted fault and prove the oracles still fire — a
 // planted seed that passes is itself a harness failure.
 type SeedEntry struct {
-	// Seed is the plan seed; with Actions, Shards and Daemons it reproduces
-	// the plan bit-for-bit.
+	// Seed is the plan seed; with Actions and Shards it reproduces the plan
+	// bit-for-bit.
 	Seed int64 `json:"seed"`
 	// Actions is the planned action count of the recorded run.
 	Actions int `json:"actions"`
 	// Shards is the shard count of the recorded run.
 	Shards int `json:"shards"`
-	// Daemons is the daemon-cluster size of the recorded run (0 means the
-	// default single daemon).
-	Daemons int `json:"daemons,omitempty"`
 	// Plant names the armed fault: "" (none), "lose-local-publish" or
 	// "ignore-log".
 	Plant string `json:"plant,omitempty"`
@@ -34,10 +33,15 @@ type SeedEntry struct {
 	Added string `json:"added"`
 	// Note says what the seed exercises or which bug it once caught.
 	Note string `json:"note,omitempty"`
+	// Covers lists substrings of plan lines (as tsvd-chaos -v prints them)
+	// the seed's plan must still contain — what the note promises, in a form
+	// ReplaySeeds checks: a planner change that turns the seed into some
+	// other plan fails the replay instead of passing as something else.
+	Covers []string `json:"covers,omitempty"`
 }
 
 // SeedDB is the committed regression-seed database
-// (internal/chaos/regression_seeds.json), replayed by `make chaos-smoke`.
+// (internal/chaos/regression_seeds.json), replayed by `make race`.
 type SeedDB struct {
 	// Version is the database format version (currently 1).
 	Version int `json:"version"`
@@ -70,14 +74,18 @@ func PlantName(f trapstore.PlantedFault) string {
 	return ""
 }
 
-// LoadSeeds reads a seed database from path.
+// LoadSeeds reads a seed database from path. A field it does not know is an
+// error, not ignored: an entry written for another version of the harness
+// would otherwise replay as a different plan and report "ok".
 func LoadSeeds(path string) (*SeedDB, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: read seeds: %w", err)
 	}
 	var db SeedDB
-	if err := json.Unmarshal(raw, &db); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&db); err != nil {
 		return nil, fmt.Errorf("chaos: parse seeds %s: %w", path, err)
 	}
 	for i, s := range db.Seeds {
@@ -102,8 +110,9 @@ func SaveSeeds(path string, db *SeedDB) error {
 
 // ReplaySeeds runs every seed in the database at path and checks each
 // verdict against its Expect. It returns the number of seeds replayed and
-// the first mismatch (a "pass" seed that violated, or a "caught" seed whose
-// planted fault the oracles missed).
+// the first mismatch (a seed whose plan lacks something its Covers names, a
+// "pass" seed that violated, or a "caught" seed whose planted fault the
+// oracles missed).
 func ReplaySeeds(path string, logf func(format string, args ...any)) (int, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -114,7 +123,15 @@ func ReplaySeeds(path string, logf func(format string, args ...any)) (int, error
 	}
 	for i, s := range db.Seeds {
 		plant, _ := ParsePlant(s.Plant) // validated by LoadSeeds
-		res, err := Run(Config{Seed: s.Seed, Actions: s.Actions, Shards: s.Shards, Daemons: s.Daemons, Plant: plant})
+		cfg := Config{Seed: s.Seed, Actions: s.Actions, Shards: s.Shards, Plant: plant}
+		plan := strings.Join(describePlan(newPlan(cfg.withDefaults())), "\n")
+		for _, want := range s.Covers {
+			if !strings.Contains(plan, want) {
+				return i, fmt.Errorf("chaos: regression seed %d (seed=%d) no longer covers %q: its plan has no such action",
+					i, s.Seed, want)
+			}
+		}
+		res, err := Run(cfg)
 		if err != nil {
 			return i, fmt.Errorf("chaos: seed %d (seed=%d): %w", i, s.Seed, err)
 		}
@@ -126,8 +143,8 @@ func ReplaySeeds(path string, logf func(format string, args ...any)) (int, error
 			return i, fmt.Errorf("chaos: planted seed %d (seed=%d, plant=%s) passed — the oracles missed the planted fault",
 				i, s.Seed, s.Plant)
 		}
-		logf("seed %d/%d ok: seed=%d actions=%d shards=%d daemons=%d plant=%q expect=%s",
-			i+1, len(db.Seeds), s.Seed, s.Actions, s.Shards, s.Daemons, s.Plant, s.Expect)
+		logf("seed %d/%d ok: seed=%d actions=%d shards=%d plant=%q expect=%s",
+			i+1, len(db.Seeds), s.Seed, s.Actions, s.Shards, s.Plant, s.Expect)
 	}
 	return len(db.Seeds), nil
 }

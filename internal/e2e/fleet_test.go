@@ -190,41 +190,28 @@ func TestDaemonPersistsThroughItsLog(t *testing.T) {
 	}
 }
 
-// TestClusterConvergesAndPollsDeltas: a three-daemon -peer anti-entropy
-// cluster, each daemon fed by a different shard, must converge on the union
-// of all shard files; and a steady-state poller pays one full snapshot, then
-// 304s and delta bodies only.
-func TestClusterConvergesAndPollsDeltas(t *testing.T) {
+// TestPollerPaysDeltas is the wire economy of the real binary's ?since=
+// path: a polling client pays one full snapshot up front; after that an idle
+// poll is a 304 and a one-pair growth arrives as a delta body, never a second
+// full snapshot.
+func TestPollerPaysDeltas(t *testing.T) {
 	needBinaries(t)
-	dir := t.TempDir()
-	var urls []string
-	for i := 0; i < 3; i++ {
-		// Sequential startup with chain -peer flags, as an operator would
-		// bring a cluster up: each daemon names only the ones already
-		// running; push+pull anti-entropy makes the chain converge anyway.
-		args := []string{"-snapshot", filepath.Join(dir, fmt.Sprintf("cluster%d.json", i)), "-sync-interval", "150ms"}
-		for _, u := range urls {
-			args = append(args, "-peer", u)
+	_, url := startDaemon(t)
+	publish := func(pairs ...trapfile.Pair) {
+		t.Helper()
+		pub := trapstore.NewHTTPStore(url, trapstore.HTTPConfig{})
+		defer pub.Close()
+		if err := pub.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs}); err != nil {
+			t.Fatalf("publish: %v", err)
 		}
-		_, u := startDaemon(t, args...)
-		urls = append(urls, u)
 	}
-
-	files := runShards(t, dir, "cluster-shard", 63, urls...)
-	union := pairSet(loadUnion(t, files...))
-	for i, u := range urls {
-		eventually(t, 20*time.Second, func() error {
-			if err := diffPairs(pairSet(fetchPairs(t, u)), union); err != nil {
-				return fmt.Errorf("cluster daemon %d has not converged on the %d shard pairs: %v", i, len(union), err)
-			}
-			return nil
-		})
+	var base []trapfile.Pair
+	for n := 0; n < 20; n++ {
+		base = append(base, locPair(fmt.Sprintf("e2e/base%d.go:1", n), fmt.Sprintf("e2e/base%d.go:2", n)))
 	}
+	publish(base...)
 
-	// Wire economy: a polling client pays one full snapshot up front; after
-	// that an idle poll is a 304 and a one-pair growth arrives as a delta
-	// body, never a second full snapshot.
-	poller := trapstore.NewHTTPStore(urls[0], trapstore.HTTPConfig{})
+	poller := trapstore.NewHTTPStore(url, trapstore.HTTPConfig{})
 	defer poller.Close()
 	if _, err := poller.Fetch(); err != nil {
 		t.Fatalf("poller full fetch: %v", err)
@@ -233,25 +220,20 @@ func TestClusterConvergesAndPollsDeltas(t *testing.T) {
 	if _, err := poller.Fetch(); err != nil {
 		t.Fatalf("poller idle fetch: %v", err)
 	}
-	pub := trapstore.NewHTTPStore(urls[2], trapstore.HTTPConfig{})
-	err := pub.Publish(trapfile.File{Tool: "TSVD", Pairs: []trapfile.Pair{{A: "e2e/delta.go:1", B: "e2e/delta.go:2"}}})
-	pub.Close()
+	publish(locPair("e2e/delta.go:1", "e2e/delta.go:2"))
+	got, err := poller.Fetch()
 	if err != nil {
-		t.Fatalf("publish to cluster daemon 2: %v", err)
+		t.Fatalf("poller fetch after growth: %v", err)
 	}
-	eventually(t, 20*time.Second, func() error {
-		got, err := poller.Fetch()
-		if err != nil {
-			t.Fatalf("poller fetch: %v", err)
-		}
-		if len(got.Pairs) != len(union)+1 {
-			return fmt.Errorf("the pair published to daemon 2 has not reached daemon 0 (%d pairs, want %d)", len(got.Pairs), len(union)+1)
-		}
-		return nil
-	})
+	if len(got.Pairs) != len(base)+1 {
+		t.Fatalf("poller holds %d pairs after the delta, want %d", len(got.Pairs), len(base)+1)
+	}
 	ws := poller.WireStats()
-	if ws.DeltaFetches < 1 {
-		t.Errorf("replicated growth arrived as a full snapshot, not a delta: %+v", ws)
+	if ws.NotModified != 1 {
+		t.Errorf("the idle poll was not a 304: %+v", ws)
+	}
+	if ws.DeltaFetches != 1 {
+		t.Errorf("one pair of growth arrived as a full snapshot, not a delta: %+v", ws)
 	}
 	if steady := ws.FetchBytes - fullBytes; steady >= fullBytes {
 		t.Errorf("steady-state polling cost %d bytes vs %d for one full snapshot; deltas are not saving wire", steady, fullBytes)

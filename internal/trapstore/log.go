@@ -14,7 +14,7 @@ import (
 // genLog is the trap set as one process holds it: the canonical sorted view
 // a full snapshot copies, the same rows once more in arrival order, and one
 // offset into that order per generation. The daemon's Memory serves ?since=
-// windows and peer pushes from it — both are "the log from generation g".
+// windows from it: "the log from generation g".
 // Every row enters the arrival order once, so the log is never larger than
 // the set and nothing is ever compacted away.
 type genLog struct {

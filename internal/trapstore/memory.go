@@ -23,7 +23,7 @@ import (
 // Generations alone are ambiguous across restarts — two daemon lifetimes
 // both pass "generation 3" with different pair sets — so every place a
 // generation crosses a process boundary (ETags, ?since= delta requests,
-// persisted snapshots, peer sync cursors) carries the epoch with it.
+// persisted snapshots) carries the epoch with it.
 type SyncState struct {
 	// Epoch is a random 64-bit ID minted once per daemon boot. Zero means
 	// "no epoch": a fresh Memory that has never merged, or a legacy snapshot

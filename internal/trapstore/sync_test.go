@@ -16,22 +16,21 @@ import (
 )
 
 // swapServer hosts a swappable handler behind one stable URL, standing in
-// for a daemon host that restarts (new process, same address) or partitions
-// (requests fail) — the situations the epoch-qualified sync state exists for.
+// for a daemon host that restarts (new process, same address) — the situation
+// the epoch-qualified sync state exists for.
 type swapServer struct {
-	mu   sync.Mutex
-	h    http.Handler
-	down bool
-	srv  *httptest.Server
+	mu  sync.Mutex
+	h   http.Handler
+	srv *httptest.Server
 }
 
 func newSwapServer(h http.Handler) *swapServer {
 	s := &swapServer{h: h}
 	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
-		h, down := s.h, s.down
+		h := s.h
 		s.mu.Unlock()
-		if down || h == nil {
+		if h == nil {
 			http.Error(w, "daemon unreachable", http.StatusServiceUnavailable)
 			return
 		}
@@ -43,12 +42,6 @@ func newSwapServer(h http.Handler) *swapServer {
 func (s *swapServer) swap(h http.Handler) {
 	s.mu.Lock()
 	s.h = h
-	s.mu.Unlock()
-}
-
-func (s *swapServer) setDown(down bool) {
-	s.mu.Lock()
-	s.down = down
 	s.mu.Unlock()
 }
 
@@ -460,75 +453,5 @@ func TestDeltaWindowProperty(t *testing.T) {
 	m.Restore(cur.f, cur.st)
 	if _, st, delta := m.window(cur.st); delta || st.Generation != cur.st.Generation+1 {
 		t.Fatalf("a cursor from before Restore got delta=%v at %v; want the full snapshot one generation on", delta, st)
-	}
-}
-
-// TestReplicatorPartitionHealConvergence runs a three-daemon mesh at the
-// library level: distinct pairs published to each daemon, one daemon
-// partitioned during the first sync round, then healed — after one more full
-// round every daemon holds the union.
-func TestReplicatorPartitionHealConvergence(t *testing.T) {
-	const n = 3
-	mems := make([]*Memory, n)
-	gates := make([]*swapServer, n)
-	for i := range mems {
-		mems[i] = NewMemory("TSVD", nil)
-		gates[i] = newSwapServer(NewHandler(mems[i], HandlerOptions{}))
-		defer gates[i].srv.Close()
-	}
-	fast := HTTPConfig{Attempts: 2, BackoffBase: 1, BackoffMax: 2}
-	repls := make([]*Replicator, n)
-	for i := range repls {
-		var peers []string
-		for j := range gates {
-			if j != i {
-				peers = append(peers, gates[j].srv.URL)
-			}
-		}
-		repls[i] = NewReplicator(mems[i], ReplicatorConfig{Peers: peers, HTTP: fast})
-		defer repls[i].Close()
-	}
-
-	for i, m := range mems {
-		m.merge(trapfile.File{Tool: "TSVD", Pairs: pairs(
-			fmt.Sprintf("d%d.go:1", i), fmt.Sprintf("d%d.go:2", i))})
-	}
-
-	// Round 1 with daemon 2 partitioned: 0 and 1 converge, 2 stays behind.
-	gates[2].setDown(true)
-	for i := 0; i < 2; i++ {
-		for _, res := range repls[i].SyncOnce() {
-			if strings.Contains(res.Peer, gates[2].srv.URL) {
-				continue // the partitioned peer is expected to fail
-			}
-			if res.PullErr != nil || res.PushErr != nil {
-				t.Fatalf("daemon %d sync against healthy peer failed: pull=%v push=%v", i, res.PullErr, res.PushErr)
-			}
-		}
-	}
-	if mems[0].PairCount() != 2 || mems[1].PairCount() != 2 {
-		t.Fatalf("healthy pair did not converge: %d vs %d pairs", mems[0].PairCount(), mems[1].PairCount())
-	}
-	if mems[2].PairCount() != 1 {
-		t.Fatalf("partitioned daemon gained pairs: %d", mems[2].PairCount())
-	}
-
-	// Heal; one full round over the mesh converges everyone.
-	gates[2].setDown(false)
-	for _, r := range repls {
-		r.SyncOnce()
-	}
-	want := keySet(pairs("d0.go:1", "d0.go:2", "d1.go:1", "d1.go:2", "d2.go:1", "d2.go:2"))
-	for i, m := range mems {
-		f, _ := m.SnapshotState()
-		got := keySet(f.Pairs)
-		if len(got) != len(want) {
-			t.Fatalf("daemon %d holds %d pairs after heal+sync, want %d: %v", i, len(got), len(want), f.Pairs)
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("daemon %d is missing %v after heal+sync", i, p)
-			}
-		}
 	}
 }

@@ -23,12 +23,11 @@
 //
 // The daemon's Memory holds the set once, as a genLog: the sorted view, the
 // same rows in arrival order, and one offset per generation, so a ?since=
-// window and a Replicator push are both "the log from generation g"; an
-// HTTPStore's mirror of the daemon is the sorted view alone, grown by the
-// same trapfile.Grow. Wherever the set leaves a process — GET body, POST
-// payload, snapshot file — it is one JSON shape, envelope (a trapfile.File,
-// site table included, plus the sync state), read by one function,
-// decodeEnvelope.
+// window is "the log from generation g"; an HTTPStore's mirror of the daemon
+// is the sorted view alone, grown by the same trapfile.Grow. Wherever the set
+// leaves a process — GET body, POST payload, snapshot file — it is one JSON
+// shape, envelope (a trapfile.File, site table included, plus the sync
+// state), read by one function, decodeEnvelope.
 //
 // Stores count their operations (Totals) and optionally emit internal/trace
 // events (store_fetch, store_publish, store_fallback) so that
