@@ -46,7 +46,8 @@ bench:
 # Hot-path regression gates: BenchmarkDictionarySetInstrumented (one call end
 # to end; -Rotating over 16 owned objects, -SampledAuto when rejected),
 # BenchmarkOnCallUncontended/TSVD (one goroutine),
-# BenchmarkOnCallContention/TSVD/goroutines=1 (one per CPU) and the trace
+# BenchmarkOnCallContention/TSVD/goroutines=1 (one per CPU) and
+# /TSVD/sharedObj/goroutines=8 (all reading one object), and the trace
 # BenchmarkEmit must stay under the ns/op thresholds committed in
 # bench_gate.json (best of N runs; see cmd/tsvd-bench-gate for why the minimum
 # is the estimator) and must not allocate.

@@ -23,10 +23,13 @@
 // integer-keyed registries, counters are per-thread or atomic, and only
 // small cold-path locks (trap set, finished-delay log) are shared. An
 // admitted conflict-free call stores to no cache line another thread reads:
-// it records into a ring its thread owns, and the concurrent-phase detector
-// (§3.4.3, phaseRing) is a claim on one word that changes only when a thread
-// claims it or a second thread breaks the claim — at the price of calling a
-// phase sequential up to ⌈W/2⌉ calls late, never early.
+// it records into a ring its thread owns — the object's publication ring while
+// the thread is the object's only user, its thread's stripe once the object is
+// shared and only being read (objState.writer, readSet) — and the
+// concurrent-phase detector (§3.4.3, phaseRing) is a claim on one word that
+// changes only when a thread claims it or a second thread breaks the claim —
+// at the price of calling a phase sequential up to ⌈W/2⌉ calls late, never
+// early.
 // docs/PERFORMANCE.md documents the cost model layer by layer.
 package core
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/ids"
@@ -290,5 +292,82 @@ func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
 	}
 	if pub := d.(*TSVD).rt.objs.Get(1).ring.pub.Load(); pub&ringClosed == 0 {
 		t.Fatalf("publication counter %#x: a shared object's ring was reopened", pub)
+	}
+}
+
+// TestReadSharedCostsTwoAllocationsAnObject: the stripes are bought by an
+// object's first promotion (the readSet and one entry array for all of them)
+// and kept across demotions; a read recorded into them costs nothing; and
+// objState, with the pointer to them, is still in the 256-byte size class.
+func TestReadSharedCostsTwoAllocationsAnObject(t *testing.T) {
+	if size := unsafe.Sizeof(objState{}); size > 256 {
+		t.Errorf("objState is %d bytes, over the 256-byte size class", size)
+	}
+	if size := unsafe.Sizeof(readSet{}); size != 64*readStripes {
+		t.Errorf("readSet is %d bytes: a stripe is not a cache line", size)
+	}
+	skipAllocCountUnderRace(t)
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Mode = config.ModeObserveOnly
+	d := mustNew(t, cfg, WithClock(&stepClock{}))
+	rt := runtimeOf(d)
+	run := promoteAfter(cfg.ObjHistory)
+	obj := ids.ObjectID(100)
+	share := func() { // a fresh object, taken over and one read short of promotion
+		obj++
+		for i := 0; i < run; i++ {
+			d.OnCall(acc(ids.ThreadID(1+i%2), obj, 101, KindRead))
+		}
+	}
+	promoting := func() { d.OnCall(acc(1, obj, 101, KindRead)) }
+	readShared := func() bool { return rt.objs.Get(int64(obj)).writer.Load() == writerReadShared }
+	share() // thread states, site, coverage
+	promoting()
+	unpromoted := testing.AllocsPerRun(50, share)
+	if readShared() {
+		t.Fatal("promoted a read early")
+	}
+	promoted := testing.AllocsPerRun(50, func() { share(); promoting() })
+	if !readShared() || promoted-unpromoted > 2 {
+		t.Fatalf("a shared object costs %v allocations, promoted (read-shared: %v) %v: want two more", unpromoted, readShared(), promoted)
+	}
+	if got := testing.AllocsPerRun(1000, promoting); got != 0 || !readShared() {
+		t.Fatalf("a read of a read-shared object costs %v allocations (read-shared: %v)", got, readShared())
+	}
+	again := func() {
+		d.OnCall(acc(2, obj, 102, KindWrite))
+		for i := 0; i <= run; i++ {
+			d.OnCall(acc(ids.ThreadID(1+i%2), obj, 101, KindRead))
+		}
+	}
+	if got := testing.AllocsPerRun(100, again); got != 0 || !readShared() {
+		t.Fatalf("a demotion and the promotion after it cost %v allocations (read-shared: %v)", got, readShared())
+	}
+}
+
+// TestSprungTrapAllocations pins what catching a trapped thread costs: one
+// array for both sides' program counters, one string for both stacks, each
+// half of it what ids.FormatStack renders alone.
+func TestSprungTrapAllocations(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	rt := runtimeOf(mustNew(t, testConfig(config.AlgoTSVD)))
+	parked := &trap{access: acc(1, 1, 101, KindWrite), cancel: make(chan struct{}, 1)}
+	parked.depth = goruntime.Callers(0, parked.pcs[:])
+	os := rt.objStateFor(nil, 1)
+	os.traps = append(os.traps, parked)
+	a := acc(2, 1, 102, KindWrite)
+	rt.resolveSite(&parked.access)
+	rt.resolveSite(&a)
+	got := testing.AllocsPerRun(100, func() {
+		if len(rt.checkForTraps(os, &a)) != 1 {
+			t.Fatal("the trap did not spring")
+		}
+	})
+	if got > 5 { // the array, the string, two runtime.Frames iterators, the returned keys
+		t.Fatalf("a sprung trap costs %v allocations, want at most 5", got)
+	}
+	v := rt.reports.Violations()[0]
+	if v.Trapped.Stack != ids.FormatStack(v.Trapped.PCs) || v.Conflicting.Stack != ids.FormatStack(v.Conflicting.PCs) {
+		t.Fatalf("stacks rendered together differ from each rendered alone:\n%s\n%s", v.Trapped.Stack, v.Conflicting.Stack)
 	}
 }

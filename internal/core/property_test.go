@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 // TestTrapSetInvariants drives the trap set with random draws of the three
@@ -342,5 +343,99 @@ func TestCoverageCounters(t *testing.T) {
 	}
 	if st.LocationsSeenConcurrent == 0 {
 		t.Fatalf("no concurrent coverage recorded: %+v", st)
+	}
+}
+
+// TestNearMissesMatchRingModel checks the detector's near-miss verdicts
+// (§3.4.2) against a reference that shares no code with it: one ring of the
+// object's last N accesses, and a call is a near miss against every entry of
+// another thread whose kind conflicts and whose gap is inside the window.
+// Both are fed one random single-goroutine schedule — a few fabricated thread
+// ids (two of which share a read stripe), one object, a clock that strictly
+// increases, mixed traffic, read runs long enough to promote the object to
+// read-shared and writes that demote it. Every access has an op of its own,
+// so a pair names exactly which earlier access was seen.
+func TestNearMissesMatchRingModel(t *testing.T) {
+	type entry struct {
+		thread ids.ThreadID
+		op     ids.OpID
+		kind   Kind
+		at     time.Duration
+	}
+	type pair struct{ seen, by ids.OpID }
+	for n := 1; n <= 8; n++ {
+		for _, windowOff := range []bool{false, true} {
+			cfg := testConfig(config.AlgoTSVD)
+			cfg.ObjHistory = n
+			cfg.DisableNearMissWindow = windowOff
+			cfg.DisablePhaseDetection = true // every access counts as concurrent
+			cfg.DisableHBInference = true
+			cfg.Mode = config.ModeObserveOnly // pairs form, nobody sleeps
+			cfg.Trace = true
+			clk := &stepClock{}
+			d := mustNew(t, cfg, WithClock(clk))
+			window := cfg.EffectiveNearMissWindow()
+
+			rng := rand.New(rand.NewSource(int64(100*n) + int64(len(t.Name()))))
+			threads := []ids.ThreadID{0, 1, 2, 8, 11}[:3+rng.Intn(3)]
+			for i := range threads {
+				threads[i] += ids.ThreadID(1 + 7*n) // other stripes every time
+			}
+			var ring []entry // the model: the last n accesses, oldest first
+			want, got := map[pair]int{}, map[pair]int{}
+			var calls, wantMisses int64
+			call := func(kind Kind) {
+				// Mostly steps that keep all n entries inside the window, some
+				// that push the older ones out of it.
+				step := 1 + time.Duration(rng.Int63n(int64(window)/int64(2*n)))
+				if rng.Intn(4) == 0 {
+					step = 1 + time.Duration(rng.Int63n(int64(window)))
+				}
+				e := entry{threads[rng.Intn(len(threads))], ids.OpID(1000 + calls), kind, time.Duration(clk.at.Add(int64(step)))}
+				calls++
+				for _, old := range ring {
+					if old.thread != e.thread && Conflicts(old.kind, e.kind) && (windowOff || e.at-old.at <= window) {
+						want[pair{old.op, e.op}]++
+						wantMisses++
+					}
+				}
+				if ring = append(ring, e); len(ring) > n {
+					ring = ring[1:]
+				}
+				d.OnCall(acc(e.thread, 1, e.op, e.kind))
+				for _, ev := range d.Tracer().Drain() {
+					if ev.Kind == trace.KindNearMiss {
+						got[pair{ev.OpA, ev.OpB}]++
+					}
+				}
+			}
+			for segment := 0; segment < 12; segment++ {
+				if rng.Intn(2) == 0 {
+					for i := 0; i < 20; i++ {
+						call(Kind(rng.Intn(3) / 2)) // a third are writes
+					}
+					continue
+				}
+				for i, run := 0, 4*n+rng.Intn(6*n+1); i < run; i++ {
+					call(KindRead)
+				}
+				call(KindWrite)
+			}
+
+			st := d.Stats()
+			if st.NearMisses != wantMisses || st.OnCalls != calls {
+				t.Errorf("N %d, window off %v: %d near misses in %d calls, the model has %d in %d",
+					n, windowOff, st.NearMisses, st.OnCalls, wantMisses, calls)
+			}
+			for p, c := range want {
+				if got[p] != c {
+					t.Errorf("N %d, window off %v: access %d saw access %d %d time(s), the model %d", n, windowOff, p.by, p.seen, got[p], c)
+				}
+				delete(got, p)
+			}
+			for p, c := range got {
+				t.Errorf("N %d, window off %v: access %d saw access %d %d time(s), the model never", n, windowOff, p.by, p.seen, c)
+			}
+		}
 	}
 }

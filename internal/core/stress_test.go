@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/ids"
@@ -306,6 +309,195 @@ func TestOwnerPublishesLockFreeToEveryObjectItOwns(t *testing.T) {
 		}
 		if closed := os.ring.pub.Load()&ringClosed != 0; closed != (o == victim) {
 			t.Errorf("object %d: publication ring closed = %v", o, closed)
+		}
+	}
+}
+
+// readSharedConfig is TSVD with everything but near-miss tracking switched
+// off: every conflicting pair among an object's last ObjHistory accesses is a
+// near miss, nobody sleeps.
+func readSharedConfig() config.Config {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Mode = config.ModeObserveOnly
+	cfg.DisableNearMissWindow = true
+	cfg.DisablePhaseDetection = true
+	cfg.DisableHBInference = true
+	return cfg
+}
+
+// promote reads obj from the given threads until it is read-shared.
+func promote(t *testing.T, d Detector, obj ids.ObjectID, threads ...ids.ThreadID) *objState {
+	t.Helper()
+	rt := runtimeOf(d)
+	for i := 0; i < 2+promoteAfter(rt.cfg.ObjHistory); i++ {
+		tid := threads[i%len(threads)]
+		d.OnCall(acc(tid, obj, ids.OpID(100+tid), KindRead))
+	}
+	os := rt.objs.Get(int64(obj))
+	if w := os.writer.Load(); w != writerReadShared {
+		t.Fatalf("object %d: writer = %d after a read run, want read-shared", obj, w)
+	}
+	return os
+}
+
+// TestReadSharedSteadyStateTouchesNoSharedWord: once an object is read-shared,
+// 10⁴ reads from each of two goroutines change none of the words its readers
+// have in common — the retired count, the shared ring's cursor, the writer
+// word — and every one of them is counted.
+func TestReadSharedSteadyStateTouchesNoSharedWord(t *testing.T) {
+	d := mustNew(t, readSharedConfig())
+	os := promote(t, d, 1, 1, 2)
+	before := d.Stats().OnCalls
+	retired, next, full := os.retired.Load(), os.hist.next, os.hist.full
+
+	const reads = 10000
+	var wg sync.WaitGroup
+	for tid := ids.ThreadID(1); tid <= 2; tid++ {
+		wg.Add(1)
+		go func(tid ids.ThreadID) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				d.OnCall(acc(tid, 1, ids.OpID(100+tid), KindRead))
+			}
+		}(tid)
+	}
+	wg.Wait()
+
+	os.mu.Lock() // orders this goroutine after whoever last wrote hist
+	defer os.mu.Unlock()
+	if os.retired.Load() != retired || os.hist.next != next || os.hist.full != full || os.writer.Load() != writerReadShared {
+		t.Errorf("read-shared reads stored to shared state: retired %d → %d, ring cursor %d → %d, writer %d",
+			retired, os.retired.Load(), next, os.hist.next, os.writer.Load())
+	}
+	if st := d.Stats(); st.OnCalls != before+2*reads || st.NearMisses != 0 {
+		t.Errorf("OnCalls grew by %d for %d reads, %d near misses", st.OnCalls-before, 2*reads, st.NearMisses)
+	}
+}
+
+// TestWriteDuringReadSharedSeesTheReaders: two goroutines read one object
+// flat out while a third writes it every few hundred µs, after at least
+// ObjHistory reads since its last write, so the object is promoted and
+// demoted around every write. Of a read and a write that race exactly one
+// side sees the other, as under the single lock: each write finds ObjHistory
+// reads, and is found by the ObjHistory reads that follow it — 2·ObjHistory
+// near misses a write, to the one, whichever path each read took. The second
+// case puts both readers on one stripe.
+func TestWriteDuringReadSharedSeesTheReaders(t *testing.T) {
+	for _, readers := range [][2]ids.ThreadID{{1, 2}, {1, 1 + readStripes}} {
+		cfg := readSharedConfig()
+		d := mustNew(t, cfg)
+		os := promote(t, d, 1, readers[0], readers[1])
+		const writer, writes = ids.ThreadID(3), 300
+		var issued, promoted atomic.Int64
+		issued.Store(d.Stats().OnCalls)
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, tid := range readers {
+			wg.Add(1)
+			go func(tid ids.ThreadID) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						d.OnCall(acc(tid, 1, ids.OpID(100+tid), KindRead))
+						issued.Add(1)
+					}
+				}
+			}(tid)
+		}
+		wg.Add(1)
+		go func() { // a live scrape must not disturb, or be disturbed by, any of it
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if st := d.Stats(); st.OnCalls < 0 {
+						t.Error("negative OnCalls in a live snapshot")
+					}
+					goruntime.Gosched()
+				}
+			}
+		}()
+		// Enough reads for a promotion, and then some. In-flight reads may
+		// have been recorded before the write they return after: one a reader.
+		awaitReads := func() {
+			for from := issued.Load(); issued.Load() < from+int64(promoteAfter(cfg.ObjHistory)+cfg.ObjHistory+2); {
+				goruntime.Gosched()
+			}
+		}
+		for i := 0; i < writes; i++ {
+			awaitReads()
+			if os.writer.Load() == writerReadShared {
+				promoted.Add(1)
+			}
+			d.OnCall(acc(writer, 1, 99, KindWrite))
+			issued.Add(1)
+		}
+		awaitReads()
+		close(stop)
+		wg.Wait()
+
+		st := d.Stats()
+		if want := int64(2 * cfg.ObjHistory * writes); st.NearMisses != want {
+			t.Errorf("readers %v: %d near misses for %d writes, want %d", readers, st.NearMisses, writes, want)
+		}
+		if st.OnCalls != issued.Load() {
+			t.Errorf("readers %v: OnCalls = %d at quiescence, %d calls were issued", readers, st.OnCalls, issued.Load())
+		}
+		for _, key := range d.ExportTraps() {
+			if key.A != 99 || (key.B != ids.OpID(100+readers[0]) && key.B != ids.OpID(100+readers[1])) {
+				t.Errorf("readers %v: pair %v is not a read and the write", readers, key)
+			}
+		}
+		if promoted.Load() < writes/2 {
+			t.Errorf("readers %v: only %d of %d writes found the object read-shared", readers, promoted.Load(), writes)
+		}
+		if w := os.writer.Load(); w != writerShared && w != writerReadShared {
+			t.Errorf("readers %v: object ends with writer = %d", readers, w)
+		}
+	}
+}
+
+// TestReadRacingDemotionIsSeenByExactlyOneSide steers a read into the one
+// window the protocol exists for. The test holds the reader's stripe, so the
+// read — having found the object read-shared — waits for it; the write then
+// stores writerShared and waits for the same stripe to drain it. Whoever gets
+// the stripe first, the read must not be appended behind the drain's back:
+// either the write drains it or the read, re-checking, takes the lock path and
+// finds the write. (A reader descheduled for the whole 100 µs sees
+// writerShared at its first look: the same verdict by the easy way.)
+func TestReadRacingDemotionIsSeenByExactlyOneSide(t *testing.T) {
+	d := mustNew(t, readSharedConfig())
+	for obj := ids.ObjectID(1); obj <= 100; obj++ {
+		os := promote(t, d, obj, 1, 2)
+		read, write := ids.OpID(1000+2*obj), ids.OpID(1001+2*obj)
+		stripe := &os.reads.stripes[5%readStripes]
+		stripe.mu.Lock()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			d.OnCall(acc(5, obj, read, KindRead))
+		}()
+		time.Sleep(100 * time.Microsecond)
+		go func() {
+			defer wg.Done()
+			d.OnCall(acc(6, obj, write, KindWrite))
+		}()
+		for deadline := time.Now().Add(10 * time.Second); os.writer.Load() != writerShared; goruntime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("object %d: the write never announced the demotion it is draining for", obj)
+			}
+		}
+		stripe.mu.Unlock()
+		wg.Wait()
+		if !slices.Contains(d.ExportTraps(), report.KeyOf(read, write)) {
+			t.Fatalf("object %d: neither the read nor the write racing it saw the other", obj)
 		}
 	}
 }

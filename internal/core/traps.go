@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	goruntime "runtime"
-	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,20 +98,29 @@ func (m *spinMutex) Unlock() { m.state.Store(0) }
 // stripe, which is what the former shard table made them share.
 type objState struct {
 	mu spinMutex
+	// readRun counts the shared-mode reads recorded since the last write; at
+	// promoteAfter the ring holds nothing but reads and the object goes
+	// read-shared.
+	readRun uint32
 	// traps lists the threads parked on this object, starting on trapBuf:
 	// more than one at a time is rare.
 	traps   []*trap
 	trapBuf [1]*trap
 	// hist is TSVD's shared-mode near-miss ring, or TSVDHB's epoch ring.
 	hist *history
-	// writer implements the single-writer tracking: 0 = untouched, a thread
-	// id = only that thread has ever recorded here, writerShared = at least
-	// two threads have (sticky — the mutex protocol applies forever after).
-	// While single-writer, a same-thread access can skip the ring scan (it
-	// would match nothing: every entry fails the different-thread test), and
-	// TSVD records through the lock-free publication ring below. All
-	// transitions happen under mu; the fast path only loads.
+	// writer is the object's state: 0 = untouched, a thread id = only that
+	// thread has ever recorded here, writerShared = at least two threads have
+	// (no way back to an owner), writerReadShared = shared and the last
+	// ObjHistory accesses are all reads. While single-writer, a same-thread
+	// access can skip the ring scan (it would match nothing: every entry fails
+	// the different-thread test), and TSVD records through the lock-free
+	// publication ring below; while read-shared a read has nothing to scan
+	// either and records into reads. All transitions happen under mu; the
+	// fast paths only load.
 	writer atomic.Int64
+	// reads holds what was read since the object last went read-shared,
+	// allocated at the first promotion and kept.
+	reads *readSet
 	// retired counts admitted TSVD calls on this object that are no longer
 	// represented by the ring's publication counter: shared-mode appends,
 	// plus publications folded out by ring rotation and takeover.
@@ -138,6 +147,97 @@ const inlineEntries = 4
 // ids.CurrentThreadID returns when its parser fails: a thread whose id equals
 // the sentinel would be taken for the owner of every shared object.
 const writerShared = math.MinInt64
+
+// writerReadShared marks a shared object whose last ObjHistory accesses are
+// all reads (TSVD only): a read conflicts with none of them, so it records
+// into its thread's stripe of os.reads without os.mu. recordSlow enters the
+// state after promoteAfter shared-mode reads in a row and leaves it on the
+// first write.
+const writerReadShared = writerShared + 1
+
+// promoteAfter is that run's length: a few rings' worth, so that an object
+// written now and then is not promoted and demoted around every write.
+func promoteAfter(window int) int { return 4 * window }
+
+// readStripes is a power of two; consecutive goroutine ids take different
+// stripes.
+const readStripes = 8
+
+// readSet is a read-shared object's recent reads, one ring of the newest
+// ObjHistory per stripe; between them they hold the newest ObjHistory of
+// all. A reader locks its thread's stripe, re-checks writer under it and
+// appends; recordSlow, holding os.mu, stores writerShared first and drains
+// afterwards — so a read either is in the drain or sees the demotion and
+// takes recordSlow itself.
+type readSet struct {
+	stripes [readStripes]struct {
+		mu   spinMutex
+		hist history
+		_    [64 - 48]byte // a cache line a stripe
+	}
+}
+
+func newReadSet(window int) *readSet {
+	perStripe := (window + 1) &^ 1 // whole cache lines of 32-byte entries
+	entries := make([]histEntry, readStripes*perStripe)
+	rs := &readSet{}
+	for i := range rs.stripes {
+		rs.stripes[i].hist.entries = entries[i*perStripe:][:window:window]
+	}
+	return rs
+}
+
+// recordRead appends a read to its thread's stripe and counts the call on the
+// thread's own state st, unless the object is not (or, once the stripe is
+// locked, no longer) read-shared. It stores to nothing another stripe's
+// reader loads. recordSlow tries it first, so that OnCall — the owner's path
+// — is the same instructions with and without it.
+func (os *objState) recordRead(st *threadState, e histEntry) bool {
+	if e.kind != KindRead || os.writer.Load() != writerReadShared {
+		return false
+	}
+	s := &os.reads.stripes[uint64(e.thread)%readStripes]
+	s.mu.Lock()
+	ok := os.writer.Load() == writerReadShared
+	if ok {
+		s.hist.add(e)
+	}
+	s.mu.Unlock()
+	if ok {
+		st.onCalls.Add(1)
+	}
+	return ok
+}
+
+// drainInto empties every stripe into h, oldest timestamp first, so that h
+// ends up with the newest accesses exactly as if it had recorded them all.
+// The caller holds os.mu and has already stored writerShared.
+func (rs *readSet) drainInto(h *history) {
+	for i := range rs.stripes {
+		rs.stripes[i].mu.Lock()
+	}
+	var taken [readStripes]int
+	for {
+		var oldest *histEntry
+		from := 0
+		for i := range rs.stripes {
+			if sh := &rs.stripes[i].hist; taken[i] < sh.len() {
+				if e := sh.newest(sh.len() - 1 - taken[i]); oldest == nil || e.at < oldest.at {
+					oldest, from = e, i
+				}
+			}
+		}
+		if oldest == nil {
+			break
+		}
+		h.add(*oldest)
+		taken[from]++
+	}
+	for i := range rs.stripes {
+		rs.stripes[i].hist.next, rs.stripes[i].hist.full = 0, false
+		rs.stripes[i].mu.Unlock()
+	}
+}
 
 // noteWriterLocked updates the single-writer tracking for an access by tid
 // and reports whether the ring scan must run (true once a second thread is
@@ -194,8 +294,9 @@ func grownRingSize(window int) int {
 // every thread bumps its own line.
 type threadState struct {
 	// onCalls counts this thread's analysed calls in the variants that do
-	// not count them by ring publication; sampledOut counts its calls the
-	// site stage rejected. snapshotStats sums them across threads.
+	// not count them by ring publication, and TSVD's reads of read-shared
+	// objects; sampledOut counts its calls the site stage rejected.
+	// snapshotStats sums them across threads.
 	onCalls    atomic.Int64
 	sampledOut atomic.Int64
 
@@ -590,10 +691,9 @@ func (r *runtime) randDurationUpTo(d time.Duration) time.Duration {
 }
 
 // side builds one report side, resolving the API strings from the site
-// registry and rendering the stack — report time is the only place the
-// detector touches site metadata strings, or symbolizes a stack, at all. The
-// side keeps pcs.
-func (r *runtime) side(a *Access, pcs []uintptr) report.Side {
+// registry — report time is the only place the detector touches site metadata
+// strings, or symbolizes a stack, at all. The side keeps pcs and stack.
+func (r *runtime) side(a *Access, pcs []uintptr, stack string) report.Side {
 	info := r.sites.Info(a.Site)
 	return report.Side{
 		Thread: a.Thread,
@@ -603,7 +703,7 @@ func (r *runtime) side(a *Access, pcs []uintptr) report.Side {
 		Class:  info.Class,
 		Method: info.Method,
 		PCs:    pcs,
-		Stack:  ids.FormatStack(pcs),
+		Stack:  stack,
 	}
 }
 
@@ -622,11 +722,20 @@ func (r *runtime) checkForTraps(os *objState, a *Access) []report.PairKey {
 			continue
 		}
 		r.stats.violations.Add(1)
-		pcs := make([]uintptr, stackDepth)
+		// Both sides' program counters share one array, both stacks one string.
+		pcs := make([]uintptr, t.depth+stackDepth)
+		copy(pcs, t.pcs[:t.depth])
+		pcs = pcs[:t.depth+goruntime.Callers(1, pcs[t.depth:])]
+		var b strings.Builder
+		b.Grow(128 * len(pcs))
+		ids.AppendStack(&b, pcs[:t.depth])
+		cut := b.Len()
+		ids.AppendStack(&b, pcs[t.depth:])
+		stacks := b.String()
 		v := report.Violation{
 			Object:      a.Obj,
-			Trapped:     r.side(&t.access, slices.Clone(t.pcs[:t.depth])),
-			Conflicting: r.side(a, pcs[:goruntime.Callers(1, pcs)]),
+			Trapped:     r.side(&t.access, pcs[:t.depth:t.depth], stacks[:cut]),
+			Conflicting: r.side(a, pcs[t.depth:], stacks[cut:]),
 			When:        r.now(),
 		}
 		r.reports.Add(v)

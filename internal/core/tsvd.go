@@ -286,22 +286,29 @@ func (d *TSVD) OnCall(a Access) {
 // the object's spin lock: claiming an untouched object for single-writer
 // mode, growing or rotating a full publication ring in place, taking over a
 // single-writer object for shared mode (the sticky mixed transition, which
-// closes and drains the publication ring), and the shared-mode near-miss
-// scan plus append. Every admitted call that lands here is counted into
+// closes and drains the publication ring), the shared-mode near-miss scan
+// plus append, and both ways between shared and read-shared: up after
+// promoteAfter reads in a row, down — draining the readers' stripes — on the
+// first write. Every admitted call that lands here is counted into
 // os.retired, keeping OnCalls exact alongside the fast path's publication
-// counter. It returns the near-miss pair keys found, in the thread's own
-// scratch slice (valid until its next call); the caller inserts them into
-// the trap set outside the lock.
+// counter; a read of a read-shared object needs none of it and leaves at
+// once, through recordRead, which counts its own. It returns the near-miss
+// pair keys found, in the thread's own scratch slice (valid until its next
+// call); the caller inserts them into the trap set outside the lock.
 func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration, concurrent bool) []report.PairKey {
 	rt := &d.rt
 	nearKeys := st.nearKeys[:0]
 	rg := &os.ring
+	rec := histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
+	if os.recordRead(st, rec) {
+		return nil
+	}
 	os.mu.Lock()
 	w := os.writer.Load()
 	switch {
 	case w == 0:
 		// First access to this object: claim single-writer mode.
-		rg.entries[0] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
+		rg.entries[0] = rec
 		rg.pub.Store(1)
 		os.writer.Store(int64(a.Thread))
 	case w == int64(a.Thread):
@@ -329,11 +336,20 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			rg.base.Store(int64(keep))
 			n = keep
 		}
-		rg.entries[n] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
+		rg.entries[n] = rec
 		rg.pub.Store(uint64(n) + 1)
+	case w == writerReadShared && a.Kind == KindRead:
+		// Promoted while this read waited for the lock.
+		os.recordRead(st, rec)
 	default:
 		// Shared mode.
-		if w != writerShared {
+		if w == writerReadShared {
+			// Demotion. The store comes first: a reader that appends after
+			// the drain below has passed its stripe cannot exist, because it
+			// re-checks writer under the stripe's lock.
+			os.writer.Store(writerShared)
+			os.reads.drainInto(os.hist)
+		} else if w != writerShared {
 			// Takeover: a second thread reached a single-writer object.
 			// Close the publication ring — the CAS loop races at most the
 			// owner's one in-flight publication, and once the closed bit
@@ -392,8 +408,18 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			rt.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, e.op, a.Op, t, gap)
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
-		h.add(histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t})
+		h.add(rec)
 		os.retired.Add(1)
+		if a.Kind != KindRead {
+			os.readRun = 0
+		} else if os.readRun++; int(os.readRun) >= promoteAfter(rt.cfg.ObjHistory) {
+			// The ring holds nothing but reads: go read-shared.
+			os.readRun = 0
+			if os.reads == nil {
+				os.reads = newReadSet(rt.cfg.ObjHistory)
+			}
+			os.writer.Store(writerReadShared)
+		}
 	}
 	os.mu.Unlock()
 	st.nearKeys = nearKeys

@@ -314,10 +314,17 @@ func (op OpID) Key() string {
 // argument values and pc offsets. A trap keeps only the program counters and
 // pays for this when it springs.
 func FormatStack(pcs []uintptr) string {
-	if len(pcs) == 0 {
-		return ""
-	}
 	var b strings.Builder
+	AppendStack(&b, pcs)
+	return b.String()
+}
+
+// AppendStack writes FormatStack's rendering of pcs to b, for a caller that
+// renders several stacks into one string.
+func AppendStack(b *strings.Builder, pcs []uintptr) {
+	if len(pcs) == 0 {
+		return
+	}
 	b.Grow(128 * len(pcs)) // a frame is two module-qualified paths
 	var num [20]byte
 	frames := runtime.CallersFrames(pcs)
@@ -331,5 +338,4 @@ func FormatStack(pcs []uintptr) string {
 		b.Write(strconv.AppendInt(num[:0], int64(f.Line), 10))
 		b.WriteByte('\n')
 	}
-	return b.String()
 }
