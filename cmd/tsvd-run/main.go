@@ -19,6 +19,10 @@
 // per-site probability (-sample-probability, auto-throttled toward
 // -overhead-target when one is set).
 //
+// The machine-readable bug report is -triage's bugs.json (one cluster per
+// site pair, the id tsvd-triage gives the same bug from a -trace directory);
+// -v prints each bug's two stacks and its distinct stack-pair count.
+//
 // With -trapfile the run seeds from and persists to a local trap file
 // (§3.4.6); adding -trap-server joins a fleet: the run also fetches from and
 // publishes to a tsvd-trapd daemon, degrading back to the local file alone
@@ -64,7 +68,6 @@ func run() int {
 		seed       = flag.Int64("seed", 2019, "suite seed")
 		scale      = flag.Float64("scale", 0.02, "time scale (1.0 = the paper's 100ms delays)")
 		verbose    = flag.Bool("v", false, "print a live progress heartbeat and each bug's two-sided report")
-		jsonOut    = flag.Bool("json", false, "emit the bug report as JSON on stdout")
 		trapsFile  = flag.String("trapfile", "", "local trap file to seed each run from and publish to (§3.4.6)")
 		trapServer = flag.String("trap-server", "", "tsvd-trapd base URL to share traps with across shards (fleet mode)")
 		traceDir   = flag.String("trace", "", "directory to write the detector event trace (events.jsonl, metrics.json, summary.json)")
@@ -197,14 +200,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "tsvd-run: %d reported pairs outside ground truth\n",
 			len(out.UnknownPairs))
 		status = 1
-	}
-
-	if *jsonOut {
-		if err := out.Reports.WriteJSON(os.Stdout, algo.String(), *verbose); err != nil {
-			fmt.Fprintf(os.Stderr, "tsvd-run: %v\n", err)
-			return 1
-		}
-		return status
 	}
 
 	fmt.Printf("%s over %d modules (%d planted TSVs), %d run(s):\n",

@@ -11,11 +11,11 @@
 //
 // The daemon speaks the trapstore wire schema on /v1/traps (GET snapshot
 // with an epoch-qualified ETag and O(delta) ?since= incremental responses,
-// POST merge), serves a read-only triage view of the merged set on /v1/bugs
-// (one cluster per distinct dangerous pair, same ETag protocol; see
-// docs/OBSERVABILITY.md "Triage"), answers liveness probes on /healthz (JSON: status,
+// POST merge), answers liveness probes on /healthz (JSON: status,
 // generation, epoch, pairs, uptime_seconds), and exposes Prometheus metrics
-// on /metrics (tsvd_trapd_* series; see docs/OBSERVABILITY.md). With -pprof
+// on /metrics (tsvd_trapd_* series; see docs/OBSERVABILITY.md). It holds
+// pairs and nothing derived from them: the triage view of its merged set is
+// tsvd-triage -server's job (docs/OBSERVABILITY.md "Triage"). With -pprof
 // the standard net/http/pprof profiling endpoints are additionally mounted
 // under /debug/pprof/ — off by default, since profiling handlers on a
 // fleet-shared daemon are a footgun. With -snapshot FILE it seeds its set —

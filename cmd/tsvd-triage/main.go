@@ -19,8 +19,9 @@
 // per-shard traces become one report.
 //
 // With -server the report is instead derived from the daemon's merged trap
-// snapshot (the same data GET /v1/bugs serves): one cluster per dangerous
-// pair, with no firing counts — the daemon only ever sees pairs.
+// snapshot (GET /v1/traps): one cluster per dangerous pair, with no firing
+// counts — the daemon only ever sees pairs. A bug's id is its site pair, so
+// it is the same id the shards' own reports and trace folds give that bug.
 //
 // Exit status: 0 on success, 1 on unreadable, invalid or unreconciled input,
 // 2 on usage errors.
@@ -58,16 +59,16 @@ func run() int {
 	}
 
 	if *server != "" {
+		if *outDir == "" {
+			fmt.Fprintln(os.Stderr, "tsvd-triage: -server requires -out")
+			return 2
+		}
 		store := trapstore.NewHTTPStore(*server, trapstore.HTTPConfig{})
 		defer store.Close()
 		f, err := store.Fetch()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tsvd-triage: fetch %s: %v\n", *server, err)
 			return 1
-		}
-		if *outDir == "" {
-			fmt.Fprintln(os.Stderr, "tsvd-triage: -server requires -out")
-			return 2
 		}
 		clusters := triage.FromTrapFile(f)
 		if err := triage.WriteDir(*outDir, f.Tool, 0, clusters); err != nil {

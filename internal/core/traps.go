@@ -53,7 +53,7 @@ var trapPool sync.Pool
 // 6–8 and 10–11 frames deep (two or three detector frames, the proxy's two,
 // the user's call path, runtime.goexit), so 32 truncates nothing there; a
 // deeper stack loses its outermost frames — goroutine scaffolding, never the
-// anchor frame triage clusters by.
+// user's frame the access was made from.
 const stackDepth = 32
 
 // spinMutex is the per-object lock. Critical sections under it are tiny — a

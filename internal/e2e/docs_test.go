@@ -5,12 +5,17 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/trapstore"
 )
 
 // The docs lint keeps the operator docs honest against the Go source. It
@@ -130,6 +135,39 @@ func TestDocsCommandsExist(t *testing.T) {
 	counts := referenced(design, regexp.MustCompile(`\((\d+) binaries\)`))
 	if want := fmt.Sprint(len(entries)); len(counts) != 1 || counts[0] != want {
 		t.Errorf("DESIGN.md says (N binaries) with N = %v, cmd/ has %s", counts, want)
+	}
+}
+
+// TestDocsEndpointsExist: every daemon endpoint the docs mention — as
+// "GET /path" or "POST /path", in the linted prose or in the verify skill —
+// is one trapstore.NewHandler answers with something other than 404: a
+// deleted endpoint cannot survive in prose.
+func TestDocsEndpointsExist(t *testing.T) {
+	srv := httptest.NewServer(trapstore.NewHandler(trapstore.NewMemory("TSVD", nil),
+		trapstore.HandlerOptions{Metrics: metrics.NewRegistry()}))
+	defer srv.Close()
+	docs := append(docFiles(t), filepath.Join(repoRoot, ".claude", "skills", "verify", "SKILL.md"))
+	refs := 0
+	for _, doc := range docs {
+		text, rel := readDoc(t, doc)
+		for _, m := range endpointRef.FindAllStringSubmatch(text, -1) {
+			refs++
+			req, err := http.NewRequest(m[1], srv.URL+m[2], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusNotFound {
+				t.Errorf("%s: %s %s is not an endpoint of the daemon (404)", rel, m[1], m[2])
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no endpoint references found; the pattern matches nothing")
 	}
 }
 
@@ -260,6 +298,9 @@ var (
 	// binary name.
 	cmdDirRef  = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
 	cmdNameRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/-])(tsvd-[a-z]+(?:-[a-z]+)*)`)
+	// endpointRef matches an HTTP method followed by a path, without the
+	// path's query string.
+	endpointRef = regexp.MustCompile(`\b(GET|POST) (/[A-Za-z0-9_/.-]*)`)
 )
 
 func referenced(text string, re *regexp.Regexp) []string {

@@ -2,9 +2,15 @@ package e2e
 
 import (
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -170,5 +176,86 @@ func TestTriageCLIFoldsSameSeedShards(t *testing.T) {
 	}
 	if err := diffPairs(reported, sprung); err != nil {
 		t.Errorf("bugs.json clusters != distinct sprung pairs: %v", err)
+	}
+}
+
+// TestBugIDsAgreeAcrossRoutes: one run folded twice — in-process by
+// `tsvd-run -triage`, and from its own trace directory by `tsvd-triage` —
+// names every bug by the same id with the same firings. (When a signature
+// also hashed stack frames, which only the in-process route has, the two
+// reports of one run had no id in common.)
+func TestBugIDsAgreeAcrossRoutes(t *testing.T) {
+	needBinaries(t)
+	dir := t.TempDir()
+	traceDir := filepath.Join(dir, "trace")
+	inProcess, offline := filepath.Join(dir, "b1"), filepath.Join(dir, "b2")
+	runBin(t, bins.run, "-modules", "40", "-runs", "2", "-trace", traceDir, "-triage", inProcess)
+	runBin(t, bins.triage, "-out", offline, traceDir)
+
+	// Decoded strictly: a cluster holds what triage.JSONCluster declares —
+	// its tuple pair, its counts and its explanation — and no other key.
+	type report struct {
+		Tool     string               `json:"tool"`
+		Clusters int                  `json:"clusters"`
+		Firings  int64                `json:"firings_folded"`
+		Units    int64                `json:"units"`
+		Bugs     []triage.JSONCluster `json:"bugs"`
+	}
+	read := func(dir string) (report, map[string]int64) {
+		f, err := os.Open(filepath.Join(dir, "bugs.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		var rep report
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("parse %s/bugs.json: %v", filepath.Base(dir), err)
+		}
+		firings := map[string]int64{}
+		for _, b := range rep.Bugs {
+			firings[b.ID] = b.Firings
+		}
+		return rep, firings
+	}
+	r1, f1 := read(inProcess)
+	r2, f2 := read(offline)
+	if r1.Clusters == 0 {
+		t.Fatal("the run caught nothing; there are no ids to compare")
+	}
+	if r1.Clusters != r2.Clusters || r1.Firings != r2.Firings {
+		t.Errorf("tsvd-run -triage: %d clusters from %d firings; tsvd-triage on its trace: %d from %d",
+			r1.Clusters, r1.Firings, r2.Clusters, r2.Firings)
+	}
+	if !reflect.DeepEqual(f1, f2) {
+		common := 0
+		for id := range f1 {
+			if _, ok := f2[id]; ok {
+				common++
+			}
+		}
+		t.Errorf("the two reports of one run share %d of %d ids:\ntsvd-run -triage: %v\ntsvd-triage:      %v",
+			common, len(f1), f1, f2)
+	}
+}
+
+// TestTriageCLIServerNeedsOutBeforeDialing: -server without -out is a usage
+// error, and it is one before the daemon is asked for anything.
+func TestTriageCLIServerNeedsOutBeforeDialing(t *testing.T) {
+	needBinaries(t)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	out, err := exec.Command(bins.triage, "-server", srv.URL).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("tsvd-triage -server without -out: %v, want exit 2\n%s", err, out)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the daemon received %d request(s) before the usage error", n)
 	}
 }

@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"runtime"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/scenarios"
-	"repro/internal/trapfile"
 	"repro/internal/trapstore"
 	"repro/internal/workload"
 )
@@ -155,85 +152,7 @@ func Fleet(p Params, w io.Writer) {
 	}
 	fmt.Fprintf(w, "(cold catches: per-shard distinct cold bugs, summed over shards;\n")
 	fmt.Fprintf(w, " shared vs isolated store. Cold bugs need a seeded trap, so isolated\n")
-	fmt.Fprintf(w, " shards catch none in round 1 by construction.)\n\n")
-	fleetWireEconomy(w)
-}
-
-// fleetWireEconomy measures what each kind of poll against tsvd-trapd costs
-// on the wire under the v2 snapshot protocol: a cold client pays the full
-// snapshot once, a warm client resuming from its generation cursor
-// (GET /v1/traps?since=) pays only the pairs added since, and an idle poll
-// pays a bodyless 304. This is the O(pairs) → O(delta) claim of the delta
-// sync, measured rather than asserted.
-func fleetWireEconomy(w io.Writer) {
-	mem := trapstore.NewMemory("TSVD", nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(w, "wire economy: listen: %v\n", err)
-		return
-	}
-	srv := &http.Server{Handler: trapstore.NewHandler(mem, trapstore.HandlerOptions{})}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	// A realistic steady-state trap set: a few hundred pairs, the size the
-	// fleet table above converges to after a couple of rounds at scale.
-	const basePairs = 256
-	seed := trapfile.File{Version: trapfile.FormatVersion, Tool: "TSVD"}
-	for i := 0; i < basePairs; i++ {
-		seed.Pairs = append(seed.Pairs, trapfile.Pair{
-			A: fmt.Sprintf("exp/fleet/mod%03d.go:11", i),
-			B: fmt.Sprintf("exp/fleet/mod%03d.go:47", i),
-		})
-	}
-	publisher := trapstore.NewHTTPStore(base, trapstore.HTTPConfig{})
-	defer publisher.Close()
-	if err := publisher.Publish(seed); err != nil {
-		fmt.Fprintf(w, "wire economy: seed publish: %v\n", err)
-		return
-	}
-
-	poller := trapstore.NewHTTPStore(base, trapstore.HTTPConfig{})
-	defer poller.Close()
-	fetch := func() bool {
-		if _, err := poller.Fetch(); err != nil {
-			fmt.Fprintf(w, "wire economy: poll: %v\n", err)
-			return false
-		}
-		return true
-	}
-	if !fetch() { // cold: full snapshot
-		return
-	}
-	fullBytes := poller.WireStats().FetchBytes
-	const idlePolls = 8
-	for i := 0; i < idlePolls; i++ { // warm, nothing new: 304s
-		if !fetch() {
-			return
-		}
-	}
-	growth := trapfile.File{Version: trapfile.FormatVersion, Tool: "TSVD", Pairs: []trapfile.Pair{
-		{A: "exp/fleet/new.go:3", B: "exp/fleet/new.go:9"},
-	}}
-	if err := publisher.Publish(growth); err != nil {
-		fmt.Fprintf(w, "wire economy: growth publish: %v\n", err)
-		return
-	}
-	if !fetch() { // warm, one pair grew: delta
-		return
-	}
-	ws := poller.WireStats()
-	deltaBytes := ws.FetchBytes - fullBytes
-
-	fmt.Fprintf(w, "wire cost per poll (v2 snapshot protocol, %d-pair store)\n", basePairs)
-	fmt.Fprintf(w, "%-28s %7s %12s\n", "poll kind", "polls", "bytes/poll")
-	fmt.Fprintf(w, "%-28s %7d %12d\n", "full snapshot (cold client)", 1, fullBytes)
-	fmt.Fprintf(w, "%-28s %7d %12d\n", "not-modified (idle)", ws.NotModified, 0)
-	fmt.Fprintf(w, "%-28s %7d %12d\n", "delta (+1 pair)", ws.DeltaFetches, deltaBytes)
-	fmt.Fprintf(w, "(the cold fetch is O(pairs); the generation cursor makes every warm\n")
-	fmt.Fprintf(w, " poll O(pairs added since), so steady-state polling cost no longer\n")
-	fmt.Fprintf(w, " grows with the accumulated trap set.)\n")
+	fmt.Fprintf(w, " shards catch none in round 1 by construction.)\n")
 }
 
 // Sampling measures the production sampling tier (docs/SAMPLING.md): the

@@ -308,8 +308,8 @@ func (op OpID) Key() string {
 
 // FormatStack renders a stack captured by runtime.Callers the way
 // runtime.Stack lays one out — a function line, then a tab-indented
-// file:line — so everything that reads stacks as text (triage's anchor frame,
-// the Table-1 depth statistic, the report writers) reads it unchanged. What
+// file:line — so everything that reads stacks as text (the Table-1 depth
+// statistic, the report writers) reads it unchanged. What
 // it leaves out on purpose is what made two captures of one call path differ:
 // argument values and pc offsets. A trap keeps only the program counters and
 // pays for this when it springs.

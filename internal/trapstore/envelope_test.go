@@ -140,10 +140,11 @@ func TestEnvelopeMatchesParentWithoutSites(t *testing.T) {
 
 // TestSiteTablesSurviveFleetMode publishes a File carrying a site table
 // through HTTPStore → NewHandler → SnapshotPersister.Save → Load and a second
-// client's Fetch: the table must arrive on every hop, and /v1/bugs must give
-// the clusters the ids the same file gets when merged in-process. (Before the
-// envelope, the wire and snapshot shapes had no "sites" key: 0 rows on all
-// three hops, and /v1/bugs identified every pair by bare location keys.)
+// client's Fetch: the table must arrive on every hop, and the fetched
+// snapshot must triage to the ids the same file gets when merged in-process.
+// (Before the envelope, the wire and snapshot shapes had no "sites" key: 0
+// rows on all three hops, and every pair was identified by bare location
+// keys.)
 func TestSiteTablesSurviveFleetMode(t *testing.T) {
 	published := trapfile.File{Tool: "TSVD",
 		Pairs: pairs("cache.go:41", "cache.go:57", "pool.go:12", "pool.go:30"),
@@ -191,25 +192,23 @@ func TestSiteTablesSurviveFleetMode(t *testing.T) {
 		t.Errorf("after a sites-only publish the second client holds %+v (%v, %+v), want %+v", f, err, second.WireStats(), want)
 	}
 
-	resp, err := http.Get(srv.URL + BugsPath)
+	// What the table buys downstream: the snapshot the second client now
+	// holds names each bug by the id the same file gets when merged
+	// in-process, not by the one its bare location keys would give.
+	fetched, err := second.Fetch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var bugs wireBugs
-	if err := json.NewDecoder(resp.Body).Decode(&bugs); err != nil {
-		t.Fatal(err)
-	}
 	var got, wantIDs []string
-	for _, b := range bugs.Bugs {
-		got = append(got, b.ID)
+	for _, c := range triage.FromTrapFile(fetched) {
+		got = append(got, c.ID)
 	}
 	for _, c := range triage.FromTrapFile(want) {
 		wantIDs = append(wantIDs, c.ID)
 	}
 	bare := triage.FromTrapFile(trapfile.File{Pairs: want.Pairs})
 	if !reflect.DeepEqual(got, wantIDs) || got[0] == bare[0].ID {
-		t.Errorf("/v1/bugs ids %v, in-process merge gives %v (pairs alone give %v…)", got, wantIDs, bare[0].ID)
+		t.Errorf("fetched snapshot triages to ids %v, in-process merge gives %v (pairs alone give %v…)", got, wantIDs, bare[0].ID)
 	}
 }
 

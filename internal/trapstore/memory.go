@@ -15,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/trapfile"
-	"repro/internal/triage"
 )
 
 // SyncState identifies a point in one daemon's merge history: the boot epoch
@@ -234,13 +233,6 @@ func (m *Memory) Close() error { return nil }
 // TrapsPath is the daemon's single read-write resource: the merged trap set.
 const TrapsPath = "/v1/traps"
 
-// BugsPath is the read-only triage view over the merged snapshot: one
-// signature-keyed cluster per dangerous pair, identity resolved through the
-// merged site table (internal/triage.FromTrapFile). The daemon only ever
-// sees pairs, so the view carries no firing counts — those live in the
-// shards' own bugs.json reports.
-const BugsPath = "/v1/bugs"
-
 // SinceParam is the query parameter carrying a client's sync cursor in its
 // SyncState.String() form. A cursor that names a generation of the daemon's
 // current boot is answered with a delta; any other with the full set.
@@ -257,17 +249,6 @@ type wireAck struct {
 // wireError carries a machine-readable rejection.
 type wireError struct {
 	Error string `json:"error"`
-}
-
-// wireBugs is the GET /v1/bugs body: the sync state the view was derived
-// from plus one cluster per dangerous pair (documented in
-// docs/DEPLOYMENT.md).
-type wireBugs struct {
-	Tool       string               `json:"tool"`
-	Generation uint64               `json:"generation"`
-	Epoch      string               `json:"epoch,omitempty"`
-	Clusters   int                  `json:"clusters"`
-	Bugs       []triage.JSONCluster `json:"bugs"`
 }
 
 // wireHealth is the GET /healthz body (documented in docs/DEPLOYMENT.md).
@@ -420,31 +401,6 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 			deltaResponses.Inc()
 		} else {
 			fullResponses.Inc()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(body)
-	}))
-	mux.HandleFunc("GET "+BugsPath, instrument("bugs_get", func(w http.ResponseWriter, r *http.Request) {
-		// Read-only triage view: derive clusters from one consistent
-		// snapshot. Same ETag discipline as GET /v1/traps — the view is a
-		// pure function of the sync state.
-		f, st := m.SnapshotState()
-		tag := etagOf(st)
-		w.Header().Set("ETag", tag)
-		if r.Header.Get("If-None-Match") == tag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		clusters := triage.FromTrapFile(f)
-		body := wireBugs{
-			Tool:       f.Tool,
-			Generation: st.Generation,
-			Epoch:      st.epochHex(),
-			Clusters:   len(clusters),
-			Bugs:       make([]triage.JSONCluster, 0, len(clusters)),
-		}
-		for _, c := range clusters {
-			body.Bugs = append(body.Bugs, triage.JSONClusterOf(c))
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(body)

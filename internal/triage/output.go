@@ -10,8 +10,8 @@ import (
 	"repro/internal/sites"
 )
 
-// JSONCluster is the wire form of one BugCluster in bugs.json and the
-// daemon's /v1/bugs view. All identity fields are cross-process strings.
+// JSONCluster is the wire form of one BugCluster in bugs.json. All identity
+// fields are cross-process strings.
 type JSONCluster struct {
 	// ID is the stable signature digest (Signature.ID).
 	ID string `json:"id"`
@@ -19,8 +19,6 @@ type JSONCluster struct {
 	SiteA sites.Tuple `json:"site_a"`
 	// SiteB is the greater side.
 	SiteB sites.Tuple `json:"site_b"`
-	// StackShape is the hex stack-shape hash ("0" for stack-less sources).
-	StackShape string `json:"stack_shape"`
 	// Firings is the raw violation count folded into the cluster.
 	Firings int64 `json:"firings"`
 	// Rank is the reproducibility measure.
@@ -40,7 +38,6 @@ func JSONClusterOf(c BugCluster) JSONCluster {
 		ID:          c.ID,
 		SiteA:       c.Sig.A,
 		SiteB:       c.Sig.B,
-		StackShape:  fmt.Sprintf("%x", c.Sig.StackShape),
 		Firings:     c.Firings,
 		Rank:        c.Rank,
 		Explanation: c.Explanation,
@@ -88,9 +85,6 @@ func WriteMarkdown(w io.Writer, tool string, units int64, clusters []BugCluster)
 	for i, c := range clusters {
 		fmt.Fprintf(w, "## %d. bug %s\n\n", i+1, c.ID)
 		fmt.Fprintf(w, "- pair: %s ↔ %s\n", c.Sig.A, c.Sig.B)
-		if c.Sig.StackShape != 0 {
-			fmt.Fprintf(w, "- stack shape: %016x\n", c.Sig.StackShape)
-		}
 		fmt.Fprintf(w, "- firings: %d\n", c.Firings)
 		if c.Rank.Opportunities > 0 {
 			fmt.Fprintf(w, "- reproducibility: %d/%d units (hit rate %.2f, 95%% CI [%.2f, %.2f])\n",

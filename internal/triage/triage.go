@@ -9,8 +9,10 @@
 //
 //  1. Clustering. Every firing is folded under a canonical Signature — the
 //     normalized site-pair tuple (stable location keys plus API metadata,
-//     never process-local ids) and a stack-shape hash — so N firings of one
-//     bug across runs, shards, and process restarts land in one BugCluster.
+//     never process-local ids), the paper's unordered location pair — so N
+//     firings of one bug across runs, shards, and process restarts land in
+//     one BugCluster. Call-path diversity is not part of the identity; it
+//     stays where the paper counts it, in report.Bug.StackPairs.
 //  2. Reproducibility ranking. Each cluster counts firings against
 //     opportunities (ingested units where a trap was armed at one of the
 //     pair's sites and both sides were observed) and carries a Wilson
@@ -26,8 +28,10 @@
 // Ingestion has three sources matching the three deployment surfaces:
 // AddRun (a harness Outcome's collector plus drained traces, in-process),
 // AddTrace (events parsed back from a v5 events.jsonl, cmd/tsvd-triage), and
-// FromTrapFile (a fleet daemon's merged pair snapshot, the degraded
-// /v1/bugs view: identity without firing counts).
+// FromTrapFile (a fleet daemon's merged pair snapshot, the degraded view
+// tsvd-triage -server writes: identity without firing counts). All three
+// reach a cluster through the same two tuples, so one bug has one id
+// whichever route folded it.
 package triage
 
 import (
@@ -35,7 +39,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,43 +50,41 @@ import (
 )
 
 // Signature is the canonical bug identity: the unordered site-pair tuple in
-// normalized order plus the stack-shape hash. Two firings from different
-// runs, shards, or process lifetimes produce equal Signatures exactly when
-// they are the same bug, because every field is derived from cross-process
-// stable strings.
+// normalized order, and nothing else. Two firings from different runs,
+// shards, process lifetimes, or ingestion routes produce equal Signatures
+// exactly when they are the same bug, because every field is a cross-process
+// stable string that every route carries.
 type Signature struct {
 	// A is the lesser side of the pair in tuple order.
 	A sites.Tuple `json:"site_a"`
 	// B is the greater side, so A <= B always holds.
 	B sites.Tuple `json:"site_b"`
-	// StackShape is the order-insensitive hash of the two sides' anchor
-	// frames (StackShapeOf); 0 when the ingestion source carried no stacks
-	// (trace-only and trap-snapshot ingestion).
-	StackShape uint64 `json:"stack_shape,omitempty"`
 }
 
-// SignatureOf canonicalizes a signature from its two sides and stacks.
-func SignatureOf(x, y sites.Tuple, stackX, stackY string) Signature {
+// SignatureOf canonicalizes a signature from its two sides.
+func SignatureOf(x, y sites.Tuple) Signature {
 	if y.Less(x) {
 		x, y = y, x
 	}
-	return Signature{A: x, B: y, StackShape: StackShapeOf(stackX, stackY)}
+	return Signature{A: x, B: y}
 }
 
 // ID returns the cluster's short stable identifier: a 64-bit FNV digest of
-// the signature fields, rendered as 16 hex digits. It is what bugs.json,
-// bugs.md, and the /v1/bugs view key reports by.
+// the signature fields, rendered as 16 hex digits. It is what bugs.json and
+// bugs.md key reports by.
 func (s Signature) ID() string {
 	h := fnv.New64a()
 	for _, side := range [2]sites.Tuple{s.A, s.B} {
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%t\x00", side.Loc, side.Class, side.Method, side.Write)
 	}
-	fmt.Fprintf(h, "%016x", s.StackShape)
+	// The digest once ended in a third field that every trace and snapshot
+	// id was issued with as sixteen zeros; feeding them keeps those ids valid.
+	h.Write([]byte("0000000000000000"))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// pair returns the loc-only pair key, the join point between stack-aware
-// clusters and the stack-blind trace events (opportunities, explanations).
+// pair returns the loc-only pair key, the join point between clusters and
+// the trace events (opportunities, explanations), which name locations.
 func (s Signature) pair() pairLoc { return pairLocOf(s.A.Loc, s.B.Loc) }
 
 // pairLoc is an unordered location-key pair (A <= B).
@@ -94,66 +95,6 @@ func pairLocOf(a, b string) pairLoc {
 		a, b = b, a
 	}
 	return pairLoc{A: a, B: b}
-}
-
-// detectorFramePrefixes are the runtime-internal packages stripped from the
-// top of a stack before picking its anchor frame: the frames between the
-// access and the user code that performed it.
-var detectorFramePrefixes = []string{
-	"repro/internal/ids.",
-	"repro/internal/core.",
-	"repro/internal/collections.",
-	"repro/internal/rawcol.",
-	"repro/internal/task.",
-	"runtime.",
-}
-
-// anchorFrame returns the function name of the innermost non-detector frame
-// of a captured stack — the function that performed the instrumented call.
-// The shape deliberately stops there: frames below the access (goroutine
-// scaffolding, pool workers, test drivers) vary between schedules of the
-// same bug, and including them would split one bug into many clusters.
-func anchorFrame(stack string) string {
-	for _, line := range strings.Split(stack, "\n") {
-		if line == "" || line[0] == '\t' || strings.HasPrefix(line, "created by ") ||
-			strings.HasPrefix(line, "goroutine ") {
-			continue // headers, location lines, goroutine origins — not frames
-		}
-		fn := line
-		if i := strings.LastIndexByte(fn, '('); i > 0 {
-			fn = fn[:i]
-		}
-		internal := false
-		for _, p := range detectorFramePrefixes {
-			if strings.HasPrefix(fn, p) {
-				internal = true
-				break
-			}
-		}
-		if !internal {
-			return fn
-		}
-	}
-	return ""
-}
-
-// StackShapeOf hashes the anchor frames of the two sides' stacks,
-// order-insensitively (the same two stacks in either trapped/conflicting
-// role are one shape). Empty stacks hash to 0, so stack-less ingestion
-// sources and stack-bearing ones agree on "no shape".
-func StackShapeOf(a, b string) uint64 {
-	fa, fb := anchorFrame(a), anchorFrame(b)
-	if fa == "" && fb == "" {
-		return 0
-	}
-	if fb < fa {
-		fa, fb = fb, fa
-	}
-	h := fnv.New64a()
-	h.Write([]byte(fa))
-	h.Write([]byte{0})
-	h.Write([]byte(fb))
-	return h.Sum64()
 }
 
 // Provenance labels one ingested unit: which shard and round of a fleet
@@ -325,8 +266,8 @@ func resolver(table []sites.Tuple) func(loc string) sites.Tuple {
 }
 
 // AddRun ingests one suite execution as a single unit: the collector's raw
-// violations (stack-aware signatures) plus the drained traces (opportunity
-// accounting and explanation slices). traces may be empty — reports alone
+// violations plus the drained traces (opportunity accounting and
+// explanation slices). traces may be empty — reports alone
 // still cluster, with zero opportunities.
 func (t *Triage) AddRun(col *report.Collector, traces []trace.ModuleTrace, prov Provenance) {
 	t.mu.Lock()
@@ -334,17 +275,14 @@ func (t *Triage) AddRun(col *report.Collector, traces []trace.ModuleTrace, prov 
 	t.units++
 	unit := t.units
 	for _, v := range col.Violations() {
-		sig := SignatureOf(sideTuple(v.Trapped), sideTuple(v.Conflicting),
-			v.Trapped.Stack, v.Conflicting.Stack)
-		t.fold(sig, v.When, prov, unit)
+		t.fold(SignatureOf(sideTuple(v.Trapped), sideTuple(v.Conflicting)), v.When, prov, unit)
 	}
 	t.noteTraces(traces, unit)
 }
 
 // AddTrace ingests one trace-only unit (events parsed back from a v5
 // events.jsonl by cmd/tsvd-triage): firings come from trap_sprung events,
-// tuples resolve through the summary's site table, and stack shapes are 0
-// (the wire carries no stacks).
+// and tuples resolve through the summary's site table.
 func (t *Triage) AddTrace(traces []trace.ModuleTrace, table []trace.SiteRecord, prov Provenance) {
 	tuples := make([]sites.Tuple, len(table))
 	for i, r := range table {
@@ -360,8 +298,7 @@ func (t *Triage) AddTrace(traces []trace.ModuleTrace, table []trace.SiteRecord, 
 			if e.Kind != trace.KindTrapSprung {
 				continue
 			}
-			sig := SignatureOf(tuple(sites.Loc(e.OpA)), tuple(sites.Loc(e.OpB)), "", "")
-			t.fold(sig, e.At, prov, unit)
+			t.fold(SignatureOf(tuple(sites.Loc(e.OpA)), tuple(sites.Loc(e.OpB))), e.At, prov, unit)
 		}
 	}
 	t.noteTraces(traces, unit)
@@ -456,15 +393,15 @@ func (t *Triage) Clusters() []BugCluster {
 	return out
 }
 
-// FromTrapFile derives the degraded triage view a fleet daemon can serve
-// from its merged snapshot alone: one cluster per dangerous pair, identity
+// FromTrapFile derives the degraded triage view a fleet daemon's merged
+// snapshot gives on its own: one cluster per dangerous pair, identity
 // resolved through the file's site table, with no firing counts (those live
 // with the shards' own triage reports — the daemon only ever sees pairs).
 func FromTrapFile(f trapfile.File) []BugCluster {
 	tuple := resolver(f.Sites)
 	out := make([]BugCluster, 0, len(f.Pairs))
 	for _, p := range f.Pairs {
-		sig := SignatureOf(tuple(p.A), tuple(p.B), "", "")
+		sig := SignatureOf(tuple(p.A), tuple(p.B))
 		out = append(out, BugCluster{Sig: sig, ID: sig.ID()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

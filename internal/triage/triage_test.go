@@ -20,8 +20,8 @@ import (
 func TestSignatureCanonicalOrder(t *testing.T) {
 	x := sites.Tuple{Loc: "pkg/b.go:2", Class: "Map", Method: "Load"}
 	y := sites.Tuple{Loc: "pkg/a.go:1", Class: "Map", Method: "Store", Write: true}
-	s1 := SignatureOf(x, y, "", "")
-	s2 := SignatureOf(y, x, "", "")
+	s1 := SignatureOf(x, y)
+	s2 := SignatureOf(y, x)
 	if s1 != s2 {
 		t.Fatalf("order-sensitive signature: %+v vs %+v", s1, s2)
 	}
@@ -31,7 +31,7 @@ func TestSignatureCanonicalOrder(t *testing.T) {
 	if s1.ID() != s2.ID() {
 		t.Fatal("IDs diverge for equal signatures")
 	}
-	other := SignatureOf(x, sites.Tuple{Loc: "pkg/c.go:3"}, "", "")
+	other := SignatureOf(x, sites.Tuple{Loc: "pkg/c.go:3"})
 	if other.ID() == s1.ID() {
 		t.Fatal("distinct signatures share an ID")
 	}
@@ -56,24 +56,6 @@ repro/internal/task.worker(0xc000400000)
 created by repro/internal/task.spawn
 	/repo/internal/task/sched.go:40 +0x50
 `
-
-func TestStackShapeAnchorsAboveDetectorFrames(t *testing.T) {
-	if got := anchorFrame(stackMain); got != "repro/internal/workload.(*Env).call" {
-		t.Fatalf("anchor = %q", got)
-	}
-	// Same anchor despite different goroutine scaffolding below it and
-	// different argument addresses: the shape must not split one bug.
-	if StackShapeOf(stackMain, stackMain) != StackShapeOf(stackWorker, stackWorker) {
-		t.Fatal("scheduling scaffolding split the stack shape")
-	}
-	// Order-insensitive across the two roles.
-	if StackShapeOf(stackMain, stackWorker) != StackShapeOf(stackWorker, stackMain) {
-		t.Fatal("stack shape is order-sensitive")
-	}
-	if StackShapeOf("", "") != 0 {
-		t.Fatal("empty stacks must hash to 0")
-	}
-}
 
 func TestWilsonInterval(t *testing.T) {
 	low, high := wilson(0, 0)
@@ -164,39 +146,52 @@ func TestAddTraceClustersAndExplains(t *testing.T) {
 	}
 }
 
-func TestAddRunUsesStackShapes(t *testing.T) {
+// TestAllRoutesFoldToOneID: one bug has one id whichever route folded it —
+// the collector (with stacks, in either trapped/conflicting role), a trace
+// directory's trap_sprung event resolved through its site table, and a
+// daemon snapshot's pair resolved through its own.
+func TestAllRoutesFoldToOneID(t *testing.T) {
 	a := ids.InternKey("tt/run/siteA")
 	b := ids.InternKey("tt/run/siteB")
-	mkCol := func(stackB string) *report.Collector {
+	sideA := report.Side{Thread: 1, Op: a, Write: true, Class: "List", Method: "Add", Stack: stackMain}
+	sideB := report.Side{Thread: 2, Op: b, Class: "List", Method: "Get", Stack: stackWorker}
+	mkCol := func(trapped, conflicting report.Side) *report.Collector {
 		col := report.NewCollector()
-		col.Add(report.Violation{
-			Object: 7,
-			Trapped: report.Side{
-				Thread: 1, Op: a, Write: true, Class: "List", Method: "Add", Stack: stackMain},
-			Conflicting: report.Side{
-				Thread: 2, Op: b, Class: "List", Method: "Get", Stack: stackB},
-			When: 10 * time.Microsecond,
-		})
+		col.Add(report.Violation{Object: 7, Trapped: trapped, Conflicting: conflicting,
+			When: 10 * time.Microsecond})
 		return col
 	}
 	tri := New()
-	tri.AddRun(mkCol(stackMain), nil, Provenance{Source: "u1"})
-	// Different scaffolding below the anchor frame: must fold, not split.
-	tri.AddRun(mkCol(stackWorker), nil, Provenance{Source: "u2"})
+	tri.AddRun(mkCol(sideA, sideB), nil, Provenance{Source: "u1"})
+	tri.AddRun(mkCol(sideB, sideA), nil, Provenance{Source: "u2"})
 	clusters := tri.Clusters()
 	if len(clusters) != 1 {
 		t.Fatalf("got %d clusters, want 1", len(clusters))
 	}
 	c := clusters[0]
-	if c.Sig.StackShape == 0 {
-		t.Fatal("stack shape not computed from violation stacks")
-	}
 	if c.Firings != 2 || c.Rank.FiringUnits != 2 {
 		t.Fatalf("fold accounting: %+v", c)
 	}
 	// No traces were ingested: opportunities degrade to firing units.
 	if c.Rank.Opportunities != 2 {
 		t.Fatalf("opportunities = %d, want 2 (degraded)", c.Rank.Opportunities)
+	}
+
+	reg := sites.New()
+	reg.Register(a, "List", "Add", true)
+	reg.Register(b, "List", "Get", false)
+
+	traced := New()
+	traced.AddTrace([]trace.ModuleTrace{{Module: "run", Run: 1, Events: []trace.Event{
+		{Kind: trace.KindTrapSprung, Thread: 2, Obj: 7, OpA: a, OpB: b, At: 10 * time.Microsecond},
+	}}}, trace.SiteTable(reg), Provenance{Source: "trace"})
+	if got := traced.Clusters(); len(got) != 1 || got[0].ID != c.ID {
+		t.Errorf("trace route: %+v, the collector route gave id %s", got, c.ID)
+	}
+
+	snap := FromTrapFile(trapfile.NewWithSites("TSVD", []report.PairKey{report.KeyOf(a, b)}, reg))
+	if len(snap) != 1 || snap[0].ID != c.ID {
+		t.Errorf("snapshot route: %+v, the collector route gave id %s", snap, c.ID)
 	}
 }
 
@@ -347,7 +342,9 @@ func TestExplanationCountsOnlyOrderingEdges(t *testing.T) {
 // summary site table, a collector-only unit with one never-interned op, and
 // the daemon's pairs-only view of a site-carrying snapshot — is, byte for
 // byte, what the commit before sites.Tuple existed wrote for the same inputs
-// (testdata/parent/*.json were captured there).
+// (testdata/parent/*.json were captured there), less its stack-hash key:
+// every trace and snapshot id is that commit's, and the collector-only
+// cluster has the id those routes would have given its pair.
 func TestBugsJSONMatchesParent(t *testing.T) {
 	mt, la, lb := fabTrace(t)
 	reg := sites.New()
