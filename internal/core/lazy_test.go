@@ -89,6 +89,86 @@ func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
 	}
 }
 
+// TestFreshThreadsAndObjectsCostChunks: the thread and object registries
+// carve states out of chunks they allocate, so a thousand fresh threads, each
+// on a fresh object of its own, cost a logarithmic number of chunks and
+// tables — not one allocation a state.
+func TestFreshThreadsAndObjectsCostChunks(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	d := mustNew(t, testConfig(config.AlgoTSVD))
+	d.OnCall(acc(1, 1, 101, KindWrite)) // site and coverage
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	for i := 2; i <= 1001; i++ {
+		d.OnCall(acc(ids.ThreadID(i), ids.ObjectID(i), 101, KindWrite))
+	}
+	goruntime.ReadMemStats(&m1)
+	if got := m1.Mallocs - m0.Mallocs; got > 64 {
+		t.Fatalf("1000 fresh threads on 1000 fresh objects cost %d allocations, want at most 64", got)
+	}
+	if st := d.Stats(); st.OnCalls != 1001 {
+		t.Fatalf("OnCalls = %d, want 1001", st.OnCalls)
+	}
+}
+
+// TestRegistryStatesOwnTheirCacheLines: states of different threads and
+// objects sit side by side in the registries' chunks, so no cache line may
+// hold fields of two of them — or every call of one worker would invalidate
+// the line another's calls read. Each state is a whole number of lines, so
+// all states of a chunk start at the same offset within a line: 0 where the
+// chunk is line-aligned, 8 where the allocator put the chunk's type header in
+// front of it (a chunk of up to 32 KiB that holds pointers). The lines a state
+// shares with its neighbours then hold only padding of one of the two as long
+// as that offset is no larger than the state's trailing padding.
+func TestRegistryStatesOwnTheirCacheLines(t *testing.T) {
+	var os objState
+	var st threadState
+	osPad := unsafe.Sizeof(os) - (unsafe.Offsetof(os.inline) + unsafe.Sizeof(os.inline))
+	stPad := unsafe.Sizeof(st) - (unsafe.Offsetof(st.memo) + unsafe.Sizeof(st.memo))
+	if size := unsafe.Sizeof(os); size%64 != 0 {
+		t.Errorf("objState is %d bytes, not a multiple of 64", size)
+	}
+	if size := unsafe.Sizeof(st); size%64 != 0 {
+		t.Errorf("threadState is %d bytes, not a multiple of 64", size)
+	}
+	d := mustNew(t, testConfig(config.AlgoTSVD))
+	for i := 1; i <= 300; i++ { // chunks with and without a header
+		d.OnCall(acc(ids.ThreadID(i), ids.ObjectID(i), 101, KindWrite))
+	}
+	rt := runtimeOf(d)
+	rt.objs.Each(func(k int64, os *objState) {
+		off := uintptr(unsafe.Pointer(os)) % 64
+		if off > osPad {
+			t.Errorf("object %d's state starts %d bytes into a cache line; its padding is %d", k, off, osPad)
+		}
+	})
+	rt.threads.Each(func(k int64, st *threadState) {
+		off := uintptr(unsafe.Pointer(st)) % 64
+		if off > stPad {
+			t.Errorf("thread %d's state starts %d bytes into a cache line; its padding is %d", k, off, stPad)
+		}
+	})
+}
+
+// TestFailedDelayDecayCostsNothing: decaying a location and its partners
+// after an unproductive delay allocates nothing while the location has at
+// most seven partners.
+func TestFailedDelayDecayCostsNothing(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	s := newTrapSet()
+	var stats atomicStats
+	for other := ids.OpID(2); other <= 8; other++ {
+		s.add(report.KeyOf(1, other), &stats, nil)
+	}
+	decay := func() { s.decayAfterFailedDelay(1, 0.5, 0, &stats, nil, 0) } // prune 0: the pairs stay
+	if got := testing.AllocsPerRun(100, decay); got != 0 {
+		t.Fatalf("a failed delay at a location with 7 partners costs %v allocations", got)
+	}
+	if p, _ := s.eligible(8); s.size() != 7 || p >= 1 {
+		t.Fatalf("%d pairs, a partner's probability %v: the measured path did not decay", s.size(), p)
+	}
+}
+
 // TestTakeoverSeesNewestWindowAtEverySize: however many accesses the owner
 // recorded — still on the inline array, at the growth boundary, in the grown
 // ring, after any number of rotations — the second thread's takeover finds
@@ -298,10 +378,10 @@ func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
 // TestReadSharedCostsTwoAllocationsAnObject: the stripes are bought by an
 // object's first promotion (the readSet and one entry array for all of them)
 // and kept across demotions; a read recorded into them costs nothing; and
-// objState, with the pointer to them, is still in the 256-byte size class.
+// objState, with the pointer to them, still fits in four cache lines.
 func TestReadSharedCostsTwoAllocationsAnObject(t *testing.T) {
 	if size := unsafe.Sizeof(objState{}); size > 256 {
-		t.Errorf("objState is %d bytes, over the 256-byte size class", size)
+		t.Errorf("objState is %d bytes, over four cache lines", size)
 	}
 	if size := unsafe.Sizeof(readSet{}); size != 64*readStripes {
 		t.Errorf("readSet is %d bytes: a stripe is not a cache line", size)

@@ -131,15 +131,19 @@ type objState struct {
 	// ring is TSVD's single-writer publication ring, in use exactly while
 	// writer holds a thread id; closed and drained into hist at the takeover
 	// by a second thread. It starts on the inline array, so an object costs
-	// one allocation until it outgrows it.
+	// no allocation of its own until it outgrows it.
 	ring   pubRing
 	inline [inlineEntries]histEntry
+	// The registry carves objStates side by side out of one chunk. A whole
+	// number of cache lines each, padding last, keeps the fields of two
+	// objects off one line (TestRegistryStatesOwnTheirCacheLines).
+	_ [16]byte
 }
 
 // inlineEntries is the publication ring's capacity before it grows. 92 % of
 // the objects of a generated suite receive exactly two accesses in their
 // life (docs/PERFORMANCE.md, "Suite-level memory"); four entries hold those
-// with room to spare and keep objState inside the 256-byte size class.
+// with room to spare and keep objState within four cache lines.
 const inlineEntries = 4
 
 // writerShared marks an object permanently in shared (mutex-protocol) mode.
@@ -371,6 +375,10 @@ type threadState struct {
 	epoch atomic.Uint64
 	rest  vclock.Atomic
 	memo  atomic.Pointer[clockMemo]
+
+	// Padding to a whole number of cache lines, as objState's: the
+	// neighbours in the registry's chunk belong to other threads.
+	_ [24]byte
 }
 
 type clockMemo struct {
@@ -626,14 +634,11 @@ func (r *runtime) threadStateFor(t ids.ThreadID) *threadState {
 }
 
 func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
-	st, _ := r.threads.GetOrCreate(int64(t), func() *threadState {
-		st := &threadState{
-			rng:        sampler.SeedRand(r.cfg.Seed, int64(t)),
-			lastAccess: noAccessYet,
-			budget:     clock.Budget{Max: r.maxDelay},
-		}
+	st, _ := r.threads.GetOrInit(int64(t), func(st *threadState) {
+		st.rng = sampler.SeedRand(r.cfg.Seed, int64(t))
+		st.lastAccess = noAccessYet
+		st.budget = clock.Budget{Max: r.maxDelay}
 		st.nearKeys = st.nearBuf[:0]
-		return st
 	})
 	return st
 }
@@ -650,7 +655,7 @@ func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
 	if st != nil && st.cachedState != nil && st.cachedObj == obj {
 		return st.cachedState
 	}
-	os, _ := r.objs.GetOrCreate(int64(obj), newObjState)
+	os, _ := r.objs.GetOrInit(int64(obj), initObjState)
 	if st != nil {
 		st.cachedObj, st.cachedState = obj, os
 	}
@@ -666,11 +671,9 @@ func (r *runtime) source() *rand.Rand {
 	return r.rng
 }
 
-func newObjState() *objState {
-	os := &objState{}
+func initObjState(os *objState) {
 	os.traps = os.trapBuf[:0]
 	os.ring.entries = os.inline[:]
-	return os
 }
 
 // randFloat draws from the seeded source. Callers hold no other runtime
@@ -877,7 +880,7 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 	c := r.covered.Get(int64(op))
 	if c == nil {
 		var created bool
-		c, created = r.covered.GetOrCreate(int64(op), func() *locCover { return &locCover{} })
+		c, created = r.covered.GetOrInit(int64(op), nil)
 		if created {
 			r.stats.locationsSeen.Add(1)
 		}

@@ -144,7 +144,10 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 	if l == nil {
 		return
 	}
-	victims := []*locState{l}
+	// A location rarely has more than a few partners: the victims fit on
+	// the stack, and a failed delay costs no allocation.
+	var buf [8]*locState
+	victims := append(buf[:0], l)
 	for _, key := range l.live {
 		other := key.A
 		if other == loc {

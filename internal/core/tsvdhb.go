@@ -96,7 +96,7 @@ func (d *TSVDHB) OnLockAcquire(t ids.ThreadID, lock ids.ObjectID) {
 // OnLockRelease implements Detector: the lock stores the thread's clock by
 // reference.
 func (d *TSVDHB) OnLockRelease(t ids.ThreadID, lock ids.ObjectID) {
-	slot, _ := d.lockVC.GetOrCreate(int64(lock), func() *vclock.Atomic { return &vclock.Atomic{} })
+	slot, _ := d.lockVC.GetOrInit(int64(lock), nil)
 	slot.Store(d.threadTree(t))
 }
 

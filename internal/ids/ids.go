@@ -218,15 +218,9 @@ func CallerOp(skip int) OpID {
 	// the answer itself). A second question under an occupied key is never
 	// cached; 63-bit keys make that a curiosity.
 	if e == nil && (n < maxChain || chainReaches(&chain, skip+1)) {
-		cacheChain(key, chainOp{chain: chain, skip: skip, op: op})
+		chainOps.GetOrInit(key, func(c *chainOp) { *c = chainOp{chain: chain, skip: skip, op: op} })
 	}
 	return op
-}
-
-// cacheChain takes the entry by value so that CallerOp's chain stays on its
-// stack.
-func cacheChain(key int64, e chainOp) {
-	chainOps.GetOrCreate(key, func() *chainOp { return &e })
 }
 
 // chainReaches reports whether chain — the return addresses fpChain read for

@@ -13,6 +13,17 @@
 //   - deletion does not exist, which is what makes the lock-free read sound:
 //     a published slot never changes its key again.
 //
+// Values live in chunks the map owns. An insert carves its value out of the
+// newest []V chunk, zeroed, and lets the caller initialize it in place; a
+// chunk holds max(8, entries so far) values, so n inserts cost O(log n)
+// allocations rather than one each. Values never move and are never freed,
+// so a *V stays valid for the map's lifetime. A V that different threads
+// write should be padded, at its end, to a multiple of 64 bytes: neighbours
+// in a chunk would share cache lines otherwise. (A chunk need not start on a
+// line — the allocator puts an 8-byte type header in front of one of up to
+// 32 KiB that holds pointers — so it is the trailing padding that ends up in
+// the line two neighbours share.)
+//
 // Each slot holds its key and value side by side, so a hit costs one hash,
 // one slot load and one dependent value load from the same cache line —
 // split key/value arrays would add another slice-header chase to the
@@ -45,6 +56,8 @@ type Map[V any] struct {
 	table atomic.Pointer[table[V]]
 	mu    sync.Mutex
 	count int
+	// free is the unused tail of the newest value chunk, guarded by mu.
+	free []V
 }
 
 type slot[V any] struct {
@@ -115,10 +128,12 @@ func (m *Map[V]) Get(k int64) *V {
 	}
 }
 
-// GetOrCreate returns k's value, calling mk to build it on first insertion,
-// and reports whether this call created it. Concurrent callers for one key
-// agree on a single winner; exactly one receives created == true.
-func (m *Map[V]) GetOrCreate(k int64, mk func() *V) (v *V, created bool) {
+// GetOrInit returns k's value and reports whether this call inserted it. A
+// new value is zeroed, then init (if not nil) fills it in under the insert
+// lock, before any reader can see it; init must not use the map. Concurrent
+// callers for one key agree on a single value, and exactly one of them
+// receives created == true.
+func (m *Map[V]) GetOrInit(k int64, init func(*V)) (v *V, created bool) {
 	if v := m.Get(k); v != nil {
 		return v, false
 	}
@@ -140,7 +155,13 @@ func (m *Map[V]) GetOrCreate(k int64, mk func() *V) (v *V, created bool) {
 		}
 		i = (i + 1) & t.mask
 	}
-	v = mk()
+	if len(m.free) == 0 {
+		m.free = make([]V, max(8, m.count))
+	}
+	v, m.free = &m.free[0], m.free[1:]
+	if init != nil {
+		init(v)
+	}
 	// Publish the value before the key: a lock-free reader that sees the
 	// key must see the value.
 	t.slots[i].val.Store(v)

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestGetOrCreateBasics: insertion round-trips through every lookup path,
+// TestGetOrInitBasics: insertion round-trips through every lookup path,
 // creation happens exactly once per key, and absent keys stay absent.
-func TestGetOrCreateBasics(t *testing.T) {
+func TestGetOrInitBasics(t *testing.T) {
 	var m Map[int]
 	if m.Get(1) != nil {
 		t.Fatal("empty map returned a value")
@@ -16,13 +16,13 @@ func TestGetOrCreateBasics(t *testing.T) {
 		t.Fatal("empty map GetFast returned a value or claimed a conclusive miss")
 	}
 
-	v1, created := m.GetOrCreate(1, func() *int { x := 11; return &x })
+	v1, created := m.GetOrInit(1, func(v *int) { *v = 11 })
 	if !created || *v1 != 11 {
-		t.Fatalf("first GetOrCreate: created=%v v=%v", created, v1)
+		t.Fatalf("first GetOrInit: created=%v v=%v", created, v1)
 	}
-	v2, created := m.GetOrCreate(1, func() *int { x := 99; return &x })
-	if created || v2 != v1 {
-		t.Fatalf("second GetOrCreate: created=%v, pointer changed=%v", created, v2 != v1)
+	v2, created := m.GetOrInit(1, func(v *int) { *v = 99 })
+	if created || v2 != v1 || *v2 != 11 {
+		t.Fatalf("second GetOrInit: created=%v, pointer changed=%v, value %d", created, v2 != v1, *v2)
 	}
 	if got := m.Get(1); got != v1 {
 		t.Fatalf("Get(1) = %v, want %v", got, v1)
@@ -42,8 +42,7 @@ func TestGetFastConsistentWithGet(t *testing.T) {
 	var m Map[int64]
 	const n = 500
 	for k := int64(0); k < n; k++ {
-		k := k
-		m.GetOrCreate(k, func() *int64 { return &k })
+		m.GetOrInit(k, func(v *int64) { *v = k })
 	}
 	for k := int64(0); k < 2*n; k++ {
 		want := m.Get(k)
@@ -75,8 +74,7 @@ func TestGrowthPreservesEntries(t *testing.T) {
 	var m Map[int64]
 	const n = 10_000
 	for k := int64(1); k <= n; k++ {
-		k := k
-		_, created := m.GetOrCreate(k, func() *int64 { return &k })
+		_, created := m.GetOrInit(k, func(v *int64) { *v = k })
 		if !created {
 			t.Fatalf("key %d reported pre-existing", k)
 		}
@@ -112,8 +110,7 @@ func TestNegativeAndLargeKeys(t *testing.T) {
 	var m Map[int64]
 	keys := []int64{-1, -7, 0, 1, 1 << 40, -(1 << 40), (1 << 62) + 3}
 	for _, k := range keys {
-		k := k
-		m.GetOrCreate(k, func() *int64 { return &k })
+		m.GetOrInit(k, func(v *int64) { *v = k })
 	}
 	for _, k := range keys {
 		if v := m.Get(k); v == nil || *v != k {
@@ -125,9 +122,9 @@ func TestNegativeAndLargeKeys(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetOrCreate: racing creators for one key agree on a single
+// TestConcurrentGetOrInit: racing creators for one key agree on a single
 // winner, and exactly one observes created == true.
-func TestConcurrentGetOrCreate(t *testing.T) {
+func TestConcurrentGetOrInit(t *testing.T) {
 	var m Map[int]
 	const goroutines = 16
 	const keys = 100
@@ -141,7 +138,7 @@ func TestConcurrentGetOrCreate(t *testing.T) {
 			defer wg.Done()
 			out := make([]*int, keys)
 			for k := 0; k < keys; k++ {
-				v, created := m.GetOrCreate(int64(k), func() *int { x := g; return &x })
+				v, created := m.GetOrInit(int64(k), func(v *int) { *v = g })
 				if created {
 					winners[k]++ // safe: one winner per key, distinct slots
 				}
@@ -174,8 +171,7 @@ func TestConcurrentReadDuringGrowth(t *testing.T) {
 	var m Map[int64]
 	const preInserted = 256
 	for k := int64(0); k < preInserted; k++ {
-		k := k
-		m.GetOrCreate(k, func() *int64 { return &k })
+		m.GetOrInit(k, func(v *int64) { *v = k })
 	}
 
 	stop := make(chan struct{})
@@ -204,9 +200,97 @@ func TestConcurrentReadDuringGrowth(t *testing.T) {
 		}()
 	}
 	for k := int64(preInserted); k < preInserted+20_000; k++ {
-		k := k
-		m.GetOrCreate(k, func() *int64 { return &k })
+		m.GetOrInit(k, func(v *int64) { *v = k })
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// chunksFor is how many value chunks n inserts may buy: chunks of 8, 8, 16,
+// 32, … hold 8·2^(c-1) values after c of them, so ⌈log2(n/8)⌉ + 1.
+func chunksFor(n int) int {
+	c := 1
+	for held := 8; held < n; held *= 2 {
+		c++
+	}
+	return c
+}
+
+// tablesFor is how many tables n inserts build: the first, and one per
+// growth past three-quarters full.
+func tablesFor(n int) int {
+	tables, size := 1, 64
+	for count := 1; count <= n; count++ {
+		if count*4 > size*3 {
+			tables, size = tables+1, size*2
+		}
+	}
+	return tables
+}
+
+// TestInsertsCostLogarithmicChunks: values come from chunks the map
+// allocates, so n inserts cost ⌈log2(n/8)⌉ + 1 value allocations plus the
+// tables (two allocations each: the header and its slots) — not one each.
+// An init that captures the caller's variables must not allocate either.
+func TestInsertsCostLogarithmicChunks(t *testing.T) {
+	for _, n := range []int{1, 8, 9, 17, 100, 1000, 5000} {
+		const runs = 5
+		maps := make([]Map[int64], runs+1)
+		run := 0
+		got := testing.AllocsPerRun(runs, func() {
+			m := &maps[run]
+			run++
+			for k := int64(0); k < int64(n); k++ {
+				m.GetOrInit(k, func(v *int64) { *v = k })
+			}
+		})
+		if want := chunksFor(n) + 2*tablesFor(n); got > float64(want) {
+			t.Errorf("%d inserts cost %v allocations, want at most %d chunks + %d tables × 2", n, got, chunksFor(n), tablesFor(n))
+		}
+	}
+}
+
+// TestPointersStableAcrossGrowthAndChunks: a value's address is fixed at its
+// insertion — through every table growth and every new chunk after it — and
+// what was written through it is what every later lookup finds.
+func TestPointersStableAcrossGrowthAndChunks(t *testing.T) {
+	var m Map[[3]int64]
+	const n = 20_000
+	ptrs := make([]*[3]int64, n)
+	for k := range ptrs {
+		v, _ := m.GetOrInit(int64(k), nil)
+		v[0], v[2] = int64(k), -int64(k)
+		ptrs[k] = v
+	}
+	for k, p := range ptrs {
+		if got := m.Get(int64(k)); got != p {
+			t.Fatalf("key %d moved from %p to %p", k, p, got)
+		}
+		if v, created := m.GetOrInit(int64(k), nil); created || v != p {
+			t.Fatalf("key %d: GetOrInit created=%v, pointer changed=%v", k, created, v != p)
+		}
+		if *p != [3]int64{int64(k), 0, -int64(k)} {
+			t.Fatalf("key %d holds %v", k, *p)
+		}
+	}
+}
+
+// TestInitSeesZeroedValue: init is handed a zero value on every insert, in
+// the first chunk and in every later one.
+func TestInitSeesZeroedValue(t *testing.T) {
+	type rec struct {
+		a, b int64
+		p    *int
+		s    []byte
+	}
+	var m Map[rec]
+	x := 1
+	for k := int64(0); k < 1000; k++ {
+		m.GetOrInit(k, func(v *rec) {
+			if v.a != 0 || v.b != 0 || v.p != nil || v.s != nil {
+				t.Fatalf("init of key %d saw %+v", k, *v)
+			}
+			*v = rec{a: k, b: ^k, p: &x, s: []byte{1}}
+		})
+	}
 }

@@ -136,8 +136,9 @@ func (r *Registry) registerSlow(op ids.OpID, class, method string, write bool) i
 	nt := append(t, Site{ID: id, Op: op, Class: class, Method: method, Write: write})
 	r.table.Store(&nt)
 	r.byTuple[k] = id
-	r.byOpKind.GetOrCreate(opKindKey(op, write), func() *ids.SiteID { v := id; return &v })
-	r.byOp.GetOrCreate(int64(op), func() *ids.SiteID { v := id; return &v })
+	set := func(v *ids.SiteID) { *v = id }
+	r.byOpKind.GetOrInit(opKindKey(op, write), set)
+	r.byOp.GetOrInit(int64(op), set)
 	return id
 }
 
