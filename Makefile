@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos-smoke bench bench-gate
+.PHONY: check vet build test race bench bench-gate
 
-check: vet build test race chaos-smoke bench-gate
+check: vet build test race bench-gate
 
 # The second pass is what keeps the portable identity path (internal/ids
 # without its amd64 assembly) compiling.
@@ -27,17 +27,12 @@ test:
 	$(GO) test -gcflags=all=-l ./internal/ids ./internal/collections ./internal/task
 
 # The whole tree must stay clean under the race detector. This run includes
-# internal/chaos's TestRegressionSeedsReplay: every committed regression seed
-# — each one that ever caught a bug, plus a planted-fault seed proving the
-# oracles fire — replayed race-enabled.
+# internal/chaos's fleet chaos gate, race-enabled: TestChaosSmoke (one
+# randomized 30-action plan with every invariant checked after each action)
+# and TestRegressionSeedsReplay (every committed regression seed — each one
+# that ever caught a bug, plus planted-fault seeds proving the oracles fire).
 race:
 	$(GO) test -race ./...
-
-# Fleet chaos gate: one race-enabled chaos run at the default plan size
-# (randomized fleet actions with invariant checks after each, see
-# docs/TESTING.md). The regression-seed replay is part of `make race`.
-chaos-smoke:
-	$(GO) run -race ./cmd/tsvd-chaos -seed 11 -actions 30 -shards 3
 
 # OnCall hot-path cost (see docs/PERFORMANCE.md for interpretation).
 bench:

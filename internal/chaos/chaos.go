@@ -1,5 +1,6 @@
-// Package chaos is the fleet chaos harness behind cmd/tsvd-chaos: a
-// deterministic, seeded driver that interleaves weighted fleet actions —
+// Package chaos is the fleet chaos harness (TestChaosSmoke runs one plan, any
+// seed through its test flags): it deterministically interleaves seeded,
+// weighted fleet actions —
 // shard detector runs across every algorithm variant and sampling mode,
 // daemon kills and snapshot-restored restarts (plain, over a torn log tail,
 // or over a compaction that died half-way), trap-file corruption and

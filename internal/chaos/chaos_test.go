@@ -1,13 +1,65 @@
 package chaos
 
 import (
+	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trapstore"
 )
+
+// TestChaosSmoke's plan; any other seed is one flag away:
+//
+//	go test ./internal/chaos -run TestChaosSmoke -v -seed 42 -actions 40
+//	go test ./internal/chaos -run TestChaosSmoke -seed 42 -plant lose-local-publish
+var (
+	smokeSeed    = flag.Int64("seed", 11, "TestChaosSmoke's plan seed; same seed, same plan, same verdict")
+	smokeActions = flag.Int("actions", 30, "TestChaosSmoke's planned fleet actions (a closing converge is always appended)")
+	smokeShards  = flag.Int("shards", 3, "TestChaosSmoke's simulated CI shards")
+	smokePlant   = flag.String("plant", "", `fault TestChaosSmoke plants and must catch ("lose-local-publish", "ignore-log")`)
+)
+
+// TestChaosSmoke is one randomized fleet run with every invariant checked
+// after every action; `make race` runs it race-enabled. A failing run logs
+// the violated invariant, its explanation slice, the minimized plan and the
+// regression-seed entry that replays it, ready for regression_seeds.json.
+func TestChaosSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full chaos plan is not a -short test")
+	}
+	plant, err := ParsePlant(*smokePlant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: *smokeSeed, Actions: *smokeActions, Shards: *smokeShards, Plant: plant, Minimize: true, Logf: t.Logf}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := res.Violation
+	switch {
+	case v == nil && plant == trapstore.FaultNone:
+		t.Logf("all invariants held over %d actions", res.ActionsRun)
+		return
+	case v == nil:
+		t.Fatalf("the planted %s fault was not caught in %d actions: the oracles are dead", *smokePlant, res.ActionsRun)
+	case plant != trapstore.FaultNone:
+		t.Logf("the planted fault tripped invariant %q after action #%d", v.Invariant, v.Action)
+		return
+	}
+	entry := SeedEntry{
+		Seed: cfg.Seed, Actions: cfg.Actions, Shards: cfg.Shards, Expect: "pass",
+		Added: time.Now().Format("2006-01-02"), Note: "<what this seed caught>",
+	}
+	// A struct of numbers and strings: marshalling it cannot fail.
+	snippet, _ := json.MarshalIndent(entry, "    ", "  ")
+	t.Fatalf("%v\n\nexplanation:\n  %s\n\nminimized failing plan:\n  %s\n\nready-to-commit regression seed:\n    %s",
+		v, strings.Join(v.Explanation, "\n  "), strings.Join(v.MinimizedPlan, "\n  "), snippet)
+}
 
 // TestPlanDeterministic is the replayability contract: the plan — every
 // action, every parameter — is a pure function of (Seed, Actions, Shards),

@@ -33,7 +33,7 @@ type SeedEntry struct {
 	Added string `json:"added"`
 	// Note says what the seed exercises or which bug it once caught.
 	Note string `json:"note,omitempty"`
-	// Covers lists substrings of plan lines (as tsvd-chaos -v prints them)
+	// Covers lists substrings of plan lines (as TestChaosSmoke -v logs them)
 	// the seed's plan must still contain — what the note promises, in a form
 	// ReplaySeeds checks: a planner change that turns the seed into some
 	// other plan fails the replay instead of passing as something else.

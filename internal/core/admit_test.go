@@ -78,12 +78,7 @@ func TestRejectedCallsStillSpringTraps(t *testing.T) {
 func analysed(rt *runtime) int64 {
 	var n int64
 	rt.threads.Each(func(_ int64, ts *threadState) { n += ts.onCalls.Load() })
-	rt.objs.Each(func(_ int64, os *objState) {
-		n += os.retired.Load()
-		if pub := os.ring.pub.Load(); pub&ringClosed == 0 {
-			n += int64(pub) - os.ring.base.Load()
-		}
-	})
+	rt.objs.Each(func(_ int64, os *objState) { n += int64(os.ring.pub.Load() &^ ringClosed) })
 	return n
 }
 

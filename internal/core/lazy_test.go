@@ -16,9 +16,10 @@ import (
 // Detector state is paid for when the traffic that needs it arrives
 // (docs/PERFORMANCE.md, "Suite-level memory"). The first half of this file
 // pins what each piece costs in allocations; the second half pins that the
-// verdicts did not move: what a takeover drains at every ring size, exact
-// counters across a growth racing a takeover, the delay budget through
-// injectDelay, and the seeded coin-flip stream.
+// verdicts did not move: what a takeover merges however often the owner's ring
+// wrapped, counters that stay exact and never decrease across wraps racing a
+// takeover, the delay budget through injectDelay, and the seeded coin-flip
+// stream.
 
 // skipAllocCountUnderRace: the race detector's runtime allocates on its own
 // account and sync.Pool drops a quarter of what it is given.
@@ -170,78 +171,86 @@ func TestFailedDelayDecayCostsNothing(t *testing.T) {
 }
 
 // TestTakeoverSeesNewestWindowAtEverySize: however many accesses the owner
-// recorded — still on the inline array, at the growth boundary, in the grown
-// ring, after any number of rotations — the second thread's takeover finds
-// the newest ObjHistory of them, and every call is counted once.
+// recorded — before its ring first fills, at each wrap, after any number of
+// them, on the inline ring and on an allocated one (ObjHistory 8) — the
+// second thread's takeover finds the newest ObjHistory of them, and every
+// call is counted once.
 func TestTakeoverSeesNewestWindowAtEverySize(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.DisablePhaseDetection = true
 	cfg.DisableHBInference = true
-	for k := 1; k <= 3*grownRingSize(cfg.ObjHistory); k++ {
-		clk := &stepClock{}
-		clk.at.Store(int64(time.Hour)) // a zeroed ring slot is no near miss
-		d := mustNew(t, cfg, WithClock(clk))
-		owned := make(chan struct{})
-		go func() {
-			defer close(owned)
-			for i := 0; i < k; i++ {
-				d.OnCall(acc(1, 1, ids.OpID(1000+i), KindWrite))
+	for _, window := range []int{1, cfg.ObjHistory, 8} {
+		cfg.ObjHistory = window
+		for k := 1; k <= 3*ownerRingSize(window)+1; k++ {
+			clk := &stepClock{}
+			clk.at.Store(int64(time.Hour)) // a zeroed ring slot is no near miss
+			d := mustNew(t, cfg, WithClock(clk))
+			owned := make(chan struct{})
+			go func() {
+				defer close(owned)
+				for i := 0; i < k; i++ {
+					d.OnCall(acc(1, 1, ids.OpID(1000+i), KindWrite))
+				}
+			}()
+			<-owned
+			taken := make(chan struct{})
+			go func() {
+				defer close(taken)
+				d.OnCall(acc(2, 1, 102, KindWrite))
+			}()
+			<-taken
+			want := map[report.PairKey]bool{}
+			for i := max(0, k-window); i < k; i++ {
+				want[report.KeyOf(ids.OpID(1000+i), 102)] = true
 			}
-		}()
-		<-owned
-		taken := make(chan struct{})
-		go func() {
-			defer close(taken)
-			d.OnCall(acc(2, 1, 102, KindWrite))
-		}()
-		<-taken
-		want := map[report.PairKey]bool{}
-		for i := max(0, k-cfg.ObjHistory); i < k; i++ {
-			want[report.KeyOf(ids.OpID(1000+i), 102)] = true
-		}
-		st := d.Stats()
-		if st.NearMisses != int64(len(want)) {
-			t.Fatalf("k=%d: takeover found %d near misses, want %d", k, st.NearMisses, len(want))
-		}
-		for _, key := range d.ExportTraps() {
-			if !want[key] {
-				t.Fatalf("k=%d: takeover paired %v, not one of the newest %d accesses", k, key, len(want))
+			st := d.Stats()
+			if st.NearMisses != int64(len(want)) {
+				t.Fatalf("N=%d k=%d: takeover found %d near misses, want %d", window, k, st.NearMisses, len(want))
 			}
-			delete(want, key)
-		}
-		if len(want) != 0 {
-			t.Fatalf("k=%d: takeover missed %v", k, want)
-		}
-		if st.OnCalls != int64(k)+1 {
-			t.Fatalf("k=%d: OnCalls = %d, want %d", k, st.OnCalls, k+1)
+			for _, key := range d.ExportTraps() {
+				if !want[key] {
+					t.Fatalf("N=%d k=%d: takeover paired %v, not one of the newest %d accesses", window, k, key, len(want))
+				}
+				delete(want, key)
+			}
+			if len(want) != 0 {
+				t.Fatalf("N=%d k=%d: takeover missed %v", window, k, want)
+			}
+			if st.OnCalls != int64(k)+1 {
+				t.Fatalf("N=%d k=%d: OnCalls = %d, want %d", window, k, st.OnCalls, k+1)
+			}
 		}
 	}
 }
 
-// TestGrowthRacingTakeoverKeepsCountersExact: on each of many fresh objects
-// the owner publishes through the inline array, the growth and into the
-// grown ring while a second thread takes the object over at an arbitrary
-// point and a third snapshots the statistics; at quiescence every call was
-// counted exactly once.
-func TestGrowthRacingTakeoverKeepsCountersExact(t *testing.T) {
-	const objects, ownerCalls = 2000, 3 * inlineEntries
+// TestWrapRacingTakeoverKeepsCountersExact: on each of many fresh objects the
+// owner publishes around its ring dozens of times while a second thread takes
+// the object over at an arbitrary point, and a third snapshots the statistics
+// throughout. No live OnCalls is smaller than the one before it, and at
+// quiescence every call was counted exactly once.
+func TestWrapRacingTakeoverKeepsCountersExact(t *testing.T) {
+	const objects, ownerCalls = 2000, 200
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.DisableHBInference = true
 	cfg.Mode = config.ModeObserveOnly // near misses, pairs and delay decisions, but no sleeping
 	d := mustNew(t, cfg)
 	stop := make(chan struct{})
+	var scrapes, decreases int
 	var scraper sync.WaitGroup
 	scraper.Add(1)
 	go func() {
 		defer scraper.Done()
+		var last int64
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if st := d.Stats(); st.OnCalls < 0 {
-					t.Error("negative OnCalls in a live snapshot")
+				n := d.Stats().OnCalls
+				if scrapes++; n < last {
+					decreases++
 				}
+				last = n
 			}
 		}
 	}()
@@ -260,7 +269,7 @@ func TestGrowthRacingTakeoverKeepsCountersExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			for spin := 0; spin < o%64; spin++ {
+			for spin := 0; spin < o%256; spin++ {
 				time.Now()
 			}
 			d.OnCall(acc(2, obj, 102, KindRead))
@@ -270,6 +279,9 @@ func TestGrowthRacingTakeoverKeepsCountersExact(t *testing.T) {
 	}
 	close(stop)
 	scraper.Wait()
+	if decreases != 0 {
+		t.Errorf("%d of %d live snapshots read a smaller OnCalls than the one before", decreases, scrapes)
+	}
 	if got, want := d.Stats().OnCalls, int64(objects*(ownerCalls+1)); got != want {
 		t.Fatalf("OnCalls = %d at quiescence, %d calls were issued", got, want)
 	}
@@ -346,12 +358,12 @@ func TestSeededDecisionsMatchAnEagerSource(t *testing.T) {
 	}
 }
 
-// TestFailedThreadIDIsOneMoreThread: -1 is what ids.CurrentThreadID returns
-// when its portable parser fails, and it used to be the shared-mode sentinel
-// too, so such a thread was taken for the owner of every shared object. It is
-// one more thread: its conflicting write is scanned against the object's
-// history, the closed publication ring stays closed, and every call is
-// counted once.
+// TestFailedThreadIDIsOneMoreThread: ids.NoThread is what ids.CurrentThreadID
+// returns when its portable parser fails, and it used to be the shared-mode
+// sentinel too, so such a thread was taken for the owner of every shared
+// object. It is one more thread: its conflicting write is scanned against the
+// object's history, the closed publication ring stays closed, and every call
+// is counted once.
 func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.DisablePhaseDetection = true
@@ -361,10 +373,10 @@ func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
 	d.OnCall(acc(1, 1, 101, KindWrite))
 	d.OnCall(acc(2, 1, 102, KindWrite)) // takeover: one near miss, the ring closes
 	for call, want := range []int64{3, 5} {
-		d.OnCall(acc(-1, 1, 103, KindWrite))
+		d.OnCall(acc(ids.NoThread, 1, 103, KindWrite))
 		st := d.Stats()
 		if st.NearMisses != want {
-			t.Fatalf("%d near misses after thread -1's call %d, want %d", st.NearMisses, call+1, want)
+			t.Fatalf("%d near misses after thread %d's call %d, want %d", st.NearMisses, ids.NoThread, call+1, want)
 		}
 		if st.OnCalls != int64(3+call) {
 			t.Fatalf("OnCalls = %d after %d calls", st.OnCalls, 3+call)
@@ -378,10 +390,11 @@ func TestFailedThreadIDIsOneMoreThread(t *testing.T) {
 // TestReadSharedCostsTwoAllocationsAnObject: the stripes are bought by an
 // object's first promotion (the readSet and one entry array for all of them)
 // and kept across demotions; a read recorded into them costs nothing; and
-// objState, with the pointer to them, still fits in four cache lines.
+// objState, with the pointer to them and its inline ring, still fits in five
+// cache lines.
 func TestReadSharedCostsTwoAllocationsAnObject(t *testing.T) {
-	if size := unsafe.Sizeof(objState{}); size > 256 {
-		t.Errorf("objState is %d bytes, over four cache lines", size)
+	if size := unsafe.Sizeof(objState{}); size > 320 {
+		t.Errorf("objState is %d bytes, over five cache lines", size)
 	}
 	if size := unsafe.Sizeof(readSet{}); size != 64*readStripes {
 		t.Errorf("readSet is %d bytes: a stripe is not a cache line", size)

@@ -131,7 +131,7 @@ func TestDenseRuntimeStress(t *testing.T) {
 					t.Fatalf("Sites().Len() = %d, want %d", d.Sites().Len(), want)
 				}
 				if n := ids.ThreadIDFailures(); n != 0 {
-					t.Fatalf("ids.ThreadIDFailures() = %d: goroutines shared thread state -1", n)
+					t.Fatalf("ids.ThreadIDFailures() = %d: goroutines shared thread state %d", n, ids.NoThread)
 				}
 			})
 		}
@@ -342,13 +342,13 @@ func promote(t *testing.T, d Detector, obj ids.ObjectID, threads ...ids.ThreadID
 
 // TestReadSharedSteadyStateTouchesNoSharedWord: once an object is read-shared,
 // 10⁴ reads from each of two goroutines change none of the words its readers
-// have in common — the retired count, the shared ring's cursor, the writer
-// word — and every one of them is counted.
+// have in common — the publication count, the shared ring's cursor, the
+// writer word — and every one of them is counted.
 func TestReadSharedSteadyStateTouchesNoSharedWord(t *testing.T) {
 	d := mustNew(t, readSharedConfig())
 	os := promote(t, d, 1, 1, 2)
 	before := d.Stats().OnCalls
-	retired, next, full := os.retired.Load(), os.hist.next, os.hist.full
+	pub, next, full := os.ring.pub.Load(), os.hist.next, os.hist.full
 
 	const reads = 10000
 	var wg sync.WaitGroup
@@ -365,9 +365,9 @@ func TestReadSharedSteadyStateTouchesNoSharedWord(t *testing.T) {
 
 	os.mu.Lock() // orders this goroutine after whoever last wrote hist
 	defer os.mu.Unlock()
-	if os.retired.Load() != retired || os.hist.next != next || os.hist.full != full || os.writer.Load() != writerReadShared {
-		t.Errorf("read-shared reads stored to shared state: retired %d → %d, ring cursor %d → %d, writer %d",
-			retired, os.retired.Load(), next, os.hist.next, os.writer.Load())
+	if os.ring.pub.Load() != pub || os.hist.next != next || os.hist.full != full || os.writer.Load() != writerReadShared {
+		t.Errorf("read-shared reads stored to shared state: publication count %#x → %#x, ring cursor %d → %d, writer %d",
+			pub, os.ring.pub.Load(), next, os.hist.next, os.writer.Load())
 	}
 	if st := d.Stats(); st.OnCalls != before+2*reads || st.NearMisses != 0 {
 		t.Errorf("OnCalls grew by %d for %d reads, %d near misses", st.OnCalls-before, 2*reads, st.NearMisses)

@@ -121,35 +121,27 @@ type objState struct {
 	// reads holds what was read since the object last went read-shared,
 	// allocated at the first promotion and kept.
 	reads *readSet
-	// retired counts admitted TSVD calls on this object that are no longer
-	// represented by the ring's publication counter: shared-mode appends,
-	// plus publications folded out by ring rotation and takeover.
-	// snapshotStats sums retired + the live ring counts across objects —
-	// the publication CAS doubles as the OnCalls counter, so the lock-free
-	// path touches no separate statistics atomic.
-	retired atomic.Int64
 	// ring is TSVD's single-writer publication ring, in use exactly while
-	// writer holds a thread id; closed and drained into hist at the takeover
-	// by a second thread. It starts on the inline array, so an object costs
-	// no allocation of its own until it outgrows it.
+	// writer holds a thread id; closed and merged into hist at the takeover
+	// by a second thread. Its entries are the inline array unless ObjHistory
+	// needs a longer ring.
 	ring   pubRing
 	inline [inlineEntries]histEntry
 	// The registry carves objStates side by side out of one chunk. A whole
 	// number of cache lines each, padding last, keeps the fields of two
 	// objects off one line (TestRegistryStatesOwnTheirCacheLines).
-	_ [16]byte
+	_ [24]byte
 }
 
-// inlineEntries is the publication ring's capacity before it grows. 92 % of
-// the objects of a generated suite receive exactly two accesses in their
-// life (docs/PERFORMANCE.md, "Suite-level memory"); four entries hold those
-// with room to spare and keep objState within four cache lines.
-const inlineEntries = 4
+// inlineEntries is the publication ring's capacity at the default ObjHistory
+// of 5 (ownerRingSize), and its floor.
+const inlineEntries = 6
 
 // writerShared marks an object permanently in shared (mutex-protocol) mode.
-// It is a value no thread id can take — not a goroutine id, and not the -1
-// ids.CurrentThreadID returns when its parser fails: a thread whose id equals
-// the sentinel would be taken for the owner of every shared object.
+// It is a value no thread id can take — not a goroutine id, and not
+// ids.NoThread, which ids.CurrentThreadID returns when its parser fails: a
+// thread whose id equals the sentinel would be taken for the owner of every
+// shared object.
 const writerShared = math.MinInt64
 
 // writerReadShared marks a shared object whose last ObjHistory accesses are
@@ -170,9 +162,9 @@ const readStripes = 8
 // readSet is a read-shared object's recent reads, one ring of the newest
 // ObjHistory per stripe; between them they hold the newest ObjHistory of
 // all. A reader locks its thread's stripe, re-checks writer under it and
-// appends; recordSlow, holding os.mu, stores writerShared first and drains
-// afterwards — so a read either is in the drain or sees the demotion and
-// takes recordSlow itself.
+// appends; share, holding os.mu, stores writerShared first and merges the
+// stripes afterwards — so a read either is in the merge or sees the demotion
+// and takes recordSlow itself.
 type readSet struct {
 	stripes [readStripes]struct {
 		mu   spinMutex
@@ -213,30 +205,34 @@ func (os *objState) recordRead(st *threadState, e histEntry) bool {
 	return ok
 }
 
-// drainInto empties every stripe into h, oldest timestamp first, so that h
-// ends up with the newest accesses exactly as if it had recorded them all.
-// The caller holds os.mu and has already stored writerShared.
-func (rs *readSet) drainInto(h *history) {
+// share puts a TSVD object that some thread records into without os.mu —
+// writer w is its owner's id, or writerReadShared — into shared mode: it
+// stores writerShared, stops the lock-free writers and merges what they
+// recorded into hist. A takeover closes the owner's ring: once the closed bit
+// lands every later publication CAS fails onto the mutex path, and the count
+// it closed is the owner's last. A demotion locks every stripe, merges and
+// empties them; the store comes first, so a reader that appends after the
+// merge has passed its stripe cannot exist: it re-checks writer under the
+// stripe's lock. Caller holds os.mu.
+func (os *objState) share(w int64, window int) {
+	if os.hist == nil {
+		os.hist = newHistory(window)
+	}
+	os.writer.Store(writerShared)
+	if w != writerReadShared {
+		rg := &os.ring
+		n := rg.pub.Or(ringClosed)
+		size := uint64(len(rg.entries))
+		os.hist.merge(history{entries: rg.entries, next: int(n % size), full: n >= size})
+		return
+	}
+	rs := os.reads
+	var stripes [readStripes]history
 	for i := range rs.stripes {
 		rs.stripes[i].mu.Lock()
+		stripes[i] = rs.stripes[i].hist
 	}
-	var taken [readStripes]int
-	for {
-		var oldest *histEntry
-		from := 0
-		for i := range rs.stripes {
-			if sh := &rs.stripes[i].hist; taken[i] < sh.len() {
-				if e := sh.newest(sh.len() - 1 - taken[i]); oldest == nil || e.at < oldest.at {
-					oldest, from = e, i
-				}
-			}
-		}
-		if oldest == nil {
-			break
-		}
-		h.add(*oldest)
-		taken[from]++
-	}
+	os.hist.merge(stripes[:]...)
 	for i := range rs.stripes {
 		rs.stripes[i].hist.next, rs.stripes[i].hist.full = 0, false
 		rs.stripes[i].mu.Unlock()
@@ -247,7 +243,7 @@ func (rs *readSet) drainInto(h *history) {
 // and reports whether the ring scan must run (true once a second thread is
 // involved). Caller holds os.mu. Used by the variants that record under the
 // lock unconditionally (TSVDHB); TSVD's recordSlow has its own transition
-// handling because it must also close and drain the publication ring.
+// handling because it must also close and merge the publication ring.
 func (os *objState) noteWriterLocked(tid ids.ThreadID) (scan bool) {
 	w := os.writer.Load()
 	scan = w == writerShared || (w != 0 && w != int64(tid))
@@ -259,36 +255,35 @@ func (os *objState) noteWriterLocked(tid ids.ThreadID) (scan bool) {
 	return scan
 }
 
-// pubRing is the single-writer publication ring: an append-only entry array
-// whose publication counter advances by one CAS per recorded access. The
-// owning thread writes the entry with plain stores and publishes it with the
-// CAS; any other party (takeover, rotation bookkeeping, statistics) reads the
-// counter atomically and only ever touches entries strictly below it, so the
-// owner's in-flight slot is never examined. Closing the ring (setting
-// ringClosed via CAS under the object's mutex) makes every later publication
-// CAS fail, which bounces the owner onto the mutex path — after which the
-// entries below the closed count are immutable and safe to drain.
+// pubRing is the single-writer publication ring: a fixed circular entry array
+// whose publication counter advances by one CAS per recorded access, the
+// k-th entry in slot k modulo the ring's size. The owning thread writes the
+// entry with plain stores and publishes it with the CAS. Closing the ring
+// (setting ringClosed under the object's mutex) makes every later
+// publication CAS fail, which bounces the owner onto the mutex path; the
+// takeover then reads the ObjHistory entries below the closed count — one
+// slot fewer than the ring holds, so never the slot the owner's in-flight
+// publication may be writing. Nothing ever moves the count back: masked, it
+// is the number of calls the ring recorded.
 type pubRing struct {
 	// pub is the number of published entries, with ringClosed or'ed in once
 	// the ring is closed by a takeover.
 	pub atomic.Uint64
-	// base is the publication count already folded into objState.retired by
-	// rotations; the ring's live contribution is pub&^ringClosed - base.
-	base atomic.Int64
-	// entries is written only by the owning thread, under the object's
-	// mutex (growth); the owner reads it lock-free, a takeover under the
-	// mutex.
+	// next is the slot the owner writes next, pub modulo len(entries), so the
+	// lock-free path divides by nothing. Owner-only.
+	next int
+	// entries is the inline array, or one the owner allocates under the
+	// object's mutex at its first touch when ObjHistory needs more; it never
+	// changes after that.
 	entries []histEntry
 }
 
 const ringClosed = uint64(1) << 63
 
-// grownRingSize is the entry array a ring moves to when the inline one
-// fills: rotations stay rare relative to the scan window — at least eight
-// windows, at least 64 entries.
-func grownRingSize(window int) int {
-	return max(64, 8*window)
-}
+// ownerRingSize is the publication ring's size: the ObjHistory entries a
+// takeover merges plus the owner's in-flight slot, and at least the inline
+// array.
+func ownerRingSize(window int) int { return max(window+1, inlineEntries) }
 
 // threadState is one thread's detector state, created on first sighting and
 // then owned by that thread: the plain fields are only ever read and written
@@ -298,8 +293,8 @@ func grownRingSize(window int) int {
 // every thread bumps its own line.
 type threadState struct {
 	// onCalls counts this thread's analysed calls in the variants that do
-	// not count them by ring publication, and TSVD's reads of read-shared
-	// objects; sampledOut counts its calls the site stage rejected.
+	// not count them by ring publication, and TSVD's calls on shared and
+	// read-shared objects; sampledOut counts its calls the site stage rejected.
 	// snapshotStats sums them across threads.
 	onCalls    atomic.Int64
 	sampledOut atomic.Int64
@@ -920,10 +915,8 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 // (TSVD's admitted calls are counted by the ring publication CAS itself). It takes
 // no lock: everything read here is atomic, so a live metrics scrape can
 // snapshot a running detector without stalling any thread's OnCall traffic.
-// A scrape racing a ring rotation or takeover can transiently misattribute
-// a ring's worth of calls between retired and the live counter; at
-// quiescence (which is when the exactness-asserting consumers read) the sum
-// is exact.
+// Each analysed call is counted once, by a counter that never decreases, so
+// a live OnCalls can only move back by what rejected says it may be off by.
 func (r *runtime) snapshotStats() Stats {
 	st := r.stats.snapshot()
 	r.threads.Each(func(_ int64, ts *threadState) {
@@ -932,11 +925,7 @@ func (r *runtime) snapshotStats() Stats {
 		st.CallsSampledOut += out
 	})
 	r.objs.Each(func(_ int64, os *objState) {
-		st.OnCalls += os.retired.Load()
-		// A closed ring's publications were folded into retired.
-		if n := os.ring.pub.Load(); n&ringClosed == 0 {
-			st.OnCalls += int64(n) - os.ring.base.Load()
-		}
+		st.OnCalls += int64(os.ring.pub.Load() &^ ringClosed)
 	})
 	return st
 }

@@ -96,6 +96,33 @@ func (h *history) newest(i int) *histEntry {
 	return &h.entries[idx]
 }
 
+// merge adds the newest entries of up to readStripes rings to h, oldest
+// timestamp first, so that h ends up with the newest accesses exactly as if it
+// had recorded them all. Nothing older than h's capacity survives in h, so no
+// more than that is read from any ring.
+func (h *history) merge(rings ...history) {
+	var taken [readStripes]int
+	for i := range rings {
+		taken[i] = max(0, rings[i].len()-len(h.entries))
+	}
+	for {
+		var oldest *histEntry
+		from := 0
+		for i := range rings {
+			if r := &rings[i]; taken[i] < r.len() {
+				if e := r.newest(r.len() - 1 - taken[i]); oldest == nil || e.at < oldest.at {
+					oldest, from = e, i
+				}
+			}
+		}
+		if oldest == nil {
+			return
+		}
+		h.add(*oldest)
+		taken[from]++
+	}
+}
+
 type inheritance struct {
 	from      ids.OpID
 	remaining int
@@ -157,7 +184,7 @@ func (d *TSVD) OnCall(a Access) {
 		return
 	}
 	// No OnCalls counter here: the admitted path is counted by the ring
-	// publication below (snapshotStats sums publications across objects).
+	// publication below, or by recordSlow (snapshotStats sums both).
 
 	// Concurrent-phase inference and coverage marking (markSeen's fully-marked
 	// fast case, expanded inline). The standing sequential verdict is expanded
@@ -208,25 +235,28 @@ func (d *TSVD) OnCall(a Access) {
 	// and recording of this access. While this thread owns the object's
 	// publication ring — its writer word says so, on every object the thread
 	// owns and not only the last one it touched — recording is plain entry
-	// stores plus one CAS. Everything else (first sighting, ring growth and
-	// rotation, the takeover by a second thread, shared-mode scans) funnels
-	// through recordSlow under the object's lock. Pair insertion happens
-	// outside any object lock: the trap set has its own lock and nothing
-	// orders the two.
+	// stores plus one CAS. Everything else (first sighting, the takeover by a
+	// second thread, shared-mode scans) funnels through recordSlow under the
+	// object's lock. Pair insertion happens outside any object lock: the trap
+	// set has its own lock and nothing orders the two.
 	os := st.cachedState
 	if os == nil || st.cachedObj != a.Obj {
 		os = rt.objStateFor(st, a.Obj)
 	}
 	published := false
-	// writer only ever leaves a thread id for writerShared, and only after
-	// the ring is closed, so a match means the entry array is this thread's
-	// to read and its free slot this thread's to write.
+	// writer only ever leaves a thread id for writerShared, so a match means
+	// the ring is this thread's: its next slot is this thread's to write, and
+	// the CAS fails only if a takeover closed the ring meanwhile — after which
+	// next is never read again.
 	if os.writer.Load() == int64(a.Thread) {
 		rg := &os.ring
-		// The length test subsumes the closed-bit test: a closed counter has
-		// ringClosed (1<<63) set, far beyond any entry count.
-		if n := rg.pub.Load(); n < uint64(len(rg.entries)) {
-			rg.entries[n] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
+		if n := rg.pub.Load(); n&ringClosed == 0 {
+			i := rg.next
+			rg.entries[i] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
+			if i++; i == len(rg.entries) {
+				i = 0
+			}
+			rg.next = i
 			published = rg.pub.CompareAndSwap(n, n+1)
 		}
 	}
@@ -284,105 +314,45 @@ func (d *TSVD) OnCall(a Access) {
 
 // recordSlow is everything the lock-free publication path cannot do, under
 // the object's spin lock: claiming an untouched object for single-writer
-// mode, growing or rotating a full publication ring in place, taking over a
-// single-writer object for shared mode (the sticky mixed transition, which
-// closes and drains the publication ring), the shared-mode near-miss scan
-// plus append, and both ways between shared and read-shared: up after
-// promoteAfter reads in a row, down — draining the readers' stripes — on the
-// first write. Every admitted call that lands here is counted into
-// os.retired, keeping OnCalls exact alongside the fast path's publication
-// counter; a read of a read-shared object needs none of it and leaves at
+// mode, taking over a single-writer object for shared mode (the sticky mixed
+// transition) and demoting a read-shared one — both through share — the
+// shared-mode near-miss scan plus append, and the promotion to read-shared
+// after promoteAfter reads in a row. A first touch is counted by the ring it
+// publishes to, every other call that lands here on the thread's own
+// onCalls; a read of a read-shared object needs none of it and leaves at
 // once, through recordRead, which counts its own. It returns the near-miss
 // pair keys found, in the thread's own scratch slice (valid until its next
 // call); the caller inserts them into the trap set outside the lock.
 func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration, concurrent bool) []report.PairKey {
 	rt := &d.rt
 	nearKeys := st.nearKeys[:0]
-	rg := &os.ring
 	rec := histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
 	if os.recordRead(st, rec) {
 		return nil
 	}
 	os.mu.Lock()
-	w := os.writer.Load()
-	switch {
+	switch w := os.writer.Load(); {
 	case w == 0:
-		// First access to this object: claim single-writer mode.
+		// First access to this object: claim single-writer mode, on a ring
+		// of its own if ObjHistory is too long for the inline one.
+		rg := &os.ring
+		if size := ownerRingSize(rt.cfg.ObjHistory); size > len(rg.entries) {
+			rg.entries = make([]histEntry, size)
+		}
 		rg.entries[0] = rec
+		rg.next = 1
 		rg.pub.Store(1)
 		os.writer.Store(int64(a.Thread))
-	case w == int64(a.Thread):
-		// Still the single writer, so the fast path failed because the ring
-		// filled up (a takeover would have left writerShared behind —
-		// transitions complete under the mutex we now hold). A full inline
-		// array grows, once, to the ring's working size, keeping everything;
-		// a full grown ring rotates — fold the published count into retired
-		// and keep the newest scan-window entries. Then record under the
-		// mutex. No other thread can be touching the entry array: takeover,
-		// growth and rotation all require mu, and the lock-free writer is
-		// this thread.
-		n := int(rg.pub.Load() &^ ringClosed)
-		if n == len(rg.entries) && n == inlineEntries {
-			grown := make([]histEntry, grownRingSize(rt.cfg.ObjHistory))
-			copy(grown, rg.entries)
-			rg.entries = grown
-		} else if n == len(rg.entries) {
-			keep := rt.cfg.ObjHistory
-			if keep > n {
-				keep = n
-			}
-			os.retired.Add(int64(n) - rg.base.Load())
-			copy(rg.entries[:keep], rg.entries[n-keep:n])
-			rg.base.Store(int64(keep))
-			n = keep
-		}
-		rg.entries[n] = rec
-		rg.pub.Store(uint64(n) + 1)
 	case w == writerReadShared && a.Kind == KindRead:
 		// Promoted while this read waited for the lock.
 		os.recordRead(st, rec)
 	default:
-		// Shared mode.
-		if w == writerReadShared {
-			// Demotion. The store comes first: a reader that appends after
-			// the drain below has passed its stripe cannot exist, because it
-			// re-checks writer under the stripe's lock.
-			os.writer.Store(writerShared)
-			os.reads.drainInto(os.hist)
-		} else if w != writerShared {
-			// Takeover: a second thread reached a single-writer object.
-			// Close the publication ring — the CAS loop races at most the
-			// owner's one in-flight publication, and once the closed bit
-			// lands every later publication CAS fails onto this mutex path —
-			// then fold its count, drain the newest window of entries into
-			// the shared mutex ring, and go shared for good. The drained
-			// entries are immutable: they sit strictly below the closed
-			// publication count.
-			var n uint64
-			for {
-				n = rg.pub.Load()
-				if rg.pub.CompareAndSwap(n, n|ringClosed) {
-					break
-				}
-			}
-			os.retired.Add(int64(n) - rg.base.Load())
-			if os.hist == nil {
-				os.hist = newHistory(rt.cfg.ObjHistory)
-			}
-			start := 0
-			if int(n) > len(os.hist.entries) {
-				start = int(n) - len(os.hist.entries)
-			}
-			for i := start; i < int(n); i++ {
-				os.hist.add(rg.entries[i])
-			}
-			os.writer.Store(writerShared)
+		// Shared mode. An owner only gets here once its ring is closed, so
+		// any other writer means a takeover or a demotion.
+		if w != writerShared {
+			os.share(w, rt.cfg.ObjHistory)
 		}
 		h := os.hist
-		if h == nil {
-			h = newHistory(rt.cfg.ObjHistory)
-			os.hist = h
-		}
 		for i, n := 0, h.len(); i < n; i++ {
 			e := h.newest(i)
 			if e.thread == a.Thread || !Conflicts(e.kind, a.Kind) {
@@ -409,7 +379,7 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 		h.add(rec)
-		os.retired.Add(1)
+		st.onCalls.Add(1)
 		if a.Kind != KindRead {
 			os.readRun = 0
 		} else if os.readRun++; int(os.readRun) >= promoteAfter(rt.cfg.ObjHistory) {

@@ -76,12 +76,16 @@ func CurrentThreadID() ThreadID {
 	return parseThreadID()
 }
 
+// NoThread is the id CurrentThreadID returns when it cannot learn the
+// calling goroutine's id.
+const NoThread ThreadID = -1
+
 var threadIDFailures atomic.Int64
 
 // ThreadIDFailures reports how many times CurrentThreadID could not learn
-// the calling goroutine's id and returned -1. Every goroutine that gets -1
-// shares one detector thread state, so anything but 0 means verdicts of this
-// process are suspect. Only the portable parser can fail.
+// the calling goroutine's id and returned NoThread. Every goroutine that gets
+// NoThread shares one detector thread state, so anything but 0 means verdicts
+// of this process are suspect. Only the portable parser can fail.
 func ThreadIDFailures() int64 { return threadIDFailures.Load() }
 
 // parseThreadID is the portable CurrentThreadID: the N of the "goroutine N ["
@@ -97,7 +101,7 @@ func parseThreadID() ThreadID {
 		}
 	}
 	threadIDFailures.Add(1)
-	return -1
+	return NoThread
 }
 
 // opBase is where interned OpIDs start: high enough that tests can fabricate

@@ -53,7 +53,7 @@ import (
 var ErrUnavailable = errors.New("trapstore: unavailable")
 
 // PlantedFault selects a deliberately planted bug for the chaos harness
-// (internal/chaos, cmd/tsvd-chaos) to catch. The production value is
+// (internal/chaos) to catch. The production value is
 // FaultNone; arming any other value via PlantFault makes a store violate its
 // own contract on purpose, proving the harness's invariant oracles actually
 // detect contract breaches rather than vacuously passing.

@@ -152,7 +152,8 @@ func wilson(successes, trials int64) (low, high float64) {
 	denom := 1 + z2/n
 	center := p + z2/(2*n)
 	margin := z * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	return (center - margin) / denom, (center + margin) / denom
+	// At p = 0 or 1 a bound is exactly 0 or 1, which rounding can overshoot.
+	return max(0, (center-margin)/denom), min(1, (center+margin)/denom)
 }
 
 // rankOf fills a Rank from the unit counts.

@@ -74,6 +74,14 @@ func TestWilsonInterval(t *testing.T) {
 	if low < 0.69 || low > 0.73 {
 		t.Fatalf("wilson(10,10) low = %v", low)
 	}
+	for n := int64(1); n <= 1000; n++ {
+		if low, _ := wilson(0, n); low < 0 {
+			t.Fatalf("wilson(0,%d) low = %v, below 0", n, low)
+		}
+		if _, high := wilson(n, n); high > 1 {
+			t.Fatalf("wilson(%d,%d) high = %v, above 1", n, n, high)
+		}
+	}
 }
 
 // fabricated locations and a module trace with one full trap lifecycle on
