@@ -156,7 +156,7 @@ func TestRegistryStatesOwnTheirCacheLines(t *testing.T) {
 // most seven partners.
 func TestFailedDelayDecayCostsNothing(t *testing.T) {
 	skipAllocCountUnderRace(t)
-	s := newTrapSet()
+	var s trapSet
 	var stats atomicStats
 	for other := ids.OpID(2); other <= 8; other++ {
 		s.add(report.KeyOf(1, other), &stats, nil)
@@ -167,6 +167,39 @@ func TestFailedDelayDecayCostsNothing(t *testing.T) {
 	}
 	if p, _ := s.eligible(8); s.size() != 7 || p >= 1 {
 		t.Fatalf("%d pairs, a partner's probability %v: the measured path did not decay", s.size(), p)
+	}
+}
+
+// TestTrapSetEndpointsCostNoAllocation: a trap set's locations are map
+// values with their first two pairs inline, so filling a fresh set with five
+// pairs over six new locations, one of them in three pairs, buys the set
+// itself (it escapes here), each map's header and group, and that location's
+// spill — not a state and a list for every endpoint (18 allocations when
+// each location was a pointer to a state with a slice). An empty set that is
+// only read makes no map.
+func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
+	skipAllocCountUnderRace(t)
+	var stats atomicStats
+	keys := []report.PairKey{
+		report.KeyOf(1, 2), report.KeyOf(3, 4), report.KeyOf(5, 6),
+		report.KeyOf(1, 3), report.KeyOf(1, 5),
+	}
+	fill := func() {
+		var s trapSet
+		for _, k := range keys {
+			s.add(k, &stats, nil)
+		}
+	}
+	if got := testing.AllocsPerRun(100, fill); got > 6 {
+		t.Fatalf("filling a fresh trap set with %d pairs over 6 locations costs %v allocations, want at most 6", len(keys), got)
+	}
+	read := func() {
+		var s trapSet
+		s.eligible(1)
+		s.decayAfterFailedDelay(1, 0.5, 0, &stats, nil, 0)
+	}
+	if got := testing.AllocsPerRun(100, read); got > 1 {
+		t.Fatalf("reading an empty trap set costs %v allocations beyond the set, want 0", got-1)
 	}
 }
 

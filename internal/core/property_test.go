@@ -21,7 +21,7 @@ import (
 func TestTrapSetInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := newTrapSet()
+		var s trapSet
 		var stats atomicStats
 		ops := []ids.OpID{1, 2, 3, 4, 5, 6}
 		randKey := func() report.PairKey {
@@ -61,11 +61,9 @@ func trapSetConsistent(s *trapSet) bool {
 		for _, loc := range endpoints(key) {
 			l := s.locs[loc]
 			n := 0
-			if l != nil {
-				for _, k := range l.live {
-					if k == key {
-						n++
-					}
+			for i := 0; i < l.live.n; i++ {
+				if l.live.at(i) == key {
+					n++
 				}
 			}
 			if live && (n != 1 || l.prob <= 0 || l.prob > 1) || !live && n != 0 {
@@ -74,15 +72,19 @@ func trapSetConsistent(s *trapSet) bool {
 			indexed += n
 		}
 	}
-	// No stale index entries, and the lock-free counter is exact.
+	// No stale index entries, the spill holds exactly what the inline slots
+	// cannot, and the lock-free counter is exact.
 	entries := 0
 	for loc, l := range s.locs {
-		for _, key := range l.live {
-			if key.A != loc && key.B != loc {
+		if len(l.live.spill) != max(0, l.live.n-len(l.live.inline)) {
+			return false
+		}
+		for i := 0; i < l.live.n; i++ {
+			if key := l.live.at(i); key.A != loc && key.B != loc {
 				return false
 			}
 		}
-		entries += len(l.live)
+		entries += l.live.n
 	}
 	return entries == indexed && len(s.export()) == s.size()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,8 @@ import (
 // with the per-location delay probabilities of the decay scheme (§3.4.5).
 // It is shared by TSVD and TSVDHB, which differ only in how pairs enter
 // (near-miss vs. vector-clock concurrency) and leave (HB inference vs. HB
-// analysis) the set.
+// analysis) the set. The zero value is an empty set; its maps are made by
+// the first write, so a module run that never finds a pair pays nothing.
 //
 // The set is internally synchronized — one of the sharded runtime's small
 // cold-path locks. Mutations (pair churn, decay) are rare relative to
@@ -33,8 +33,9 @@ type trapSet struct {
 	// a decayed-out endpoint. A pair only ever goes live → dead, and a dead
 	// pair is never (re-)added.
 	pairs map[report.PairKey]bool
-	// locs holds every location that ever was an endpoint of a live pair.
-	locs map[ids.OpID]*locState
+	// locs holds every location that ever was an endpoint of a live pair,
+	// by value: a new endpoint costs no allocation of its own.
+	locs map[ids.OpID]locState
 }
 
 // locState is one location's share of the trap set.
@@ -42,14 +43,50 @@ type locState struct {
 	// prob is P_loc (§3.4.5).
 	prob float64
 	// live lists the live pairs loc is an endpoint of, for
-	// O(pairs-of-loc) updates; a location rarely has more than a few.
-	live []report.PairKey
+	// O(pairs-of-loc) updates.
+	live pairList
 }
 
-func newTrapSet() trapSet {
-	return trapSet{
-		pairs: map[report.PairKey]bool{},
-		locs:  map[ids.OpID]*locState{},
+// pairList is an unordered list of pair keys. A location rarely has more
+// than a few live pairs, so the first two sit inline and only the rest
+// spill to an allocated slice: len(spill) == max(0, n-2).
+type pairList struct {
+	n      int
+	inline [2]report.PairKey
+	spill  []report.PairKey
+}
+
+func (p *pairList) at(i int) report.PairKey {
+	if i < len(p.inline) {
+		return p.inline[i]
+	}
+	return p.spill[i-len(p.inline)]
+}
+
+func (p *pairList) add(key report.PairKey) {
+	if p.n < len(p.inline) {
+		p.inline[p.n] = key
+	} else {
+		p.spill = append(p.spill, key)
+	}
+	p.n++
+}
+
+// remove deletes key, which must be present, moving the last key into its
+// place.
+func (p *pairList) remove(key report.PairKey) {
+	i := 0
+	for p.at(i) != key {
+		i++
+	}
+	p.n--
+	if last := p.at(p.n); i < len(p.inline) {
+		p.inline[i] = last
+	} else {
+		p.spill[i-len(p.inline)] = last
+	}
+	if p.n >= len(p.inline) {
+		p.spill = p.spill[:p.n-len(p.inline)]
 	}
 }
 
@@ -62,18 +99,21 @@ func (s *trapSet) add(key report.PairKey, stats *atomicStats, met *DetectorMetri
 	if _, known := s.pairs[key]; known {
 		return false
 	}
+	if s.pairs == nil {
+		s.pairs = map[report.PairKey]bool{}
+	}
+	if s.locs == nil {
+		s.locs = map[ids.OpID]locState{}
+	}
 	s.pairs[key] = true
 	n := s.live.Add(1)
 	stats.pairsAdded.Add(1)
 	met.observeOccupancy(int(n))
 	for _, loc := range endpoints(key) {
 		l := s.locs[loc]
-		if l == nil {
-			l = &locState{}
-			s.locs[loc] = l
-		}
 		l.prob = 1
-		l.live = append(l.live, key)
+		l.live.add(key)
+		s.locs[loc] = l
 	}
 	return true
 }
@@ -96,6 +136,9 @@ func (s *trapSet) suppress(key report.PairKey) bool {
 
 func (s *trapSet) suppressLocked(key report.PairKey) bool {
 	wasLive := s.pairs[key]
+	if s.pairs == nil {
+		s.pairs = map[report.PairKey]bool{}
+	}
 	s.pairs[key] = false
 	if !wasLive {
 		return false
@@ -103,9 +146,8 @@ func (s *trapSet) suppressLocked(key report.PairKey) bool {
 	s.live.Add(-1)
 	for _, loc := range endpoints(key) {
 		l := s.locs[loc]
-		i := slices.Index(l.live, key)
-		l.live[i] = l.live[len(l.live)-1]
-		l.live = l.live[:len(l.live)-1]
+		l.live.remove(key)
+		s.locs[loc] = l
 	}
 	return true
 }
@@ -122,7 +164,7 @@ func (s *trapSet) empty() bool { return s.live.Load() == 0 }
 func (s *trapSet) eligible(loc ids.OpID) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if l := s.locs[loc]; l != nil && len(l.live) > 0 {
+	if l := s.locs[loc]; l.live.n > 0 {
 		return l.prob, true
 	}
 	return 0, false
@@ -140,36 +182,39 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.locs[loc]
-	if l == nil {
+	l, ok := s.locs[loc]
+	if !ok {
 		return
 	}
 	// A location rarely has more than a few partners: the victims fit on
 	// the stack, and a failed delay costs no allocation.
-	var buf [8]*locState
-	victims := append(buf[:0], l)
-	for _, key := range l.live {
+	var buf [8]ids.OpID
+	victims := append(buf[:0], loc)
+	for i := 0; i < l.live.n; i++ {
+		key := l.live.at(i)
 		other := key.A
 		if other == loc {
 			other = key.B
 		}
 		if other != loc { // self-pairs decay once, not twice
-			victims = append(victims, s.locs[other])
+			victims = append(victims, other)
 		}
 	}
 	for _, v := range victims {
-		v.prob *= 1 - factor
+		vl := s.locs[v]
+		vl.prob *= 1 - factor
+		s.locs[v] = vl
 	}
 	for _, v := range victims {
-		if v.prob >= prune {
+		if s.locs[v].prob >= prune {
 			continue
 		}
 		// The location's probability hit zero: all its pairs leave the
 		// trap set for good — the location proved unproductive, so a
 		// later near-miss re-sighting must not resurrect it at P=1.
-		// Suppressing a pair takes it off v.live.
-		for len(v.live) > 0 {
-			key := v.live[len(v.live)-1]
+		// Suppressing a pair takes it off the location's live list.
+		for vl := s.locs[v]; vl.live.n > 0; vl = s.locs[v] {
+			key := vl.live.at(vl.live.n - 1)
 			s.suppressLocked(key)
 			stats.pairsPrunedDecay.Add(1)
 			tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)

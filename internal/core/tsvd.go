@@ -140,7 +140,7 @@ type delayRecord struct {
 const maxRecentDelays = 256
 
 func newTSVD(cfg config.Config, o options) *TSVD {
-	d := &TSVD{set: newTrapSet()}
+	d := &TSVD{}
 	d.rt.init(cfg, o)
 	if !cfg.DisablePhaseDetection {
 		d.phase = newPhaseRing(cfg.PhaseBufferSize)

@@ -43,7 +43,7 @@ type TSVDHB struct {
 }
 
 func newTSVDHB(cfg config.Config, o options) *TSVDHB {
-	d := &TSVDHB{set: newTrapSet()}
+	d := &TSVDHB{}
 	d.rt.init(cfg, o)
 	for _, key := range o.initialTraps {
 		if d.set.add(key, &d.rt.stats, d.rt.met) {

@@ -401,7 +401,7 @@ func runSuite(suite *workload.Suite, opts Options, cfg config.Config,
 
 			mcfg := cfg
 			mcfg.Seed = cfg.Seed + int64(mi)*1009 + int64(run)*7919
-			var detOpts []core.Option
+			detOpts := make([]core.Option, 0, 3)
 			if traps != nil && traps[mi] != nil {
 				detOpts = append(detOpts, core.WithInitialTraps(traps[mi]))
 			}
@@ -477,6 +477,10 @@ func runSuite(suite *workload.Suite, opts Options, cfg config.Config,
 func runModule(mod *workload.Module, det core.Detector, sched *task.Scheduler,
 	opts Options, tm timing, mi, run int) int {
 
+	// One source for the whole module, reseeded per test: a test draws the
+	// same sequence a source of its own would give it, and Env.Rng is only
+	// ever used from the test's main goroutine, so tests never share it.
+	rng := rand.New(rand.NewSource(0))
 	panics := 0
 	for ti, test := range mod.Tests {
 		// The baseline is truly uninstrumented: a nil detector skips the
@@ -485,11 +489,11 @@ func runModule(mod *workload.Module, det core.Detector, sched *task.Scheduler,
 		if _, isNop := det.(*core.NopDetector); isNop {
 			envDet = nil
 		}
+		rng.Seed(opts.runSeedBase() + int64(run)*1_000_003 + int64(mi)*10_007 + int64(ti))
 		env := &workload.Env{
 			Det:   envDet,
 			Sched: sched,
-			Rng: rand.New(rand.NewSource(
-				opts.runSeedBase() + int64(run)*1_000_003 + int64(mi)*10_007 + int64(ti))),
+			Rng:   rng,
 			Pace:  tm.pace,
 			Delay: tm.delay,
 			Deadline: time.Now().

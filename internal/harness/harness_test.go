@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -277,5 +278,59 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if len(out.Traces) != 0 || out.TraceTotals.Emitted != 0 {
 		t.Fatalf("tracing off but outcome has traces: %d modules, %d emitted",
 			len(out.Traces), out.TraceTotals.Emitted)
+	}
+}
+
+// TestEnvRngDrawsArePerTest: every test draws from Env.Rng exactly the
+// sequence a source of its own, seeded base + run·1_000_003 + mi·10_007 + ti,
+// would give it — in the baseline and in every run, whatever ran before it on
+// the module's worker.
+func TestEnvRngDrawsArePerTest(t *testing.T) {
+	const base, runs, draws = 99, 2, 8
+	gen := workload.GenerateSuite(5, 6)
+	suite := &workload.Suite{Seed: gen.Seed}
+	// got[mi][ti] collects each execution's draws, in run order: runs are
+	// sequential and so are a module's tests.
+	got := make([][][][draws]int64, len(gen.Modules))
+	for mi, m := range gen.Modules {
+		mod := &workload.Module{Name: m.Name}
+		got[mi] = make([][][draws]int64, len(m.Tests))
+		for ti, test := range m.Tests {
+			test.Body = func(env *workload.Env) {
+				var d [draws]int64
+				for i := range d {
+					d[i] = env.Rng.Int63()
+				}
+				got[mi][ti] = append(got[mi][ti], d)
+			}
+			mod.Tests = append(mod.Tests, test)
+		}
+		suite.Modules = append(suite.Modules, mod)
+	}
+	o := opts(config.AlgoTSVD, runs)
+	o.RunSeedBase = Seed(base)
+	Baseline(suite, o)
+	Run(suite, o)
+
+	checked := 0
+	for mi := range got {
+		for ti, execs := range got[mi] {
+			if len(execs) != 1+runs {
+				t.Fatalf("module %d test %d ran %d times, want %d", mi, ti, len(execs), 1+runs)
+			}
+			// The baseline is run 1's schedule.
+			for i, run := range []int{1, 1, 2} {
+				want := rand.New(rand.NewSource(base + int64(run)*1_000_003 + int64(mi)*10_007 + int64(ti)))
+				for k, v := range execs[i] {
+					if w := want.Int63(); v != w {
+						t.Fatalf("run %d module %d test %d: draw %d is %d, a fresh source gives %d", run, mi, ti, k, v, w)
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 3*10 {
+		t.Fatalf("only %d test executions checked", checked)
 	}
 }

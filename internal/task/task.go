@@ -11,7 +11,15 @@
 // async functions synchronously (§4): with inlining enabled, a spawn site
 // whose function historically completes quickly executes inline on the
 // caller's goroutine — hiding concurrency from tests exactly as the paper
-// describes. TSVD instrumentation counters this with ForceAsync.
+// describes. TSVD instrumentation counters this with ForceAsync, and a
+// force-async scheduler keeps no spawn-site history at all, since it never
+// consults one.
+//
+// An asynchronous spawn costs one allocation, its handle: the task's
+// function, spawn site and parent travel in the handle, completion is a
+// WaitGroup inside it, and the handle reaches a fresh goroutine through one
+// of a few package-level channels, so the go statement itself captures
+// nothing. Every asynchronous task still runs on a goroutine of its own.
 package task
 
 import (
@@ -32,12 +40,17 @@ const defaultInlineThreshold = time.Millisecond
 type Scheduler struct {
 	det core.Detector // may be nil (uninstrumented)
 
-	mu              sync.Mutex
+	// Fixed by NewScheduler.
 	inlineFast      bool
 	forceAsync      bool
 	inlineThreshold time.Duration
-	siteStats       map[ids.OpID]*siteStat
-	wg              sync.WaitGroup
+	shard           uint32 // the hand-off channel this scheduler's spawns use
+
+	mu sync.Mutex
+	// siteStats is the spawn-site history the inlining heuristic reads; nil
+	// under force-async, which never reads it.
+	siteStats map[ids.OpID]*siteStat
+	wg        sync.WaitGroup
 }
 
 type siteStat struct {
@@ -71,11 +84,14 @@ func WithInlineThreshold(d time.Duration) SchedulerOption {
 func NewScheduler(det core.Detector, opts ...SchedulerOption) *Scheduler {
 	s := &Scheduler{
 		det:             det,
-		siteStats:       map[ids.OpID]*siteStat{},
 		inlineThreshold: defaultInlineThreshold,
+		shard:           nextShard.Add(1) % handoffShards,
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if !s.forceAsync {
+		s.siteStats = map[ids.OpID]*siteStat{}
 	}
 	return s
 }
@@ -90,11 +106,11 @@ func (s *Scheduler) WaitIdle() { s.wg.Wait() }
 // its history proves it slow — which is exactly why tests that mock slow
 // I/O with fast stubs never exercise real concurrency (§4).
 func (s *Scheduler) shouldInline(site ids.OpID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.forceAsync || !s.inlineFast {
 		return false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.siteStats[site]
 	if st == nil || st.runs == 0 {
 		return true // optimistic: assume fast until measured otherwise
@@ -102,6 +118,8 @@ func (s *Scheduler) shouldInline(site ids.OpID) bool {
 	return time.Duration(int64(st.total)/st.runs) < s.inlineThreshold
 }
 
+// recordRun adds one completion to site's history. Only a scheduler that
+// may inline keeps one; under force-async it is never called.
 func (s *Scheduler) recordRun(site ids.OpID, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -131,6 +149,46 @@ type Task[T any] struct {
 	inlined  bool
 
 	sched *Scheduler
+	// Set by the spawner before an asynchronous task is handed off; fn is
+	// cleared once it has run, so a kept handle does not keep its closure.
+	site   ids.OpID
+	parent ids.ThreadID
+	fn     func() T
+}
+
+// handoffs carry each asynchronous task's handle to the goroutine started
+// for it; starters[i] is the body of a goroutine that takes one handle from
+// handoffs[i] and runs it. The starters are made once, at init, so the go
+// statement that runs one allocates nothing. A spawner starts the goroutine
+// first and sends second, so on every channel there are always at least as
+// many started goroutines waiting for an entry as there are entries: a full
+// buffer can only block a spawner until an already-started goroutine drains
+// one entry, never deadlock. Each goroutine receives exactly one handle, so
+// every task runs on a fresh goroutine; which of two concurrent spawners'
+// goroutines runs which task does not matter.
+//
+// With one channel for every scheduler, two modules spawning at once on two
+// CPUs fight over its lock (Run+Wait from two goroutines on two CPUs: ≈ 700
+// ns against ≈ 500 with a channel each), so schedulers are dealt round-robin
+// over eight. The 64 entries of each hold a burst of spawns — a generated
+// task-storm test forks 40 at once — before the runtime schedules their
+// goroutines, so a spawner rarely waits.
+const handoffShards = 8
+
+var (
+	handoffs  [handoffShards]chan starter
+	starters  [handoffShards]func()
+	nextShard atomic.Uint32
+)
+
+type starter interface{ start() }
+
+func init() {
+	for i := range handoffs {
+		ch := make(chan starter, 64)
+		handoffs[i] = ch
+		starters[i] = func() { (<-ch).start() }
+	}
 }
 
 // Run forks fn as a task (TPL's Task.Run). The spawn site is attributed to
@@ -154,25 +212,32 @@ func runAt[T any](s *Scheduler, site ids.OpID, fn func() T) *Task[T] {
 		t.finish()
 		return t
 	}
-	var parent ids.ThreadID
+	t.site, t.fn = site, fn
 	if s.det != nil {
-		parent = ids.CurrentThreadID()
+		t.parent = ids.CurrentThreadID()
 	}
 	s.wg.Add(1)
-	go t.run(s, site, parent, fn)
+	go starters[s.shard]()
+	handoffs[s.shard] <- t
 	return t
 }
 
-// run is the body of an asynchronous task's goroutine.
-func (t *Task[T]) run(s *Scheduler, site ids.OpID, parent ids.ThreadID, fn func() T) {
+// start runs an asynchronous task on the goroutine that received it.
+func (t *Task[T]) start() {
+	s := t.sched
 	defer s.wg.Done()
 	if s.det != nil {
 		t.tid = ids.CurrentThreadID()
-		s.det.OnFork(parent, t.tid)
+		s.det.OnFork(t.parent, t.tid)
 	}
-	start := time.Now()
-	t.invoke(fn)
-	s.recordRun(site, time.Since(start))
+	if s.forceAsync {
+		t.invoke(t.fn)
+	} else {
+		start := time.Now()
+		t.invoke(t.fn)
+		s.recordRun(t.site, time.Since(start))
+	}
+	t.fn = nil
 	t.finish()
 }
 
@@ -275,18 +340,19 @@ func ForEach[T any](s *Scheduler, items []T, degree int, fn func(T)) {
 		cursor++
 		return int(i)
 	}
+	work := func() struct{} {
+		for {
+			i := next()
+			if i >= len(items) {
+				return struct{}{}
+			}
+			fn(items[i])
+		}
+	}
 	site := ids.CallerOp(0)
 	workers := make([]*Task[struct{}], degree)
-	for w := 0; w < degree; w++ {
-		workers[w] = runAt(s, site, func() struct{} {
-			for {
-				i := next()
-				if i >= len(items) {
-					return struct{}{}
-				}
-				fn(items[i])
-			}
-		})
+	for w := range workers {
+		workers[w] = runAt(s, site, work)
 	}
 	var firstPanic any
 	for _, w := range workers {

@@ -237,6 +237,10 @@ func TestForceAsyncOverridesInlining(t *testing.T) {
 			t.Fatal("ForceAsync did not suppress inlining")
 		}
 	}
+	s.WaitIdle()
+	if s.siteStats != nil {
+		t.Fatal("a force-async scheduler kept a spawn-site history it never reads")
+	}
 }
 
 func TestSlowSitesMigrateToAsync(t *testing.T) {
@@ -333,13 +337,90 @@ func (r *recordingDetector) OnJoin(waiter, done ids.ThreadID) {
 	r.mu.Unlock()
 }
 
-// TestSpawnCostsTwoAllocations: a spawn buys its handle and the goroutine's
-// start closure; completion is signalled through the handle itself, not
-// through a channel made for the occasion.
-func TestSpawnCostsTwoAllocations(t *testing.T) {
+// TestSpawnCostsOneAllocation: a spawn buys its handle and nothing else —
+// completion is signalled through the handle itself, not through a channel
+// made for the occasion, and the handle reaches its goroutine through the
+// package's hand-off channel, not through a start closure.
+func TestSpawnCostsOneAllocation(t *testing.T) {
 	s := NewScheduler(nil, WithForceAsync())
 	fn := func() int { return 1 }
-	if got := testing.AllocsPerRun(500, func() { Run(s, fn).Wait() }); got > 2 {
-		t.Fatalf("Run+Wait costs %v allocations, want at most 2", got)
+	if got := testing.AllocsPerRun(500, func() { Run(s, fn).Wait() }); got > 1 {
+		t.Fatalf("Run+Wait costs %v allocations, want at most 1", got)
+	}
+}
+
+// TestAsyncTasksRunOnGoroutinesOfTheirOwn: every spawner hands its tasks to
+// fresh goroutines through one shared channel, so which goroutine receives
+// which task is up to the runtime. Whatever it picks — for tasks alive all
+// at once (more than the channel buffers) and tasks run one after another,
+// spawned through Run, ContinueWith and ForEach by several goroutines at
+// once — each task runs on a goroutine no other task and no spawner ran on,
+// and the fork the detector receives names the goroutine that really
+// spawned the task as its parent.
+func TestAsyncTasksRunOnGoroutinesOfTheirOwn(t *testing.T) {
+	const spawners, n, degree = 4, 100, 8
+	rec := &recordingDetector{}
+	s := NewScheduler(rec, WithForceAsync())
+
+	var mu sync.Mutex
+	spawnedBy := map[ids.ThreadID]ids.ThreadID{} // a task's goroutine → its spawner
+	ran := func(spawner ids.ThreadID) {
+		tid := ids.CurrentThreadID()
+		mu.Lock()
+		defer mu.Unlock()
+		if tid == spawner {
+			t.Errorf("a task ran on its spawner's goroutine %d", tid)
+		}
+		if _, dup := spawnedBy[tid]; dup {
+			t.Errorf("two tasks ran on goroutine %d", tid)
+		}
+		spawnedBy[tid] = spawner
+	}
+
+	spawn := func() {
+		me := ids.CurrentThreadID()
+		release := make(chan struct{})
+		alive := make([]*Task[struct{}], n)
+		for i := range alive {
+			alive[i] = Run(s, func() struct{} { ran(me); <-release; return struct{}{} })
+		}
+		close(release)
+		WhenAll(alive...)
+
+		for i := 0; i < n; i++ {
+			tk := Run(s, func() int { ran(me); return i })
+			ContinueWith(tk, func(int) struct{} { ran(me); return struct{}{} }).Wait()
+		}
+
+		// Every item waits for all of them to start, so each of the degree
+		// workers takes exactly one.
+		var started sync.WaitGroup
+		started.Add(degree)
+		ForEach(s, make([]int, degree), degree, func(int) {
+			ran(me)
+			started.Done()
+			started.Wait()
+		})
+	}
+	root := ids.CurrentThreadID()
+	tasks := make([]*Task[struct{}], spawners)
+	for i := range tasks {
+		tasks[i] = Run(s, func() struct{} { ran(root); spawn(); return struct{}{} })
+	}
+	WhenAll(tasks...)
+	s.WaitIdle()
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if want := spawners * (1 + 3*n + degree); len(spawnedBy) != want {
+		t.Fatalf("%d tasks ran on distinct goroutines, want %d", len(spawnedBy), want)
+	}
+	if len(rec.forks) != len(spawnedBy) {
+		t.Fatalf("%d forks recorded for %d tasks", len(rec.forks), len(spawnedBy))
+	}
+	for _, f := range rec.forks {
+		if parent, ok := spawnedBy[f[1]]; !ok || parent != f[0] {
+			t.Fatalf("fork %d → %d, but goroutine %d was spawned by %d (known %v)", f[0], f[1], f[1], parent, ok)
+		}
 	}
 }
