@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/report"
@@ -66,11 +68,30 @@ type Pair struct {
 	B string `json:"b"`
 }
 
+// canonical reports whether rows are already what normalizing them gives:
+// every row valid and each strictly after the one before it, so none repeats.
+// Every writer in this module sends its rows that way, so the normalizers
+// check it in one pass before they pay for a map and a sort.
+func canonical[T any](rows []T, valid func(T) bool, less func(a, b T) bool) bool {
+	for i, r := range rows {
+		if !valid(r) || i > 0 && !less(rows[i-1], r) {
+			return false
+		}
+	}
+	return true
+}
+
 // normalizeSites canonicalizes a site table the same way normalize does
 // pairs: rows without a location key are dropped (nothing to re-intern
 // against), duplicates collapse, and the result sorts by the full tuple so
 // equal tables serialize to equal bytes.
 func normalizeSites(recs []sites.Tuple) []sites.Tuple {
+	if len(recs) == 0 {
+		return nil
+	}
+	if canonical(recs, func(t sites.Tuple) bool { return t.Loc != "" }, sites.Tuple.Less) {
+		return slices.Clone(recs)
+	}
 	out := make([]sites.Tuple, 0, len(recs))
 	seen := make(map[sites.Tuple]bool, len(recs))
 	for _, r := range recs {
@@ -106,6 +127,9 @@ func (p Pair) less(q Pair) bool {
 // to both inputs, so the invariant holds on every side of every boundary.
 func normalize(pairs []Pair) []Pair {
 	out := make([]Pair, 0, len(pairs))
+	if canonical(pairs, func(p Pair) bool { return p.A != "" && p.A <= p.B }, Pair.less) {
+		return append(out, pairs...)
+	}
 	seen := make(map[Pair]bool, len(pairs))
 	for _, p := range pairs {
 		if p.A == "" || p.B == "" {
@@ -143,17 +167,22 @@ func Checked(f File) (File, error) {
 	return Normalize(f), nil
 }
 
-// union folds the canonical rows in into the canonical rows set, in place
-// when set has the capacity, and returns the grown set and the rows it
-// gained (canonical too): a binary search per incoming row, then one
-// backward pass that opens the gaps.
-func union[T comparable](set, in []T, less func(a, b T) bool) (grown, added []T) {
+// missing returns the rows of the canonical in that the canonical set lacks,
+// canonical too: a binary search per incoming row.
+func missing[T comparable](set, in []T, less func(a, b T) bool) (added []T) {
 	for _, r := range in {
 		i := sort.Search(len(set), func(i int) bool { return !less(set[i], r) })
 		if i == len(set) || set[i] != r {
 			added = append(added, r)
 		}
 	}
+	return added
+}
+
+// insert folds the canonical rows added, none of which set holds, into the
+// canonical set, in place when set has the capacity: one backward pass that
+// opens the gaps.
+func insert[T any](set, added []T, less func(a, b T) bool) []T {
 	i, j := len(set)-1, len(added)-1
 	set = append(set, added...)
 	for k := len(set) - 1; j >= 0; k-- {
@@ -165,7 +194,31 @@ func union[T comparable](set, in []T, less func(a, b T) bool) (grown, added []T)
 			j--
 		}
 	}
-	return set, added
+	return set
+}
+
+// own points every string of f's rows at one fresh copy of them all. A
+// decoder may hand out substrings of a whole request body; a long-lived set
+// that kept such a row would keep the body with it.
+func own(f File) {
+	each := func(do func(s *string)) {
+		for i := range f.Pairs {
+			do(&f.Pairs[i].A)
+			do(&f.Pairs[i].B)
+		}
+		for i := range f.Sites {
+			do(&f.Sites[i].Loc)
+			do(&f.Sites[i].Class)
+			do(&f.Sites[i].Method)
+		}
+	}
+	var b strings.Builder
+	n := 0
+	each(func(s *string) { n += len(*s) })
+	b.Grow(n)
+	each(func(s *string) { b.WriteString(*s) })
+	all := b.String()
+	each(func(s *string) { *s, all = all[:len(*s)], all[len(*s):] })
 }
 
 // Grow is the union rule for a caller that keeps one long-lived set (the
@@ -174,14 +227,19 @@ func union[T comparable](set, in []T, less func(a, b T) bool) (grown, added []T)
 // the pairs and site rows the set gained, normalized and labeled like the
 // set. in's Tool label wins when it has one. The cost is
 // O(len(in)·log len(set) + len(set)): the set is never re-sorted. Merge is
-// built on it.
+// built on it. What the set keeps of in — the label and the rows it gained —
+// is copied into one new string, so the set never keeps alive the buffer in
+// was decoded from.
 func Grow(set *File, in File) (added File) {
-	if in.Tool != "" {
-		set.Tool = in.Tool
+	if in.Tool != "" && in.Tool != set.Tool {
+		set.Tool = strings.Clone(in.Tool)
 	}
-	added = File{Version: FormatVersion, Tool: set.Tool}
-	set.Pairs, added.Pairs = union(set.Pairs, normalize(in.Pairs), Pair.less)
-	set.Sites, added.Sites = union(set.Sites, normalizeSites(in.Sites), sites.Tuple.Less)
+	added = File{Version: FormatVersion, Tool: set.Tool,
+		Pairs: missing(set.Pairs, normalize(in.Pairs), Pair.less),
+		Sites: missing(set.Sites, normalizeSites(in.Sites), sites.Tuple.Less)}
+	own(added)
+	set.Pairs = insert(set.Pairs, added.Pairs, Pair.less)
+	set.Sites = insert(set.Sites, added.Sites, sites.Tuple.Less)
 	return added
 }
 

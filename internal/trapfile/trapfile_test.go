@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/ids"
@@ -406,6 +408,143 @@ func TestGrowMatchesResort(t *testing.T) {
 		}
 		if len(held) != len(set.Pairs)+len(set.Sites) {
 			t.Fatalf("step %d: set gained %d rows Grow did not report", step, len(set.Pairs)+len(set.Sites)-len(held))
+		}
+	}
+}
+
+// resortPairs and resortSites are the normalizers as they were before the
+// canonical fast path: a map for duplicates and a sort, whatever the input.
+func resortPairs(pairs []Pair) []Pair {
+	out := make([]Pair, 0, len(pairs))
+	seen := map[Pair]bool{}
+	for _, p := range pairs {
+		if p.A == "" || p.B == "" {
+			continue
+		}
+		if p.A > p.B {
+			p.A, p.B = p.B, p.A
+		}
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
+}
+
+func resortSites(recs []sites.Tuple) []sites.Tuple {
+	var out []sites.Tuple
+	seen := map[sites.Tuple]bool{}
+	for _, r := range recs {
+		if r.Loc != "" && !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
+// TestCanonicalFastPathMatchesResort: normalize and normalizeSites return
+// what the map-and-sort path returns — nil-ness included — on random rows
+// and on canonical rows with one defect each, and Normalize's slices are
+// never the input's.
+func TestCanonicalFastPathMatchesResort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	key := func() string {
+		if rng.Intn(12) == 0 {
+			return ""
+		}
+		return fmt.Sprint("k", rng.Intn(30))
+	}
+	random := func(n int) File {
+		f := File{Pairs: []Pair{}, Sites: []sites.Tuple{}}
+		for i := 0; i < n; i++ {
+			f.Pairs = append(f.Pairs, Pair{A: key(), B: key()})
+			f.Sites = append(f.Sites, sites.Tuple{Loc: key(), Class: key(), Write: rng.Intn(2) == 0})
+		}
+		return f
+	}
+	// Each defect breaks one property the fast path checks.
+	defects := []struct {
+		name  string
+		pairs func([]Pair) []Pair
+		sites func([]sites.Tuple) []sites.Tuple
+	}{
+		{"none", func(p []Pair) []Pair { return p }, func(s []sites.Tuple) []sites.Tuple { return s }},
+		{"adjacent swap", func(p []Pair) []Pair {
+			i := rng.Intn(len(p) - 1)
+			p[i], p[i+1] = p[i+1], p[i]
+			return p
+		}, func(s []sites.Tuple) []sites.Tuple {
+			i := rng.Intn(len(s) - 1)
+			s[i], s[i+1] = s[i+1], s[i]
+			return s
+		}},
+		{"duplicate", func(p []Pair) []Pair {
+			i := rng.Intn(len(p))
+			return slices.Insert(p, i, p[i])
+		}, func(s []sites.Tuple) []sites.Tuple {
+			i := rng.Intn(len(s))
+			return slices.Insert(s, i, s[i])
+		}},
+		{"empty key", func(p []Pair) []Pair {
+			if i := rng.Intn(len(p)); rng.Intn(2) == 0 {
+				p[i].A = ""
+			} else {
+				p[i].B = ""
+			}
+			return p
+		}, func(s []sites.Tuple) []sites.Tuple {
+			s[rng.Intn(len(s))].Loc = ""
+			return s
+		}},
+		{"A > B", func(p []Pair) []Pair {
+			for i := range p {
+				if p[i].A != p[i].B {
+					p[i].A, p[i].B = p[i].B, p[i].A
+					break
+				}
+			}
+			return p
+		}, nil},
+		{"empty", func([]Pair) []Pair { return []Pair{} }, func([]sites.Tuple) []sites.Tuple { return []sites.Tuple{} }},
+		{"nil", func([]Pair) []Pair { return nil }, func([]sites.Tuple) []sites.Tuple { return nil }},
+	}
+	check := func(name string, in File) {
+		t.Helper()
+		orig := File{Pairs: slices.Clone(in.Pairs), Sites: slices.Clone(in.Sites)}
+		gotPairs, gotSites := normalize(in.Pairs), normalizeSites(in.Sites)
+		if want := resortPairs(orig.Pairs); !reflect.DeepEqual(gotPairs, want) {
+			t.Fatalf("%s: normalize(%v) = %#v, want %#v", name, orig.Pairs, gotPairs, want)
+		}
+		if want := resortSites(orig.Sites); !reflect.DeepEqual(gotSites, want) {
+			t.Fatalf("%s: normalizeSites(%v) = %#v, want %#v", name, orig.Sites, gotSites, want)
+		}
+		out := Normalize(in)
+		for i := range out.Pairs {
+			out.Pairs[i].A += "x"
+		}
+		for i := range out.Sites {
+			out.Sites[i].Loc += "x"
+		}
+		if !reflect.DeepEqual(in.Pairs, orig.Pairs) || !reflect.DeepEqual(in.Sites, orig.Sites) {
+			t.Fatalf("%s: Normalize returned rows that share the input's backing array", name)
+		}
+	}
+	for step := 0; step < 300; step++ {
+		check("random", random(rng.Intn(8)))
+		canon := Normalize(random(2 + rng.Intn(20)))
+		for len(canon.Pairs) < 2 || len(canon.Sites) < 2 {
+			canon = Normalize(random(2 + rng.Intn(20)))
+		}
+		for _, d := range defects {
+			in := File{Pairs: d.pairs(slices.Clone(canon.Pairs)), Sites: slices.Clone(canon.Sites)}
+			if d.sites != nil {
+				in.Sites = d.sites(in.Sites)
+			}
+			check(d.name, in)
 		}
 	}
 }

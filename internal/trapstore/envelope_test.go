@@ -11,8 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sites"
 	"repro/internal/trapfile"
@@ -268,6 +270,118 @@ func FuzzParseSyncState(f *testing.F) {
 	})
 }
 
+// scannerDefers holds one body per input scanEnvelope leaves to encoding/json
+// — some valid JSON, some not.
+var scannerDefers = []string{
+	`{"version":1,"tool":"TSVD","pairs":[{"a":"pkg\/a.go:1","b":"pkg\/b.go:2"}]}`, // escape
+	`{"version":1,"tool":"TSVD","pairs":[{"a":"ä.go:1","b":"b.go:2"}]}`,           // non-ASCII
+	`{"version":1,"pairs":null}`,                        // null
+	`{"version":1,"pairs":[{"a":"a","b":"b","a":"c"}]}`, // duplicate key
+	`{"version":1,"Pairs":[{"a":"a","b":"b"}]}`,         // case-variant key
+	`{"version":1,"pairs":[],"peer":"x"}`,               // unknown key
+	`{"version":01,"pairs":[]}`,                         // leading zero
+	`{"version":1,"generation":1e2,"pairs":[]}`,         // exponent
+	`{"version":1,"since":-1,"pairs":[]}`,               // sign
+	`{"version":1,"generation":18446744073709551616}`,   // out of range
+	`{"version":1,"pairs":[]} trailing`,                 // trailing bytes
+}
+
+// TestScannerDefersOutsideItsSubset: the scanner reads every body this
+// package writes — compact or indented — and leaves each input outside its
+// subset to encoding/json, whose verdict decodeEnvelope then returns.
+func TestScannerDefersOutsideItsSubset(t *testing.T) {
+	for _, name := range []string{"get_full.json", "get_delta.json", "post_body.json", "snapshot.json"} {
+		if _, ok := scanEnvelope(string(fixture(t, name))); !ok {
+			t.Errorf("the scanner left %s to encoding/json", name)
+		}
+	}
+	for _, data := range scannerDefers {
+		if env, ok := scanEnvelope(data); ok {
+			t.Errorf("the scanner read %s as %+v", data, env)
+		}
+		var want envelope
+		jsonErr := json.Unmarshal([]byte(data), &want)
+		if env, _, err := decodeEnvelope([]byte(data)); (err != nil) != (jsonErr != nil) ||
+			err == nil && !reflect.DeepEqual(env.File, trapfile.Normalize(want.File)) {
+			t.Errorf("%s decoded to %+v, %v; encoding/json gives %+v, %v", data, env, err, want, jsonErr)
+		}
+	}
+}
+
+// TestDecodeEnvelopeAllocs: a canonical 1,000-pair body decodes in a few
+// dozen allocations — the body's copy, the growing row slice and
+// normalize's one copy — not two strings a pair.
+func TestDecodeEnvelopeAllocs(t *testing.T) {
+	f := trapfile.File{Tool: "TSVD"}
+	for i := 0; i < 1000; i++ {
+		f.Pairs = append(f.Pairs, trapfile.Pair{A: fmt.Sprintf("pkg/a.go:%04d", i), B: fmt.Sprintf("pkg/b.go:%04d", i)})
+	}
+	body, err := json.Marshal(envelopeOf(f, SyncState{Epoch: fixtureEpoch, Generation: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := decodeEnvelope(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations to decode %d pairs (%d bytes)", allocs, len(f.Pairs), len(body))
+	if allocs > 40 {
+		t.Errorf("decoding %d canonical pairs took %.0f allocations, want at most 40", len(f.Pairs), allocs)
+	}
+}
+
+// TestMergeDoesNotRetainPayload merges a decoded body of pairs the daemon
+// holds plus one it does not, and checks by address that no string the set
+// or its arrival log keeps points into the body. The scanner's strings are
+// substrings of one copy of the body, so a set that kept the one new pair as
+// decoded would keep every byte of the body alive with it.
+func TestMergeDoesNotRetainPayload(t *testing.T) {
+	var known []trapfile.Pair
+	for i := 0; i < 64; i++ {
+		known = append(known, trapfile.Pair{A: fmt.Sprintf("known/a.go:%03d", 2*i), B: fmt.Sprintf("known/b.go:%03d", 2*i)})
+	}
+	fresh := trapfile.Pair{A: "known/a.go:063", B: "known/b.go:063"}
+	m := NewMemory("TSVD", nil)
+	m.Publish(trapfile.File{Tool: "TSVD", Pairs: known})
+	in := trapfile.Merge(trapfile.File{Tool: "TSVD", Pairs: known}, trapfile.File{Pairs: []trapfile.Pair{fresh}})
+	body, err := json.Marshal(envelopeOf(in, SyncState{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := decodeEnvelope(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, _ := m.merge(env.File); !reflect.DeepEqual(added.Pairs, []trapfile.Pair{fresh}) {
+		t.Fatalf("the merge added %v, want only %v", added.Pairs, fresh)
+	}
+
+	// The body's first and last strings locate its copy. Strings that are
+	// allocations of their own, as encoding/json makes them, have no common
+	// copy, and nothing the set keeps can pin one.
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	last := env.Pairs[len(env.Pairs)-1].B
+	start := addr(env.Tool) - uintptr(bytes.Index(body, []byte(`"TSVD"`))+1)
+	oneCopy := addr(last)-start == uintptr(bytes.LastIndex(body, []byte(last)))
+	t.Logf("decoded strings are substrings of one copy of the body: %v", oneCopy)
+	pinned := func(s string) bool {
+		return oneCopy && s != "" && addr(s) >= start && addr(s) < start+uintptr(len(body))
+	}
+	strs := []string{m.log.set.Tool}
+	for _, p := range slices.Concat(m.log.set.Pairs, m.log.pairs) {
+		strs = append(strs, p.A, p.B)
+	}
+	for _, s := range slices.Concat(m.log.set.Sites, m.log.sites) {
+		strs = append(strs, s.Loc, s.Class, s.Method)
+	}
+	for _, s := range strs {
+		if pinned(s) {
+			t.Errorf("the daemon's set keeps %q, a substring of the decoded body", s)
+		}
+	}
+}
+
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, name := range []string{"get_full.json", "get_delta.json", "post_body.json", "snapshot.json"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "parent", name))
@@ -280,9 +394,17 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte(`{"version":1,"tool":"TSVD","pairs":[{"a":"a.go:1","b":"b.go:2"}],"sites":[{"loc":"b.go:2","class":"List","method":"Add","write":true},{"loc":"a.go:1","class":"Dictionary","method":"ContainsKey","write":true},{"loc":"a.go:1","class":"Dictionary","method":"ContainsKey"}],"generation":3,"epoch":"1f","delta":true,"since":2}`))
 	f.Add([]byte(`{"version":2,"pairs":[]}`))
 	f.Add([]byte(`{"version":1,"epoch":"not hex"}`))
-	f.Add([]byte(`{"version":1,"pairs":[]} trailing`))
 	f.Add([]byte(`[]`))
+	for _, data := range scannerDefers {
+		f.Add([]byte(data))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if scanned, ok := scanEnvelope(string(data)); ok {
+			var want envelope
+			if err := json.Unmarshal(data, &want); err != nil || !reflect.DeepEqual(scanned, want) {
+				t.Fatalf("the scanner read %q as\n%#v\nencoding/json gives\n%#v, %v", data, scanned, want, err)
+			}
+		}
 		env, st, err := decodeEnvelope(data)
 		if err != nil {
 			if !errors.Is(err, trapfile.ErrCorrupt) {

@@ -115,10 +115,19 @@ type HTTPStore struct {
 	instr
 }
 
-// setAt is a normalized set and the daemon sync state it was taken at.
+// setAt is a normalized set and the daemon sync state it was taken at, with
+// the conditional GET that asks what the set lacks since then — its ETag and
+// the URL carrying its ?since= cursor — rendered once per state, not once
+// per poll.
 type setAt struct {
-	set trapfile.File
-	at  SyncState
+	set       trapfile.File
+	at        SyncState
+	etag, url string
+}
+
+// moveTo records that the set is now the daemon's at st, served at base.
+func (m *setAt) moveTo(base string, st SyncState) {
+	m.at, m.etag, m.url = st, etagOf(st), base+"?"+SinceParam+"="+st.String()
 }
 
 // NewHTTPStore returns a client for the daemon at baseURL (e.g.
@@ -202,10 +211,11 @@ func (s *HTTPStore) retry(name string, op func() (retryable bool, err error)) er
 }
 
 // do issues one request with the per-request timeout applied and returns
-// the response with its body already read into data. The request context
+// the response with its body already read into data. A body is sent as JSON;
+// a non-empty ifNoneMatch makes the request conditional. The request context
 // derives from the store's, so Close aborts in-flight requests too, not just
 // backoff waits.
-func (s *HTTPStore) do(method, url string, hdr map[string]string, body []byte) (resp *http.Response, data []byte, err error) {
+func (s *HTTPStore) do(method, url, ifNoneMatch string, body []byte) (resp *http.Response, data []byte, err error) {
 	ctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
 	defer cancel()
 	var rd io.Reader
@@ -216,8 +226,11 @@ func (s *HTTPStore) do(method, url string, hdr map[string]string, body []byte) (
 	if err != nil {
 		return nil, nil, err
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
 	if resp, err = s.client.Do(req); err != nil {
 		return nil, nil, err
@@ -237,16 +250,14 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 	var bodyBytes int
 	begin := time.Now()
 	err := s.retry("fetch", func() (bool, error) {
-		hdr := map[string]string{}
-		url := s.url
+		url, etag := s.url, ""
 		s.mu.Lock()
 		if s.mirror != nil {
-			hdr["If-None-Match"] = etagOf(s.mirror.at)
-			url += "?" + SinceParam + "=" + s.mirror.at.String()
+			url, etag = s.mirror.url, s.mirror.etag
 		}
 		s.mu.Unlock()
 
-		resp, data, err := s.do(http.MethodGet, url, hdr, nil)
+		resp, data, err := s.do(http.MethodGet, url, etag, nil)
 		if err != nil {
 			return true, err
 		}
@@ -270,7 +281,8 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 			defer s.mu.Unlock()
 			switch {
 			case !snap.Delta:
-				s.mirror = &setAt{set: snap.File, at: st}
+				s.mirror = &setAt{set: snap.File}
+				s.mirror.moveTo(s.url, st)
 			case s.mirror == nil || s.mirror.at != SyncState{Epoch: st.Epoch, Generation: snap.Since}:
 				// An incremental body applies on top of the mirror it was
 				// computed against. The daemon echoes the window (Since) and
@@ -282,7 +294,7 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 					s.url, st.Epoch, snap.Since)
 			default:
 				trapfile.Grow(&s.mirror.set, snap.File)
-				s.mirror.at = st
+				s.mirror.moveTo(s.url, st)
 			}
 			wasDelta, bodyBytes = snap.Delta, len(data)
 			out = cloneRows(s.mirror.set)
@@ -353,7 +365,7 @@ func (s *HTTPStore) Publish(f trapfile.File) error {
 	begin := time.Now()
 	for _, payload := range chunks {
 		err := s.retry("publish", func() (bool, error) {
-			resp, data, err := s.do(http.MethodPost, s.url, map[string]string{"Content-Type": "application/json"}, payload)
+			resp, data, err := s.do(http.MethodPost, s.url, "", payload)
 			if err != nil {
 				return true, err
 			}

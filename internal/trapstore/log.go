@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/sites"
 	"repro/internal/trapfile"
@@ -110,11 +112,15 @@ func envelopeOf(f trapfile.File, st SyncState) envelope {
 // decodeEnvelope is the only way bytes from outside the process become a
 // trap set: decode, version check, epoch parse, normalize. Every failure
 // wraps trapfile.ErrCorrupt — the bytes exist but cannot be trusted, and a
-// mismatch is rejected, never coerced.
+// mismatch is rejected, never coerced. What this package writes is decoded
+// by scanEnvelope into substrings of one copy of data; anything else goes
+// through encoding/json.
 func decodeEnvelope(data []byte) (envelope, SyncState, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return envelope{}, SyncState{}, fmt.Errorf("%w: %v", trapfile.ErrCorrupt, err)
+	env, ok := scanEnvelope(string(data))
+	if !ok {
+		if err := json.Unmarshal(data, &env); err != nil {
+			return envelope{}, SyncState{}, fmt.Errorf("%w: %v", trapfile.ErrCorrupt, err)
+		}
 	}
 	f, err := trapfile.Checked(env.File)
 	if err != nil {
@@ -128,4 +134,207 @@ func decodeEnvelope(data []byte) (envelope, SyncState, error) {
 		}
 	}
 	return env, st, nil
+}
+
+// Keys scanEnvelope knows, at each level, in the exact case the encoders
+// write them.
+var (
+	envelopeKeys = []string{"version", "tool", "pairs", "sites", "generation", "epoch", "delta", "since"}
+	pairKeys     = []string{"a", "b"}
+	siteKeys     = []string{"loc", "class", "method", "write"}
+)
+
+// scanEnvelope decodes s when it is in a subset of JSON on which it agrees
+// with encoding/json: an object of known keys in their exact case, each at
+// most once; strings of ASCII 0x20–0x7F without a backslash; unsigned
+// integers without sign, fraction, exponent or leading zero, in range; true
+// and false; whitespace between tokens and nothing after the object. Every
+// string it returns is a substring of s, so a body of n rows costs the
+// O(log n) allocations of the growing row slices. ok is false for anything
+// outside the subset, which encoding/json must then decide.
+func scanEnvelope(s string) (env envelope, ok bool) {
+	sc := scanner{s: s}
+	ok = sc.object(envelopeKeys, func(key string) (ok bool) {
+		switch key {
+		case "version":
+			var v uint64
+			v, ok = sc.uint(math.MaxInt)
+			env.Version = int(v)
+		case "tool":
+			env.Tool, ok = sc.str()
+		case "pairs":
+			env.Pairs = []trapfile.Pair{}
+			ok = sc.array(func() bool {
+				env.Pairs = append(env.Pairs, trapfile.Pair{})
+				return sc.object(pairKeys, func(key string) (ok bool) {
+					p := &env.Pairs[len(env.Pairs)-1]
+					if key == "a" {
+						p.A, ok = sc.str()
+					} else {
+						p.B, ok = sc.str()
+					}
+					return ok
+				})
+			})
+		case "sites":
+			env.Sites = []sites.Tuple{}
+			ok = sc.array(func() bool {
+				env.Sites = append(env.Sites, sites.Tuple{})
+				return sc.object(siteKeys, func(key string) (ok bool) {
+					t := &env.Sites[len(env.Sites)-1]
+					switch key {
+					case "loc":
+						t.Loc, ok = sc.str()
+					case "class":
+						t.Class, ok = sc.str()
+					case "method":
+						t.Method, ok = sc.str()
+					case "write":
+						t.Write, ok = sc.bool()
+					}
+					return ok
+				})
+			})
+		case "generation":
+			env.Generation, ok = sc.uint(math.MaxUint64)
+		case "epoch":
+			env.Epoch, ok = sc.str()
+		case "delta":
+			env.Delta, ok = sc.bool()
+		case "since":
+			env.Since, ok = sc.uint(math.MaxUint64)
+		}
+		return ok
+	})
+	if !ok || !sc.end() {
+		return envelope{}, false
+	}
+	return env, true
+}
+
+// scanner reads tokens of s from offset i on; each method skips the
+// whitespace before its token and reports false for anything it does not
+// accept.
+type scanner struct {
+	s string
+	i int
+}
+
+func (sc *scanner) space() {
+	for sc.i < len(sc.s) {
+		switch sc.s[sc.i] {
+		case ' ', '\t', '\n', '\r':
+			sc.i++
+		default:
+			return
+		}
+	}
+}
+
+// end reports whether nothing but whitespace is left.
+func (sc *scanner) end() bool {
+	sc.space()
+	return sc.i == len(sc.s)
+}
+
+// eat consumes the byte c.
+func (sc *scanner) eat(c byte) bool {
+	sc.space()
+	if sc.i < len(sc.s) && sc.s[sc.i] == c {
+		sc.i++
+		return true
+	}
+	return false
+}
+
+// str reads a string of ASCII 0x20–0x7F with no escape, returned as a
+// substring of s.
+func (sc *scanner) str() (string, bool) {
+	if !sc.eat('"') {
+		return "", false
+	}
+	for j := sc.i; j < len(sc.s); j++ {
+		switch c := sc.s[j]; {
+		case c == '"':
+			v := sc.s[sc.i:j]
+			sc.i = j + 1
+			return v, true
+		case c < 0x20 || c > 0x7f || c == '\\':
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// uint reads an unsigned integer no larger than max. A fraction or an
+// exponent after the digits is left for the caller, which expects a
+// separator there and fails.
+func (sc *scanner) uint(max uint64) (uint64, bool) {
+	sc.space()
+	j := sc.i
+	for j < len(sc.s) && '0' <= sc.s[j] && sc.s[j] <= '9' {
+		j++
+	}
+	digits := sc.s[sc.i:j]
+	sc.i = j
+	v, err := strconv.ParseUint(digits, 10, 64)
+	return v, err == nil && v <= max && (digits[0] != '0' || digits == "0")
+}
+
+func (sc *scanner) bool() (v, ok bool) {
+	sc.space()
+	switch rest := sc.s[sc.i:]; {
+	case strings.HasPrefix(rest, "true"):
+		sc.i += len("true")
+		return true, true
+	case strings.HasPrefix(rest, "false"):
+		sc.i += len("false")
+		return false, true
+	}
+	return false, false
+}
+
+// array reads an array, calling elem to read each element.
+func (sc *scanner) array(elem func() bool) bool {
+	if !sc.eat('[') {
+		return false
+	}
+	if sc.eat(']') {
+		return true
+	}
+	for elem() {
+		if sc.eat(']') {
+			return true
+		}
+		if !sc.eat(',') {
+			return false
+		}
+	}
+	return false
+}
+
+// object reads an object whose keys are among keys, each at most once,
+// calling field with the key to read its value.
+func (sc *scanner) object(keys []string, field func(key string) bool) bool {
+	if !sc.eat('{') {
+		return false
+	}
+	if sc.eat('}') {
+		return true
+	}
+	var seen uint
+	for {
+		key, ok := sc.str()
+		k := slices.Index(keys, key)
+		if !ok || k < 0 || seen&(1<<k) != 0 || !sc.eat(':') || !field(key) {
+			return false
+		}
+		seen |= 1 << k
+		if sc.eat('}') {
+			return true
+		}
+		if !sc.eat(',') {
+			return false
+		}
+	}
 }
