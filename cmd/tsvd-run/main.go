@@ -43,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/config"
@@ -148,24 +147,10 @@ func run() int {
 	if store != nil {
 		storeTotals = store.Totals()
 	}
-	if storeTracer != nil {
-		// The store's fetch/publish/fallback events join the detector
-		// traces as their own pseudo-module, so trace.Summary.Check can
-		// reconcile them against summary.store.
-		tot := storeTracer.Totals()
-		out.Traces = append(out.Traces, trace.ModuleTrace{
-			Module: "trapstore", Events: storeTracer.Drain(),
-			Emitted: tot.Emitted, Dropped: tot.Dropped,
-		})
-		out.TraceTotals.Emitted += tot.Emitted
-		out.TraceTotals.Dropped += tot.Dropped
-		out.TraceTotals.Buffered += tot.Buffered
-	}
-
 	var metrics *trace.Metrics
 	if *traceDir != "" {
 		var err error
-		metrics, err = writeTrace(*traceDir, algo.String(), *modules, *runs, out, storeTotals)
+		metrics, err = harness.WriteTrace(*traceDir, *modules, out, store, storeTracer)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tsvd-run: %v\n", err)
 			return 1
@@ -267,67 +252,4 @@ func buildStore(serverURL, filePath string, tracer *trace.Tracer) trapstore.Trap
 	default:
 		return nil
 	}
-}
-
-// writeTrace drains the run's event traces into dir: events.jsonl (one event
-// per line, all module runs concatenated), metrics.json (the per-location
-// aggregate) and summary.json (producer-side accounting for trace.Summary.Check).
-func writeTrace(dir, tool string, modules, runs int, out *harness.Outcome,
-	storeTotals trace.StoreTotals) (*trace.Metrics, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace dir: %w", err)
-	}
-
-	events, err := os.Create(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	var drained int64
-	for _, mt := range out.Traces {
-		if err := trace.WriteJSONL(events, mt, out.Sites); err != nil {
-			events.Close()
-			return nil, err
-		}
-		drained += int64(len(mt.Events))
-	}
-	if err := events.Close(); err != nil {
-		return nil, err
-	}
-
-	metrics := trace.Aggregate(out.Traces)
-	mf, err := os.Create(filepath.Join(dir, "metrics.json"))
-	if err != nil {
-		return nil, err
-	}
-	if err := metrics.WriteJSON(mf); err != nil {
-		mf.Close()
-		return nil, err
-	}
-	if err := mf.Close(); err != nil {
-		return nil, err
-	}
-
-	sum := trace.Summary{
-		Version:  trace.SchemaVersion,
-		Tool:     tool,
-		Modules:  modules,
-		Runs:     runs,
-		Emitted:  out.TraceTotals.Emitted,
-		Dropped:  out.TraceTotals.Dropped,
-		Drained:  drained,
-		ByKind:   trace.CountByKind(out.Traces),
-		Stats:    out.TraceStatTotals(),
-		Store:    storeTotals,
-		Overhead: out.TraceOverhead(),
-		Sites:    trace.SiteTable(out.Sites),
-	}
-	sf, err := os.Create(filepath.Join(dir, "summary.json"))
-	if err != nil {
-		return nil, err
-	}
-	if err := sum.WriteSummary(sf); err != nil {
-		sf.Close()
-		return nil, err
-	}
-	return metrics, sf.Close()
 }

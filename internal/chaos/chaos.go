@@ -16,9 +16,10 @@
 //   - The Fallback contract: each healthy shard's local trap file holds
 //     exactly the union of that shard's published sets — no pair a run
 //     discovered is ever lost, daemon up or down.
-//   - Exact observability: every shard run's trace events reconcile against
-//     its detector Stats and store totals (the trace.Reconcile rule,
-//     in-process), and its exported metrics series match the same counters
+//   - Exact observability: every shard run's trace directory, written by
+//     harness.WriteTrace as tsvd-run writes it, passes trace.CheckDir — its
+//     events reconcile against the summary, the detector Stats and the store
+//     totals — and its exported metrics series match the same counters
 //     (core.CheckCounters).
 //   - Converge equality: after a converge — the daemon restarted if down,
 //     corrupt files healed, every shard file pushed, the daemon's set pulled

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -192,7 +191,7 @@ func (f *fleet) apply(act int, a action, m *model) *Violation {
 // runShard executes one CI shard run through the full production stack —
 // harness, Fallback(HTTPStore, FileStore), tracer, metrics — then applies
 // the in-process oracles: store-error classification, ground-truth
-// containment, exact trace reconciliation (the trace.Reconcile rule) and
+// containment, exact trace reconciliation (trace.CheckDir) and
 // exact metrics reconciliation (core.CheckCounters plus the store wire
 // totals) — and folds the observed outcome into the model.
 func (f *fleet) runShard(act int, a action, m *model) *Violation {
@@ -242,28 +241,17 @@ func (f *fleet) runShard(act int, a action, m *model) *Violation {
 				a.shard, len(out.UnknownPairs)), nil)
 	}
 
-	// Oracle 2: exact trace reconciliation — serialize every drained event
-	// (detector modules plus the store pseudo-module) to JSONL, validate the
-	// schema, and reconcile counts against Stats and store totals, exactly
-	// as tsvd-triage does for tsvd-run output.
-	stTot := storeTracer.Totals()
-	traces := append(append([]trace.ModuleTrace{}, out.Traces...), trace.ModuleTrace{
-		Module: "trapstore", Events: storeTracer.Drain(),
-		Emitted: stTot.Emitted, Dropped: stTot.Dropped,
-	})
-	var buf bytes.Buffer
-	for _, mt := range traces {
-		if err := trace.WriteJSONL(&buf, mt, out.Sites); err != nil {
-			return violation(act, "trace-schema", fmt.Sprintf("serializing trace: %v", err), nil)
-		}
+	// Oracle 2: exact trace reconciliation — write the trace directory
+	// exactly as tsvd-run -trace does (detector modules plus the store
+	// pseudo-module) and check it exactly as tsvd-triage does: schema,
+	// per-kind counts against the summary, and every count against the
+	// detector and store counters.
+	traceDir := filepath.Join(f.dir, "trace")
+	if _, err := harness.WriteTrace(traceDir, a.modules, out, store, storeTracer); err != nil {
+		return violation(act, "trace-write", fmt.Sprintf("writing trace: %v", err), nil)
 	}
-	m.storeTail = storeTraceTail(&buf)
-	counts, err := trace.ValidateJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return violation(act, "trace-schema", err.Error(), nil)
-	}
-	dropped := out.TraceTotals.Dropped + stTot.Dropped
-	if err := trace.Reconcile(counts, out.TraceStatTotals(), fbTotals, dropped); err != nil {
+	m.storeTail = storeTraceTail(filepath.Join(traceDir, "events.jsonl"))
+	if _, _, err := trace.CheckDir(traceDir); err != nil {
 		return violation(act, "trace-reconcile", err.Error(), nil)
 	}
 
@@ -311,11 +299,12 @@ func (f *fleet) runShard(act int, a action, m *model) *Violation {
 	return nil
 }
 
-// storeTraceTail extracts the trailing trapstore-module lines of a JSONL
-// buffer for the explanation slice.
-func storeTraceTail(buf *bytes.Buffer) []string {
+// storeTraceTail extracts the trailing trapstore-module lines of an
+// events.jsonl for the explanation slice.
+func storeTraceTail(path string) []string {
+	data, _ := os.ReadFile(path) // an unreadable file fails trace.CheckDir next
 	var tail []string
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(string(data), "\n") {
 		if strings.Contains(line, `"module":"trapstore"`) || strings.Contains(line, `"trapstore"`) {
 			tail = append(tail, "store event: "+line)
 		}

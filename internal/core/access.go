@@ -163,24 +163,13 @@ type Stats struct {
 	NearMissGaps GapHistogram
 }
 
-// Add folds o into s, field by field: the one place suite totals and the
-// /metrics sums are built from, so a counter missing here is missing
-// everywhere (TestStatsAddCoversEveryField keeps it complete).
+// Add folds o into s: every StatCounters row, then the gap histogram. Suite
+// totals and the /metrics sums are built here (TestStatCountersCoverEveryField
+// keeps the table complete).
 func (s *Stats) Add(o Stats) {
-	s.OnCalls += o.OnCalls
-	s.DelaysInjected += o.DelaysInjected
-	s.TotalDelay += o.TotalDelay
-	s.NearMisses += o.NearMisses
-	s.PairsAdded += o.PairsAdded
-	s.PairsPrunedHB += o.PairsPrunedHB
-	s.PairsPrunedDecay += o.PairsPrunedDecay
-	s.Violations += o.Violations
-	s.LocationsSeen += o.LocationsSeen
-	s.LocationsSeenConcurrent += o.LocationsSeenConcurrent
-	s.SequentialSkips += o.SequentialSkips
-	s.CallsSampledOut += o.CallsSampledOut
-	s.DelaysSuppressed += o.DelaysSuppressed
-	s.SamplerThrottles += o.SamplerThrottles
+	for i := range StatCounters {
+		*StatCounters[i].In(s) += *StatCounters[i].In(&o)
+	}
 	s.NearMissGaps.Add(o.NearMissGaps)
 }
 

@@ -158,7 +158,7 @@ func (r *runtime) leave(st *threadState) {
 // as time charged per second of wall time.
 func (r *runtime) sampleTick(now time.Duration) {
 	if adj, ok := r.samp.Tick(now + r.sampBase); ok {
-		r.stats.samplerThrottles.Add(1)
+		r.stats.count[statSamplerThrottles].Add(1)
 		r.tr.Emit(trace.KindSamplerThrottle, 0, 0, r.samplerOp, 0, now,
 			time.Duration(adj.Observed*float64(time.Second)))
 	}

@@ -177,7 +177,7 @@ func TestPerSiteFractionsThroughOnCall(t *testing.T) {
 	// Two hours pass: whatever was charged is negligible, so the tick doubles
 	// the probability (the step clamp) and rebalances the sites.
 	clk.at.Store(int64(2 * time.Hour))
-	for i := 0; rt.stats.samplerThrottles.Load() == 0; i++ {
+	for i := 0; rt.stats.count[statSamplerThrottles].Load() == 0; i++ {
 		if i > 2*sampler.MaxSkip {
 			t.Fatal("no goroutine offered the controller its tick within a block")
 		}
@@ -211,8 +211,8 @@ func TestPerSiteFractionsThroughOnCall(t *testing.T) {
 	if frac[hot] > 0.15 {
 		t.Errorf("hot site analysed at %.3f, cold sites at %.3f: fairness should cut it to about 0.4/4.6", frac[hot], frac[2])
 	}
-	if rt.stats.samplerThrottles.Load() != 1 {
-		t.Fatalf("%d ticks ran; the measurement assumes one", rt.stats.samplerThrottles.Load())
+	if rt.stats.count[statSamplerThrottles].Load() != 1 {
+		t.Fatalf("%d ticks ran; the measurement assumes one", rt.stats.count[statSamplerThrottles].Load())
 	}
 }
 
@@ -272,7 +272,7 @@ func TestTickReachesEveryGoroutineWithinABlock(t *testing.T) {
 	// every goroutine must be drawing at weight 2 within one block.
 	rt.samp.ObserveCost(time.Hour)
 	clk.at.Store(int64(20 * time.Second))
-	for i := 0; rt.stats.samplerThrottles.Load() < 2; i++ {
+	for i := 0; rt.stats.count[statSamplerThrottles].Load() < 2; i++ {
 		if i > 2*sampler.CappedSkip {
 			t.Fatal("goroutine 1 did not offer the controller its tick within a block")
 		}

@@ -85,7 +85,7 @@ func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, park); got != 0 {
 		t.Fatalf("an unsprung delay costs %v allocations", got)
 	}
-	if n := rt.stats.delaysInjected.Load(); n != runs+2 {
+	if n := rt.stats.count[statDelaysInjected].Load(); n != runs+2 {
 		t.Fatalf("%d delays injected, want %d: the measured path did not sleep", n, runs+2)
 	}
 }

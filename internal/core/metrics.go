@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sampler"
+	"repro/internal/trace"
 )
 
 // DetectorMetrics exports live detector state into a metrics.Registry
@@ -45,58 +47,128 @@ type DetectorMetrics struct {
 	sets []trapSetSizer
 }
 
-// StatCounter ties one Stats counter to the series it is exported as.
+// stat indexes StatCounters and the runtime's counter array.
+type stat int
+
+const (
+	statOnCalls stat = iota
+	statDelaysInjected
+	statTotalDelay
+	statNearMisses
+	statPairsAdded
+	statPairsPrunedHB
+	statPairsPrunedDecay
+	statViolations
+	statLocationsSeen
+	statLocationsSeenConcurrent
+	statSequentialSkips
+	statCallsSampledOut
+	statDelaysSuppressed
+	statSamplerThrottles
+	numStats
+)
+
+// StatCounter is one Stats counter: the field it is, the series it is
+// exported as, and the trace event kinds that count it.
 type StatCounter struct {
 	Series, Help string
-	Value        func(Stats) float64
+	// Field is the counter's offset in a Stats (every counter is 64 bits
+	// wide). An offset rather than an accessor function: a Stats handed to
+	// an indirect call escapes to the heap, and Stats.Add and the runtime's
+	// snapshot run once per module run.
+	Field uintptr
+	// Seconds marks a time.Duration counter, exported in seconds.
+	Seconds bool
+	// Mirrors are the event kinds emitted exactly once per unit of the
+	// counter, so a loss-free trace holds exactly that many of each.
+	Mirrors []trace.Kind
 }
 
-// StatCounters lists every Stats counter with its exported series: the one
-// table NewDetectorMetrics registers from and CheckCounters reconciles
-// against.
-var StatCounters = []StatCounter{
-	{"tsvd_detector_on_calls_total",
-		"Instrumented thread-unsafe calls observed.",
-		func(s Stats) float64 { return float64(s.OnCalls) }},
-	{"tsvd_detector_delays_injected_total",
-		"Injected delays (trap set and slept).",
-		func(s Stats) float64 { return float64(s.DelaysInjected) }},
-	{"tsvd_detector_delay_seconds_total",
-		"Cumulative injected delay time.",
-		func(s Stats) float64 { return s.TotalDelay.Seconds() }},
-	{"tsvd_detector_near_misses_total",
-		"Dangerous-pair sightings within the near-miss window.",
-		func(s Stats) float64 { return float64(s.NearMisses) }},
-	{"tsvd_detector_pairs_added_total",
-		"Unique pairs ever added to the trap set.",
-		func(s Stats) float64 { return float64(s.PairsAdded) }},
-	{"tsvd_detector_pairs_pruned_hb_total",
-		"Pairs pruned by happens-before inference or analysis.",
-		func(s Stats) float64 { return float64(s.PairsPrunedHB) }},
-	{"tsvd_detector_pairs_pruned_decay_total",
-		"Pairs pruned by probability decay.",
-		func(s Stats) float64 { return float64(s.PairsPrunedDecay) }},
-	{"tsvd_detector_violations_total",
-		"Thread-safety violations caught red-handed (pre-dedup).",
-		func(s Stats) float64 { return float64(s.Violations) }},
-	{"tsvd_detector_locations_seen_total",
-		"Distinct static TSVD points executed.",
-		func(s Stats) float64 { return float64(s.LocationsSeen) }},
-	{"tsvd_detector_locations_seen_concurrent_total",
-		"Distinct TSVD points executed during a concurrent phase.",
-		func(s Stats) float64 { return float64(s.LocationsSeenConcurrent) }},
-	{"tsvd_detector_sequential_skips_total",
-		"Near-miss candidates discarded in sequential phases.",
-		func(s Stats) float64 { return float64(s.SequentialSkips) }},
-	{"tsvd_sampler_calls_sampled_out_total",
-		"Instrumented calls skipped by the sampling gate (ModeSampled).",
-		func(s Stats) float64 { return float64(s.CallsSampledOut) }},
-	{"tsvd_sampler_delays_suppressed_total",
-		"Delays vetoed by observe-only mode (logical trap firings).",
-		func(s Stats) float64 { return float64(s.DelaysSuppressed) }},
-	{"tsvd_sampler_throttles_total",
-		"Adaptive-sampling controller adjustments toward the overhead target.",
-		func(s Stats) float64 { return float64(s.SamplerThrottles) }},
+// In returns the counter's field in s.
+func (c *StatCounter) In(s *Stats) *int64 {
+	return (*int64)(unsafe.Add(unsafe.Pointer(s), c.Field))
+}
+
+// Value reads the counter from s in its series' unit.
+func (c *StatCounter) Value(s Stats) float64 {
+	v := *c.In(&s)
+	if c.Seconds {
+		return time.Duration(v).Seconds()
+	}
+	return float64(v)
+}
+
+// StatCounters is the one place the detector's counter set is decided: Stats.Add
+// sums these rows, the runtime counts into an array indexed by their stat,
+// NewDetectorMetrics registers them, CheckCounters reconciles against them and
+// Stats.TraceExpectations turns their Mirrors into a trace summary's expected
+// counts. Adding a counter is a Stats field, a row and its increment sites.
+var StatCounters = [numStats]StatCounter{
+	statOnCalls: {Series: "tsvd_detector_on_calls_total",
+		Help:  "Instrumented thread-unsafe calls observed.",
+		Field: unsafe.Offsetof(Stats{}.OnCalls)},
+	statDelaysInjected: {Series: "tsvd_detector_delays_injected_total",
+		Help:    "Injected delays (trap set and slept).",
+		Field:   unsafe.Offsetof(Stats{}.DelaysInjected),
+		Mirrors: []trace.Kind{trace.KindTrapSet, trace.KindDelayInjected}},
+	statTotalDelay: {Series: "tsvd_detector_delay_seconds_total",
+		Help:    "Cumulative injected delay time.",
+		Field:   unsafe.Offsetof(Stats{}.TotalDelay),
+		Seconds: true},
+	statNearMisses: {Series: "tsvd_detector_near_misses_total",
+		Help:    "Dangerous-pair sightings within the near-miss window.",
+		Field:   unsafe.Offsetof(Stats{}.NearMisses),
+		Mirrors: []trace.Kind{trace.KindNearMiss}},
+	statPairsAdded: {Series: "tsvd_detector_pairs_added_total",
+		Help:    "Unique pairs ever added to the trap set.",
+		Field:   unsafe.Offsetof(Stats{}.PairsAdded),
+		Mirrors: []trace.Kind{trace.KindPairAdded}},
+	statPairsPrunedHB: {Series: "tsvd_detector_pairs_pruned_hb_total",
+		Help:    "Pairs pruned by happens-before inference or analysis.",
+		Field:   unsafe.Offsetof(Stats{}.PairsPrunedHB),
+		Mirrors: []trace.Kind{trace.KindPairPrunedHB}},
+	statPairsPrunedDecay: {Series: "tsvd_detector_pairs_pruned_decay_total",
+		Help:    "Pairs pruned by probability decay.",
+		Field:   unsafe.Offsetof(Stats{}.PairsPrunedDecay),
+		Mirrors: []trace.Kind{trace.KindPairPrunedDecay}},
+	statViolations: {Series: "tsvd_detector_violations_total",
+		Help:    "Thread-safety violations caught red-handed (pre-dedup).",
+		Field:   unsafe.Offsetof(Stats{}.Violations),
+		Mirrors: []trace.Kind{trace.KindTrapSprung}},
+	statLocationsSeen: {Series: "tsvd_detector_locations_seen_total",
+		Help:  "Distinct static TSVD points executed.",
+		Field: unsafe.Offsetof(Stats{}.LocationsSeen)},
+	statLocationsSeenConcurrent: {Series: "tsvd_detector_locations_seen_concurrent_total",
+		Help:  "Distinct TSVD points executed during a concurrent phase.",
+		Field: unsafe.Offsetof(Stats{}.LocationsSeenConcurrent)},
+	statSequentialSkips: {Series: "tsvd_detector_sequential_skips_total",
+		Help:  "Near-miss candidates discarded in sequential phases.",
+		Field: unsafe.Offsetof(Stats{}.SequentialSkips)},
+	statCallsSampledOut: {Series: "tsvd_sampler_calls_sampled_out_total",
+		Help:  "Instrumented calls skipped by the sampling gate (ModeSampled).",
+		Field: unsafe.Offsetof(Stats{}.CallsSampledOut)},
+	statDelaysSuppressed: {Series: "tsvd_sampler_delays_suppressed_total",
+		Help:    "Delays vetoed by observe-only mode (logical trap firings).",
+		Field:   unsafe.Offsetof(Stats{}.DelaysSuppressed),
+		Mirrors: []trace.Kind{trace.KindDelaySuppressed}},
+	statSamplerThrottles: {Series: "tsvd_sampler_throttles_total",
+		Help:    "Adaptive-sampling controller adjustments toward the overhead target.",
+		Field:   unsafe.Offsetof(Stats{}.SamplerThrottles),
+		Mirrors: []trace.Kind{trace.KindSamplerThrottle}},
+}
+
+// TraceExpectations returns the count s gives each event kind a StatCounters
+// row mirrors: the detector's half of a trace summary's expectations
+// (trace.Summary.Expected).
+func (s Stats) TraceExpectations() map[string]int64 {
+	want := map[string]int64{}
+	for i := range StatCounters {
+		c := &StatCounters[i]
+		for _, k := range c.Mirrors {
+			want[k.String()] = *c.In(&s)
+		}
+	}
+	return want
 }
 
 // CheckCounters reconciles a scrape against st exactly: every StatCounters
@@ -112,8 +184,8 @@ func CheckCounters(scraped map[string]float64, st Stats) error {
 			errs = append(errs, fmt.Errorf("%s = %v, Stats say %v", series, got, want))
 		}
 	}
-	for _, c := range StatCounters {
-		check(c.Series, c.Value(st))
+	for i := range StatCounters {
+		check(StatCounters[i].Series, StatCounters[i].Value(st))
 	}
 	check("tsvd_detector_near_miss_gap_seconds_count", float64(st.NearMisses))
 	check("tsvd_detector_granted_delay_seconds_count", float64(st.DelaysInjected))
@@ -145,7 +217,8 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 			"Trap-set size observed at each pair insertion.",
 			1, metrics.ExpBounds(1, 2, 11)),
 	}
-	for _, c := range StatCounters {
+	for i := range StatCounters {
+		c := &StatCounters[i]
 		reg.CounterFunc(c.Series, c.Help, func() float64 { return c.Value(m.sum()) })
 	}
 	reg.CounterFunc("tsvd_trace_emitted_total",
@@ -303,8 +376,8 @@ func (m *DetectorMetrics) instances() int {
 }
 
 // observeGap records one near-miss gap (0 for TSVDHB, which proves
-// concurrency by clocks rather than time windows). Nil-safe; co-located
-// with every stats.nearMisses increment.
+// concurrency by clocks rather than time windows). Nil-safe; called by
+// runtime.nearMiss only.
 func (m *DetectorMetrics) observeGap(d time.Duration) {
 	if m == nil {
 		return

@@ -10,6 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // TestDetectorMetricsReconcileWithStats is the in-package version of the
@@ -102,12 +103,13 @@ func statLeaves(t *testing.T, st *Stats) (leaves []reflect.Value, names []string
 	return leaves, names
 }
 
-// TestStatsAddCoversEveryField: Stats.Add is the one place suite totals and
-// the /metrics sums are built from, so a counter it skips is silently dropped
-// everywhere. Populate every numeric leaf of a Stats with a distinct value
-// and require Add to double each one; and require every scalar counter to
-// have a StatCounters row, or it would never reach /metrics.
-func TestStatsAddCoversEveryField(t *testing.T) {
+// TestStatCountersCoverEveryField: StatCounters is the one table the counter
+// set is decided in, so every scalar Stats field must be exactly one row's
+// Field — a field with no row never reaches Stats.Add, the runtime's snapshot,
+// /metrics or a trace summary, and one with two is counted twice. Stats.Add
+// must then double every numeric leaf, histogram buckets included, and no
+// event kind may mirror two counters.
+func TestStatCountersCoverEveryField(t *testing.T) {
 	var full Stats
 	leaves, names := statLeaves(t, &full)
 	for i, f := range leaves {
@@ -122,19 +124,35 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		}
 	}
 
+	rows := 0
 	for i := range leaves {
 		if strings.Contains(names[i], "[") {
 			continue // histogram buckets are exported as a histogram, not a counter
 		}
+		rows++
 		var one Stats
 		only, _ := statLeaves(t, &one)
 		only[i].SetInt(int64(time.Second))
-		exported := false
+		n := 0
 		for _, c := range StatCounters {
-			exported = exported || c.Value(one) != 0
+			if *c.In(&one) != 0 {
+				n++
+			}
 		}
-		if !exported {
-			t.Errorf("Stats.%s has no StatCounters row; it would never reach /metrics", names[i])
+		if n != 1 {
+			t.Errorf("Stats.%s is the Field of %d StatCounters rows, want 1", names[i], n)
+		}
+	}
+	if rows != len(StatCounters) {
+		t.Errorf("Stats has %d counters, StatCounters %d rows", rows, len(StatCounters))
+	}
+	mirrored := map[trace.Kind]string{}
+	for _, c := range StatCounters {
+		for _, k := range c.Mirrors {
+			if prev, ok := mirrored[k]; ok {
+				t.Errorf("%s mirrors both %s and %s", k, prev, c.Series)
+			}
+			mirrored[k] = c.Series
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -124,19 +127,72 @@ func TestTracedDetectorEventsMatchStats(t *testing.T) {
 	if tot.Dropped != 0 {
 		t.Fatalf("%d events dropped with default buffer", tot.Dropped)
 	}
-	counts := trace.CountByKind([]trace.ModuleTrace{{Events: events}})
-	st := d.Stats()
-	if err := trace.Reconcile(counts, trace.StatTotals{
-		DelaysInjected:   st.DelaysInjected,
-		NearMisses:       st.NearMisses,
-		PairsAdded:       st.PairsAdded,
-		PairsPrunedHB:    st.PairsPrunedHB,
-		PairsPrunedDecay: st.PairsPrunedDecay,
-		Violations:       st.Violations,
-	}, trace.StoreTotals{}, tot.Dropped); err != nil {
+	mods := []trace.ModuleTrace{{Module: "m", Run: 1, Events: events}}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, mods[0], d.Sites()); err != nil {
 		t.Fatal(err)
 	}
-	if counts["near_miss"] == 0 {
+	jes, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := trace.Summary{
+		Drained:  int64(len(jes)),
+		Dropped:  tot.Dropped,
+		ByKind:   trace.CountByKind(mods),
+		Expected: d.Stats().TraceExpectations(),
+	}
+	if _, err := sum.Check(jes); err != nil {
+		t.Fatal(err)
+	}
+	if sum.ByKind["near_miss"] == 0 {
 		t.Fatal("conflicting workload produced no near misses")
+	}
+}
+
+// TestSummaryCheckCatchesEveryOffByOne is the negative control of the trace
+// accounting contract: on a trace that matches its summary exactly, moving
+// any one expected count by one — of every kind a StatCounters row mirrors,
+// and of every store kind — must fail Summary.Check, naming that kind. Which
+// counter each kind mirrors is pinned here by name, independently of the
+// table.
+func TestSummaryCheckCatchesEveryOffByOne(t *testing.T) {
+	st := Stats{
+		OnCalls: 1, DelaysInjected: 2, TotalDelay: 3, NearMisses: 4,
+		PairsAdded: 5, PairsPrunedHB: 6, PairsPrunedDecay: 7, Violations: 8,
+		LocationsSeen: 9, LocationsSeenConcurrent: 10, SequentialSkips: 11,
+		CallsSampledOut: 12, DelaysSuppressed: 13, SamplerThrottles: 14,
+	}
+	want := map[string]int64{
+		"trap_set": 2, "delay_injected": 2, "near_miss": 4, "pair_added": 5,
+		"pair_pruned_hb": 6, "pair_pruned_decay": 7, "trap_sprung": 8,
+		"delay_suppressed": 13, "sampler_throttle": 14,
+		"store_fetch": 15, "store_publish": 16, "store_fallback": 17,
+	}
+	expected := st.TraceExpectations()
+	trace.StoreTotals{Fetches: 15, Publishes: 16, Fallbacks: 17}.Expect(expected)
+	if !maps.Equal(expected, want) {
+		t.Fatalf("expected counts %v, want %v", expected, want)
+	}
+
+	var jes []trace.JSONEvent
+	for kind, n := range want {
+		for range n {
+			jes = append(jes, trace.JSONEvent{Ev: kind})
+		}
+	}
+	sum := trace.Summary{Drained: int64(len(jes)), ByKind: want, Expected: expected}
+	if _, err := sum.Check(jes); err != nil {
+		t.Fatalf("exact trace rejected: %v", err)
+	}
+	for kind := range want {
+		for _, delta := range []int64{-1, 1} {
+			off := sum
+			off.Expected = maps.Clone(expected)
+			off.Expected[kind] += delta
+			if _, err := off.Check(jes); err == nil || !strings.Contains(err.Error(), kind+" events") {
+				t.Errorf("%s expected off by %+d: Check = %v", kind, delta, err)
+			}
+		}
 	}
 }

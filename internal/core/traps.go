@@ -719,7 +719,7 @@ func (r *runtime) checkForTraps(os *objState, a *Access) []report.PairKey {
 		if t.access.Thread == a.Thread || !Conflicts(t.access.Kind, a.Kind) {
 			continue
 		}
-		r.stats.violations.Add(1)
+		r.stats.count[statViolations].Add(1)
 		// Both sides' program counters share one array, both stacks one string.
 		pcs := make([]uintptr, t.depth+stackDepth)
 		copy(pcs, t.pcs[:t.depth])
@@ -785,7 +785,7 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept
 	// delays" claim checkable: DelaysInjected stays 0 while
 	// DelaysSuppressed counts the trap firings that would have happened.
 	if r.mode == config.ModeObserveOnly {
-		r.stats.delaysSuppressed.Add(1)
+		r.stats.count[statDelaysSuppressed].Add(1)
 		r.tr.Emit(trace.KindDelaySuppressed, a.Thread, a.Obj, a.Op, 0, r.now(), d)
 		return 0, false, false
 	}
@@ -811,7 +811,7 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept
 	os.traps = append(os.traps, t)
 	os.mu.Unlock()
 	r.parked.Add(1)
-	r.stats.delaysInjected.Add(1)
+	r.stats.count[statDelaysInjected].Add(1)
 	r.met.observeDelay(grant)
 	r.tr.Emit(trace.KindTrapSet, a.Thread, a.Obj, a.Op, 0, r.now(), grant)
 
@@ -827,7 +827,7 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept
 	if slept > grant {
 		slept = grant
 	}
-	r.stats.totalDelay.Add(int64(slept))
+	r.stats.count[statTotalDelay].Add(int64(slept))
 	if r.samp != nil {
 		r.samp.ObserveDelay(slept)
 	}
@@ -877,11 +877,11 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 		var created bool
 		c, created = r.covered.GetOrInit(int64(op), nil)
 		if created {
-			r.stats.locationsSeen.Add(1)
+			r.stats.count[statLocationsSeen].Add(1)
 		}
 	}
 	if want&coverConcurrent != 0 && !c.concurrent.Load() && c.concurrent.CompareAndSwap(false, true) {
-		r.stats.locationsSeenConcurrent.Add(1)
+		r.stats.count[statLocationsSeenConcurrent].Add(1)
 	}
 	// Then the dense fast-path flags. All stores (and growth) happen under
 	// coverMu, so a grow-copy can never lose a concurrent flag transition;
@@ -930,52 +930,41 @@ func (r *runtime) snapshotStats() Stats {
 	return st
 }
 
-// atomicStats is the runtime's contention-free mirror of Stats: every
-// counter is an atomic, so the hot path never serializes on a statistics
-// lock and Stats() can snapshot without stopping the world. Counters
-// incremented from inside a racing OnCall are exact — atomics lose nothing
-// — only the cross-counter consistency of a snapshot is relaxed.
+// atomicStats is the runtime's contention-free mirror of Stats: one atomic
+// per StatCounters row, indexed by its stat, and one per gap-histogram
+// bucket. The hot path never serializes on a statistics lock and Stats() can
+// snapshot without stopping the world. Counters incremented from inside a
+// racing OnCall are exact — atomics lose nothing — only the cross-counter
+// consistency of a snapshot is relaxed. OnCalls and CallsSampledOut are
+// counted in thread and object state instead (snapshotStats), so their slots
+// stay zero.
 type atomicStats struct {
-	delaysInjected          atomic.Int64
-	totalDelay              atomic.Int64 // nanoseconds
-	nearMisses              atomic.Int64
-	pairsAdded              atomic.Int64
-	pairsPrunedHB           atomic.Int64
-	pairsPrunedDecay        atomic.Int64
-	violations              atomic.Int64
-	locationsSeen           atomic.Int64
-	locationsSeenConcurrent atomic.Int64
-	sequentialSkips         atomic.Int64
-	delaysSuppressed        atomic.Int64
-	samplerThrottles        atomic.Int64
-	nearMissGaps            [len(GapHistogram{})]atomic.Int64
-}
-
-// observeGap adds one near-miss gap to the histogram.
-func (s *atomicStats) observeGap(d time.Duration) {
-	s.nearMissGaps[gapBucket(d)].Add(1)
+	count [numStats]atomic.Int64
+	gaps  [len(GapHistogram{})]atomic.Int64
 }
 
 // snapshot copies the atomics into the public Stats struct.
 func (s *atomicStats) snapshot() Stats {
-	st := Stats{
-		DelaysInjected:          s.delaysInjected.Load(),
-		TotalDelay:              time.Duration(s.totalDelay.Load()),
-		NearMisses:              s.nearMisses.Load(),
-		PairsAdded:              s.pairsAdded.Load(),
-		PairsPrunedHB:           s.pairsPrunedHB.Load(),
-		PairsPrunedDecay:        s.pairsPrunedDecay.Load(),
-		Violations:              s.violations.Load(),
-		LocationsSeen:           s.locationsSeen.Load(),
-		LocationsSeenConcurrent: s.locationsSeenConcurrent.Load(),
-		SequentialSkips:         s.sequentialSkips.Load(),
-		DelaysSuppressed:        s.delaysSuppressed.Load(),
-		SamplerThrottles:        s.samplerThrottles.Load(),
+	var st Stats
+	for i := range StatCounters {
+		*StatCounters[i].In(&st) = s.count[i].Load()
 	}
 	for i := range st.NearMissGaps {
-		st.NearMissGaps[i] = s.nearMissGaps[i].Load()
+		st.NearMissGaps[i] = s.gaps[i].Load()
 	}
 	return st
+}
+
+// nearMiss records one near miss of a against an earlier access at op prev,
+// gap apart (0 for TSVDHB, which proves concurrency by clocks rather than
+// time windows): the counter, the Stats and metrics gap histograms and the
+// event, which is stamped at. Every variant records a near miss through here
+// and nowhere else.
+func (r *runtime) nearMiss(a *Access, prev ids.OpID, at, gap time.Duration) {
+	r.stats.count[statNearMisses].Add(1)
+	r.stats.gaps[gapBucket(gap)].Add(1)
+	r.met.observeGap(gap)
+	r.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, prev, a.Op, at, gap)
 }
 
 // phaseRing is the concurrent-phase detector of §3.4.3. The paper keeps a

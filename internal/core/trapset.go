@@ -107,7 +107,7 @@ func (s *trapSet) add(key report.PairKey, stats *atomicStats, met *DetectorMetri
 	}
 	s.pairs[key] = true
 	n := s.live.Add(1)
-	stats.pairsAdded.Add(1)
+	stats.count[statPairsAdded].Add(1)
 	met.observeOccupancy(int(n))
 	for _, loc := range endpoints(key) {
 		l := s.locs[loc]
@@ -216,7 +216,7 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 		for vl := s.locs[v]; vl.live.n > 0; vl = s.locs[v] {
 			key := vl.live.at(vl.live.n - 1)
 			s.suppressLocked(key)
-			stats.pairsPrunedDecay.Add(1)
+			stats.count[statPairsPrunedDecay].Add(1)
 			tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
 		}
 	}

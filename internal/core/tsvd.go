@@ -369,13 +369,10 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 				continue
 			}
 			if !concurrent {
-				rt.stats.sequentialSkips.Add(1)
+				rt.stats.count[statSequentialSkips].Add(1)
 				continue
 			}
-			rt.stats.nearMisses.Add(1)
-			rt.stats.observeGap(gap)
-			rt.met.observeGap(gap)
-			rt.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, e.op, a.Op, t, gap)
+			rt.nearMiss(&a, e.op, t, gap)
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 		h.add(rec)
@@ -459,7 +456,7 @@ func (d *TSVD) pruneHB(from ids.OpID, a Access, t time.Duration) {
 		return
 	}
 	if d.set.suppress(key) {
-		d.rt.stats.pairsPrunedHB.Add(1)
+		d.rt.stats.count[statPairsPrunedHB].Add(1)
 		d.rt.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, t, 0)
 	}
 }

@@ -578,7 +578,7 @@ func (c *stepClock) Sleep(d time.Duration, _ <-chan struct{}) (time.Duration, bo
 // than its own (the other thread read its clock later but locked first). The
 // gap between the two accesses is then |t - e.at|; a negative gap used to
 // leak into the window test, both gap histograms and the near_miss event's
-// Dur (which trace.ValidateJSONL rejects).
+// Dur (which trace.ReadJSONL rejects).
 func TestNearMissGapIsAbsolute(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.DisablePhaseDetection = true // every access counts as concurrent

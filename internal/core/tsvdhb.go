@@ -150,20 +150,20 @@ func (d *TSVDHB) OnCall(a Access) {
 				// dangerous pair. The clock read for the event is taken only
 				// when tracing is on and a prune actually fires — the
 				// conflict-free fast path never reads the clock at all.
-				rt.stats.pairsPrunedHB.Add(1)
+				rt.stats.count[statPairsPrunedHB].Add(1)
 				if rt.tr != nil {
 					key := report.KeyOf(e.op, a.Op)
 					rt.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, rt.now(), 0)
 				}
 				continue
 			}
-			rt.stats.nearMisses.Add(1)
-			rt.met.observeGap(0) // no gap notion: clocks, not time windows
+			// No gap notion (clocks, not time windows): the gap is 0, and the
+			// clock is read for the event only when tracing is on.
+			var at time.Duration
 			if rt.tr != nil {
-				// TSVDHB has no gap notion (concurrency is proven by clocks,
-				// not time windows); the near-miss event carries Dur 0.
-				rt.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, e.op, a.Op, rt.now(), 0)
+				at = rt.now()
 			}
+			rt.nearMiss(&a, e.op, at, 0)
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 	}

@@ -73,18 +73,33 @@ func TestDocsLinksResolve(t *testing.T) {
 }
 
 // TestDocsSymbolsExist: every `Config.X` the docs mention is a field or a
-// method of config.Config, and every `tsvd.X` is an exported package-level
-// declaration of the public package — renamed or removed knobs cannot
-// survive in prose.
+// method of config.Config, every `<pkg>.X` — `tsvd.X` for the public package,
+// `trace.X` for internal/trace and so on — is a package-level declaration of
+// that package (its tests included, which docs cite as gates), and every
+// `<pkg>.Type.Member` is a field or method of that type: renamed or removed
+// names cannot survive in prose.
 func TestDocsSymbolsExist(t *testing.T) {
 	configMembers, err := typeMembers(filepath.Join(repoRoot, "internal", "config"), "Config")
 	if err != nil {
 		t.Fatalf("internal/config: %v", err)
 	}
-	publicSymbols, err := packageSymbols(repoRoot)
+	pkgDirs := map[string]string{"tsvd": repoRoot}
+	entries, err := os.ReadDir(filepath.Join(repoRoot, "internal"))
 	if err != nil {
-		t.Fatalf("root package: %v", err)
+		t.Fatal(err)
 	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			pkgDirs[e.Name()] = filepath.Join(repoRoot, "internal", e.Name())
+		}
+	}
+	for name := range pkgDirs {
+		names = append(names, name)
+	}
+	pkgRef := regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(` + strings.Join(names, "|") +
+		`)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Z][A-Za-z0-9_]*))?`)
+	decls := map[string]*pkgDecls{}
 	refs := 0
 	for _, doc := range docFiles(t) {
 		text, rel := readDoc(t, doc)
@@ -94,15 +109,26 @@ func TestDocsSymbolsExist(t *testing.T) {
 				t.Errorf("%s: Config.%s is neither a field nor a method of config.Config", rel, m)
 			}
 		}
-		for _, s := range referenced(text, tsvdRef) {
+		for _, m := range pkgRef.FindAllStringSubmatch(text, -1) {
 			refs++
-			if !publicSymbols[s] {
-				t.Errorf("%s: tsvd.%s is not an exported symbol of the tsvd package", rel, s)
+			pkg, sym, member := m[1], m[2], m[3]
+			d := decls[pkg]
+			if d == nil {
+				if d, err = declsOf(pkgDirs[pkg]); err != nil {
+					t.Fatalf("%s: %v", pkg, err)
+				}
+				decls[pkg] = d
+			}
+			switch {
+			case !d.syms[sym]:
+				t.Errorf("%s: %s.%s is not declared in package %s", rel, pkg, sym, pkg)
+			case member != "" && d.members[sym] != nil && !d.has(sym, member):
+				t.Errorf("%s: %s.%s.%s is neither a field nor a method of %s.%s", rel, pkg, sym, member, pkg, sym)
 			}
 		}
 	}
 	if refs == 0 {
-		t.Fatal("no Config.X or tsvd.X references found; the patterns match nothing")
+		t.Fatal("no Config.X or <pkg>.X references found; the patterns match nothing")
 	}
 }
 
@@ -289,11 +315,10 @@ func slugify(title string) string {
 	return b.String()
 }
 
-// configRef and tsvdRef match symbol references in prose with a left
-// boundary, so HTTPConfig.Metrics does not read as Config.Metrics.
+// configRef matches a Config.X reference in prose with a left boundary, so
+// HTTPConfig.Metrics does not read as Config.Metrics.
 var (
 	configRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])Config\.([A-Z][A-Za-z0-9_]*)`)
-	tsvdRef   = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])tsvd\.([A-Z][A-Za-z0-9_]*)`)
 	// cmdDirRef and cmdNameRef match a command by its directory and by its
 	// binary name.
 	cmdDirRef  = regexp.MustCompile(`\bcmd/([a-z][a-z0-9-]*)`)
@@ -361,20 +386,76 @@ func typeMembers(dir, typeName string) (map[string]bool, error) {
 	return members, nil
 }
 
-// packageSymbols returns every exported package-level name (types, funcs,
-// consts, vars) of the package in dir.
-func packageSymbols(dir string) (map[string]bool, error) {
-	_, files, err := parseDir(dir)
+// pkgDecls is what one package declares, test files included: its
+// package-level names, and for each type its fields and methods and the
+// types it embeds.
+type pkgDecls struct {
+	syms    map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+}
+
+// has reports whether typ has member, directly or through an embedded type.
+func (d *pkgDecls) has(typ, member string) bool {
+	if d.members[typ][member] {
+		return true
+	}
+	for _, e := range d.embeds[typ] {
+		if d.has(e, member) {
+			return true
+		}
+	}
+	return false
+}
+
+// declsOf parses every Go file of the package in dir, its tests included.
+func declsOf(dir string) (*pkgDecls, error) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	syms := map[string]bool{}
-	for _, f := range files {
-		for name := range f.Scope.Objects {
-			syms[name] = ast.IsExported(name)
+	d := &pkgDecls{syms: map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for name, obj := range f.Scope.Objects {
+				d.syms[name] = true
+				if obj.Kind != ast.Typ {
+					continue
+				}
+				member(name, "")
+				st, ok := obj.Decl.(*ast.TypeSpec).Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, n := range field.Names {
+						member(name, n.Name)
+					}
+					if len(field.Names) == 0 {
+						e := field.Type
+						if star, ok := e.(*ast.StarExpr); ok {
+							e = star.X
+						}
+						if id, ok := e.(*ast.Ident); ok {
+							d.embeds[name] = append(d.embeds[name], id.Name)
+						}
+					}
+				}
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+					member(recvName(fn), fn.Name.Name)
+				}
+			}
 		}
 	}
-	return syms, nil
+	return d, nil
 }
 
 // auditGodoc returns the number of exported identifiers inspected in the

@@ -164,39 +164,6 @@ type Outcome struct {
 	Sites *sites.Registry
 }
 
-// TraceStatTotals extracts the Stats counters that have exact event-count
-// mirrors, in the trace package's reconciliation form.
-func (o *Outcome) TraceStatTotals() trace.StatTotals {
-	return trace.StatTotals{
-		DelaysInjected:   o.Stats.DelaysInjected,
-		NearMisses:       o.Stats.NearMisses,
-		PairsAdded:       o.Stats.PairsAdded,
-		PairsPrunedHB:    o.Stats.PairsPrunedHB,
-		PairsPrunedDecay: o.Stats.PairsPrunedDecay,
-		Violations:       o.Stats.Violations,
-		DelaysSuppressed: o.Stats.DelaysSuppressed,
-		SamplerThrottles: o.Stats.SamplerThrottles,
-	}
-}
-
-// TraceOverhead puts the sampler's account in the trace summary's form; nil
-// when the suite did not run in sampled mode.
-func (o *Outcome) TraceOverhead() *trace.OverheadTotals {
-	if o.Overhead.Spent == 0 && o.Overhead.Ticks == 0 {
-		return nil
-	}
-	t := &trace.OverheadTotals{
-		Probability: o.Overhead.Probability,
-		Ratio:       o.Overhead.Last.Observed,
-		FloorRatio:  o.Overhead.Last.Floor,
-		Seconds:     map[string]float64{},
-	}
-	for l, d := range o.Overhead.Layers {
-		t.Seconds[sampler.Layer(l).String()] = d.Seconds()
-	}
-	return t
-}
-
 // FoundByKind tallies found planted bugs by kind.
 func (o *Outcome) FoundByKind(suite *workload.Suite) map[workload.BugKind]int {
 	planted := suite.PlantedPairs()

@@ -243,7 +243,8 @@ func TestSeedZeroIsDistinctFromDefault(t *testing.T) {
 
 // TestTraceReconcilesWithStats: with tracing on, the drained event counts
 // must mirror the detector counters exactly, with zero dropped events —
-// the observability layer's core accounting invariant.
+// the observability layer's core accounting invariant, checked on the
+// directory WriteTrace writes by trace.CheckDir.
 func TestTraceReconcilesWithStats(t *testing.T) {
 	suite := workload.GenerateSuite(21, 20)
 	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
@@ -263,8 +264,11 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 		if drained != out.TraceTotals.Emitted {
 			t.Fatalf("%v: drained %d != emitted %d", algo, drained, out.TraceTotals.Emitted)
 		}
-		counts := trace.CountByKind(out.Traces)
-		if err := trace.Reconcile(counts, out.TraceStatTotals(), trace.StoreTotals{}, out.TraceTotals.Dropped); err != nil {
+		dir := t.TempDir()
+		if _, err := WriteTrace(dir, len(suite.Modules), out, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := trace.CheckDir(dir); err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
 	}

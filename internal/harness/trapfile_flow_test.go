@@ -49,19 +49,22 @@ func TestTrapFileAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestGapHistogramObserved: near misses populate the gap histogram and it
-// survives harness aggregation.
+// TestGapHistogramObserved: near misses populate the gap histogram, one
+// observation each under every variant that records them, and it survives
+// harness aggregation.
 func TestGapHistogramObserved(t *testing.T) {
 	suite := workload.GenerateSuite(21, 20)
-	out := Run(suite, opts(config.AlgoTSVD, 1))
-	if out.Stats.NearMisses == 0 {
-		t.Fatal("no near misses to histogram")
-	}
-	if got := out.Stats.NearMissGaps.Total(); got != out.Stats.NearMisses {
-		t.Fatalf("histogram total %d != near misses %d", got, out.Stats.NearMisses)
-	}
-	if out.Stats.NearMissGaps.String() == "(empty)" {
-		t.Fatal("histogram rendered empty")
+	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
+		out := Run(suite, opts(algo, 1))
+		if out.Stats.NearMisses == 0 {
+			t.Fatalf("%v: no near misses to histogram", algo)
+		}
+		if got := out.Stats.NearMissGaps.Total(); got != out.Stats.NearMisses {
+			t.Fatalf("%v: histogram total %d != near misses %d", algo, got, out.Stats.NearMisses)
+		}
+		if out.Stats.NearMissGaps.String() == "(empty)" {
+			t.Fatalf("%v: histogram rendered empty", algo)
+		}
 	}
 }
 

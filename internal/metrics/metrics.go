@@ -1,11 +1,12 @@
-// Package metrics is a dependency-free registry of atomic counters, gauges
-// and fixed-bucket histograms with Prometheus text-format exposition.
+// Package metrics is a dependency-free registry of atomic counters,
+// function-backed counters and gauges, and fixed-bucket histograms with
+// Prometheus text-format exposition.
 //
 // It is the live complement of internal/trace: the trace answers *which* and
 // *why* post mortem, the registry answers *how many right now* while the
 // process runs. The design constraints mirror the tracer's:
 //
-//   - allocation-free on the hot path: Add/Inc/Set/Observe are a handful of
+//   - allocation-free on the hot path: Add/Inc/Observe are a handful of
 //     atomic operations on preallocated state — no maps, no interface
 //     boxing, no label rendering (label sets are fixed at registration and
 //     pre-rendered into the series name);
@@ -68,36 +69,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable int64.
-type Gauge struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Set stores v. Nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds n (negative to decrease). Nil-safe.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value. Nil-safe (zero).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram over int64 observations (typically
@@ -215,19 +186,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		value:  func() float64 { return float64(c.Value()) },
 	})
 	return c
-}
-
-// Gauge registers and returns a gauge. Nil-safe (returns nil).
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(name, help, "gauge", &series{
-		labels: renderLabels(labels),
-		value:  func() float64 { return float64(g.Value()) },
-	})
-	return g
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape

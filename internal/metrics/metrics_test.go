@@ -28,11 +28,11 @@ func wantLine(t *testing.T, out, line string) {
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "operations", Label{"op", "fetch"})
-	g := r.Gauge("test_depth", "queue depth")
+	depth := int64(7)
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return float64(depth) })
 	c.Add(41)
 	c.Inc()
-	g.Set(7)
-	g.Add(-2)
+	depth -= 2
 
 	out := scrape(t, r)
 	wantLine(t, out, "# HELP test_ops_total operations")
@@ -40,8 +40,8 @@ func TestCounterGaugeExposition(t *testing.T) {
 	wantLine(t, out, `test_ops_total{op="fetch"} 42`)
 	wantLine(t, out, "# TYPE test_depth gauge")
 	wantLine(t, out, "test_depth 5")
-	if c.Value() != 42 || g.Value() != 5 {
-		t.Fatalf("Value: counter %d gauge %d", c.Value(), g.Value())
+	if c.Value() != 42 {
+		t.Fatalf("Value: counter %d", c.Value())
 	}
 }
 
@@ -116,16 +116,13 @@ func TestExpBounds(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")
-	g := r.Gauge("x", "x")
 	h := r.Histogram("x_seconds", "x", 1, []int64{1})
 	r.CounterFunc("y_total", "y", func() float64 { return 1 })
 	r.GaugeFunc("y", "y", func() float64 { return 1 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(9)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
 	var sb strings.Builder
@@ -137,9 +134,8 @@ func TestNilSafety(t *testing.T) {
 func TestHotPathAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "t")
-	g := r.Gauge("test", "t")
 	h := r.Histogram("test_seconds", "t", 1e-9, ExpBounds(1000, 2, 20))
-	if n := testing.AllocsPerRun(100, func() { c.Inc(); g.Set(3); h.Observe(123456) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Inc(); h.Observe(123456) }); n != 0 {
 		t.Fatalf("hot path allocated %v times per run", n)
 	}
 }

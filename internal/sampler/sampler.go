@@ -504,17 +504,6 @@ func (s *Sampler) rebalanceSites(p float64) {
 // Probability returns the current global admission probability.
 func (s *Sampler) Probability() float64 { return s.global.Load().p }
 
-// SiteProbability returns the admission probability the controller last
-// assigned to siteID (the global probability for a site not seen yet).
-func (s *Sampler) SiteProbability(siteID ids.SiteID) float64 {
-	if t := s.states.Load(); t != nil && int(siteID) < len(*t) {
-		if st := (*t)[siteID].Load(); st != nil {
-			return float64(st.threshold.Load()) / (1 << thresholdBits)
-		}
-	}
-	return s.Probability()
-}
-
 // Snapshot is a point-in-time view of the sampler, safe to take while
 // detection runs.
 type Snapshot struct {
@@ -529,8 +518,6 @@ type Snapshot struct {
 	Spent time.Duration
 	// Layers splits Spent by what it paid for.
 	Layers [NumLayers]time.Duration
-	// DelayTime is the injected-delay subset of Spent (Layers[LayerDelay]).
-	DelayTime time.Duration
 	// Ticks is the number of controller runs so far.
 	Ticks int64
 	// Last is the most recent controller run (zero before the first): the
@@ -549,7 +536,6 @@ func (s *Sampler) Snapshot() Snapshot {
 		snap.Layers[l] = time.Duration(s.spent[l].Load())
 		snap.Spent += snap.Layers[l]
 	}
-	snap.DelayTime = snap.Layers[LayerDelay]
 	s.tickMu.Lock()
 	snap.Ticks, snap.Last = s.ticks, s.last
 	s.tickMu.Unlock()

@@ -184,8 +184,8 @@ func TestSnapshotAccounting(t *testing.T) {
 	if snap.Spent != 5*time.Millisecond {
 		t.Fatalf("Spent = %v, want 5ms", snap.Spent)
 	}
-	if snap.DelayTime != 2*time.Millisecond {
-		t.Fatalf("DelayTime = %v, want 2ms", snap.DelayTime)
+	if snap.Layers[LayerDelay] != 2*time.Millisecond {
+		t.Fatalf("Layers[LayerDelay] = %v, want 2ms", snap.Layers[LayerDelay])
 	}
 	if snap.Ticks != 1 {
 		t.Fatalf("Ticks = %d, want 1", snap.Ticks)

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/ids"
@@ -28,8 +30,10 @@ import (
 // `i` (1-based, strictly increasing within one module-run stream): drained
 // events are sorted by (timestamp, emission sequence), but t_us alone has
 // microsecond ties, and the explanation slices internal/triage carves need
-// the exact event order to survive the round-trip through JSONL.
-const SchemaVersion = 5
+// the exact event order to survive the round-trip through JSONL. Version 6
+// replaced the summary's `stats` and `store` blocks with one `expected` map
+// from event kind to the count the producer's counters give it.
+const SchemaVersion = 6
 
 // JSONEvent is the wire form of one event: one JSON object per line
 // (docs/OBSERVABILITY.md documents the schema field by field). Locations are
@@ -204,17 +208,6 @@ func scanJSONL(r io.Reader, fn func(JSONEvent)) error {
 	return nil
 }
 
-// ValidateJSONL checks every line of r against the schema and returns the
-// event counts by kind — the input of reconciliation against core.Stats.
-func ValidateJSONL(r io.Reader) (map[string]int64, error) {
-	counts := map[string]int64{}
-	err := scanJSONL(r, func(je JSONEvent) { counts[je.Ev]++ })
-	if err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
 // ReadJSONL parses and validates every line of r, returning the wire events
 // in stream order — the consumer half of WriteJSONL, used by tsvd-triage
 // and the round-trip tests.
@@ -279,28 +272,21 @@ func ModuleTracesOf(jes []JSONEvent) []ModuleTrace {
 	return out
 }
 
-// StatTotals are the core.Stats counters that have an exact event-count
-// mirror. Defined here (rather than importing internal/core, which imports
-// this package) so producers and validators share one reconciliation rule.
-type StatTotals struct {
-	DelaysInjected   int64 `json:"delays_injected"`
-	NearMisses       int64 `json:"near_misses"`
-	PairsAdded       int64 `json:"pairs_added"`
-	PairsPrunedHB    int64 `json:"pairs_pruned_hb"`
-	PairsPrunedDecay int64 `json:"pairs_pruned_decay"`
-	Violations       int64 `json:"violations"`
-	DelaysSuppressed int64 `json:"delays_suppressed"`
-	SamplerThrottles int64 `json:"sampler_throttles"`
-}
-
 // StoreTotals are the trap-store operation counters with an exact
 // event-count mirror: a store's successful fetches, successful publishes,
-// and primary→local fallbacks (internal/trapstore.Totals, in the wire form
-// shared between producer and validator).
+// and primary→local fallbacks (internal/trapstore.Totals).
 type StoreTotals struct {
-	Fetches   int64 `json:"fetches"`
-	Publishes int64 `json:"publishes"`
-	Fallbacks int64 `json:"fallbacks"`
+	Fetches   int64
+	Publishes int64
+	Fallbacks int64
+}
+
+// Expect records t in want as the counts of the store_* events that mirror
+// it: the trap store's half of a summary's expectations.
+func (t StoreTotals) Expect(want map[string]int64) {
+	want[KindStoreFetch.String()] = t.Fetches
+	want[KindStorePublish.String()] = t.Publishes
+	want[KindStoreFallback.String()] = t.Fallbacks
 }
 
 // OverheadTotals is the sampled tier's overhead account at the end of a run
@@ -320,35 +306,6 @@ type OverheadTotals struct {
 	Seconds map[string]float64 `json:"seconds"`
 }
 
-// Reconcile checks the event counts against the aggregate counters — the
-// detector's and the trap store's — and returns one error per divergence,
-// joined. A dropped event breaks the guarantee by construction, so any drop
-// is also an error.
-func Reconcile(counts map[string]int64, stats StatTotals, store StoreTotals, dropped int64) error {
-	var errs []error
-	check := func(kind Kind, want int64) {
-		if got := counts[kind.String()]; got != want {
-			errs = append(errs, fmt.Errorf("trace: %s events = %d, stats say %d", kind, got, want))
-		}
-	}
-	if dropped != 0 {
-		errs = append(errs, fmt.Errorf("trace: %d events dropped; counts cannot reconcile", dropped))
-	}
-	check(KindTrapSet, stats.DelaysInjected)
-	check(KindDelayInjected, stats.DelaysInjected)
-	check(KindNearMiss, stats.NearMisses)
-	check(KindPairAdded, stats.PairsAdded)
-	check(KindPairPrunedHB, stats.PairsPrunedHB)
-	check(KindPairPrunedDecay, stats.PairsPrunedDecay)
-	check(KindTrapSprung, stats.Violations)
-	check(KindStoreFetch, store.Fetches)
-	check(KindStorePublish, store.Publishes)
-	check(KindStoreFallback, store.Fallbacks)
-	check(KindDelaySuppressed, stats.DelaysSuppressed)
-	check(KindSamplerThrottle, stats.SamplerThrottles)
-	return errors.Join(errs...)
-}
-
 // Summary is the sidecar written next to events.jsonl: the producer's own
 // accounting and counters, letting a consumer validate the trace without
 // re-running the suite.
@@ -361,10 +318,11 @@ type Summary struct {
 	Dropped int64            `json:"dropped"`
 	Drained int64            `json:"drained"`
 	ByKind  map[string]int64 `json:"by_kind"`
-	Stats   StatTotals       `json:"stats"`
-	// Store is the trap-store client's own operation accounting, mirrored by
-	// the store_* events (zero-valued when the run used no trap store).
-	Store StoreTotals `json:"store"`
+	// Expected maps every event kind that mirrors a counter to the count the
+	// producer's counters give it (schema v6): the detector's
+	// (core.Stats.TraceExpectations) and the trap store's (StoreTotals.Expect,
+	// zero when the run used no store).
+	Expected map[string]int64 `json:"expected"`
 	// Overhead is the sampler's account (sampled mode only).
 	Overhead *OverheadTotals `json:"overhead,omitempty"`
 	// Sites is the sidecar site table (schema v4): every site id referenced
@@ -417,10 +375,11 @@ func ReadDir(dir string) (*Summary, []JSONEvent, error) {
 // Check is the consumer-side half of the observability contract
 // (docs/OBSERVABILITY.md) for a directory already read: the per-kind counts of
 // events, which are schema-valid by construction, must equal the ones the
-// summary recorded, and both must reconcile with the summary's detector and
-// store counters. It returns the number of distinct kinds checked; the error
-// joins every divergence found. A trace that fails it dropped or lost events,
-// so anything counted from it is wrong.
+// summary recorded, and every count the summary expects from its counters.
+// A dropped event breaks that by construction, so any drop is an error too.
+// It returns the number of distinct kinds checked; the error joins every
+// divergence found. A trace that fails it dropped or lost events, so
+// anything counted from it is wrong.
 func (s *Summary) Check(events []JSONEvent) (kinds int, err error) {
 	counts := map[string]int64{}
 	for _, je := range events {
@@ -430,13 +389,18 @@ func (s *Summary) Check(events []JSONEvent) (kinds int, err error) {
 	if n := int64(len(events)); n != s.Drained {
 		errs = append(errs, fmt.Errorf("trace: events.jsonl has %d events, summary says %d drained", n, s.Drained))
 	}
-	for kind, n := range s.ByKind {
-		if counts[kind] != n {
+	if s.Dropped != 0 {
+		errs = append(errs, fmt.Errorf("trace: %d events dropped; counts cannot reconcile", s.Dropped))
+	}
+	for _, kind := range slices.Sorted(maps.Keys(s.ByKind)) {
+		if n := s.ByKind[kind]; counts[kind] != n {
 			errs = append(errs, fmt.Errorf("trace: %s: %d in events.jsonl, %d in summary", kind, counts[kind], n))
 		}
 	}
-	if err := Reconcile(counts, s.Stats, s.Store, s.Dropped); err != nil {
-		errs = append(errs, err)
+	for _, kind := range slices.Sorted(maps.Keys(s.Expected)) {
+		if want := s.Expected[kind]; counts[kind] != want {
+			errs = append(errs, fmt.Errorf("trace: %s events = %d, counters say %d", kind, counts[kind], want))
+		}
 	}
 	return len(counts), errors.Join(errs...)
 }

@@ -59,8 +59,8 @@ func TestJSONLSiteResolution(t *testing.T) {
 	if second.SiteA != 0 || second.SiteB != 0 {
 		t.Fatalf("orphan op carried site ids (%d, %d)", second.SiteA, second.SiteB)
 	}
-	// The stream still validates as v4.
-	if _, err := ValidateJSONL(strings.NewReader(buf.String())); err != nil {
+	// The stream still validates.
+	if _, err := ReadJSONL(strings.NewReader(buf.String())); err != nil {
 		t.Fatalf("resolved stream rejected: %v", err)
 	}
 
@@ -87,8 +87,9 @@ func TestJSONLSiteResolution(t *testing.T) {
 // TestSiteTableOrderAndNil: the sidecar table lists sites in id order (so
 // diffs are stable), a nil registry yields a nil table, which the summary
 // omits entirely, and the summary.json carrying the table is, byte for byte,
-// what the commit before sites.Tuple existed wrote and reads back
-// (testdata/parent/summary.json was captured there).
+// testdata/parent/summary.json, and reads back. The file was captured at the
+// commit before sites.Tuple existed; schema v6 changed only its version and
+// its counter block, and its site rows are still the bytes written there.
 func TestSiteTableOrderAndNil(t *testing.T) {
 	if got := SiteTable(nil); got != nil {
 		t.Fatalf("SiteTable(nil) = %v", got)
@@ -117,9 +118,9 @@ func TestSiteTableOrderAndNil(t *testing.T) {
 	s := &Summary{
 		Version: SchemaVersion, Tool: "TSVD", Modules: 2, Runs: 1,
 		Emitted: 3, Drained: 3,
-		ByKind: map[string]int64{"near_miss": 2, "pair_added": 1},
-		Stats:  StatTotals{NearMisses: 2, PairsAdded: 1},
-		Sites:  table,
+		ByKind:   map[string]int64{"near_miss": 2, "pair_added": 1},
+		Expected: map[string]int64{"near_miss": 2, "pair_added": 1},
+		Sites:    table,
 	}
 	var buf bytes.Buffer
 	if err := s.WriteSummary(&buf); err != nil {

@@ -37,7 +37,8 @@ import (
 
 // Kind identifies what happened. The set mirrors the decisions §3.4 describes
 // and maps one-to-one onto the core.Stats counters where one exists, so a
-// drained trace reconciles exactly with the aggregate statistics.
+// drained trace reconciles exactly with the aggregate statistics; the
+// Mirrors of core.StatCounters decide which kind mirrors which counter.
 type Kind uint8
 
 const (
@@ -330,8 +331,8 @@ type ModuleTrace struct {
 	Dropped int64
 }
 
-// CountByKind tallies events per kind name across module traces — the wire
-// form both reconciliation (against core.Stats) and the smoke validator use.
+// CountByKind tallies events per kind name across module traces: a
+// summary's by_kind.
 func CountByKind(mods []ModuleTrace) map[string]int64 {
 	out := map[string]int64{}
 	for _, m := range mods {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -176,12 +177,12 @@ func TestJSONLRoundTripAndValidate(t *testing.T) {
 	if !strings.Contains(out, `"ev":"near_miss"`) || !strings.Contains(out, `"loc_a":"pkg/t.go:1"`) {
 		t.Fatalf("missing fields:\n%s", out)
 	}
-	counts, err := ValidateJSONL(strings.NewReader(out))
+	jes, err := ReadJSONL(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["near_miss"] != 1 || counts["delay_injected"] != 1 {
-		t.Fatalf("counts = %v", counts)
+	if len(jes) != 2 || jes[0].Ev != "near_miss" || jes[1].Ev != "delay_injected" {
+		t.Fatalf("read back %+v", jes)
 	}
 }
 
@@ -189,47 +190,63 @@ func TestValidateJSONLRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"bad json":          "{nope\n",
 		"wrong version":     `{"v":9,"ev":"near_miss","i":1,"t_us":1,"op_a":1,"op_b":2}` + "\n",
-		"unknown kind":      `{"v":5,"ev":"bogus","i":1,"t_us":1,"op_a":1}` + "\n",
-		"negative time":     `{"v":5,"ev":"trap_set","i":1,"t_us":-1,"op_a":1}` + "\n",
-		"negative duration": `{"v":5,"ev":"trap_set","i":1,"t_us":1,"dur_us":-5,"op_a":1}` + "\n",
-		"missing op_a":      `{"v":5,"ev":"trap_set","i":1,"t_us":1}` + "\n",
-		"pair without op_b": `{"v":5,"ev":"near_miss","i":1,"t_us":1,"op_a":1}` + "\n",
-		"missing index":     `{"v":5,"ev":"trap_set","t_us":1,"op_a":1}` + "\n",
-		"index not increasing": `{"v":5,"ev":"trap_set","i":2,"t_us":1,"op_a":1}` + "\n" +
-			`{"v":5,"ev":"trap_set","i":2,"t_us":2,"op_a":1}` + "\n",
+		"unknown kind":      `{"v":6,"ev":"bogus","i":1,"t_us":1,"op_a":1}` + "\n",
+		"negative time":     `{"v":6,"ev":"trap_set","i":1,"t_us":-1,"op_a":1}` + "\n",
+		"negative duration": `{"v":6,"ev":"trap_set","i":1,"t_us":1,"dur_us":-5,"op_a":1}` + "\n",
+		"missing op_a":      `{"v":6,"ev":"trap_set","i":1,"t_us":1}` + "\n",
+		"pair without op_b": `{"v":6,"ev":"near_miss","i":1,"t_us":1,"op_a":1}` + "\n",
+		"missing index":     `{"v":6,"ev":"trap_set","t_us":1,"op_a":1}` + "\n",
+		"index not increasing": `{"v":6,"ev":"trap_set","i":2,"t_us":1,"op_a":1}` + "\n" +
+			`{"v":6,"ev":"trap_set","i":2,"t_us":2,"op_a":1}` + "\n",
 	}
 	for name, line := range cases {
-		if _, err := ValidateJSONL(strings.NewReader(line)); err == nil {
+		if _, err := ReadJSONL(strings.NewReader(line)); err == nil {
 			t.Errorf("%s: accepted %q", name, line)
 		}
 	}
 	// Blank lines are tolerated (files are concatenated in the harness).
-	good := `{"v":5,"ev":"trap_set","i":1,"t_us":1,"op_a":7}` + "\n\n"
-	if _, err := ValidateJSONL(strings.NewReader(good)); err != nil {
+	good := `{"v":6,"ev":"trap_set","i":1,"t_us":1,"op_a":7}` + "\n\n"
+	if _, err := ReadJSONL(strings.NewReader(good)); err != nil {
 		t.Fatalf("blank line rejected: %v", err)
 	}
 }
 
+// events returns n wire events of each kind in counts.
+func events(counts map[string]int64) []JSONEvent {
+	var out []JSONEvent
+	for kind, n := range counts {
+		for range n {
+			out = append(out, JSONEvent{Ev: kind})
+		}
+	}
+	return out
+}
+
+// TestReconcile: Summary.Check holds the events to the counts the summary
+// expects from its counters, and to zero dropped events.
 func TestReconcile(t *testing.T) {
 	counts := map[string]int64{
 		"trap_set": 2, "delay_injected": 2, "near_miss": 5,
-		"pair_added": 3, "pair_pruned_hb": 1, "pair_pruned_decay": 0,
-		"trap_sprung": 1,
+		"pair_added": 3, "pair_pruned_hb": 1, "trap_sprung": 1, "hb_edge": 4,
 	}
-	stats := StatTotals{
-		DelaysInjected: 2, NearMisses: 5, PairsAdded: 3,
-		PairsPrunedHB: 1, PairsPrunedDecay: 0, Violations: 1,
-	}
-	if err := Reconcile(counts, stats, StoreTotals{}, 0); err != nil {
+	jes := events(counts)
+	s := Summary{Drained: int64(len(jes)), ByKind: counts, Expected: map[string]int64{
+		"trap_set": 2, "delay_injected": 2, "near_miss": 5,
+		"pair_added": 3, "pair_pruned_hb": 1, "pair_pruned_decay": 0, "trap_sprung": 1,
+	}}
+	if _, err := s.Check(jes); err != nil {
 		t.Fatalf("exact counts rejected: %v", err)
 	}
-	if err := Reconcile(counts, stats, StoreTotals{}, 3); err == nil {
+	dropped := s
+	dropped.Dropped = 3
+	if _, err := dropped.Check(jes); err == nil {
 		t.Fatal("dropped events accepted")
 	}
-	bad := stats
-	bad.NearMisses = 6
-	if err := Reconcile(counts, bad, StoreTotals{}, 0); err == nil {
-		t.Fatal("diverging counter accepted")
+	bad := s
+	bad.Expected = maps.Clone(s.Expected)
+	bad.Expected["near_miss"] = 6
+	if _, err := bad.Check(jes); err == nil || !strings.Contains(err.Error(), "near_miss events = 5, counters say 6") {
+		t.Fatalf("diverging counter: %v", err)
 	}
 }
 
@@ -237,8 +254,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 	s := &Summary{
 		Version: SchemaVersion, Tool: "tsvd", Modules: 5, Runs: 2,
 		Emitted: 10, Drained: 10,
-		ByKind: map[string]int64{"near_miss": 10},
-		Stats:  StatTotals{NearMisses: 10},
+		ByKind:   map[string]int64{"near_miss": 10},
+		Expected: map[string]int64{"near_miss": 10},
 	}
 	var buf bytes.Buffer
 	if err := s.WriteSummary(&buf); err != nil {
@@ -248,7 +265,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tool != "tsvd" || got.Drained != 10 || got.ByKind["near_miss"] != 10 {
+	if got.Tool != "tsvd" || got.Drained != 10 || got.ByKind["near_miss"] != 10 || got.Expected["near_miss"] != 10 {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 	if _, err := ReadSummary(strings.NewReader(`{"version": 42}`)); err == nil {
@@ -346,31 +363,42 @@ func BenchmarkEmit(b *testing.B) {
 	})
 }
 
+// TestReconcileStoreTotals: a store's totals join a summary's expected
+// counts as its store_* events.
 func TestReconcileStoreTotals(t *testing.T) {
 	counts := map[string]int64{
 		"store_fetch": 4, "store_publish": 2, "store_fallback": 1,
 	}
+	jes := events(counts)
+	expect := func(st StoreTotals) *Summary {
+		s := &Summary{Drained: int64(len(jes)), Expected: map[string]int64{}}
+		st.Expect(s.Expected)
+		return s
+	}
 	store := StoreTotals{Fetches: 4, Publishes: 2, Fallbacks: 1}
-	if err := Reconcile(counts, StatTotals{}, store, 0); err != nil {
+	if s := expect(store); !maps.Equal(s.Expected, counts) {
+		t.Fatalf("Expect wrote %v, want %v", s.Expected, counts)
+	}
+	if _, err := expect(store).Check(jes); err != nil {
 		t.Fatalf("exact store counts rejected: %v", err)
 	}
 	bad := store
 	bad.Fallbacks = 0
-	if err := Reconcile(counts, StatTotals{}, bad, 0); err == nil {
+	if _, err := expect(bad).Check(jes); err == nil {
 		t.Fatal("diverging store counter accepted")
 	}
 }
 
 func TestValidateJSONLStoreKinds(t *testing.T) {
-	lines := `{"v":5,"ev":"store_fetch","i":1,"t_us":1,"op_a":7,"loc_a":"trapstore:http://x"}
-{"v":5,"ev":"store_publish","i":2,"t_us":2,"op_a":7}
-{"v":5,"ev":"store_fallback","i":3,"t_us":3,"op_a":7}
+	lines := `{"v":6,"ev":"store_fetch","i":1,"t_us":1,"op_a":7,"loc_a":"trapstore:http://x"}
+{"v":6,"ev":"store_publish","i":2,"t_us":2,"op_a":7}
+{"v":6,"ev":"store_fallback","i":3,"t_us":3,"op_a":7}
 `
-	counts, err := ValidateJSONL(strings.NewReader(lines))
+	jes, err := ReadJSONL(strings.NewReader(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["store_fetch"] != 1 || counts["store_publish"] != 1 || counts["store_fallback"] != 1 {
-		t.Fatalf("counts = %v", counts)
+	if len(jes) != 3 || jes[0].Ev != "store_fetch" || jes[1].Ev != "store_publish" || jes[2].Ev != "store_fallback" {
+		t.Fatalf("read back %+v", jes)
 	}
 }

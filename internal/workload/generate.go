@@ -19,12 +19,6 @@ func GenerateSuite(seed int64, n int) *Suite {
 	return s
 }
 
-// SmallSuite mirrors the paper's 1000-module sample at harness scale.
-func SmallSuite(seed int64) *Suite { return GenerateSuite(seed, 100) }
-
-// LargeSuite mirrors the 43K-module Large benchmark at harness scale.
-func LargeSuite(seed int64) *Suite { return GenerateSuite(seed, 600) }
-
 func generateModule(name string, rng *rand.Rand) *Module {
 	b := &blockBuilder{moduleName: name, rng: rng}
 
