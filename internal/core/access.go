@@ -244,9 +244,10 @@ func WithClock(c clock.Clock) Option {
 
 // WithInitialTraps seeds the trap set from a previous run's trap file, so
 // the second run can inject delays at pairs on their very first occurrence
-// (§3.4.6 "Multiple testing runs").
+// (§3.4.6 "Multiple testing runs"). New and Renew read pairs before they
+// return and keep no reference to it.
 func WithInitialTraps(pairs []report.PairKey) Option {
-	return func(o *options) { o.initialTraps = append([]report.PairKey(nil), pairs...) }
+	return func(o *options) { o.initialTraps = pairs }
 }
 
 // WithDetectorMetrics attaches the detector to a live metrics view. One
@@ -257,8 +258,27 @@ func WithDetectorMetrics(m *DetectorMetrics) Option {
 	return func(o *options) { o.metrics = m }
 }
 
-// New builds the detector selected by cfg.Algorithm.
+// New builds the detector selected by cfg.Algorithm: Renew(nil, cfg, opts...).
 func New(cfg config.Config, opts ...Option) (Detector, error) {
+	return Renew(nil, cfg, opts...)
+}
+
+// Renew builds the detector selected by cfg.Algorithm for another run. When
+// prev is a detector of that variant, the new one is prev itself, rebuilt in
+// place on the storage its last run allocated — its registries' tables and
+// value chunks, the coverage table, the report collector, the trap set's
+// maps, the coin-flip source and the tracer's rings, all emptied — and it
+// behaves exactly as a new detector New(cfg, opts...) would: everything else
+// starts from the zero value. Anything else as prev (nil, the Nop baseline,
+// another variant) is left alone, and Renew builds a new detector.
+//
+// prev must be quiescent: no call into it may be in flight or still to come,
+// and nothing obtained from it (its Reports collector, its Tracer, a Stats
+// snapshot taken later) may be used after Renew returns. What its accessors
+// returned before — Stats, Bugs, Violations, ExportTraps, drained events —
+// are copies and stay valid. Its metrics view keeps what it counted (see
+// DetectorMetrics).
+func Renew(prev Detector, cfg config.Config, opts ...Option) (Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -266,24 +286,49 @@ func New(cfg config.Config, opts ...Option) (Detector, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
+	var s storage
 	switch cfg.Algorithm {
 	case config.AlgoNop:
 		return NewNop(), nil
 	case config.AlgoTSVD:
-		d := newTSVD(cfg, o)
-		o.metrics.attach(&d.rt, d)
+		d, _ := prev.(*TSVD)
+		if d == nil {
+			d = &TSVD{}
+		} else {
+			d.release(&s)
+			*d = TSVD{}
+		}
+		d.init(cfg, o, &s)
 		return d, nil
 	case config.AlgoTSVDHB:
-		d := newTSVDHB(cfg, o)
-		o.metrics.attach(&d.rt, d)
+		d, _ := prev.(*TSVDHB)
+		if d == nil {
+			d = &TSVDHB{}
+		} else {
+			d.release(&s)
+			*d = TSVDHB{}
+		}
+		d.init(cfg, o, &s)
 		return d, nil
 	case config.AlgoDynamicRandom:
-		d := newDynamicRandom(cfg, o)
-		o.metrics.attach(&d.rt, nil) // no trap set to gauge
+		d, _ := prev.(*DynamicRandom)
+		if d == nil {
+			d = &DynamicRandom{}
+		} else {
+			d.rt.release(&s, nil)
+			*d = DynamicRandom{}
+		}
+		d.init(cfg, o, &s)
 		return d, nil
 	case config.AlgoStaticRandom:
-		d := newStaticRandom(cfg, o)
-		o.metrics.attach(&d.rt, nil) // no trap set to gauge
+		d, _ := prev.(*StaticRandom)
+		if d == nil {
+			d = &StaticRandom{}
+		} else {
+			d.rt.release(&s, nil)
+			*d = StaticRandom{}
+		}
+		d.init(cfg, o, &s)
 		return d, nil
 	default:
 		return nil, errUnknownAlgo

@@ -19,6 +19,12 @@ import (
 // registry's view is the suite-wide sum, live while modules are still
 // running.
 //
+// A detector that Renew rebuilds stays attached once. Before its counters
+// start again from zero, what they hold, its trace totals and its trap set's
+// final size are folded into retired totals, under the lock every scrape
+// holds from start to end: a series never decreases across a renew, and the
+// view only holds the detectors still running, not every one that ran.
+//
 // Two export mechanisms, chosen per metric by what keeps the hot path free:
 //
 //   - Every Stats counter (and the parked/trap-set gauges) is exported as a
@@ -42,9 +48,26 @@ type DetectorMetrics struct {
 	delays    *metrics.Histogram
 	occupancy *metrics.Histogram
 
-	mu   sync.Mutex
-	rts  []*runtime
-	sets []trapSetSizer
+	mu sync.Mutex
+	// live are the attached runtimes, each with its trap set (nil for the
+	// random variants); retired is what the runtimes renewed since counted
+	// before, and attached the number of attachments ever made.
+	live     []attached
+	retired  retired
+	attached int
+}
+
+type attached struct {
+	rt  *runtime
+	set trapSetSizer
+}
+
+// retired holds the counts of finished runs that renewed runtimes no longer
+// hold: their counters, their trace totals and their final trap-set sizes.
+type retired struct {
+	stats            Stats
+	emitted, dropped int64
+	pairs            int64
 }
 
 // stat indexes StatCounters and the runtime's counter array.
@@ -257,28 +280,52 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 }
 
 // attach registers a detector's runtime (and its trap set, when it has one)
-// for the scrape-time sums. Called by New; nil-safe.
+// for the scrape-time sums. Called by Renew; nil-safe.
 func (m *DetectorMetrics) attach(r *runtime, set trapSetSizer) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rts = append(m.rts, r)
+	m.live = append(m.live, attached{r, set})
+	m.attached++
+}
+
+// retire folds what r counted and set's size into the retired totals and
+// lets go of r, in one step under m.mu, so a scrape sees r's counts exactly
+// once whichever side of the step it runs on. Called by Renew before it
+// empties r, which is quiescent; nil-safe.
+func (m *DetectorMetrics) retire(r *runtime, set trapSetSizer) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.retired.stats.Add(r.snapshotStats())
+	t := r.tr.Totals()
+	m.retired.emitted += t.Emitted
+	m.retired.dropped += t.Dropped
 	if set != nil {
-		m.sets = append(m.sets, set)
+		m.retired.pairs += int64(set.TrapSetSize())
+	}
+	for i, a := range m.live {
+		if a.rt == r {
+			m.live = append(m.live[:i], m.live[i+1:]...)
+			break
+		}
 	}
 }
 
-// sum snapshots and sums the attached runtimes' counters. Scrape-time only;
-// snapshotStats is lock-free, so a scrape never blocks a running detector.
+// sum adds the attached runtimes' counters to the retired ones.
+// Scrape-time only; snapshotStats is lock-free, so a scrape never blocks a
+// running detector, and holding m.mu throughout keeps a renew from moving
+// counts between the retired totals and a runtime while it reads.
 func (m *DetectorMetrics) sum() Stats {
 	m.mu.Lock()
-	rts := append([]*runtime(nil), m.rts...)
-	m.mu.Unlock()
-	var out Stats
-	for _, r := range rts {
-		out.Add(r.snapshotStats())
+	defer m.mu.Unlock()
+	out := m.retired.stats
+	for _, a := range m.live {
+		out.Add(a.rt.snapshotStats())
 	}
 	return out
 }
@@ -302,9 +349,9 @@ func (m *DetectorMetrics) samplerProbability() float64 {
 func (m *DetectorMetrics) samplers() []sampler.Snapshot {
 	m.mu.Lock()
 	seen := map[*sampler.Sampler]bool{}
-	for _, r := range m.rts {
-		if r.samp != nil {
-			seen[r.samp] = true
+	for _, a := range m.live {
+		if a.rt.samp != nil {
+			seen[a.rt.samp] = true
 		}
 	}
 	m.mu.Unlock()
@@ -336,13 +383,15 @@ func (m *DetectorMetrics) overheadSeconds(l sampler.Layer) float64 {
 	return total.Seconds()
 }
 
-// traceTotals sums the attached tracers' cumulative emit/drop counters.
-// Detectors without tracing attach a nil tracer, whose Totals are zero.
+// traceTotals sums the attached tracers' cumulative emit/drop counters and
+// the retired ones. Detectors without tracing attach a nil tracer, whose
+// Totals are zero.
 func (m *DetectorMetrics) traceTotals() (emitted, dropped int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, r := range m.rts {
-		t := r.tr.Totals()
+	emitted, dropped = m.retired.emitted, m.retired.dropped
+	for _, a := range m.live {
+		t := a.rt.tr.Totals()
 		emitted += t.Emitted
 		dropped += t.Dropped
 	}
@@ -353,26 +402,31 @@ func (m *DetectorMetrics) parked() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n int64
-	for _, r := range m.rts {
-		n += r.parked.Load()
+	for _, a := range m.live {
+		n += a.rt.parked.Load()
 	}
 	return n
 }
 
+// trapSetPairs sums the live pairs of every trap set attached: the running
+// detectors' current sets and the final sets of the runs renewed since.
 func (m *DetectorMetrics) trapSetPairs() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var n int64
-	for _, s := range m.sets {
-		n += int64(s.TrapSetSize())
+	n := m.retired.pairs
+	for _, a := range m.live {
+		if a.set != nil {
+			n += int64(a.set.TrapSetSize())
+		}
 	}
 	return n
 }
 
+// instances counts attachments: a renewed detector counts once per run.
 func (m *DetectorMetrics) instances() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.rts)
+	return m.attached
 }
 
 // observeGap records one near-miss gap (0 for TSVDHB, which proves

@@ -499,10 +499,12 @@ type runtime struct {
 	// rng drives every probabilistic decision. Draws only happen for
 	// eligible delay locations (rare) and in the random variants, so one
 	// small lock suffices; the TSVD hot path never takes it. The source is
-	// seeded from cfg.Seed by the first draw: most module runs never reach
-	// a delay decision, and a source is 5 KiB.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// seeded from cfg.Seed by the first draw (seeded says it was): most
+	// module runs never reach a delay decision, and a source is 5 KiB. A
+	// renewed runtime reseeds the source its last run built.
+	rngMu  sync.Mutex
+	rng    *rand.Rand
+	seeded bool
 
 	// mode is the production sampling tier (docs/SAMPLING.md). ModeFull is
 	// the zero value; ModeObserveOnly suppresses sleeps in injectDelay;
@@ -551,9 +553,55 @@ func (b *detectorBase) Tracer() *trace.Tracer { return b.rt.tr }
 // TSVD and TSVDHB export theirs.
 func (b *detectorBase) ExportTraps() []report.PairKey { return nil }
 
-// init prepares r in place. (runtime holds locks and atomics, so it is
-// initialized through a pointer rather than returned by value.)
-func (r *runtime) init(cfg config.Config, o options) {
+// storage is what Renew carries from a detector's finished run into its
+// next: the allocations its tables grew, each emptied by release. The zero
+// value carries nothing, and init then allocates as a new detector does.
+type storage struct {
+	threads intmap.Storage[threadState]
+	objs    intmap.Storage[objState]
+	covered intmap.Storage[locCover]
+	cover   *coverTable
+	reports *report.Collector
+	// pairs and locs are the trap set's maps (TSVD, TSVDHB).
+	pairs map[report.PairKey]bool
+	locs  map[ids.OpID]locState
+	// rng is reseeded by its first draw; tr is reused by trace.Reuse.
+	rng *rand.Rand
+	tr  *trace.Tracer
+	// phase is TSVD's phase ring, reset by init.
+	phase *phaseRing
+}
+
+// release empties r into s for its detector's next run (Renew). First r's
+// metrics view folds what r counted, and set's final size, into its retired
+// totals and lets go of r, so no scrape sees r emptied.
+func (r *runtime) release(s *storage, set trapSetSizer) {
+	r.met.retire(r, set)
+	s.threads, s.objs, s.covered = r.threads.Release(), r.objs.Release(), r.covered.Release()
+	if ct := r.cover.Load(); ct != nil {
+		for i := range *ct {
+			(*ct)[i].Store(0)
+		}
+		s.cover = ct
+	}
+	r.reports.Reset()
+	s.reports, s.rng, s.tr = r.reports, r.rng, r.tr
+}
+
+// init prepares a zero r in place on s's storage. (runtime holds locks and
+// atomics, so it is initialized through a pointer rather than returned by
+// value.)
+func (r *runtime) init(cfg config.Config, o options, s *storage) {
+	r.threads.Reuse(s.threads)
+	r.objs.Reuse(s.objs)
+	r.covered.Reuse(s.covered)
+	if s.cover != nil {
+		r.cover.Store(s.cover)
+	}
+	r.reports, r.rng = s.reports, s.rng
+	if r.reports == nil {
+		r.reports = report.NewCollector()
+	}
 	r.cfg = cfg
 	r.clk = o.clk
 	_, r.realClock = o.clk.(clock.Real)
@@ -566,7 +614,6 @@ func (r *runtime) init(cfg config.Config, o options) {
 	if r.sites == nil {
 		r.sites = sites.New()
 	}
-	r.reports = report.NewCollector()
 	r.met = o.metrics
 	r.delayTime = cfg.EffectiveDelay()
 	r.nearMissWindow = cfg.EffectiveNearMissWindow()
@@ -586,7 +633,7 @@ func (r *runtime) init(cfg config.Config, o options) {
 		r.samplerOp = ids.InternKey("sampler")
 	}
 	if cfg.Trace {
-		r.tr = trace.New(cfg.TraceBufferSize)
+		r.tr = trace.Reuse(s.tr, cfg.TraceBufferSize)
 	}
 }
 
@@ -657,11 +704,17 @@ func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
 	return os
 }
 
-// source returns the seeded source, building it on first use. Caller holds
-// rngMu.
+// source returns the seeded source, building or reseeding it on first use:
+// either way it draws what rand.New(rand.NewSource(cfg.Seed)) would. Caller
+// holds rngMu.
 func (r *runtime) source() *rand.Rand {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(r.cfg.Seed))
+	if !r.seeded {
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(r.cfg.Seed))
+		} else {
+			r.rng.Seed(r.cfg.Seed)
+		}
+		r.seeded = true
 	}
 	return r.rng
 }
@@ -1025,11 +1078,11 @@ type phaseLocal struct {
 	held bool
 }
 
-func newPhaseRing(size int) *phaseRing {
+// reset makes p a virgin ring of size points. p must not be in use.
+func (p *phaseRing) reset(size int) {
 	w := uint32(min(size, math.MaxInt32))
-	p := &phaseRing{window: w, claimAfter: (w + 1) / 2}
+	p.window, p.claimAfter = w, (w+1)/2
 	p.state.Store(phaseVirgin)
-	return p
 }
 
 // observe records a call of t, whose local state l is, and reports whether

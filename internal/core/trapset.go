@@ -90,6 +90,24 @@ func (p *pairList) remove(key report.PairKey) {
 	}
 }
 
+// init gives a zero set the maps in s and seeds it with initial, a trap
+// file's pairs, counted and traced as rt's.
+func (s *trapSet) init(st *storage, initial []report.PairKey, rt *runtime) {
+	s.pairs, s.locs = st.pairs, st.locs
+	for _, key := range initial {
+		if s.add(key, &rt.stats, rt.met) {
+			rt.tr.Emit(trace.KindPairAdded, 0, 0, key.A, key.B, 0, 0)
+		}
+	}
+}
+
+// release empties the set's maps into st for its detector's next run.
+func (s *trapSet) release(st *storage) {
+	clear(s.pairs)
+	clear(s.locs)
+	st.pairs, st.locs = s.pairs, s.locs
+}
+
 // add inserts a dangerous pair unless it is dead or already present.
 // Both endpoints' probabilities reset to 1 (§3.4.1: "TSVD sets P_loc = 1
 // when a dangerous pair containing loc is added").

@@ -139,18 +139,25 @@ type delayRecord struct {
 // condition, so a short suffix is sufficient.
 const maxRecentDelays = 256
 
-func newTSVD(cfg config.Config, o options) *TSVD {
-	d := &TSVD{}
-	d.rt.init(cfg, o)
+// init prepares a zero TSVD on s's storage.
+func (d *TSVD) init(cfg config.Config, o options, s *storage) {
+	d.rt.init(cfg, o, s)
 	if !cfg.DisablePhaseDetection {
-		d.phase = newPhaseRing(cfg.PhaseBufferSize)
-	}
-	for _, key := range o.initialTraps {
-		if d.set.add(key, &d.rt.stats, d.rt.met) {
-			d.rt.tr.Emit(trace.KindPairAdded, 0, 0, key.A, key.B, 0, 0)
+		d.phase = s.phase
+		if d.phase == nil {
+			d.phase = &phaseRing{}
 		}
+		d.phase.reset(cfg.PhaseBufferSize)
 	}
-	return d
+	d.set.init(s, o.initialTraps, &d.rt)
+	o.metrics.attach(&d.rt, d)
+}
+
+// release empties d into s for its next run (Renew).
+func (d *TSVD) release(s *storage) {
+	d.rt.release(s, d)
+	d.set.release(s)
+	s.phase = d.phase
 }
 
 // OnCall implements Detector; it is the OnCall of Figure 5 with TSVD's

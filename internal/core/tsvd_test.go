@@ -246,6 +246,12 @@ func TestPhaseDetectionSuppressesSequential(t *testing.T) {
 	}
 }
 
+func newPhaseRing(size int) *phaseRing {
+	p := &phaseRing{}
+	p.reset(size)
+	return p
+}
+
 func TestPhaseRing(t *testing.T) {
 	const w = 4
 	p := newPhaseRing(w)

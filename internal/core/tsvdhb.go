@@ -42,15 +42,17 @@ type TSVDHB struct {
 	lockVC intmap.Map[vclock.Atomic] // ids.ObjectID → clock slot
 }
 
-func newTSVDHB(cfg config.Config, o options) *TSVDHB {
-	d := &TSVDHB{}
-	d.rt.init(cfg, o)
-	for _, key := range o.initialTraps {
-		if d.set.add(key, &d.rt.stats, d.rt.met) {
-			d.rt.tr.Emit(trace.KindPairAdded, 0, 0, key.A, key.B, 0, 0)
-		}
-	}
-	return d
+// init prepares a zero TSVDHB on s's storage.
+func (d *TSVDHB) init(cfg config.Config, o options, s *storage) {
+	d.rt.init(cfg, o, s)
+	d.set.init(s, o.initialTraps, &d.rt)
+	o.metrics.attach(&d.rt, d)
+}
+
+// release empties d into s for its next run (Renew).
+func (d *TSVDHB) release(s *storage) {
+	d.rt.release(s, d)
+	d.set.release(s)
 }
 
 // threadTree returns t's current full clock (the zero clock if t has none

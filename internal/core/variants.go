@@ -18,10 +18,10 @@ type DynamicRandom struct {
 	detectorBase
 }
 
-func newDynamicRandom(cfg config.Config, o options) *DynamicRandom {
-	d := &DynamicRandom{}
-	d.rt.init(cfg, o)
-	return d
+// init prepares a zero DynamicRandom on s's storage.
+func (d *DynamicRandom) init(cfg config.Config, o options, s *storage) {
+	d.rt.init(cfg, o, s)
+	o.metrics.attach(&d.rt, nil) // no trap set to gauge
 }
 
 // admitRandom is the front half DynamicRandom and StaticRandom share:
@@ -81,16 +81,21 @@ type StaticRandom struct {
 
 	mu    sync.Mutex
 	armed map[ids.OpID]bool
+	// ops lists armed's keys in the order they were first seen, which is
+	// the order re-arming draws in: a map's would make the seed decide
+	// nothing.
+	ops   []ids.OpID
 	calls int64
 }
 
 // resamplePeriod is how many OnCalls pass between re-arming rounds.
 const resamplePeriod = 200
 
-func newStaticRandom(cfg config.Config, o options) *StaticRandom {
-	s := &StaticRandom{armed: map[ids.OpID]bool{}}
-	s.rt.init(cfg, o)
-	return s
+// init prepares a zero StaticRandom on st's storage.
+func (s *StaticRandom) init(cfg config.Config, o options, st *storage) {
+	s.armed = map[ids.OpID]bool{}
+	s.rt.init(cfg, o, st)
+	o.metrics.attach(&s.rt, nil) // no trap set to gauge
 }
 
 // OnCall implements Detector.
@@ -105,11 +110,12 @@ func (s *StaticRandom) OnCall(a Access) {
 	if !known {
 		armed = s.rt.randFloat() < s.rt.cfg.StaticSampleProbability
 		s.armed[a.Op] = armed
+		s.ops = append(s.ops, a.Op)
 	}
 	s.calls++
 	if s.calls%resamplePeriod == 0 {
-		for op, isArmed := range s.armed {
-			if !isArmed {
+		for _, op := range s.ops {
+			if !s.armed[op] {
 				s.armed[op] = s.rt.randFloat() < s.rt.cfg.StaticSampleProbability
 			}
 		}

@@ -16,19 +16,24 @@ import (
 // state became pay-as-you-use: a 2 KiB ring per object, a 16 KiB stack dump
 // per delay), 35 before thread and object states came from the registries'
 // chunks instead of one allocation each, 17.2–17.8 before a trap-set
-// location became a map value with its first two pairs inline, and
-// 14.6–15.1 since — 16.9–17.2 under -race, whose sync.Pool drops a quarter
-// of what it is given. The budget is the -race figure plus about 15 %.
+// location became a map value with its first two pairs inline, 14.6–15.1
+// before a worker renewed one detector from module to module instead of
+// building its tables anew for each (16.9–17.2 under -race, whose sync.Pool
+// drops a quarter of what it is given), and 5.4–5.9 since — 7.2–8.0 under
+// -race. The budget is the -race figure plus about 15 %.
 //
 // Bytes were a run-to-baseline ratio until the baseline itself shrank (one
 // allocation per task spawn, one math/rand source per module run) from 0.93
 // to 0.58 MB on this suite: the ratio rose from 2.3 to 3.1 while the
 // detector's own bytes stayed at 12.2–12.8 KB a test at both commits (13.1
-// under -race). Those bytes are what the gate now bounds, with about 25 % on
-// top.
+// under -race). Those bytes are what the gate bounds. They were most of them
+// tables each module run built anew; renewed, they are 0.3–0.9 KB a test
+// (-race included), mostly reports, whose number swings with how many traps
+// spring, so the budget is more than twice that: a module run's tables built
+// anew again would add about 12 KB.
 const (
-	detectorMallocsPerTestBudget = 20
-	detectorBytesPerTestBudget   = 16 << 10
+	detectorMallocsPerTestBudget = 9
+	detectorBytesPerTestBudget   = 2 << 10
 )
 
 // TestSuiteAllocationBudget is the suite-level memory gate: a fixed generated

@@ -3,8 +3,9 @@
 // bugs per run, runtime overhead against an uninstrumented baseline, delay
 // counts, and the Table-1 population statistics. Modules run Parallelism at
 // a time — the paper runs 10 modules at a time on its small server (§5.1) —
-// with one detector instance per module per run, matching the deployment
-// model of one instrumented test process per module.
+// each module run on a detector as fresh as a new one, matching the
+// deployment model of one instrumented test process per module: a worker
+// renews its detector in place (core.Renew) from module to module.
 package harness
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -201,7 +203,7 @@ func Baseline(suite *workload.Suite, opts Options) time.Duration {
 	opts = opts.withDefaults()
 	cfg := opts.Config
 	cfg.Algorithm = config.AlgoNop
-	o := runSuite(suite, opts, cfg, nil, 1, nil)
+	o := runSuite(suite, opts, cfg, nil, 1, nil, make([]worker, opts.Parallelism))
 	return o.WallTime
 }
 
@@ -228,6 +230,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 	defer prog.finish()
 
 	traps := make([][]report.PairKey, len(suite.Modules))
+	workers := make([]worker, opts.Parallelism)
 	for run := 1; run <= opts.Runs; run++ {
 		prog.startRun(run)
 		if opts.Store != nil {
@@ -250,7 +253,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 				}
 			}
 		}
-		ro := runSuite(suite, opts, opts.Config, traps, run, prog)
+		ro := runSuite(suite, opts, opts.Config, traps, run, prog, workers)
 		out.WallTime += ro.WallTime
 		out.Stats.Add(ro.Stats)
 		out.Panics += ro.Panics
@@ -346,108 +349,142 @@ type runResult struct {
 	TraceTotals  trace.Totals
 }
 
+// worker is what one of runSuite's workers keeps from module to module, and
+// from run to run of one Run: its detector and its math/rand source.
+type worker struct {
+	det core.Detector
+	rng *rand.Rand
+}
+
 // runSuite executes every module once. traps, when non-nil, is the per-
 // module trap persistence slot (read before, written after). run is the
 // 1-based run number.
+//
+// The workers, one for each of Parallelism modules in flight, take the
+// modules in order. A worker renews its detector (core.Renew) for each
+// module it takes, before the module's clock starts: once a module has ended
+// — every task idle, every goroutine its tests spawned joined — nothing holds
+// the detector any more. A test body that panics may leave goroutines behind
+// that still call it, so after a module with a panic the worker lets its
+// detector go and the next module gets a new one.
 func runSuite(suite *workload.Suite, opts Options, cfg config.Config,
-	traps [][]report.PairKey, run int, prog *progressTracker) *runResult {
+	traps [][]report.PairKey, run int, prog *progressTracker, workers []worker) *runResult {
 
 	res := &runResult{Reports: report.NewCollector(), modulesFound: map[string]bool{}}
 	tm := timingFor(cfg)
 
 	var mu sync.Mutex
-	sem := make(chan struct{}, opts.Parallelism)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for mi := range suite.Modules {
+	for w := range workers[:min(len(workers), len(suite.Modules))] {
 		wg.Add(1)
-		sem <- struct{}{}
-		go func(mi int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			mod := suite.Modules[mi]
-
-			mcfg := cfg
-			mcfg.Seed = cfg.Seed + int64(mi)*1009 + int64(run)*7919
+			wk := &workers[w]
 			detOpts := make([]core.Option, 0, 3)
-			if traps != nil && traps[mi] != nil {
-				detOpts = append(detOpts, core.WithInitialTraps(traps[mi]))
-			}
 			if opts.Metrics != nil {
 				detOpts = append(detOpts, core.WithDetectorMetrics(opts.Metrics))
 			}
 			detOpts = append(detOpts, core.WithSharedSampler(opts.sampler))
-			det, err := core.New(mcfg, detOpts...)
-			if err != nil {
-				panic(fmt.Sprintf("harness: detector config invalid: %v", err))
+			// One source for the worker, reseeded per test: a test draws the
+			// same sequence a source of its own would give it, and Env.Rng is
+			// only ever used from the test's main goroutine, so tests never
+			// share it.
+			if wk.rng == nil {
+				wk.rng = rand.New(rand.NewSource(0))
 			}
+			det := wk.det
+			defer func() { wk.det = det }()
+			for mi := int(next.Add(1) - 1); mi < len(suite.Modules); mi = int(next.Add(1) - 1) {
+				mod := suite.Modules[mi]
 
-			schedOpts := []task.SchedulerOption{task.WithForceAsync()}
-			if opts.InlineFastAsync {
-				// "Fast" scales with the workload pace: anything under
-				// ~20 pace units is a fast mock by this suite's measure.
-				schedOpts = []task.SchedulerOption{
-					task.WithInlineFastTasks(),
-					task.WithInlineThreshold(20 * tm.pace),
+				mcfg := cfg
+				mcfg.Seed = cfg.Seed + int64(mi)*1009 + int64(run)*7919
+				modOpts := detOpts
+				if traps != nil && len(traps[mi]) > 0 {
+					modOpts = append(detOpts, core.WithInitialTraps(traps[mi]))
+				}
+				var err error
+				det, err = core.Renew(det, mcfg, modOpts...)
+				if err != nil {
+					panic(fmt.Sprintf("harness: detector config invalid: %v", err))
+				}
+
+				schedOpts := []task.SchedulerOption{task.WithForceAsync()}
+				if opts.InlineFastAsync {
+					// "Fast" scales with the workload pace: anything under
+					// ~20 pace units is a fast mock by this suite's measure.
+					schedOpts = []task.SchedulerOption{
+						task.WithInlineFastTasks(),
+						task.WithInlineThreshold(20 * tm.pace),
+					}
+				}
+				schedDet := det
+				if _, isNop := det.(*core.NopDetector); isNop {
+					schedDet = nil // baseline: no monitoring cost at all
+				}
+				sched := task.NewScheduler(schedDet, schedOpts...)
+
+				start := time.Now()
+				panics := runModule(mod, det, sched, opts, tm, wk.rng, mi, run)
+				sched.WaitIdle()
+				dur := time.Since(start)
+
+				mu.Lock()
+				res.WallTime += dur
+				res.Stats.Add(det.Stats())
+				res.Panics += panics
+				res.modulesFound[mod.Name] = det.Reports().UniqueBugs() > 0
+				res.Reports.Merge(det.Reports())
+				if traps != nil {
+					traps[mi] = det.ExportTraps()
+				}
+				if tr := det.Tracer(); tr != nil {
+					// One drain per module run, after it is fully idle: the
+					// buffer is sized to hold a whole run, so this is the
+					// loss-free path reconciliation depends on.
+					events := tr.Drain()
+					tot := tr.Totals()
+					res.Traces = append(res.Traces, trace.ModuleTrace{
+						Module: mod.Name, Run: run, Events: events,
+						Emitted: tot.Emitted, Dropped: tot.Dropped,
+					})
+					res.TraceTotals.Emitted += tot.Emitted
+					res.TraceTotals.Dropped += tot.Dropped
+					res.TraceTotals.Buffered += tot.Buffered
+				}
+				if prog != nil {
+					bugs := det.Reports().Bugs()
+					keys := make([]report.PairKey, len(bugs))
+					for i, b := range bugs {
+						keys[i] = b.Key
+					}
+					prog.moduleDone(det.Stats().DelaysInjected, keys)
+				}
+				mu.Unlock()
+				if moduleRan != nil {
+					moduleRan(w, det, panics)
+				}
+				if panics > 0 {
+					det = nil
 				}
 			}
-			schedDet := det
-			if _, isNop := det.(*core.NopDetector); isNop {
-				schedDet = nil // baseline: no monitoring cost at all
-			}
-			sched := task.NewScheduler(schedDet, schedOpts...)
-
-			start := time.Now()
-			panics := runModule(mod, det, sched, opts, tm, mi, run)
-			sched.WaitIdle()
-			dur := time.Since(start)
-
-			mu.Lock()
-			res.WallTime += dur
-			res.Stats.Add(det.Stats())
-			res.Panics += panics
-			res.modulesFound[mod.Name] = det.Reports().UniqueBugs() > 0
-			res.Reports.Merge(det.Reports())
-			if traps != nil {
-				traps[mi] = det.ExportTraps()
-			}
-			if tr := det.Tracer(); tr != nil {
-				// One drain per detector, after the module run is fully
-				// idle: the buffer is sized to hold a whole run, so this
-				// is the loss-free path reconciliation depends on.
-				events := tr.Drain()
-				tot := tr.Totals()
-				res.Traces = append(res.Traces, trace.ModuleTrace{
-					Module: mod.Name, Run: run, Events: events,
-					Emitted: tot.Emitted, Dropped: tot.Dropped,
-				})
-				res.TraceTotals.Emitted += tot.Emitted
-				res.TraceTotals.Dropped += tot.Dropped
-				res.TraceTotals.Buffered += tot.Buffered
-			}
-			if prog != nil {
-				bugs := det.Reports().Bugs()
-				keys := make([]report.PairKey, len(bugs))
-				for i, b := range bugs {
-					keys[i] = b.Key
-				}
-				prog.moduleDone(det.Stats().DelaysInjected, keys)
-			}
-			mu.Unlock()
-		}(mi)
+		}()
 	}
 	wg.Wait()
 	return res
 }
 
-// runModule executes the module's tests sequentially, as a test runner
-// does, recovering from test-body panics.
-func runModule(mod *workload.Module, det core.Detector, sched *task.Scheduler,
-	opts Options, tm timing, mi, run int) int {
+// moduleRan, when set, is called by a worker after each module run it has
+// folded into the run's result, with the worker's index, the detector the
+// module ran on and the panics it counted. Tests set it before Run.
+var moduleRan func(worker int, det core.Detector, panics int)
 
-	// One source for the whole module, reseeded per test: a test draws the
-	// same sequence a source of its own would give it, and Env.Rng is only
-	// ever used from the test's main goroutine, so tests never share it.
-	rng := rand.New(rand.NewSource(0))
+// runModule executes the module's tests sequentially, as a test runner
+// does, recovering from test-body panics. rng is the worker's source.
+func runModule(mod *workload.Module, det core.Detector, sched *task.Scheduler,
+	opts Options, tm timing, rng *rand.Rand, mi, run int) int {
+
 	panics := 0
 	for ti, test := range mod.Tests {
 		// The baseline is truly uninstrumented: a nil detector skips the

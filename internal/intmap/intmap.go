@@ -17,7 +17,8 @@
 // newest []V chunk, zeroed, and lets the caller initialize it in place; a
 // chunk holds max(8, entries so far) values, so n inserts cost O(log n)
 // allocations rather than one each. Values never move and are never freed,
-// so a *V stays valid for the map's lifetime. A V that different threads
+// so a *V stays valid until the map is Reset, which empties the map but keeps
+// its table and chunks for the next entries. A V that different threads
 // write should be padded, at its end, to a multiple of 64 bytes: neighbours
 // in a chunk would share cache lines otherwise. (A chunk need not start on a
 // line — the allocator puts an 8-byte type header in front of one of up to
@@ -56,9 +57,16 @@ type Map[V any] struct {
 	table atomic.Pointer[table[V]]
 	mu    sync.Mutex
 	count int
-	// free is the unused tail of the newest value chunk, guarded by mu.
-	free []V
+	// chunks are the value chunks allocated so far, oldest first; the first
+	// used of them hand out values, and free is the unused tail of the newest
+	// of those. Guarded by mu. From the second on, every chunk is as large as
+	// all before it together, so maxChunks of them hold 2³³ values.
+	chunks [maxChunks][]V
+	used   int
+	free   []V
 }
+
+const maxChunks = 32
 
 type slot[V any] struct {
 	key atomic.Int64
@@ -156,7 +164,11 @@ func (m *Map[V]) GetOrInit(k int64, init func(*V)) (v *V, created bool) {
 		i = (i + 1) & t.mask
 	}
 	if len(m.free) == 0 {
-		m.free = make([]V, max(8, m.count))
+		if m.chunks[m.used] == nil {
+			m.chunks[m.used] = make([]V, max(8, m.count))
+		}
+		m.free = m.chunks[m.used]
+		m.used++
 	}
 	v, m.free = &m.free[0], m.free[1:]
 	if init != nil {
@@ -210,4 +222,47 @@ func (m *Map[V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.count
+}
+
+// Reset empties m and keeps what it allocated: its table, every slot cleared,
+// and its value chunks, zeroed, which later inserts use up oldest first before
+// a new chunk is allocated. A value inserted before the reset must not be used
+// after it, and Reset must not run concurrently with any other method.
+func (m *Map[V]) Reset() {
+	if t := m.table.Load(); t != nil {
+		for i := range t.slots {
+			t.slots[i].key.Store(slotEmpty)
+			t.slots[i].val.Store(nil)
+		}
+	}
+	for _, c := range m.chunks[:m.used] {
+		clear(c)
+	}
+	m.count, m.used, m.free = 0, 0, nil
+}
+
+// Storage is what a Map allocated, its table and value chunks, held apart
+// from any Map. The zero Storage holds nothing.
+type Storage[V any] struct {
+	t      *table[V]
+	chunks [maxChunks][]V
+}
+
+// Release empties m, as Reset does, and hands its storage over, leaving m
+// the zero Map. m must not be in use.
+func (m *Map[V]) Release() Storage[V] {
+	m.Reset()
+	s := Storage[V]{t: m.table.Swap(nil), chunks: m.chunks}
+	m.chunks = [maxChunks][]V{}
+	return s
+}
+
+// Reuse gives m, which must be the zero Map, the storage s that Release
+// handed over: m holds nothing, and allocates nothing until it holds more
+// than s's last Map did.
+func (m *Map[V]) Reuse(s Storage[V]) {
+	if s.t != nil {
+		m.table.Store(s.t)
+	}
+	m.chunks = s.chunks
 }

@@ -294,3 +294,93 @@ func TestInitSeesZeroedValue(t *testing.T) {
 		})
 	}
 }
+
+// TestResetForgetsEveryEntry: after a Reset no key is found, Len and Each
+// see nothing, and a value handed out again — from the same chunks — is
+// zeroed before its init sees it.
+func TestResetForgetsEveryEntry(t *testing.T) {
+	type rec struct {
+		a int64
+		p *int
+	}
+	var m Map[rec]
+	x := 1
+	for k := int64(0); k < 1000; k++ {
+		m.GetOrInit(k, func(v *rec) { *v = rec{a: k, p: &x} })
+	}
+	m.Reset()
+	if m.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", m.Len())
+	}
+	m.Each(func(k int64, _ *rec) { t.Fatalf("Each after Reset visited %d", k) })
+	for k := int64(0); k < 2000; k++ {
+		if v := m.Get(k); v != nil {
+			t.Fatalf("Get(%d) after Reset = %+v", k, *v)
+		}
+		if v, ok := m.GetFast(k); ok && v != nil {
+			t.Fatalf("GetFast(%d) after Reset = %+v", k, *v)
+		}
+	}
+	for k := int64(500); k < 2500; k++ {
+		v, created := m.GetOrInit(k, func(v *rec) {
+			if *v != (rec{}) {
+				t.Fatalf("init of key %d after Reset saw %+v", k, *v)
+			}
+			v.a = -k
+		})
+		if !created || v.a != -k {
+			t.Fatalf("GetOrInit(%d) after Reset = %+v, created %v", k, *v, created)
+		}
+	}
+	if m.Len() != 2000 {
+		t.Fatalf("Len = %d, want 2000", m.Len())
+	}
+}
+
+// TestResetKeepsTableAndChunks: refilling a Reset map with as many entries
+// allocates nothing — the table and every chunk are reused — and filling it
+// further allocates only the chunks and tables past what it held.
+func TestResetKeepsTableAndChunks(t *testing.T) {
+	var m Map[[4]int64]
+	fill := func(n int) {
+		for k := int64(0); k < int64(n); k++ {
+			m.GetOrInit(k, nil)
+		}
+	}
+	fill(1000)
+	if got := testing.AllocsPerRun(10, func() { m.Reset(); fill(1000) }); got != 0 {
+		t.Fatalf("refilling a Reset map with 1000 entries costs %v allocations, want 0", got)
+	}
+	m.Reset()
+	if got := testing.AllocsPerRun(1, func() { fill(1500) }); got > 1+2 {
+		t.Fatalf("1500 entries after 1000 cost %v allocations, want at most one chunk and one table", got)
+	}
+}
+
+// TestReleaseHandsOverStorage: a Map that Reuses what another Released holds
+// none of its entries, refills to the same size without allocating, and
+// shares nothing with the released Map, which is left the zero Map.
+func TestReleaseHandsOverStorage(t *testing.T) {
+	var src, dst Map[int64]
+	for k := int64(0); k < 100; k++ {
+		src.GetOrInit(k, func(v *int64) { *v = k * k })
+	}
+	dst.Reuse(src.Release())
+	if src.Len() != 0 || src.Get(1) != nil || dst.Len() != 0 || dst.Get(1) != nil {
+		t.Fatalf("after Release and Reuse: source Len %d, destination Len %d", src.Len(), dst.Len())
+	}
+	fill := func() {
+		for k := int64(0); k < 100; k++ {
+			if v, created := dst.GetOrInit(k, nil); !created || *v != 0 {
+				t.Fatalf("key %d: created %v, value %d", k, created, *v)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(1, func() { dst.Reset(); fill() }); got != 0 {
+		t.Fatalf("refilling the reused storage cost %v allocations", got)
+	}
+	src.GetOrInit(1000, nil)
+	if dst.Get(1000) != nil || dst.Len() != 100 {
+		t.Fatal("an insert into the released Map reached the one that reused its storage")
+	}
+}

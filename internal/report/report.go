@@ -127,15 +127,24 @@ type Bug struct {
 type Collector struct {
 	mu   sync.Mutex
 	bugs map[PairKey]*Bug
-	all  []Violation
-	// KeepAll retains every raw violation (memory-heavy; used by tests and
-	// statistics, not by production runs).
-	KeepAll bool
+	// all is every raw violation, which Merge folds into another collector.
+	all []Violation
 }
 
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{bugs: map[PairKey]*Bug{}, KeepAll: true}
+	return &Collector{bugs: map[PairKey]*Bug{}}
+}
+
+// Reset empties c and keeps its map and violation slice for the next
+// violations. Bugs and violations returned before are unaffected: both are
+// copies.
+func (c *Collector) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.bugs)
+	clear(c.all)
+	c.all = c.all[:0]
 }
 
 // Add records one violation.
@@ -154,9 +163,7 @@ func (c *Collector) Add(v Violation) {
 		b.stackPairSet[h] = struct{}{}
 		b.StackPairs++
 	}
-	if c.KeepAll {
-		c.all = append(c.all, v)
-	}
+	c.all = append(c.all, v)
 }
 
 // stackPairHash identifies a (trapped stack, conflicting stack) pair,
@@ -204,7 +211,8 @@ func (c *Collector) Bugs() []Bug {
 	return out
 }
 
-// Violations returns every recorded raw violation (requires KeepAll).
+// Violations returns every raw violation recorded, in the order they were
+// added: a collector keeps them all.
 func (c *Collector) Violations() []Violation {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -127,6 +127,26 @@ func TestCollectorMerge(t *testing.T) {
 	}
 }
 
+// TestCollectorReset: a reset collector holds nothing and counts afresh,
+// while what it returned before the reset keeps its values.
+func TestCollectorReset(t *testing.T) {
+	c := NewCollector()
+	c.Add(mkViolation(1, 2, "s1", "s2"))
+	c.Add(mkViolation(1, 2, "s3", "s4"))
+	bugs, all := c.Bugs(), c.Violations()
+	c.Reset()
+	if c.UniqueBugs() != 0 || len(c.Violations()) != 0 || c.TotalStackPairs() != 0 {
+		t.Fatalf("after Reset: %d bugs, %d violations", c.UniqueBugs(), len(c.Violations()))
+	}
+	c.Add(mkViolation(3, 4, "s5", "s6"))
+	if got := c.Bugs(); len(got) != 1 || got[0].Key != KeyOf(3, 4) || got[0].Occurrences != 1 {
+		t.Fatalf("after Reset and one Add: %+v", got)
+	}
+	if len(bugs) != 1 || bugs[0].Occurrences != 2 || len(all) != 2 || all[1].Trapped.Stack != "s3" {
+		t.Fatalf("Reset changed what the collector returned before it: %+v, %+v", bugs, all)
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := mkViolation(10, 20, "stackLineA\nstackLineB", "stackLineC")
 	s := v.String()

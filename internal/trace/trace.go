@@ -204,24 +204,41 @@ const DefaultBufferSize = 1 << 16
 // a power-of-two number of stripes derived from GOMAXPROCS. capacity <= 0
 // selects DefaultBufferSize.
 func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultBufferSize
-	}
-	stripes := 1
-	for stripes < runtime.GOMAXPROCS(0) && stripes < 32 {
-		stripes <<= 1
-	}
-	if capacity < stripes {
-		capacity = stripes
-	}
+	stripes, per := shape(capacity)
 	shift := uint(64)
 	for m := stripes; m > 1; m >>= 1 {
 		shift--
 	}
 	t := &Tracer{rings: make([]ring, stripes), shift: shift}
-	per := capacity / stripes
 	for i := range t.rings {
 		t.rings[i].buf = make([]Event, per)
+	}
+	return t
+}
+
+// shape is the number of stripes New(capacity) makes and the slots of each.
+func shape(capacity int) (stripes, per int) {
+	if capacity <= 0 {
+		capacity = DefaultBufferSize
+	}
+	stripes = 1
+	for stripes < runtime.GOMAXPROCS(0) && stripes < 32 {
+		stripes <<= 1
+	}
+	return stripes, max(capacity, stripes) / stripes
+}
+
+// Reuse returns t emptied — no events buffered, every total zero — if it has
+// the stripes and slots New(capacity) would give, and New(capacity)
+// otherwise. t may be nil, and must not be in use; the events a Drain
+// returned are copies and stay as they were.
+func Reuse(t *Tracer, capacity int) *Tracer {
+	if stripes, per := shape(capacity); t == nil || len(t.rings) != stripes || len(t.rings[0].buf) != per {
+		return New(capacity)
+	}
+	for i := range t.rings {
+		r := &t.rings[i]
+		r.start, r.count, r.emitted, r.dropped = 0, 0, 0, 0
 	}
 	return t
 }

@@ -98,6 +98,40 @@ func TestRingOverflowDropsOldestAndCounts(t *testing.T) {
 	}
 }
 
+// TestReuseEmptiesOrRebuilds: a tracer of the capacity asked for comes back
+// itself with nothing buffered and every total zero, so a reused tracer
+// counts like a new one; any other capacity gets a new tracer.
+func TestReuseEmptiesOrRebuilds(t *testing.T) {
+	tr := New(1)
+	for i := 0; i < 10; i++ {
+		tr.Emit(KindNearMiss, ids.ThreadID(i), 1, 1, 2, time.Duration(i), 0)
+	}
+	first := tr.Drain()
+	tr.Emit(KindNearMiss, 1, 1, 3, 4, 0, 0)
+	if got := Reuse(tr, 1); got != tr {
+		t.Fatal("Reuse of a tracer of the same capacity built a new one")
+	}
+	if tot := tr.Totals(); tot != (Totals{}) {
+		t.Fatalf("totals after Reuse = %+v, want zero", tot)
+	}
+	if got := tr.Drain(); len(got) != 0 {
+		t.Fatalf("Reuse left %d events buffered", len(got))
+	}
+	tr.Emit(KindPairAdded, 1, 1, 5, 6, 0, 0)
+	if ev := tr.Drain(); len(ev) != 1 || ev[0].OpA != 5 || ev[0].seq != 1 {
+		t.Fatalf("first event after Reuse = %+v", ev)
+	}
+	if first[0].Kind != KindNearMiss || first[0].OpA != 1 {
+		t.Fatalf("Reuse changed events drained before it: %+v", first[0])
+	}
+	if got := Reuse(tr, 1<<20); got == tr || got.Capacity() != New(1<<20).Capacity() {
+		t.Fatal("Reuse at another capacity did not build a new tracer")
+	}
+	if got := Reuse(nil, 0); got == nil || got.Capacity() != New(0).Capacity() {
+		t.Fatal("Reuse(nil) did not build a new tracer")
+	}
+}
+
 // TestConcurrentEmitDrainAccounting is the stress test for the exactness
 // invariant: N goroutines emit through the tracer while a drainer loops
 // concurrently; at quiescence emitted == drained + dropped.
