@@ -26,11 +26,8 @@ test:
 	$(GO) test ./...
 	$(GO) test -gcflags=all=-l ./internal/ids ./internal/collections ./internal/task
 
-# The whole tree must stay clean under the race detector. This run includes
-# internal/chaos's fleet chaos gate, race-enabled: TestChaosSmoke (one
-# randomized 30-action plan with every invariant checked after each action)
-# and TestRegressionSeedsReplay (every committed regression seed — each one
-# that ever caught a bug, plus planted-fault seeds proving the oracles fire).
+# The whole tree must stay clean under the race detector. TestMutantsAreKilled
+# skips itself here: the go test runs it starts are never race-enabled.
 race:
 	$(GO) test -race ./...
 

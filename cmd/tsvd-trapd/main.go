@@ -98,11 +98,15 @@ func run() int {
 	// stale generations, so what is on disk can never regress below a state a
 	// client's publish was already acknowledged against. A save either appends
 	// the rows the set gained to the log or compacts, which leaves the log
-	// empty; its size afterwards says which, without asking the persister.
+	// empty; its size afterwards says which, without asking the persister. A
+	// failed save cannot hold back its merge's ack (OnMerge returns nothing):
+	// it is counted, and those rows are in memory only until a save succeeds.
 	reg := metrics.NewRegistry()
 	persistSeconds := reg.Histogram("tsvd_trapd_persist_seconds",
 		"Time to make one growing merge durable (log append or compaction, fsync included).",
 		1e-9, metrics.ExpBounds(int64(100*time.Microsecond), 2, 13)) // 100µs..~400ms
+	persistFailures := reg.Counter("tsvd_trapd_persist_failures_total",
+		"Growing merges whose persist failed: acknowledged all the same, held in memory only.")
 	var logged struct {
 		sync.Mutex
 		rows int
@@ -116,6 +120,7 @@ func run() int {
 		err := persister.Save(f, st)
 		persistSeconds.Observe(int64(time.Since(begin)))
 		if err != nil {
+			persistFailures.Inc()
 			logger.Printf("persist failed (set kept in memory): %v", err)
 			return
 		}

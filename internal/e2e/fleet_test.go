@@ -155,6 +155,9 @@ func TestDaemonPersistsThroughItsLog(t *testing.T) {
 		t.Fatalf("tsvd_trapd_persist_seconds after three growing merges: count %v sum %v",
 			m["tsvd_trapd_persist_seconds_count"], m["tsvd_trapd_persist_seconds_sum"])
 	}
+	if v, ok := m["tsvd_trapd_persist_failures_total"]; !ok || v != 0 {
+		t.Fatalf("tsvd_trapd_persist_failures_total after three durable merges: %v (exposed %v), want 0", v, ok)
+	}
 
 	if err := daemon.Process.Kill(); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/trace"
+	"repro/internal/trapstore"
 	"repro/internal/workload"
 )
 
@@ -244,13 +246,21 @@ func TestSeedZeroIsDistinctFromDefault(t *testing.T) {
 // TestTraceReconcilesWithStats: with tracing on, the drained event counts
 // must mirror the detector counters exactly, with zero dropped events —
 // the observability layer's core accounting invariant, checked on the
-// directory WriteTrace writes by trace.CheckDir.
+// directory WriteTrace writes by trace.CheckDir. The run is served by a
+// traced store, a Fallback over a Memory and a FileStore sharing one tracer,
+// so the check covers the store events and totals WriteTrace splices in.
 func TestTraceReconcilesWithStats(t *testing.T) {
 	suite := workload.GenerateSuite(21, 20)
 	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
 		o := opts(algo, 2)
 		o.Config.Trace = true
+		storeTracer := trace.New(1 << 10)
+		o.Store = trapstore.NewFallback(trapstore.NewMemory("TSVD", storeTracer),
+			trapstore.NewFileStore(filepath.Join(t.TempDir(), "traps.json"), storeTracer), storeTracer)
 		out := Run(suite, o)
+		if out.StoreErr != nil || o.Store.Totals().Publishes == 0 {
+			t.Fatalf("%v: the store did not serve the run: %v, %+v", algo, out.StoreErr, o.Store.Totals())
+		}
 		if out.TraceTotals.Emitted == 0 {
 			t.Fatalf("%v: tracing enabled but no events emitted", algo)
 		}
@@ -265,7 +275,7 @@ func TestTraceReconcilesWithStats(t *testing.T) {
 			t.Fatalf("%v: drained %d != emitted %d", algo, drained, out.TraceTotals.Emitted)
 		}
 		dir := t.TempDir()
-		if _, err := WriteTrace(dir, len(suite.Modules), out, nil, nil); err != nil {
+		if _, err := WriteTrace(dir, len(suite.Modules), out, o.Store, storeTracer); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := trace.CheckDir(dir); err != nil {

@@ -259,8 +259,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // ParseValues parses a Prometheus text exposition back into a map from
 // series (name plus rendered labels, exactly as exposed) to value. It is
-// the reconciliation half of WritePrometheus: tests and the chaos oracles
-// scrape, parse, and compare against source counters.
+// the reconciliation half of WritePrometheus: tests scrape, parse, and
+// compare against source counters.
 func ParseValues(text string) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, line := range strings.Split(text, "\n") {

@@ -304,8 +304,8 @@ var testHookAfterWrite func(tmpPath string) error
 // narrowest window a kill can hit. The hook returning an error makes Save
 // stop right there, leaving the temp file behind exactly as a killed process
 // would. It exists so packages that build on Save (trapstore's snapshot
-// persister, the chaos harness) can stage the same kill-9 simulation the
-// trapfile tests use; production code must never call it.
+// persister) can stage the same kill-9 simulation the trapfile tests use;
+// production code must never call it.
 func SetTestHookAfterWrite(fn func(tmpPath string) error) { testHookAfterWrite = fn }
 
 // Save atomically replaces the trap file at path with f, normalized. The

@@ -40,11 +40,6 @@ type HTTPConfig struct {
 	// latency histograms (the tsvd_store_* families; docs/OBSERVABILITY.md).
 	// Register at most one store client per registry.
 	Metrics *metrics.Registry
-	// Transport, when non-nil, replaces the default HTTP transport. It is the
-	// fault-injection seam the chaos harness (internal/chaos) uses to put a
-	// slow, flaky, or 5xx-speaking network between a shard and its daemon
-	// without a real proxy. Production callers leave it nil.
-	Transport http.RoundTripper
 	// PublishChunkBytes caps one POST body (default 8 MiB, matching the
 	// daemon's payload cap). Publish splits a trap set whose JSON exceeds it
 	// into multiple bounded POSTs — safe because merge is a commutative,
@@ -139,7 +134,7 @@ func NewHTTPStore(baseURL string, cfg HTTPConfig) *HTTPStore {
 	s := &HTTPStore{
 		url:    base + TrapsPath,
 		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport},
+		client: &http.Client{},
 		ctx:    ctx,
 		cancel: cancel,
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),

@@ -79,9 +79,7 @@ func (p *SnapshotPersister) Load() (trapfile.File, SyncState, error) {
 	if err != nil {
 		return empty, SyncState{}, fmt.Errorf("trapstore: snapshot %s: %w", p.path, err)
 	}
-	if Planted() != FaultIgnoreLog {
-		st = replay(&snap.File, st, log)
-	}
+	st = replay(&snap.File, st, log)
 	return snap.File, st, nil
 }
 

@@ -447,21 +447,66 @@ func TestCloseLeavesWholeSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlantedIgnoreLogLosesAppendedRows: the planted fault the chaos harness
-// must catch does what it says.
-func TestPlantedIgnoreLogLosesAppendedRows(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	p := NewSnapshotPersister(path)
-	files := growing(rand.New(rand.NewSource(9)), 2, 40)
-	for i, f := range files {
-		if err := p.Save(f, SyncState{Epoch: 4, Generation: uint64(i + 1)}); err != nil {
-			t.Fatal(err)
+// TestReplayStopsAtUntrustedRecord: replay takes a log record only when its
+// CRC holds, it is from the snapshot's epoch, and it extends the generation
+// replay has reached. Each case builds a snapshot of files[0] at generation 1
+// and a log whose first record fails exactly one of those checks; a reboot
+// must read the snapshot alone, with no phantom pair.
+func TestReplayStopsAtUntrustedRecord(t *testing.T) {
+	files := growing(rand.New(rand.NewSource(12)), 3, 40)
+	// written saves files in order as generations 1, 2, … of epoch, and
+	// returns the log and the offset each appended record ends at.
+	written := func(path string, epoch uint64, files []trapfile.File) (log []byte, ends []int) {
+		t.Helper()
+		p := NewSnapshotPersister(path)
+		for i, f := range files {
+			if err := p.Save(f, SyncState{Epoch: epoch, Generation: uint64(i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				ends = append(ends, len(logBytes(t, path)))
+			}
 		}
+		return logBytes(t, path), ends
 	}
-	PlantFault(FaultIgnoreLog)
-	defer PlantFault(FaultNone)
-	if got, st := reboot(t, path); !reflect.DeepEqual(got, files[0]) || st.Generation != 1 {
-		t.Fatalf("with the log ignored a reboot reads %d pairs at %v, want the snapshot's %d", len(got.Pairs), st, len(files[0].Pairs))
+	for _, tc := range []struct {
+		name string
+		// log returns the log to put beside a snapshot of files[0] at
+		// generation 1 of epoch 7.
+		log func(t *testing.T) []byte
+	}{
+		{"crc", func(t *testing.T) []byte {
+			// One byte of a pair name changed under an intact length prefix.
+			log, _ := written(filepath.Join(t.TempDir(), "s.json"), 7, files[:2])
+			i := bytes.Index(log, []byte(`"q1.go:`))
+			if i < 0 {
+				t.Fatal("the record names no q1.go pair")
+			}
+			log[i+1] = 'z'
+			return log
+		}},
+		{"epoch", func(t *testing.T) []byte {
+			// FILE and FILE.log restored from the backups of two lifetimes.
+			log, _ := written(filepath.Join(t.TempDir(), "s.json"), 8, files[:2])
+			return log
+		}},
+		{"sequence", func(t *testing.T) []byte {
+			// The record for generation 2 lost: the next one says since 2.
+			log, ends := written(filepath.Join(t.TempDir(), "s.json"), 7, files)
+			return log[ends[0]:]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snapshot.json")
+			written(path, 7, files[:1])
+			if err := os.WriteFile(path+".log", tc.log(t), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, st := reboot(t, path); !reflect.DeepEqual(got, files[0]) || st != (SyncState{Epoch: 7, Generation: 1}) {
+				t.Fatalf("a reboot reads %d pairs at %v, want the snapshot's %d at generation 1",
+					len(got.Pairs), st, len(files[0].Pairs))
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package trapstore
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -333,6 +334,52 @@ func TestFetchDeltaEconomy(t *testing.T) {
 	if deltaBytes <= 0 || deltaBytes > fullBytes/10 {
 		t.Fatalf("delta response cost %d bytes against a %d-byte full snapshot; want O(delta), not O(pairs)",
 			deltaBytes, fullBytes)
+	}
+}
+
+// TestFetchRefetchesOnMisalignedDelta: a delta body applies only on top of
+// the mirror it was computed against. A server whose delta names another
+// window (since) or another lifetime (epoch) than the client's mirror must
+// cost the client its mirror and one full refetch, and the fetch returns
+// exactly the server's set.
+func TestFetchRefetchesOnMisalignedDelta(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delta SyncState // the delta's epoch, and as Generation the since it echoes
+	}{
+		{"since", SyncState{Epoch: 0xabc, Generation: 2}},
+		{"epoch", SyncState{Epoch: 0xdef, Generation: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex // the server's state: its set and the state that names it
+			full := trapfile.File{Tool: "TSVD", Pairs: pairs("a", "b")}
+			at := SyncState{Epoch: 0xabc, Generation: 1}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				defer mu.Unlock()
+				body := envelopeOf(full, at)
+				if r.URL.Query().Has(SinceParam) { // answered with the delta, misaligned
+					body = envelopeOf(trapfile.File{Tool: "TSVD", Pairs: pairs("x", "y")},
+						SyncState{Epoch: tc.delta.Epoch, Generation: at.Generation})
+					body.Delta, body.Since = true, tc.delta.Generation
+				}
+				json.NewEncoder(w).Encode(body)
+			}))
+			defer srv.Close()
+			s, _ := newTestClient(srv.URL, HTTPConfig{})
+			defer s.Close()
+
+			fetchPairs(t, s) // the mirror: {a,b} at generation 1
+			mu.Lock()
+			full.Pairs = pairs("a", "b", "c", "d", "x", "y")
+			at.Generation = 3
+			want := trapfile.Normalize(full)
+			mu.Unlock()
+			if got, err := s.Fetch(); err != nil || !reflect.DeepEqual(got, want) || s.WireStats().DeltaFetches != 0 {
+				t.Fatalf("after a misaligned delta the client holds %+v (%v, %+v), want the server's %+v from a full fetch",
+					got, err, s.WireStats(), want)
+			}
+		})
 	}
 }
 

@@ -52,38 +52,6 @@ import (
 // an unavailable store is degraded around, a corrupt payload is a bug.
 var ErrUnavailable = errors.New("trapstore: unavailable")
 
-// PlantedFault selects a deliberately planted bug for the chaos harness
-// (internal/chaos) to catch. The production value is
-// FaultNone; arming any other value via PlantFault makes a store violate its
-// own contract on purpose, proving the harness's invariant oracles actually
-// detect contract breaches rather than vacuously passing.
-type PlantedFault int32
-
-const (
-	// FaultNone is the production state: no planted bug.
-	FaultNone PlantedFault = iota
-	// FaultLoseLocalPublish makes Fallback.Publish skip the local store
-	// whenever the remote primary accepts the pairs — inverting the
-	// local-first durability order, so a shard's discoveries survive only as
-	// long as the daemon does. This is exactly the pair-loss the Fallback
-	// contract forbids; the chaos harness must catch it within 200 actions.
-	FaultLoseLocalPublish
-	// FaultIgnoreLog makes SnapshotPersister.Load skip the append log, so a
-	// restart loses every row acknowledged since the last compaction.
-	FaultIgnoreLog
-)
-
-// plantedFault is process-global: the harness arms it around a whole chaos
-// run, and stores consult it on every publish.
-var plantedFault atomic.Int32
-
-// PlantFault arms f (or disarms every fault when f is FaultNone). Test-only:
-// nothing in production code calls it.
-func PlantFault(f PlantedFault) { plantedFault.Store(int32(f)) }
-
-// Planted returns the currently armed planted fault.
-func Planted() PlantedFault { return PlantedFault(plantedFault.Load()) }
-
 // TrapStore is one shared dangerous-pair set. Implementations must tolerate
 // concurrent calls from multiple goroutines; Fetch and Publish are
 // idempotent at the pair-set level (publishing twice merges twice into the
@@ -333,14 +301,6 @@ func (s *Fallback) Fetch() (trapfile.File, error) {
 
 // Publish implements TrapStore.
 func (s *Fallback) Publish(f trapfile.File) error {
-	if Planted() == FaultLoseLocalPublish {
-		// Planted bug (see PlantedFault): remote-first, and on success the
-		// local publish is skipped entirely — the discoveries are durable
-		// only on the daemon, which the chaos harness is free to kill.
-		if err := s.primary.Publish(f); err == nil {
-			return nil
-		}
-	}
 	if err := s.local.Publish(f); err != nil {
 		return err
 	}
