@@ -25,11 +25,12 @@
 // admitted conflict-free call stores to no cache line another thread reads:
 // it records into a ring its thread owns — the object's fixed publication ring
 // while the thread is the object's only user, its thread's stripe once the
-// object is shared and only being read (objState.writer, readSet) — and the
-// concurrent-phase detector (§3.4.3, phaseRing) is a claim on one word that
-// changes only when a thread claims it or a second thread breaks the claim —
-// at the price of calling a phase sequential up to ⌈W/2⌉ calls late, never
-// early.
+// object is shared and only being read (objState.writer, readSet) — and its
+// time into its thread's own state. Other threads read that time only when a
+// near miss, or a site not yet seen concurrently, asks for the
+// concurrent-phase verdict (§3.4.3, TSVD.concurrent), which is computed then
+// from every thread's latest call and is exact under the clock's order but
+// for a call whose clock read precedes it and whose store is not yet visible.
 // docs/PERFORMANCE.md documents the cost model layer by layer.
 package core
 

@@ -89,96 +89,6 @@ func trapSetConsistent(s *trapSet) bool {
 	return entries == indexed && len(s.export()) == s.size()
 }
 
-// phaseBelievedAfter is the documented bound on the phase detector's one
-// drift: a thread that has made this many consecutive calls with nobody in
-// between is sequential on the next one (W would be exact).
-func phaseBelievedAfter(w int) int { return w + (w+1)/2 }
-
-// TestPhaseRingProperty states what the claim protocol promises, on random
-// bursty schedules of four threads and windows of 2–31:
-//
-//   - soundness: a sequential verdict means the last min(n, W) observed ids
-//     are one thread's — which also makes the first call of a second thread,
-//     and the next call of the thread it interrupted, concurrent;
-//   - liveness: a thread is sequential from its first call while it is the
-//     only thread the detector ever saw, and otherwise on every call past
-//     phaseBelievedAfter(W) consecutive ones.
-func TestPhaseRingProperty(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		size := 2 + rng.Intn(30)
-		p := newPhaseRing(size)
-		var locals [5]phaseLocal
-		var seen []ids.ThreadID
-		streak, threads := 0, 0
-		for step := 0; step < 60; step++ {
-			tid := ids.ThreadID(rng.Intn(4) + 1)
-			burst := 1
-			if rng.Intn(3) == 0 {
-				burst += rng.Intn(2 * phaseBelievedAfter(size))
-			}
-			for ; burst > 0; burst-- {
-				switch {
-				case len(seen) == 0:
-					threads = 1
-				case seen[len(seen)-1] != tid:
-					streak = 0
-					threads = 2
-				}
-				streak++
-				concurrent := p.observe(&locals[tid], tid)
-				seen = append(seen, tid)
-				if !concurrent {
-					for _, w := range seen[max(0, len(seen)-size):] {
-						if w != tid {
-							t.Logf("seed %d W %d: call %d of thread %d sequential with thread %d in the window", seed, size, len(seen), tid, w)
-							return false
-						}
-					}
-				} else if threads == 1 || streak > phaseBelievedAfter(size) {
-					t.Logf("seed %d W %d: call %d, the %d-th in a row of thread %d, still concurrent", seed, size, len(seen), streak, tid)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPhaseRingTraffic: the shared word is what every thread's every call
-// loads, so how often it changes value is what a second thread costs the
-// first. Two strictly alternating threads change it at most 8·N/W + 4 times
-// in N calls (the exact-window ring changed it N times); one thread alone,
-// once believed, never.
-func TestPhaseRingTraffic(t *testing.T) {
-	for _, size := range []int{2, 3, 16, 31, 256} {
-		p := newPhaseRing(size)
-		var locals [3]phaseLocal
-		changes := func(n int, next func(i int) ids.ThreadID) int {
-			c, last := 0, p.state.Load()
-			for i := 0; i < n; i++ {
-				tid := next(i)
-				p.observe(&locals[tid], tid)
-				if s := p.state.Load(); s != last {
-					c, last = c+1, s
-				}
-			}
-			return c
-		}
-		const n = 10000
-		if c := changes(n, func(i int) ids.ThreadID { return ids.ThreadID(1 + i%2) }); c > 8*n/size+4 {
-			t.Errorf("W %d: %d alternating calls changed the word %d times, bound %d", size, n, c, 8*n/size+4)
-		}
-		changes(phaseBelievedAfter(size), func(int) ids.ThreadID { return 1 })
-		if c := changes(n, func(int) ids.ThreadID { return 1 }); c != 0 {
-			t.Errorf("W %d: a believed lone thread changed the word %d times", size, c)
-		}
-	}
-}
-
 // TestObjHistoryProperty: the ring keeps exactly the most recent capacity
 // entries, in any order.
 func TestObjHistoryProperty(t *testing.T) {

@@ -57,7 +57,7 @@ type renewStep struct {
 }
 
 // renewStream draws n steps in segments: one thread alone for a while (a
-// sequential phase, so the phase word is claimed and near misses skipped),
+// sequential phase, so near misses are skipped),
 // then three threads interleaved over five objects. Most calls go to a few
 // hot locations, so pairs form, delays fire and decay; the rest spread over
 // a few hundred sites, so the coverage table grows; a few gaps are long
@@ -151,11 +151,12 @@ var renewAlgos = []config.Algorithm{
 }
 
 // TestRenewIsFresh: a detector driven through one stream — traps set, sprung
-// and pruned, objects shared, the phase word claimed, the coverage table
+// and pruned, objects shared, sequential phases seen, the coverage table
 // grown, every event traced — and then renewed to another configuration
 // behaves on a second stream exactly as a new detector of that configuration
 // does: the same counters, bugs (stacks included), trap set, events and trace
-// totals. Renew hands back the detector it was given.
+// totals, and it has seen as many threads. Renew hands back the detector it
+// was given.
 func TestRenewIsFresh(t *testing.T) {
 	first, second := renewStream(1, 3000), renewStream(2, 3000)
 	for _, algo := range renewAlgos {
@@ -211,6 +212,9 @@ func TestRenewIsFresh(t *testing.T) {
 			}
 			if got.totals != want.totals {
 				t.Errorf("trace totals: renewed %+v, new %+v", got.totals, want.totals)
+			}
+			if got, want := runtimeOf(renewed).threadsSeen.Load(), runtimeOf(fresh).threadsSeen.Load(); got != want {
+				t.Errorf("threads seen: renewed %d, new %d", got, want)
 			}
 		})
 	}

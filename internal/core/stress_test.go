@@ -197,21 +197,22 @@ func TestDenseRuntimeStressWithConflicts(t *testing.T) {
 	}
 }
 
-// TestPhaseVerdictsAcrossGoroutines drives the phase word from real
+// TestPhaseVerdictsAcrossGoroutines drives the phase verdict from real
 // goroutines. Two of them ping-pong on one object through channels, so every
 // call finds the other thread's accesses in the object's history and is
 // either a near miss (concurrent phase) or a sequential skip: in 10⁴ strictly
 // alternating calls there is no skip at all. Then one goroutine is left
-// alone, and after phaseBelievedAfter(W) calls its next one is a skip.
+// alone, and after W calls its next one is a skip: the last W points are all
+// its own.
 func TestPhaseVerdictsAcrossGoroutines(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.Mode = config.ModeObserveOnly // pairs form, nobody sleeps
 	cfg.DisableNearMissWindow = true
 	cfg.DisableHBInference = true
-	believed := phaseBelievedAfter(cfg.PhaseBufferSize)
-	// The survivor must still find the other thread's accesses when it is
-	// believed.
-	cfg.ObjHistory = 2 * believed
+	w := cfg.PhaseBufferSize
+	// The survivor must still find the other thread's accesses after its
+	// calls alone.
+	cfg.ObjHistory = 2 * w
 	d := mustNew(t, cfg)
 	const obj, rounds = ids.ObjectID(1), 5000
 
@@ -243,7 +244,7 @@ func TestPhaseVerdictsAcrossGoroutines(t *testing.T) {
 	alone := make(chan struct{})
 	go func() {
 		defer close(alone)
-		for i := 0; i < believed; i++ {
+		for i := 0; i < w; i++ {
 			d.OnCall(acc(1, obj, 101, KindWrite))
 		}
 	}()
@@ -252,7 +253,7 @@ func TestPhaseVerdictsAcrossGoroutines(t *testing.T) {
 	d.OnCall(acc(1, obj, 101, KindWrite))
 	after := d.Stats()
 	if after.SequentialSkips == before.SequentialSkips || after.NearMisses != before.NearMisses {
-		t.Fatalf("call %d of a thread left alone is still in a concurrent phase: before %+v, after %+v", believed+1, before, after)
+		t.Fatalf("call %d of a thread left alone is still in a concurrent phase: before %+v, after %+v", w+1, before, after)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -166,6 +167,10 @@ const readStripes = 8
 // stripes afterwards — so a read either is in the merge or sees the demotion
 // and takes recordSlow itself.
 type readSet struct {
+	// A line of its own in front of the stripes: recordRead's nil check on
+	// os.reads loads the struct's first byte, which would otherwise share
+	// stripe 0's line with whoever writes it.
+	_       [64]byte
 	stripes [readStripes]struct {
 		mu   spinMutex
 		hist history
@@ -280,6 +285,11 @@ type pubRing struct {
 
 const ringClosed = uint64(1) << 63
 
+// callRingSize is the length of a thread's ring of call times for a phase
+// window of w TSVD points: the w−1 calls before the one in flight, rounded
+// up to a power of two so that the call count indexes it.
+func callRingSize(w int) int { return 1 << bits.Len(uint(w-2)) }
+
 // ownerRingSize is the publication ring's size: the ObjHistory entries a
 // takeover merges plus the owner's in-flight slot, and at least the inline
 // array.
@@ -337,9 +347,19 @@ type threadState struct {
 	// feature 2).
 	budget clock.Budget
 
-	// phase is this thread's half of the concurrent-phase detector
-	// (phaseRing): its claim's standing and its run length.
-	phase phaseLocal
+	// --- concurrent-phase verdict (§3.4.3, TSVD.concurrent) ---
+	// latest is the time of the thread's newest recorded call, the one field
+	// here another thread's call reads (a verdict's scan); zero before the
+	// first. calls is the ring of the thread's recorded call times, a power
+	// of two of at least W−1 entries (on callBuf up to W = 17), and callN
+	// counts the calls it has recorded. A call is recorded once the detector
+	// has seen a second thread. coverAsk is the callN from which the coverage
+	// path may ask for a verdict again. Owner-only but for latest.
+	latest   atomic.Int64
+	calls    []time.Duration
+	callN    uint64
+	coverAsk uint64
+	callBuf  [16]time.Duration
 
 	// --- TSVD happens-before inference (§3.4.4), owner-only ---
 	// lastAccess starts at the noAccessYet sentinel, which makes the
@@ -373,7 +393,7 @@ type threadState struct {
 
 	// Padding to a whole number of cache lines, as objState's: the
 	// neighbours in the registry's chunk belong to other threads.
-	_ [24]byte
+	_ [56]byte
 }
 
 type clockMemo struct {
@@ -487,6 +507,13 @@ type runtime struct {
 	// skips the object's trap scan entirely while it is zero — on a
 	// conflict-free workload OnCall never touches the trap table at all.
 	parked atomic.Int64
+	// threadsSeen counts the thread states created. While it is 1 a TSVD
+	// call stores nothing for the phase verdict: nobody else would read it.
+	threadsSeen atomic.Int32
+	// phaseWindow is TSVD's W (config.Config.PhaseBufferSize); zero with
+	// phase detection off and in the other variants, whose threads then get
+	// no ring of call times.
+	phaseWindow int
 
 	// cover is the dense per-site coverage flag table; covered keeps the
 	// op-keyed records behind it so the public counters stay op-distinct
@@ -568,8 +595,6 @@ type storage struct {
 	// rng is reseeded by its first draw; tr is reused by trace.Reuse.
 	rng *rand.Rand
 	tr  *trace.Tracer
-	// phase is TSVD's phase ring, reset by init.
-	phase *phaseRing
 }
 
 // release empties r into s for its detector's next run (Renew). First r's
@@ -676,12 +701,22 @@ func (r *runtime) threadStateFor(t ids.ThreadID) *threadState {
 }
 
 func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
-	st, _ := r.threads.GetOrInit(int64(t), func(st *threadState) {
+	st, created := r.threads.GetOrInit(int64(t), func(st *threadState) {
 		st.rng = sampler.SeedRand(r.cfg.Seed, int64(t))
 		st.lastAccess = noAccessYet
 		st.budget = clock.Budget{Max: r.maxDelay}
 		st.nearKeys = st.nearBuf[:0]
+		if w := r.phaseWindow; w > 0 {
+			if n := callRingSize(w); n <= len(st.callBuf) {
+				st.calls = st.callBuf[:n]
+			} else {
+				st.calls = make([]time.Duration, n)
+			}
+		}
 	})
+	if created {
+		r.threadsSeen.Add(1)
+	}
 	return st
 }
 
@@ -1018,111 +1053,4 @@ func (r *runtime) nearMiss(a *Access, prev ids.OpID, at, gap time.Duration) {
 	r.stats.gaps[gapBucket(gap)].Add(1)
 	r.met.observeGap(gap)
 	r.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, prev, a.Op, at, gap)
-}
-
-// phaseRing is the concurrent-phase detector of §3.4.3. The paper keeps a
-// ring of the thread ids at the last W TSVD points and calls the execution
-// concurrent iff the ring holds two distinct ids; it also says the ring "need
-// not be synchronized … TSVD only needs an approximate notion of concurrent
-// phases". A ring every call writes is one cache line every thread bounces on
-// every call, so this detector keeps the one question the ring answers — were
-// the last W points all mine? — as a claim on a single word, and the run
-// lengths in the calling thread's own phaseLocal:
-//
-//   - virgin: no call yet. The first thread claims the word and is sequential
-//     from its first call.
-//   - open: no claim stands. Every caller is in a concurrent phase and only
-//     counts its own calls, thread-locally. A thread that has made claimAfter
-//     = ⌈W/2⌉ calls since it last saw evidence of another thread CASes the
-//     word to its claim.
-//   - claimed by T: any other thread that loads the claim CASes it back to
-//     open on that very call and is concurrent; T, finding its claim gone, is
-//     concurrent too and starts counting again. A claim that has stood for W
-//     of T's calls is the sequential verdict, and from then on T's check is
-//     one load and one compare against its cached claim word, no store.
-//
-// The error is one-sided. Sequential is only reported when the last W points
-// really were one thread's, because any foreign point breaks a standing
-// claim; the switch to concurrent is immediate on the second thread's first
-// call; but a lone thread is believed after up to W + ⌈W/2⌉ calls instead of
-// W. In exchange both steady states are read-only on the shared word: two
-// alternating threads change it about four times per W calls each, not twice
-// per call. Racing observers can at worst report concurrent once too often.
-type phaseRing struct {
-	// window is W, claimAfter ⌈W/2⌉.
-	window, claimAfter uint32
-	// state is phaseVirgin, phaseOpen or a thread's claimWord.
-	state atomic.Uint64
-}
-
-// The word's non-claim values. Neither is zero and a claim word never is, so
-// a zero phaseLocal.seq matches no state.
-const (
-	phaseOpen   = 1
-	phaseVirgin = 3
-)
-
-// claimWord is the state value that says t holds the claim: the id above a
-// two-bit tag no other value carries. Ids are small counters; two threads 2⁶²
-// apart sharing a word would only make the heuristic miss a switch.
-func claimWord(t ids.ThreadID) uint64 { return uint64(t)<<2 | 2 }
-
-// phaseLocal is one thread's half of the phase detector, owner-only.
-type phaseLocal struct {
-	// seq is the thread's claim word while its claim has stood for a whole
-	// window, zero otherwise: OnCall's sequential check is state == seq.
-	seq uint64
-	// run counts the thread's calls under its standing claim while held, and
-	// its calls since it last saw evidence of another thread otherwise.
-	run  uint32
-	held bool
-}
-
-// reset makes p a virgin ring of size points. p must not be in use.
-func (p *phaseRing) reset(size int) {
-	w := uint32(min(size, math.MaxInt32))
-	p.window, p.claimAfter = w, (w+1)/2
-	p.state.Store(phaseVirgin)
-}
-
-// observe records a call of t, whose local state l is, and reports whether
-// the execution is in a concurrent phase. TSVD's OnCall open-codes the
-// standing sequential verdict (state == l.seq) and calls this otherwise.
-func (p *phaseRing) observe(l *phaseLocal, t ids.ThreadID) bool {
-	mine := claimWord(t)
-	s := p.state.Load()
-	if s == phaseVirgin {
-		if p.state.CompareAndSwap(phaseVirgin, mine) {
-			*l = phaseLocal{seq: mine, run: p.window, held: true}
-			return false
-		}
-		s = p.state.Load()
-	}
-	if s == mine {
-		// The claim stands, so every point since it was made is this
-		// thread's: run of them, the claiming call included.
-		if l.run++; l.run >= p.window {
-			l.seq = mine
-			return false
-		}
-		return true
-	}
-	if s != phaseOpen || l.held {
-		// Another thread was here. Either it broke our claim, or it holds one
-		// itself and this call is the foreign point that ends it (a failed
-		// CAS means a third thread already did).
-		if s != phaseOpen {
-			p.state.CompareAndSwap(s, phaseOpen)
-		}
-		*l = phaseLocal{}
-		return true
-	}
-	if l.run++; l.run >= p.claimAfter {
-		// A lost race for the claim is evidence of another thread too.
-		*l = phaseLocal{}
-		if p.state.CompareAndSwap(phaseOpen, mine) {
-			l.run, l.held = 1, true
-		}
-	}
-	return true
 }

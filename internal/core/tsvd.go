@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -32,8 +33,7 @@ type TSVD struct {
 	nopSyncHooks // TSVD is oblivious to synchronization by design
 	detectorBase
 
-	phase *phaseRing
-	set   trapSet
+	set trapSet
 
 	// delayMu guards recentDelays, the finished-delay log for gap
 	// attribution (§3.4.4) — the only cross-thread HB-inference state. It
@@ -143,11 +143,7 @@ const maxRecentDelays = 256
 func (d *TSVD) init(cfg config.Config, o options, s *storage) {
 	d.rt.init(cfg, o, s)
 	if !cfg.DisablePhaseDetection {
-		d.phase = s.phase
-		if d.phase == nil {
-			d.phase = &phaseRing{}
-		}
-		d.phase.reset(cfg.PhaseBufferSize)
+		d.rt.phaseWindow = cfg.PhaseBufferSize
 	}
 	d.set.init(s, o.initialTraps, &d.rt)
 	o.metrics.attach(&d.rt, d)
@@ -157,7 +153,6 @@ func (d *TSVD) init(cfg config.Config, o options, s *storage) {
 func (d *TSVD) release(s *storage) {
 	d.rt.release(s, d)
 	d.set.release(s)
-	s.phase = d.phase
 }
 
 // OnCall implements Detector; it is the OnCall of Figure 5 with TSVD's
@@ -193,26 +188,15 @@ func (d *TSVD) OnCall(a Access) {
 	// No OnCalls counter here: the admitted path is counted by the ring
 	// publication below, or by recordSlow (snapshotStats sums both).
 
-	// Concurrent-phase inference and coverage marking (markSeen's fully-marked
-	// fast case, expanded inline). The standing sequential verdict is expanded
-	// too: the phase word equal to this thread's confirmed claim is one load
-	// and one compare. Everything else — an open word, where the thread only
-	// counts its own calls, and the rare claim, break and warm-up — is observe,
-	// which stores to the shared word only on those rare transitions.
-	concurrent := true
-	if p := d.phase; p != nil {
-		if p.state.Load() == st.phase.seq {
-			concurrent = false
-		} else {
-			concurrent = p.observe(&st.phase, a.Thread)
-		}
-	}
-	cwant := uint32(coverSeen)
-	if concurrent {
-		cwant |= coverConcurrent
-	}
-	if ct := rt.cover.Load(); ct == nil || int(a.Site) >= len(*ct) || (*ct)[a.Site].Load()&cwant != cwant {
-		rt.markSeenSlow(a.Site, a.Op, cwant)
+	// Coverage marking (markSeen's fully-marked fast case, expanded inline).
+	// A site not yet seen in a concurrent phase goes to cover only when it
+	// is new, or when there is another thread and this one may ask for a
+	// phase verdict again.
+	if ct := rt.cover.Load(); ct == nil || int(a.Site) >= len(*ct) {
+		d.cover(st, &a)
+	} else if c := (*ct)[a.Site].Load(); c != coverSeen|coverConcurrent &&
+		(c == 0 || rt.threadsSeen.Load() > 1 && st.callN >= st.coverAsk) {
+		d.cover(st, &a)
 	}
 
 	// The timestamp is read here, after every piece of work that does not
@@ -268,17 +252,23 @@ func (d *TSVD) OnCall(a Access) {
 		}
 	}
 	if !published {
-		for _, key := range d.recordSlow(st, os, a, t, concurrent) {
+		for _, key := range d.recordSlow(st, os, a, t) {
 			if d.set.add(key, &rt.stats, rt.met) {
 				rt.tr.Emit(trace.KindPairAdded, a.Thread, a.Obj, key.A, key.B, t, 0)
 			}
 		}
 	}
 
-	// Record this access in the thread-local HB state.
+	// Record this access in the thread-local HB state, and its time for the
+	// phase verdicts (concurrent) once there is another thread to ask.
 	st.lastAccess = t
 	st.ownDelay = 0
 	st.hbDeadline = t + rt.hbThreshold
+	if calls := st.calls; len(calls) != 0 && rt.threadsSeen.Load() > 1 {
+		calls[st.callN&uint64(len(calls)-1)] = t
+		st.callN++
+		st.latest.Store(int64(t))
+	}
 
 	if rt.samp != nil {
 		rt.leave(st)
@@ -327,10 +317,11 @@ func (d *TSVD) OnCall(a Access) {
 // after promoteAfter reads in a row. A first touch is counted by the ring it
 // publishes to, every other call that lands here on the thread's own
 // onCalls; a read of a read-shared object needs none of it and leaves at
-// once, through recordRead, which counts its own. It returns the near-miss
-// pair keys found, in the thread's own scratch slice (valid until its next
-// call); the caller inserts them into the trap set outside the lock.
-func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration, concurrent bool) []report.PairKey {
+// once, through recordRead, which counts its own. The phase verdict is asked
+// once, by the first near-miss candidate. It returns the near-miss pair keys
+// found, in the thread's own scratch slice (valid until its next call); the
+// caller inserts them into the trap set outside the lock.
+func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration) []report.PairKey {
 	rt := &d.rt
 	nearKeys := st.nearKeys[:0]
 	rec := histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
@@ -360,6 +351,7 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			os.share(w, rt.cfg.ObjHistory)
 		}
 		h := os.hist
+		asked, concurrent := false, false
 		for i, n := 0, h.len(); i < n; i++ {
 			e := h.newest(i)
 			if e.thread == a.Thread || !Conflicts(e.kind, a.Kind) {
@@ -374,6 +366,9 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 			}
 			if !rt.cfg.DisableNearMissWindow && gap > rt.nearMissWindow {
 				continue
+			}
+			if !asked {
+				asked, concurrent = true, d.concurrent(st, a.Thread, e.at)
 			}
 			if !concurrent {
 				rt.stats.count[statSequentialSkips].Add(1)
@@ -398,6 +393,60 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 	os.mu.Unlock()
 	st.nearKeys = nearKeys
 	return nearKeys
+}
+
+// noCall is a call time no verdict window starts at or before: concurrent's
+// seen when there is no other thread's call in hand.
+const noCall = time.Duration(math.MinInt64)
+
+// concurrent is §3.4.3's verdict for the call thread self has in flight, st
+// being its state: whether the last W TSVD points hold another thread's.
+// They do iff another thread's latest call is at or after this thread's
+// (W−1)-th previous one, exactly so under the clock's order; ties count as
+// concurrent. seen, the time of some other thread's call, settles it when it
+// is that recent; otherwise the thread registry is scanned. A call whose
+// clock read precedes the verdict but whose store is not yet visible is
+// missed. A thread with fewer than W−1 calls recorded counts every thread the
+// detector has seen. The calls a thread makes while it is the only one are
+// not recorded; they precede every other thread's calls, so all they could
+// change is a tie. With phase detection off, every call is concurrent.
+func (d *TSVD) concurrent(st *threadState, self ids.ThreadID, seen time.Duration) bool {
+	rt := &d.rt
+	if rt.phaseWindow == 0 {
+		return true
+	}
+	if rt.threadsSeen.Load() < 2 {
+		return false
+	}
+	var from time.Duration
+	if back, n := uint64(rt.phaseWindow-1), st.callN; n >= back {
+		from = st.calls[(n-back)&uint64(len(st.calls)-1)]
+	}
+	if seen >= from {
+		return true
+	}
+	found := false
+	rt.threads.Each(func(k int64, u *threadState) {
+		if k != int64(self) && time.Duration(u.latest.Load()) >= from {
+			found = true
+		}
+	})
+	return found
+}
+
+// cover marks a's site seen, and seen in a concurrent phase if the verdict
+// says so. A concurrent verdict flags the site for good. After a sequential
+// one that took a scan the thread asks again only W calls later, so a site
+// whose concurrent runs all fall in between is not flagged by this thread; a
+// lone thread's verdict costs nothing and is not rationed.
+func (d *TSVD) cover(st *threadState, a *Access) {
+	concurrent := false
+	if st.callN >= st.coverAsk {
+		if concurrent = d.concurrent(st, a.Thread, noCall); !concurrent && d.rt.threadsSeen.Load() > 1 {
+			st.coverAsk = st.callN + uint64(d.rt.phaseWindow)
+		}
+	}
+	d.rt.markSeen(a.Site, a.Op, concurrent)
 }
 
 // inferHB implements §3.4.4. st is a.Thread's own state, so everything here

@@ -237,43 +237,12 @@ func TestPhaseDetectionSuppressesSequential(t *testing.T) {
 	if st := d.Stats(); st.NearMisses != 1 || st.SequentialSkips != 0 {
 		t.Fatalf("a foreign call %d points back did not keep the phase concurrent: %+v", w-1, st)
 	}
-	// Now thread 1 floods until it is believed: the next sighting next to
-	// thread 2's access is "sequential".
-	flood(phaseBelievedAfter(w))
+	// Now thread 1 floods w calls: the last w points before its next
+	// sighting next to thread 2's access are all its own, "sequential".
+	flood(w)
 	d.OnCall(acc(1, obj, 805, KindWrite))
 	if st := d.Stats(); st.NearMisses != 1 || st.SequentialSkips == 0 {
 		t.Fatalf("sequential phase not detected: %+v", st)
-	}
-}
-
-func newPhaseRing(size int) *phaseRing {
-	p := &phaseRing{}
-	p.reset(size)
-	return p
-}
-
-func TestPhaseRing(t *testing.T) {
-	const w = 4
-	p := newPhaseRing(w)
-	var l1, l2 phaseLocal
-	if p.observe(&l1, 1) || p.observe(&l1, 1) || p.observe(&l1, 1) {
-		t.Fatal("single-thread prefix reported concurrent")
-	}
-	if !p.observe(&l2, 2) {
-		t.Fatal("two threads in buffer not reported concurrent")
-	}
-	// Flood with thread 2 until thread 1 has aged out and thread 2 is
-	// believed.
-	for i := 1; i < phaseBelievedAfter(w); i++ {
-		p.observe(&l2, 2)
-	}
-	if p.observe(&l2, 2) {
-		t.Fatal("thread 1 aged out but still reported concurrent")
-	}
-	// The interrupting thread's first call and the interrupted thread's next
-	// one are both concurrent.
-	if !p.observe(&l1, 1) || !p.observe(&l2, 2) {
-		t.Fatal("a second thread's call did not end the sequential phase at once")
 	}
 }
 
