@@ -19,12 +19,14 @@ vet:
 build:
 	$(GO) build ./...
 
-# The second run pins goroutine identity and call-site attribution on the
-# other physical frame layout: without inlining, every logical frame the
-# attribution tests walk through is a frame of its own.
+# The no-inline runs pin goroutine identity, call-site attribution and the
+# detector frames a report's stacks hold on the other physical frame layout:
+# without inlining, every logical frame the tests walk through is a frame of
+# its own.
 test:
 	$(GO) test ./...
 	$(GO) test -gcflags=all=-l ./internal/ids ./internal/collections ./internal/task
+	$(GO) test -gcflags=all=-l -run Stack ./internal/core
 
 # The whole tree must stay clean under the race detector. TestMutantsAreKilled
 # skips itself here: the go test runs it starts are never race-enabled.

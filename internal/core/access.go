@@ -109,7 +109,7 @@ type Detector interface {
 	// Stats returns a snapshot of the detector's counters.
 	Stats() Stats
 	// ExportTraps returns the current dangerous-pair set for trap-file
-	// persistence (§3.4.6); variants without a trap set return nil.
+	// persistence (§3.4.6), nil when it is empty.
 	ExportTraps() []report.PairKey
 	// Tracer returns the detector's event tracer, or nil when tracing is
 	// disabled (config.Trace). The harness drains it after each module run;
@@ -287,53 +287,43 @@ func Renew(prev Detector, cfg config.Config, opts ...Option) (Detector, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var s storage
 	switch cfg.Algorithm {
 	case config.AlgoNop:
 		return NewNop(), nil
 	case config.AlgoTSVD:
-		d, _ := prev.(*TSVD)
-		if d == nil {
-			d = &TSVD{}
-		} else {
-			d.release(&s)
-			*d = TSVD{}
-		}
-		d.init(cfg, o, &s)
-		return d, nil
+		return renew[TSVD](prev, cfg, o), nil
 	case config.AlgoTSVDHB:
-		d, _ := prev.(*TSVDHB)
-		if d == nil {
-			d = &TSVDHB{}
-		} else {
-			d.release(&s)
-			*d = TSVDHB{}
-		}
-		d.init(cfg, o, &s)
-		return d, nil
+		return renew[TSVDHB](prev, cfg, o), nil
 	case config.AlgoDynamicRandom:
-		d, _ := prev.(*DynamicRandom)
-		if d == nil {
-			d = &DynamicRandom{}
-		} else {
-			d.rt.release(&s, nil)
-			*d = DynamicRandom{}
-		}
-		d.init(cfg, o, &s)
-		return d, nil
+		return renew[DynamicRandom](prev, cfg, o), nil
 	case config.AlgoStaticRandom:
-		d, _ := prev.(*StaticRandom)
-		if d == nil {
-			d = &StaticRandom{}
-		} else {
-			d.rt.release(&s, nil)
-			*d = StaticRandom{}
-		}
-		d.init(cfg, o, &s)
-		return d, nil
+		return renew[StaticRandom](prev, cfg, o), nil
 	default:
 		return nil, errUnknownAlgo
 	}
+}
+
+// variant is a pointer to an analysing detector: a Detector on the shared
+// runtime, whose zero value runtime.init makes ready.
+type variant[T any] interface {
+	*T
+	Detector
+	base() *detectorBase
+}
+
+// renew is Renew for the variant T: prev emptied and zeroed when it is a *T,
+// a new T otherwise, then initialized on what prev's run allocated.
+func renew[T any, P variant[T]](prev Detector, cfg config.Config, o options) P {
+	var s storage
+	d, _ := prev.(P)
+	if d == nil {
+		d = new(T)
+	} else {
+		d.base().rt.release(&s)
+		*d = *new(T)
+	}
+	d.base().rt.init(cfg, o, &s)
+	return d
 }
 
 type coreError string

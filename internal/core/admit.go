@@ -102,9 +102,8 @@ func (st *threadState) rejected() int64 {
 // verdict (taken here unless the proxy already asked through Gate), the
 // red-handed check, the site stage, and the entry timestamp the overhead
 // account is charged from. It reports whether the call goes on to analysis.
-// set is the variant's trap set (nil for the random variants): a pair caught
-// red-handed leaves it for good.
-func (r *runtime) enter(st *threadState, a *Access, set *trapSet) bool {
+// A pair caught red-handed leaves a trapping variant's set for good.
+func (r *runtime) enter(st *threadState, a *Access) bool {
 	v := verdictFull
 	if r.samp != nil {
 		if v = st.pending; v != verdictNone {
@@ -122,9 +121,9 @@ func (r *runtime) enter(st *threadState, a *Access, set *trapSet) bool {
 		os.mu.Lock()
 		found := r.checkForTraps(os, a)
 		os.mu.Unlock()
-		if set != nil {
+		if r.trapping() {
 			for _, key := range found {
-				set.suppress(key)
+				r.set.suppress(key)
 			}
 		}
 	}

@@ -17,7 +17,7 @@ func runtimeOf(det Detector) *runtime {
 // would.
 func InjectDelay(det Detector, a Access, d time.Duration) {
 	rt := runtimeOf(det)
-	rt.injectDelay(rt.threadStateFor(a.Thread), a, d)
+	rt.injectDelay(rt.threadStateFor(a.Thread), a, d, 0)
 }
 
 // Parked reports the number of traps currently parked.

@@ -79,7 +79,7 @@ func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
 	st := rt.threadStateFor(1)
 	a := acc(1, 1, 101, KindWrite)
 	rt.resolveSite(&a)
-	park := func() { rt.injectDelay(st, a, 50*time.Microsecond) }
+	park := func() { rt.injectDelay(st, a, 50*time.Microsecond, 0) }
 	park() // buys the trap, its wake-up channel and the timer, if the pools were empty
 	const runs = 50
 	if got := testing.AllocsPerRun(runs, park); got != 0 {
@@ -156,17 +156,17 @@ func TestRegistryStatesOwnTheirCacheLines(t *testing.T) {
 // most seven partners.
 func TestFailedDelayDecayCostsNothing(t *testing.T) {
 	skipAllocCountUnderRace(t)
-	var s trapSet
-	var stats atomicStats
+	var r runtime
+	r.cfg.DecayFactor = 0.5 // PruneProbability 0: the pairs stay
 	for other := ids.OpID(2); other <= 8; other++ {
-		s.add(report.KeyOf(1, other), &stats, nil)
+		r.set.add(report.KeyOf(1, other))
 	}
-	decay := func() { s.decayAfterFailedDelay(1, 0.5, 0, &stats, nil, 0) } // prune 0: the pairs stay
+	decay := func() { r.decayAfterFailedDelay(1, 0) }
 	if got := testing.AllocsPerRun(100, decay); got != 0 {
 		t.Fatalf("a failed delay at a location with 7 partners costs %v allocations", got)
 	}
-	if p, _ := s.eligible(8); s.size() != 7 || p >= 1 {
-		t.Fatalf("%d pairs, a partner's probability %v: the measured path did not decay", s.size(), p)
+	if p, _ := r.set.eligible(8); r.set.size() != 7 || p >= 1 {
+		t.Fatalf("%d pairs, a partner's probability %v: the measured path did not decay", r.set.size(), p)
 	}
 }
 
@@ -179,7 +179,6 @@ func TestFailedDelayDecayCostsNothing(t *testing.T) {
 // only read makes no map.
 func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	skipAllocCountUnderRace(t)
-	var stats atomicStats
 	keys := []report.PairKey{
 		report.KeyOf(1, 2), report.KeyOf(3, 4), report.KeyOf(5, 6),
 		report.KeyOf(1, 3), report.KeyOf(1, 5),
@@ -187,7 +186,7 @@ func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	fill := func() {
 		var s trapSet
 		for _, k := range keys {
-			s.add(k, &stats, nil)
+			s.add(k)
 		}
 	}
 	if got := testing.AllocsPerRun(100, fill); got > 6 {
@@ -196,7 +195,7 @@ func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	read := func() {
 		var s trapSet
 		s.eligible(1)
-		s.decayAfterFailedDelay(1, 0.5, 0, &stats, nil, 0)
+		s.decay(1, 0.5, 0, nil)
 	}
 	if got := testing.AllocsPerRun(100, read); got > 1 {
 		t.Fatalf("reading an empty trap set costs %v allocations beyond the set, want 0", got-1)
@@ -339,7 +338,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	st := rt.threadStateFor(1)
 	a := acc(1, 1, 101, KindWrite)
 	for i, want := range []time.Duration{delay, delay, delay / 2, 0, 0} {
-		slept, injected, _ := rt.injectDelay(st, a, delay)
+		slept, injected, _ := rt.injectDelay(st, a, delay, 0)
 		if slept != want || injected != (want > 0) {
 			t.Fatalf("delay %d: slept %v (injected %v), want %v", i, slept, injected, want)
 		}
@@ -347,7 +346,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	if got, want := rt.snapshotStats(), rt.maxDelay; got.DelaysInjected != 3 || got.TotalDelay != want {
 		t.Fatalf("%d delays totalling %v, want 3 totalling the cap %v", got.DelaysInjected, got.TotalDelay, want)
 	}
-	if slept, injected, _ := rt.injectDelay(rt.threadStateFor(2), acc(2, 1, 102, KindWrite), delay); !injected || slept != delay {
+	if slept, injected, _ := rt.injectDelay(rt.threadStateFor(2), acc(2, 1, 102, KindWrite), delay, 0); !injected || slept != delay {
 		t.Fatalf("a second thread slept %v: budgets are per thread", slept)
 	}
 
@@ -355,7 +354,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	st = rt.threadStateFor(1)
 	var slept time.Duration
 	for i := 0; i < 4; i++ {
-		s, _, _ := rt.injectDelay(st, a, delay)
+		s, _, _ := rt.injectDelay(st, a, delay, 0)
 		slept += s
 	}
 	if used := st.budget.Used(); used != slept || slept != 4*(delay/4) {

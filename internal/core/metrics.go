@@ -49,17 +49,11 @@ type DetectorMetrics struct {
 	occupancy *metrics.Histogram
 
 	mu sync.Mutex
-	// live are the attached runtimes, each with its trap set (nil for the
-	// random variants); retired is what the runtimes renewed since counted
-	// before, and attached the number of attachments ever made.
-	live     []attached
+	// live are the attached runtimes; retired is what the runtimes renewed
+	// since counted before, and attached the number of attachments ever made.
+	live     []*runtime
 	retired  retired
 	attached int
-}
-
-type attached struct {
-	rt  *runtime
-	set trapSetSizer
 }
 
 // retired holds the counts of finished runs that renewed runtimes no longer
@@ -216,10 +210,6 @@ func CheckCounters(scraped map[string]float64, st Stats) error {
 	return errors.Join(errs...)
 }
 
-// trapSetSizer is what TSVD and TSVDHB expose for the trap-set gauge; the
-// random variants keep no trap set and register nil.
-type trapSetSizer interface{ TrapSetSize() int }
-
 // NewDetectorMetrics registers the detector metric family on reg and returns
 // the instance to attach with WithDetectorMetrics. reg may be nil, in which
 // case every exported series is dropped and the histograms are nil (their
@@ -279,23 +269,23 @@ func NewDetectorMetrics(reg *metrics.Registry) *DetectorMetrics {
 	return m
 }
 
-// attach registers a detector's runtime (and its trap set, when it has one)
-// for the scrape-time sums. Called by Renew; nil-safe.
-func (m *DetectorMetrics) attach(r *runtime, set trapSetSizer) {
+// attach registers a detector's runtime for the scrape-time sums. Called by
+// runtime.init; nil-safe.
+func (m *DetectorMetrics) attach(r *runtime) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.live = append(m.live, attached{r, set})
+	m.live = append(m.live, r)
 	m.attached++
 }
 
-// retire folds what r counted and set's size into the retired totals and
-// lets go of r, in one step under m.mu, so a scrape sees r's counts exactly
-// once whichever side of the step it runs on. Called by Renew before it
-// empties r, which is quiescent; nil-safe.
-func (m *DetectorMetrics) retire(r *runtime, set trapSetSizer) {
+// retire folds what r counted and its trap set's size into the retired
+// totals and lets go of r, in one step under m.mu, so a scrape sees r's counts
+// exactly once whichever side of the step it runs on. Called by
+// runtime.release before it empties r, which is quiescent; nil-safe.
+func (m *DetectorMetrics) retire(r *runtime) {
 	if m == nil {
 		return
 	}
@@ -305,11 +295,9 @@ func (m *DetectorMetrics) retire(r *runtime, set trapSetSizer) {
 	t := r.tr.Totals()
 	m.retired.emitted += t.Emitted
 	m.retired.dropped += t.Dropped
-	if set != nil {
-		m.retired.pairs += int64(set.TrapSetSize())
-	}
+	m.retired.pairs += int64(r.set.size())
 	for i, a := range m.live {
-		if a.rt == r {
+		if a == r {
 			m.live = append(m.live[:i], m.live[i+1:]...)
 			break
 		}
@@ -324,8 +312,8 @@ func (m *DetectorMetrics) sum() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := m.retired.stats
-	for _, a := range m.live {
-		out.Add(a.rt.snapshotStats())
+	for _, r := range m.live {
+		out.Add(r.snapshotStats())
 	}
 	return out
 }
@@ -349,9 +337,9 @@ func (m *DetectorMetrics) samplerProbability() float64 {
 func (m *DetectorMetrics) samplers() []sampler.Snapshot {
 	m.mu.Lock()
 	seen := map[*sampler.Sampler]bool{}
-	for _, a := range m.live {
-		if a.rt.samp != nil {
-			seen[a.rt.samp] = true
+	for _, r := range m.live {
+		if r.samp != nil {
+			seen[r.samp] = true
 		}
 	}
 	m.mu.Unlock()
@@ -390,8 +378,8 @@ func (m *DetectorMetrics) traceTotals() (emitted, dropped int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	emitted, dropped = m.retired.emitted, m.retired.dropped
-	for _, a := range m.live {
-		t := a.rt.tr.Totals()
+	for _, r := range m.live {
+		t := r.tr.Totals()
 		emitted += t.Emitted
 		dropped += t.Dropped
 	}
@@ -402,8 +390,8 @@ func (m *DetectorMetrics) parked() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var n int64
-	for _, a := range m.live {
-		n += a.rt.parked.Load()
+	for _, r := range m.live {
+		n += r.parked.Load()
 	}
 	return n
 }
@@ -414,10 +402,8 @@ func (m *DetectorMetrics) trapSetPairs() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := m.retired.pairs
-	for _, a := range m.live {
-		if a.set != nil {
-			n += int64(a.set.TrapSetSize())
-		}
+	for _, r := range m.live {
+		n += int64(r.set.size())
 	}
 	return n
 }

@@ -22,7 +22,6 @@ func TestTrapSetInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var s trapSet
-		var stats atomicStats
 		ops := []ids.OpID{1, 2, 3, 4, 5, 6}
 		randKey := func() report.PairKey {
 			return report.KeyOf(ops[rng.Intn(len(ops))], ops[rng.Intn(len(ops))])
@@ -31,11 +30,11 @@ func TestTrapSetInvariants(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch key := randKey(); rng.Intn(3) {
 			case 0:
-				s.add(key, &stats, nil)
+				s.add(key)
 			case 1:
 				s.suppress(key)
 			case 2:
-				s.decayAfterFailedDelay(key.A, 0.5, 0.1, &stats, nil, 0)
+				s.decay(key.A, 0.5, 0.1, nil)
 			}
 			for key, live := range s.pairs {
 				if dead[key] && live {
@@ -170,14 +169,14 @@ func TestHBInferenceWindowWidth(t *testing.T) {
 	d.OnCall(acc(2, 50, 903, KindWrite))
 	d.OnCall(acc(2, 50, 904, KindWrite))
 
-	d.set.mu.RLock()
-	defer d.set.mu.RUnlock()
+	d.rt.set.mu.RLock()
+	defer d.rt.set.mu.RUnlock()
 	for _, op := range []ids.OpID{901, 902, 903} {
-		if live, known := d.set.pairs[report.KeyOf(900, op)]; !known || live {
+		if live, known := d.rt.set.pairs[report.KeyOf(900, op)]; !known || live {
 			t.Errorf("pair (900,%d) not suppressed by inference window", op)
 		}
 	}
-	if _, known := d.set.pairs[report.KeyOf(900, 904)]; known {
+	if _, known := d.rt.set.pairs[report.KeyOf(900, 904)]; known {
 		t.Error("pair (900,904) suppressed beyond the k_hb window")
 	}
 }
@@ -201,9 +200,9 @@ func TestHBInferenceIgnoresOwnDelay(t *testing.T) {
 
 	d.OnCall(acc(1, 60, 911, KindWrite))
 
-	d.set.mu.RLock()
-	defer d.set.mu.RUnlock()
-	if _, known := d.set.pairs[report.KeyOf(910, 911)]; known {
+	d.rt.set.mu.RLock()
+	defer d.rt.set.mu.RUnlock()
+	if _, known := d.rt.set.pairs[report.KeyOf(910, 911)]; known {
 		t.Fatal("own delay misattributed as a happens-before edge")
 	}
 }
@@ -214,11 +213,10 @@ func TestExportTrapsDeterministic(t *testing.T) {
 	cfg.DisableHBInference = true
 	for trial := 0; trial < 3; trial++ {
 		d := mustNew(t, cfg).(*TSVD)
-		var stats atomicStats
 		for _, k := range []report.PairKey{
 			report.KeyOf(5, 9), report.KeyOf(1, 2), report.KeyOf(3, 3),
 		} {
-			d.set.add(k, &stats, nil)
+			d.rt.set.add(k)
 		}
 		got := d.ExportTraps()
 		if len(got) != 3 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/report"
 )
 
 // The two sides of a violation, each reached through its own helper so that
@@ -100,5 +101,58 @@ func TestStackPairsCountCallPathsNotOccurrences(t *testing.T) {
 	catchOn(t, det, 3, trappedSideByAnotherPath)
 	if b := det.Reports().Bugs()[0]; b.Occurrences != 3 || b.StackPairs != 2 {
 		t.Fatalf("a third catch through another path: %d occurrences, %d stack pairs; want 3, 2", b.Occurrences, b.StackPairs)
+	}
+}
+
+//go:noinline
+func trappedByOwnDelay(det core.Detector, obj ids.ObjectID) {
+	det.OnCall(core.Access{Thread: 1 << 40, Obj: obj, Op: 7001, Kind: core.KindWrite})
+}
+
+// detectorFrames counts the frames of stack above user's that are the
+// detector's own.
+func detectorFrames(t *testing.T, stack, user string) int {
+	t.Helper()
+	n := 0
+	for _, line := range strings.Split(stack, "\n") {
+		switch {
+		case strings.HasPrefix(line, user+"("):
+			return n
+		case strings.HasPrefix(line, "repro/internal/core."):
+			n++
+		}
+	}
+	t.Fatalf("stack does not pass through %s:\n%s", user, stack)
+	return 0
+}
+
+// TestOwnDelayReportsBothStacks is TestSprungTrapReportsBothStacks with the
+// trap planted by TSVD's and TSVDHB's own should_delay, on a pair the trap
+// file seeded: above the user's frame, the trapped stack holds OnCall and the
+// frame that parked it, the conflicting stack OnCall, the admission front half
+// and the red-handed check — whatever the detector shares between variants,
+// and whether or not it inlines (make test runs this without inlining).
+func TestOwnDelayReportsBothStacks(t *testing.T) {
+	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
+		t.Run(algo.String(), func(t *testing.T) {
+			cfg := config.Defaults(algo)
+			cfg.DelayTime = 2 * time.Second
+			cfg.MaxDelayPerThread = 10 * time.Second
+			det, err := core.New(cfg, core.WithInitialTraps([]report.PairKey{report.KeyOf(7001, 7002)}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			catchOn(t, det, 1, trappedByOwnDelay)
+			vs := det.Reports().Violations()
+			if len(vs) != 1 {
+				t.Fatalf("%d violations, want 1", len(vs))
+			}
+			if n := detectorFrames(t, vs[0].Trapped.Stack, "repro/internal/core_test.trappedByOwnDelay"); n != 2 {
+				t.Errorf("trapped stack has %d detector frames above the user's, want 2:\n%s", n, vs[0].Trapped.Stack)
+			}
+			if n := detectorFrames(t, vs[0].Conflicting.Stack, "repro/internal/core_test.conflictingSide"); n != 3 {
+				t.Errorf("conflicting stack has %d detector frames above the user's, want 3:\n%s", n, vs[0].Conflicting.Stack)
+			}
+		})
 	}
 }

@@ -450,8 +450,9 @@ const (
 
 // runtime is the state shared by every detector variant: configuration,
 // time source, the site registry, the per-object and per-thread registries,
-// statistics and the report collector. Detector-specific
-// state lives in the variant structs. There is no global lock and no hashing
+// statistics, the report collector and the trap set, with the transitions
+// and the delay tail the variants share. A variant adds only its OnCall and
+// what that alone uses. There is no global lock and no hashing
 // on the admitted fast path beyond two lock-free integer-keyed probes:
 // per-object state hangs off a lock-free object registry, per-thread state
 // (including the hot counters) off a thread registry, per-site state
@@ -556,6 +557,12 @@ type runtime struct {
 	// hbThreshold is δ_hb·delayTime, precomputed so the hot path does no
 	// floating-point work.
 	hbThreshold time.Duration
+
+	// set is the trap set (§3.4.1), last so that the fields the fast path
+	// reads before its set.empty() load keep their offsets. Only TSVD and
+	// TSVDHB put pairs in it (trapping); the random variants' stays empty and
+	// makes no maps.
+	set trapSet
 }
 
 // detectorBase is what every analysing variant embeds: the shared runtime
@@ -576,9 +583,13 @@ func (b *detectorBase) Stats() Stats { return b.rt.snapshotStats() }
 // Tracer implements Detector.
 func (b *detectorBase) Tracer() *trace.Tracer { return b.rt.tr }
 
-// ExportTraps implements Detector for the variants that keep no trap set;
-// TSVD and TSVDHB export theirs.
-func (b *detectorBase) ExportTraps() []report.PairKey { return nil }
+// ExportTraps implements Detector: the trap file contents (§3.4.6), nil for
+// an empty set and so always for the random variants.
+func (b *detectorBase) ExportTraps() []report.PairKey { return b.rt.set.export() }
+
+// TrapSetSize reports the number of live dangerous pairs (for tests, the
+// metrics gauge and the coverage statistics).
+func (b *detectorBase) TrapSetSize() int { return b.rt.set.size() }
 
 // storage is what Renew carries from a detector's finished run into its
 // next: the allocations its tables grew, each emptied by release. The zero
@@ -589,7 +600,7 @@ type storage struct {
 	covered intmap.Storage[locCover]
 	cover   *coverTable
 	reports *report.Collector
-	// pairs and locs are the trap set's maps (TSVD, TSVDHB).
+	// pairs and locs are the trap set's maps, made by a first write.
 	pairs map[report.PairKey]bool
 	locs  map[ids.OpID]locState
 	// rng is reseeded by its first draw; tr is reused by trace.Reuse.
@@ -598,11 +609,14 @@ type storage struct {
 }
 
 // release empties r into s for its detector's next run (Renew). First r's
-// metrics view folds what r counted, and set's final size, into its retired
-// totals and lets go of r, so no scrape sees r emptied.
-func (r *runtime) release(s *storage, set trapSetSizer) {
-	r.met.retire(r, set)
+// metrics view folds what r counted, and its trap set's final size, into its
+// retired totals and lets go of r, so no scrape sees r emptied.
+func (r *runtime) release(s *storage) {
+	r.met.retire(r)
 	s.threads, s.objs, s.covered = r.threads.Release(), r.objs.Release(), r.covered.Release()
+	clear(r.set.pairs)
+	clear(r.set.locs)
+	s.pairs, s.locs = r.set.pairs, r.set.locs
 	if ct := r.cover.Load(); ct != nil {
 		for i := range *ct {
 			(*ct)[i].Store(0)
@@ -613,13 +627,15 @@ func (r *runtime) release(s *storage, set trapSetSizer) {
 	s.reports, s.rng, s.tr = r.reports, r.rng, r.tr
 }
 
-// init prepares a zero r in place on s's storage. (runtime holds locks and
-// atomics, so it is initialized through a pointer rather than returned by
-// value.)
+// init prepares a zero r in place on s's storage and attaches it to its
+// metrics view. TSVD gets its phase window, and a trapping variant's set is
+// seeded from the trap file. (runtime holds locks and atomics, so it is
+// initialized through a pointer rather than returned by value.)
 func (r *runtime) init(cfg config.Config, o options, s *storage) {
 	r.threads.Reuse(s.threads)
 	r.objs.Reuse(s.objs)
 	r.covered.Reuse(s.covered)
+	r.set.pairs, r.set.locs = s.pairs, s.locs
 	if s.cover != nil {
 		r.cover.Store(s.cover)
 	}
@@ -660,6 +676,21 @@ func (r *runtime) init(cfg config.Config, o options, s *storage) {
 	if cfg.Trace {
 		r.tr = trace.Reuse(s.tr, cfg.TraceBufferSize)
 	}
+	if cfg.Algorithm == config.AlgoTSVD && !cfg.DisablePhaseDetection {
+		r.phaseWindow = cfg.PhaseBufferSize
+	}
+	if r.trapping() {
+		for _, key := range o.initialTraps {
+			r.addPair(0, 0, key, 0)
+		}
+	}
+	o.metrics.attach(r)
+}
+
+// trapping reports whether r's variant keeps a trap set: TSVD and TSVDHB do,
+// the random variants do not.
+func (r *runtime) trapping() bool {
+	return r.cfg.Algorithm == config.AlgoTSVD || r.cfg.Algorithm == config.AlgoTSVDHB
 }
 
 // now returns the time since detector start. Safe without any lock. The
@@ -849,15 +880,14 @@ func (r *runtime) unregisterTrap(os *objState, t *trap) {
 	os.traps = list
 }
 
-// anyTrapSet reports whether some thread is currently parked, without
-// taking any lock. Used by the AvoidOverlappingDelays ablation.
-func (r *runtime) anyTrapSet() bool { return r.parked.Load() > 0 }
-
 // injectDelay parks the calling thread — whose state st is — in a trap for
 // up to d (clipped by the thread's budget), sleeping outside every lock. It
 // returns the nominal duration actually slept, whether a delay was injected
 // at all, and whether it was productive (another thread ran into the trap).
-// The caller holds no locks.
+// The caller holds no locks. The trap's stack starts at injectDelay, or skip
+// frames further out: delayAtPair passes 1, so that its traps' stacks start
+// at its own frame and hold as many detector frames as a trap a random
+// variant's OnCall plants through injectDelay directly.
 //
 // The trap becomes visible to other threads only once it is registered
 // under the object's lock; a conflicting access that scans strictly before
@@ -865,7 +895,7 @@ func (r *runtime) anyTrapSet() bool { return r.parked.Load() > 0 }
 // opportunity, never a false positive. The single-mutex runtime had the
 // same property: its atomicity only extended until the sleeping thread
 // dropped the lock.
-func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept time.Duration, injected, sprung bool) {
+func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip int) (slept time.Duration, injected, sprung bool) {
 	// Observe-only mode (docs/SAMPLING.md): the detector went through its
 	// whole decision — the pair is trapped, the coin flip passed — but no
 	// thread sleeps. Counting the veto here, at the single funnel every
@@ -893,7 +923,7 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept
 	default:
 	}
 	t.access, t.conflict = a, false
-	t.depth = goruntime.Callers(1, t.pcs[:])
+	t.depth = goruntime.Callers(1+skip, t.pcs[:])
 	os := r.objStateFor(nil, a.Obj)
 	os.mu.Lock()
 	os.traps = append(os.traps, t)
@@ -929,6 +959,74 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration) (slept
 	sprung = t.conflict
 	trapPool.Put(t)
 	return slept, true, sprung
+}
+
+// delayAtPair is should_delay and what follows it in the variants with a
+// trap set (§3.4.5; §3.5 "When to inject"): a location in a live pair delays
+// if its probability wins a coin flip and, under AvoidOverlappingDelays, no
+// other thread is parked; a delay that caught nothing decays the location.
+// t is the call's time, or noCall when the caller read none (stamp). It
+// returns the time slept and when the delay ended, for TSVD's delay log, and
+// whether a delay was injected. The caller has checked the set is not empty.
+func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration) (slept, end time.Duration, injected bool) {
+	prob, ok := r.set.eligible(a.Op)
+	if !ok || r.randFloat() >= prob {
+		return 0, 0, false
+	}
+	if r.cfg.AvoidOverlappingDelays && r.parked.Load() > 0 {
+		return 0, 0, false
+	}
+	r.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, r.stamp(t), r.delayTime)
+	slept, injected, sprung := r.injectDelay(st, *a, r.delayTime, 1) // sleeps unlocked
+	if !injected {
+		return 0, 0, false
+	}
+	end = r.now()
+	if !sprung {
+		r.decayAfterFailedDelay(a.Op, end)
+	}
+	return slept, end, true
+}
+
+// addPair puts key in the trap set, counted, gauged and traced as found by
+// thread t on obj at (stamp), unless the pair is known already.
+func (r *runtime) addPair(t ids.ThreadID, obj ids.ObjectID, key report.PairKey, at time.Duration) {
+	n := r.set.add(key)
+	if n == 0 {
+		return
+	}
+	r.stats.count[statPairsAdded].Add(1)
+	r.met.observeOccupancy(n)
+	r.tr.Emit(trace.KindPairAdded, t, obj, key.A, key.B, r.stamp(at), 0)
+}
+
+// prunedHB counts and traces one pair found happens-before ordered at a's
+// call: TSVD's inference taking it out of the trap set, or TSVDHB's analysis
+// keeping it from entering, at (stamp).
+func (r *runtime) prunedHB(a *Access, key report.PairKey, at time.Duration) {
+	r.stats.count[statPairsPrunedHB].Add(1)
+	r.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, r.stamp(at), 0)
+}
+
+// stamp is an event's time: at, or now when the caller read no clock (at is
+// noCall) — read only while tracing is on, so that a variant whose
+// conflict-free path reads no clock (TSVDHB) reads none for its events either
+// when nothing would record them.
+func (r *runtime) stamp(at time.Duration) time.Duration {
+	if at == noCall && r.tr != nil {
+		return r.now()
+	}
+	return at
+}
+
+// decayAfterFailedDelay decays loc after a delay that exposed no conflict
+// (trapSet.decay) and counts and traces, stamped at, each pair it pruned.
+func (r *runtime) decayAfterFailedDelay(loc ids.OpID, at time.Duration) {
+	var buf [8]report.PairKey
+	for _, key := range r.set.decay(loc, r.cfg.DecayFactor, r.cfg.PruneProbability, buf[:0]) {
+		r.stats.count[statPairsPrunedDecay].Add(1)
+		r.tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
+	}
 }
 
 // locCover is one location's coverage record: existing at all means the
@@ -1046,11 +1144,11 @@ func (s *atomicStats) snapshot() Stats {
 // nearMiss records one near miss of a against an earlier access at op prev,
 // gap apart (0 for TSVDHB, which proves concurrency by clocks rather than
 // time windows): the counter, the Stats and metrics gap histograms and the
-// event, which is stamped at. Every variant records a near miss through here
-// and nowhere else.
+// event, which is stamped at (stamp). Every variant records a near miss
+// through here and nowhere else.
 func (r *runtime) nearMiss(a *Access, prev ids.OpID, at, gap time.Duration) {
 	r.stats.count[statNearMisses].Add(1)
 	r.stats.gaps[gapBucket(gap)].Add(1)
 	r.met.observeGap(gap)
-	r.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, prev, a.Op, at, gap)
+	r.tr.Emit(trace.KindNearMiss, a.Thread, a.Obj, prev, a.Op, r.stamp(at), gap)
 }

@@ -4,19 +4,20 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 // trapSet is the dynamic set of dangerous location pairs (§3.4.1) together
 // with the per-location delay probabilities of the decay scheme (§3.4.5).
-// It is shared by TSVD and TSVDHB, which differ only in how pairs enter
-// (near-miss vs. vector-clock concurrency) and leave (HB inference vs. HB
-// analysis) the set. The zero value is an empty set; its maps are made by
-// the first write, so a module run that never finds a pair pays nothing.
+// It is the runtime's last field: TSVD and TSVDHB fill it, differing only in
+// how pairs enter (near-miss vs. vector-clock concurrency) and leave (HB
+// inference vs. HB analysis), and the random variants leave it empty. The
+// runtime's addPair, prunedHB and decayAfterFailedDelay count and trace its
+// transitions; the set itself only holds them. The zero value is an empty
+// set; its maps are made by the first write, so a module run that never finds
+// a pair pays nothing.
 //
 // The set is internally synchronized — one of the sharded runtime's small
 // cold-path locks. Mutations (pair churn, decay) are rare relative to
@@ -90,32 +91,15 @@ func (p *pairList) remove(key report.PairKey) {
 	}
 }
 
-// init gives a zero set the maps in s and seeds it with initial, a trap
-// file's pairs, counted and traced as rt's.
-func (s *trapSet) init(st *storage, initial []report.PairKey, rt *runtime) {
-	s.pairs, s.locs = st.pairs, st.locs
-	for _, key := range initial {
-		if s.add(key, &rt.stats, rt.met) {
-			rt.tr.Emit(trace.KindPairAdded, 0, 0, key.A, key.B, 0, 0)
-		}
-	}
-}
-
-// release empties the set's maps into st for its detector's next run.
-func (s *trapSet) release(st *storage) {
-	clear(s.pairs)
-	clear(s.locs)
-	st.pairs, st.locs = s.pairs, s.locs
-}
-
-// add inserts a dangerous pair unless it is dead or already present.
+// add inserts a dangerous pair unless it is dead or already present, and
+// returns the number of live pairs after it (0 when it did not insert).
 // Both endpoints' probabilities reset to 1 (§3.4.1: "TSVD sets P_loc = 1
 // when a dangerous pair containing loc is added").
-func (s *trapSet) add(key report.PairKey, stats *atomicStats, met *DetectorMetrics) bool {
+func (s *trapSet) add(key report.PairKey) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, known := s.pairs[key]; known {
-		return false
+		return 0
 	}
 	if s.pairs == nil {
 		s.pairs = map[report.PairKey]bool{}
@@ -124,16 +108,13 @@ func (s *trapSet) add(key report.PairKey, stats *atomicStats, met *DetectorMetri
 		s.locs = map[ids.OpID]locState{}
 	}
 	s.pairs[key] = true
-	n := s.live.Add(1)
-	stats.count[statPairsAdded].Add(1)
-	met.observeOccupancy(int(n))
 	for _, loc := range endpoints(key) {
 		l := s.locs[loc]
 		l.prob = 1
 		l.live.add(key)
 		s.locs[loc] = l
 	}
-	return true
+	return int(s.live.Add(1))
 }
 
 // endpoints returns the one or two distinct locations of key.
@@ -188,21 +169,20 @@ func (s *trapSet) eligible(loc ids.OpID) (float64, bool) {
 	return 0, false
 }
 
-// decayAfterFailedDelay implements §3.4.5: a delay at loc that exposed no
-// conflict decays loc and every location currently paired with it by
-// P ← P·(1-factor). Locations whose probability falls below prune are
-// removed from the trap set together with all their pairs; each suppressed
-// pair is emitted to tr (nil-safe) stamped with the caller's clock at.
-func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
-	stats *atomicStats, tr *trace.Tracer, at time.Duration) {
+// decay implements §3.4.5: a delay at loc that exposed no conflict decays
+// loc and every location currently paired with it by P ← P·(1-factor).
+// Locations whose probability falls below prune are removed from the trap
+// set together with all their pairs, which decay appends to pruned and
+// returns.
+func (s *trapSet) decay(loc ids.OpID, factor, prune float64, pruned []report.PairKey) []report.PairKey {
 	if factor <= 0 {
-		return // Fig. 9g's pathological "no decay" configuration
+		return pruned // Fig. 9g's pathological "no decay" configuration
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.locs[loc]
 	if !ok {
-		return
+		return pruned
 	}
 	// A location rarely has more than a few partners: the victims fit on
 	// the stack, and a failed delay costs no allocation.
@@ -234,17 +214,21 @@ func (s *trapSet) decayAfterFailedDelay(loc ids.OpID, factor, prune float64,
 		for vl := s.locs[v]; vl.live.n > 0; vl = s.locs[v] {
 			key := vl.live.at(vl.live.n - 1)
 			s.suppressLocked(key)
-			stats.count[statPairsPrunedDecay].Add(1)
-			tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
+			pruned = append(pruned, key)
 		}
 	}
+	return pruned
 }
 
-// export returns the live pairs sorted for deterministic trap files.
+// export returns the live pairs sorted for deterministic trap files, nil
+// when there are none.
 func (s *trapSet) export() []report.PairKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]report.PairKey, 0, s.live.Load())
+	var out []report.PairKey
+	if n := s.live.Load(); n > 0 {
+		out = make([]report.PairKey, 0, n)
+	}
 	for key, live := range s.pairs {
 		if live {
 			out = append(out, key)

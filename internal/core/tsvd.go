@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/fasttime"
 	"repro/internal/ids"
 	"repro/internal/report"
@@ -28,12 +27,11 @@ import (
 //     its own goroutine, except the atomic counters snapshots read);
 //   - per-site state (coverage, sampler admission) is indexed by dense
 //     SiteIDs in plain arrays;
-//   - the trap set and the finished-delay log keep small cold-path locks.
+//   - the trap set (the runtime's) and the finished-delay log keep small
+//     cold-path locks.
 type TSVD struct {
 	nopSyncHooks // TSVD is oblivious to synchronization by design
 	detectorBase
-
-	set trapSet
 
 	// delayMu guards recentDelays, the finished-delay log for gap
 	// attribution (§3.4.4) — the only cross-thread HB-inference state. It
@@ -139,22 +137,6 @@ type delayRecord struct {
 // condition, so a short suffix is sufficient.
 const maxRecentDelays = 256
 
-// init prepares a zero TSVD on s's storage.
-func (d *TSVD) init(cfg config.Config, o options, s *storage) {
-	d.rt.init(cfg, o, s)
-	if !cfg.DisablePhaseDetection {
-		d.rt.phaseWindow = cfg.PhaseBufferSize
-	}
-	d.set.init(s, o.initialTraps, &d.rt)
-	o.metrics.attach(&d.rt, d)
-}
-
-// release empties d into s for its next run (Renew).
-func (d *TSVD) release(s *storage) {
-	d.rt.release(s, d)
-	d.set.release(s)
-}
-
 // OnCall implements Detector; it is the OnCall of Figure 5 with TSVD's
 // should_delay (§3.4.1–§3.4.6). While the object has only ever been touched
 // by the calling thread — the overwhelmingly common case in the paper's
@@ -182,7 +164,7 @@ func (d *TSVD) OnCall(a Access) {
 	// regardless of the admission probability. A pair with a reported
 	// violation leaves the trap set for good. In full mode with nothing
 	// parked (the common case) this is one nil check and one atomic load.
-	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a, &d.set) {
+	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a) {
 		return
 	}
 	// No OnCalls counter here: the admitted path is counted by the ring
@@ -253,9 +235,7 @@ func (d *TSVD) OnCall(a Access) {
 	}
 	if !published {
 		for _, key := range d.recordSlow(st, os, a, t) {
-			if d.set.add(key, &rt.stats, rt.met) {
-				rt.tr.Emit(trace.KindPairAdded, a.Thread, a.Obj, key.A, key.B, t, 0)
-			}
+			rt.addPair(a.Thread, a.Obj, key, t)
 		}
 	}
 
@@ -277,22 +257,13 @@ func (d *TSVD) OnCall(a Access) {
 	// should_delay: the location must participate in a live dangerous
 	// pair, and its decayed probability must pass a coin flip. An empty
 	// trap set short-circuits everything with one atomic load.
-	if d.set.empty() {
+	if rt.set.empty() {
 		return
 	}
-	prob, ok := d.set.eligible(a.Op)
-	if !ok || rt.randFloat() >= prob {
-		return
-	}
-	if rt.cfg.AvoidOverlappingDelays && rt.anyTrapSet() {
-		return
-	}
-	rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, t, rt.delayTime)
-	slept, injected, sprung := rt.injectDelay(st, a, rt.delayTime) // sleeps unlocked
+	slept, end, injected := rt.delayAtPair(st, &a, t)
 	if !injected {
 		return
 	}
-	end := rt.now()
 	d.delayMu.Lock()
 	d.recentDelays = append(d.recentDelays, delayRecord{
 		thread: a.Thread, op: a.Op, start: t, end: end,
@@ -303,10 +274,6 @@ func (d *TSVD) OnCall(a Access) {
 	d.delayMu.Unlock()
 	st.ownDelay += slept
 	st.hbDeadline += slept
-	if !sprung {
-		d.set.decayAfterFailedDelay(a.Op, rt.cfg.DecayFactor,
-			rt.cfg.PruneProbability, &rt.stats, rt.tr, end)
-	}
 }
 
 // recordSlow is everything the lock-free publication path cannot do, under
@@ -511,15 +478,7 @@ func (d *TSVD) pruneHB(from ids.OpID, a Access, t time.Duration) {
 		// "same operation" bug class (34% in Table 1), so never suppress.
 		return
 	}
-	if d.set.suppress(key) {
-		d.rt.stats.count[statPairsPrunedHB].Add(1)
-		d.rt.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, t, 0)
+	if d.rt.set.suppress(key) {
+		d.rt.prunedHB(&a, key, t)
 	}
 }
-
-// ExportTraps implements Detector: the trap file contents (§3.4.6).
-func (d *TSVD) ExportTraps() []report.PairKey { return d.set.export() }
-
-// TrapSetSize reports the number of live dangerous pairs (for tests and the
-// coverage statistics).
-func (d *TSVD) TrapSetSize() int { return d.set.size() }

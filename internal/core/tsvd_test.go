@@ -329,6 +329,71 @@ func TestDecayPrunesUnproductivePairs(t *testing.T) {
 	}
 }
 
+// TestProductiveDelayDoesNotDecay: only a delay that caught nothing decays
+// its location (§3.4.5). A seeded delay at 8001 that springs on 8002 bans that
+// pair and leaves 8001's other pair, with 8003, live at probability 1.
+func TestProductiveDelayDoesNotDecay(t *testing.T) {
+	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
+		t.Run(algo.String(), func(t *testing.T) {
+			clk := &scriptClock{}
+			d := mustNew(t, testConfig(algo), WithClock(clk),
+				WithInitialTraps([]report.PairKey{report.KeyOf(8001, 8002), report.KeyOf(8001, 8003)}))
+			clk.during = func() { d.OnCall(acc(2, 80, 8002, KindWrite)) }
+			d.OnCall(acc(1, 80, 8001, KindWrite))
+			if st := d.Stats(); st.DelaysInjected != 1 || st.Violations != 1 {
+				t.Fatalf("want one delay, sprung: %+v", st)
+			}
+			if traps := d.ExportTraps(); len(traps) != 1 || traps[0] != report.KeyOf(8001, 8003) {
+				t.Fatalf("trap set %v, want only (8001,8003)", traps)
+			}
+			if p, _ := runtimeOf(d).set.eligible(8001); p != 1 {
+				t.Fatalf("P(8001) = %v after a productive delay, want 1", p)
+			}
+		})
+	}
+}
+
+// TestDelayLeavesNoTrapBehind: a trap is on its object only while its
+// thread sleeps. After thread 1's delay on object 83 has returned, thread 2's
+// conflicting call there — made while thread 3 is parked elsewhere, so the
+// red-handed check runs — catches nothing.
+func TestDelayLeavesNoTrapBehind(t *testing.T) {
+	clk := &scriptClock{}
+	d := mustNew(t, testConfig(config.AlgoTSVD), WithClock(clk),
+		WithInitialTraps([]report.PairKey{report.KeyOf(8201, 8202), report.KeyOf(8203, 8204)}))
+	d.OnCall(acc(1, 83, 8201, KindWrite))
+	clk.during = func() { d.OnCall(acc(2, 83, 8202, KindWrite)) }
+	d.OnCall(acc(3, 84, 8203, KindWrite))
+	if st := d.Stats(); st.DelaysInjected < 2 || st.Violations != 0 {
+		t.Fatalf("want two delays and no violation: %+v", st)
+	}
+}
+
+// TestAvoidOverlappingDelays: with AvoidOverlappingDelays a location of a
+// live pair does not delay while another thread is parked; without it, it
+// does.
+func TestAvoidOverlappingDelays(t *testing.T) {
+	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
+		for _, avoid := range []bool{false, true} {
+			cfg := testConfig(algo)
+			cfg.AvoidOverlappingDelays = avoid
+			clk := &scriptClock{}
+			d := mustNew(t, cfg, WithClock(clk),
+				WithInitialTraps([]report.PairKey{report.KeyOf(8101, 8102), report.KeyOf(8103, 8104)}))
+			// Thread 2's call, on another object, comes while thread 1 sleeps.
+			clk.during = func() { d.OnCall(acc(2, 82, 8103, KindWrite)) }
+			d.OnCall(acc(1, 81, 8101, KindWrite))
+			want := int64(2)
+			if avoid {
+				want = 1
+			}
+			if got := d.Stats().DelaysInjected; got != want {
+				t.Errorf("%v, AvoidOverlappingDelays %v: %d delays, want %d", algo, avoid, got, want)
+			}
+		}
+	}
+}
+
 // TestDecayDisabledKeepsDelaying is Fig. 9g's pathological factor-0 setup.
 func TestDecayDisabledKeepsDelaying(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)

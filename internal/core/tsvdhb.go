@@ -3,11 +3,9 @@ package core
 import (
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/intmap"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -37,22 +35,8 @@ import (
 // runtime's object registry, like TSVD's near-miss rings.
 type TSVDHB struct {
 	detectorBase
-	set trapSet
 
 	lockVC intmap.Map[vclock.Atomic] // ids.ObjectID → clock slot
-}
-
-// init prepares a zero TSVDHB on s's storage.
-func (d *TSVDHB) init(cfg config.Config, o options, s *storage) {
-	d.rt.init(cfg, o, s)
-	d.set.init(s, o.initialTraps, &d.rt)
-	o.metrics.attach(&d.rt, d)
-}
-
-// release empties d into s for its next run (Renew).
-func (d *TSVDHB) release(s *storage) {
-	d.rt.release(s, d)
-	d.set.release(s)
 }
 
 // threadTree returns t's current full clock (the zero clock if t has none
@@ -113,7 +97,7 @@ func (d *TSVDHB) OnCall(a Access) {
 	// Admission and check_for_trap (admit.go). Skipping the epoch tick for a
 	// sampled-out call is sound: history entries are only recorded for
 	// admitted calls, so HB comparisons stay conservative.
-	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a, &d.set) {
+	if (rt.samp != nil || rt.parked.Load() > 0) && !rt.enter(st, &a) {
 		return
 	}
 	st.onCalls.Add(1)
@@ -149,32 +133,21 @@ func (d *TSVDHB) OnCall(a Access) {
 			// materialize the full clock.
 			if known.Get(int64(e.thread)) >= uint64(e.at) {
 				// The previous access happens-before this one: not a
-				// dangerous pair. The clock read for the event is taken only
-				// when tracing is on and a prune actually fires — the
+				// dangerous pair. The clock is read for the event only when
+				// tracing is on and a prune actually fires — the
 				// conflict-free fast path never reads the clock at all.
-				rt.stats.count[statPairsPrunedHB].Add(1)
-				if rt.tr != nil {
-					key := report.KeyOf(e.op, a.Op)
-					rt.tr.Emit(trace.KindPairPrunedHB, a.Thread, a.Obj, key.A, key.B, rt.now(), 0)
-				}
+				rt.prunedHB(&a, report.KeyOf(e.op, a.Op), noCall)
 				continue
 			}
-			// No gap notion (clocks, not time windows): the gap is 0, and the
-			// clock is read for the event only when tracing is on.
-			var at time.Duration
-			if rt.tr != nil {
-				at = rt.now()
-			}
-			rt.nearMiss(&a, e.op, at, 0)
+			// No gap notion (clocks, not time windows): the gap is 0.
+			rt.nearMiss(&a, e.op, noCall, 0)
 			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
 		}
 	}
 	h.add(histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: time.Duration(epoch)})
 	os.mu.Unlock()
 	for _, key := range nearKeys {
-		if d.set.add(key, &rt.stats, rt.met) && rt.tr != nil {
-			rt.tr.Emit(trace.KindPairAdded, a.Thread, a.Obj, key.A, key.B, rt.now(), 0)
-		}
+		rt.addPair(a.Thread, a.Obj, key, noCall)
 	}
 
 	if rt.samp != nil {
@@ -182,28 +155,8 @@ func (d *TSVDHB) OnCall(a Access) {
 	}
 
 	// Injection and decay are identical to TSVD (§3.5 "When to inject").
-	if d.set.empty() {
+	if rt.set.empty() {
 		return
 	}
-	prob, ok := d.set.eligible(a.Op)
-	if !ok || rt.randFloat() >= prob {
-		return
-	}
-	if rt.cfg.AvoidOverlappingDelays && rt.anyTrapSet() {
-		return
-	}
-	if rt.tr != nil {
-		rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, rt.now(), rt.delayTime)
-	}
-	// sleeps unlocked
-	if _, injected, sprung := rt.injectDelay(st, a, rt.delayTime); injected && !sprung {
-		d.set.decayAfterFailedDelay(a.Op, rt.cfg.DecayFactor,
-			rt.cfg.PruneProbability, &rt.stats, rt.tr, rt.now())
-	}
+	rt.delayAtPair(st, &a, noCall)
 }
-
-// ExportTraps implements Detector.
-func (d *TSVDHB) ExportTraps() []report.PairKey { return d.set.export() }
-
-// TrapSetSize reports the number of live dangerous pairs.
-func (d *TSVDHB) TrapSetSize() int { return d.set.size() }

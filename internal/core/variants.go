@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/trace"
 )
@@ -18,12 +17,6 @@ type DynamicRandom struct {
 	detectorBase
 }
 
-// init prepares a zero DynamicRandom on s's storage.
-func (d *DynamicRandom) init(cfg config.Config, o options, s *storage) {
-	d.rt.init(cfg, o, s)
-	o.metrics.attach(&d.rt, nil) // no trap set to gauge
-}
-
 // admitRandom is the front half DynamicRandom and StaticRandom share:
 // admission and check_for_trap (enter, admit.go), then count the call, mark
 // coverage and — in sampled mode — close its overhead account. It returns
@@ -33,7 +26,7 @@ func (d *DynamicRandom) init(cfg config.Config, o options, s *storage) {
 func (r *runtime) admitRandom(a *Access) *threadState {
 	st := r.threadStateFor(a.Thread)
 	r.resolveSite(a)
-	if (r.samp != nil || r.parked.Load() > 0) && !r.enter(st, a, nil) {
+	if (r.samp != nil || r.parked.Load() > 0) && !r.enter(st, a) {
 		return nil
 	}
 	st.onCalls.Add(1)
@@ -54,10 +47,8 @@ func (d *DynamicRandom) OnCall(a Access) {
 		// "the thread sleeps for a random amount of time" — uniform in
 		// (0, DelayTime].
 		dur := d.rt.randDurationUpTo(d.rt.delayTime)
-		if d.rt.tr != nil {
-			d.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, d.rt.now(), dur)
-		}
-		d.rt.injectDelay(st, a, dur)
+		d.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, d.rt.stamp(noCall), dur)
+		d.rt.injectDelay(st, a, dur, 0)
 	}
 }
 
@@ -91,13 +82,6 @@ type StaticRandom struct {
 // resamplePeriod is how many OnCalls pass between re-arming rounds.
 const resamplePeriod = 200
 
-// init prepares a zero StaticRandom on st's storage.
-func (s *StaticRandom) init(cfg config.Config, o options, st *storage) {
-	s.armed = map[ids.OpID]bool{}
-	s.rt.init(cfg, o, st)
-	o.metrics.attach(&s.rt, nil) // no trap set to gauge
-}
-
 // OnCall implements Detector.
 func (s *StaticRandom) OnCall(a Access) {
 	st := s.rt.admitRandom(&a)
@@ -108,6 +92,9 @@ func (s *StaticRandom) OnCall(a Access) {
 	s.mu.Lock()
 	armed, known := s.armed[a.Op]
 	if !known {
+		if s.armed == nil {
+			s.armed = map[ids.OpID]bool{}
+		}
 		armed = s.rt.randFloat() < s.rt.cfg.StaticSampleProbability
 		s.armed[a.Op] = armed
 		s.ops = append(s.ops, a.Op)
@@ -125,9 +112,7 @@ func (s *StaticRandom) OnCall(a Access) {
 	}
 	s.mu.Unlock()
 	if armed {
-		if s.rt.tr != nil {
-			s.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, s.rt.now(), s.rt.delayTime)
-		}
-		s.rt.injectDelay(st, a, s.rt.delayTime)
+		s.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, s.rt.stamp(noCall), s.rt.delayTime)
+		s.rt.injectDelay(st, a, s.rt.delayTime, 0)
 	}
 }

@@ -6,6 +6,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/metrics"
+	"repro/internal/report"
+	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -234,5 +237,48 @@ func TestTSVDHBExportAndSeedTraps(t *testing.T) {
 	d2 := mustNew(t, cfg, WithInitialTraps(traps)).(*TSVDHB)
 	if d2.TrapSetSize() != 1 {
 		t.Fatal("seeded trap set empty")
+	}
+}
+
+// TestRandomVariantsKeepNoTrapSet: DynamicRandom and StaticRandom ignore
+// WithInitialTraps. Seeded with a pair and made to spring a trap, they count
+// no pair, trace no pair_added, gauge an empty set and export nil.
+func TestRandomVariantsKeepNoTrapSet(t *testing.T) {
+	for _, algo := range []config.Algorithm{config.AlgoDynamicRandom, config.AlgoStaticRandom} {
+		t.Run(algo.String(), func(t *testing.T) {
+			cfg := testConfig(algo)
+			cfg.RandomDelayProbability, cfg.StaticSampleProbability = 1, 1
+			cfg.Trace = true
+			reg := metrics.NewRegistry()
+			clk := &scriptClock{}
+			d := mustNew(t, cfg, WithClock(clk), WithDetectorMetrics(NewDetectorMetrics(reg)),
+				WithInitialTraps([]report.PairKey{report.KeyOf(4101, 4102)}))
+			// Thread 1's call delays, and inside its sleep thread 2's
+			// conflicting call springs the trap.
+			clk.during = func() { d.OnCall(acc(2, 41, 4102, KindWrite)) }
+			d.OnCall(acc(1, 41, 4101, KindWrite))
+
+			st := d.Stats()
+			if st.Violations == 0 {
+				t.Fatalf("no trap sprung: %+v", st)
+			}
+			if st.PairsAdded != 0 {
+				t.Errorf("PairsAdded = %d, want 0", st.PairsAdded)
+			}
+			if ts, ok := d.(interface{ TrapSetSize() int }); ok && ts.TrapSetSize() != 0 {
+				t.Errorf("TrapSetSize = %d, want 0", ts.TrapSetSize())
+			}
+			if n := reg.Values()["tsvd_detector_trap_set_pairs"]; n != 0 {
+				t.Errorf("tsvd_detector_trap_set_pairs = %v, want 0", n)
+			}
+			for _, e := range d.Tracer().Drain() {
+				if e.Kind == trace.KindPairAdded {
+					t.Errorf("pair_added event %+v", e)
+				}
+			}
+			if traps := d.ExportTraps(); traps != nil {
+				t.Errorf("ExportTraps = %#v, want nil", traps)
+			}
+		})
 	}
 }
