@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/sites"
 )
 
 // opRecorder is a detector that hands the test the call site of every access
@@ -139,4 +140,111 @@ func TestCallSiteAttribution(t *testing.T) {
 	if len(rec.ops) != 0 {
 		t.Fatalf("%d accesses nobody expected", len(rec.ops))
 	}
+}
+
+// accessRecorder is a detector that keeps the accesses it is told about,
+// without allocating while its buffer has room.
+type accessRecorder struct {
+	core.Detector
+	got []core.Access
+}
+
+func (r *accessRecorder) OnCall(a core.Access) { r.got = append(r.got, a) }
+
+func newAccessRecorder(t *testing.T) *accessRecorder {
+	t.Helper()
+	det, err := core.New(config.Defaults(config.AlgoTSVD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &accessRecorder{Detector: det, got: make([]core.Access, 0, 64)}
+}
+
+// check fails the test unless the recorded accesses name the sites
+// sites.Registry.ForCall gives their ops and the wanted APIs, in order —
+// one API for all of them if one is given — and empties the record. It
+// returns the accesses, valid until the next call.
+func (r *accessRecorder) check(t *testing.T, want ...sites.Site) []core.Access {
+	t.Helper()
+	if len(want) != 1 && len(r.got) != len(want) {
+		t.Fatalf("%d accesses, want %d", len(r.got), len(want))
+	}
+	for i, a := range r.got {
+		w := want[min(i, len(want)-1)]
+		if s := r.Sites().ForCall(a.Op, w.Class, w.Method, w.Write); a.Site != s {
+			t.Fatalf("access %d at %q: site %d (%+v), ForCall says %d for %s.%s", i, a.Op.Key(), a.Site, r.Sites().Info(a.Site), s, w.Class, w.Method)
+		}
+	}
+	got := r.got
+	r.got = r.got[:0]
+	return got
+}
+
+var (
+	dictSet   = sites.Site{Class: "Dictionary", Method: "Set", Write: true}
+	dictCount = sites.Site{Class: "Dictionary", Method: "Count"}
+	listGet   = sites.Site{Class: "List", Method: "Get"}
+	listCount = sites.Site{Class: "List", Method: "Count"}
+)
+
+// TestPrologueSitesAgreeWithForCall: the site a proxy reports is the one
+// ForCall interns for its op and API, whichever way the call path's memo
+// word answered — two proxies called on one source line, and one call
+// instruction that reaches two container classes through an interface.
+func TestPrologueSitesAgreeWithForCall(t *testing.T) {
+	rec := newAccessRecorder(t)
+	d, l := NewDictionary[int, int](rec), NewList[int](rec)
+	l.Add(7)
+	rec.got = rec.got[:0]
+	counters := []interface{ Count() int }{d, l, d, l}
+	for pass := 0; pass < 3; pass++ {
+		d.Set(1, l.Get(0))
+		if got := rec.check(t, listGet, dictSet); got[0].Op != got[1].Op {
+			t.Fatalf("two calls on one line attributed to %q and %q", got[0].Op.Key(), got[1].Op.Key())
+		}
+		for _, c := range counters {
+			c.Count()
+		}
+		rec.check(t, dictCount, listCount, dictCount, listCount)
+	}
+}
+
+//go:noinline
+func setOne(d *Dictionary[int, int]) { d.Set(1, 1) }
+
+// TestProloguesAcrossDetectors: containers of two detectors — two
+// registries — reached through one call path get right sites without
+// allocating, one detector after the other (the later one takes the memo
+// word over) and both at once.
+func TestProloguesAcrossDetectors(t *testing.T) {
+	first, second := newAccessRecorder(t), newAccessRecorder(t)
+	d1, d2 := NewDictionary[int, int](first), NewDictionary[int, int](second)
+	for i := 0; i < 3; i++ {
+		setOne(d1)
+	}
+	first.check(t, dictSet)
+	if allocs := allocsPerRun(10, func() { setOne(d2) }); allocs != 0 {
+		t.Fatalf("a later detector's call allocates %.1f times", allocs)
+	}
+	second.check(t, dictSet)
+
+	for round := 0; round < 20; round++ {
+		setOne(d1)
+		setOne(d2)
+	}
+	if allocs := allocsPerRun(10, func() { setOne(d1); setOne(d2) }); allocs != 0 {
+		t.Fatalf("alternating detectors' calls allocate %.1f times a round", allocs)
+	}
+	first.check(t, dictSet)
+	second.check(t, dictSet)
+}
+
+// allocsPerRun is testing.AllocsPerRun on call paths that are already
+// resolved: AllocsPerRun calls f from two places, its warm-up and its loop,
+// which are two call paths for every proxy f calls, and a call path's first
+// call resolves its location, which allocates. The first AllocsPerRun makes
+// those first calls.
+func allocsPerRun(runs int, f func()) float64 {
+	testing.AllocsPerRun(1, f)
+	return testing.AllocsPerRun(runs, f)
 }

@@ -20,12 +20,12 @@ type Detector = core.Detector
 
 // instrumented is the common prologue state every container embeds. The
 // detector's site registry is cached at construction so the prologue interns
-// its site directly. After the first call per call site the whole prologue is
-// three lock-free steps — the goroutine id, the call site's OpID and its
-// SiteID (see sites.Registry.ForCall for what each costs) — with nothing
-// allocated and no strings materialized on the access itself. A sampled
+// its site directly. After the first call per call path the whole prologue is
+// two lock-free steps — the goroutine id, then the call site's OpID and
+// SiteID from one lookup of the call path (sites.Registry.ForCaller) — with
+// nothing allocated and no strings materialized on the access itself. A sampled
 // detector's admission gate is cached too: it is asked with the goroutine id
-// alone, so a call it rejects buys neither of the other two.
+// alone, so a call it rejects never buys the second step.
 type instrumented struct {
 	det   core.Detector
 	reg   *sites.Registry
@@ -54,14 +54,8 @@ func (b *instrumented) onCall(method string, kind core.Kind) {
 	if b.gate != nil && !b.gate.Admit(thread) {
 		return
 	}
-	op := ids.CallerOp(1)
-	b.det.OnCall(core.Access{
-		Thread: thread,
-		Obj:    b.id,
-		Op:     op,
-		Site:   b.reg.ForCall(op, b.class, method, kind == core.KindWrite),
-		Kind:   kind,
-	})
+	op, site := b.reg.ForCaller(1, b.class, method, kind == core.KindWrite)
+	b.det.OnCall(core.Access{Thread: thread, Obj: b.id, Op: op, Site: site, Kind: kind})
 }
 
 // ObjectID exposes the container's identity token (used by tests and the

@@ -165,7 +165,7 @@ func (r *runtime) sampleTick(now time.Duration) {
 
 // Gate lets an instrumentation proxy ask for the admission verdict before
 // it builds an Access: with only the goroutine id in hand, so a rejected
-// call never pays for ids.CallerOp, sites.ForCall or OnCall. Only sampled
+// call never pays for sites.Registry.ForCaller or OnCall. Only sampled
 // detectors have one (GateOf).
 type Gate runtime
 
@@ -203,7 +203,7 @@ func (g *Gate) Admit(t ids.ThreadID) bool {
 // costs are the per-call constants the overhead account cannot measure call
 // by call without becoming the overhead: what a rejected call costs through
 // a proxy that asks Gate first (skip), and what identity costs a call that
-// builds an Access (prologue: goroutine id, ids.CallerOp, sites.ForCall).
+// builds an Access (prologue: goroutine id, sites.Registry.ForCaller).
 type costs struct {
 	skip, prologue time.Duration
 }
@@ -247,12 +247,8 @@ func callCosts() costs {
 
 		reg := sites.New()
 		calibrated.prologue = fastest(func() {
-			op := ids.CallerOp(0)
-			calibrationSink = Access{
-				Thread: ids.CurrentThreadID(),
-				Op:     op,
-				Site:   reg.ForCall(op, "calibration", "Call", true),
-			}
+			op, site := reg.ForCaller(0, "calibration", "Call", true)
+			calibrationSink = Access{Thread: ids.CurrentThreadID(), Op: op, Site: site}
 		})
 	})
 	return calibrated

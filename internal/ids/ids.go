@@ -15,8 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/intmap"
 )
 
 // ThreadID identifies a thread of execution. In this Go port a "thread" is a
@@ -145,45 +143,164 @@ func (op OpID) entry() (e opEntry, ok bool) {
 	return opEntry{}, false
 }
 
-// maxChain is how many return addresses CallerOp keys its cache by. A proxy
-// asks for the frame two above itself, and a generic method reached through
-// an interface or a method value puts up to two compiler-generated wrapper
-// frames in between, so six reaches the user's frame with one to spare.
+// maxChain is how many return addresses CallerSite keys its cache by. From
+// CallerSite up to a proxy's caller there are three frames —
+// sites.Registry.ForCaller, the proxy's onCall, the proxy method — and a
+// generic method reached through an interface or a method value puts up to
+// two compiler-generated wrapper frames in between, so six return addresses
+// reach the user's frame. A deeper call path is answered right, but resolved
+// on every call.
 const maxChain = 6
 
-// chainOp is one cached answer of CallerOp: the question — a chain of return
-// addresses and a skip — and the location it resolved to.
+// chainOp is one cached answer of CallerSite: the question — a chain of
+// return addresses and a skip — the location it resolved to, as its index in
+// the op table (0 while the entry is empty), and a word the caller may
+// remember more about that location in (see CallerSite). An entry is one
+// cache line, and the tables that hold them, 64 or more entries, start on
+// one.
 type chainOp struct {
 	chain [maxChain]uintptr
-	skip  int
-	op    OpID
+	skip  int32
+	op    atomic.Uint32 // OpID(opBase + op); stored last, when the entry fills
+	memo  atomic.Uint64
 }
 
-// chainOps caches CallerOp's answers by chainKey. Insert-only, like the op
-// table behind it: a program has finitely many call paths of depth maxChain.
-var chainOps intmap.Map[chainOp]
+// answers reports whether e is the cached answer to (chain, skip). The six
+// words are compared inline: as an array compare it is a call to memequal.
+func (e *chainOp) answers(chain *[maxChain]uintptr, skip int) bool {
+	return (e.chain[0]^chain[0])|(e.chain[1]^chain[1])|(e.chain[2]^chain[2])|
+		(e.chain[3]^chain[3])|(e.chain[4]^chain[4])|(e.chain[5]^chain[5])|
+		uintptr(int(e.skip)^skip) == 0
+}
 
-// chainKey hashes a question into an intmap key. Clearing the top bit keeps
-// it off intmap's empty-slot marker.
-func chainKey(chain *[maxChain]uintptr, skip int) int64 {
-	h := uint64(skip)
-	for _, pc := range chain {
-		h = (h ^ uint64(pc)) * 0x9E3779B97F4A7C15
-		h ^= h >> 32
+// chainCache holds CallerSite's answers: an open-addressing table, probed
+// linearly from chainKey, whose entries are stored inline — so a hit reads
+// one line of the table and nothing else — and kept at most half full.
+// Insert-only, like the op table behind it: a program has finitely many call
+// paths of depth maxChain. Lookups take no lock; inserts serialize on mu and
+// publish an entry by storing its op last, and growth publishes a filled
+// copy of the table, so a reader still on the old one sees whole entries and
+// at worst misses a newer one, or remembers something in a word the copy
+// does not keep.
+type chainCache struct {
+	mu    sync.Mutex
+	table atomic.Pointer[[]chainOp] // len is a power of two
+	n     int                       // entries filled, guarded by mu
+}
+
+var chainOps chainCache
+
+// find returns the entry answering (chain, skip) in table t, or nil.
+func find(t []chainOp, key uint64, chain *[maxChain]uintptr, skip int) *chainOp {
+	mask := uint64(len(t) - 1)
+	for i := key & mask; ; i = (i + 1) & mask {
+		e := &t[i]
+		if e.op.Load() == 0 {
+			return nil
+		}
+		if e.answers(chain, skip) {
+			return e
+		}
 	}
-	return int64(h &^ (1 << 63))
+}
+
+// insert caches op as the answer to (chain, skip), whose chainKey is key,
+// and returns its entry.
+func (c *chainCache) insert(key uint64, chain *[maxChain]uintptr, skip int, op OpID) *chainOp {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.table.Load()
+	if t != nil {
+		if e := find(*t, key, chain, skip); e != nil {
+			return e
+		}
+	}
+	if t == nil || 2*(c.n+1) > len(*t) {
+		size := 64
+		if t != nil {
+			size = 2 * len(*t)
+		}
+		grown := make([]chainOp, size)
+		if t != nil {
+			for i := range *t {
+				e := &(*t)[i]
+				if e.op.Load() == 0 {
+					continue
+				}
+				f := place(grown, chainKey(&e.chain, int(e.skip)))
+				f.chain, f.skip = e.chain, e.skip
+				f.memo.Store(e.memo.Load())
+				f.op.Store(e.op.Load())
+			}
+		}
+		c.table.Store(&grown)
+		t = &grown
+	}
+	e := place(*t, key)
+	e.chain, e.skip = *chain, int32(skip)
+	e.op.Store(uint32(op - opBase))
+	c.n++
+	return e
+}
+
+// place returns the first empty entry of t on key's probe sequence.
+func place(t []chainOp, key uint64) *chainOp {
+	mask := uint64(len(t) - 1)
+	i := key & mask
+	for t[i].op.Load() != 0 {
+		i = (i + 1) & mask
+	}
+	return &t[i]
+}
+
+// Len reports how many call paths are cached.
+func (c *chainCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// chainKey hashes a question into the start of its probe sequence. Each
+// position gets its own odd multiplier, so the seven products are
+// independent of one another and issue back to back instead of waiting on
+// each other; one final mix then folds the high bits, where the products
+// carry their entropy, down into the low ones the table's index is taken
+// from. Every step is a bijection of the 64-bit word, so changing one input
+// word always changes the key.
+func chainKey(chain *[maxChain]uintptr, skip int) uint64 {
+	h := uint64(chain[0])*0x9E3779B97F4A7C15 ^ uint64(chain[1])*0xC2B2AE3D27D4EB4F ^
+		uint64(chain[2])*0x165667B19E3779F9 ^ uint64(chain[3])*0xD6E8FEB86659FD93 ^
+		uint64(chain[4])*0xFF51AFD7ED558CCD ^ uint64(chain[5])*0xC4CEB9FE1A85EC53 ^
+		uint64(skip)*0x94D049BB133111EB
+	h ^= h >> 32
+	h *= 0xBF58476D1CE4E5B9
+	return h ^ h>>29
 }
 
 // CallerOp returns the OpID of the call site `skip` frames above the caller
 // of CallerOp. skip=0 means the immediate caller of the function that calls
-// CallerOp. The instrumented collections use this to attribute every access
-// to the user call site rather than to the wrapper method.
+// CallerOp. It is CallerSite without the memo word.
+func CallerOp(skip int) OpID {
+	op, _ := CallerSite(skip + 1)
+	return op
+}
+
+// CallerSite returns the OpID of the call site `skip` frames above the caller
+// of CallerSite (skip=0 means the immediate caller of the function that calls
+// CallerSite) and, when the answer came from or went into the call-path
+// cache, a word of that cache entry: zero until a caller stores in it, and
+// kept for as long as the process runs. The entry stands for one call path,
+// so what a caller derives from the location alone — sites.Registry keeps
+// the site id it interned the location as — can be remembered there and
+// found again with this one lookup. The word is nil for a call path that is
+// not cached. The instrumented collections use this to attribute every
+// access to the user call site rather than to the wrapper method.
 //
 // The location is always what runtime.Callers and runtime.CallersFrames say
 // it is; what differs is how a repeated call avoids asking them again. On
 // amd64, once init's self-check has seen the frame-pointer walk agree with
 // runtime.Callers (see fpChainAgrees), an assembly stub reads the maxChain
-// innermost return addresses off the frame-pointer chain and CallerOp looks
+// innermost return addresses off the frame-pointer chain and CallerSite looks
 // that chain up: the same return addresses always unwind to the same logical
 // frames, however the compiler inlined the functions in between, and an
 // inlined helper called from two places is two chains with one answer. A
@@ -197,7 +314,7 @@ func chainKey(chain *[maxChain]uintptr, skip int) int64 {
 // The walk trusts every frame it crosses to have saved its caller's frame
 // pointer, as the runtime's own frame-pointer unwinder does. Every compiled
 // Go function that makes a call does; assembly marked NOFRAME does not.
-func CallerOp(skip int) OpID {
+func CallerSite(skip int) (OpID, *atomic.Uint64) {
 	var chain [maxChain]uintptr
 	n := 0
 	if fpChainOK {
@@ -206,25 +323,28 @@ func CallerOp(skip int) OpID {
 		chain[0] = callerPC(skip + 1)
 	}
 	key := chainKey(&chain, skip)
-	e, sure := chainOps.GetFast(key)
-	if !sure {
-		e = chainOps.Get(key)
-	}
-	if e != nil && e.chain == chain && e.skip == skip {
-		return e.op
+	if t := chainOps.table.Load(); t != nil {
+		// Checked here first, the entry's home, where it nearly always is:
+		// find's probe loop is no candidate for inlining.
+		e := &(*t)[key&uint64(len(*t)-1)]
+		if e.op.Load() == 0 || !e.answers(&chain, skip) {
+			e = find(*t, key, &chain, skip)
+		}
+		if e != nil {
+			return opBase + OpID(e.op.Load()), &e.memo
+		}
 	}
 	pc := callerPC(skip + 1)
 	if pc == 0 {
-		return 0
+		return 0, nil
 	}
 	op := resolvePC(pc)
 	// n < maxChain: the chain is the whole stack (or, on the portable path,
-	// the answer itself). A second question under an occupied key is never
-	// cached; 63-bit keys make that a curiosity.
-	if e == nil && (n < maxChain || chainReaches(&chain, skip+1)) {
-		chainOps.GetOrInit(key, func(c *chainOp) { *c = chainOp{chain: chain, skip: skip, op: op} })
+	// the answer itself).
+	if int(int32(skip)) == skip && (n < maxChain || chainReaches(&chain, skip+1)) {
+		return op, &chainOps.insert(key, &chain, skip, op).memo
 	}
-	return op
+	return op, nil
 }
 
 // chainReaches reports whether chain — the return addresses fpChain read for
@@ -238,7 +358,7 @@ func CallerOp(skip int) OpID {
 // such a counter sits at or above it.
 func chainReaches(chain *[maxChain]uintptr, target int) bool {
 	var logical [4 * maxChain]uintptr
-	// 3: runtime.Callers itself, chainReaches and CallerOp.
+	// 3: runtime.Callers itself, chainReaches and CallerSite.
 	next := 0
 	for i, pc := range logical[:runtime.Callers(3, logical[:])] {
 		for j := next; j < maxChain; j++ {

@@ -2,9 +2,11 @@ package ids
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -280,4 +282,137 @@ func BenchmarkCallerOp(b *testing.B) {
 			CallerOp(0)
 		}
 	})
+}
+
+// TestChainKeyDependsOnEveryBit flips each bit of each of the six chain
+// positions and of skip in turn: every flip must move the key, or two call
+// paths that differ only there would share a cache slot.
+func TestChainKeyDependsOnEveryBit(t *testing.T) {
+	var real [maxChain]uintptr
+	runtime.Callers(1, real[:])
+	chains := [][maxChain]uintptr{real, {}, {^uintptr(0), 1, 2, 3, 4, 5}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 8; i++ {
+		var c [maxChain]uintptr
+		for j := range c {
+			c[j] = uintptr(rng.Uint64())
+		}
+		chains = append(chains, c)
+	}
+	for _, chain := range chains {
+		for _, skip := range []int{0, 1, 3, -1} {
+			key := chainKey(&chain, skip)
+			for pos := 0; pos <= maxChain; pos++ { // maxChain: skip
+				for bit := 0; bit < 64; bit++ {
+					c, s := chain, skip
+					if pos < maxChain {
+						c[pos] ^= 1 << bit
+					} else {
+						s ^= 1 << bit
+					}
+					if chainKey(&c, s) == key {
+						t.Fatalf("chain %x skip %d: flipping bit %d of position %d leaves the key %x", chain, skip, bit, pos, key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHitCheckComparesEveryWord: a cache entry answers exactly its own
+// question. Lookups ask every entry on a question's probe sequence, so this
+// check alone tells apart call paths whose keys collide — which no real call
+// path can be made to do on demand, so the check is asked directly.
+func TestHitCheckComparesEveryWord(t *testing.T) {
+	const skip = 2
+	e := &chainOp{chain: [maxChain]uintptr{11, 12, 13, 14, 15, 16}, skip: skip}
+	if !e.answers(&e.chain, skip) {
+		t.Fatal("an entry does not answer its own question")
+	}
+	for pos := 0; pos < maxChain; pos++ {
+		c := e.chain
+		c[pos]++
+		if e.answers(&c, skip) {
+			t.Errorf("an entry answers a chain that differs from its own at position %d", pos)
+		}
+	}
+	if e.answers(&e.chain, skip+1) || e.answers(&e.chain, skip+1<<32) {
+		t.Error("an entry answers another skip")
+	}
+}
+
+// TestChainCacheProbesAndGrows fills a cache of its own through several
+// growths, far more questions than its first table's 64 entries, so many
+// share a probe sequence: each is found with its own answer, and a memo
+// stored before a growth is still there after it.
+func TestChainCacheProbesAndGrows(t *testing.T) {
+	var c chainCache
+	question := func(i int) *[maxChain]uintptr { return &[maxChain]uintptr{uintptr(i + 1), 7, 7, 7, 7, 7} }
+	lookup := func(i, skip int) *chainOp {
+		return find(*c.table.Load(), chainKey(question(i), skip), question(i), skip)
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		e := c.insert(chainKey(question(i), 1), question(i), 1, opBase+OpID(i+1))
+		e.memo.Store(uint64(i + 1))
+		if again := c.insert(chainKey(question(i), 1), question(i), 1, opBase+OpID(i+1)); again != e {
+			t.Fatalf("question %d inserted twice", i)
+		}
+	}
+	if c.Len() != n {
+		t.Fatalf("Len() = %d after %d questions", c.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if e := lookup(i, 1); e == nil || e.op.Load() != uint32(i+1) || e.memo.Load() != uint64(i+1) {
+			t.Fatalf("question %d: found %v", i, e)
+		}
+		if lookup(i, 2) != nil {
+			t.Fatalf("question %d is found under another skip", i)
+		}
+	}
+}
+
+//go:noinline
+func callerSiteProbe() (OpID, *atomic.Uint64) { return CallerSite(0) }
+
+// answer is one CallerSite result, so that two calls fit on one line.
+type answer struct {
+	op   OpID
+	memo *atomic.Uint64
+}
+
+func answered(op OpID, memo *atomic.Uint64) answer { return answer{op, memo} }
+
+// TestCallerSiteMemoIsPerCallPath: CallerSite answers as runtime.Callers
+// does, and its memo word belongs to one call path — the same word on every
+// execution of that path and another word for every other path, even for
+// two calls on one source line, which share the op.
+func TestCallerSiteMemoIsPerCallPath(t *testing.T) {
+	var got [3][3]answer
+	for pass := range got {
+		var want [3]string
+		got[pass][0] = answered(callerSiteProbe())
+		want[0], _ = lineAbove()
+		got[pass][1], got[pass][2] = answered(callerSiteProbe()), answered(callerSiteProbe())
+		want[1], _ = lineAbove()
+		want[2] = want[1]
+		for i, a := range got[pass] {
+			if a.op.Key() != want[i] {
+				t.Fatalf("pass %d, call %d: CallerSite is %q, runtime.Callers says %q", pass, i, a.op.Key(), want[i])
+			}
+			if a.memo == nil {
+				t.Fatalf("pass %d, call %d: a cached call path came without a memo word", pass, i)
+			}
+		}
+		if got[pass] != got[0] {
+			t.Fatalf("pass %d: one call path answered %v, then %v", pass, got[pass], got[0])
+		}
+	}
+	a := got[0]
+	if a[0].memo == a[1].memo || a[1].memo == a[2].memo || a[0].memo == a[2].memo {
+		t.Fatal("two call paths share a memo word")
+	}
+	if a[1].op != a[2].op {
+		t.Fatalf("two calls on one line got two ops: %q and %q", a[1].op.Location(), a[2].op.Location())
+	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // goidOffset is the byte offset of goid inside the runtime's g, or 0 when
-// CurrentThreadID must parse; fpChainOK reports whether CallerOp may key its
+// CurrentThreadID must parse; fpChainOK reports whether CallerSite may key its
 // cache by the frame-pointer chain. Both are decided once, here, from what
 // this process's runtime was observed to do — not from a table of Go versions
 // and not from anything a user sets.

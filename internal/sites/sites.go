@@ -25,8 +25,10 @@ package sites
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/intmap"
@@ -44,6 +46,9 @@ type Site struct {
 	Method string
 	// Write marks write-kind sites (the API requires exclusive access).
 	Write bool
+	// A row is one cache line: a prologue's hit reads all of it but the
+	// padding, and the table's backing arrays are line-aligned.
+	_ [8]byte
 }
 
 type tupleKey struct {
@@ -53,10 +58,13 @@ type tupleKey struct {
 }
 
 // Registry interns site tuples into dense SiteIDs. All lookup methods are
-// safe for concurrent use; the hot paths (ForCall, ForOpKind, Info) are
-// lock-free once a site is registered.
+// safe for concurrent use; the hot paths (ForCaller, ForCall, ForOpKind,
+// Info) are lock-free once a site is registered.
 type Registry struct {
 	mu sync.Mutex
+	// id is the registry's process-unique number: the high half of every
+	// memo word it stores (see ForCaller).
+	id uint32
 	// table is the dense site table, index == SiteID. Index 0 holds the
 	// zero Site. Growth appends under mu and republishes the header via the
 	// atomic pointer: element i is written strictly before any header with
@@ -66,17 +74,21 @@ type Registry struct {
 	// byTuple is the canonical intern map, guarded by mu.
 	byTuple map[tupleKey]ids.SiteID
 	// byOpKind caches the first site registered for each (op, kind) — the
-	// lock-free fast path for instrumentation prologues and for accesses
-	// that carry only an OpID.
+	// lock-free fast path of ForCall, which a prologue takes when its memo
+	// word does not know the site, and of accesses that carry only an OpID.
 	byOpKind intmap.Map[ids.SiteID]
 	// byOp caches the first site registered for each op, for report/trace
 	// serialization, which resolves sites from pair keys (op pairs).
 	byOp intmap.Map[ids.SiteID]
 }
 
+// registries numbers registries in order of creation, from 1, so a zero memo
+// word names none.
+var registries atomic.Uint32
+
 // New returns an empty registry.
 func New() *Registry {
-	r := &Registry{byTuple: map[tupleKey]ids.SiteID{}}
+	r := &Registry{id: registries.Add(1), byTuple: map[tupleKey]ids.SiteID{}}
 	t := make([]Site, 1, 64)
 	r.table.Store(&t)
 	return r
@@ -99,18 +111,73 @@ func (r *Registry) Register(op ids.OpID, class, method string, write bool) ids.S
 	return r.registerSlow(op, class, method, write)
 }
 
-// ForCall is the instrumentation-prologue intern: identical to Register but
-// named for its hot-path role. On every call after the first for a given
-// call site it is one lock-free intmap probe keyed by (op, kind), one load of
-// the site table and two string compares (which succeed on pointer equality
-// for the constant class/method strings prologues pass) — ≈ 8 ns. It is the
-// cheapest of the prologue's three steps: the op it is handed comes from
-// ids.CallerOp (≈ 15–25 ns: a frame-pointer walk and a second probe of the
-// same kind on amd64, an unwind where ids' init self-check ruled that out)
-// and the access also carries ids.CurrentThreadID (≈ 2 ns from the runtime's
-// g on amd64, a stack-dump parse of several µs elsewhere).
+// ForCall interns the site of a call whose op the caller already has:
+// identical to Register. After the first call for a given (op, kind) it is
+// one lock-free intmap probe keyed by (op, kind), one load of the site table
+// and two string compares (which succeed on pointer equality for the
+// constant class/method strings prologues pass). The proxies do not call it
+// on their hit path: ForCaller finds the site from the call path's cache
+// entry, and only falls back to ForCall when that entry does not know it.
 func (r *Registry) ForCall(op ids.OpID, class, method string, write bool) ids.SiteID {
 	return r.Register(op, class, method, write)
+}
+
+// ForCaller is the instrumentation prologue's identity step: the OpID of the
+// call site skip frames above ForCaller's caller (skip as for
+// ids.CallerSite) and the site ForCall interns (op, class, method, write)
+// as. On every call after the first for a given call path it is one lookup:
+// ids.CallerSite's call-path cache entry carries a memo word,
+// registry id<<32 | site id, and a memo naming this registry whose site row
+// matches the request is the answer — no (op, kind) probe. The memo is
+// stored after ForCall answers a miss: at once when it is empty or names an
+// older registry (a session or harness run after an earlier one's), and on
+// one miss in 64, at random, when it names a newer one, so a registry that
+// outlives a newer one gets its fast path back while two live registries on
+// one call path never trade stores on every call. A call path ids does not
+// cache always takes ForCall.
+func (r *Registry) ForCaller(skip int, class, method string, write bool) (ids.OpID, ids.SiteID) {
+	op, memo := ids.CallerSite(skip + 1)
+	if memo != nil {
+		if s := r.remembered(memo.Load()); s != nil && s.is(op, class, method, write) {
+			return op, s.ID
+		}
+	}
+	return op, r.forMiss(memo, op, class, method, write)
+}
+
+// forMiss answers a call its memo word did not — ForCall — and stores the
+// answer in the word when ForCaller's rule lets this registry have it.
+func (r *Registry) forMiss(memo *atomic.Uint64, op ids.OpID, class, method string, write bool) ids.SiteID {
+	id := r.ForCall(op, class, method, write)
+	if memo != nil {
+		m := memo.Load()
+		if holder := uint32(m >> 32); holder < r.id || holder != r.id && rand.Uint32()%64 == 0 {
+			memo.CompareAndSwap(m, uint64(r.id)<<32|uint64(id))
+		}
+	}
+	return id
+}
+
+// remembered returns the site memo word m names if it names one of r's, or
+// nil. A word names r only after r registered the site, so the id is in r's
+// table.
+func (r *Registry) remembered(m uint64) *Site {
+	if uint32(m>>32) != r.id {
+		return nil
+	}
+	return &(*r.table.Load())[uint32(m)]
+}
+
+// is reports whether s is the site of (op, class, method, write).
+func (s *Site) is(op ids.OpID, class, method string, write bool) bool {
+	return s.Op == op && s.Write == write && same(s.Class, class) && same(s.Method, method)
+}
+
+// same is a == b without a call to the runtime's memequal when a and b are
+// one string, as a prologue's constant class and method names are the
+// strings their site was registered with.
+func same(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
 }
 
 func (r *Registry) fastLookup(op ids.OpID, class, method string, write bool) (ids.SiteID, bool) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ids"
@@ -296,4 +297,153 @@ func TestTupleProperties(t *testing.T) {
 			t.Fatalf("Less is not transitive over %+v, %+v, %+v", a, b, c)
 		}
 	}
+}
+
+// call is one instrumented call's prologue: the site of call's caller.
+//
+//go:noinline
+func call(r *Registry, class, method string, write bool) (ids.OpID, ids.SiteID) {
+	return r.ForCaller(0, class, method, write)
+}
+
+// answer is one ForCaller result, so that two calls fit on one line.
+type answer struct {
+	op   ids.OpID
+	site ids.SiteID
+}
+
+func answered(op ids.OpID, site ids.SiteID) answer { return answer{op, site} }
+
+// agree fails the test unless a is what ForCall says for a's op and the
+// given tuple.
+func agree(t *testing.T, r *Registry, a answer, class, method string, write bool) {
+	t.Helper()
+	if a.op == 0 {
+		t.Fatal("ForCaller found no call site")
+	}
+	if want := r.ForCall(a.op, class, method, write); a.site != want {
+		t.Fatalf("ForCaller says site %d for %s.%s (write %v) at %q, ForCall says %d", a.site, class, method, write, a.op.Key(), want)
+	}
+}
+
+// TestForCallerAgreesWithForCall: whatever a call path's memo word holds,
+// ForCaller's site is ForCall's for the op and tuple asked about — for two
+// calls on one source line, and for one call instruction asked about two
+// classes and both kinds (as a proxy reached through an interface would).
+func TestForCallerAgreesWithForCall(t *testing.T) {
+	r := New()
+	for pass := 0; pass < 3; pass++ {
+		a, b := answered(call(r, "Dictionary", "Set", true)), answered(call(r, "List", "Get", false))
+		agree(t, r, a, "Dictionary", "Set", true)
+		agree(t, r, b, "List", "Get", false)
+		if a.op != b.op || a.site == b.site {
+			t.Fatalf("pass %d: two calls on one line: %v and %v", pass, a, b)
+		}
+		for _, class := range []string{"Dictionary", "List", "Dictionary"} {
+			for _, write := range []bool{false, true, false} {
+				agree(t, r, answered(call(r, class, "Count", write)), class, "Count", write)
+			}
+		}
+	}
+}
+
+// hit is ForCaller's hit test for Dictionary.Set at op, given memo word m.
+func hit(r *Registry, m uint64, op ids.OpID) (ids.SiteID, bool) {
+	if s := r.remembered(m); s != nil && s.is(op, "Dictionary", "Set", true) {
+		return s.ID, true
+	}
+	return 0, false
+}
+
+// viaWord is ForCaller's answer for a call path whose memo word is w: what
+// the white-box tests below drive with a word of their own.
+func viaWord(r *Registry, w *atomic.Uint64, op ids.OpID) ids.SiteID {
+	if id, ok := hit(r, w.Load(), op); ok {
+		return id
+	}
+	return r.forMiss(w, op, "Dictionary", "Set", true)
+}
+
+// TestMemoPassesToTheNextRegistry: a registry made after another — the next
+// session's, the next harness run's — takes a call path's memo word over on
+// its first miss, and from then on hits it without allocating. A word
+// naming the earlier registry is never a hit for the later one, even where
+// the later one holds the same tuple under the same id.
+func TestMemoPassesToTheNextRegistry(t *testing.T) {
+	first, second := New(), New()
+	for i := 0; i < 3; i++ {
+		agree(t, first, answered(call(first, "Dictionary", "Set", true)), "Dictionary", "Set", true)
+	}
+	var got answer
+	if allocs := allocsPerRun(100, func() { got = answered(call(second, "Dictionary", "Set", true)) }); allocs != 0 {
+		t.Fatalf("the second registry's calls allocate %.1f times each", allocs)
+	}
+	agree(t, second, got, "Dictionary", "Set", true)
+
+	var w atomic.Uint64
+	op := ids.InternKey("sites_test.go:memo")
+	id := viaWord(first, &w, op)
+	if again, ok := hit(first, w.Load(), op); !ok || again != id {
+		t.Fatalf("the first registry does not hit the word it stored: %d, %v", again, ok)
+	}
+	second.Register(op, "Dictionary", "Set", true) // as a trap file's site table would
+	if _, ok := hit(second, w.Load(), op); ok {
+		t.Fatal("the second registry hit a word the first one stored")
+	}
+	if allocs := allocsPerRun(100, func() { viaWord(second, &w, op) }); allocs != 0 {
+		t.Fatalf("taking the word over allocates %.1f times a call", allocs)
+	}
+	if hit, ok := hit(second, w.Load(), op); !ok || hit != second.ForCall(op, "Dictionary", "Set", true) {
+		t.Fatalf("after its first miss the second registry does not hit the word: %d, %v", hit, ok)
+	}
+}
+
+// TestLiveRegistriesTakingTurns: two registries in use at once on one call
+// path both get right answers without allocating, and the one that does not
+// hold the memo word rarely stores to it — not on every call, which would
+// make each of them move the other's cache line.
+func TestLiveRegistriesTakingTurns(t *testing.T) {
+	regs := []*Registry{New(), New()}
+	for round := 0; round < 50; round++ {
+		for _, r := range regs {
+			agree(t, r, answered(call(r, "Dictionary", "Set", true)), "Dictionary", "Set", true)
+		}
+	}
+	if allocs := allocsPerRun(100, func() {
+		for _, r := range regs {
+			call(r, "Dictionary", "Set", true)
+		}
+	}); allocs != 0 {
+		t.Fatalf("alternating calls allocate %.1f times a round", allocs)
+	}
+
+	var w atomic.Uint64
+	op := ids.InternKey("sites_test.go:turns")
+	const rounds = 2000
+	changes := 0
+	for round := 0; round < rounds; round++ {
+		for _, r := range regs {
+			before := w.Load()
+			if got, want := viaWord(r, &w, op), r.ForCall(op, "Dictionary", "Set", true); got != want {
+				t.Fatalf("round %d: site %d, ForCall says %d", round, got, want)
+			}
+			if w.Load() != before {
+				changes++
+			}
+		}
+	}
+	if changes > rounds/4 {
+		t.Fatalf("the memo word changed hands %d times in %d rounds", changes, rounds)
+	}
+	t.Logf("the memo word changed hands %d times in %d rounds", changes, rounds)
+}
+
+// allocsPerRun is testing.AllocsPerRun on call paths that are already
+// resolved: AllocsPerRun calls f from two places, its warm-up and its loop,
+// which are two call paths for every proxy f calls, and a call path's first
+// call resolves its location, which allocates. The first AllocsPerRun makes
+// those first calls.
+func allocsPerRun(runs int, f func()) float64 {
+	testing.AllocsPerRun(1, f)
+	return testing.AllocsPerRun(runs, f)
 }
