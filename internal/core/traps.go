@@ -939,11 +939,12 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 	r.unregisterTrap(os, t)
 	os.mu.Unlock()
 	r.parked.Add(-1)
+	// The budget was charged the grant and gets back an early wake's rest;
+	// everything else — the totals, the sampler, the trace and TSVD's own
+	// delay — is told what the sleep lasted, a late timer's overrun included,
+	// so that the overrun never reads as a gap the thread was blocked in.
 	if woken && slept < grant {
 		st.budget.Refund(grant - slept)
-	}
-	if slept > grant {
-		slept = grant
 	}
 	r.stats.count[statTotalDelay].Add(int64(slept))
 	if r.samp != nil {

@@ -369,6 +369,51 @@ func TestDelayLeavesNoTrapBehind(t *testing.T) {
 	}
 }
 
+// overshootClock is scriptClock with delays that overlap and overrun: a
+// Sleep runs during inside its first level and ends over past its request
+// measured from its own start, however long what ran during it took — two
+// threads sleeping at once, each woken late by its timer.
+type overshootClock struct {
+	scriptClock
+	over time.Duration
+}
+
+func (c *overshootClock) Sleep(d time.Duration, _ <-chan struct{}) (time.Duration, bool) {
+	start := c.at
+	if c.during != nil && !c.inside {
+		c.inside = true
+		c.during()
+		c.inside = false
+	}
+	c.at = max(c.at, start+d+c.over)
+	return c.at - start, false
+}
+
+// TestDelayOvershootIsOwnDelay: a delay is accounted at what it lasted, not
+// at what was asked. Thread 1 sleeps at 8401 while thread 2 sleeps at 8403;
+// both timers fire later than asked by more than δ_hb·DelayTime. Thread 1's
+// next call, right after it wakes, is no blocked gap: its overrun is its own
+// delay, so the pair (8403, 8405) is not pruned as happens-before ordered by
+// thread 2's delay, and the totals count both sleeps in full.
+func TestDelayOvershootIsOwnDelay(t *testing.T) {
+	clk := &overshootClock{}
+	d := mustNew(t, testConfig(config.AlgoTSVD), WithClock(clk),
+		WithInitialTraps([]report.PairKey{report.KeyOf(8401, 8402), report.KeyOf(8403, 8405)}))
+	over := 2*runtimeOf(d).hbThreshold + time.Millisecond
+	clk.over = over
+	clk.during = func() { d.OnCall(acc(2, 86, 8403, KindWrite)) }
+	d.OnCall(acc(1, 85, 8401, KindWrite))
+	clk.at += time.Microsecond
+	d.OnCall(acc(1, 87, 8405, KindRead))
+	st := d.Stats()
+	if st.PairsPrunedHB != 0 {
+		t.Errorf("thread 1's own overrun of %v was read as a blocked gap: %d pair(s) pruned", over, st.PairsPrunedHB)
+	}
+	if want := 2 * (runtimeOf(d).delayTime + over); st.DelaysInjected != 2 || st.TotalDelay != want {
+		t.Errorf("%d delays totalling %v, want 2 totalling %v", st.DelaysInjected, st.TotalDelay, want)
+	}
+}
+
 // TestAvoidOverlappingDelays: with AvoidOverlappingDelays a location of a
 // live pair does not delay while another thread is parked; without it, it
 // does.

@@ -1,6 +1,7 @@
 package fasttime
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,4 +62,41 @@ func BenchmarkTimeSince(b *testing.B) {
 		sink += time.Since(start)
 	}
 	_ = sink
+}
+
+// The next three benchmarks take OnCall's timestamp apart (docs/PERFORMANCE.md,
+// "Hot-path cost model"): a raw TSC read, the same read followed by a locked
+// instruction — as the publication CAS follows OnCall's read — and the locked
+// instruction alone. Every CAS succeeds, as the owner's publication CAS does.
+// They measure; they gate nothing.
+
+func BenchmarkTicks(b *testing.B) {
+	if !Enabled() {
+		b.Skip("fasttime disabled on this host")
+	}
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += ticks()
+	}
+	_ = sink
+}
+
+func BenchmarkTicksThenCAS(b *testing.B) {
+	if !Enabled() {
+		b.Skip("fasttime disabled on this host")
+	}
+	var w atomic.Uint64
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += ticks()
+		w.CompareAndSwap(uint64(i), uint64(i+1))
+	}
+	_ = sink
+}
+
+func BenchmarkCAS(b *testing.B) {
+	var w atomic.Uint64
+	for i := 0; i < b.N; i++ {
+		w.CompareAndSwap(uint64(i), uint64(i+1))
+	}
 }

@@ -15,8 +15,8 @@
 // its local seeds all apply the same rule, so every replica of a trap set
 // converges to the same bytes regardless of merge order. Grow is that rule
 // for a caller that keeps one long-lived normalized set (the daemon, a
-// client's mirror): it unions in place without re-sorting and reports what
-// the set gained; Merge is built on it. Normalize is the canonical form
+// client's mirror): it unions without re-sorting, copy-on-write, and reports
+// what the set gained; Merge is built on it. Normalize is the canonical form
 // both produce, and Checked the version gate every decoder — LoadFile here,
 // the trap-server envelope in internal/trapstore — passes a File through.
 package trapfile
@@ -179,22 +179,20 @@ func missing[T comparable](set, in []T, less func(a, b T) bool) (added []T) {
 	return added
 }
 
-// insert folds the canonical rows added, none of which set holds, into the
-// canonical set, in place when set has the capacity: one backward pass that
-// opens the gaps.
+// insert merges the canonical rows added, none of which set holds, and the
+// canonical set into a new array: copy-on-write, it never writes into set's
+// array, which a reader may hold. Cost: a binary search per row, one copy.
 func insert[T any](set, added []T, less func(a, b T) bool) []T {
-	i, j := len(set)-1, len(added)-1
-	set = append(set, added...)
-	for k := len(set) - 1; j >= 0; k-- {
-		if i >= 0 && less(added[j], set[i]) {
-			set[k] = set[i]
-			i--
-		} else {
-			set[k] = added[j]
-			j--
-		}
+	if len(added) == 0 {
+		return set
 	}
-	return set
+	out := make([]T, 0, len(set)+len(added))
+	for _, r := range added {
+		i := sort.Search(len(set), func(i int) bool { return less(r, set[i]) })
+		out = append(append(out, set[:i]...), r)
+		set = set[i:]
+	}
+	return append(out, set...)
 }
 
 // own points every string of f's rows at one fresh copy of them all. A
@@ -223,13 +221,13 @@ func own(f File) {
 
 // Grow is the union rule for a caller that keeps one long-lived set (the
 // fleet daemon, a client's mirror of it): it folds in — any File — into
-// *set, which must be normalized, reusing set's backing arrays, and returns
-// the pairs and site rows the set gained, normalized and labeled like the
-// set. in's Tool label wins when it has one. The cost is
-// O(len(in)·log len(set) + len(set)): the set is never re-sorted. Merge is
-// built on it. What the set keeps of in — the label and the rows it gained —
-// is copied into one new string, so the set never keeps alive the buffer in
-// was decoded from.
+// *set, which must be normalized, and returns the pairs and site rows the set
+// gained, normalized and labeled like the set. in's Tool label wins when it
+// has one. It is copy-on-write: a set that grows gets new arrays and the old
+// ones are never written, so readers share the set instead of copying it. The
+// cost is O(len(in)·log len(set) + len(set)): the set is never re-sorted.
+// Merge is built on it. What the set keeps of in — the label and the rows it
+// gained — is copied into one new string, not the buffer in was decoded from.
 func Grow(set *File, in File) (added File) {
 	if in.Tool != "" && in.Tool != set.Tool {
 		set.Tool = strings.Clone(in.Tool)

@@ -103,8 +103,8 @@ type HTTPStore struct {
 	rng *rand.Rand
 	// mirror is the daemon's set as of the last successful fetch and the
 	// daemon's sync state it was taken at; nil until there is one. It is only
-	// ever grown and copied out, never asked for a window, so it keeps no
-	// arrival order.
+	// ever grown (copy-on-write) and handed out, never asked for a window, so
+	// it keeps no arrival order.
 	mirror *setAt
 
 	instr
@@ -237,8 +237,9 @@ func (s *HTTPStore) do(method, url, ifNoneMatch string, body []byte) (resp *http
 	return resp, data, err
 }
 
-// Fetch implements TrapStore. The returned File owns its Pairs slice:
-// callers may mutate it freely without corrupting the client's cache.
+// Fetch implements TrapStore. Every path — full, delta, 304 — returns the
+// client's mirror itself: shared, never copied, and never written afterwards,
+// since a delta grows the mirror into new arrays. Do not write into its rows.
 func (s *HTTPStore) Fetch() (trapfile.File, error) {
 	var out trapfile.File
 	var wasDelta bool
@@ -265,7 +266,7 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 			}
 			s.sawNotModified()
 			wasDelta, bodyBytes = false, 0
-			out = cloneRows(s.mirror.set)
+			out = s.mirror.set
 			return false, nil
 		case resp.StatusCode == http.StatusOK:
 			snap, st, err := decodeEnvelope(data)
@@ -292,7 +293,7 @@ func (s *HTTPStore) Fetch() (trapfile.File, error) {
 				s.mirror.moveTo(s.url, st)
 			}
 			wasDelta, bodyBytes = snap.Delta, len(data)
-			out = cloneRows(s.mirror.set)
+			out = s.mirror.set
 			return false, nil
 		case resp.StatusCode >= 500:
 			return true, fmt.Errorf("trapstore: fetch %s: server error %s", s.url, resp.Status)

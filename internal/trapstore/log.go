@@ -14,7 +14,7 @@ import (
 )
 
 // genLog is the trap set as one process holds it: the canonical sorted view
-// a full snapshot copies, the same rows once more in arrival order, and one
+// a full snapshot shares, the same rows once more in arrival order, and one
 // offset into that order per generation. The daemon's Memory serves ?since=
 // windows from it: "the log from generation g".
 // Every row enters the arrival order once, so the log is never larger than
@@ -63,19 +63,13 @@ func (l *genLog) grow(in trapfile.File, gen uint64) (added trapfile.File) {
 // rows counts what f holds; a merge grew the set when what it added has any.
 func rows(f trapfile.File) int { return len(f.Pairs) + len(f.Sites) }
 
-// snapshot returns a copy of the whole set.
-func (l *genLog) snapshot() trapfile.File { return cloneRows(l.set) }
+// snapshot returns the whole set, shared: Grow never writes into its rows.
+func (l *genLog) snapshot() trapfile.File { return l.set }
 
-// cloneRows returns f with its rows copied, for a caller free to mutate them.
-func cloneRows(f trapfile.File) trapfile.File {
-	f.Pairs, f.Sites = slices.Clone(f.Pairs), slices.Clone(f.Sites)
-	return f
-}
-
-// window returns what a holder of the set as of since lacks: a copy of the
-// rows that arrived after it (delta=true) when since is a generation of this
-// log, the whole set otherwise — a foreign epoch, or a cursor from before the
-// log was started.
+// window returns what a holder of the set as of since lacks: the rows that
+// arrived after it (delta=true), capacity-capped subslices of the append-only
+// arrival order, when since is a generation of this log, the whole set
+// otherwise — a foreign epoch, or a cursor from before the log was started.
 func (l *genLog) window(since SyncState) (f trapfile.File, delta bool) {
 	i, ok := slices.BinarySearchFunc(l.marks, since.Generation,
 		func(m genMark, g uint64) int { return cmp.Compare(m.gen, g) })
@@ -83,7 +77,7 @@ func (l *genLog) window(since SyncState) (f trapfile.File, delta bool) {
 		return l.snapshot(), false
 	}
 	f = l.set
-	f.Pairs, f.Sites = slices.Clone(l.pairs[l.marks[i].pairs:]), slices.Clone(l.sites[l.marks[i].sites:])
+	f.Pairs, f.Sites = l.pairs[l.marks[i].pairs:len(l.pairs):len(l.pairs)], l.sites[l.marks[i].sites:len(l.sites):len(l.sites)]
 	return f, true
 }
 

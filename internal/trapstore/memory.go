@@ -129,8 +129,9 @@ func (m *Memory) statusLocked() Status {
 	return Status{SyncState: m.log.state(), Pairs: len(m.log.set.Pairs), Tool: m.log.set.Tool}
 }
 
-// SnapshotState returns a copy of the merged set and the sync state that
-// names it — what the persister stores and the handler serves.
+// SnapshotState returns the merged set and the sync state that names it —
+// what the persister stores and the handler serves. The rows are shared with
+// the store and never change afterwards; do not write into them.
 func (m *Memory) SnapshotState() (trapfile.File, SyncState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -279,7 +280,8 @@ const defaultMaxTrapPayload = 8 << 20
 type HandlerOptions struct {
 	// OnMerge, when non-nil, runs after every merge that grew the set (the
 	// daemon persists its snapshot there), with a snapshot at least as new
-	// as that merge and the sync state that names it.
+	// as that merge and the sync state that names it. The rows are shared
+	// with the store and never change afterwards; do not write into them.
 	OnMerge func(trapfile.File, SyncState)
 	// Logf, when non-nil, receives one line per state-changing request.
 	Logf func(format string, args ...any)
@@ -426,8 +428,7 @@ func NewHandler(m *Memory, opts HandlerOptions) http.Handler {
 		merges.Inc()
 		mergedPairs.Add(int64(len(added.Pairs)))
 		if rows(added) > 0 && opts.OnMerge != nil {
-			// The only path that needs the full set — a no-op merge never
-			// pays for a snapshot copy.
+			// Only a growing merge is persisted; its snapshot is shared, not copied.
 			opts.OnMerge(m.SnapshotState())
 		}
 		logf("merge from %s: +%d pairs (%d total, generation %d)", r.RemoteAddr, len(added.Pairs), st.Pairs, st.Generation)

@@ -1,6 +1,7 @@
 package trapstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -42,7 +43,7 @@ type SnapshotPersister struct {
 	path    string
 	last    SyncState
 	haveGen bool
-	held    trapfile.File // own normalized copy of what the two files hold
+	held    trapfile.File // what the two files hold, normalized; shared, never written
 	// log is open for appending; nil until the first Save and after a failed append.
 	log               *os.File
 	logSize, snapSize int
@@ -85,8 +86,10 @@ func (p *SnapshotPersister) Load() (trapfile.File, SyncState, error) {
 
 // replay grows set, at st, by log's records and returns the last one's state. It
 // stops at the first that is short, oversized, CRC-failing, undecodable or out of
-// sequence: a kill-9 mid-append tears the tail, a record never acknowledged.
+// sequence: a kill-9 mid-append tears the tail, a record never acknowledged. The
+// set grows once, by all the records' rows: one copy of it, not one per record.
 func replay(set *trapfile.File, st SyncState, log []byte) SyncState {
+	var grown trapfile.File
 	for len(log) >= 8 {
 		n, sum := binary.LittleEndian.Uint32(log), binary.LittleEndian.Uint32(log[4:])
 		if uint64(n) > uint64(len(log)-8) || crc32.ChecksumIEEE(log[8:8+n]) != sum {
@@ -98,16 +101,19 @@ func replay(set *trapfile.File, st SyncState, log []byte) SyncState {
 			break
 		}
 		if log = log[8+n:]; fresh {
-			trapfile.Grow(set, rec.File)
+			grown.Tool = cmp.Or(rec.Tool, grown.Tool)
+			grown.Pairs, grown.Sites = append(grown.Pairs, rec.Pairs...), append(grown.Sites, rec.Sites...)
 			st = at
 		}
 	}
+	trapfile.Grow(set, grown)
 	return st
 }
 
 // Save persists f, stamped with the sync state that produced it. Stale saves
 // (at or below the last persisted generation of the same epoch) return nil
-// without touching the files: disk already holds a newer, superset state.
+// without touching the files: disk already holds a newer, superset state. f's
+// rows may be kept as they are, so they must not change afterwards.
 func (p *SnapshotPersister) Save(f trapfile.File, st SyncState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -121,7 +127,7 @@ func (p *SnapshotPersister) Save(f trapfile.File, st SyncState) error {
 			added, ok = grownBy(p.held, f)
 		}
 		if ok {
-			return p.append(added, st)
+			return p.append(f, added, st)
 		}
 	}
 	return p.compact(trapfile.Normalize(f), st)
@@ -154,8 +160,8 @@ func newRows[T comparable](have, got []T, less func(a, b T) bool, valid func(T) 
 	return added, j == len(have) // else got, ascending, passed have[j] by
 }
 
-// append makes added, the rows that take the held set to st, durable as one record.
-func (p *SnapshotPersister) append(added trapfile.File, st SyncState) error {
+// append makes added, the rows taking the held set to f at st, durable; f is then held.
+func (p *SnapshotPersister) append(f, added trapfile.File, st SyncState) error {
 	env := envelopeOf(added, st)
 	env.Delta, env.Since = true, p.last.Generation
 	body, err := json.Marshal(env)
@@ -172,8 +178,7 @@ func (p *SnapshotPersister) append(added trapfile.File, st SyncState) error {
 		p.log = nil
 		return fmt.Errorf("trapstore: append to %s.log: %w", p.path, err)
 	}
-	trapfile.Grow(&p.held, added)
-	p.last, p.logSize = st, p.logSize+len(rec)
+	p.held, p.last, p.logSize = f, st, p.logSize+len(rec)
 	return nil
 }
 

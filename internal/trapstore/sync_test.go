@@ -1,6 +1,7 @@
 package trapstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -8,9 +9,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sites"
 	"repro/internal/trapfile"
@@ -221,69 +225,199 @@ func TestRestoreContinuesGenerationAcrossKill9(t *testing.T) {
 	}
 }
 
-// TestFetchReturnsDefensiveCopy mutates the File each fetch path returns —
-// full, 304-cached, and delta — and asserts the client's cache is unharmed:
-// the next fetch still returns the daemon's set.
-func TestFetchReturnsDefensiveCopy(t *testing.T) {
+// TestSharedSnapshotsNeverChange holds on to every File the store hands out
+// — a client's full, 304 and delta fetches, Memory.SnapshotState, and what
+// OnMerge is given — while later publishes grow the set, each with a row
+// that sorts before every row it holds, and checks afterwards that each is
+// still what it was, element for element. The rows are shared, not copied,
+// so this holds only because trapfile.Grow never writes into an array a
+// reader may hold.
+func TestSharedSnapshotsNeverChange(t *testing.T) {
 	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
+	type held struct {
+		what      string
+		got, want trapfile.File
+	}
+	var mu sync.Mutex
+	var all []held
+	keep := func(what string, f trapfile.File) {
+		mu.Lock()
+		defer mu.Unlock()
+		want := f
+		want.Pairs, want.Sites = slices.Clone(f.Pairs), slices.Clone(f.Sites)
+		all = append(all, held{what, f, want})
+	}
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{
+		OnMerge: func(f trapfile.File, _ SyncState) { keep("OnMerge", f) },
+	}))
 	defer srv.Close()
 	s, _ := newTestClient(srv.URL, HTTPConfig{})
 	defer s.Close()
-
-	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("a.go:1", "a.go:2", "b.go:1", "b.go:2")}); err != nil {
-		t.Fatal(err)
-	}
-	clobber := func(f trapfile.File) {
-		for i := range f.Pairs {
-			f.Pairs[i] = trapfile.Pair{A: "clobbered", B: "clobbered"}
+	fetch := func(what string) {
+		f, err := s.Fetch()
+		if err != nil {
+			t.Fatal(err)
 		}
-		//nolint:staticcheck // the append result is deliberately dropped: the
-		// point is writing into any spare capacity aliased with the cache.
-		_ = append(f.Pairs, trapfile.Pair{A: "x", B: "y"})
+		keep(what, f)
 	}
 
-	// Full-fetch path.
-	f1, err := s.Fetch()
-	if err != nil {
-		t.Fatal(err)
+	for r := 0; r < 24; r++ {
+		loc := fmt.Sprintf("k%02d.go:1", 99-r)
+		if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs(loc, loc+"0"),
+			Sites: []sites.Tuple{{Loc: loc, Class: "Dictionary", Method: "Set", Write: true}}}); err != nil {
+			t.Fatal(err)
+		}
+		fetch(map[bool]string{true: "full fetch", false: "delta fetch"}[r == 0])
+		fetch("304 fetch")
+		f, _ := m.SnapshotState()
+		keep("SnapshotState", f)
 	}
-	clobber(f1)
+	if ws := s.WireStats(); ws.DeltaFetches != 23 || ws.NotModified != 24 {
+		t.Fatalf("24 rounds made %d delta fetches and %d 304s, want 23 and 24", ws.DeltaFetches, ws.NotModified)
+	}
+	for i, h := range all {
+		if !slices.Equal(h.got.Pairs, h.want.Pairs) || !slices.Equal(h.got.Sites, h.want.Sites) {
+			t.Fatalf("#%d, from %s, changed after later publishes:\n%+v\nwas\n%+v", i, h.what, h.got, h.want)
+		}
+	}
+	if last, _ := m.SnapshotState(); len(last.Pairs) != 24 || len(last.Sites) != 24 {
+		t.Fatalf("the store holds %d pairs and %d sites, want 24 of each", len(last.Pairs), len(last.Sites))
+	}
+}
 
-	// 304 path: served from the cache the clobber tried to corrupt.
-	f2, err := s.Fetch()
-	if err != nil {
-		t.Fatal(err)
+// TestSharedSnapshotsUnderConcurrentGrowth reads every row of every shared
+// File — two clients' fetches, SnapshotState, OnMerge's snapshot — while both
+// clients keep publishing, so that under -race a write into an array a reader
+// holds is a reported race.
+func TestSharedSnapshotsUnderConcurrentGrowth(t *testing.T) {
+	m := NewMemory("TSVD", nil)
+	var mu sync.Mutex
+	keys := 0
+	read := func(f trapfile.File) {
+		n := 0
+		for _, p := range f.Pairs {
+			n += len(p.A) + len(p.B)
+		}
+		mu.Lock()
+		keys += n
+		mu.Unlock()
 	}
-	if len(f2.Pairs) != 2 || f2.Pairs[0].A == "clobbered" {
-		t.Fatalf("cache corrupted through the full-fetch result: %v", f2.Pairs)
+	srv := httptest.NewServer(NewHandler(m, HandlerOptions{OnMerge: func(f trapfile.File, _ SyncState) { read(f) }}))
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s, _ := newTestClient(srv.URL, HTTPConfig{})
+			defer s.Close()
+			for r := 0; r < 40; r++ {
+				loc := fmt.Sprintf("c%d/k%02d.go:1", c, 99-r)
+				if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs(loc, loc+"0")}); err != nil {
+					t.Error(err)
+					return
+				}
+				f, err := s.Fetch()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				read(f)
+				snap, _ := m.SnapshotState()
+				read(snap)
+			}
+		}(c)
 	}
-	clobber(f2)
+	wg.Wait()
+	if f, _ := m.SnapshotState(); len(f.Pairs) != 80 || keys == 0 {
+		t.Fatalf("the store holds %d pairs after 80 publishes (%d key bytes read)", len(f.Pairs), keys)
+	}
+}
 
-	// Delta path: the daemon grows, the client merges the delta into the
-	// cache the previous clobber tried to corrupt.
-	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("c.go:1", "c.go:2")}); err != nil {
-		t.Fatal(err)
+// TestSharingCopiesNothing measures the bytes two store operations allocate
+// on a 1,000-pair set and on an 8,000-pair one: a warm client's 304 fetch,
+// and a growing POST with OnMerge installed. Neither may pay for a copy of
+// the set beyond the one new array copy-on-write growth needs, so what each
+// allocates beyond that may differ between the sizes by a constant only; a
+// copy handed to a reader — a clone on a 304 or in OnMerge's snapshot —
+// costs 7,000 pairs' worth (224 KB) more on the larger set.
+func TestSharingCopiesNothing(t *testing.T) {
+	const slack = 16 << 10
+	pairSize := int(unsafe.Sizeof(trapfile.Pair{}))
+	bytesPer := func(runs int, op func(i int)) int {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			op(i)
+		}
+		runtime.ReadMemStats(&m1)
+		return int(m1.TotalAlloc-m0.TotalAlloc) / runs
 	}
-	f3, err := s.Fetch()
-	if err != nil {
-		t.Fatal(err)
+	seeded := func(n int) *Memory {
+		m := NewMemory("TSVD", nil)
+		f := trapfile.File{Tool: "TSVD"}
+		for i := 0; i < n; i++ {
+			f.Pairs = append(f.Pairs, trapfile.Pair{A: fmt.Sprintf("pkg/a.go:%05d", 2*i), B: "pkg/b.go:1"})
+		}
+		m.Seed(f)
+		return m
 	}
-	if len(f3.Pairs) != 3 || f3.Pairs[0].A == "clobbered" {
-		t.Fatalf("cache corrupted through the 304 result: %v", f3.Pairs)
+	notModified := func(n int) int {
+		srv := httptest.NewServer(NewHandler(seeded(n), HandlerOptions{}))
+		defer srv.Close()
+		s, _ := newTestClient(srv.URL, HTTPConfig{})
+		defer s.Close()
+		for i := 0; i < 20; i++ { // the full fetch, then warm the connection
+			if _, err := s.Fetch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.WireStats().NotModified
+		b := bytesPer(200, func(int) {
+			if _, err := s.Fetch(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := s.WireStats().NotModified - before; got != 200 {
+			t.Fatalf("%d of 200 warm fetches were 304s", got)
+		}
+		return b
 	}
-	clobber(f3)
-	f4, err := s.Fetch()
-	if err != nil {
-		t.Fatal(err)
+	growingPost := func(n int) int {
+		m := seeded(n)
+		seen := 0
+		h := NewHandler(m, HandlerOptions{OnMerge: func(f trapfile.File, _ SyncState) { seen = len(f.Pairs) }})
+		const runs = 50
+		bodies := make([][]byte, runs)
+		for i := range bodies {
+			var err error
+			in := trapfile.File{Tool: "TSVD", Pairs: []trapfile.Pair{{A: fmt.Sprintf("pkg/a.go:%05d", 2*i+1), B: "pkg/b.go:1"}}}
+			if bodies[i], err = json.Marshal(envelopeOf(in, SyncState{})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := bytesPer(runs, func(i int) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, TrapsPath, bytes.NewReader(bodies[i])))
+			if w.Code != http.StatusOK {
+				t.Fatalf("POST: %d %s", w.Code, w.Body)
+			}
+		})
+		if seen != n+runs {
+			t.Fatalf("OnMerge last saw %d pairs, want %d", seen, n+runs)
+		}
+		return b - (n+runs/2)*pairSize // the array copy-on-write growth allocates
 	}
-	if len(f4.Pairs) != 3 || f4.Pairs[0].A == "clobbered" {
-		t.Fatalf("cache corrupted through the delta result: %v", f4.Pairs)
-	}
-
-	ws := s.WireStats()
-	if ws.DeltaFetches != 1 {
-		t.Fatalf("wire stats counted %d delta fetches, want exactly 1: %+v", ws.DeltaFetches, ws)
+	for _, op := range []struct {
+		name string
+		cost func(n int) int
+	}{{"warm 304 fetch", notModified}, {"growing POST beyond its new array", growingPost}} {
+		small, large := op.cost(1000), op.cost(8000)
+		t.Logf("%s: %d B on 1,000 pairs, %d B on 8,000", op.name, small, large)
+		if large-small > slack {
+			t.Errorf("%s allocates %d B more on 8,000 pairs than on 1,000, want at most %d: a copy of the set came back",
+				op.name, large-small, slack)
+		}
 	}
 }
 

@@ -57,7 +57,8 @@ var ErrUnavailable = errors.New("trapstore: unavailable")
 // idempotent at the pair-set level (publishing twice merges twice into the
 // same union).
 type TrapStore interface {
-	// Fetch returns the store's current merged trap set, normalized.
+	// Fetch returns the store's current merged trap set, normalized. Its rows
+	// may be shared with the store and never change; do not write into them.
 	Fetch() (trapfile.File, error)
 	// Publish merges f's pairs into the store.
 	Publish(f trapfile.File) error
