@@ -156,6 +156,37 @@ func BenchmarkOnCallContention(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedReadChurn is the sharedObj workload under goroutine churn:
+// the reading thread changes every reads calls, as a fresh goroutine per
+// task would change it, so new thread ids keep arriving at a read-shared
+// object whose eight read stripes older, finished threads have claimed. Such
+// a read records under the object's lock (docs/PERFORMANCE.md, "What a
+// second thread costs"). BenchmarkOnCallContention's sharedObj is the same
+// workload without churn.
+func BenchmarkSharedReadChurn(b *testing.B) {
+	for _, reads := range []int{16, 4096} {
+		b.Run(fmt.Sprintf("TSVD/reads=%d/goroutines=8", reads), func(b *testing.B) {
+			det, err := core.New(config.Defaults(config.AlgoTSVD))
+			if err != nil {
+				b.Fatal(err)
+			}
+			site := det.Sites().Register(7, "Dictionary", "ContainsKey", false)
+			var threads atomic.Int64
+			b.SetParallelism(contentionParallelism(8))
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				a := core.Access{Thread: ids.ThreadID(threads.Add(1)), Obj: 7, Op: 7, Site: site, Kind: core.KindRead}
+				for n := 0; pb.Next(); n++ {
+					if n == reads {
+						n, a.Thread = 0, ids.ThreadID(threads.Add(1))
+					}
+					det.OnCall(a)
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkOnCallContentionModes runs the same conflict-free contention
 // workload under each sampling mode (docs/SAMPLING.md). Expectations the
 // per-mode overhead table in docs/PERFORMANCE.md records:

@@ -273,6 +273,7 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 		at     time.Duration
 	}
 	type pair struct{ seen, by ids.OpID }
+	cycled := false
 	for n := 1; n <= 8; n++ {
 		for _, windowOff := range []bool{false, true} {
 			cfg := testConfig(config.AlgoTSVD)
@@ -284,6 +285,7 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 			cfg.Trace = true
 			clk := &stepClock{}
 			d := mustNew(t, cfg, WithClock(clk))
+			rt := runtimeOf(d)
 			window := cfg.EffectiveNearMissWindow()
 
 			rng := rand.New(rand.NewSource(int64(100*n) + int64(len(t.Name()))))
@@ -294,6 +296,7 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 			var ring []entry // the model: the last n accesses, oldest first
 			want, got := map[pair]int{}, map[pair]int{}
 			var calls, wantMisses int64
+			var cycles, demotions, colliding int // read-shared → shared → read-shared; reads through another thread's stripe
 			call := func(kind Kind) {
 				// Mostly steps that keep all n entries inside the window, some
 				// that push the older ones out of it.
@@ -312,7 +315,25 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 				if ring = append(ring, e); len(ring) > n {
 					ring = ring[1:]
 				}
+				os := rt.objs.Get(1)
+				var w, owner int64
+				if os != nil {
+					w = os.writer.Load()
+				}
+				if w == writerReadShared {
+					owner = os.reads.Load().stripes[uint64(e.thread)%readStripes].owner.Load()
+				}
 				d.OnCall(acc(e.thread, 1, e.op, e.kind))
+				switch now := rt.objs.Get(1).writer.Load(); {
+				case w != writerReadShared && now == writerReadShared:
+					if demotions > 0 {
+						cycles++
+					}
+				case w == writerReadShared && now != writerReadShared:
+					demotions++
+				case w == writerReadShared && owner != 0 && owner != int64(e.thread):
+					colliding++
+				}
 				for _, ev := range d.Tracer().Drain() {
 					if ev.Kind == trace.KindNearMiss {
 						got[pair{ev.OpA, ev.OpB}]++
@@ -332,6 +353,10 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 				call(KindWrite)
 			}
 
+			t.Logf("N %d, window off %v: %d demotions, %d followed by a promotion, %d reads through another thread's stripe", n, windowOff, demotions, cycles, colliding)
+			if cycles >= 3 && colliding > 0 {
+				cycled = true
+			}
 			st := d.Stats()
 			if st.NearMisses != wantMisses || st.OnCalls != calls {
 				t.Errorf("N %d, window off %v: %d near misses in %d calls, the model has %d in %d",
@@ -347,5 +372,8 @@ func TestNearMissesMatchRingModel(t *testing.T) {
 				t.Errorf("N %d, window off %v: access %d saw access %d %d time(s), the model never", n, windowOff, p.by, p.seen, c)
 			}
 		}
+	}
+	if !cycled {
+		t.Error("no schedule took the object read-shared → shared → read-shared 3 times with a read through another thread's stripe")
 	}
 }

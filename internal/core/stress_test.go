@@ -464,41 +464,92 @@ func TestWriteDuringReadSharedSeesTheReaders(t *testing.T) {
 	}
 }
 
-// TestReadRacingDemotionIsSeenByExactlyOneSide steers a read into the one
-// window the protocol exists for. The test holds the reader's stripe, so the
-// read — having found the object read-shared — waits for it; the write then
-// stores writerShared and waits for the same stripe to drain it. Whoever gets
-// the stripe first, the read must not be appended behind the drain's back:
-// either the write drains it or the read, re-checking, takes the lock path and
-// finds the write. (A reader descheduled for the whole 100 µs sees
-// writerShared at its first look: the same verdict by the easy way.)
+// TestDemotionMergesEachReadOnce: a demotion merges what each stripe
+// published since the one before, never again what that one merged. A read
+// recorded under os.mu carries the time it read its clock, before it waited
+// for the lock, so it can be stamped earlier than a stripe read published
+// ahead of it. Here every read between two writes is, and the stripe read
+// before the first write still must not reach the second: ObjHistory near
+// misses, all of them reads recorded since the first.
+func TestDemotionMergesEachReadOnce(t *testing.T) {
+	cfg := readSharedConfig()
+	clk := &stepClock{}
+	d := mustNew(t, cfg, WithClock(clk))
+	clk.at.Store(int64(time.Second))
+	os := promote(t, d, 1, 1, 2)
+	d.OnCall(acc(3, 1, 103, KindRead)) // claims stripe 3 and publishes
+	d.OnCall(acc(9, 1, 99, KindWrite))
+	clk.at.Store(int64(time.Millisecond))
+	for i := 0; i < promoteAfter(cfg.ObjHistory); i++ {
+		d.OnCall(acc(ids.ThreadID(1+i%2), 1, ids.OpID(101+i%2), KindRead))
+	}
+	if w := os.writer.Load(); w != writerReadShared {
+		t.Fatalf("writer = %d after a read run, want read-shared", w)
+	}
+	clk.at.Store(int64(2 * time.Second))
+	before := d.Stats().NearMisses
+	d.OnCall(acc(9, 1, 98, KindWrite))
+	if slices.Contains(d.ExportTraps(), report.KeyOf(103, 98)) {
+		t.Error("the second write found a read the first demotion had merged already")
+	}
+	if got := d.Stats().NearMisses - before; got != int64(cfg.ObjHistory) {
+		t.Errorf("the second write made %d near misses, want %d", got, cfg.ObjHistory)
+	}
+}
+
+// TestReadRacingDemotionIsSeenByExactlyOneSide steers a read into the
+// one window the stripe protocol exists for: the read has loaded its
+// stripe's open count, and a write demotes the object before the read's CAS.
+// It is OnCall's publication block cut at that point — the ring and count
+// come from openRing, as OnCall's do — and resumed as OnCall resumes it. The read must end in exactly one side: the demotion's merge or
+// the lock path. On odd objects the CAS comes only after the write has
+// returned, so it must fail and the read take recordSlow, where it finds the
+// write; on even ones it races the demotion, and if it lands first the
+// demotion merges the read and the write finds it. Either way the pair is
+// exported, and every call is counted once.
 func TestReadRacingDemotionIsSeenByExactlyOneSide(t *testing.T) {
 	d := mustNew(t, readSharedConfig())
+	rt := runtimeOf(d)
+	const reader, writer = ids.ThreadID(5), ids.ThreadID(6)
+	st := rt.threadStateFor(reader)
+	calls, slow := int64(0), 0
 	for obj := ids.ObjectID(1); obj <= 100; obj++ {
 		os := promote(t, d, obj, 1, 2)
 		read, write := ids.OpID(1000+2*obj), ids.OpID(1001+2*obj)
-		stripe := &os.reads.stripes[5%readStripes]
-		stripe.mu.Lock()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			d.OnCall(acc(5, obj, read, KindRead))
-		}()
-		time.Sleep(100 * time.Microsecond)
-		go func() {
-			defer wg.Done()
-			d.OnCall(acc(6, obj, write, KindWrite))
-		}()
-		for deadline := time.Now().Add(10 * time.Second); os.writer.Load() != writerShared; goruntime.Gosched() {
-			if time.Now().After(deadline) {
-				t.Fatalf("object %d: the write never announced the demotion it is draining for", obj)
-			}
+		d.OnCall(acc(reader, obj, read, KindRead)) // claims the reader's stripe
+		s := &os.reads.Load().stripes[reader%readStripes]
+		a := acc(reader, obj, read, KindRead)
+		rt.resolveSite(&a)
+		at := rt.now()
+		rg, n := os.openRing(a.Thread, a.Kind)
+		if s.owner.Load() != int64(reader) || rg != &s.ring {
+			t.Fatalf("object %d: stripe owner %d, count %#x: the reader holds no open stripe", obj, s.owner.Load(), s.ring.pub.Load())
 		}
-		stripe.mu.Unlock()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.OnCall(acc(writer, obj, write, KindWrite))
+		}()
+		if obj%2 == 1 {
+			wg.Wait()
+		}
+		if !rg.publish(n, histEntry{thread: reader, op: read, kind: KindRead, at: at}) {
+			slow++
+			for _, key := range d.(*TSVD).recordSlow(st, os, a, at) {
+				rt.addPair(reader, obj, key, at)
+			}
+		} else if obj%2 == 1 {
+			t.Fatalf("object %d: the read's CAS succeeded after the demotion", obj)
+		}
 		wg.Wait()
+		calls += int64(2+promoteAfter(rt.cfg.ObjHistory)) + 3
 		if !slices.Contains(d.ExportTraps(), report.KeyOf(read, write)) {
 			t.Fatalf("object %d: neither the read nor the write racing it saw the other", obj)
 		}
+		if got := d.Stats().OnCalls; got != calls {
+			t.Fatalf("object %d: OnCalls = %d, %d calls were made", obj, got, calls)
+		}
 	}
+	t.Logf("%d of 100 reads took recordSlow", slow)
 }

@@ -116,12 +116,12 @@ type objState struct {
 	// access can skip the ring scan (it would match nothing: every entry fails
 	// the different-thread test), and TSVD records through the lock-free
 	// publication ring below; while read-shared a read has nothing to scan
-	// either and records into reads. All transitions happen under mu; the
-	// fast paths only load.
+	// either and publishes into its thread's stripe of reads. All transitions
+	// happen under mu; the fast paths only load.
 	writer atomic.Int64
-	// reads holds what was read since the object last went read-shared,
-	// allocated at the first promotion and kept.
-	reads *readSet
+	// reads holds the read stripes, allocated at the first promotion and
+	// reopened by every later one.
+	reads atomic.Pointer[readSet]
 	// ring is TSVD's single-writer publication ring, in use exactly while
 	// writer holds a thread id; closed and merged into hist at the takeover
 	// by a second thread. Its entries are the inline array unless ObjHistory
@@ -160,88 +160,88 @@ func promoteAfter(window int) int { return 4 * window }
 // stripes.
 const readStripes = 8
 
-// readSet is a read-shared object's recent reads, one ring of the newest
-// ObjHistory per stripe; between them they hold the newest ObjHistory of
-// all. A reader locks its thread's stripe, re-checks writer under it and
-// appends; share, holding os.mu, stores writerShared first and merges the
-// stripes afterwards — so a read either is in the merge or sees the demotion
-// and takes recordSlow itself.
+// readSet is a read-shared object's recent reads: a publication ring of
+// ObjHistory+1 entries a stripe, each owned by the first thread that read
+// through it (claimed under os.mu and kept), so that between them and os.hist
+// they hold the newest ObjHistory reads of all. An owner publishes as it does
+// into os.ring; a read whose stripe is another thread's records into os.hist
+// under os.mu. share, holding os.mu, stores writerShared, closes every stripe
+// and merges what each published since its last merge, together with os.hist
+// — so a read either is in the merge or its CAS fails and recordSlow finds
+// the write. The next promotion reopens the stripes where they stand.
 type readSet struct {
-	// A line of its own in front of the stripes: recordRead's nil check on
-	// os.reads loads the struct's first byte, which would otherwise share
-	// stripe 0's line with whoever writes it.
-	_       [64]byte
+	// spare is share's copy of os.hist while it merges into it. The line in
+	// front of the stripes holds nothing that changes after allocation: a nil
+	// check on os.reads loads the struct's first byte, which would otherwise
+	// share stripe 0's line with its owner.
+	spare   []histEntry
+	_       [64 - 24]byte
 	stripes [readStripes]struct {
-		mu   spinMutex
-		hist history
-		_    [64 - 48]byte // a cache line a stripe
+		ring pubRing
+		// owner is the thread that publishes into ring, 0 while unclaimed;
+		// merged is the count share merged up to. Both written under os.mu.
+		owner  atomic.Int64
+		merged uint64
+		_      [64 - 56]byte // a cache line a stripe
 	}
 }
 
 func newReadSet(window int) *readSet {
-	perStripe := (window + 1) &^ 1 // whole cache lines of 32-byte entries
-	entries := make([]histEntry, readStripes*perStripe)
-	rs := &readSet{}
+	size := (window + 2) &^ 1 // at least window+1 slots, in whole cache lines of 32-byte entries
+	entries := make([]histEntry, readStripes*size+window)
+	rs := &readSet{spare: entries[readStripes*size:]}
 	for i := range rs.stripes {
-		rs.stripes[i].hist.entries = entries[i*perStripe:][:window:window]
+		rs.stripes[i].ring.entries = entries[i*size:][:size:size]
 	}
 	return rs
-}
-
-// recordRead appends a read to its thread's stripe and counts the call on the
-// thread's own state st, unless the object is not (or, once the stripe is
-// locked, no longer) read-shared. It stores to nothing another stripe's
-// reader loads. recordSlow tries it first, so that OnCall — the owner's path
-// — is the same instructions with and without it.
-func (os *objState) recordRead(st *threadState, e histEntry) bool {
-	if e.kind != KindRead || os.writer.Load() != writerReadShared {
-		return false
-	}
-	s := &os.reads.stripes[uint64(e.thread)%readStripes]
-	s.mu.Lock()
-	ok := os.writer.Load() == writerReadShared
-	if ok {
-		s.hist.add(e)
-	}
-	s.mu.Unlock()
-	if ok {
-		st.onCalls.Add(1)
-	}
-	return ok
 }
 
 // share puts a TSVD object that some thread records into without os.mu —
 // writer w is its owner's id, or writerReadShared — into shared mode: it
 // stores writerShared, stops the lock-free writers and merges what they
-// recorded into hist. A takeover closes the owner's ring: once the closed bit
-// lands every later publication CAS fails onto the mutex path, and the count
-// it closed is the owner's last. A demotion locks every stripe, merges and
-// empties them; the store comes first, so a reader that appends after the
-// merge has passed its stripe cannot exist: it re-checks writer under the
-// stripe's lock. Caller holds os.mu.
+// recorded into hist. Closing a ring makes every later publication CAS fail
+// onto the mutex path, and the count it closed at is its owner's last. A
+// takeover closes the owner's ring; a demotion closes every stripe and merges
+// them with what hist holds, oldest timestamp first. Caller holds os.mu.
 func (os *objState) share(w int64, window int) {
 	if os.hist == nil {
 		os.hist = newHistory(window)
 	}
 	os.writer.Store(writerShared)
+	h := os.hist
 	if w != writerReadShared {
-		rg := &os.ring
-		n := rg.pub.Or(ringClosed)
-		size := uint64(len(rg.entries))
-		os.hist.merge(history{entries: rg.entries, next: int(n % size), full: n >= size})
+		h.merge(os.ring.close(0))
 		return
 	}
-	rs := os.reads
-	var stripes [readStripes]history
+	rs := os.reads.Load()
+	var from [readStripes + 1]tail
+	from[0] = tail{history{entries: rs.spare, next: h.next}, h.len()}
+	copy(rs.spare, h.entries)
+	h.next, h.full = 0, false
 	for i := range rs.stripes {
-		rs.stripes[i].mu.Lock()
-		stripes[i] = rs.stripes[i].hist
+		s := &rs.stripes[i]
+		from[i+1] = s.ring.close(s.merged)
+		s.merged += uint64(from[i+1].n)
 	}
-	os.hist.merge(stripes[:]...)
-	for i := range rs.stripes {
-		rs.stripes[i].hist.next, rs.stripes[i].hist.full = 0, false
-		rs.stripes[i].mu.Unlock()
+	h.merge(from[:]...)
+}
+
+// openRing returns the publication ring an access by tid may record into
+// without os.mu, with the open count it loaded, or nil: the object's ring
+// while writer names tid, or, for a read of a read-shared object, the stripe
+// tid claimed. writer only ever leaves a thread id for writerShared, and a
+// stripe's owner never changes, so the ring's next slot is tid's to write,
+// and a publish from that count fails only if share closed the ring since.
+func (os *objState) openRing(tid ids.ThreadID, kind Kind) (rg *pubRing, n uint64) {
+	rg, w := &os.ring, os.writer.Load()
+	if w == writerReadShared && kind == KindRead {
+		s := &os.reads.Load().stripes[tid&(readStripes-1)]
+		rg, w = &s.ring, s.owner.Load()
 	}
+	if n = rg.pub.Load(); w != int64(tid) || n&ringClosed != 0 {
+		rg = nil
+	}
+	return rg, n
 }
 
 // noteWriterLocked updates the single-writer tracking for an access by tid
@@ -265,14 +265,14 @@ func (os *objState) noteWriterLocked(tid ids.ThreadID) (scan bool) {
 // k-th entry in slot k modulo the ring's size. The owning thread writes the
 // entry with plain stores and publishes it with the CAS. Closing the ring
 // (setting ringClosed under the object's mutex) makes every later
-// publication CAS fail, which bounces the owner onto the mutex path; the
-// takeover then reads the ObjHistory entries below the closed count — one
-// slot fewer than the ring holds, so never the slot the owner's in-flight
-// publication may be writing. Nothing ever moves the count back: masked, it
-// is the number of calls the ring recorded.
+// publication CAS fail, which bounces the owner onto the mutex path; share
+// then reads the ObjHistory entries below the closed count — one slot fewer
+// than the ring holds, so never the slot the owner's in-flight publication
+// may be writing. Nothing ever moves the count back: masked, it is the number
+// of calls the ring recorded.
 type pubRing struct {
-	// pub is the number of published entries, with ringClosed or'ed in once
-	// the ring is closed by a takeover.
+	// pub is the number of published entries, with ringClosed or'ed in while
+	// the ring is closed.
 	pub atomic.Uint64
 	// next is the slot the owner writes next, pub modulo len(entries), so the
 	// lock-free path divides by nothing. Owner-only.
@@ -284,6 +284,29 @@ type pubRing struct {
 }
 
 const ringClosed = uint64(1) << 63
+
+// publish writes e into the owner's next slot and publishes it with one CAS
+// from n, the open count the owner loaded, which is also the call's count. It
+// fails, leaving next where it was, once the ring was closed after that load.
+func (rg *pubRing) publish(n uint64, e histEntry) bool {
+	i := rg.next
+	rg.entries[i] = e
+	if !rg.pub.CompareAndSwap(n, n+1) {
+		return false
+	}
+	if i++; i == len(rg.entries) {
+		i = 0
+	}
+	rg.next = i
+	return true
+}
+
+// close stops the ring's publications and returns what it published since
+// count from. Caller holds the object's mutex.
+func (rg *pubRing) close(from uint64) tail {
+	n := rg.pub.Or(ringClosed) &^ ringClosed
+	return tail{history{entries: rg.entries, next: int(n % uint64(len(rg.entries)))}, int(n - from)}
+}
 
 // callRingSize is the length of a thread's ring of call times for a phase
 // window of w TSVD points: the w−1 calls before the one in flight, rounded
@@ -303,9 +326,9 @@ func ownerRingSize(window int) int { return max(window+1, inlineEntries) }
 // every thread bumps its own line.
 type threadState struct {
 	// onCalls counts this thread's analysed calls in the variants that do
-	// not count them by ring publication, and TSVD's calls on shared and
-	// read-shared objects; sampledOut counts its calls the site stage rejected.
-	// snapshotStats sums them across threads.
+	// not count them by ring publication, and TSVD's calls on shared objects
+	// and its reads through another thread's stripe; sampledOut counts its
+	// calls the site stage rejected. snapshotStats sums them across threads.
 	onCalls    atomic.Int64
 	sampledOut atomic.Int64
 
@@ -1098,12 +1121,13 @@ func (r *runtime) markSeenSlow(site ids.SiteID, op ids.OpID, want uint32) {
 
 // snapshotStats materializes the public counters from the atomics, the
 // per-thread tallies (a rejected call is counted by its countdown decrement:
-// OnCalls = analysed + rejected), and the per-object publication counts
-// (TSVD's admitted calls are counted by the ring publication CAS itself). It takes
-// no lock: everything read here is atomic, so a live metrics scrape can
-// snapshot a running detector without stalling any thread's OnCall traffic.
-// Each analysed call is counted once, by a counter that never decreases, so
-// a live OnCalls can only move back by what rejected says it may be off by.
+// OnCalls = analysed + rejected), and the per-object publication counts of
+// owner rings and read stripes (TSVD's admitted calls are counted by the
+// publication CAS itself). It takes no lock: everything read here is atomic,
+// so a live metrics scrape can snapshot a running detector without stalling
+// any thread's OnCall traffic. Each analysed call is counted once, by a
+// counter that never decreases, so a live OnCalls can only move back by what
+// rejected says it may be off by.
 func (r *runtime) snapshotStats() Stats {
 	st := r.stats.snapshot()
 	r.threads.Each(func(_ int64, ts *threadState) {
@@ -1113,6 +1137,11 @@ func (r *runtime) snapshotStats() Stats {
 	})
 	r.objs.Each(func(_ int64, os *objState) {
 		st.OnCalls += int64(os.ring.pub.Load() &^ ringClosed)
+		if rs := os.reads.Load(); rs != nil {
+			for i := range rs.stripes {
+				st.OnCalls += int64(rs.stripes[i].ring.pub.Load() &^ ringClosed)
+			}
+		}
 	})
 	return st
 }

@@ -94,22 +94,30 @@ func (h *history) newest(i int) *histEntry {
 	return &h.entries[idx]
 }
 
-// merge adds the newest entries of up to readStripes rings to h, oldest
-// timestamp first, so that h ends up with the newest accesses exactly as if it
-// had recorded them all. Nothing older than h's capacity survives in h, so no
-// more than that is read from any ring.
-func (h *history) merge(rings ...history) {
-	var taken [readStripes]int
-	for i := range rings {
-		taken[i] = max(0, rings[i].len()-len(h.entries))
+// tail is the newest n entries of a ring whose next slot is ring.next: what a
+// merge reads of it. n may exceed what the ring holds; a merge reads no more
+// than its own capacity.
+type tail struct {
+	ring history
+	n    int
+}
+
+// merge adds the entries of up to readStripes+1 tails to h, oldest timestamp
+// first, so that h ends up with the newest accesses exactly as if it had
+// recorded them all. Nothing older than h's capacity survives in h, so no
+// more than that is read from any tail.
+func (h *history) merge(from ...tail) {
+	var taken [readStripes + 1]int
+	for i := range from {
+		taken[i] = max(0, from[i].n-len(h.entries))
 	}
 	for {
 		var oldest *histEntry
-		from := 0
-		for i := range rings {
-			if r := &rings[i]; taken[i] < r.len() {
-				if e := r.newest(r.len() - 1 - taken[i]); oldest == nil || e.at < oldest.at {
-					oldest, from = e, i
+		k := 0
+		for i := range from {
+			if f := &from[i]; taken[i] < f.n {
+				if e := f.ring.newest(f.n - 1 - taken[i]); oldest == nil || e.at < oldest.at {
+					oldest, k = e, i
 				}
 			}
 		}
@@ -117,7 +125,7 @@ func (h *history) merge(rings ...history) {
 			return
 		}
 		h.add(*oldest)
-		taken[from]++
+		taken[k]++
 	}
 }
 
@@ -205,33 +213,23 @@ func (d *TSVD) OnCall(a Access) {
 	}
 
 	// Near-miss tracking over the object's recent accesses, newest first,
-	// and recording of this access. While this thread owns the object's
-	// publication ring — its writer word says so, on every object the thread
-	// owns and not only the last one it touched — recording is plain entry
-	// stores plus one CAS. Everything else (first sighting, the takeover by a
-	// second thread, shared-mode scans) funnels through recordSlow under the
-	// object's lock. Pair insertion happens outside any object lock: the trap
-	// set has its own lock and nothing orders the two.
+	// and recording of this access. While this thread owns a publication
+	// ring the access may record into — the object's, its writer word naming
+	// this thread (on every object the thread owns, not only the last one it
+	// touched), or, for a read of a read-shared object, the stripe this
+	// thread claimed — recording is plain entry stores plus one CAS.
+	// Everything else (first sighting, the takeover by a second thread, a
+	// demotion, shared-mode scans, a read through an unclaimed or another
+	// thread's stripe) funnels through recordSlow under the object's lock.
+	// Pair insertion happens outside any object lock: the trap set has its
+	// own lock and nothing orders the two.
 	os := st.cachedState
 	if os == nil || st.cachedObj != a.Obj {
 		os = rt.objStateFor(st, a.Obj)
 	}
 	published := false
-	// writer only ever leaves a thread id for writerShared, so a match means
-	// the ring is this thread's: its next slot is this thread's to write, and
-	// the CAS fails only if a takeover closed the ring meanwhile — after which
-	// next is never read again.
-	if os.writer.Load() == int64(a.Thread) {
-		rg := &os.ring
-		if n := rg.pub.Load(); n&ringClosed == 0 {
-			i := rg.next
-			rg.entries[i] = histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
-			if i++; i == len(rg.entries) {
-				i = 0
-			}
-			rg.next = i
-			published = rg.pub.CompareAndSwap(n, n+1)
-		}
+	if rg, n := os.openRing(a.Thread, a.Kind); rg != nil {
+		published = rg.publish(n, histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t})
 	}
 	if !published {
 		for _, key := range d.recordSlow(st, os, a, t) {
@@ -280,21 +278,18 @@ func (d *TSVD) OnCall(a Access) {
 // the object's spin lock: claiming an untouched object for single-writer
 // mode, taking over a single-writer object for shared mode (the sticky mixed
 // transition) and demoting a read-shared one — both through share — the
-// shared-mode near-miss scan plus append, and the promotion to read-shared
-// after promoteAfter reads in a row. A first touch is counted by the ring it
-// publishes to, every other call that lands here on the thread's own
-// onCalls; a read of a read-shared object needs none of it and leaves at
-// once, through recordRead, which counts its own. The phase verdict is asked
-// once, by the first near-miss candidate. It returns the near-miss pair keys
-// found, in the thread's own scratch slice (valid until its next call); the
-// caller inserts them into the trap set outside the lock.
+// shared-mode near-miss scan plus append, the promotion to read-shared after
+// promoteAfter reads in a row, and a read-shared read the lock-free path did
+// not take. A first touch, and a read through the thread's own stripe, is
+// counted by the ring it publishes to, every other call that lands here on the
+// thread's own onCalls. The phase verdict is asked once, by the first
+// near-miss candidate. It returns the near-miss pair keys found, in the
+// thread's own scratch slice (valid until its next call); the caller inserts
+// them into the trap set outside the lock.
 func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration) []report.PairKey {
 	rt := &d.rt
 	nearKeys := st.nearKeys[:0]
 	rec := histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
-	if os.recordRead(st, rec) {
-		return nil
-	}
 	os.mu.Lock()
 	switch w := os.writer.Load(); {
 	case w == 0:
@@ -309,8 +304,19 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		rg.pub.Store(1)
 		os.writer.Store(int64(a.Thread))
 	case w == writerReadShared && a.Kind == KindRead:
-		// Promoted while this read waited for the lock.
-		os.recordRead(st, rec)
+		// A read with nothing to scan: into the thread's stripe, claimed now
+		// if no thread has read through it yet, and open while the object is
+		// read-shared; or, when the stripe is another thread's, into hist.
+		s := &os.reads.Load().stripes[uint64(a.Thread)%readStripes]
+		if s.owner.Load() == 0 {
+			s.owner.Store(int64(a.Thread))
+		}
+		if s.owner.Load() != int64(a.Thread) {
+			os.hist.add(rec)
+			st.onCalls.Add(1)
+		} else {
+			s.ring.publish(s.ring.pub.Load(), rec) // open, and only this thread advances it
+		}
 	default:
 		// Shared mode. An owner only gets here once its ring is closed, so
 		// any other writer means a takeover or a demotion.
@@ -351,8 +357,12 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		} else if os.readRun++; int(os.readRun) >= promoteAfter(rt.cfg.ObjHistory) {
 			// The ring holds nothing but reads: go read-shared.
 			os.readRun = 0
-			if os.reads == nil {
-				os.reads = newReadSet(rt.cfg.ObjHistory)
+			if rs := os.reads.Load(); rs == nil {
+				os.reads.Store(newReadSet(rt.cfg.ObjHistory))
+			} else {
+				for i := range rs.stripes {
+					rs.stripes[i].ring.pub.And(^ringClosed)
+				}
 			}
 			os.writer.Store(writerReadShared)
 		}
