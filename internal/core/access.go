@@ -146,6 +146,10 @@ type Stats struct {
 	// SequentialSkips counts near-miss candidates discarded because the
 	// program was in a sequential phase (§3.4.3).
 	SequentialSkips int64
+	// DelaysSkippedSequential counts delays not planned because the call's
+	// phase was sequential (§3.4.3): the location was eligible and won its
+	// coin flip.
+	DelaysSkippedSequential int64
 	// CallsSampledOut counts instrumented calls the sampling gate skipped
 	// before analysis (config.ModeSampled; docs/SAMPLING.md). Skipped calls
 	// still count in OnCalls and are still checked against parked traps.

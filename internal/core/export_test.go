@@ -3,6 +3,8 @@ package core
 import (
 	"runtime/debug"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // Hooks for the external test package (core_test), which drives the detector
@@ -18,6 +20,15 @@ func runtimeOf(det Detector) *runtime {
 func InjectDelay(det Detector, a Access, d time.Duration) {
 	rt := runtimeOf(det)
 	rt.injectDelay(rt.threadStateFor(a.Thread), a, d, 0)
+}
+
+// ActivateThread makes t a thread the phase verdict (§3.4.3) has seen, for a
+// test that then parks another thread alone and has t call into its delay: a
+// delay is planned only in a concurrent phase, and a thread whose first TSVD
+// point lands inside the delay is not one the verdict can wait for. The call
+// is a read of an object and a location no test traps.
+func ActivateThread(det Detector, t ids.ThreadID) {
+	det.OnCall(Access{Thread: t, Obj: 1 << 50, Op: 1 << 50, Kind: KindRead})
 }
 
 // Parked reports the number of traps currently parked.

@@ -79,6 +79,7 @@ const (
 	statLocationsSeen
 	statLocationsSeenConcurrent
 	statSequentialSkips
+	statDelaysSkippedSequential
 	statCallsSampledOut
 	statDelaysSuppressed
 	statSamplerThrottles
@@ -161,6 +162,9 @@ var StatCounters = [numStats]StatCounter{
 	statSequentialSkips: {Series: "tsvd_detector_sequential_skips_total",
 		Help:  "Near-miss candidates discarded in sequential phases.",
 		Field: unsafe.Offsetof(Stats{}.SequentialSkips)},
+	statDelaysSkippedSequential: {Series: "tsvd_detector_delays_skipped_sequential_total",
+		Help:  "Delays not planned because the call's phase was sequential.",
+		Field: unsafe.Offsetof(Stats{}.DelaysSkippedSequential)},
 	statCallsSampledOut: {Series: "tsvd_sampler_calls_sampled_out_total",
 		Help:  "Instrumented calls skipped by the sampling gate (ModeSampled).",
 		Field: unsafe.Offsetof(Stats{}.CallsSampledOut)},

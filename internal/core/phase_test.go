@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/ids"
+	"repro/internal/report"
 )
 
 // phaseModel is §3.4.3 as the paper states it: a ring of the thread ids at
@@ -66,7 +67,7 @@ type phaseProbe struct {
 
 func (p *phaseProbe) OnCall(a Access) {
 	want := p.model.call(a.Thread)
-	got := p.concurrent(p.rt.threadStateFor(a.Thread), a.Thread, noCall)
+	got := p.rt.concurrent(p.rt.threadStateFor(a.Thread), a.Thread, noCall, 0)
 	before := p.Stats()
 	p.TSVD.OnCall(a)
 	after := p.Stats()
@@ -196,4 +197,66 @@ func TestCoverageAsksOnceASecondThreadExists(t *testing.T) {
 	call(acc(2, 2, 201, KindWrite))
 	call(acc(1, 1, 103, KindWrite))
 	check("W calls later", 4, 4)
+}
+
+// delayProbe drives a TSVD beside the model and notes, for each call, whether
+// it planned a delay (DelaysSuppressed: observe-only mode plans and does not
+// sleep) or withheld one as sequential (DelaysSkippedSequential).
+type delayProbe struct {
+	*TSVD
+	model             phaseModel
+	planned, withheld int64
+	calls             int
+	firstDiffers      string
+}
+
+func (p *delayProbe) OnCall(a Access) {
+	want := p.model.call(a.Thread)
+	before := p.Stats()
+	p.TSVD.OnCall(a)
+	after := p.Stats()
+	planned := after.DelaysSuppressed - before.DelaysSuppressed
+	withheld := after.DelaysSkippedSequential - before.DelaysSkippedSequential
+	p.planned, p.withheld = p.planned+planned, p.withheld+withheld
+	p.calls++
+	ok := want && planned == 1 && withheld == 0 || !want && planned == 0 && withheld == 1
+	if !ok && p.firstDiffers == "" {
+		p.firstDiffers = fmt.Sprintf("call %d (thread %d): %d delay(s) planned, %d withheld; the model calls it concurrent=%v",
+			p.calls, a.Thread, planned, withheld, want)
+	}
+}
+
+// TestDelayPlanMatchesPhaseModel: should_delay plans a delay only in a
+// concurrent phase (§3.4.3). On TestPhaseMatchesReferenceModel's streams,
+// with every location of the stream in a live pair at probability 1 (decay
+// off, and in observe-only mode no delay sleeps or decays), every call wins
+// its coin flip, and it plans a delay iff the paper's ring of the last W
+// thread ids says concurrent — asked after the call is recorded, so a window
+// shifted by that one call shows, whatever W's ring of call times holds.
+func TestDelayPlanMatchesPhaseModel(t *testing.T) {
+	var traps []report.PairKey
+	for op := ids.OpID(101); op <= 108; op += 2 {
+		traps = append(traps, report.KeyOf(op, op+1))
+	}
+	var planned, withheld int64
+	for w := 2; w <= 31; w++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := testConfig(config.AlgoTSVD)
+			cfg.Mode = config.ModeObserveOnly
+			cfg.DecayFactor = 0
+			cfg.PhaseBufferSize = w
+			clk := &scriptClock{}
+			p := &delayProbe{TSVD: mustNew(t, cfg, WithClock(clk), WithInitialTraps(traps)).(*TSVD),
+				model: phaseModel{ring: make([]ids.ThreadID, w)}}
+			drive(p, clk, phaseStream(seed, w, 1500))
+			if p.firstDiffers != "" {
+				t.Fatalf("W %d seed %d: %s", w, seed, p.firstDiffers)
+			}
+			planned, withheld = planned+p.planned, withheld+p.withheld
+		}
+	}
+	t.Logf("%d delays planned, %d withheld as sequential", planned, withheld)
+	if withheld == 0 || planned == 0 {
+		t.Fatalf("the streams exercised too little: %d planned, %d withheld", planned, withheld)
+	}
 }

@@ -142,6 +142,7 @@ func TestOwnDelayReportsBothStacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			core.ActivateThread(det, 2<<40)
 			catchOn(t, det, 1, trappedByOwnDelay)
 			vs := det.Reports().Violations()
 			if len(vs) != 1 {

@@ -309,9 +309,10 @@ func (rg *pubRing) close(from uint64) tail {
 }
 
 // callRingSize is the length of a thread's ring of call times for a phase
-// window of w TSVD points: the w−1 calls before the one in flight, rounded
-// up to a power of two so that the call count indexes it.
-func callRingSize(w int) int { return 1 << bits.Len(uint(w-2)) }
+// window of w TSVD points: the call in flight and the w−1 before it (a delay
+// asks once the call is recorded), rounded up to a power of two so that the
+// call count indexes it.
+func callRingSize(w int) int { return 1 << bits.Len(uint(w-1)) }
 
 // ownerRingSize is the publication ring's size: the ObjHistory entries a
 // takeover merges plus the owner's in-flight slot, and at least the inline
@@ -374,7 +375,7 @@ type threadState struct {
 	// latest is the time of the thread's newest recorded call, the one field
 	// here another thread's call reads (a verdict's scan); zero before the
 	// first. calls is the ring of the thread's recorded call times, a power
-	// of two of at least W−1 entries (on callBuf up to W = 17), and callN
+	// of two of at least W entries (on callBuf up to W = 16), and callN
 	// counts the calls it has recorded. A call is recorded once the detector
 	// has seen a second thread. coverAsk is the callN from which the coverage
 	// path may ask for a verdict again. Owner-only but for latest.
@@ -987,8 +988,10 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 
 // delayAtPair is should_delay and what follows it in the variants with a
 // trap set (§3.4.5; §3.5 "When to inject"): a location in a live pair delays
-// if its probability wins a coin flip and, under AvoidOverlappingDelays, no
-// other thread is parked; a delay that caught nothing decays the location.
+// if its probability wins a coin flip, under AvoidOverlappingDelays no other
+// thread is parked, and the call is in a concurrent phase (§3.4.3; outside
+// TSVD with phase detection on, every call is); a delay that caught nothing
+// decays the location.
 // t is the call's time, or noCall when the caller read none (stamp). It
 // returns the time slept and when the delay ended, for TSVD's delay log, and
 // whether a delay was injected. The caller has checked the set is not empty.
@@ -998,6 +1001,12 @@ func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration) (slep
 		return 0, 0, false
 	}
 	if r.cfg.AvoidOverlappingDelays && r.parked.Load() > 0 {
+		return 0, 0, false
+	}
+	// §3.4.3: delays are planned only in a concurrent phase. The call in
+	// flight is in the thread's ring of call times once it has recorded any.
+	if !r.concurrent(st, a.Thread, noCall, min(st.callN, 1)) {
+		r.stats.count[statDelaysSkippedSequential].Add(1)
 		return 0, 0, false
 	}
 	r.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, r.stamp(t), r.delayTime)

@@ -341,7 +341,7 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 				continue
 			}
 			if !asked {
-				asked, concurrent = true, d.concurrent(st, a.Thread, e.at)
+				asked, concurrent = true, rt.concurrent(st, a.Thread, e.at, 0)
 			}
 			if !concurrent {
 				rt.stats.count[statSequentialSkips].Add(1)
@@ -386,9 +386,11 @@ const noCall = time.Duration(math.MinInt64)
 // missed. A thread with fewer than W−1 calls recorded counts every thread the
 // detector has seen. The calls a thread makes while it is the only one are
 // not recorded; they precede every other thread's calls, so all they could
-// change is a tie. With phase detection off, every call is concurrent.
-func (d *TSVD) concurrent(st *threadState, self ids.ThreadID, seen time.Duration) bool {
-	rt := &d.rt
+// change is a tie. recorded is 1 when the call in flight is in st's ring
+// already (a delay asks after the call is recorded, a near miss or coverage
+// before), else 0. With phase detection off, and in the other variants,
+// every call is concurrent.
+func (rt *runtime) concurrent(st *threadState, self ids.ThreadID, seen time.Duration, recorded uint64) bool {
 	if rt.phaseWindow == 0 {
 		return true
 	}
@@ -396,7 +398,7 @@ func (d *TSVD) concurrent(st *threadState, self ids.ThreadID, seen time.Duration
 		return false
 	}
 	var from time.Duration
-	if back, n := uint64(rt.phaseWindow-1), st.callN; n >= back {
+	if back, n := uint64(rt.phaseWindow-1), st.callN-recorded; n >= back {
 		from = st.calls[(n-back)&uint64(len(st.calls)-1)]
 	}
 	if seen >= from {
@@ -419,7 +421,7 @@ func (d *TSVD) concurrent(st *threadState, self ids.ThreadID, seen time.Duration
 func (d *TSVD) cover(st *threadState, a *Access) {
 	concurrent := false
 	if st.callN >= st.coverAsk {
-		if concurrent = d.concurrent(st, a.Thread, noCall); !concurrent && d.rt.threadsSeen.Load() > 1 {
+		if concurrent = d.rt.concurrent(st, a.Thread, noCall, 0); !concurrent && d.rt.threadsSeen.Load() > 1 {
 			st.coverAsk = st.callN + uint64(d.rt.phaseWindow)
 		}
 	}

@@ -338,6 +338,7 @@ func TestProductiveDelayDoesNotDecay(t *testing.T) {
 			clk := &scriptClock{}
 			d := mustNew(t, testConfig(algo), WithClock(clk),
 				WithInitialTraps([]report.PairKey{report.KeyOf(8001, 8002), report.KeyOf(8001, 8003)}))
+			ActivateThread(d, 2)
 			clk.during = func() { d.OnCall(acc(2, 80, 8002, KindWrite)) }
 			d.OnCall(acc(1, 80, 8001, KindWrite))
 			if st := d.Stats(); st.DelaysInjected != 1 || st.Violations != 1 {
@@ -361,6 +362,7 @@ func TestDelayLeavesNoTrapBehind(t *testing.T) {
 	clk := &scriptClock{}
 	d := mustNew(t, testConfig(config.AlgoTSVD), WithClock(clk),
 		WithInitialTraps([]report.PairKey{report.KeyOf(8201, 8202), report.KeyOf(8203, 8204)}))
+	ActivateThread(d, 2)
 	d.OnCall(acc(1, 83, 8201, KindWrite))
 	clk.during = func() { d.OnCall(acc(2, 83, 8202, KindWrite)) }
 	d.OnCall(acc(3, 84, 8203, KindWrite))
@@ -401,6 +403,7 @@ func TestDelayOvershootIsOwnDelay(t *testing.T) {
 		WithInitialTraps([]report.PairKey{report.KeyOf(8401, 8402), report.KeyOf(8403, 8405)}))
 	over := 2*runtimeOf(d).hbThreshold + time.Millisecond
 	clk.over = over
+	ActivateThread(d, 2)
 	clk.during = func() { d.OnCall(acc(2, 86, 8403, KindWrite)) }
 	d.OnCall(acc(1, 85, 8401, KindWrite))
 	clk.at += time.Microsecond
@@ -425,6 +428,7 @@ func TestAvoidOverlappingDelays(t *testing.T) {
 			clk := &scriptClock{}
 			d := mustNew(t, cfg, WithClock(clk),
 				WithInitialTraps([]report.PairKey{report.KeyOf(8101, 8102), report.KeyOf(8103, 8104)}))
+			ActivateThread(d, 2)
 			// Thread 2's call, on another object, comes while thread 1 sleeps.
 			clk.during = func() { d.OnCall(acc(2, 82, 8103, KindWrite)) }
 			d.OnCall(acc(1, 81, 8101, KindWrite))
@@ -504,6 +508,7 @@ func TestTrapFilePersistence(t *testing.T) {
 	// Run 2: the pair is known from the trap file, so the very first
 	// occurrence of op1 sets a trap, and op2 arrives during the delay.
 	run2 := mustNew(t, cfg, WithInitialTraps(traps))
+	ActivateThread(run2, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -585,6 +590,7 @@ func TestViolationWakesTrapEarly(t *testing.T) {
 	cfg.DisableHBInference = true
 	d := mustNew(t, cfg, WithInitialTraps([]report.PairKey{report.KeyOf(1501, 1502)}))
 	const obj = ids.ObjectID(15)
+	ActivateThread(d, 2)
 
 	start := time.Now()
 	var wg sync.WaitGroup
