@@ -268,6 +268,32 @@ func BenchmarkDictionarySetRotating(b *testing.B) {
 	}
 }
 
+// BenchmarkDictionarySetRotatingParallel is BenchmarkDictionarySetRotating on
+// GOMAXPROCS goroutines, each rotating over 16 dictionaries of its own — the
+// hot_calls workload's shape. With a second thread about, every call also
+// publishes its time for the phase verdicts, so this is the one benchmark
+// where that store and the object-cache miss fall on the same call. ns/op is
+// wall time over all goroutines' calls; ungated, docs/PERFORMANCE.md has its
+// numbers.
+func BenchmarkDictionarySetRotatingParallel(b *testing.B) {
+	if _, err := Install(DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var ds [16]*Dictionary[int, int]
+		for i := range ds {
+			ds[i] = NewDictionary[int, int]()
+		}
+		x := uint32(1)
+		for i := 0; pb.Next(); i++ {
+			x = x*1664525 + 1013904223
+			ds[x>>28].Set(i&1023, i)
+		}
+	})
+}
+
 // BenchmarkDictionarySetSampledAuto is the same call under the sampled tier
 // with a 1 % overhead target: in steady state nearly every call is rejected
 // by the admission countdown before it buys an identity, so this is what the

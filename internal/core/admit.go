@@ -117,7 +117,10 @@ func (r *runtime) enter(st *threadState, a *Access) bool {
 	}
 	// check_for_trap: catch conflicting parked threads red-handed.
 	if r.parked.Load() > 0 {
-		os := r.objStateFor(st, a.Obj)
+		os := r.objStateFast(st, a.Obj)
+		if os == nil {
+			os = r.objStateFor(st, a.Obj)
+		}
 		os.mu.Lock()
 		found := r.checkForTraps(os, a)
 		os.mu.Unlock()

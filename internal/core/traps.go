@@ -356,7 +356,8 @@ type threadState struct {
 	enteredAt    time.Duration
 
 	// cachedObj/cachedState short-circuit the object-registry probe while a
-	// thread stays on one object (the common loop shape).
+	// thread stays on one object (the common loop shape); objStateFast
+	// refreshes them on every registry hit.
 	cachedObj   ids.ObjectID
 	cachedState *objState
 
@@ -374,7 +375,8 @@ type threadState struct {
 	// --- concurrent-phase verdict (§3.4.3, TSVD.concurrent) ---
 	// latest is the time of the thread's newest recorded call, the one field
 	// here another thread's call reads (a verdict's scan); zero before the
-	// first. calls is the ring of the thread's recorded call times, a power
+	// first. Its owner publishes it with storeRelease, a plain store on
+	// amd64. calls is the ring of the thread's recorded call times, a power
 	// of two of at least W entries (on callBuf up to W = 16), and callN
 	// counts the calls it has recorded. A call is recorded once the detector
 	// has seen a second thread. coverAsk is the callN from which the coverage
@@ -780,13 +782,27 @@ func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
 // inference rejects it), small enough that the arithmetic cannot overflow.
 const noAccessYet = time.Duration(1) << 60
 
-// objStateFor returns obj's state, creating it on first use. When st is the
-// calling thread's state the lookup is cached there: a thread looping on one
-// object (the common shape) pays two compares instead of a registry probe.
-func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
-	if st != nil && st.cachedState != nil && st.cachedObj == obj {
-		return st.cachedState
+// objStateFast is the calling thread st's inline object lookup: the thread's
+// one-object cache, then the registry's home slot, whose hit becomes the
+// cached object. It returns nil when neither holds obj (a key away from
+// home, or an object not seen yet), and the caller goes out of line to
+// objStateFor. It is exactly at the inliner's budget: anything added here
+// takes it out of both OnCalls (TestHotPathHelpersInline).
+func (r *runtime) objStateFast(st *threadState, obj ids.ObjectID) *objState {
+	if st.cachedObj == obj {
+		return st.cachedState // nil only before the thread's first object
 	}
+	os, ok := r.objs.GetFast(int64(obj))
+	if ok {
+		st.cachedObj, st.cachedState = obj, os
+	}
+	return os
+}
+
+// objStateFor returns obj's state, creating it on first use: the registry's
+// full probe, out of line. When st is the calling thread's state, obj becomes
+// its cached object.
+func (r *runtime) objStateFor(st *threadState, obj ids.ObjectID) *objState {
 	os, _ := r.objs.GetOrInit(int64(obj), initObjState)
 	if st != nil {
 		st.cachedObj, st.cachedState = obj, os

@@ -149,11 +149,12 @@ const maxRecentDelays = 256
 // should_delay (§3.4.1–§3.4.6). While the object has only ever been touched
 // by the calling thread — the overwhelmingly common case in the paper's
 // workloads — the path is lock-free end to end: the timestamp is one TSC
-// read, per-thread and per-object state are cached probes, the near-miss
+// read, per-thread and per-object state are inlined probes, the near-miss
 // scan is skipped outright (every entry would fail the different-thread
 // test), and recording the access is plain stores plus one publication CAS
-// that doubles as the OnCalls counter. Contended objects funnel through
-// recordSlow under the object's spin lock.
+// that doubles as the OnCalls counter — the one locked instruction the call
+// issues. Contended objects funnel through recordSlow under the object's spin
+// lock.
 func (d *TSVD) OnCall(a Access) {
 	rt := &d.rt
 	// rt.now(), thread-state lookup and markSeen below are expanded inline:
@@ -222,9 +223,11 @@ func (d *TSVD) OnCall(a Access) {
 	// demotion, shared-mode scans, a read through an unclaimed or another
 	// thread's stripe) funnels through recordSlow under the object's lock.
 	// Pair insertion happens outside any object lock: the trap set has its
-	// own lock and nothing orders the two.
-	os := st.cachedState
-	if os == nil || st.cachedObj != a.Obj {
+	// own lock and nothing orders the two. The object's state is found
+	// inline (the thread's cache, then the registry's home slot) on all but
+	// a first sighting or a key away from home.
+	os := rt.objStateFast(st, a.Obj)
+	if os == nil {
 		os = rt.objStateFor(st, a.Obj)
 	}
 	published := false
@@ -238,14 +241,17 @@ func (d *TSVD) OnCall(a Access) {
 	}
 
 	// Record this access in the thread-local HB state, and its time for the
-	// phase verdicts (concurrent) once there is another thread to ask.
+	// phase verdicts (concurrent) once there is another thread to ask. latest
+	// is published with a release store, not a locked instruction: only a
+	// verdict's scan reads it, and a store it does not see yet is the one
+	// relaxation §3.4.3's verdict already allows.
 	st.lastAccess = t
 	st.ownDelay = 0
 	st.hbDeadline = t + rt.hbThreshold
 	if calls := st.calls; len(calls) != 0 && rt.threadsSeen.Load() > 1 {
 		calls[st.callN&uint64(len(calls)-1)] = t
 		st.callN++
-		st.latest.Store(int64(t))
+		storeRelease(&st.latest, int64(t))
 	}
 
 	if rt.samp != nil {

@@ -101,7 +101,10 @@ func (d *TSVDHB) OnCall(a Access) {
 		return
 	}
 	st.onCalls.Add(1)
-	os := rt.objStateFor(st, a.Obj)
+	os := rt.objStateFast(st, a.Obj)
+	if os == nil {
+		os = rt.objStateFor(st, a.Obj)
+	}
 
 	// Local timestamp increments happen here, at the (relatively rare)
 	// TSVD points — not at synchronization operations. The tick is one

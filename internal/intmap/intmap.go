@@ -105,16 +105,17 @@ func (t *table[V]) probe(k int64) uint64 {
 // probe was conclusive: ok == false means "consult Get", not "absent".
 // Unlike Get, whose probe loop exceeds the inliner budget, this single-slot
 // version inlines into the detector's hot path, where the call overhead of
-// an out-of-line Get is measurable.
+// an out-of-line Get is measurable. It stays small enough to inline inside
+// a caller that puts a cache check in front of it (core's objStateFast, cost
+// 80 of the inliner's 80): the table pointer and the value are loaded as the
+// unsafe.Pointer an atomic.Pointer holds at offset 0 — the atomic loads its
+// generic Load methods make, without their dictionary arguments — and the
+// body is two nested ifs, which the inliner counts cheaper than temporaries.
 func (m *Map[V]) GetFast(k int64) (v *V, ok bool) {
-	t := m.table.Load()
-	if t == nil {
-		return nil, false
-	}
-	i := uintptr((uint64(k) * fibScramble) & t.mask)
-	s := (*slot[V])(unsafe.Add(t.base, i*unsafe.Sizeof(slot[V]{})))
-	if s.key.Load() == k {
-		return s.val.Load(), true
+	if t := (*table[V])(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&m.table)))); t != nil {
+		if s := (*slot[V])(unsafe.Add(t.base, uintptr((uint64(k)*fibScramble)&t.mask)*unsafe.Sizeof(slot[V]{}))); s.key.Load() == k {
+			return (*V)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(&s.val)))), true
+		}
 	}
 	return nil, false
 }
