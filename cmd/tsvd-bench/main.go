@@ -5,6 +5,7 @@
 //
 //	tsvd-bench -exp all
 //	tsvd-bench -exp table2 -small 200
+//	tsvd-bench -exp table2 -seeds 1..8
 //	tsvd-bench -exp fig9g -scale 0.05
 //
 // Experiments: table1 table2 table3 table4 fig8 fig9a..fig9h resource
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -31,6 +33,7 @@ func main() {
 		fig8runs = flag.Int("fig8runs", 0, "Figure 8 run count override")
 		fig8mods = flag.Int("fig8mods", 0, "Figure 8 module count override")
 		parallel = flag.Int("parallel", 0, "modules in flight override")
+		seeds    = flag.String("seeds", "", "suite seeds for table2, a range A..B: the rows of each seed, then ranges and paired differences")
 	)
 	flag.Parse()
 
@@ -83,6 +86,19 @@ func main() {
 		"resource", "asyncinline", "overlap", "fleet", "sampling",
 	}
 
+	if *seeds != "" {
+		list, err := parseSeeds(*seeds)
+		if err == nil && *exp != "table2" {
+			err = fmt.Errorf("-seeds applies to -exp table2 only")
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tsvd-bench: %v\n", err)
+			os.Exit(2)
+		}
+		experiments.Table2Seeds(p, list, os.Stdout)
+		return
+	}
+
 	names := strings.Split(*exp, ",")
 	if *exp == "all" {
 		names = order
@@ -98,4 +114,19 @@ func main() {
 		}
 		run(p, os.Stdout)
 	}
+}
+
+// parseSeeds reads a range "A..B", A ≤ B.
+func parseSeeds(s string) ([]int64, error) {
+	lo, hi, _ := strings.Cut(s, "..")
+	a, err1 := strconv.ParseInt(lo, 10, 64)
+	b, err2 := strconv.ParseInt(hi, 10, 64)
+	if err1 != nil || err2 != nil || a > b {
+		return nil, fmt.Errorf("bad -seeds %q: want a range A..B", s)
+	}
+	var out []int64
+	for v := a; v <= b; v++ {
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -159,13 +159,13 @@ func TestFailedDelayDecayCostsNothing(t *testing.T) {
 	var r runtime
 	r.cfg.DecayFactor = 0.5 // PruneProbability 0: the pairs stay
 	for other := ids.OpID(2); other <= 8; other++ {
-		r.set.add(report.KeyOf(1, other))
+		r.set.add(report.KeyOf(1, other), 0)
 	}
 	decay := func() { r.decayAfterFailedDelay(1, 0) }
 	if got := testing.AllocsPerRun(100, decay); got != 0 {
 		t.Fatalf("a failed delay at a location with 7 partners costs %v allocations", got)
 	}
-	if p, _ := r.set.eligible(8); r.set.size() != 7 || p >= 1 {
+	if p, _ := r.set.eligible(8, false); r.set.size() != 7 || p >= 1 {
 		t.Fatalf("%d pairs, a partner's probability %v: the measured path did not decay", r.set.size(), p)
 	}
 }
@@ -186,7 +186,7 @@ func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	fill := func() {
 		var s trapSet
 		for _, k := range keys {
-			s.add(k)
+			s.add(k, 0)
 		}
 	}
 	if got := testing.AllocsPerRun(100, fill); got > 6 {
@@ -194,7 +194,7 @@ func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	}
 	read := func() {
 		var s trapSet
-		s.eligible(1)
+		s.eligible(1, false)
 		s.decay(1, 0.5, 0, nil)
 	}
 	if got := testing.AllocsPerRun(100, read); got > 1 {

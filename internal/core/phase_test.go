@@ -228,15 +228,17 @@ func (p *delayProbe) OnCall(a Access) {
 
 // TestDelayPlanMatchesPhaseModel: should_delay plans a delay only in a
 // concurrent phase (§3.4.3). On TestPhaseMatchesReferenceModel's streams,
-// with every location of the stream in a live pair at probability 1 (decay
-// off, and in observe-only mode no delay sleeps or decays), every call wins
-// its coin flip, and it plans a delay iff the paper's ring of the last W
+// with every location of the stream in a live self-pair at probability 1
+// (decay off, and in observe-only mode no delay sleeps or decays), every call
+// wins its coin flip, and it plans a delay iff the paper's ring of the last W
 // thread ids says concurrent — asked after the call is recorded, so a window
-// shifted by that one call shows, whatever W's ring of call times holds.
+// shifted by that one call shows, whatever W's ring of call times holds. A
+// self-pair's one location is the earlier side of each of its near misses,
+// so it stays delayable all along.
 func TestDelayPlanMatchesPhaseModel(t *testing.T) {
 	var traps []report.PairKey
-	for op := ids.OpID(101); op <= 108; op += 2 {
-		traps = append(traps, report.KeyOf(op, op+1))
+	for op := ids.OpID(101); op <= 108; op++ {
+		traps = append(traps, report.KeyOf(op, op))
 	}
 	var planned, withheld int64
 	for w := 2; w <= 31; w++ {

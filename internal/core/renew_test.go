@@ -22,15 +22,20 @@ import (
 // scriptClock is the driving clock: Since is what the stream set it to, and a
 // delay advances it by what was slept. Inside its first level of Sleep it
 // runs during — the stream's next steps, so traps spring on one goroutine.
+// With timer set, a delay that is not woken early ends as a timer would: d
+// after it began, or late, when during ran past that, and it reports the
+// overrun as slept.
 type scriptClock struct {
 	at     time.Duration
 	during func()
 	inside bool
+	timer  bool
 }
 
 func (c *scriptClock) Now() time.Time                { return time.Time{} }
 func (c *scriptClock) Since(time.Time) time.Duration { return c.at }
 func (c *scriptClock) Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool) {
+	start := c.at
 	if c.during != nil && !c.inside {
 		c.inside = true
 		c.during()
@@ -41,6 +46,10 @@ func (c *scriptClock) Sleep(d time.Duration, cancel <-chan struct{}) (time.Durat
 		c.at += d / 3
 		return d / 3, true
 	default:
+		if c.timer {
+			c.at = max(c.at, start+d)
+			return c.at - start, false
+		}
 		c.at += d
 		return d, false
 	}

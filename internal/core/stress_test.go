@@ -536,8 +536,8 @@ func TestReadRacingDemotionIsSeenByExactlyOneSide(t *testing.T) {
 		}
 		if !rg.publish(n, histEntry{thread: reader, op: read, kind: KindRead, at: at}) {
 			slow++
-			for _, key := range d.(*TSVD).recordSlow(st, os, a, at) {
-				rt.addPair(reader, obj, key, at)
+			for _, p := range d.(*TSVD).recordSlow(st, os, a, at) {
+				rt.addPair(reader, obj, p, at)
 			}
 		} else if obj%2 == 1 {
 			t.Fatalf("object %d: the read's CAS succeeded after the demotion", obj)

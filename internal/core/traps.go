@@ -361,12 +361,12 @@ type threadState struct {
 	cachedObj   ids.ObjectID
 	cachedState *objState
 
-	// nearKeys is recordSlow's result buffer: the near-miss pairs of the
-	// call in flight, consumed by OnCall before the thread's next call. It
-	// starts on nearBuf — a call rarely records more than one near miss, and
-	// most threads are too short-lived to amortize a slice of their own.
-	nearKeys []report.PairKey
-	nearBuf  [4]report.PairKey
+	// near is recordSlow's result buffer: the near misses of the call in
+	// flight, consumed by OnCall before the thread's next call. It starts on
+	// nearBuf — a call rarely records more than one near miss, and most
+	// threads are too short-lived to amortize a slice of their own.
+	near    []nearPair
+	nearBuf [4]nearPair
 
 	// budget caps the total delay injected into this thread (§4, runtime
 	// feature 2).
@@ -419,7 +419,7 @@ type threadState struct {
 
 	// Padding to a whole number of cache lines, as objState's: the
 	// neighbours in the registry's chunk belong to other threads.
-	_ [56]byte
+	_ [24]byte
 }
 
 type clockMemo struct {
@@ -627,7 +627,7 @@ type storage struct {
 	cover   *coverTable
 	reports *report.Collector
 	// pairs and locs are the trap set's maps, made by a first write.
-	pairs map[report.PairKey]bool
+	pairs map[report.PairKey]uint8
 	locs  map[ids.OpID]locState
 	// rng is reseeded by its first draw; tr is reused by trace.Reuse.
 	rng *rand.Rand
@@ -707,7 +707,7 @@ func (r *runtime) init(cfg config.Config, o options, s *storage) {
 	}
 	if r.trapping() {
 		for _, key := range o.initialTraps {
-			r.addPair(0, 0, key, 0)
+			r.addPair(0, 0, nearPair{key: key}, 0)
 		}
 	}
 	o.metrics.attach(r)
@@ -762,7 +762,7 @@ func (r *runtime) newThreadState(t ids.ThreadID) *threadState {
 		st.rng = sampler.SeedRand(r.cfg.Seed, int64(t))
 		st.lastAccess = noAccessYet
 		st.budget = clock.Budget{Max: r.maxDelay}
-		st.nearKeys = st.nearBuf[:0]
+		st.near = st.nearBuf[:0]
 		if w := r.phaseWindow; w > 0 {
 			if n := callRingSize(w); n <= len(st.callBuf) {
 				st.calls = st.callBuf[:n]
@@ -1004,15 +1004,16 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 
 // delayAtPair is should_delay and what follows it in the variants with a
 // trap set (§3.4.5; §3.5 "When to inject"): a location in a live pair delays
-// if its probability wins a coin flip, under AvoidOverlappingDelays no other
-// thread is parked, and the call is in a concurrent phase (§3.4.3; outside
-// TSVD with phase detection on, every call is); a delay that caught nothing
-// decays the location.
+// if it is a side of the pair its partner can still arrive after — found says
+// the call just found a near miss (trapSet.eligible) — its probability wins a
+// coin flip, under AvoidOverlappingDelays no other thread is parked, and the
+// call is in a concurrent phase (§3.4.3; outside TSVD with phase detection
+// on, every call is); a delay that caught nothing decays the location.
 // t is the call's time, or noCall when the caller read none (stamp). It
 // returns the time slept and when the delay ended, for TSVD's delay log, and
 // whether a delay was injected. The caller has checked the set is not empty.
-func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration) (slept, end time.Duration, injected bool) {
-	prob, ok := r.set.eligible(a.Op)
+func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration, found bool) (slept, end time.Duration, injected bool) {
+	prob, ok := r.set.eligible(a.Op, found)
 	if !ok || r.randFloat() >= prob {
 		return 0, 0, false
 	}
@@ -1037,16 +1038,25 @@ func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration) (slep
 	return slept, end, true
 }
 
-// addPair puts key in the trap set, counted, gauged and traced as found by
-// thread t on obj at (stamp), unless the pair is known already.
-func (r *runtime) addPair(t ids.ThreadID, obj ids.ObjectID, key report.PairKey, at time.Duration) {
-	n := r.set.add(key)
+// nearPair is one near miss: its pair, and the location of its earlier
+// access, the side a delay can still catch the other at (0 for a pair from a
+// trap file).
+type nearPair struct {
+	key   report.PairKey
+	first ids.OpID
+}
+
+// addPair puts p's pair in the trap set, or makes its earlier side delayable
+// there, counted, gauged and traced as found by thread t on obj at (stamp)
+// when the pair is new.
+func (r *runtime) addPair(t ids.ThreadID, obj ids.ObjectID, p nearPair, at time.Duration) {
+	n := r.set.add(p.key, p.first)
 	if n == 0 {
 		return
 	}
 	r.stats.count[statPairsAdded].Add(1)
 	r.met.observeOccupancy(n)
-	r.tr.Emit(trace.KindPairAdded, t, obj, key.A, key.B, r.stamp(at), 0)
+	r.tr.Emit(trace.KindPairAdded, t, obj, p.key.A, p.key.B, r.stamp(at), 0)
 }
 
 // prunedHB counts and traces one pair found happens-before ordered at a's

@@ -24,25 +24,49 @@ import (
 // OnCall volume; the per-call should_delay check reads through eligible()
 // under an RLock, and even that is skipped entirely while the lock-free
 // live counter reads zero (the common case on healthy code).
+//
+// A live pair is delayed only at a side its partner can still arrive after
+// (docs/ALGORITHM.md, the trap set): a location that was the earlier access of one of
+// the pair's near misses in this run, or the call that just found a near
+// miss. A pair from a trap file is delayable at both ends until a near miss
+// in this run orders it.
 type trapSet struct {
 	mu sync.RWMutex
 	// live counts the pairs in the set so the hot path can skip the lock
 	// when there are none.
 	live atomic.Int64
-	// pairs holds every pair ever added or banned: true while it is in the
-	// trap set, false once it has left — a violation reported, an HB prune,
-	// a decayed-out endpoint. A pair only ever goes live → dead, and a dead
-	// pair is never (re-)added.
-	pairs map[report.PairKey]bool
+	// pairs holds every pair ever added or banned: its bits (pairLive and
+	// more) while it is in the trap set, 0 once it has left — a violation reported, an HB
+	// prune, a decayed-out endpoint. A pair only ever goes live → dead, and a
+	// dead pair is never (re-)added.
+	pairs map[report.PairKey]uint8
 	// locs holds every location that ever was an endpoint of a live pair,
 	// by value: a new endpoint costs no allocation of its own.
 	locs map[ids.OpID]locState
+}
+
+// A live pair's bits: pairLive, plus pairSideA or pairSideB once key.A or
+// key.B was the earlier access of one of its near misses, and pairLoaded
+// while a pair from a trap file has had no near miss in this run.
+const (
+	pairLive uint8 = 1 << iota
+	pairSideA
+	pairSideB
+	pairLoaded
+)
+
+// delayableAt reports whether a pair with bits b may be delayed at its
+// endpoint loc.
+func delayableAt(key report.PairKey, b uint8, loc ids.OpID) bool {
+	return b&pairLoaded != 0 || loc == key.A && b&pairSideA != 0 || loc == key.B && b&pairSideB != 0
 }
 
 // locState is one location's share of the trap set.
 type locState struct {
 	// prob is P_loc (§3.4.5).
 	prob float64
+	// delayable counts the live pairs loc may be delayed at (delayableAt).
+	delayable int
 	// live lists the live pairs loc is an endpoint of, for
 	// O(pairs-of-loc) updates.
 	live pairList
@@ -91,30 +115,64 @@ func (p *pairList) remove(key report.PairKey) {
 	}
 }
 
-// add inserts a dangerous pair unless it is dead or already present, and
-// returns the number of live pairs after it (0 when it did not insert).
-// Both endpoints' probabilities reset to 1 (§3.4.1: "TSVD sets P_loc = 1
-// when a dangerous pair containing loc is added").
-func (s *trapSet) add(key report.PairKey) int {
+// add inserts a dangerous pair unless it is dead, and returns the number of
+// live pairs after it (0 when it did not insert). first is the location of
+// the earlier access of the near miss that found the pair, which becomes
+// delayable; an add of a live pair only does that, and takes a pair from a
+// trap file out of its both-ends state. first is 0 for a pair from a trap
+// file. Both endpoints' probabilities reset to 1 on insertion (§3.4.1: "TSVD
+// sets P_loc = 1 when a dangerous pair containing loc is added").
+func (s *trapSet) add(key report.PairKey, first ids.OpID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, known := s.pairs[key]; known {
+	b, known := s.pairs[key]
+	if known && (b == 0 || first == 0) {
+		return 0
+	}
+	nb := pairLive | pairLoaded
+	if first != 0 {
+		side := pairSideB
+		if first == key.A {
+			side = pairSideA
+		}
+		nb = b&^pairLoaded | pairLive | side
+	}
+	if nb == b {
 		return 0
 	}
 	if s.pairs == nil {
-		s.pairs = map[report.PairKey]bool{}
+		s.pairs = map[report.PairKey]uint8{}
 	}
 	if s.locs == nil {
 		s.locs = map[ids.OpID]locState{}
 	}
-	s.pairs[key] = true
-	for _, loc := range endpoints(key) {
-		l := s.locs[loc]
-		l.prob = 1
-		l.live.add(key)
-		s.locs[loc] = l
+	s.retag(key, b, nb)
+	if known {
+		return 0
 	}
 	return int(s.live.Add(1))
+}
+
+// retag moves key from bits b to nb, keeping its endpoints' live lists and
+// delayable counts in step. Caller holds s.mu.
+func (s *trapSet) retag(key report.PairKey, b, nb uint8) {
+	s.pairs[key] = nb
+	for _, loc := range endpoints(key) {
+		l := s.locs[loc]
+		if b == 0 {
+			l.prob = 1
+			l.live.add(key)
+		} else if nb == 0 {
+			l.live.remove(key)
+		}
+		switch was, is := delayableAt(key, b, loc), delayableAt(key, nb, loc); {
+		case is && !was:
+			l.delayable++
+		case was && !is:
+			l.delayable--
+		}
+		s.locs[loc] = l
+	}
 }
 
 // endpoints returns the one or two distinct locations of key.
@@ -134,20 +192,16 @@ func (s *trapSet) suppress(key report.PairKey) bool {
 }
 
 func (s *trapSet) suppressLocked(key report.PairKey) bool {
-	wasLive := s.pairs[key]
+	b := s.pairs[key]
 	if s.pairs == nil {
-		s.pairs = map[report.PairKey]bool{}
+		s.pairs = map[report.PairKey]uint8{}
 	}
-	s.pairs[key] = false
-	if !wasLive {
+	if b == 0 {
+		s.pairs[key] = 0
 		return false
 	}
 	s.live.Add(-1)
-	for _, loc := range endpoints(key) {
-		l := s.locs[loc]
-		l.live.remove(key)
-		s.locs[loc] = l
-	}
+	s.retag(key, b, 0)
 	return true
 }
 
@@ -157,13 +211,14 @@ func (s *trapSet) suppressLocked(key report.PairKey) bool {
 // load.
 func (s *trapSet) empty() bool { return s.live.Load() == 0 }
 
-// eligible reports whether loc participates in a live pair and, if so, its
-// current delay probability P_loc — the two inputs of should_delay, under
-// one read-lock acquisition.
-func (s *trapSet) eligible(loc ids.OpID) (float64, bool) {
+// eligible reports whether loc may be delayed at — it is a delayable endpoint
+// of a live pair, or found says the call just found a near miss and loc is in
+// a live pair at all — and, if so, its current delay probability P_loc: the
+// two inputs of should_delay, under one read-lock acquisition.
+func (s *trapSet) eligible(loc ids.OpID, found bool) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if l := s.locs[loc]; l.live.n > 0 {
+	if l := s.locs[loc]; l.delayable > 0 || found && l.live.n > 0 {
 		return l.prob, true
 	}
 	return 0, false
@@ -229,8 +284,8 @@ func (s *trapSet) export() []report.PairKey {
 	if n := s.live.Load(); n > 0 {
 		out = make([]report.PairKey, 0, n)
 	}
-	for key, live := range s.pairs {
-		if live {
+	for key, b := range s.pairs {
+		if b != 0 {
 			out = append(out, key)
 		}
 	}

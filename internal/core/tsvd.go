@@ -230,14 +230,16 @@ func (d *TSVD) OnCall(a Access) {
 	if os == nil {
 		os = rt.objStateFor(st, a.Obj)
 	}
-	published := false
+	published, found := false, false
 	if rg, n := os.openRing(a.Thread, a.Kind); rg != nil {
 		published = rg.publish(n, histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t})
 	}
 	if !published {
-		for _, key := range d.recordSlow(st, os, a, t) {
-			rt.addPair(a.Thread, a.Obj, key, t)
+		near := d.recordSlow(st, os, a, t)
+		for _, p := range near {
+			rt.addPair(a.Thread, a.Obj, p, t)
 		}
+		found = len(near) > 0
 	}
 
 	// Record this access in the thread-local HB state, and its time for the
@@ -258,13 +260,14 @@ func (d *TSVD) OnCall(a Access) {
 		rt.leave(st)
 	}
 
-	// should_delay: the location must participate in a live dangerous
-	// pair, and its decayed probability must pass a coin flip. An empty
-	// trap set short-circuits everything with one atomic load.
+	// should_delay: the location must be a side of a live dangerous pair its
+	// partner can still arrive after, and its decayed probability must pass
+	// a coin flip. An empty trap set short-circuits everything with one
+	// atomic load.
 	if rt.set.empty() {
 		return
 	}
-	slept, end, injected := rt.delayAtPair(st, &a, t)
+	slept, end, injected := rt.delayAtPair(st, &a, t, found)
 	if !injected {
 		return
 	}
@@ -289,12 +292,13 @@ func (d *TSVD) OnCall(a Access) {
 // not take. A first touch, and a read through the thread's own stripe, is
 // counted by the ring it publishes to, every other call that lands here on the
 // thread's own onCalls. The phase verdict is asked once, by the first
-// near-miss candidate. It returns the near-miss pair keys found, in the
-// thread's own scratch slice (valid until its next call); the caller inserts
-// them into the trap set outside the lock.
-func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration) []report.PairKey {
+// near-miss candidate. It returns the near misses found, each with the side
+// whose timestamp is the smaller, in the thread's own scratch slice (valid
+// until its next call); the caller inserts them into the trap set outside the
+// lock.
+func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Duration) []nearPair {
 	rt := &d.rt
-	nearKeys := st.nearKeys[:0]
+	near := st.near[:0]
 	rec := histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: t}
 	os.mu.Lock()
 	switch w := os.writer.Load(); {
@@ -354,7 +358,11 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 				continue
 			}
 			rt.nearMiss(&a, e.op, t, gap)
-			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
+			first := e.op
+			if e.at > t {
+				first = a.Op
+			}
+			near = append(near, nearPair{report.KeyOf(e.op, a.Op), first})
 		}
 		h.add(rec)
 		st.onCalls.Add(1)
@@ -374,8 +382,8 @@ func (d *TSVD) recordSlow(st *threadState, os *objState, a Access, t time.Durati
 		}
 	}
 	os.mu.Unlock()
-	st.nearKeys = nearKeys
-	return nearKeys
+	st.near = near
+	return near
 }
 
 // noCall is a call time no verdict window starts at or before: concurrent's
@@ -459,12 +467,14 @@ func (d *TSVD) inferHB(st *threadState, a Access, t time.Duration) {
 		return
 	}
 	// Attribute the gap to the most recently finished delay of another
-	// thread that overlaps it (t0 ≤ t1end).
+	// thread that overlaps it: one that ended inside the gap, after this
+	// thread's own delay had ended (t0 ≤ t1end). A delay that ended while
+	// this thread slept itself held nothing up.
 	d.delayMu.Lock()
 	best := -1
 	for i := len(d.recentDelays) - 1; i >= 0; i-- {
 		dr := d.recentDelays[i]
-		if dr.thread == a.Thread || dr.end < st.lastAccess || dr.end > t {
+		if dr.thread == a.Thread || dr.end < st.lastAccess+st.ownDelay || dr.end > t {
 			continue
 		}
 		if best == -1 || dr.end > d.recentDelays[best].end {

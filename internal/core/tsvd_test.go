@@ -347,7 +347,7 @@ func TestProductiveDelayDoesNotDecay(t *testing.T) {
 			if traps := d.ExportTraps(); len(traps) != 1 || traps[0] != report.KeyOf(8001, 8003) {
 				t.Fatalf("trap set %v, want only (8001,8003)", traps)
 			}
-			if p, _ := runtimeOf(d).set.eligible(8001); p != 1 {
+			if p, _ := runtimeOf(d).set.eligible(8001, false); p != 1 {
 				t.Fatalf("P(8001) = %v after a productive delay, want 1", p)
 			}
 		})

@@ -117,7 +117,7 @@ func (d *TSVDHB) OnCall(a Access) {
 	// Precise concurrency check against the object's recent accesses,
 	// under the object's own lock; skipped while the object is
 	// single-writer (every entry would fail the different-thread test).
-	var nearKeys []report.PairKey
+	var near []nearPair
 	os.mu.Lock()
 	h := os.hist
 	if h == nil {
@@ -144,13 +144,13 @@ func (d *TSVDHB) OnCall(a Access) {
 			}
 			// No gap notion (clocks, not time windows): the gap is 0.
 			rt.nearMiss(&a, e.op, noCall, 0)
-			nearKeys = append(nearKeys, report.KeyOf(e.op, a.Op))
+			near = append(near, nearPair{report.KeyOf(e.op, a.Op), e.op}) // e was recorded first
 		}
 	}
 	h.add(histEntry{thread: a.Thread, op: a.Op, kind: a.Kind, at: time.Duration(epoch)})
 	os.mu.Unlock()
-	for _, key := range nearKeys {
-		rt.addPair(a.Thread, a.Obj, key, noCall)
+	for _, p := range near {
+		rt.addPair(a.Thread, a.Obj, p, noCall)
 	}
 
 	if rt.samp != nil {
@@ -161,5 +161,5 @@ func (d *TSVDHB) OnCall(a Access) {
 	if rt.set.empty() {
 		return
 	}
-	rt.delayAtPair(st, &a, noCall)
+	rt.delayAtPair(st, &a, noCall, len(near) > 0)
 }

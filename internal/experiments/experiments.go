@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -164,22 +166,121 @@ func Table1(p Params, w io.Writer) {
 // Table2 compares the four techniques over the Small suite: bugs in run 1
 // and run 2, overhead against the uninstrumented baseline, and delay count.
 func Table2(p Params, w io.Writer) {
-	suite := workload.GenerateSuite(p.Seed, p.SmallModules)
-	base := harness.Baseline(suite, p.opts(config.AlgoTSVD, 1))
-
 	fmt.Fprintf(w, "Table 2: Comparing TSVD with other detection techniques\n")
 	fmt.Fprintf(w, "%-15s %6s %6s %6s %9s %9s\n",
 		"technique", "total", "run1", "run2", "overhead", "#delay")
-	for _, algo := range techniques() {
-		out := harness.Run(suite, p.opts(algo, 2))
+	rows, planted, base := table2Rows(p)
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-15s %6d %6d %6d %8.0f%% %9d\n",
-			algo.String(), out.TotalFound(),
-			out.NewBugsByRun[0], out.NewBugsByRun[1],
-			100*harness.Overhead(out.WallTime, 2*base),
-			out.Stats.DelaysInjected)
+			r.algo.String(), r.total, r.run1, r.run2, r.overhead, r.delays)
 	}
 	fmt.Fprintf(w, "(planted bugs in suite: %d; baseline per run: %v)\n",
-		suite.TotalPlantedBugs(), base.Round(time.Millisecond))
+		planted, base.Round(time.Millisecond))
+}
+
+// table2Row is one technique's Table 2 row; overhead is in percent.
+type table2Row struct {
+	algo                      config.Algorithm
+	total, run1, run2, delays int
+	overhead                  float64
+}
+
+// table2Rows runs Table 2 on the Small suite of p.Seed: a row a technique,
+// the suite's planted bugs and its baseline wall time per run.
+func table2Rows(p Params) ([]table2Row, int, time.Duration) {
+	suite := workload.GenerateSuite(p.Seed, p.SmallModules)
+	base := harness.Baseline(suite, p.opts(config.AlgoTSVD, 1))
+	var rows []table2Row
+	for _, algo := range techniques() {
+		out := harness.Run(suite, p.opts(algo, 2))
+		rows = append(rows, table2Row{
+			algo: algo, total: out.TotalFound(),
+			run1: out.NewBugsByRun[0], run2: out.NewBugsByRun[1],
+			overhead: 100 * harness.Overhead(out.WallTime, 2*base),
+			delays:   int(out.Stats.DelaysInjected),
+		})
+	}
+	return rows, suite.TotalPlantedBugs(), base
+}
+
+// Table2Seeds runs Table 2 once a suite seed: the rows of each seed, then for
+// each technique the range of its bugs, overhead and delays over the seeds,
+// and its per-seed differences to TSVD's row of the same seed.
+func Table2Seeds(p Params, seeds []int64, w io.Writer) {
+	fmt.Fprintf(w, "Table 2 over %d suite seeds (%d modules each)\n", len(seeds), p.SmallModules)
+	fmt.Fprintf(w, "%5s %-15s %6s %6s %6s %9s %9s %8s\n",
+		"seed", "technique", "total", "run1", "run2", "overhead", "#delay", "planted")
+	bySeed := make([][]table2Row, len(seeds))
+	for i, seed := range seeds {
+		p.Seed = seed
+		rows, planted, _ := table2Rows(p)
+		for _, r := range rows {
+			fmt.Fprintf(w, "%5d %-15s %6d %6d %6d %8.0f%% %9d %8d\n",
+				seed, r.algo.String(), r.total, r.run1, r.run2, r.overhead, r.delays, planted)
+		}
+		bySeed[i] = rows
+	}
+	tsvd := len(techniques()) - 1 // TSVD is the last row
+	fmt.Fprintf(w, "\nPer technique over the seeds: bugs total (min–max), overhead min–max, #delay min–max\n")
+	for k, algo := range techniques() {
+		var bugs, over, delays []float64
+		for _, rows := range bySeed {
+			bugs = append(bugs, float64(rows[k].total))
+			over = append(over, rows[k].overhead)
+			delays = append(delays, float64(rows[k].delays))
+		}
+		fmt.Fprintf(w, "%-15s bugs %4.0f (%s)  overhead %s %%  #delay %s\n",
+			algo.String(), sum(bugs), span(bugs, "%.0f"), span(over, "%.0f"), span(delays, "%.0f"))
+	}
+	fmt.Fprintf(w, "\nPaired differences, technique minus TSVD, seed by seed\n")
+	for k, algo := range techniques() {
+		if k == tsvd {
+			continue
+		}
+		var bugs, over, delays []float64
+		for _, rows := range bySeed {
+			bugs = append(bugs, float64(rows[k].total-rows[tsvd].total))
+			over = append(over, rows[k].overhead-rows[tsvd].overhead)
+			delays = append(delays, float64(rows[k].delays-rows[tsvd].delays))
+		}
+		fmt.Fprintf(w, "%-15s bugs %s (%s, sum %+.0f)\n", algo.String(), list(bugs, "%+.0f"), span(bugs, "%+.0f"), sum(bugs))
+		fmt.Fprintf(w, "%-15s overhead pp %s (%s, lower on %d of %d)\n", "", list(over, "%+.0f"), span(over, "%+.0f"), below(over), len(over))
+		fmt.Fprintf(w, "%-15s #delay %s (%s, lower on %d of %d)\n", "", list(delays, "%+.0f"), span(delays, "%+.0f"), below(delays), len(delays))
+	}
+}
+
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// span renders the range of xs as "min–max".
+func span(xs []float64, f string) string {
+	lo, hi := slices.Min(xs), slices.Max(xs)
+	return fmt.Sprintf(f+"–"+f, lo, hi)
+}
+
+// list renders xs space-separated.
+func list(xs []float64, f string) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprintf(f, x)
+	}
+	return strings.Join(parts, " ")
+}
+
+// below counts the negative entries of xs.
+func below(xs []float64) int {
+	n := 0
+	for _, x := range xs {
+		if x < 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Figure8 accumulates unique bugs over many runs per technique and then

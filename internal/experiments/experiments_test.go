@@ -39,6 +39,27 @@ func TestTable2Output(t *testing.T) {
 	}
 }
 
+// TestTable2SeedsOutput: one block of four rows a seed, then a range line a
+// technique and paired differences for the three techniques beside TSVD.
+func TestTable2SeedsOutput(t *testing.T) {
+	p := tinyParams()
+	p.SmallModules = 6
+	var buf bytes.Buffer
+	Table2Seeds(p, []int64{1, 2}, &buf)
+	got := buf.String()
+	for _, want := range []string{"Table 2 over 2 suite seeds", "Per technique", "Paired differences", "lower on"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("output missing %q:\n%s", want, got)
+		}
+	}
+	if n := strings.Count(got, "%"); n != 8+4 {
+		t.Fatalf("want 8 seed rows and 4 range lines with an overhead:\n%s", got)
+	}
+	if n := strings.Count(got, "sum "); n != 3 {
+		t.Fatalf("want paired bug differences for 3 techniques:\n%s", got)
+	}
+}
+
 func TestTable1Output(t *testing.T) {
 	got := output(t, func(p Params, w *bytes.Buffer) { Table1(p, w) })
 	for _, want := range []string{
