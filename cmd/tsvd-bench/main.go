@@ -9,7 +9,7 @@
 //	tsvd-bench -exp fig9g -scale 0.05
 //
 // Experiments: table1 table2 table3 table4 fig8 fig9a..fig9h resource
-// asyncinline overlap fleet sampling all.
+// asyncinline fleet sampling all.
 package main
 
 import (
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (table1..4, fig8, fig9a..h, resource, asyncinline, overlap, fleet, sampling, all)")
+		exp      = flag.String("exp", "all", "experiment to run (table1..4, fig8, fig9a..h, resource, asyncinline, fleet, sampling, all)")
 		scale    = flag.Float64("scale", 0, "time scale override (default from experiment params)")
 		seed     = flag.Int64("seed", 0, "suite seed override")
 		small    = flag.Int("small", 0, "Small-suite module count override")
@@ -76,14 +76,13 @@ func main() {
 		"fig9h":       experiments.Figure9h,
 		"resource":    experiments.ResourceUsage,
 		"asyncinline": experiments.AsyncInlining,
-		"overlap":     experiments.DelayOverlap,
 		"fleet":       experiments.Fleet,
 		"sampling":    experiments.Sampling,
 	}
 	order := []string{
 		"table1", "table2", "table3", "table4", "fig8",
 		"fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f", "fig9g", "fig9h",
-		"resource", "asyncinline", "overlap", "fleet", "sampling",
+		"resource", "asyncinline", "fleet", "sampling",
 	}
 
 	if *seeds != "" {

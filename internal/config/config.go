@@ -161,10 +161,6 @@ type Config struct {
 	// PruneProbability is the threshold below which a location's delay
 	// probability is treated as zero and its pairs leave the trap set.
 	PruneProbability float64
-	// AvoidOverlappingDelays suppresses a delay when another thread is
-	// already parked (the rejected alternative design in §3.4.6, kept as
-	// an ablation).
-	AvoidOverlappingDelays bool
 	// MaxDelayPerThread caps the total delay charged to one thread so
 	// instrumented tests do not time out (§4 runtime feature 2).
 	// Zero means unlimited.

@@ -150,6 +150,10 @@ type Stats struct {
 	// phase was sequential (§3.4.3): the location was eligible and won its
 	// coin flip.
 	DelaysSkippedSequential int64
+	// DelaysSkippedOccupied counts delays not injected because another
+	// thread was parked on the call's object (TSVD and TSVDHB; one parked
+	// thread per object, docs/ALGORITHM.md).
+	DelaysSkippedOccupied int64
 	// CallsSampledOut counts instrumented calls the sampling gate skipped
 	// before analysis (config.ModeSampled; docs/SAMPLING.md). Skipped calls
 	// still count in OnCalls and are still checked against parked traps.

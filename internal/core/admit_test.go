@@ -20,7 +20,7 @@ func parkTrap(t *testing.T, rt *runtime, obj ids.ObjectID) chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rt.injectDelay(rt.threadStateFor(1), acc(1, obj, 101, KindWrite), 2*time.Second, 0)
+		rt.injectDelay(rt.threadStateFor(1), acc(1, obj, 101, KindWrite), 2*time.Second, 0, false)
 	}()
 	for i := 0; rt.parked.Load() == 0; i++ {
 		if i > 50000 {

@@ -19,7 +19,7 @@ func runtimeOf(det Detector) *runtime {
 // would.
 func InjectDelay(det Detector, a Access, d time.Duration) {
 	rt := runtimeOf(det)
-	rt.injectDelay(rt.threadStateFor(a.Thread), a, d, 0)
+	rt.injectDelay(rt.threadStateFor(a.Thread), a, d, 0, false)
 }
 
 // ActivateThread makes t a thread the phase verdict (§3.4.3) has seen, for a

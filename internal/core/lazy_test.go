@@ -79,7 +79,7 @@ func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
 	st := rt.threadStateFor(1)
 	a := acc(1, 1, 101, KindWrite)
 	rt.resolveSite(&a)
-	park := func() { rt.injectDelay(st, a, 50*time.Microsecond, 0) }
+	park := func() { rt.injectDelay(st, a, 50*time.Microsecond, 0, false) }
 	park() // buys the trap, its wake-up channel and the timer, if the pools were empty
 	const runs = 50
 	if got := testing.AllocsPerRun(runs, park); got != 0 {
@@ -338,7 +338,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	st := rt.threadStateFor(1)
 	a := acc(1, 1, 101, KindWrite)
 	for i, want := range []time.Duration{delay, delay, delay / 2, 0, 0} {
-		slept, injected, _ := rt.injectDelay(st, a, delay, 0)
+		slept, injected, _ := rt.injectDelay(st, a, delay, 0, false)
 		if slept != want || injected != (want > 0) {
 			t.Fatalf("delay %d: slept %v (injected %v), want %v", i, slept, injected, want)
 		}
@@ -346,7 +346,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	if got, want := rt.snapshotStats(), rt.maxDelay; got.DelaysInjected != 3 || got.TotalDelay != want {
 		t.Fatalf("%d delays totalling %v, want 3 totalling the cap %v", got.DelaysInjected, got.TotalDelay, want)
 	}
-	if slept, injected, _ := rt.injectDelay(rt.threadStateFor(2), acc(2, 1, 102, KindWrite), delay, 0); !injected || slept != delay {
+	if slept, injected, _ := rt.injectDelay(rt.threadStateFor(2), acc(2, 1, 102, KindWrite), delay, 0, false); !injected || slept != delay {
 		t.Fatalf("a second thread slept %v: budgets are per thread", slept)
 	}
 
@@ -354,7 +354,7 @@ func TestDelayBudgetThroughInjectDelay(t *testing.T) {
 	st = rt.threadStateFor(1)
 	var slept time.Duration
 	for i := 0; i < 4; i++ {
-		s, _, _ := rt.injectDelay(st, a, delay, 0)
+		s, _, _ := rt.injectDelay(st, a, delay, 0, false)
 		slept += s
 	}
 	if used := st.budget.Used(); used != slept || slept != 4*(delay/4) {

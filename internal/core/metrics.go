@@ -80,6 +80,7 @@ const (
 	statLocationsSeenConcurrent
 	statSequentialSkips
 	statDelaysSkippedSequential
+	statDelaysSkippedOccupied
 	statCallsSampledOut
 	statDelaysSuppressed
 	statSamplerThrottles
@@ -165,6 +166,9 @@ var StatCounters = [numStats]StatCounter{
 	statDelaysSkippedSequential: {Series: "tsvd_detector_delays_skipped_sequential_total",
 		Help:  "Delays not planned because the call's phase was sequential.",
 		Field: unsafe.Offsetof(Stats{}.DelaysSkippedSequential)},
+	statDelaysSkippedOccupied: {Series: "tsvd_detector_delays_skipped_occupied_total",
+		Help:  "Delays not injected because another thread was parked on the call's object.",
+		Field: unsafe.Offsetof(Stats{}.DelaysSkippedOccupied)},
 	statCallsSampledOut: {Series: "tsvd_sampler_calls_sampled_out_total",
 		Help:  "Instrumented calls skipped by the sampling gate (ModeSampled).",
 		Field: unsafe.Offsetof(Stats{}.CallsSampledOut)},

@@ -167,7 +167,7 @@ func TestStatCountersNameTheRightFields(t *testing.T) {
 		PairsAdded: 5, PairsPrunedHB: 6, PairsPrunedDecay: 7, Violations: 8,
 		LocationsSeen: 9, LocationsSeenConcurrent: 10, SequentialSkips: 11,
 		CallsSampledOut: 12, DelaysSuppressed: 13, SamplerThrottles: 14,
-		DelaysSkippedSequential: 15,
+		DelaysSkippedSequential: 15, DelaysSkippedOccupied: 16,
 	}
 	want := map[string]float64{
 		"tsvd_detector_on_calls_total":                  1,
@@ -185,6 +185,7 @@ func TestStatCountersNameTheRightFields(t *testing.T) {
 		"tsvd_sampler_delays_suppressed_total":          13,
 		"tsvd_sampler_throttles_total":                  14,
 		"tsvd_detector_delays_skipped_sequential_total": 15,
+		"tsvd_detector_delays_skipped_occupied_total":   16,
 	}
 	if len(StatCounters) != len(want) {
 		t.Errorf("StatCounters has %d rows, this test pins %d", len(StatCounters), len(want))

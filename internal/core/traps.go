@@ -483,8 +483,8 @@ const (
 // per-object state hangs off a lock-free object registry, per-thread state
 // (including the hot counters) off a thread registry, per-site state
 // (coverage, sampler admission) is indexed directly by dense SiteIDs, and
-// injected delays always sleep outside every lock so any number of traps can
-// be parked concurrently (§3.4.6 "Parallel delay injection").
+// injected delays always sleep outside every lock so threads can be parked on
+// different objects concurrently (§3.4.6 "Parallel delay injection").
 // docs/PERFORMANCE.md documents the full cost model.
 type runtime struct {
 	cfg   config.Config
@@ -927,7 +927,9 @@ func (r *runtime) unregisterTrap(os *objState, t *trap) {
 // The caller holds no locks. The trap's stack starts at injectDelay, or skip
 // frames further out: delayAtPair passes 1, so that its traps' stacks start
 // at its own frame and hold as many detector frames as a trap a random
-// variant's OnCall plants through injectDelay directly.
+// variant's OnCall plants through injectDelay directly. With alone set
+// (delayAtPair) the thread does not park on an object another thread is
+// parked on: the call injects nothing, and the grant and the trap go back.
 //
 // The trap becomes visible to other threads only once it is registered
 // under the object's lock; a conflicting access that scans strictly before
@@ -935,7 +937,7 @@ func (r *runtime) unregisterTrap(os *objState, t *trap) {
 // opportunity, never a false positive. The single-mutex runtime had the
 // same property: its atomicity only extended until the sleeping thread
 // dropped the lock.
-func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip int) (slept time.Duration, injected, sprung bool) {
+func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip int, alone bool) (slept time.Duration, injected, sprung bool) {
 	// Observe-only mode (docs/SAMPLING.md): the detector went through its
 	// whole decision — the pair is trapped, the coin flip passed — but no
 	// thread sleeps. Counting the veto here, at the single funnel every
@@ -966,6 +968,13 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 	t.depth = goruntime.Callers(1+skip, t.pcs[:])
 	os := r.objStateFor(nil, a.Obj)
 	os.mu.Lock()
+	if alone && len(os.traps) > 0 {
+		os.mu.Unlock()
+		st.budget.Refund(grant)
+		trapPool.Put(t)
+		r.stats.count[statDelaysSkippedOccupied].Add(1)
+		return 0, false, false
+	}
 	os.traps = append(os.traps, t)
 	os.mu.Unlock()
 	r.parked.Add(1)
@@ -1006,18 +1015,16 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 // trap set (§3.4.5; §3.5 "When to inject"): a location in a live pair delays
 // if it is a side of the pair its partner can still arrive after — found says
 // the call just found a near miss (trapSet.eligible) — its probability wins a
-// coin flip, under AvoidOverlappingDelays no other thread is parked, and the
-// call is in a concurrent phase (§3.4.3; outside TSVD with phase detection
-// on, every call is); a delay that caught nothing decays the location.
+// coin flip, the call is in a concurrent phase (§3.4.3; outside TSVD with
+// phase detection on, every call is) and no other thread is parked on its
+// object (injectDelay decides that where it registers the trap); a delay
+// that caught nothing decays the location.
 // t is the call's time, or noCall when the caller read none (stamp). It
 // returns the time slept and when the delay ended, for TSVD's delay log, and
 // whether a delay was injected. The caller has checked the set is not empty.
 func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration, found bool) (slept, end time.Duration, injected bool) {
 	prob, ok := r.set.eligible(a.Op, found)
 	if !ok || r.randFloat() >= prob {
-		return 0, 0, false
-	}
-	if r.cfg.AvoidOverlappingDelays && r.parked.Load() > 0 {
 		return 0, 0, false
 	}
 	// §3.4.3: delays are planned only in a concurrent phase. The call in
@@ -1027,7 +1034,7 @@ func (r *runtime) delayAtPair(st *threadState, a *Access, t time.Duration, found
 		return 0, 0, false
 	}
 	r.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, r.stamp(t), r.delayTime)
-	slept, injected, sprung := r.injectDelay(st, *a, r.delayTime, 1) // sleeps unlocked
+	slept, injected, sprung := r.injectDelay(st, *a, r.delayTime, 1, true) // sleeps unlocked
 	if !injected {
 		return 0, 0, false
 	}

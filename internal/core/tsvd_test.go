@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/metrics"
@@ -417,29 +418,122 @@ func TestDelayOvershootIsOwnDelay(t *testing.T) {
 	}
 }
 
-// TestAvoidOverlappingDelays: with AvoidOverlappingDelays a location of a
-// live pair does not delay while another thread is parked; without it, it
-// does.
+// TestAvoidOverlappingDelays: one parked thread per object. Thread 1 delays
+// reading 81 at 8101; inside its sleep thread 2 reads at 8103, a side of
+// another live pair. On object 81, already held by thread 1's trap, thread 2
+// injects nothing, gets its budget back and the skip is counted; on object 82
+// it delays too.
 func TestAvoidOverlappingDelays(t *testing.T) {
 	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
-		for _, avoid := range []bool{false, true} {
+		for _, obj := range []ids.ObjectID{81, 82} {
 			cfg := testConfig(algo)
-			cfg.AvoidOverlappingDelays = avoid
+			cfg.Trace = true
 			clk := &scriptClock{}
 			d := mustNew(t, cfg, WithClock(clk),
 				WithInitialTraps([]report.PairKey{report.KeyOf(8101, 8102), report.KeyOf(8103, 8104)}))
 			ActivateThread(d, 2)
-			// Thread 2's call, on another object, comes while thread 1 sleeps.
-			clk.during = func() { d.OnCall(acc(2, 82, 8103, KindWrite)) }
-			d.OnCall(acc(1, 81, 8101, KindWrite))
-			want := int64(2)
-			if avoid {
-				want = 1
+			clk.during = func() { d.OnCall(acc(2, obj, 8103, KindRead)) }
+			d.OnCall(acc(1, 81, 8101, KindRead))
+			want, skipped, charged := int64(2), int64(0), runtimeOf(d).delayTime
+			if obj == 81 {
+				want, skipped, charged = 1, 1, 0
 			}
-			if got := d.Stats().DelaysInjected; got != want {
-				t.Errorf("%v, AvoidOverlappingDelays %v: %d delays, want %d", algo, avoid, got, want)
+			st := d.Stats()
+			if st.DelaysInjected != want || st.DelaysSkippedOccupied != skipped {
+				t.Errorf("%v, thread 2 on object %d: %d delays, %d skipped, want %d and %d",
+					algo, obj, st.DelaysInjected, st.DelaysSkippedOccupied, want, skipped)
+			}
+			if used := runtimeOf(d).threadStateFor(2).budget.Used(); used != charged {
+				t.Errorf("%v, thread 2 on object %d: budget charged %v, want %v", algo, obj, used, charged)
+			}
+			traps := 0
+			for _, e := range d.Tracer().Drain() {
+				if e.Kind == trace.KindTrapSet {
+					traps++
+				}
+			}
+			if int64(traps) != want {
+				t.Errorf("%v, thread 2 on object %d: %d trap_set events, want %d", algo, obj, traps, want)
 			}
 		}
+	}
+}
+
+// parkCountClock is the real clock, counting the threads inside a delay.
+type parkCountClock struct {
+	clock.Real
+	in, most atomic.Int32
+}
+
+func (c *parkCountClock) Sleep(d time.Duration, cancel <-chan struct{}) (time.Duration, bool) {
+	n := c.in.Add(1)
+	for m := c.most.Load(); n > m && !c.most.CompareAndSwap(m, n); m = c.most.Load() {
+	}
+	defer c.in.Add(-1)
+	return c.Real.Sleep(d, cancel)
+}
+
+// TestNoTwoThreadsParkOnOneObject: four threads read one object at sides of
+// live pairs, concurrently, under the real clock. A thread's sleep lies
+// inside its trap's registration, so at most one thread is ever inside a
+// delay, and the others' delays are counted as skipped.
+func TestNoTwoThreadsParkOnOneObject(t *testing.T) {
+	for _, algo := range []config.Algorithm{config.AlgoTSVD, config.AlgoTSVDHB} {
+		t.Run(algo.String(), func(t *testing.T) {
+			cfg := testConfig(algo)
+			cfg.DecayFactor = 0
+			cfg.MaxDelayPerThread = 0
+			clk := &parkCountClock{}
+			var pairs []report.PairKey
+			for op := ids.OpID(8601); op <= 8604; op++ {
+				pairs = append(pairs, report.KeyOf(op, op+100))
+			}
+			d := mustNew(t, cfg, WithClock(clk), WithInitialTraps(pairs))
+			var wg sync.WaitGroup
+			for th := ids.ThreadID(1); th <= 4; th++ {
+				ActivateThread(d, th)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range 20 {
+						d.OnCall(acc(th, 86, 8600+ids.OpID(th), KindRead))
+					}
+				}()
+			}
+			wg.Wait()
+			st := d.Stats()
+			if most := clk.most.Load(); most != 1 {
+				t.Errorf("%d threads parked on one object at once, want 1", most)
+			}
+			if st.DelaysInjected == 0 || st.DelaysSkippedOccupied == 0 {
+				t.Errorf("%d delays, %d skipped: want both", st.DelaysInjected, st.DelaysSkippedOccupied)
+			}
+		})
+	}
+}
+
+// TestSkippedDelayLeavesTheCatchToTheNextCall is the shape of a planted
+// cache bug on the benchmark's suite: two tasks reach ContainsKey on one
+// cache together, and each Adds a little more than δ_hb·DelayTime later.
+// Thread 1 delays at ContainsKey. Thread 2's ContainsKey, on the object
+// thread 1 is parked on, does not delay, so its Add runs into thread 1's
+// trap. Had thread 2 delayed as well, it could wake with thread 1 gone, and
+// HB inference would charge the gap before its Add to thread 1's delay and
+// prune the pair.
+func TestSkippedDelayLeavesTheCatchToTheNextCall(t *testing.T) {
+	const contains, add = 930, 931
+	clk := &scriptClock{timer: true}
+	d := mustNew(t, testConfig(config.AlgoTSVD), WithClock(clk),
+		WithInitialTraps([]report.PairKey{report.KeyOf(contains, add)}))
+	drive(d, clk, []renewStep{
+		call(time.Millisecond, 2, 99, 999, KindRead), // a second thread: the phase is concurrent
+		call(time.Millisecond, 1, 1, contains, KindRead),
+		call(10*time.Microsecond, 2, 1, contains, KindRead),
+		call(runtimeOf(d).hbThreshold+150*time.Microsecond, 2, 1, add, KindWrite),
+	})
+	st := d.Stats()
+	if st.DelaysInjected != 1 || st.DelaysSkippedOccupied != 1 || st.Violations != 1 || st.PairsPrunedHB != 0 {
+		t.Fatalf("want one delay, one skipped, the trap sprung and no HB prune: %+v", st)
 	}
 }
 

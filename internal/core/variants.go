@@ -48,7 +48,7 @@ func (d *DynamicRandom) OnCall(a Access) {
 		// (0, DelayTime].
 		dur := d.rt.randDurationUpTo(d.rt.delayTime)
 		d.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, d.rt.stamp(noCall), dur)
-		d.rt.injectDelay(st, a, dur, 0)
+		d.rt.injectDelay(st, a, dur, 0, false)
 	}
 }
 
@@ -113,6 +113,6 @@ func (s *StaticRandom) OnCall(a Access) {
 	s.mu.Unlock()
 	if armed {
 		s.rt.tr.Emit(trace.KindDelayPlanned, a.Thread, a.Obj, a.Op, 0, s.rt.stamp(noCall), s.rt.delayTime)
-		s.rt.injectDelay(st, a, s.rt.delayTime, 0)
+		s.rt.injectDelay(st, a, s.rt.delayTime, 0, false)
 	}
 }

@@ -133,13 +133,6 @@ func TestAsyncInliningOutput(t *testing.T) {
 	}
 }
 
-func TestDelayOverlapOutput(t *testing.T) {
-	got := output(t, func(p Params, w *bytes.Buffer) { DelayOverlap(p, w) })
-	if !strings.Contains(got, "aggressive") || !strings.Contains(got, "avoid overlaps") {
-		t.Fatalf("DelayOverlap output malformed:\n%s", got)
-	}
-}
-
 func TestParallelismForHostPositive(t *testing.T) {
 	if parallelismForHost() < 1 {
 		t.Fatal("parallelismForHost < 1")

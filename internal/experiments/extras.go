@@ -103,23 +103,6 @@ func AsyncInlining(p Params, w io.Writer) {
 		inlined.FoundByKind(suite)[workload.BugAsync], inlined.TotalFound())
 }
 
-// DelayOverlap reproduces the §3.4.6 design discussion: suppressing
-// overlapping delays finds fewer bugs under the same budget.
-func DelayOverlap(p Params, w io.Writer) {
-	suite := workload.GenerateSuite(p.Seed, p.SmallModules)
-	aggressive := harness.Run(suite, p.opts(config.AlgoTSVD, 2))
-	avoidOpts := p.opts(config.AlgoTSVD, 2)
-	avoidOpts.Config.AvoidOverlappingDelays = true
-	avoiding := harness.Run(suite, avoidOpts)
-
-	fmt.Fprintf(w, "§3.4.6 parallel delay injection ablation\n")
-	fmt.Fprintf(w, "%-26s %6s %9s\n", "policy", "bugs", "#delay")
-	fmt.Fprintf(w, "%-26s %6d %9d\n", "aggressive (TSVD)",
-		aggressive.TotalFound(), aggressive.Stats.DelaysInjected)
-	fmt.Fprintf(w, "%-26s %6d %9d\n", "avoid overlaps",
-		avoiding.TotalFound(), avoiding.Stats.DelaysInjected)
-}
-
 // Fleet measures the tentpole of fleet mode: K shards sharing one trap
 // store catch cold bugs (single-occurrence per run, §3.4.6's motivating
 // class) within their very first round, because peers' publishes seed them
