@@ -21,16 +21,16 @@ func main() {
 	var (
 		dir       = flag.String("dir", ".", "directory tree to instrument")
 		write     = flag.Bool("w", false, "rewrite files in place (default: dry run)")
-		det       = flag.String("det", "", "detector expression for constructors (default tsvd.Default())")
+		det       = flag.String("det", instrument.DefaultDetectorExpr, "detector expression for constructors")
 		sitesPath = flag.String("sites", "", "write the instrumented site table (JSON) to this path")
 	)
 	flag.Parse()
-
-	opts := instrument.DefaultOptions()
-	if *det != "" {
-		opts.DetectorExpr = *det
+	if *det == "" {
+		fmt.Fprintln(os.Stderr, "tsvd-instrument: -det must name a detector expression")
+		os.Exit(2)
 	}
-	res, err := instrument.RewriteDir(*dir, opts, *write)
+
+	res, err := instrument.RewriteDir(*dir, *det, *write)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsvd-instrument: %v\n", err)
 		os.Exit(1)

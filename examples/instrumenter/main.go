@@ -54,7 +54,7 @@ func (s *Store) AuditLog() []string { return s.audits.Snapshot() }
 `
 
 func main() {
-	rw := instrument.NewRewriter(instrument.DefaultOptions())
+	rw := instrument.NewRewriter(instrument.DefaultDetectorExpr)
 	out, sites, changed, err := rw.Rewrite("inventory.go", []byte(sample))
 	if err != nil {
 		log.Fatal(err)

@@ -158,9 +158,6 @@ type Config struct {
 	// P·(1-f) after every delay that exposes no conflict. 0 disables decay
 	// (the pathological configuration of Fig. 9g).
 	DecayFactor float64
-	// PruneProbability is the threshold below which a location's delay
-	// probability is treated as zero and its pairs leave the trap set.
-	PruneProbability float64
 	// MaxDelayPerThread caps the total delay charged to one thread so
 	// instrumented tests do not time out (§4 runtime feature 2).
 	// Zero means unlimited.
@@ -252,7 +249,6 @@ func Defaults(algo Algorithm) Config {
 		PhaseBufferSize:         16,
 		DelayTime:               100 * time.Millisecond,
 		DecayFactor:             0.5,
-		PruneProbability:        0.02,
 		MaxDelayPerThread:       5 * time.Second,
 		SampleProbability:       1.0,
 		SamplerInterval:         100 * time.Millisecond,
@@ -322,8 +318,6 @@ func (c Config) Validate() error {
 		return errValue("DelayTime must be positive")
 	case c.DecayFactor < 0 || c.DecayFactor >= 1:
 		return errValue("DecayFactor must be in [0,1)")
-	case c.PruneProbability < 0 || c.PruneProbability >= 1:
-		return errValue("PruneProbability must be in [0,1)")
 	case c.Mode < ModeFull || c.Mode > ModeObserveOnly:
 		return errValue("Mode must be full, sampled or observe-only")
 	case c.SampleProbability < 0 || c.SampleProbability > 1:

@@ -47,7 +47,6 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"DelayTime", func(c *Config) { c.DelayTime = 0 }},
 		{"DecayFactor", func(c *Config) { c.DecayFactor = 1.0 }},
 		{"DecayFactorNeg", func(c *Config) { c.DecayFactor = -0.1 }},
-		{"PruneProbability", func(c *Config) { c.PruneProbability = 1.0 }},
 		{"RandomDelayProbability", func(c *Config) { c.RandomDelayProbability = 1.5 }},
 		{"TimeScale", func(c *Config) { c.TimeScale = -1 }},
 	}

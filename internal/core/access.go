@@ -65,15 +65,14 @@ func Conflicts(a, b Kind) bool { return a == KindWrite || b == KindWrite }
 // obj_id, op_id) triple of §3.1 plus the interned site handle. It carries no
 // strings — API metadata (class, method) lives in the detector's site
 // registry, interned once at registration time, and is resolved back only
-// when a report is built. Site may be zero for accesses fabricated without a
-// registry (tests); the detector then falls back to the registry's op-keyed
-// resolution.
+// when a report is built.
 type Access struct {
 	Thread ids.ThreadID
 	Obj    ids.ObjectID
 	Op     ids.OpID
 	// Site is the dense handle of the interned (location, class, method,
-	// kind) tuple, from the detector's sites.Registry.
+	// kind) tuple, from the detector's sites.Registry. Every access carries
+	// one: the detector does not resolve a site from Op.
 	Site ids.SiteID
 	Kind Kind
 }
@@ -154,6 +153,9 @@ type Stats struct {
 	// thread was parked on the call's object (TSVD and TSVDHB; one parked
 	// thread per object, docs/ALGORITHM.md).
 	DelaysSkippedOccupied int64
+	// DelaysSkippedBudget counts delays not injected because the thread's
+	// delay budget (config.Config.MaxDelayPerThread) was spent.
+	DelaysSkippedBudget int64
 	// CallsSampledOut counts instrumented calls the sampling gate skipped
 	// before analysis (config.ModeSampled; docs/SAMPLING.md). Skipped calls
 	// still count in OnCalls and are still checked against parked traps.

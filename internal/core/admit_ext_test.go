@@ -44,8 +44,10 @@ func TestContainerCallStillSpringsTrap(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
+			op := ids.InternKey("test/parked")
 			core.InjectDelay(det, core.Access{
-				Thread: 1 << 40, Obj: d.ObjectID(), Op: ids.InternKey("test/parked"), Kind: core.KindWrite,
+				Thread: 1 << 40, Obj: d.ObjectID(), Op: op,
+				Site: det.Sites().Register(op, "", "", true), Kind: core.KindWrite,
 			}, 2*time.Second)
 		}()
 		for i := 0; core.Parked(det) == 0; i++ {

@@ -47,7 +47,7 @@ func TestRejectedCallsStillSpringTraps(t *testing.T) {
 				det := mustNew(t, cfg)
 				rt := &det.(interface{ base() *detectorBase }).base().rt
 				if capped {
-					rt.samp.ObserveCost(time.Hour)
+					rt.samp.Observe(sampler.LayerAnalysis, time.Hour)
 					if !rt.samp.Snapshot().Capped {
 						t.Fatal("charge did not trip the cap")
 					}
@@ -242,7 +242,7 @@ func TestTickReachesEveryGoroutineWithinABlock(t *testing.T) {
 	}
 	// Trip the cap (budget: half of one second) and run every goroutine into
 	// a capped countdown.
-	rt.samp.ObserveCost(600 * time.Millisecond)
+	rt.samp.Observe(sampler.LayerAnalysis, 600*time.Millisecond)
 	for w := 1; w <= workers; w++ {
 		for i := 0; i < 3*sampler.CappedSkip; i++ {
 			call(w, 100)
@@ -270,7 +270,7 @@ func TestTickReachesEveryGoroutineWithinABlock(t *testing.T) {
 	// Now a tick that changes the probability. At p = 1 nothing is stale, so
 	// first go down: a heavy charge halves p at the next tick (p = 0.5), and
 	// every goroutine must be drawing at weight 2 within one block.
-	rt.samp.ObserveCost(time.Hour)
+	rt.samp.Observe(sampler.LayerAnalysis, time.Hour)
 	clk.at.Store(int64(20 * time.Second))
 	for i := 0; rt.stats.count[statSamplerThrottles].Load() < 2; i++ {
 		if i > 2*sampler.CappedSkip {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/sampler"
 )
 
 // Hooks for the external test package (core_test), which drives the detector
@@ -28,7 +29,8 @@ func InjectDelay(det Detector, a Access, d time.Duration) {
 // point lands inside the delay is not one the verdict can wait for. The call
 // is a read of an object and a location no test traps.
 func ActivateThread(det Detector, t ids.ThreadID) {
-	det.OnCall(Access{Thread: t, Obj: 1 << 50, Op: 1 << 50, Kind: KindRead})
+	det.OnCall(Access{Thread: t, Obj: 1 << 50, Op: 1 << 50,
+		Site: det.Sites().Register(1<<50, "", "", false), Kind: KindRead})
 }
 
 // Parked reports the number of traps currently parked.
@@ -37,7 +39,7 @@ func Parked(det Detector) int64 { return runtimeOf(det).parked.Load() }
 // TripCap exhausts the sampler's interval budget.
 func TripCap(det Detector) bool {
 	s := runtimeOf(det).samp
-	s.ObserveCost(time.Hour)
+	s.Observe(sampler.LayerAnalysis, time.Hour)
 	return s.Snapshot().Capped
 }
 

@@ -78,7 +78,6 @@ func TestUnsprungDelayCostsNothingAfterTheFirst(t *testing.T) {
 	rt := &mustNew(t, cfg).(*TSVD).rt
 	st := rt.threadStateFor(1)
 	a := acc(1, 1, 101, KindWrite)
-	rt.resolveSite(&a)
 	park := func() { rt.injectDelay(st, a, 50*time.Microsecond, 0, false) }
 	park() // buys the trap, its wake-up channel and the timer, if the pools were empty
 	const runs = 50
@@ -157,7 +156,7 @@ func TestRegistryStatesOwnTheirCacheLines(t *testing.T) {
 func TestFailedDelayDecayCostsNothing(t *testing.T) {
 	skipAllocCountUnderRace(t)
 	var r runtime
-	r.cfg.DecayFactor = 0.5 // PruneProbability 0: the pairs stay
+	r.cfg.DecayFactor = 0.01 // 0.99^101 stays above the 0.02 prune threshold: the pairs stay
 	for other := ids.OpID(2); other <= 8; other++ {
 		r.set.add(report.KeyOf(1, other), 0)
 	}
@@ -195,7 +194,7 @@ func TestTrapSetEndpointsCostNoAllocation(t *testing.T) {
 	read := func() {
 		var s trapSet
 		s.eligible(1, false)
-		s.decay(1, 0.5, 0, nil)
+		s.decay(1, 0.5, nil)
 	}
 	if got := testing.AllocsPerRun(100, read); got > 1 {
 		t.Fatalf("reading an empty trap set costs %v allocations beyond the set, want 0", got-1)
@@ -481,8 +480,6 @@ func TestSprungTrapAllocations(t *testing.T) {
 	os := rt.objStateFor(nil, 1)
 	os.traps = append(os.traps, parked)
 	a := acc(2, 1, 102, KindWrite)
-	rt.resolveSite(&parked.access)
-	rt.resolveSite(&a)
 	got := testing.AllocsPerRun(100, func() {
 		if len(rt.checkForTraps(os, &a)) != 1 {
 			t.Fatal("the trap did not spring")

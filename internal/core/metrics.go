@@ -81,6 +81,7 @@ const (
 	statSequentialSkips
 	statDelaysSkippedSequential
 	statDelaysSkippedOccupied
+	statDelaysSkippedBudget
 	statCallsSampledOut
 	statDelaysSuppressed
 	statSamplerThrottles
@@ -99,7 +100,9 @@ type StatCounter struct {
 	// Seconds marks a time.Duration counter, exported in seconds.
 	Seconds bool
 	// Mirrors are the event kinds emitted exactly once per unit of the
-	// counter, so a loss-free trace holds exactly that many of each.
+	// counter, so a loss-free trace holds exactly that many of each. A kind
+	// several rows mirror is emitted once per unit of each: a trace holds
+	// their sum (every delay_planned has one outcome).
 	Mirrors []trace.Kind
 }
 
@@ -129,7 +132,7 @@ var StatCounters = [numStats]StatCounter{
 	statDelaysInjected: {Series: "tsvd_detector_delays_injected_total",
 		Help:    "Injected delays (trap set and slept).",
 		Field:   unsafe.Offsetof(Stats{}.DelaysInjected),
-		Mirrors: []trace.Kind{trace.KindTrapSet, trace.KindDelayInjected}},
+		Mirrors: []trace.Kind{trace.KindTrapSet, trace.KindDelayInjected, trace.KindDelayPlanned}},
 	statTotalDelay: {Series: "tsvd_detector_delay_seconds_total",
 		Help:    "Cumulative injected delay time.",
 		Field:   unsafe.Offsetof(Stats{}.TotalDelay),
@@ -167,30 +170,35 @@ var StatCounters = [numStats]StatCounter{
 		Help:  "Delays not planned because the call's phase was sequential.",
 		Field: unsafe.Offsetof(Stats{}.DelaysSkippedSequential)},
 	statDelaysSkippedOccupied: {Series: "tsvd_detector_delays_skipped_occupied_total",
-		Help:  "Delays not injected because another thread was parked on the call's object.",
-		Field: unsafe.Offsetof(Stats{}.DelaysSkippedOccupied)},
+		Help:    "Delays not injected because another thread was parked on the call's object.",
+		Field:   unsafe.Offsetof(Stats{}.DelaysSkippedOccupied),
+		Mirrors: []trace.Kind{trace.KindDelayPlanned}},
+	statDelaysSkippedBudget: {Series: "tsvd_detector_delays_skipped_budget_total",
+		Help:    "Delays not injected because the thread's delay budget was spent.",
+		Field:   unsafe.Offsetof(Stats{}.DelaysSkippedBudget),
+		Mirrors: []trace.Kind{trace.KindDelayPlanned}},
 	statCallsSampledOut: {Series: "tsvd_sampler_calls_sampled_out_total",
 		Help:  "Instrumented calls skipped by the sampling gate (ModeSampled).",
 		Field: unsafe.Offsetof(Stats{}.CallsSampledOut)},
 	statDelaysSuppressed: {Series: "tsvd_sampler_delays_suppressed_total",
 		Help:    "Delays vetoed by observe-only mode (logical trap firings).",
 		Field:   unsafe.Offsetof(Stats{}.DelaysSuppressed),
-		Mirrors: []trace.Kind{trace.KindDelaySuppressed}},
+		Mirrors: []trace.Kind{trace.KindDelaySuppressed, trace.KindDelayPlanned}},
 	statSamplerThrottles: {Series: "tsvd_sampler_throttles_total",
 		Help:    "Adaptive-sampling controller adjustments toward the overhead target.",
 		Field:   unsafe.Offsetof(Stats{}.SamplerThrottles),
 		Mirrors: []trace.Kind{trace.KindSamplerThrottle}},
 }
 
-// TraceExpectations returns the count s gives each event kind a StatCounters
-// row mirrors: the detector's half of a trace summary's expectations
-// (trace.Summary.Expected).
+// TraceExpectations returns the count s gives each event kind StatCounters
+// rows mirror, summed over the rows: the detector's half of a trace summary's
+// expectations (trace.Summary.Expected).
 func (s Stats) TraceExpectations() map[string]int64 {
 	want := map[string]int64{}
 	for i := range StatCounters {
 		c := &StatCounters[i]
 		for _, k := range c.Mirrors {
-			want[k.String()] = *c.In(&s)
+			want[k.String()] += *c.In(&s)
 		}
 	}
 	return want

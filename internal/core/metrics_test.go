@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,8 +108,9 @@ func statLeaves(t *testing.T, st *Stats) (leaves []reflect.Value, names []string
 // set is decided in, so every scalar Stats field must be exactly one row's
 // Field — a field with no row never reaches Stats.Add, the runtime's snapshot,
 // /metrics or a trace summary, and one with two is counted twice. Stats.Add
-// must then double every numeric leaf, histogram buckets included, and no
-// event kind may mirror two counters.
+// must then double every numeric leaf, histogram buckets included. An event
+// kind mirrors one counter, except delay_planned, which each of a planned
+// delay's four outcomes mirrors.
 func TestStatCountersCoverEveryField(t *testing.T) {
 	var full Stats
 	leaves, names := statLeaves(t, &full)
@@ -146,13 +148,23 @@ func TestStatCountersCoverEveryField(t *testing.T) {
 	if rows != len(StatCounters) {
 		t.Errorf("Stats has %d counters, StatCounters %d rows", rows, len(StatCounters))
 	}
-	mirrored := map[trace.Kind]string{}
+	mirrored := map[trace.Kind][]string{}
 	for _, c := range StatCounters {
 		for _, k := range c.Mirrors {
-			if prev, ok := mirrored[k]; ok {
-				t.Errorf("%s mirrors both %s and %s", k, prev, c.Series)
+			mirrored[k] = append(mirrored[k], c.Series)
+		}
+	}
+	outcomes := []string{
+		"tsvd_detector_delays_injected_total", "tsvd_detector_delays_skipped_occupied_total",
+		"tsvd_detector_delays_skipped_budget_total", "tsvd_sampler_delays_suppressed_total",
+	}
+	for k, series := range mirrored {
+		if k == trace.KindDelayPlanned {
+			if !slices.Equal(series, outcomes) {
+				t.Errorf("%s mirrors %v, want the outcomes %v", k, series, outcomes)
 			}
-			mirrored[k] = c.Series
+		} else if len(series) > 1 {
+			t.Errorf("%s mirrors %v, want one counter", k, series)
 		}
 	}
 }
@@ -167,7 +179,7 @@ func TestStatCountersNameTheRightFields(t *testing.T) {
 		PairsAdded: 5, PairsPrunedHB: 6, PairsPrunedDecay: 7, Violations: 8,
 		LocationsSeen: 9, LocationsSeenConcurrent: 10, SequentialSkips: 11,
 		CallsSampledOut: 12, DelaysSuppressed: 13, SamplerThrottles: 14,
-		DelaysSkippedSequential: 15, DelaysSkippedOccupied: 16,
+		DelaysSkippedSequential: 15, DelaysSkippedOccupied: 16, DelaysSkippedBudget: 17,
 	}
 	want := map[string]float64{
 		"tsvd_detector_on_calls_total":                  1,
@@ -186,6 +198,7 @@ func TestStatCountersNameTheRightFields(t *testing.T) {
 		"tsvd_sampler_throttles_total":                  14,
 		"tsvd_detector_delays_skipped_sequential_total": 15,
 		"tsvd_detector_delays_skipped_occupied_total":   16,
+		"tsvd_detector_delays_skipped_budget_total":     17,
 	}
 	if len(StatCounters) != len(want) {
 		t.Errorf("StatCounters has %d rows, this test pins %d", len(StatCounters), len(want))

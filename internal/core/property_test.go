@@ -39,7 +39,7 @@ func TestTrapSetInvariants(t *testing.T) {
 			case 1:
 				s.suppress(key)
 			case 2:
-				s.decay(key.A, 0.5, 0.1, nil)
+				s.decay(key.A, 0.5, nil)
 			}
 			for key, b := range s.pairs {
 				if dead[key] && b != 0 || ordered[key] && b&pairLoaded != 0 {

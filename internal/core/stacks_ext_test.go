@@ -18,7 +18,8 @@ import (
 
 //go:noinline
 func trappedSide(det core.Detector, obj ids.ObjectID) {
-	core.InjectDelay(det, core.Access{Thread: 1 << 40, Obj: obj, Op: 7001, Kind: core.KindWrite}, 2*time.Second)
+	core.InjectDelay(det, core.Access{Thread: 1 << 40, Obj: obj, Op: 7001,
+		Site: det.Sites().Register(7001, "", "", true), Kind: core.KindWrite}, 2*time.Second)
 }
 
 //go:noinline
@@ -26,7 +27,8 @@ func trappedSideByAnotherPath(det core.Detector, obj ids.ObjectID) { trappedSide
 
 //go:noinline
 func conflictingSide(det core.Detector, obj ids.ObjectID) {
-	det.OnCall(core.Access{Thread: 2 << 40, Obj: obj, Op: 7002, Kind: core.KindWrite})
+	det.OnCall(core.Access{Thread: 2 << 40, Obj: obj, Op: 7002,
+		Site: det.Sites().Register(7002, "", "", true), Kind: core.KindWrite})
 }
 
 func catchOn(t *testing.T, det core.Detector, obj ids.ObjectID, park func(core.Detector, ids.ObjectID)) {
@@ -106,7 +108,8 @@ func TestStackPairsCountCallPathsNotOccurrences(t *testing.T) {
 
 //go:noinline
 func trappedByOwnDelay(det core.Detector, obj ids.ObjectID) {
-	det.OnCall(core.Access{Thread: 1 << 40, Obj: obj, Op: 7001, Kind: core.KindWrite})
+	det.OnCall(core.Access{Thread: 1 << 40, Obj: obj, Op: 7001,
+		Site: det.Sites().Register(7001, "", "", true), Kind: core.KindWrite})
 }
 
 // detectorFrames counts the frames of stack above user's that are the

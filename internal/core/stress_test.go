@@ -12,6 +12,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/ids"
 	"repro/internal/report"
+	"repro/internal/sites"
 )
 
 // TestObjHistoryNewestFirst pins the walk both OnCall paths make over the
@@ -65,9 +66,9 @@ func TestObjHistoryNewestFirst(t *testing.T) {
 // site registry's growth path. Run under -race this is the synchronization
 // audit of the per-object runtime.
 //
-// The "presites" variants pre-register every site through the registry (the
-// instrumented-prologue shape, exercising concurrent registration and dense
-// growth); the others leave Site zero and take the op-keyed fallback.
+// The "presites" variants intern the site on every call (exercising
+// concurrent registration and dense growth); the others intern each site
+// once before the calls and carry the id, as a prologue's memo word does.
 func TestDenseRuntimeStress(t *testing.T) {
 	workers := 2 * goruntime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -87,6 +88,7 @@ func TestDenseRuntimeStress(t *testing.T) {
 		for _, algo := range algos {
 			t.Run(fmt.Sprintf("%v/presites=%v", algo, presites), func(t *testing.T) {
 				cfg := config.Defaults(algo).Scaled(0.001) // 100µs delays
+				cfg.Sites = sites.New()                    // Sites().Len() below counts this test's sites only
 				d := mustNew(t, cfg)
 
 				var wg sync.WaitGroup
@@ -94,12 +96,19 @@ func TestDenseRuntimeStress(t *testing.T) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
+						var cached [opsPerWorker]ids.SiteID
+						if !presites {
+							for j := range cached {
+								cached[j] = d.Sites().Register(ids.OpID(5000+w*opsPerWorker+j), "Test", "Op", true)
+							}
+						}
 						for i := 0; i < callsPerWorker; i++ {
 							a := Access{
 								// Read per call, as the proxies do.
 								Thread: ids.CurrentThreadID(),
 								Obj:    ids.ObjectID(1000 + w*objsPerWorker + i%objsPerWorker),
 								Op:     ids.OpID(5000 + w*opsPerWorker + i%opsPerWorker),
+								Site:   cached[i%opsPerWorker],
 								Kind:   KindWrite,
 							}
 							if presites {
@@ -164,13 +173,9 @@ func TestDenseRuntimeStressWithConflicts(t *testing.T) {
 			thread := ids.ThreadID(200 + w)
 			for i := 0; i < callsPerWorker; i++ {
 				// Four shared objects, distinct op per worker parity; even
-				// workers carry the interned site, odd ones resolve by op.
-				a := Access{
-					Thread: thread,
-					Obj:    ids.ObjectID(1 + i%4),
-					Op:     ids.OpID(9000 + w%2),
-					Kind:   KindWrite,
-				}
+				// workers carry the interned site, odd ones their op's
+				// anonymous site.
+				a := acc(thread, ids.ObjectID(1+i%4), ids.OpID(9000+w%2), KindWrite)
 				if w%2 == 0 {
 					a.Site = site
 				}
@@ -519,7 +524,6 @@ func TestReadRacingDemotionIsSeenByExactlyOneSide(t *testing.T) {
 		d.OnCall(acc(reader, obj, read, KindRead)) // claims the reader's stripe
 		s := &os.reads.Load().stripes[reader%readStripes]
 		a := acc(reader, obj, read, KindRead)
-		rt.resolveSite(&a)
 		at := rt.now()
 		rg, n := os.openRing(a.Thread, a.Kind)
 		if s.owner.Load() != int64(reader) || rg != &s.ring {

@@ -155,16 +155,18 @@ func TestTracedDetectorEventsMatchStats(t *testing.T) {
 // any one expected count by one — of every kind a StatCounters row mirrors,
 // and of every store kind — must fail Summary.Check, naming that kind. Which
 // counter each kind mirrors is pinned here by name, independently of the
-// table.
+// table; delay_planned is the sum of a planned delay's four outcomes.
 func TestSummaryCheckCatchesEveryOffByOne(t *testing.T) {
 	st := Stats{
 		OnCalls: 1, DelaysInjected: 2, TotalDelay: 3, NearMisses: 4,
 		PairsAdded: 5, PairsPrunedHB: 6, PairsPrunedDecay: 7, Violations: 8,
 		LocationsSeen: 9, LocationsSeenConcurrent: 10, SequentialSkips: 11,
 		CallsSampledOut: 12, DelaysSuppressed: 13, SamplerThrottles: 14,
+		DelaysSkippedOccupied: 18, DelaysSkippedBudget: 19, DelaysSkippedSequential: 20,
 	}
 	want := map[string]int64{
-		"trap_set": 2, "delay_injected": 2, "near_miss": 4, "pair_added": 5,
+		"delay_planned": 2 + 13 + 18 + 19,
+		"trap_set":      2, "delay_injected": 2, "near_miss": 4, "pair_added": 5,
 		"pair_pruned_hb": 6, "pair_pruned_decay": 7, "trap_sprung": 8,
 		"delay_suppressed": 13, "sampler_throttle": 14,
 		"store_fetch": 15, "store_publish": 16, "store_fallback": 17,

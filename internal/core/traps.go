@@ -737,16 +737,6 @@ func (r *runtime) nowSlow() time.Duration {
 	return r.clk.Since(r.start)
 }
 
-// resolveSite fills in a dense site id for accesses that arrive without one
-// (fabricated test accesses): the registry's op-keyed fallback, one lock-free
-// probe after the first call per (op, kind). Accesses from instrumentation
-// carry their SiteID already and skip this entirely.
-func (r *runtime) resolveSite(a *Access) {
-	if a.Site == 0 {
-		a.Site = r.sites.ForOpKind(a.Op, a.Kind == KindWrite)
-	}
-}
-
 // threadStateFor returns t's state, creating it on first use. The returned
 // pointer's plain fields are only ever dereferenced by t's goroutine. The
 // found case is a single lock-free probe with no closure setup.
@@ -930,6 +920,9 @@ func (r *runtime) unregisterTrap(os *objState, t *trap) {
 // variant's OnCall plants through injectDelay directly. With alone set
 // (delayAtPair) the thread does not park on an object another thread is
 // parked on: the call injects nothing, and the grant and the trap go back.
+// Every call is one outcome of a planned delay and counts in exactly one of
+// DelaysSuppressed, DelaysSkippedBudget, DelaysSkippedOccupied and
+// DelaysInjected, the counters a trace's delay_planned events add up to.
 //
 // The trap becomes visible to other threads only once it is registered
 // under the object's lock; a conflicting access that scans strictly before
@@ -951,6 +944,7 @@ func (r *runtime) injectDelay(st *threadState, a Access, d time.Duration, skip i
 	}
 	grant := st.budget.Allow(d)
 	if grant <= 0 {
+		r.stats.count[statDelaysSkippedBudget].Add(1)
 		return 0, false, false
 	}
 	// A pooled trap is registered nowhere, so nobody else can be looking at
@@ -1089,7 +1083,7 @@ func (r *runtime) stamp(at time.Duration) time.Duration {
 // (trapSet.decay) and counts and traces, stamped at, each pair it pruned.
 func (r *runtime) decayAfterFailedDelay(loc ids.OpID, at time.Duration) {
 	var buf [8]report.PairKey
-	for _, key := range r.set.decay(loc, r.cfg.DecayFactor, r.cfg.PruneProbability, buf[:0]) {
+	for _, key := range r.set.decay(loc, r.cfg.DecayFactor, buf[:0]) {
 		r.stats.count[statPairsPrunedDecay].Add(1)
 		r.tr.Emit(trace.KindPairPrunedDecay, 0, 0, key.A, key.B, at, 0)
 	}

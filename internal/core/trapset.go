@@ -224,12 +224,16 @@ func (s *trapSet) eligible(loc ids.OpID, found bool) (float64, bool) {
 	return 0, false
 }
 
+// pruneProbability is the delay probability below which decay treats a
+// location's probability as zero: its pairs leave the trap set.
+const pruneProbability = 0.02
+
 // decay implements §3.4.5: a delay at loc that exposed no conflict decays
 // loc and every location currently paired with it by P ← P·(1-factor).
-// Locations whose probability falls below prune are removed from the trap
-// set together with all their pairs, which decay appends to pruned and
-// returns.
-func (s *trapSet) decay(loc ids.OpID, factor, prune float64, pruned []report.PairKey) []report.PairKey {
+// Locations whose probability falls below pruneProbability are removed from
+// the trap set together with all their pairs, which decay appends to pruned
+// and returns.
+func (s *trapSet) decay(loc ids.OpID, factor float64, pruned []report.PairKey) []report.PairKey {
 	if factor <= 0 {
 		return pruned // Fig. 9g's pathological "no decay" configuration
 	}
@@ -259,7 +263,7 @@ func (s *trapSet) decay(loc ids.OpID, factor, prune float64, pruned []report.Pai
 		s.locs[v] = vl
 	}
 	for _, v := range victims {
-		if s.locs[v].prob >= prune {
+		if s.locs[v].prob >= pruneProbability {
 			continue
 		}
 		// The location's probability hit zero: all its pairs leave the

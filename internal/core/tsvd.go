@@ -164,7 +164,6 @@ func (d *TSVD) OnCall(a Access) {
 	if !fastOK {
 		st = rt.threadStateFor(a.Thread)
 	}
-	rt.resolveSite(&a)
 
 	// The front half that can end a call early lives in enter (admit.go): in
 	// sampled mode the admission verdict, and in any mode check_for_trap

@@ -11,17 +11,28 @@ import (
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/sites"
 	"repro/internal/trace"
 )
+
+// testSites is the site registry of the package's test detectors: acc
+// interns its accesses' sites here, so a detector built by testConfig or
+// mustNew knows every site an acc access carries.
+var testSites = sites.New()
 
 // testConfig returns TSVD defaults scaled for fast tests: 10 ms delays and
 // near-miss windows.
 func testConfig(algo config.Algorithm) config.Config {
-	return config.Defaults(algo).Scaled(0.1)
+	cfg := config.Defaults(algo).Scaled(0.1)
+	cfg.Sites = testSites
+	return cfg
 }
 
 func mustNew(t *testing.T, cfg config.Config, opts ...Option) Detector {
 	t.Helper()
+	if cfg.Sites == nil {
+		cfg.Sites = testSites
+	}
 	d, err := New(cfg, opts...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -29,8 +40,10 @@ func mustNew(t *testing.T, cfg config.Config, opts ...Option) Detector {
 	return d
 }
 
+// acc is an access at the anonymous site of (op, kind): no class, no method.
 func acc(thread ids.ThreadID, obj ids.ObjectID, op ids.OpID, kind Kind) Access {
-	return Access{Thread: thread, Obj: obj, Op: op, Kind: kind}
+	return Access{Thread: thread, Obj: obj, Op: op, Kind: kind,
+		Site: testSites.Register(op, "", "", kind == KindWrite)}
 }
 
 // hammer runs fn in its own goroutine n times with the given pacing and
@@ -278,13 +291,13 @@ func TestHBInferencePrunesLockedPairs(t *testing.T) {
 }
 
 // TestDecayPrunesUnproductivePairs: a pair that near-missed once but whose
-// sides never actually overlap decays away and stops costing delays.
+// sides never actually overlap decays away and stops costing delays. At the
+// default factor 0.5 it takes six failed delays to fall below the 0.02 prune
+// threshold, the last of them at a delay probability of 1/32: enough
+// iterations that the sixth is all but certain to come.
 func TestDecayPrunesUnproductivePairs(t *testing.T) {
 	cfg := testConfig(config.AlgoTSVD)
 	cfg.DisableHBInference = true // isolate decay from HB pruning
-	// A higher prune threshold keeps the test short: three failed delays
-	// (P = 0.125 < 0.2) retire a location instead of six.
-	cfg.PruneProbability = 0.2
 	d := mustNew(t, cfg).(*TSVD)
 	const obj = ids.ObjectID(10)
 
@@ -293,7 +306,7 @@ func TestDecayPrunesUnproductivePairs(t *testing.T) {
 	ping, pong := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	const iters = 40
+	const iters = 400
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
@@ -324,7 +337,7 @@ func TestDecayPrunesUnproductivePairs(t *testing.T) {
 	}
 	// With default decay 0.5 and prune threshold 0.02, a location dies
 	// after ~6 failed delays; both endpoints get delayed so the budget is
-	// roughly double. Far fewer than the 2*iters=80 occurrences.
+	// roughly double. Far fewer than the 2*iters=800 occurrences.
 	if st.DelaysInjected > 30 {
 		t.Fatalf("decay did not curb delays: %d injected", st.DelaysInjected)
 	}
@@ -456,6 +469,51 @@ func TestAvoidOverlappingDelays(t *testing.T) {
 				t.Errorf("%v, thread 2 on object %d: %d trap_set events, want %d", algo, obj, traps, want)
 			}
 		}
+	}
+}
+
+// TestEveryPlannedDelayHasOneOutcome: each delay_planned event is counted by
+// exactly one outcome counter, so a traced run's summary reconciles the plans
+// against their sum. Thread 1, with a budget of one delay, delays at 8101 on
+// object 81; inside the sleep thread 2 plans a delay at 8103 on the same
+// object and skips it as occupied. Thread 1's next plan at 8101 finds its
+// budget spent.
+func TestEveryPlannedDelayHasOneOutcome(t *testing.T) {
+	cfg := testConfig(config.AlgoTSVD)
+	cfg.Trace = true
+	cfg.DecayFactor = 0 // every plan wins its coin flip
+	cfg.MaxDelayPerThread = cfg.DelayTime
+	clk := &scriptClock{}
+	d := mustNew(t, cfg, WithClock(clk),
+		WithInitialTraps([]report.PairKey{report.KeyOf(8101, 8102), report.KeyOf(8103, 8104)}))
+	ActivateThread(d, 2)
+	clk.during = func() { d.OnCall(acc(2, 81, 8103, KindRead)) }
+	d.OnCall(acc(1, 81, 8101, KindRead))
+	clk.during = nil
+	ActivateThread(d, 2)
+	d.OnCall(acc(1, 81, 8101, KindRead))
+
+	st := d.Stats()
+	if st.DelaysInjected != 1 || st.DelaysSkippedOccupied != 1 || st.DelaysSkippedBudget != 1 {
+		t.Fatalf("%d injected, %d skipped occupied, %d skipped for the budget; want 1 of each",
+			st.DelaysInjected, st.DelaysSkippedOccupied, st.DelaysSkippedBudget)
+	}
+	events := d.Tracer().Drain()
+	mods := []trace.ModuleTrace{{Module: "m", Run: 1, Events: events}}
+	jes := make([]trace.JSONEvent, len(events))
+	for i := range events {
+		jes[i].Ev = events[i].Kind.String()
+	}
+	sum := trace.Summary{
+		Drained:  int64(len(events)),
+		ByKind:   trace.CountByKind(mods),
+		Expected: st.TraceExpectations(),
+	}
+	if sum.ByKind["delay_planned"] != 3 {
+		t.Fatalf("%d delay_planned events, want 3", sum.ByKind["delay_planned"])
+	}
+	if _, err := sum.Check(jes); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -93,7 +93,6 @@ func (d *TSVDHB) OnCall(a Access) {
 	if !fastOK {
 		st = rt.threadStateFor(a.Thread)
 	}
-	rt.resolveSite(&a)
 	// Admission and check_for_trap (admit.go). Skipping the epoch tick for a
 	// sampled-out call is sound: history entries are only recorded for
 	// admitted calls, so HB comparisons stay conservative.

@@ -25,7 +25,6 @@ type DynamicRandom struct {
 // separately inside injectDelay, so nothing is counted twice.
 func (r *runtime) admitRandom(a *Access) *threadState {
 	st := r.threadStateFor(a.Thread)
-	r.resolveSite(a)
 	if (r.samp != nil || r.parked.Load() > 0) && !r.enter(st, a) {
 		return nil
 	}

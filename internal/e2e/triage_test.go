@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/trapfile"
 	"repro/internal/trapstore"
@@ -39,8 +38,6 @@ func TestTriageFoldsFleetIntoOneClusterPerBug(t *testing.T) {
 	base.Config.Trace = true
 	tri := triage.New()
 	base.Triage = tri
-	reg := metrics.NewRegistry()
-	tri.RegisterMetrics(reg)
 
 	out := harness.RunFleet(suite, shards, rounds, base, trapstore.NewMemory("TSVD", nil))
 	if out.StoreErr != nil {
@@ -100,11 +97,6 @@ func TestTriageFoldsFleetIntoOneClusterPerBug(t *testing.T) {
 			t.Errorf("cluster %s: verdict omits the absent HB ordering: %s", c.ID, ex.Verdict)
 		}
 	}
-
-	wantSeries(t, "triage", reg.Values(), map[string]float64{
-		"tsvd_triage_clusters_total":       float64(len(clusters)),
-		"tsvd_triage_firings_folded_total": float64(tri.FiringsFolded()),
-	})
 }
 
 // TestTriageCLIFoldsSameSeedShards drives the real binaries: two same-seed

@@ -76,13 +76,11 @@ type Options struct {
 	// mode, source). Zero-valued fields are filled from Config where
 	// possible (Seed, Mode).
 	TriageProvenance triage.Provenance
-	// Progress, when non-nil, receives a heartbeat every ProgressInterval
-	// while the suite runs, plus one final update after the last module
-	// completes. Updates are delivered sequentially, never concurrently;
-	// the callback must not call back into the harness.
+	// Progress, when non-nil, receives a heartbeat every second while the
+	// suite runs, plus one final update after the last module completes.
+	// Updates are delivered sequentially, never concurrently; the callback
+	// must not call back into the harness.
 	Progress func(ProgressUpdate)
-	// ProgressInterval is the heartbeat period (default 1s).
-	ProgressInterval time.Duration
 
 	// sampler is the one sampler every module detector of a Run draws on
 	// (nil outside config.ModeSampled).
@@ -102,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RunSeedBase == nil {
 		o.RunSeedBase = Seed(42)
-	}
-	if o.ProgressInterval <= 0 {
-		o.ProgressInterval = time.Second
 	}
 	return o
 }
@@ -226,7 +221,7 @@ func Run(suite *workload.Suite, opts Options) *Outcome {
 	opts.sampler = core.NewSharedSampler(opts.Config)
 	planted := suite.PlantedPairs()
 	modulesWithFound := map[string]bool{}
-	prog := newProgressTracker(opts.Progress, opts.ProgressInterval, opts.Runs, len(suite.Modules))
+	prog := newProgressTracker(opts.Progress, time.Second, opts.Runs, len(suite.Modules))
 	defer prog.finish()
 
 	traps := make([][]report.PairKey, len(suite.Modules))

@@ -3,7 +3,6 @@ package harness
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -18,7 +17,6 @@ func TestProgressHeartbeat(t *testing.T) {
 	var mu sync.Mutex
 	var updates []ProgressUpdate
 	o := opts(config.AlgoTSVD, 2)
-	o.ProgressInterval = 5 * time.Millisecond
 	o.Progress = func(u ProgressUpdate) {
 		mu.Lock()
 		updates = append(updates, u)

@@ -39,7 +39,9 @@ func watchModules(t *testing.T, also func(det core.Detector)) map[int][]moduleRu
 // panickingModule is a module whose second test panics after a call.
 func panickingModule(name string) *workload.Module {
 	call := func(env *workload.Env) {
-		env.Det.OnCall(core.Access{Thread: ids.CurrentThreadID(), Obj: 1, Op: ids.InternKey(name), Kind: core.KindWrite})
+		op := ids.InternKey(name)
+		env.Det.OnCall(core.Access{Thread: ids.CurrentThreadID(), Obj: 1, Op: op,
+			Site: env.Det.Sites().Register(op, "", "", true), Kind: core.KindWrite})
 	}
 	return &workload.Module{Name: name, Tests: []workload.Test{
 		{Name: "calls", NominalUnits: 1, Body: call},

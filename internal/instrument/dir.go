@@ -28,9 +28,9 @@ func (r *Result) CallSites() []Site {
 
 // RewriteDir instruments every .go file under dir (skipping _test.go files
 // and vendored/testdata trees). With write=false it is a dry run: files are
-// analyzed but not modified.
-func RewriteDir(dir string, opts Options, write bool) (*Result, error) {
-	rw := NewRewriter(opts)
+// analyzed but not modified. detectorExpr is NewRewriter's.
+func RewriteDir(dir, detectorExpr string, write bool) (*Result, error) {
+	rw := NewRewriter(detectorExpr)
 	res := &Result{}
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {

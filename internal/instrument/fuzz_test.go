@@ -21,7 +21,7 @@ import rc "repro/internal/rawcol"
 type s struct{ a *rc.Array[string] }
 `)
 	f.Fuzz(func(t *testing.T, src string) {
-		rw := NewRewriter(DefaultOptions())
+		rw := NewRewriter(DefaultDetectorExpr)
 		out, _, changed, err := rw.Rewrite("fuzz.go", []byte(src))
 		if err != nil || !changed {
 			return

@@ -99,38 +99,20 @@ func DefaultMappings() []ClassMapping {
 	return mappings
 }
 
-// Options configures a rewrite.
-type Options struct {
-	// RawImport is the import path of the uninstrumented containers.
-	RawImport string
-	// InstImport is the import path of the instrumented collections.
-	InstImport string
-	// InstPkgName is the local package name for InstImport.
-	InstPkgName string
-	// DetectorImport provides the detector expression's package; empty
-	// disables the extra import (DetectorExpr must then be resolvable).
-	DetectorImport string
-	// DetectorPkgName is the local package name for DetectorImport.
-	DetectorPkgName string
-	// DetectorExpr is the expression inserted as the constructor's
-	// detector argument, e.g. "tsvd.Default()".
-	DetectorExpr string
-	// Mappings is the API list; nil uses DefaultMappings.
-	Mappings []ClassMapping
-}
+// A rewrite turns rawcol usage into the instrumented collections and passes
+// each rewritten constructor a detector expression; the expression's package
+// is imported as tsvd.
+const (
+	rawImport      = "repro/internal/rawcol"
+	instImport     = "repro/internal/collections"
+	instPkgName    = "collections"
+	detectorImport = "repro"
+	detectorName   = "tsvd"
+)
 
-// DefaultOptions rewrites rawcol usage into the public tsvd collections.
-func DefaultOptions() Options {
-	return Options{
-		RawImport:       "repro/internal/rawcol",
-		InstImport:      "repro/internal/collections",
-		InstPkgName:     "collections",
-		DetectorImport:  "repro",
-		DetectorPkgName: "tsvd",
-		DetectorExpr:    "tsvd.Default()",
-		Mappings:        DefaultMappings(),
-	}
-}
+// DefaultDetectorExpr is the detector expression a rewrite passes each
+// constructor unless told otherwise: the public package's shared detector.
+const DefaultDetectorExpr = "tsvd.Default()"
 
 // Site records one rewritten call site for the instrumentation report.
 type Site struct {

@@ -11,29 +11,30 @@ import (
 	"strings"
 )
 
-// Rewriter instruments Go source files according to an Options mapping.
+// Rewriter instruments Go source files according to DefaultMappings.
 type Rewriter struct {
-	opts    Options
-	byType  map[string]*ClassMapping // raw type name → mapping
-	byCtor  map[string]*ClassMapping // raw constructor name → mapping
-	byInst  map[string]*ClassMapping // instrumented type name → mapping
-	fileSet *token.FileSet
+	// detectorExpr is inserted as every rewritten constructor's detector
+	// argument, e.g. "tsvd.Default()".
+	detectorExpr string
+	byType       map[string]*ClassMapping // raw type name → mapping
+	byCtor       map[string]*ClassMapping // raw constructor name → mapping
+	byInst       map[string]*ClassMapping // instrumented type name → mapping
+	fileSet      *token.FileSet
 }
 
-// NewRewriter builds a Rewriter for opts.
-func NewRewriter(opts Options) *Rewriter {
-	if opts.Mappings == nil {
-		opts.Mappings = DefaultMappings()
-	}
+// NewRewriter builds a Rewriter that passes detectorExpr to every rewritten
+// constructor.
+func NewRewriter(detectorExpr string) *Rewriter {
 	r := &Rewriter{
-		opts:    opts,
-		byType:  map[string]*ClassMapping{},
-		byCtor:  map[string]*ClassMapping{},
-		byInst:  map[string]*ClassMapping{},
-		fileSet: token.NewFileSet(),
+		detectorExpr: detectorExpr,
+		byType:       map[string]*ClassMapping{},
+		byCtor:       map[string]*ClassMapping{},
+		byInst:       map[string]*ClassMapping{},
+		fileSet:      token.NewFileSet(),
 	}
-	for i := range opts.Mappings {
-		m := &opts.Mappings[i]
+	mappings := DefaultMappings()
+	for i := range mappings {
+		m := &mappings[i]
 		r.byType[m.RawType] = m
 		r.byCtor[m.RawConstructor] = m
 		r.byInst[m.InstType] = m
@@ -49,7 +50,7 @@ func (r *Rewriter) Rewrite(filename string, src []byte) ([]byte, []Site, bool, e
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("instrument: parse %s: %w", filename, err)
 	}
-	rawName, ok := importName(file, r.opts.RawImport)
+	rawName, ok := importName(file, rawImport)
 	if !ok {
 		return src, nil, false, nil
 	}
@@ -223,7 +224,7 @@ func (st *fileState) rewriteNode(n ast.Node) bool {
 		// is a type reference).
 		if id, ok := node.X.(*ast.Ident); ok && id.Name == st.rawName {
 			if m, ok := st.rw.byType[node.Sel.Name]; ok {
-				id.Name = st.rw.opts.InstPkgName
+				id.Name = instPkgName
 				node.Sel.Name = m.InstType
 				st.changed = true
 			}
@@ -238,13 +239,13 @@ func (st *fileState) rewriteCall(call *ast.CallExpr) {
 	// Constructor: rawcol.NewX[...](args) →
 	// collections.NewY[...](detectorExpr, args...).
 	if m, ok := st.constructorOf(call); ok {
-		renameSelector(call.Fun, st.rawName, st.rw.opts.InstPkgName,
+		renameSelector(call.Fun, st.rawName, instPkgName,
 			m.RawConstructor, m.InstConstructor)
 		// The detector expression is injected as an opaque identifier;
 		// the printer emits the Name verbatim, so "tsvd.Default()" comes
 		// out as written. Parsing it would gain nothing — it is never
 		// inspected, only printed.
-		det := &ast.Ident{Name: st.rw.opts.DetectorExpr}
+		det := &ast.Ident{Name: st.rw.detectorExpr}
 		call.Args = append([]ast.Expr{det}, call.Args...)
 		st.needDetector = true
 		st.changed = true
@@ -328,43 +329,23 @@ func (r *Rewriter) rewriteImports(file *ast.File, rawName string, needDetector b
 		for _, spec := range gen.Specs {
 			imp := spec.(*ast.ImportSpec)
 			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || p != r.opts.RawImport {
+			if err != nil || p != rawImport {
 				continue
 			}
-			imp.Path.Value = strconv.Quote(r.opts.InstImport)
-			// Keep an explicit name only if the default differs.
-			base := r.opts.InstImport
-			if i := strings.LastIndex(base, "/"); i >= 0 {
-				base = base[i+1:]
-			}
-			if base == r.opts.InstPkgName {
-				imp.Name = nil
-			} else {
-				imp.Name = &ast.Ident{Name: r.opts.InstPkgName}
-			}
-			if needDetector && r.opts.DetectorImport != "" {
+			imp.Path.Value = strconv.Quote(instImport)
+			imp.Name = nil // instImport's own name is instPkgName
+			if needDetector {
 				gen.Specs = append(gen.Specs, &ast.ImportSpec{
-					Name: importAlias(r.opts.DetectorImport, r.opts.DetectorPkgName),
+					Name: &ast.Ident{Name: detectorName},
 					Path: &ast.BasicLit{
 						Kind:  token.STRING,
-						Value: strconv.Quote(r.opts.DetectorImport),
+						Value: strconv.Quote(detectorImport),
 					},
 				})
 			}
 			return
 		}
 	}
-}
-
-func importAlias(path, name string) *ast.Ident {
-	base := path
-	if i := strings.LastIndex(base, "/"); i >= 0 {
-		base = base[i+1:]
-	}
-	if base == name {
-		return nil
-	}
-	return &ast.Ident{Name: name}
 }
 
 // Err surfaces tracking conflicts discovered during Rewrite.

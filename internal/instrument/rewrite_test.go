@@ -13,7 +13,7 @@ import (
 
 func rewriteString(t *testing.T, src string) (string, []Site) {
 	t.Helper()
-	rw := NewRewriter(DefaultOptions())
+	rw := NewRewriter(DefaultDetectorExpr)
 	out, sites, changed, err := rw.Rewrite("input.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ import "fmt"
 
 func main() { fmt.Println("no containers here") }
 `
-	rw := NewRewriter(DefaultOptions())
+	rw := NewRewriter(DefaultDetectorExpr)
 	out, sites, changed, err := rw.Rewrite("input.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func conflict() {
 	}
 }
 `
-	rw := NewRewriter(DefaultOptions())
+	rw := NewRewriter(DefaultDetectorExpr)
 	_, _, _, err := rw.Rewrite("input.go", []byte(src))
 	if err == nil {
 		t.Fatal("conflicting identifier classes accepted")
@@ -255,7 +255,7 @@ func roundtrip() {
 }
 `
 	out, _ := rewriteString(t, src)
-	rw := NewRewriter(DefaultOptions())
+	rw := NewRewriter(DefaultDetectorExpr)
 	if _, _, _, err := rw.Rewrite("out.go", []byte(out)); err != nil {
 		t.Fatalf("rewritten output does not parse: %v\n%s", err, out)
 	}
@@ -297,7 +297,7 @@ func d() { _ = rawcol.NewMap[int, int]() }
 `)
 
 	// Dry run first: nothing on disk changes.
-	res, err := RewriteDir(dir, DefaultOptions(), false)
+	res, err := RewriteDir(dir, DefaultDetectorExpr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func d() { _ = rawcol.NewMap[int, int]() }
 	}
 
 	// Real run rewrites a.go only.
-	if _, err := RewriteDir(dir, DefaultOptions(), true); err != nil {
+	if _, err := RewriteDir(dir, DefaultDetectorExpr, true); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(filepath.Join(dir, "a.go"))

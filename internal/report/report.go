@@ -228,30 +228,6 @@ func (c *Collector) UniqueBugs() int {
 	return len(c.bugs)
 }
 
-// UniqueLocations returns the number of distinct static locations involved
-// in any bug (Table 1: "# of unique bug locations").
-func (c *Collector) UniqueLocations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	locs := map[ids.OpID]struct{}{}
-	for key := range c.bugs {
-		locs[key.A] = struct{}{}
-		locs[key.B] = struct{}{}
-	}
-	return len(locs)
-}
-
-// TotalStackPairs sums distinct stack-trace pairs over all bugs.
-func (c *Collector) TotalStackPairs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, b := range c.bugs {
-		n += b.StackPairs
-	}
-	return n
-}
-
 // Merge folds other's bugs into c (used to accumulate across runs).
 func (c *Collector) Merge(other *Collector) {
 	for _, v := range other.Violations() {

@@ -68,9 +68,6 @@ func TestCollectorDedupByLocationPair(t *testing.T) {
 	if got := c.UniqueBugs(); got != 2 {
 		t.Fatalf("UniqueBugs = %d, want 2", got)
 	}
-	if got := c.UniqueLocations(); got != 3 {
-		t.Fatalf("UniqueLocations = %d, want 3 (10,20,30)", got)
-	}
 	bugs := c.Bugs()
 	if len(bugs) != 2 {
 		t.Fatalf("len(Bugs) = %d", len(bugs))
@@ -84,9 +81,6 @@ func TestCollectorDedupByLocationPair(t *testing.T) {
 	}
 	if first.StackPairs != 2 {
 		t.Fatalf("StackPairs = %d, want 2 (role swap is the same pair)", first.StackPairs)
-	}
-	if got := c.TotalStackPairs(); got != 3 {
-		t.Fatalf("TotalStackPairs = %d, want 3", got)
 	}
 	if got := len(c.Violations()); got != 5 {
 		t.Fatalf("Violations = %d, want 5", got)
@@ -135,7 +129,7 @@ func TestCollectorReset(t *testing.T) {
 	c.Add(mkViolation(1, 2, "s3", "s4"))
 	bugs, all := c.Bugs(), c.Violations()
 	c.Reset()
-	if c.UniqueBugs() != 0 || len(c.Violations()) != 0 || c.TotalStackPairs() != 0 {
+	if c.UniqueBugs() != 0 || len(c.Violations()) != 0 || len(c.Bugs()) != 0 {
 		t.Fatalf("after Reset: %d bugs, %d violations", c.UniqueBugs(), len(c.Violations()))
 	}
 	c.Add(mkViolation(3, 4, "s5", "s6"))

@@ -352,9 +352,6 @@ func (s *Sampler) Observe(l Layer, d time.Duration) {
 	}
 }
 
-// ObserveCost charges d of detector analysis time.
-func (s *Sampler) ObserveCost(d time.Duration) { s.Observe(LayerAnalysis, d) }
-
 // ObserveDelay charges d of injected delay time. Delay shares the cap with
 // analysis: a sleeping production request is overhead whether the time went
 // to analysis or to a trap.

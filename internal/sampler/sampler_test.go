@@ -41,7 +41,7 @@ func TestAdmitRateTracksProbability(t *testing.T) {
 
 func TestTickDisabledWithoutTarget(t *testing.T) {
 	s := New(Params{BaseProbability: 0.5, Interval: time.Second})
-	s.ObserveCost(10 * time.Second)
+	s.Observe(LayerAnalysis, 10*time.Second)
 	if _, ok := s.Tick(time.Minute); ok {
 		t.Fatal("Tick ran with OverheadTarget=0; fixed-probability mode must not adjust")
 	}
@@ -58,7 +58,7 @@ func TestThrottleDownOnHighOverhead(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 20; i++ {
 		now += time.Second
-		s.ObserveCost(500 * time.Millisecond)
+		s.Observe(LayerAnalysis, 500*time.Millisecond)
 		adj, ok := s.Tick(now)
 		if !ok {
 			t.Fatalf("tick %d did not run", i)
@@ -79,7 +79,7 @@ func TestRecoveryOnLowOverhead(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 10; i++ {
 		now += time.Second
-		s.ObserveCost(500 * time.Millisecond)
+		s.Observe(LayerAnalysis, 500*time.Millisecond)
 		s.Tick(now)
 	}
 	low := s.Probability()
@@ -90,7 +90,7 @@ func TestRecoveryOnLowOverhead(t *testing.T) {
 	prev := low
 	for i := 0; i < 40; i++ {
 		now += time.Second
-		s.ObserveCost(time.Microsecond)
+		s.Observe(LayerAnalysis, time.Microsecond)
 		adj, ok := s.Tick(now)
 		if !ok {
 			t.Fatalf("recovery tick %d did not run", i)
@@ -128,7 +128,7 @@ func TestHardBudgetCapsAdmission(t *testing.T) {
 		t.Fatal("fresh sampler at p=1 refused admission")
 	}
 	// The interval budget is 1% of 1s = 10ms; one 20ms charge exhausts it.
-	s.ObserveCost(20 * time.Millisecond)
+	s.Observe(LayerAnalysis, 20*time.Millisecond)
 	if s.Admit(1, Rand(&state)) {
 		t.Fatal("admission continued after the interval budget was exhausted")
 	}
@@ -155,7 +155,7 @@ func TestHotSiteFairness(t *testing.T) {
 		s.Admit(2, Rand(&state))
 	}
 	// Observed ≈ target so the global probability holds steady.
-	s.ObserveCost(500 * time.Millisecond)
+	s.Observe(LayerAnalysis, 500*time.Millisecond)
 	if _, ok := s.Tick(time.Second); !ok {
 		t.Fatal("tick did not run")
 	}
@@ -174,7 +174,7 @@ func TestSnapshotAccounting(t *testing.T) {
 	state := SeedRand(3, 3)
 	s.Admit(1, Rand(&state))
 	s.Admit(2, Rand(&state))
-	s.ObserveCost(3 * time.Millisecond)
+	s.Observe(LayerAnalysis, 3*time.Millisecond)
 	s.ObserveDelay(2 * time.Millisecond)
 	s.Tick(time.Second)
 	snap := s.Snapshot()
@@ -248,7 +248,7 @@ func TestNextGapExtremes(t *testing.T) {
 		t.Fatalf("gap %d exceeds the caller's cap of 3", g.Skip)
 	}
 	s := New(Params{BaseProbability: 1, OverheadTarget: 0.01, Interval: time.Second})
-	s.ObserveCost(time.Second) // trips the interval cap
+	s.Observe(LayerAnalysis, time.Second) // trips the interval cap
 	if g := s.NextGap(12345, MaxSkip); g.Skip != CappedSkip || g.Admit {
 		t.Fatalf("capped sampler drew %+v, want %d calls and no survivor", g, CappedSkip)
 	}

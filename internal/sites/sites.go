@@ -58,8 +58,8 @@ type tupleKey struct {
 }
 
 // Registry interns site tuples into dense SiteIDs. All lookup methods are
-// safe for concurrent use; the hot paths (ForCaller, ForCall, ForOpKind,
-// Info) are lock-free once a site is registered.
+// safe for concurrent use; the hot paths (ForCaller, ForCall, Info) are
+// lock-free once a site is registered.
 type Registry struct {
 	mu sync.Mutex
 	// id is the registry's process-unique number: the high half of every
@@ -75,7 +75,7 @@ type Registry struct {
 	byTuple map[tupleKey]ids.SiteID
 	// byOpKind caches the first site registered for each (op, kind) — the
 	// lock-free fast path of ForCall, which a prologue takes when its memo
-	// word does not know the site, and of accesses that carry only an OpID.
+	// word does not know the site.
 	byOpKind intmap.Map[ids.SiteID]
 	// byOp caches the first site registered for each op, for report/trace
 	// serialization, which resolves sites from pair keys (op pairs).
@@ -207,17 +207,6 @@ func (r *Registry) registerSlow(op ids.OpID, class, method string, write bool) i
 	r.byOpKind.GetOrInit(opKindKey(op, write), set)
 	r.byOp.GetOrInit(int64(op), set)
 	return id
-}
-
-// ForOpKind resolves the site for an access that carries only an OpID
-// (fabricated test accesses): the first site registered for
-// (op, kind), auto-registered with empty class/method if the op was never
-// seen. Lock-free after the first call per (op, kind).
-func (r *Registry) ForOpKind(op ids.OpID, write bool) ids.SiteID {
-	if p := r.byOpKind.Get(opKindKey(op, write)); p != nil {
-		return *p
-	}
-	return r.registerSlow(op, "", "", write)
 }
 
 // Info returns the site for id (the zero Site for 0 or out-of-range ids).

@@ -84,35 +84,6 @@ func TestForCallMatchesRegister(t *testing.T) {
 	}
 }
 
-// TestForOpKindFallback: an access carrying only an OpID resolves to the
-// first site registered for (op, kind), or auto-registers an anonymous one.
-func TestForOpKindFallback(t *testing.T) {
-	r := New()
-
-	// Unknown op: auto-registered with empty metadata.
-	anon := r.ForOpKind(21, true)
-	if anon == 0 {
-		t.Fatal("ForOpKind returned the zero id")
-	}
-	if s := r.Info(anon); s.Op != 21 || s.Class != "" || s.Method != "" || !s.Write {
-		t.Fatalf("anonymous site = %+v", s)
-	}
-	if again := r.ForOpKind(21, true); again != anon {
-		t.Fatalf("second ForOpKind got %d, want %d", again, anon)
-	}
-
-	// Known op: the first registration for that (op, kind) wins.
-	first := r.Register(22, "Set", "Contains", false)
-	r.Register(22, "Set", "Count", false) // same (op, kind), later
-	if got := r.ForOpKind(22, false); got != first {
-		t.Fatalf("ForOpKind(22, read) = %d, want first-registered %d", got, first)
-	}
-	// The write kind of the same op is a distinct site.
-	if got := r.ForOpKind(22, true); got == first {
-		t.Fatal("write kind resolved to the read site")
-	}
-}
-
 // TestInfoOutOfRange: Info is total — invalid ids yield the zero Site.
 func TestInfoOutOfRange(t *testing.T) {
 	r := New()
@@ -223,13 +194,6 @@ func FuzzRegistryIntern(f *testing.F) {
 			if again := r.Register(s.Op, s.Class, s.Method, s.Write); again != s.ID {
 				t.Fatalf("site %+v re-interned as %d", s, again)
 			}
-		}
-		// ForOpKind agrees with the fuzz tuple's id (it was the first
-		// registration for its (op, kind) unless a variant beat it; either
-		// way the result must resolve to a site with that op and kind).
-		res := r.ForOpKind(ids.OpID(op), write)
-		if s := r.Info(res); s.Op != ids.OpID(op) || s.Write != write {
-			t.Fatalf("ForOpKind resolved to wrong site %+v", s)
 		}
 	})
 }

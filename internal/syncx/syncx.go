@@ -1,4 +1,4 @@
-// Package syncx provides monitored locks. Acquire/release events flow to
+// Package syncx provides a monitored mutex. Acquire/release events flow to
 // the detector so the TSVDHB variant can thread vector clocks through
 // critical sections; TSVD ignores the events entirely — the point of its
 // design is not needing them, so programs may equally use plain sync.Mutex
@@ -43,59 +43,4 @@ func (m *Mutex) Unlock() {
 		m.det.OnLockRelease(ids.CurrentThreadID(), m.id)
 	}
 	m.mu.Unlock()
-}
-
-// WithLock runs fn under the mutex.
-func (m *Mutex) WithLock(fn func()) {
-	m.Lock()
-	defer m.Unlock()
-	fn()
-}
-
-// RWMutex is a monitored reader/writer lock. For clock purposes read
-// sections are treated like write sections (conservative: it may add HB
-// edges between concurrent readers, which can only hide bugs, never
-// fabricate one) — the same simplification production HB tools make for
-// reader locks.
-type RWMutex struct {
-	det core.Detector
-	id  ids.ObjectID
-	mu  sync.RWMutex
-}
-
-// NewRWMutex returns a monitored RWMutex reporting to det (nil for none).
-func NewRWMutex(det core.Detector) *RWMutex {
-	return &RWMutex{det: det, id: ids.NewObjectID()}
-}
-
-// Lock acquires the write lock.
-func (m *RWMutex) Lock() {
-	m.mu.Lock()
-	if m.det != nil {
-		m.det.OnLockAcquire(ids.CurrentThreadID(), m.id)
-	}
-}
-
-// Unlock releases the write lock.
-func (m *RWMutex) Unlock() {
-	if m.det != nil {
-		m.det.OnLockRelease(ids.CurrentThreadID(), m.id)
-	}
-	m.mu.Unlock()
-}
-
-// RLock acquires the read lock.
-func (m *RWMutex) RLock() {
-	m.mu.RLock()
-	if m.det != nil {
-		m.det.OnLockAcquire(ids.CurrentThreadID(), m.id)
-	}
-}
-
-// RUnlock releases the read lock.
-func (m *RWMutex) RUnlock() {
-	if m.det != nil {
-		m.det.OnLockRelease(ids.CurrentThreadID(), m.id)
-	}
-	m.mu.RUnlock()
 }

@@ -100,7 +100,7 @@ func TestSiteTableOrderAndNil(t *testing.T) {
 	reg.Register(b, "List", "Add", true)
 	reg.Register(a, "Dictionary", "ContainsKey", false)
 	reg.Register(a, "Dictionary", "Set", true)
-	reg.ForOpKind(b, false) // anonymous site
+	reg.Register(b, "", "", false) // anonymous site
 	table := SiteTable(reg)
 	ops := []ids.OpID{b, a, a, b}
 	if len(table) != len(ops) {

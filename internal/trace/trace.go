@@ -46,8 +46,9 @@ const (
 	KindUnknown Kind = iota
 	// KindDelayPlanned: should_delay fired — the location participates in a
 	// live dangerous pair and passed its probability coin flip (§3.4.1).
-	// OpA is the location. No Stats counterpart (plans can be vetoed by an
-	// exhausted delay budget).
+	// OpA is the location. Every plan has one outcome: its count equals
+	// Stats.DelaysInjected + DelaysSuppressed + DelaysSkippedOccupied +
+	// DelaysSkippedBudget.
 	KindDelayPlanned
 	// KindTrapSet: a trap was registered and the thread parked (Figure 5
 	// "set trap"). OpA is the location, Dur the granted delay. Count equals

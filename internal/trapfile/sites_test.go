@@ -23,7 +23,7 @@ func TestNewWithSitesSerializesTuples(t *testing.T) {
 	reg.Register(b, "List", "Add", true) // registered first; table sorts by tuple
 	reg.Register(a, "Dictionary", "ContainsKey", false)
 	reg.Register(a, "Dictionary", "Set", true)
-	reg.ForOpKind(b, false) // anonymous read site for the same op
+	reg.Register(b, "", "", false) // anonymous read site for the same op
 
 	pairs := []report.PairKey{report.KeyOf(b, a), report.KeyOf(b, b)}
 	path := filepath.Join(t.TempDir(), "traps.json")
@@ -74,8 +74,7 @@ func TestLoadSeedRegistersSites(t *testing.T) {
 	if run2.Len() != 2 {
 		t.Fatalf("run-2 registry has %d sites, want 2", run2.Len())
 	}
-	id := run2.ForOpKind(a, true)
-	if s := run2.Info(id); s.Class != "Queue" || s.Method != "Enqueue" || !s.Write {
+	if s, _ := run2.SiteForOp(a); s.Class != "Queue" || s.Method != "Enqueue" || !s.Write {
 		t.Fatalf("seeded site resolved to %+v", s)
 	}
 

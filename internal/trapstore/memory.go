@@ -218,11 +218,6 @@ func (m *Memory) Publish(f trapfile.File) error {
 	return nil
 }
 
-// RegisterMetrics exports the in-process store's operation counters and
-// latency histograms on reg (nil-safe) — what HTTPConfig.Metrics does for
-// the HTTP client, for fleets simulated with a shared Memory.
-func (m *Memory) RegisterMetrics(reg *metrics.Registry) { m.register(reg) }
-
 // Totals implements TrapStore.
 func (m *Memory) Totals() trace.StoreTotals { return m.totals() }
 

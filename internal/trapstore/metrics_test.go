@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trapfile"
@@ -65,29 +64,6 @@ func TestHTTPFlakyServerCountersReconcile(t *testing.T) {
 	tot := s.Totals()
 	if tot.Fetches != 2 || tot.Publishes != 1 {
 		t.Fatalf("totals diverged from registry: %+v", tot)
-	}
-}
-
-// TestFallbackRegistersFallbackCounter: the composite's fallback transitions
-// complete the ops family.
-func TestFallbackRegistersFallbackCounter(t *testing.T) {
-	m := NewMemory("TSVD", nil)
-	srv := httptest.NewServer(NewHandler(m, HandlerOptions{}))
-
-	reg := metrics.NewRegistry()
-	client, _ := newTestClient(srv.URL, HTTPConfig{Attempts: 2, Timeout: time.Second, Metrics: reg})
-	local := NewMemory("TSVD", nil)
-	s := NewFallback(client, local, nil)
-	s.RegisterMetrics(reg)
-	defer s.Close()
-
-	srv.Close() // daemon dead from the start
-	if err := s.Publish(trapfile.File{Tool: "TSVD", Pairs: pairs("a", "b")}); err != nil {
-		t.Fatal(err)
-	}
-	got := reg.Values()
-	if got[`tsvd_store_ops_total{op="fallback"}`] != 1 {
-		t.Fatalf("fallback series = %v, want 1", got[`tsvd_store_ops_total{op="fallback"}`])
 	}
 }
 

@@ -271,18 +271,6 @@ func NewFallback(primary, local TrapStore, tracer *trace.Tracer) *Fallback {
 	return &Fallback{primary: primary, local: local, instr: newInstr(tracer, "fallback")}
 }
 
-// RegisterMetrics exports the composite's fallback counter on reg,
-// completing the tsvd_store_ops_total family a wrapped HTTPStore started
-// (fallback transitions live here, not on the client). reg may be nil.
-func (s *Fallback) RegisterMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("tsvd_store_ops_total", "Trap-store client operations by kind.",
-		func() float64 { return float64(s.fallbacks.Load()) },
-		metrics.Label{Name: "op", Value: "fallback"})
-}
-
 // Fetch implements TrapStore.
 func (s *Fallback) Fetch() (trapfile.File, error) {
 	localFile, err := s.local.Fetch()

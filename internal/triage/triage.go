@@ -42,7 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sites"
 	"repro/internal/trace"
@@ -209,26 +208,6 @@ func New() *Triage {
 		armedUnit: map[pairLoc]int64{},
 		explains:  map[pairLoc]*Explanation{},
 	}
-}
-
-// RegisterMetrics exports the triage counters on reg (nil-safe):
-// tsvd_triage_clusters_total (distinct clusters) and
-// tsvd_triage_firings_folded_total (raw firings folded into them).
-func (t *Triage) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("tsvd_triage_clusters_total",
-		"Distinct bug clusters (signature-deduplicated TSVs).",
-		func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(len(t.clusters))
-		})
-	reg.CounterFunc("tsvd_triage_firings_folded_total",
-		"Raw violation firings folded into clusters.",
-		func() float64 {
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			return float64(t.folded)
-		})
 }
 
 // Units returns how many ingestion calls (runs) have been folded so far.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sites"
 	"repro/internal/trace"
@@ -284,21 +283,15 @@ func TestFromTrapFile(t *testing.T) {
 func TestMetricsAndOutput(t *testing.T) {
 	mt, _, _ := fabTrace(t)
 	tri := New()
-	reg := metrics.NewRegistry()
-	tri.RegisterMetrics(reg)
 	tri.AddTrace([]trace.ModuleTrace{mt}, nil, Provenance{Source: "out-test"})
 
-	var prom bytes.Buffer
-	reg.WritePrometheus(&prom)
-	text := prom.String()
-	if !strings.Contains(text, "tsvd_triage_clusters_total 1") {
-		t.Fatalf("clusters metric missing:\n%s", text)
-	}
-	if !strings.Contains(text, "tsvd_triage_firings_folded_total 1") {
-		t.Fatalf("firings metric missing:\n%s", text)
-	}
-
 	clusters := tri.Clusters()
+	if len(clusters) != 1 {
+		t.Fatalf("%d clusters, want 1", len(clusters))
+	}
+	if n := tri.FiringsFolded(); n != 1 {
+		t.Fatalf("%d firings folded, want 1", n)
+	}
 	var j, m bytes.Buffer
 	if err := WriteJSON(&j, "TSVD", tri.Units(), clusters); err != nil {
 		t.Fatal(err)

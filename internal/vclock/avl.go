@@ -1,11 +1,10 @@
 // Package vclock implements vector clocks for the TSVDHB variant (§3.5).
 //
-// Two representations are provided. Tree is the paper's choice: an
-// immutable AVL tree-map, so a message-send (fork, lock release, join
-// hand-off) copies the clock in O(1) by sharing the reference, while
-// increments cost O(log n) path copying. Mutable is the traditional
-// array/hash representation used as the comparison baseline in the
-// package's benchmarks. Element-wise max exploits reference equality of
+// Tree is the paper's representation: an immutable AVL tree-map, so a
+// message-send (fork, lock release, join hand-off) copies the clock in O(1)
+// by sharing the reference, while increments cost O(log n) path copying.
+// The package's tests and benchmarks compare it against Mutable, the
+// traditional hash-table representation, which lives in the tests. Element-wise max exploits reference equality of
 // shared subtrees: joining a task that passed through no TSVD point since
 // fork compares equal by pointer and costs O(1), the common case the paper
 // calls out.

@@ -3,7 +3,8 @@ package vclock
 // Mutable is the traditional hash-table vector clock: O(1) in-place
 // increment but O(n) copy on every message send. It exists as the baseline
 // the paper compares the immutable representation against (§3.5, second
-// optimization) and is exercised by this package's benchmarks.
+// optimization): the model this package's tests check Tree against and the
+// baseline of its benchmarks.
 type Mutable map[int64]uint64
 
 // NewMutable returns an empty mutable clock.

@@ -232,10 +232,15 @@ func (b *blockBuilder) addMarginalBug() {
 		Pair: report.KeyOf(s1.op, s2.op), Kind: BugMarginal, Class: class,
 		ReadWrite: s2.kind == core.KindRead,
 	})
-	// sWarm is side B's private busy-work site: it keeps B's inter-access
-	// gaps well under δ_hb·delay so the offset is never misattributed to
-	// an injected delay (that would be an HB-inference false negative, a
-	// different category).
+	// sWarm is side B's private busy-work site: it splits the offset into
+	// hops of offset/4, at most 0.375·delay, nominally under δ_hb·delay
+	// (0.5·delay), so that the offset is not misattributed to an injected
+	// delay (that would be an HB-inference false negative, a different
+	// category). Nominally only: a sleep overshoots by a roughly fixed
+	// amount, and at time scale 0.02 (δ_hb·delay = 1 ms) the longest hops
+	// measure 1.07–1.1 ms apart, past δ_hb·delay, so HB inference can charge
+	// a hop to another thread's delay that ended inside it and prune the
+	// planted pair.
 	sWarm := b.site("marginal", core.KindWrite, class, writeMethod(class))
 	const iters = 8
 	b.tests = append(b.tests, Test{
